@@ -17,7 +17,6 @@ from spotsim.arranger import (
     GraceContext,
     arrange_acquisition,
     arrange_preemption,
-    resolve_conflicts,
 )
 
 prof = load_profile(bundled_path("gpt-20b"))
@@ -41,15 +40,3 @@ for t_plus in (0.0, 6.0, 120.0):
                        batch=BatchProgress(steps_remaining=128), config=cfg)
     arr = arrange_acquisition(ctx, prof)
     print(f"  T+={t_plus:6.1f} s -> run {arr.steps:3d} more steps, then {arr.action_after}")
-
-print("\n=== Overlapping interruptions are serialized ===")
-pending = [
-    GraceContext(kind="preemption", t_remaining=30.0, t_migration=6.0,
-                 batch=BatchProgress(steps_remaining=200), config=cfg),
-    GraceContext(kind="acquisition", t_remaining=5.0, t_migration=6.0,
-                 batch=BatchProgress(steps_remaining=200), config=cfg),
-]
-for r in resolve_conflicts(pending, prof):
-    print(f"  {r.context.kind:<12} steps={r.arrangement.steps:3d} "
-          f"migration starts at +{r.migration_start:5.1f} s")
-print("  (the join waits until the preemption-triggered migration is done)")

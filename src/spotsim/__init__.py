@@ -19,12 +19,12 @@ from .arranger import (
     arrange_acquisition,
     arrange_preemption,
     handle_early_loss,
-    resolve_conflicts,
 )
 from .controller import (
     ControllerDecision,
     WorkloadEstimate,
     candidate_configs,
+    choose_config,
     estimate_arrival_rate,
     optimize_config,
     plan_instances,
@@ -32,12 +32,10 @@ from .controller import (
 )
 from .costmodel import (
     CostSummary,
-    LatencyBreakdown,
     PerfProfile,
     PriceSheet,
     exec_latency,
     exec_latency_exact,
-    full_reload_baseline,
     load_profile,
     migration_cost,
     monetary_cost,
@@ -47,7 +45,6 @@ from .costmodel import (
 )
 from .data import bundled_path
 from .domain import (
-    ClusterState,
     ContextInventory,
     InstanceState,
     ModelSpec,

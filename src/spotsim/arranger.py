@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .costmodel import PerfProfile
-from .domain import ClusterState, InstanceState, ModelSpec, ParallelConfig
+from .domain import InstanceState, ModelSpec, ParallelConfig, subtract_intervals
 
 
 class ArrangerError(ValueError):
@@ -111,41 +111,6 @@ def arrange_acquisition(ctx: GraceContext, profile: PerfProfile) -> Arrangement:
     return Arrangement(steps=s, action_after="join_and_migrate")
 
 
-@dataclass
-class ResolvedArrangement:
-    context: GraceContext
-    arrangement: Arrangement
-    migration_start: float  # seconds from now
-
-
-def resolve_conflicts(pending: list[GraceContext], profile: PerfProfile) -> list[ResolvedArrangement]:
-    """Serialize overlapping grace periods.
-
-    Preemptions keep their schedules (ordered by deadline) and never overlap;
-    an acquisition's join is pushed past any preemption-triggered migration
-    still in flight, so no instance takes part in two migrations at once.
-    """
-    preemptions = sorted(
-        (c for c in pending if c.kind == "preemption"),
-        key=lambda c: c.t_remaining,
-    )
-    acquisitions = [c for c in pending if c.kind == "acquisition"]
-    out: list[ResolvedArrangement] = []
-    busy_until = 0.0
-    for ctx in preemptions:
-        arr = arrange_preemption(ctx, profile)
-        start = max(_latency_of(ctx, profile, arr.steps), busy_until)
-        if arr.action_after == "migrate_with_cache":
-            busy_until = start + ctx.t_migration
-        out.append(ResolvedArrangement(ctx, arr, start))
-    for ctx in acquisitions:
-        arr = arrange_acquisition(ctx, profile)
-        start = max(_latency_of(ctx, profile, arr.steps), ctx.t_remaining, busy_until)
-        busy_until = start + ctx.t_migration
-        out.append(ResolvedArrangement(ctx, arr, start))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Early-loss fallback
 
@@ -155,7 +120,7 @@ class RecoveryAction:
     source: str | None = None  # local_disk | remote_storage when restarting
 
 
-def handle_early_loss(lost: InstanceState, cluster: ClusterState, model: ModelSpec,
+def handle_early_loss(lost: InstanceState, instances: list[InstanceState], model: ModelSpec,
                       local_weights_available: bool = False) -> RecoveryAction:
     """Recovery when an instance dies before its arranged migration ran.
 
@@ -169,7 +134,7 @@ def handle_early_loss(lost: InstanceState, cluster: ClusterState, model: ModelSp
         return RecoveryAction(kind="none")
 
     survivors = [
-        inst for inst in cluster.instances
+        inst for inst in instances
         if inst.id != lost.id and inst.status in ("active", "grace_preempting")
     ]
     surviving: dict[int, list] = {}
@@ -177,8 +142,6 @@ def handle_early_loss(lost: InstanceState, cluster: ClusterState, model: ModelSp
         for inv in inst.gpu_inventories:
             for layer, lo, hi in inv.model_shards:
                 surviving.setdefault(layer, []).append((lo, hi))
-
-    from .domain import subtract_intervals
 
     for layer, lo, hi in lost_shards:
         uncovered = subtract_intervals((lo, hi), surviving.get(layer, []))

@@ -117,6 +117,29 @@ def optimize_config(n_available: int, current: ParallelConfig | None, rate: floa
     return top[0][0]
 
 
+def choose_config(n_available: int, current: ParallelConfig | None, rate: float,
+                  profile: PerfProfile, gpus_per_instance: int,
+                  cloud_limit: int | None = None,
+                  max_data_parallel: int | None = None) -> ParallelConfig | None:
+    """The configuration to serve with next, or None if no candidate fits.
+
+    Candidates span every GPU the cloud could supply.  If the optimum needs
+    more instances than are on hand (the cloud could supply them but the
+    trace has not delivered yet), re-optimize within the instances on hand.
+    """
+    obtainable = n_available if cloud_limit is None else cloud_limit
+    cand = candidate_configs(profile, max_gpus=max(obtainable, n_available) * gpus_per_instance,
+                             max_data_parallel=max_data_parallel)
+    if not cand:
+        return None
+    chosen = optimize_config(n_available, current, rate, profile, cand,
+                             gpus_per_instance, obtainable)
+    if chosen is not None and chosen.instances(gpus_per_instance) > n_available:
+        chosen = optimize_config(n_available, current, rate, profile, cand,
+                                 gpus_per_instance, n_available)
+    return chosen
+
+
 def plan_instances(config: ParallelConfig, n_available: int, pool_size: int = 2,
                    gpus_per_instance: int = 1) -> ControllerDecision:
     """Size the fleet to the target config plus a standby pool."""

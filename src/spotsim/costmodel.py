@@ -31,22 +31,6 @@ class ProfileMissError(CostModelError):
     """A (P,M,B) shape or s_in entry is not covered by the profile."""
 
 
-@dataclass
-class LatencyBreakdown:
-    """End-to-end request latency split into queueing and execution parts."""
-
-    l_sch: float
-    l_exe: float
-
-    def __post_init__(self):
-        if self.l_sch < 0 or self.l_exe < 0:
-            raise CostModelError("latency components must be >= 0")
-
-    @property
-    def l_req(self) -> float:
-        return self.l_sch + self.l_exe
-
-
 @dataclass(frozen=True)
 class PriceSheet:
     spot_usd_per_hour: float
@@ -272,17 +256,6 @@ def restart_cost(profile: PerfProfile, source: str, migration_baseline: float | 
     if source == "remote_storage":
         return profile.remote_restart_ratio * baseline
     raise CostModelError(f"unknown restart source {source!r}")
-
-
-def full_reload_baseline(profile: PerfProfile, config: ParallelConfig,
-                         gpus_per_instance: int) -> float:
-    """Equivalent-migration time for a full (zero-reuse) context load.
-
-    Every instance pulls its G resident GPU slices over its own link, so the
-    reload time is the per-instance byte volume at line rate.
-    """
-    per_gpu = profile.model.total_param_bytes / (config.pipeline_stages * config.tensor_shards)
-    return gpus_per_instance * per_gpu / profile.bandwidth + profile.transfer_latency
 
 
 # ---------------------------------------------------------------------------

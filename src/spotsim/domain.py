@@ -216,9 +216,6 @@ class ContextInventory:
     def total_bytes(self, model: ModelSpec) -> float:
         return self.model_bytes(model) + self.cache_bytes(model)
 
-    def without_cache(self) -> "ContextInventory":
-        return ContextInventory(model_shards=self.model_shards)
-
 
 @dataclass
 class InstanceState:
@@ -246,23 +243,6 @@ class InstanceState:
 
     def gpu_refs(self) -> list[GpuRef]:
         return [(self.id, g) for g in range(self.gpus)]
-
-
-@dataclass
-class ClusterState:
-    """Instance collection snapshot at simulation time t."""
-
-    instances: list[InstanceState]
-    t: float = 0.0
-
-    @property
-    def available_count(self) -> int:
-        """N_t: allocating and active instances; excludes preempting/released."""
-        return sum(1 for i in self.instances if i.status in ("allocating", "active"))
-
-    def by_status(self, *statuses: str) -> list[InstanceState]:
-        picked = [i for i in self.instances if i.status in statuses]
-        return sorted(picked, key=lambda i: natural_key(i.id))
 
 
 # ---------------------------------------------------------------------------

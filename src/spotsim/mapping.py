@@ -223,20 +223,17 @@ def map_devices(instances: list[InstanceState], target: ParallelConfig, model: M
                 gpus_per_instance: int,
                 inheritance: dict[int, int] | None = None,
                 requests_by_old_pipeline: dict[int, list[RequestSpec]] | None = None,
-                fused_weight: str = "max") -> DeviceMapping:
+                ) -> DeviceMapping:
     """Two-step device mapping: fuse, match within fused pairs, match fused graph.
 
     Group size is min(G, M): an instance's GPUs are fused in index order and a
     (pipeline, stage) row's shards are fused along m, so a fused pair is
     matched by an inner KM whose matching both scores the fused edge (max of
-    matched edge weights per the reference rule, or their sum with
-    fused_weight="sum") and fixes the per-GPU expansion.
+    matched edge weights, the reference rule) and fixes the per-GPU expansion.
     """
     for inst in instances:
         if inst.gpus != gpus_per_instance:
             raise MappingError(f"instance {inst.id} has {inst.gpus} GPUs, expected {gpus_per_instance}")
-    if fused_weight not in ("max", "sum"):
-        raise MappingError("fused_weight must be 'max' or 'sum'")
 
     graph = build_graph(instances, target, model, inheritance, requests_by_old_pipeline)
     group = min(gpus_per_instance, target.tensor_shards)
@@ -266,7 +263,7 @@ def map_devices(instances: list[InstanceState], target: ParallelConfig, model: M
             perm = _hungarian_max(sub)
             matched = [sub[i][perm[i]] for i in range(group)]
             inner[(a, b)] = (sum(matched), perm)
-            fused_w[a][b] = max(matched) if fused_weight == "max" else sum(matched)
+            fused_w[a][b] = max(matched)
 
     outer = _hungarian_max(_pad_square(fused_w))
     assignment: dict[GpuRef, TopologyPosition] = {}

@@ -12,7 +12,9 @@ elsewhere without losing tokens.
 Determinism: events at equal timestamps order trace < arrival < completion <
 internal, then by insertion sequence; every iteration over instances,
 pipelines or requests is explicitly ordered.  Identical configurations give
-bit-identical reports.
+bit-identical reports.  Dispatch keeps a single pending wake: a gated
+pipeline schedules a poll only if it is earlier than the one pending, and a
+poll that is no longer the pending wake does nothing.
 
 Modeling choices: pipelines whose instances take part in the transfers drain
 under the grace arrangement and gate the migration through per-instance
@@ -131,6 +133,7 @@ class Engine:
         self.alloc_log: list[tuple[float, int]] = []
         self.paused_until = 0.0
         self.busy_until = 0.0  # reconfiguration window in progress until then
+        self.wake_at = math.inf  # time of the one pending poll
         self._batch_ids = 0
         self.policy = None
 
@@ -176,7 +179,9 @@ class Engine:
             elif kind == "resume":
                 data()
             elif kind == "poll":
-                self.try_dispatch()
+                if t == self.wake_at:
+                    self.wake_at = math.inf
+                    self.try_dispatch()
             else:  # pragma: no cover
                 raise SimulationError(f"unknown event kind {kind}")
         self.finalize()
@@ -269,7 +274,8 @@ class Engine:
                     continue
                 self.start_batch(pipe, self._take_requests())
                 progress = True
-        if wake is not None and self.queue:
+        if wake is not None and self.queue and wake < self.wake_at:
+            self.wake_at = wake
             self.push(wake, P_INTERNAL, "poll", None)
 
     def _take_requests(self) -> list[RequestRecord]:
@@ -412,6 +418,20 @@ class Engine:
         self.paused_until = max(self.paused_until, until)
         self.busy_until = max(self.busy_until, until)
 
+    def ready_time(self, serving: set[str]) -> float:
+        """When every instance of a serving set is up: now, or the latest
+        ready time among those still allocating."""
+        return max([self.now] + [self.instances[i].ready_at for i in serving
+                                 if self.instances[i].status == "allocating"])
+
+    def commit(self, at: float, payload: dict):
+        """Hold off reactions until `at`, then let the policy commit there."""
+        self.busy_until = max(self.busy_until, at)
+        if at <= self.now:
+            self.policy.on_commit(self, payload)
+        else:
+            self.push(at, P_INTERNAL, "commit", payload)
+
     def log_reconfig(self, config: ParallelConfig, t_mig: float) -> list:
         entry = [self.now, config.as_tuple(), t_mig]
         self.reconfig_log.append(entry)
@@ -484,22 +504,8 @@ class AdaptivePolicy:
             if d < 1:
                 return None
             return ParallelConfig(d, base.pipeline_stages, base.tensor_shards, base.batch_limit)
-        obtainable = n_avail if cfg.cloud_limit is None else cfg.cloud_limit
-        cand = ctl.candidate_configs(engine.profile,
-                                     max_gpus=max(obtainable, n_avail) * cfg.gpus_per_instance,
-                                     max_data_parallel=cfg.max_data_parallel)
-        if not cand:
-            return None
-        chosen = ctl.optimize_config(n_avail, engine.config, engine.current_rate(),
-                                     engine.profile, cand,
-                                     gpus_per_instance=cfg.gpus_per_instance,
-                                     cloud_limit=obtainable)
-        if chosen is not None and chosen.instances(cfg.gpus_per_instance) > n_avail:
-            # the cloud could supply it but the trace has not delivered yet
-            chosen = ctl.optimize_config(n_avail, engine.config, engine.current_rate(),
-                                         engine.profile, cand,
-                                         gpus_per_instance=cfg.gpus_per_instance,
-                                         cloud_limit=n_avail)
+        chosen = ctl.choose_config(n_avail, engine.config, engine.current_rate(), engine.profile,
+                                   cfg.gpus_per_instance, cfg.cloud_limit, cfg.max_data_parallel)
         if chosen is not None and self.pinned is None:
             self.pinned = chosen
         return chosen
@@ -544,11 +550,7 @@ class AdaptivePolicy:
         if not ctl.should_reconfigure(engine.config, target, changed):
             return
 
-        commit_at = engine.now
-        for inst_id in sorted(new_serving, key=natural_key):
-            inst = engine.instances[inst_id]
-            if inst.status == "allocating":
-                commit_at = max(commit_at, inst.ready_at)
+        commit_at = engine.ready_time(new_serving)
         grace = [i.grace_deadline for i in engine.instances_by("grace_preempting")
                  if i.id in engine.serving_instances()]
         entry = engine.log_reconfig(target, math.nan)
@@ -556,11 +558,7 @@ class AdaptivePolicy:
             "target": target, "mapping": mapping, "entry": entry,
             "grace_deadline": min(grace) if grace and commit_at <= engine.now else None,
         }
-        engine.busy_until = max(engine.busy_until, commit_at)
-        if commit_at <= engine.now:
-            self.on_commit(engine, payload)
-        else:
-            engine.push(commit_at, P_INTERNAL, "commit", payload)
+        engine.commit(commit_at, payload)
 
     def apply_free(self, engine: Engine, decision: ctl.ControllerDecision):
         if not decision.free:
@@ -825,12 +823,9 @@ class ReroutingPolicy:
 
     def _fixed(self, engine: Engine) -> tuple[int, int, int]:
         if self.shape is None:
-            n = engine.available_count()
-            cand = ctl.candidate_configs(engine.profile,
-                                         max_gpus=n * engine.cfg.gpus_per_instance,
-                                         max_data_parallel=engine.cfg.max_data_parallel)
-            best = ctl.optimize_config(n, None, engine.current_rate(), engine.profile,
-                                       cand, gpus_per_instance=engine.cfg.gpus_per_instance)
+            best = ctl.choose_config(engine.available_count(), None, engine.current_rate(),
+                                     engine.profile, engine.cfg.gpus_per_instance,
+                                     max_data_parallel=engine.cfg.max_data_parallel)
             if best is None:
                 raise SimulationError("no feasible fixed configuration for rerouting")
             self.shape = (best.pipeline_stages, best.tensor_shards, best.batch_limit)
@@ -886,9 +881,6 @@ class ReroutingPolicy:
             engine.log_reconfig(engine.config, 0.0)
         engine.try_dispatch()
 
-    def on_commit(self, engine: Engine, payload):  # pragma: no cover
-        raise SimulationError("rerouting has no commit phase")
-
 
 class ReparallelizationPolicy:
     """Adaptive-configuration baseline without context migration: every
@@ -902,24 +894,9 @@ class ReparallelizationPolicy:
 
     def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
         cfg = engine.cfg
-        n_avail = engine.available_count()
-        obtainable = n_avail if cfg.cloud_limit is None else cfg.cloud_limit
-        cand = ctl.candidate_configs(engine.profile,
-                                     max_gpus=max(obtainable, n_avail) * cfg.gpus_per_instance,
-                                     max_data_parallel=cfg.max_data_parallel)
-        if not cand:
-            engine.suspend_service()
-            self.serving = set()
-            return
-        target = ctl.optimize_config(n_avail, engine.config, engine.current_rate(),
-                                     engine.profile, cand,
-                                     gpus_per_instance=cfg.gpus_per_instance,
-                                     cloud_limit=obtainable)
-        if target is not None and target.instances(cfg.gpus_per_instance) > n_avail:
-            target = ctl.optimize_config(n_avail, engine.config, engine.current_rate(),
-                                         engine.profile, cand,
-                                         gpus_per_instance=cfg.gpus_per_instance,
-                                         cloud_limit=n_avail)
+        target = ctl.choose_config(engine.available_count(), engine.config, engine.current_rate(),
+                                   engine.profile, cfg.gpus_per_instance, cfg.cloud_limit,
+                                   cfg.max_data_parallel)
         if target is None:
             engine.suspend_service()
             self.serving = set()
@@ -935,19 +912,11 @@ class ReparallelizationPolicy:
         new_serving = {i.id for i in chosen[:need]}
         if not ctl.should_reconfigure(engine.config, target, new_serving != self.serving):
             return
-        commit_at = engine.now
-        for inst_id in sorted(new_serving, key=natural_key):
-            inst = engine.instances[inst_id]
-            if inst.status == "allocating":
-                commit_at = max(commit_at, inst.ready_at)
+        commit_at = engine.ready_time(new_serving)
         entry = engine.log_reconfig(target, math.nan)
         payload = {"target": target, "serving": sorted(new_serving, key=natural_key),
                    "entry": entry}
-        engine.busy_until = max(engine.busy_until, commit_at)
-        if commit_at <= engine.now:
-            self.on_commit(engine, payload)
-        else:
-            engine.push(commit_at, P_INTERNAL, "commit", payload)
+        engine.commit(commit_at, payload)
 
     def on_instance_ready(self, engine: Engine, inst: InstanceState):
         pass

@@ -8,10 +8,8 @@ from spotsim.arranger import (
     arrange_acquisition,
     arrange_preemption,
     handle_early_loss,
-    resolve_conflicts,
 )
 from spotsim.domain import (
-    ClusterState,
     ContextInventory,
     InstanceState,
     ModelSpec,
@@ -142,57 +140,10 @@ class TestArrangeAcquisition:
                 assert init + arr.steps * step >= c.t_remaining
 
 
-class TestResolveConflicts:
-    def test_single_context_unchanged(self):
-        prof = make_profile(t_dec=0.1, t_init=1.0)
-        c = ctx("preemption", 30.0, 5.0, remaining=40)
-        out = resolve_conflicts([c], prof)
-        assert len(out) == 1
-        arr = arrange_preemption(c, prof)
-        assert out[0].arrangement.steps == arr.steps
-        assert out[0].migration_start == pytest.approx(arr.steps * 0.1)
-
-    def test_acquisition_waits_for_preemption_migration(self):
-        prof = make_profile(t_dec=0.1, t_init=1.0)
-        pre = ctx("preemption", 30.0, 8.0, remaining=300)
-        acq = ctx("acquisition", 2.0, 5.0, remaining=500)
-        out = resolve_conflicts([pre, acq], prof)
-        by_kind = {r.context.kind: r for r in out}
-        assert by_kind["preemption"].arrangement.action_after == "migrate_with_cache"
-        pre_end = by_kind["preemption"].migration_start + pre.t_migration
-        # the join would be ready at t=2 but lands after the migration ends
-        assert by_kind["acquisition"].migration_start >= pre_end
-
-    def test_disjoint_contexts_keep_their_schedules(self):
-        prof = make_profile(t_dec=0.1, t_init=1.0)
-        pre = ctx("preemption", 5.0, 1.0, remaining=10)
-        acq = ctx("acquisition", 100.0, 1.0, remaining=2000)
-        out = resolve_conflicts([pre, acq], prof)
-        by_kind = {r.context.kind: r for r in out}
-        # preemption migration [1.0, 2.0]; acquisition joins at 100 untouched
-        assert by_kind["acquisition"].migration_start == pytest.approx(100.0)
-
-    def test_no_instance_in_two_migrations_at_once(self):
-        prof = make_profile(t_dec=0.1, t_init=1.0)
-        contexts = [
-            ctx("preemption", 20.0, 6.0, remaining=40),
-            ctx("preemption", 25.0, 6.0, remaining=80),
-            ctx("acquisition", 3.0, 6.0, remaining=500),
-        ]
-        out = resolve_conflicts(contexts, prof)
-        windows = []
-        for r in out:
-            if r.arrangement.action_after != "reroute_without_cache":
-                windows.append((r.migration_start, r.migration_start + r.context.t_migration))
-        windows.sort()
-        for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
-            assert e1 <= s2 + 1e-9
-
-
 MODEL = ModelSpec(name="m4", num_layers=4, bytes_per_layer=100, kv_bytes_per_token_per_layer=8)
 
 
-def cluster_for(config, n, model=MODEL):
+def instances_for(config, n, model=MODEL):
     instances = []
     slots = positions(config)
     for k in range(n):
@@ -200,41 +151,41 @@ def cluster_for(config, n, model=MODEL):
         if k < len(slots):
             inst.gpu_inventories = [required_context(config, slots[k], model)]
         instances.append(inst)
-    return ClusterState(instances=instances, t=0.0)
+    return instances
 
 
 class TestHandleEarlyLoss:
     def test_replica_survives(self):
         cfg = ParallelConfig(2, 2, 1, 1)  # D=2: every shard replicated
-        cluster = cluster_for(cfg, 4)
-        lost = cluster.instances[1]
+        instances = instances_for(cfg, 4)
+        lost = instances[1]
         lost.status = "released"
-        got = handle_early_loss(lost, cluster, MODEL)
+        got = handle_early_loss(lost, instances, MODEL)
         assert got.kind == "migrate_from_replicas"
 
     def test_unique_shard_lost_restarts_remote(self):
         cfg = ParallelConfig(1, 2, 1, 1)  # D=1: single copy of each stage
-        cluster = cluster_for(cfg, 2)
-        lost = cluster.instances[0]
+        instances = instances_for(cfg, 2)
+        lost = instances[0]
         lost.status = "released"
-        got = handle_early_loss(lost, cluster, MODEL)
+        got = handle_early_loss(lost, instances, MODEL)
         assert got.kind == "restart_from_storage"
         assert got.source == "remote_storage"
 
     def test_local_disk_preferred_when_available(self):
         cfg = ParallelConfig(1, 2, 1, 1)
-        cluster = cluster_for(cfg, 2)
-        lost = cluster.instances[0]
+        instances = instances_for(cfg, 2)
+        lost = instances[0]
         lost.status = "released"
-        got = handle_early_loss(lost, cluster, MODEL, local_weights_available=True)
+        got = handle_early_loss(lost, instances, MODEL, local_weights_available=True)
         assert got.source == "local_disk"
 
     def test_nothing_held_means_no_action(self):
         cfg = ParallelConfig(1, 2, 1, 1)
-        cluster = cluster_for(cfg, 3)
-        lost = cluster.instances[2]  # spare held nothing
+        instances = instances_for(cfg, 3)
+        lost = instances[2]  # spare held nothing
         lost.status = "released"
-        got = handle_early_loss(lost, cluster, MODEL)
+        got = handle_early_loss(lost, instances, MODEL)
         assert got.kind == "none"
 
     def test_restart_cost_ratio_applies(self):

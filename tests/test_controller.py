@@ -7,6 +7,7 @@ from spotsim.controller import (
     ControllerError,
     LATENCY_SIMILARITY,
     candidate_configs,
+    choose_config,
     estimate_arrival_rate,
     optimize_config,
     plan_instances,
@@ -195,3 +196,33 @@ def test_latency_similarity_tie_prefers_fewer_instances():
     rate = throughput(prof, ParallelConfig(1, 2, 2, 1)) * 1.5
     got = optimize_config(8, None, rate, prof, cand, gpus_per_instance=1)
     assert got == ParallelConfig(2, 2, 2, 1)
+
+
+class TestChooseConfig:
+    def test_second_pass_when_cloud_limit_exceeds_available(self, gpt_profile, monkeypatch):
+        import spotsim.controller as ctl
+        limits = []
+        optimize = ctl.optimize_config
+
+        def recorded(n_available, current, rate, profile, candidates, gpus, cloud_limit):
+            limits.append(cloud_limit)
+            return optimize(n_available, current, rate, profile, candidates, gpus, cloud_limit)
+        monkeypatch.setattr(ctl, "optimize_config", recorded)
+        got = choose_config(6, None, 0.35, gpt_profile, 4, cloud_limit=10)
+        # the first pass wants 8 instances the trace has not delivered yet
+        assert limits == [10, 6]
+        assert got.instances(4) <= 6
+        cand = candidate_configs(gpt_profile, max_gpus=40)
+        assert got == optimize_config(6, None, 0.35, gpt_profile, cand,
+                                      gpus_per_instance=4, cloud_limit=6)
+
+    def test_one_pass_without_cloud_limit(self, gpt_profile):
+        cand = candidate_configs(gpt_profile, max_gpus=40)
+        assert choose_config(10, None, 0.35, gpt_profile, 4) == \
+            optimize_config(10, None, 0.35, gpt_profile, cand, gpus_per_instance=4)
+
+    def test_none_when_no_candidate_fits(self, gpt_profile):
+        # no GPUs at all: not even a candidate
+        assert choose_config(0, None, 0.35, gpt_profile, 4) is None
+        # candidates the cloud could supply, but none fits the instances on hand
+        assert choose_config(0, None, 0.35, gpt_profile, 4, cloud_limit=10) is None

@@ -7,7 +7,6 @@ from spotsim.costmodel import (
     ProfileMissError,
     exec_latency,
     exec_latency_exact,
-    full_reload_baseline,
     load_profile,
     migration_cost,
     monetary_cost,
@@ -257,18 +256,3 @@ def test_profile_roundtrip(gpt_profile):
     assert back.prefill_table == gpt_profile.prefill_table
     assert back.pipeline_efficiency == gpt_profile.pipeline_efficiency
     assert back.prices == gpt_profile.prices
-
-
-def test_full_reload_baseline_scales_with_config(gpt_profile):
-    fast = full_reload_baseline(gpt_profile, ParallelConfig(1, 2, 8, 1), 4)
-    slow = full_reload_baseline(gpt_profile, ParallelConfig(1, 3, 4, 1), 4)
-    # fewer GPUs per model copy means more bytes per instance
-    assert slow > fast
-
-
-def test_latency_breakdown_sums_and_validates():
-    from spotsim.costmodel import LatencyBreakdown
-    lb = LatencyBreakdown(l_sch=2.5, l_exe=10.0)
-    assert lb.l_req == 12.5
-    with pytest.raises(CostModelError):
-        LatencyBreakdown(l_sch=-1.0, l_exe=1.0)

@@ -144,17 +144,23 @@ def test_shard_interval_bounds():
 
 
 def test_cluster_available_count_rule():
-    from spotsim.domain import ClusterState, InstanceState
-    cluster = ClusterState(instances=[
+    from spotsim.costmodel import load_profile
+    from spotsim.data import bundled_path
+    from spotsim.simconfig import load_simconfig
+    from spotsim.simulator import Engine
+    cfg = load_simconfig(bundled_path("scenario_bs.json"))
+    engine = Engine(cfg, load_profile(cfg.profile_path), trace=[], arrivals=[])
+    for inst in reversed([
         InstanceState(id="i-0", kind="spot", gpus=4, status="active"),
         InstanceState(id="i-1", kind="spot", gpus=4, status="allocating", ready_at=50.0),
         InstanceState(id="i-2", kind="spot", gpus=4, status="grace_preempting",
                       grace_deadline=30.0),
         InstanceState(id="i-3", kind="ondemand", gpus=4, status="released"),
-    ], t=10.0)
+    ]):
+        engine.instances[inst.id] = inst
     # allocating counts toward N_t, preempting and released do not
-    assert cluster.available_count == 2
-    assert [i.id for i in cluster.by_status("active", "allocating")] == ["i-0", "i-1"]
+    assert engine.available_count() == 2
+    assert [i.id for i in engine.instances_by("active", "allocating")] == ["i-0", "i-1"]
 
 
 def test_instance_state_validation():

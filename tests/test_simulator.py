@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from spotsim.simconfig import (
     load_simconfig,
     load_trace,
 )
-from spotsim.simulator import run
+from spotsim.simulator import Engine, run
 from spotsim.workload import save_arrivals
 
 
@@ -307,3 +308,19 @@ def test_cloud_limit_falls_back_to_available_supply(tmp_path):
     for _, shape, _ in report.reconfigurations:
         d, p, m, _b = shape
         assert d * p * m <= 2 * 4
+
+
+def test_event_budget_on_bundled_rerouting(monkeypatch):
+    """Dispatch keeps one pending wake: the queue sees a few events per
+    arrival, not a poll for every look at a gated pipeline."""
+    counts = Counter()
+    push = Engine.push
+
+    def counted(engine, t, prio, kind, data):
+        counts[kind] += 1
+        return push(engine, t, prio, kind, data)
+    monkeypatch.setattr(Engine, "push", counted)
+    cfg = load_simconfig(bundled_path("scenario_bs.json"))
+    run(replace(cfg, policy="rerouting"))
+    assert counts["arrival"] > 0
+    assert sum(counts.values()) < 3 * counts["arrival"], dict(counts)
