@@ -51,12 +51,12 @@ class Arrangement:
     action_after: str  # migrate_with_cache | reroute_without_cache | join_and_migrate
 
 
-def _latency_of(ctx: GraceContext, profile: PerfProfile, steps: int, s_in: int | None = None) -> float:
+def _latency_of(ctx: GraceContext, profile: PerfProfile, steps: int) -> float:
     """l_exe(S | C_t) measured from the batch's current decode position."""
     step = profile.decode_seconds(ctx.config)
     init = 0.0
     if ctx.batch.prefill_pending:
-        init = profile.prefill_seconds(ctx.config, profile.nominal_s_in if s_in is None else s_in)
+        init = profile.prefill_seconds(ctx.config, profile.nominal_s_in)
     return init + steps * step
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from . import __version__
 from .metrics import write_request_csv, write_summary_json
 from .simconfig import (
-    ABLATION_FEATURES,
     POLICIES,
     SimConfig,
     SimConfigError,

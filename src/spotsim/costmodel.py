@@ -80,21 +80,15 @@ class PerfProfile:
     def shapes(self) -> list[Shape]:
         return sorted(self.decode_table)
 
-    def has_shape(self, config: ParallelConfig, batch_size: int | None = None) -> bool:
-        b = config.batch_limit if batch_size is None else batch_size
-        return (config.pipeline_stages, config.tensor_shards, b) in self.decode_table
-
-    def decode_seconds(self, config: ParallelConfig, batch_size: int | None = None) -> float:
-        b = config.batch_limit if batch_size is None else batch_size
-        key = (config.pipeline_stages, config.tensor_shards, b)
+    def decode_seconds(self, config: ParallelConfig) -> float:
+        key = (config.pipeline_stages, config.tensor_shards, config.batch_limit)
         try:
             return self.decode_table[key]
         except KeyError:
             raise ProfileMissError(f"no decode entry for (P,M,B)={key}") from None
 
-    def prefill_seconds(self, config: ParallelConfig, s_in: int, batch_size: int | None = None) -> float:
-        b = config.batch_limit if batch_size is None else batch_size
-        key = (config.pipeline_stages, config.tensor_shards, b)
+    def prefill_seconds(self, config: ParallelConfig, s_in: int) -> float:
+        key = (config.pipeline_stages, config.tensor_shards, config.batch_limit)
         try:
             entries = self.prefill_table[key]
         except KeyError:
@@ -125,19 +119,18 @@ def _prefill_at(entries: dict[int, float], s_in: int) -> float:
 # ---------------------------------------------------------------------------
 # Latency and throughput
 
-def exec_latency(profile: PerfProfile, config: ParallelConfig, s_in: int, s_out: int,
-                 batch_size: int | None = None) -> float:
+def exec_latency(profile: PerfProfile, config: ParallelConfig, s_in: int, s_out: int) -> float:
     """Batch execution latency: prefill plus s_out constant decode steps."""
     if s_in < 0 or s_out < 0:
         raise CostModelError("sequence lengths must be >= 0")
-    init = profile.prefill_seconds(config, s_in, batch_size)
+    init = profile.prefill_seconds(config, s_in)
     if s_out == 0:
         return init
-    return init + s_out * profile.decode_seconds(config, batch_size)
+    return init + s_out * profile.decode_seconds(config)
 
 
 def exec_latency_exact(profile: PerfProfile, config: ParallelConfig, s_in: int, s_out: int,
-                       batch_size: int | None = None, per_length_cost=None) -> float:
+                       per_length_cost=None) -> float:
     """Summation form: prefill plus a per-length step cost for every decode.
 
     With the default constant step cost this reduces to exec_latency exactly;
@@ -145,9 +138,9 @@ def exec_latency_exact(profile: PerfProfile, config: ParallelConfig, s_in: int, 
     of the constant-step model.
     """
     if per_length_cost is None:
-        step = profile.decode_seconds(config, batch_size)
+        step = profile.decode_seconds(config)
         per_length_cost = lambda _s: step
-    total = profile.prefill_seconds(config, s_in, batch_size)
+    total = profile.prefill_seconds(config, s_in)
     for i in range(1, s_out + 1):
         total += per_length_cost(s_in + i)
     return total

@@ -6,12 +6,16 @@ Every GPU therefore owns a (pipeline, stage, shard) position whose resident
 model slice is a contiguous layer block crossed with a tensor-shard fraction
 interval.  Byte-level bookkeeping of those slices (plus per-request KV-cache
 slices) is what the device mapper and migration planner trade in.
+`required_context` is the one builder of those slices, and a GPU's holdings
+live in its instance's `gpu_inventories`, which the simulator's engine writes
+when it installs a layout.
 
 All types here are plain values; nothing mutates shared state.
 """
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -207,15 +211,6 @@ class ContextInventory:
             total += (hi - lo) * model.bytes_per_layer
         return float(total)
 
-    def cache_bytes(self, model: ModelSpec) -> float:
-        total = Fraction(0)
-        for _, _, lo, hi, tokens in self.cache_shards:
-            total += (hi - lo) * model.kv_bytes_per_token_per_layer * tokens
-        return float(total)
-
-    def total_bytes(self, model: ModelSpec) -> float:
-        return self.model_bytes(model) + self.cache_bytes(model)
-
 
 @dataclass
 class InstanceState:
@@ -268,12 +263,32 @@ def shard_interval(tensor_shards: int, shard: int) -> Interval:
     return (Fraction(shard - 1, tensor_shards), Fraction(shard, tensor_shards))
 
 
-def required_context(config: ParallelConfig, pos: TopologyPosition, model: ModelSpec) -> ContextInventory:
-    """Model context a position must hold; cache needs are assignment-dependent."""
+def required_context(config: ParallelConfig, pos: TopologyPosition, model: ModelSpec,
+                     cache: Iterable[tuple[str, int]] = ()) -> ContextInventory:
+    """Context a position must hold: its model slice, plus the KV cache of each
+    `(request id, tokens)` entry in `cache` on every layer of its stage.
+
+    Cache shards run request-major, then layer; entries with no tokens hold
+    nothing and are skipped.
+    """
     pos.validate_for(config)
     lo, hi = shard_interval(config.tensor_shards, pos.shard)
     layers = stage_layers(model.num_layers, config.pipeline_stages, pos.stage)
-    return ContextInventory(model_shards=tuple((lyr, lo, hi) for lyr in layers))
+    return ContextInventory(
+        model_shards=tuple((lyr, lo, hi) for lyr in layers),
+        cache_shards=tuple((rid, lyr, lo, hi, tokens)
+                           for rid, tokens in cache if tokens > 0 for lyr in layers),
+    )
+
+
+KvCache = dict[int, list[tuple[str, int]]]  # pipeline -> [(request id, tokens)]
+
+
+def kv_cache(requests_by_pipeline: dict[int, list[RequestSpec]]) -> KvCache:
+    """The `(request id, tokens)` cache entries of each pipeline's requests,
+    prompt plus generated tokens, in request-id order."""
+    return {d: [(r.id, r.s_in + r.tokens_generated) for r in sorted(reqs, key=lambda r: r.id)]
+            for d, reqs in sorted(requests_by_pipeline.items())}
 
 
 def overlap_bytes(a: ContextInventory, b: ContextInventory, model: ModelSpec) -> float:

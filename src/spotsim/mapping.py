@@ -12,19 +12,18 @@ from dataclasses import dataclass
 
 from .domain import (
     ContextInventory,
-    DomainError,
     GpuRef,
     InstanceState,
+    KvCache,
     ModelSpec,
     ParallelConfig,
     RequestSpec,
     TopologyPosition,
+    kv_cache,
     natural_key,
     overlap_bytes,
     positions,
     required_context,
-    shard_interval,
-    stage_layers,
 )
 
 
@@ -152,33 +151,20 @@ def km_match(graph: BipartiteGraph) -> DeviceMapping:
 # ---------------------------------------------------------------------------
 # Graph construction
 
-def required_context_with_cache(config: ParallelConfig, pos: TopologyPosition, model: ModelSpec,
-                                inherited: list[tuple[str, int]] | None) -> ContextInventory:
-    """Model context of a position plus cache shards for inherited requests."""
-    base = required_context(config, pos, model)
-    if not inherited:
-        return base
-    lo, hi = shard_interval(config.tensor_shards, pos.shard)
-    layers = stage_layers(model.num_layers, config.pipeline_stages, pos.stage)
-    cache = tuple(
-        (rid, lyr, lo, hi, tokens)
-        for rid, tokens in inherited
-        for lyr in layers
-        if tokens > 0
-    )
-    return ContextInventory(model_shards=base.model_shards, cache_shards=cache)
-
-
 def default_inheritance(d_old: int, d_new: int) -> dict[int, int]:
     """Identity pipeline inheritance on min(D_old, D_new)."""
     return {d: d for d in range(1, min(d_old, d_new) + 1)}
 
 
-def sorted_gpu_refs(instances: list[InstanceState]) -> list[GpuRef]:
-    refs = []
-    for inst in sorted(instances, key=lambda i: natural_key(i.id)):
-        refs.extend(inst.gpu_refs())
-    return refs
+def positional_mapping(instances: list[InstanceState], target: ParallelConfig) -> DeviceMapping | None:
+    """GPUs in instance-id order fill the positions in order, reusing nothing;
+    None when there are too few GPUs."""
+    refs = [ref for inst in sorted(instances, key=lambda i: natural_key(i.id))
+            for ref in inst.gpu_refs()]
+    slots = positions(target)
+    if len(refs) < len(slots):
+        return None
+    return DeviceMapping(assignment=dict(zip(refs, slots)), total_weight=0.0, config=target)
 
 
 def build_graph(instances: list[InstanceState], target: ParallelConfig, model: ModelSpec,
@@ -197,19 +183,15 @@ def build_graph(instances: list[InstanceState], target: ParallelConfig, model: M
             gpus.append(ref)
             inventories[ref] = inst.gpu_inventories[g]
 
-    inherited_by_new: dict[int, list[tuple[str, int]]] = {}
+    inherited_by_new: KvCache = {}
     if inheritance and requests_by_old_pipeline:
-        for d_old in sorted(requests_by_old_pipeline):
-            d_new = inheritance.get(d_old)
-            if d_new is None:
-                continue
-            for req in sorted(requests_by_old_pipeline[d_old], key=lambda r: r.id):
-                tokens = req.s_in + req.tokens_generated
-                inherited_by_new.setdefault(d_new, []).append((req.id, tokens))
+        for d_old, entries in kv_cache(requests_by_old_pipeline).items():
+            if inheritance.get(d_old) is not None:
+                inherited_by_new.setdefault(inheritance[d_old], []).extend(entries)
 
     slots = positions(target)
     needs = [
-        required_context_with_cache(target, pos, model, inherited_by_new.get(pos.pipeline))
+        required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
         for pos in slots
     ]
     weights = [[overlap_bytes(inventories[gpu], need, model) for need in needs] for gpu in gpus]

@@ -22,14 +22,12 @@ from .domain import (
     ContextInventory,
     GpuRef,
     ModelSpec,
-    ParallelConfig,
-    TopologyPosition,
     intersect,
     natural_key,
-    stage_layers,
+    required_context,
     subtract_intervals,
 )
-from .mapping import DeviceMapping, required_context_with_cache
+from .mapping import DeviceMapping
 
 
 class MigrationError(ValueError):
@@ -229,8 +227,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInv
         if pos is None:
             required[gpu] = ContextInventory.empty()
         else:
-            inherited = (inherited_by_pipeline or {}).get(pos.pipeline)
-            required[gpu] = required_context_with_cache(target, pos, model, inherited)
+            inherited = (inherited_by_pipeline or {}).get(pos.pipeline, ())
+            required[gpu] = required_context(target, pos, model, inherited)
 
     # One pass to size every receiver's incoming volume: the busiest receiver
     # link bounds the migration makespan no matter how sources are picked, so

@@ -1,7 +1,7 @@
 """Simulation configuration and availability-trace parsing."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 

@@ -9,6 +9,11 @@ throughput phi attainable).  Progress commits at decode-iteration boundaries,
 so a policy can pause a batch mid-decode, migrate its KV cache, and resume it
 elsewhere without losing tokens.
 
+GPU context lives once, in each instance's `gpu_inventories`: the engine
+writes it only when it installs a layout, and `Engine.layout_snapshot` adds
+the KV cache of in-flight requests (see `domain.kv_cache`) on top for a
+decision.
+
 Determinism: events at equal timestamps order trace < arrival < completion <
 internal, then by insertion sequence; every iteration over instances,
 pipelines or requests is explicitly ordered.  Identical configurations give
@@ -28,7 +33,7 @@ migrating does not gate the migration start.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import controller as ctl
 from .arranger import BatchProgress, GraceContext, arrange_preemption
@@ -44,20 +49,19 @@ from .domain import (
     ContextInventory,
     GpuRef,
     InstanceState,
+    KvCache,
     ParallelConfig,
     TopologyPosition,
+    kv_cache,
     natural_key,
-    positions,
     required_context,
-    shard_interval,
-    stage_layers,
 )
 from .mapping import (
     DeviceMapping,
     default_inheritance,
     map_devices,
+    positional_mapping,
     retain_cache,
-    sorted_gpu_refs,
 )
 from .metrics import MetricsReport, RequestRecord, collect_metrics
 from .migration import MigrationError, derive_transfers, plan_migration
@@ -120,7 +124,6 @@ class Engine:
         self.events: list = []
         self._seq = 0
         self.instances: dict[str, InstanceState] = {}
-        self.layout: dict[GpuRef, ContextInventory] = {}
         self.assignment: dict[TopologyPosition, GpuRef] = {}
         self.config: ParallelConfig | None = None
         self.pipelines: dict[int, Pipeline] = {}
@@ -130,7 +133,6 @@ class Engine:
         self.reconfig_log: list[list] = []  # mutable [t, config tuple, t_mig]
         self.usage_open: dict[str, tuple[str, float]] = {}
         self.usage: list[tuple[str, str, float, float]] = []
-        self.alloc_log: list[tuple[float, int]] = []
         self.paused_until = 0.0
         self.busy_until = 0.0  # reconfiguration window in progress until then
         self.wake_at = math.inf  # time of the one pending poll
@@ -232,8 +234,6 @@ class Engine:
         if inst.id in self.usage_open:
             kind, start = self.usage_open.pop(inst.id)
             self.usage.append((inst.id, kind, start, min(t, self.cfg.duration)))
-        for ref in inst.gpu_refs():
-            self.layout.pop(ref, None)
 
     def available_count(self) -> int:
         return sum(1 for i in self.instances.values() if i.status in ("active", "allocating"))
@@ -310,25 +310,26 @@ class Engine:
         s_in = max(r.s_in for r in requests)
         self._launch(pipe, requests, self.profile.prefill_seconds(self.config, s_in), at=start)
 
-    def resume_batch(self, pipe: Pipeline, requests: list[RequestRecord]):
-        """Continue interrupted requests from migrated cache: no prefill."""
-        self._launch(pipe, requests, 0.0)
-
     def handle_complete(self, batch: Batch, version: int):
         if batch.version != version:
             return
         for r in batch.requests:
             r.completion = batch.boundary(r.s_out - batch.base_tokens[r.id])
             r.tokens_generated = r.s_out
+        self.drop_batch(batch)
+        self.try_dispatch()
+
+    def drop_batch(self, batch: Batch):
+        """Cancel a batch's pending completion and take it off its pipeline."""
+        batch.version += 1
         pipe = self.pipelines.get(batch.pipeline)
         if pipe and batch in pipe.batches:
             pipe.batches.remove(batch)
-        self.try_dispatch()
 
     def pause_batch(self, batch: Batch, iters: int) -> list[RequestRecord]:
         """Stop a batch after `iters` segment iterations; completions landing
         inside the horizon are finalized, the rest return as survivors."""
-        batch.version += 1
+        self.drop_batch(batch)
         horizon = self.cfg.duration
         cap = batch.iters_at(horizon)
         survivors = []
@@ -341,10 +342,12 @@ class Engine:
             else:
                 r.tokens_generated = min(r.s_out, base + min(iters, cap))
                 survivors.append(r)
-        pipe = self.pipelines.get(batch.pipeline)
-        if pipe and batch in pipe.batches:
-            pipe.batches.remove(batch)
         return survivors
+
+    def restart_batches(self, batches: list[Batch]):
+        """Stop batches now; their unfinished requests recompute from token zero."""
+        for batch in batches:
+            self.requeue(self.pause_batch(batch, batch.iters_at(self.now)), reset_progress=True)
 
     def all_batches(self) -> list[Batch]:
         out = []
@@ -367,45 +370,31 @@ class Engine:
     # -- serving state ---------------------------------------------------------------
 
     def install_layout(self, config: ParallelConfig, mapping: DeviceMapping):
+        """Serve `mapping`: every GPU is emptied, then each assigned GPU holds
+        its position's model context."""
         self.config = config
         self.assignment = mapping.gpu_for()
-        self.layout = {}
-        for inst in self.instances_by("active", "allocating"):
-            for ref in inst.gpu_refs():
-                self.layout[ref] = ContextInventory.empty()
-        for pos in sorted(self.assignment):
-            gpu = self.assignment[pos]
-            self.layout[gpu] = required_context(config, pos, self.model)
+        for inst in self.instances.values():
+            inst.gpu_inventories = [ContextInventory.empty()] * inst.gpus
+        for pos, (inst_id, g) in sorted(self.assignment.items()):
+            self.instances[inst_id].gpu_inventories[g] = required_context(config, pos, self.model)
         self.pipelines = {
             d: Pipeline(index=d, next_start=self.now)
             for d in range(1, config.data_parallel + 1)
         }
 
-    def layout_snapshot(self, cached_requests: dict[int, list[RequestRecord]] | None = None,
-                        ) -> dict[GpuRef, ContextInventory]:
-        """Holdings of every live GPU, plus KV cache of the given per-pipeline
-        requests at their committed progress (prompt tokens included)."""
+    def layout_snapshot(self, cache: KvCache | None = None) -> dict[GpuRef, ContextInventory]:
+        """Holdings of every live GPU; an assigned GPU also holds the KV cache
+        `cache` lists for its pipeline."""
         snap: dict[GpuRef, ContextInventory] = {}
         for inst in self.instances_by("active", "allocating", "grace_preempting"):
-            for ref in inst.gpu_refs():
-                snap[ref] = self.layout.get(ref, ContextInventory.empty())
-        if not self.config or not cached_requests:
+            snap.update(zip(inst.gpu_refs(), inst.gpu_inventories))
+        if not self.config or not cache:
             return snap
         for pos in sorted(self.assignment):
             gpu = self.assignment[pos]
-            reqs = cached_requests.get(pos.pipeline)
-            if not reqs or gpu not in snap:
-                continue
-            lo, hi = shard_interval(self.config.tensor_shards, pos.shard)
-            layers = stage_layers(self.model.num_layers, self.config.pipeline_stages, pos.stage)
-            cache = tuple(
-                (r.id, lyr, lo, hi, r.s_in + r.tokens_generated)
-                for r in sorted(reqs, key=lambda r: r.id)
-                for lyr in layers
-            )
-            base = snap[gpu]
-            snap[gpu] = ContextInventory(model_shards=base.model_shards,
-                                         cache_shards=base.cache_shards + cache)
+            if cache.get(pos.pipeline) and gpu in snap:
+                snap[gpu] = required_context(self.config, pos, self.model, cache[pos.pipeline])
         return snap
 
     def batch_requests_by_pipeline(self, batches: list[Batch]) -> dict[int, list[RequestRecord]]:
@@ -413,10 +402,6 @@ class Engine:
         for b in batches:
             out.setdefault(b.pipeline, []).extend(b.requests)
         return out
-
-    def pause_service(self, until: float):
-        self.paused_until = max(self.paused_until, until)
-        self.busy_until = max(self.busy_until, until)
 
     def ready_time(self, serving: set[str]) -> float:
         """When every instance of a serving set is up: now, or the latest
@@ -432,15 +417,29 @@ class Engine:
         else:
             self.push(at, P_INTERNAL, "commit", payload)
 
+    def resume_at(self, at: float, config: ParallelConfig, mapping: DeviceMapping,
+                  carried: dict[int, list[RequestRecord]] | None = None):
+        """Pause service until `at`, then serve `mapping`: install it, resume
+        each pipeline's carried requests from their cache, and dispatch."""
+        def resume():
+            self.install_layout(config, mapping)
+            for d, reqs in sorted((carried or {}).items()):
+                for i in range(0, len(reqs), config.batch_limit):
+                    # no prefill: the requests continue from their cache
+                    self._launch(self.pipelines[d], reqs[i:i + config.batch_limit], 0.0)
+            self.try_dispatch()
+
+        self.paused_until = max(self.paused_until, at)
+        self.busy_until = max(self.busy_until, at)
+        self.push(at, P_INTERNAL, "resume", resume)
+
     def log_reconfig(self, config: ParallelConfig, t_mig: float) -> list:
         entry = [self.now, config.as_tuple(), t_mig]
         self.reconfig_log.append(entry)
         return entry
 
     def suspend_service(self):
-        for batch in self.all_batches():
-            survivors = self.pause_batch(batch, batch.iters_at(self.now))
-            self.requeue(survivors, reset_progress=True)
+        self.restart_batches(self.all_batches())
         self.config = None
         self.assignment = {}
         self.pipelines = {}
@@ -511,26 +510,19 @@ class AdaptivePolicy:
         return chosen
 
     def compute_mapping(self, engine: Engine, target: ParallelConfig) -> DeviceMapping:
-        candidates = engine.instances_by("active", "allocating")
         by_pipe = engine.batch_requests_by_pipeline(engine.all_batches())
-        snapshot = engine.layout_snapshot(by_pipe)
-        for inst in candidates:
-            inst.gpu_inventories = [snapshot.get(ref, ContextInventory.empty())
-                                    for ref in inst.gpu_refs()]
+        snapshot = engine.layout_snapshot(kv_cache(by_pipe))
+        candidates = [replace(inst, gpu_inventories=[snapshot[ref] for ref in inst.gpu_refs()])
+                      for inst in engine.instances_by("active", "allocating")]
         if self._use("mapper"):
             inheritance = None
-            reqs = None
             if engine.config is not None:
                 inheritance = default_inheritance(engine.config.data_parallel,
                                                   target.data_parallel)
-                reqs = {d: sorted(rs, key=lambda r: r.id) for d, rs in sorted(by_pipe.items())}
             return map_devices(candidates, target, engine.model,
                                engine.cfg.gpus_per_instance,
-                               inheritance=inheritance, requests_by_old_pipeline=reqs)
-        refs = sorted_gpu_refs(candidates)
-        slots = positions(target)
-        return DeviceMapping(assignment={refs[i]: pos for i, pos in enumerate(slots)},
-                             total_weight=0.0, config=target)
+                               inheritance=inheritance, requests_by_old_pipeline=by_pipe)
+        return positional_mapping(candidates, target)  # the target fits the candidates
 
     def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
         cfg = engine.cfg
@@ -540,8 +532,6 @@ class AdaptivePolicy:
             engine.suspend_service()
             return
         decision = ctl.plan_instances(target, n_avail, cfg.pool_size, cfg.gpus_per_instance)
-        if decision.alloc:
-            engine.alloc_log.append((engine.now, decision.alloc))
         self.apply_free(engine, decision)
 
         mapping = self.compute_mapping(engine, target)
@@ -618,10 +608,7 @@ class AdaptivePolicy:
             # requests go back to the queue head as if never dispatched.
             for batch in engine.all_batches():
                 if batch.seg_start >= commit_start - 1e-9:
-                    batch.version += 1
-                    pipe = engine.pipelines.get(batch.pipeline)
-                    if pipe and batch in pipe.batches:
-                        pipe.batches.remove(batch)
+                    engine.drop_batch(batch)
                     for r in batch.requests:
                         if r.dispatch == batch.seg_start:
                             r.dispatch = None
@@ -644,6 +631,7 @@ class AdaptivePolicy:
         }
 
         packed = self._pack_pipelines(old_cache, target)
+        # packed order, not id order: it drives the planner's source choice
         inherited = {
             d: [(r.id, r.s_in + r.tokens_generated) for r in reqs]
             for d, reqs in sorted(packed.items())
@@ -652,20 +640,7 @@ class AdaptivePolicy:
         stall, t_full = self._plan_and_cost(engine, mapping, old_cache, inherited,
                                             packed, target, first_boot, release)
         payload["entry"][2] = t_full
-        resume_at = max(engine.now + stall, commit_start)
-
-        def do_resume():
-            engine.install_layout(target, mapping)
-            for d in sorted(packed):
-                pipe = engine.pipelines[d]
-                reqs = packed[d]
-                limit = target.batch_limit
-                for i in range(0, len(reqs), limit):
-                    engine.resume_batch(pipe, reqs[i:i + limit])
-            engine.try_dispatch()
-
-        engine.pause_service(resume_at)
-        engine.push(resume_at, P_INTERNAL, "resume", do_resume)
+        engine.resume_at(max(engine.now + stall, commit_start), target, mapping, packed)
 
     def _feed_during_grace(self, engine: Engine, deadline: float, t_mig_est: float,
                            affected: set[int], note_release) -> None:
@@ -749,12 +724,8 @@ class AdaptivePolicy:
 
     def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping) -> float:
         """Pessimistic migration time: every in-flight request's cache moves."""
-        by_pipe = engine.batch_requests_by_pipeline(engine.all_batches())
-        inherited = {
-            d: [(r.id, r.s_in + r.tokens_generated) for r in sorted(rs, key=lambda r: r.id)]
-            for d, rs in sorted(by_pipe.items())
-        }
-        snapshot = engine.layout_snapshot(by_pipe)
+        inherited = kv_cache(engine.batch_requests_by_pipeline(engine.all_batches()))
+        snapshot = engine.layout_snapshot(inherited)
         try:
             plan = plan_migration(mapping, snapshot, engine.model,
                                   u_max=engine.cfg.u_max, inherited_by_pipeline=inherited,
@@ -788,7 +759,7 @@ class AdaptivePolicy:
         if first_boot:
             return 0.0, 0.0
         with_cache = self._use("arranger")
-        snapshot = engine.layout_snapshot(old_cache if with_cache else None)
+        snapshot = engine.layout_snapshot(kv_cache(old_cache) if with_cache else None)
         u_max = engine.cfg.u_max if self._use("planner") else None
         try:
             plan = plan_migration(mapping, snapshot, engine.model, u_max=u_max,
@@ -821,24 +792,23 @@ class ReroutingPolicy:
         self._next_pipe = 1
         self._booted = False
 
-    def _fixed(self, engine: Engine) -> tuple[int, int, int]:
+    def _fixed(self, engine: Engine) -> tuple[int, int, int] | None:
+        """The fixed (P, M, B) shape, chosen at the first availability that can
+        host one; None until then."""
         if self.shape is None:
             best = ctl.choose_config(engine.available_count(), None, engine.current_rate(),
                                      engine.profile, engine.cfg.gpus_per_instance,
                                      max_data_parallel=engine.cfg.max_data_parallel)
             if best is None:
-                raise SimulationError("no feasible fixed configuration for rerouting")
+                return None
             self.shape = (best.pipeline_stages, best.tensor_shards, best.batch_limit)
         if tuple(self.shape) not in engine.profile.decode_table:
             raise ProfileMissError(f"profile has no entry for fixed shape {self.shape}")
         return self.shape
 
-    def _per_pipeline(self, engine: Engine) -> int:
-        p, m, _ = self._fixed(engine)
-        return max(1, math.ceil(p * m / engine.cfg.gpus_per_instance))
-
     def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
-        self._fixed(engine)
+        if self._fixed(engine) is None:
+            return
         lost = {ev.instance_id for ev in group if ev.kind == "preempt"}
         affected = [d for d in sorted(self.pipe_instances)
                     if lost & set(self.pipe_instances[d])]
@@ -846,17 +816,18 @@ class ReroutingPolicy:
             pipe = engine.pipelines.pop(d, None)
             self.pipe_instances.pop(d)
             if pipe:
-                for batch in list(pipe.batches):
-                    survivors = engine.pause_batch(batch, batch.iters_at(engine.now))
-                    engine.requeue(survivors, reset_progress=True)
+                engine.restart_batches(pipe.batches)
         self.rebuild(engine, forced=bool(affected))
 
     def on_instance_ready(self, engine: Engine, inst: InstanceState):
         self.rebuild(engine, forced=False)
 
     def rebuild(self, engine: Engine, forced: bool):
-        p, m, b = self._fixed(engine)
-        per = self._per_pipeline(engine)
+        shape = self._fixed(engine)
+        if shape is None:
+            return
+        p, m, b = shape
+        per = max(1, math.ceil(p * m / engine.cfg.gpus_per_instance))
         active = [i.id for i in engine.instances_by("active")]
         used = {i for ids in self.pipe_instances.values() for i in ids}
         free = [i for i in active if i not in used]
@@ -924,32 +895,19 @@ class ReparallelizationPolicy:
     def on_commit(self, engine: Engine, payload):
         target: ParallelConfig = payload["target"]
         first_boot = engine.config is None
-        for batch in engine.all_batches():
-            survivors = engine.pause_batch(batch, batch.iters_at(engine.now))
-            engine.requeue(survivors, reset_progress=True)
+        engine.restart_batches(engine.all_batches())
         stall = 0.0
         if not first_boot:
             stall = restart_cost(engine.profile, "local_disk")
         payload["entry"][2] = stall
         self.serving = set(payload["serving"])
-        resume_at = engine.now + stall
-
         live = [engine.instances[i] for i in payload["serving"]
                 if engine.instances[i].status in ("active", "allocating")]
-        refs = sorted_gpu_refs(live)
-        slots = positions(target)
-        if len(refs) < len(slots):
+        mapping = positional_mapping(live, target)
+        if mapping is None:
             engine.suspend_service()
             return
-        mapping = DeviceMapping(assignment={refs[i]: pos for i, pos in enumerate(slots)},
-                                total_weight=0.0, config=target)
-
-        def do_resume():
-            engine.install_layout(target, mapping)
-            engine.try_dispatch()
-
-        engine.pause_service(resume_at)
-        engine.push(resume_at, P_INTERNAL, "resume", do_resume)
+        engine.resume_at(engine.now + stall, target, mapping)
 
 
 def make_policy(cfg: SimConfig):

@@ -135,3 +135,23 @@ def test_runtime_failure_exits_three(quick_config, tmp_path):
     bad = quick_config.parent / "broken.json"
     bad.write_text(json.dumps(doc))
     assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("policy", ["spotserve", "rerouting", "reparallelization"])
+def test_policies_wait_out_a_fleet_too_small_to_serve(policy, quick_config, tmp_path):
+    """One 4-GPU instance cannot host gpt-20b; three more arrive at t=60.
+    Every policy waits for them instead of aborting, rerouting included even
+    without a fixed `rerouting_shape`."""
+    trace = tmp_path / "small_start.jsonl"
+    events = [{"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0}] + [
+        {"t": 60.0, "kind": "acquire", "id": f"i-{k}", "ready_in": 30.0} for k in (1, 2, 3)]
+    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+    doc = json.loads(quick_config.read_text())
+    doc.pop("rerouting_shape")
+    doc.update(policy=policy, trace=str(trace))
+    cfg = tmp_path / "small_start.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--outdir", str(out), "run", str(cfg)]) == 0
+    summary = json.loads((out / f"summary_{policy}.json").read_text())
+    assert summary["completed"] > 0

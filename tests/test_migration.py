@@ -16,7 +16,7 @@ from spotsim.domain import (
     required_context,
     subtract_intervals,
 )
-from spotsim.mapping import map_devices, required_context_with_cache
+from spotsim.mapping import map_devices
 from spotsim.migration import (
     LayerTraffic,
     MigrationError,

@@ -6,7 +6,7 @@ import pytest
 
 from spotsim.costmodel import exec_latency, load_profile, save_profile
 from spotsim.data import bundled_path
-from spotsim.domain import ParallelConfig
+from spotsim.domain import ContextInventory, ParallelConfig, required_context
 from spotsim.simconfig import (
     SimConfig,
     SimConfigError,
@@ -324,3 +324,29 @@ def test_event_budget_on_bundled_rerouting(monkeypatch):
     run(replace(cfg, policy="rerouting"))
     assert counts["arrival"] > 0
     assert sum(counts.values()) < 3 * counts["arrival"], dict(counts)
+
+
+def test_holdings_store_after_bundled_run(monkeypatch):
+    """The instances' `gpu_inventories` are the one holdings store: after the
+    bundled spotserve run every live GPU holds exactly its position's model
+    context, or nothing when unassigned, and no KV cache left by a decision."""
+    engines = []
+    run_engine = Engine.run
+
+    def capture(engine):
+        engines.append(engine)
+        return run_engine(engine)
+    monkeypatch.setattr(Engine, "run", capture)
+    run(load_simconfig(bundled_path("scenario_bs.json")))
+    (engine,) = engines
+    assert engine.config is not None
+    position = {gpu: pos for pos, gpu in engine.assignment.items()}
+    wrong = []
+    for inst in engine.instances_by("active", "allocating", "grace_preempting"):
+        for ref, held in zip(inst.gpu_refs(), inst.gpu_inventories, strict=True):
+            pos = position.get(ref)
+            want = (ContextInventory.empty() if pos is None
+                    else required_context(engine.config, pos, engine.model))
+            if held != want:
+                wrong.append(ref)
+    assert position and not wrong, f"{len(wrong)} GPUs hold the wrong context: {wrong[:4]}"
