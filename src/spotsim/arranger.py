@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .costmodel import PerfProfile
-from .domain import InstanceState, ModelSpec, ParallelConfig, subtract_intervals
+from .domain import InstanceState, ModelSpec, ParallelConfig, uncovered
 
 
 class ArrangerError(ValueError):
@@ -129,23 +129,22 @@ def handle_early_loss(lost: InstanceState, instances: list[InstanceState], model
     shard has no surviving copy the system must reload weights, from local
     disk when present, else from remote storage.
     """
-    lost_shards = [s for inv in lost.gpu_inventories for s in inv.model_shards]
-    if not lost_shards:
+    gone = [(inv.den, rect) for inv in lost.gpu_inventories for rect in inv.model]
+    if not gone:
         return RecoveryAction(kind="none")
 
     survivors = [
         inst for inst in instances
         if inst.id != lost.id and inst.status in ("active", "grace_preempting")
     ]
-    surviving: dict[int, list] = {}
-    for inst in survivors:
-        for inv in inst.gpu_inventories:
-            for layer, lo, hi in inv.model_shards:
-                surviving.setdefault(layer, []).append((lo, hi))
-
-    for layer, lo, hi in lost_shards:
-        uncovered = subtract_intervals((lo, hi), surviving.get(layer, []))
-        if uncovered:
-            source = "local_disk" if local_weights_available else "remote_storage"
-            return RecoveryAction(kind="restart_from_storage", source=source)
+    held = [(inv.den, rect) for inst in survivors for inv in inst.gpu_inventories
+            for rect in inv.model]
+    den = math.lcm(*(d for d, _ in gone + held))
+    for d, (l0, l1, lo, hi) in gone:
+        for layer in range(l0, l1):
+            cuts = [(c_lo * (den // c), c_hi * (den // c))
+                    for c, (c0, c1, c_lo, c_hi) in held if c0 <= layer < c1]
+            if uncovered(lo * (den // d), hi * (den // d), cuts):
+                source = "local_disk" if local_weights_available else "remote_storage"
+                return RecoveryAction(kind="restart_from_storage", source=source)
     return RecoveryAction(kind="migrate_from_replicas")

@@ -10,6 +10,18 @@ slices) is what the device mapper and migration planner trade in.
 live in its instance's `gpu_inventories`, which the simulator's engine writes
 when it installs a layout.
 
+Context geometry is integer: a `ContextInventory` holds rectangles on a grid
+of 1/den, each a half-open layer block [first, end) crossed with a half-open
+parameter interval [lo/den, hi/den).  Model context is one rectangle per
+layer block; KV cache is one rectangle per request, carrying its token count.
+A position's context lives on the grid 1/M of its shard count; an inventory
+built from per-layer Fraction shards uses the lcm of their denominators, and
+two grids meet on the lcm of theirs.  Byte counts sum integer numerators and
+divide by the grid once, and `int / int` is correctly rounded, so each one is
+the exact rational byte count rounded once, as `float(Fraction)` would give.
+`overlap_bytes` therefore costs O(1) per pair of model rectangles and
+O(shared requests) for cache, independent of the number of layers.
+
 All types here are plain values; nothing mutates shared state.
 """
 
@@ -18,9 +30,6 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-# Half-open fraction interval [lo, hi) of a layer's parameters.
-Interval = tuple[Fraction, Fraction]
 
 # A GPU is addressed as (instance id, local gpu index).
 GpuRef = tuple[str, int]
@@ -145,6 +154,8 @@ class RequestSpec:
 
 ModelShard = tuple[int, Fraction, Fraction]  # (layer, lo, hi)
 CacheShard = tuple[str, int, Fraction, Fraction, int]  # (request, layer, lo, hi, tokens)
+ModelRect = tuple[int, int, int, int]  # (first layer, end layer, lo, hi) on the grid
+CacheRect = tuple[int, int, int, int, int]  # (first layer, end layer, lo, hi, tokens)
 
 
 def _check_interval(lo: Fraction, hi: Fraction):
@@ -152,64 +163,132 @@ def _check_interval(lo: Fraction, hi: Fraction):
         raise DomainError(f"interval [{lo},{hi}) must be non-empty inside [0,1)")
 
 
-def intersect(a: Interval, b: Interval) -> Fraction:
-    """Length of the intersection of two half-open intervals."""
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    return hi - lo if hi > lo else Fraction(0)
+def _merged_runs(by_layer: dict[int, list]) -> list:
+    """Rectangles of a per-layer entry map: maximal runs of consecutive layers
+    with equal entry lists, each entry once per run, in per-layer order."""
+    runs: list[list] = []
+    for layer in sorted(by_layer):
+        entries = by_layer[layer]
+        if runs and runs[-1][1] == layer and runs[-1][2] == entries:
+            runs[-1][1] = layer + 1
+        else:
+            runs.append([layer, layer + 1, entries])
+    return [(l0, l1, *entry) for l0, l1, entries in runs for entry in entries]
 
 
-def subtract_intervals(base: Interval, cuts: list[Interval]) -> list[Interval]:
-    """base minus the union of cuts, as a sorted list of disjoint intervals."""
-    pieces = [base]
-    for c_lo, c_hi in sorted(cuts):
-        nxt = []
-        for lo, hi in pieces:
-            if c_hi <= lo or c_lo >= hi:
-                nxt.append((lo, hi))
-                continue
-            if lo < c_lo:
-                nxt.append((lo, c_lo))
-            if c_hi < hi:
-                nxt.append((c_hi, hi))
-        pieces = nxt
+def layer_blocks(rects) -> list[tuple[int, int, list[tuple]]]:
+    """Rectangles grouped by layer block: `(first, end, [(lo, hi, ...), ...])`."""
+    blocks: list[tuple[int, int, list[tuple]]] = []
+    for l0, l1, *entry in rects:
+        if not blocks or blocks[-1][:2] != (l0, l1):
+            blocks.append((l0, l1, []))
+        blocks[-1][2].append(tuple(entry))
+    return blocks
+
+
+def uncovered(lo: int, hi: int, cuts) -> list[tuple[int, int]]:
+    """[lo, hi) minus the union of the `(lo, hi, ...)` cuts, as sorted
+    disjoint grid intervals."""
+    pieces = []
+    for c_lo, c_hi, *_ in sorted(cuts):
+        if c_hi <= lo:
+            continue
+        if c_lo >= hi:
+            break
+        if c_lo > lo:
+            pieces.append((lo, c_lo))
+        lo = max(lo, c_hi)
+        if lo >= hi:
+            return pieces
+    pieces.append((lo, hi))
     return pieces
 
 
-@dataclass(frozen=True)
 class ContextInventory:
-    """What one GPU holds: model-parameter shards and KV-cache shards."""
+    """What one GPU holds, as rectangles on a grid of 1/`den`.
 
-    model_shards: tuple[ModelShard, ...] = ()
-    cache_shards: tuple[CacheShard, ...] = ()
+    `model` holds (first layer, end layer, lo, hi) rectangles: layers
+    [first, end) crossed with the parameter fraction [lo/den, hi/den).
+    `cache` maps a request id to its (first layer, end layer, lo, hi, tokens)
+    rectangles.  The layer blocks of one kind (per request, for cache) are
+    equal or disjoint, in layer order; rectangles sharing a block keep the
+    per-layer order of their intervals.  Inventories are values: nothing
+    mutates them after construction.
 
-    def __post_init__(self):
-        for _, lo, hi in self.model_shards:
+    The keyword constructor takes the per-layer form, `(layer, lo, hi)` model
+    shards and `(request, layer, lo, hi, tokens)` cache shards with Fraction
+    bounds, and merges adjacent layers with equal intervals; `model_shards`
+    and `cache_shards` expand the rectangles back to that form.
+    """
+
+    __slots__ = ("den", "model", "cache")
+
+    def __init__(self, model_shards: Iterable[ModelShard] = (),
+                 cache_shards: Iterable[CacheShard] = ()):
+        model_shards, cache_shards = tuple(model_shards), tuple(cache_shards)
+        for _, lo, hi in model_shards:
             _check_interval(lo, hi)
-        for _, _, lo, hi, tokens in self.cache_shards:
+        for _, _, lo, hi, tokens in cache_shards:
             _check_interval(lo, hi)
             if tokens < 0:
                 raise DomainError("cache tokens must be >= 0")
+        den = math.lcm(*(Fraction(x).denominator for s in model_shards for x in s[1:]),
+                       *(Fraction(x).denominator for s in cache_shards for x in s[2:4]))
+        model: dict[int, list] = {}
+        for layer, lo, hi in model_shards:
+            model.setdefault(layer, []).append((int(lo * den), int(hi * den)))
+        cache: dict[str, dict[int, list]] = {}
+        for rid, layer, lo, hi, tokens in cache_shards:
+            cache.setdefault(rid, {}).setdefault(layer, []).append(
+                (int(lo * den), int(hi * den), tokens))
+        self.den = den
+        self.model: tuple[ModelRect, ...] = tuple(_merged_runs(model))
+        self.cache: dict[str, tuple[CacheRect, ...]] = {
+            rid: tuple(_merged_runs(layers)) for rid, layers in cache.items()}
+
+    @classmethod
+    def on_grid(cls, den: int, model: tuple[ModelRect, ...] = (),
+                cache: dict[str, tuple[CacheRect, ...]] | None = None) -> "ContextInventory":
+        """An inventory from rectangles already in canonical form on grid 1/den."""
+        inv = cls.__new__(cls)
+        inv.den, inv.model, inv.cache = den, model, cache or {}
+        return inv
 
     @staticmethod
     def empty() -> "ContextInventory":
-        return ContextInventory()
+        return ContextInventory.on_grid(1)
 
-    def model_intervals(self, layer: int) -> list[Interval]:
-        return [(lo, hi) for lyr, lo, hi in self.model_shards if lyr == layer]
+    @property
+    def model_shards(self) -> tuple[ModelShard, ...]:
+        """Per-layer form of the model rectangles, layer by layer."""
+        den = self.den
+        return tuple((layer, Fraction(lo, den), Fraction(hi, den))
+                     for l0, l1, entries in layer_blocks(self.model)
+                     for layer in range(l0, l1) for lo, hi in entries)
 
-    def cache_entries(self, request_id: str, layer: int) -> list[tuple[Interval, int]]:
-        return [
-            ((lo, hi), tokens)
-            for rid, lyr, lo, hi, tokens in self.cache_shards
-            if rid == request_id and lyr == layer
-        ]
+    @property
+    def cache_shards(self) -> tuple[CacheShard, ...]:
+        """Per-layer form of the cache rectangles, request by request, then layer."""
+        den = self.den
+        return tuple((rid, layer, Fraction(lo, den), Fraction(hi, den), tokens)
+                     for rid, rects in self.cache.items()
+                     for l0, l1, entries in layer_blocks(rects)
+                     for layer in range(l0, l1) for lo, hi, tokens in entries)
 
     def model_bytes(self, model: ModelSpec) -> float:
-        total = Fraction(0)
-        for _, lo, hi in self.model_shards:
-            total += (hi - lo) * model.bytes_per_layer
-        return float(total)
+        units = sum((l1 - l0) * (hi - lo) for l0, l1, lo, hi in self.model)
+        return units * model.bytes_per_layer / self.den
+
+    def __eq__(self, other):
+        if not isinstance(other, ContextInventory):
+            return NotImplemented
+        return self.den == other.den and self.model == other.model and self.cache == other.cache
+
+    def __hash__(self):
+        return hash((self.den, self.model, frozenset(self.cache.items())))
+
+    def __repr__(self):
+        return f"ContextInventory(den={self.den}, model={self.model!r}, cache={self.cache!r})"
 
 
 @dataclass
@@ -258,7 +337,7 @@ def stage_layers(num_layers: int, pipeline_stages: int, stage: int) -> range:
     return range(start, start + size)
 
 
-def shard_interval(tensor_shards: int, shard: int) -> Interval:
+def shard_interval(tensor_shards: int, shard: int) -> tuple[Fraction, Fraction]:
     """[(m-1)/M, m/M) fraction of every layer owned by 1-based shard m."""
     return (Fraction(shard - 1, tensor_shards), Fraction(shard, tensor_shards))
 
@@ -268,17 +347,20 @@ def required_context(config: ParallelConfig, pos: TopologyPosition, model: Model
     """Context a position must hold: its model slice, plus the KV cache of each
     `(request id, tokens)` entry in `cache` on every layer of its stage.
 
-    Cache shards run request-major, then layer; entries with no tokens hold
-    nothing and are skipped.
+    On the grid 1/M this is one model rectangle (the stage's layer block times
+    the shard's interval) and one cache rectangle per request; entries with
+    no tokens hold nothing and are skipped.
     """
     pos.validate_for(config)
-    lo, hi = shard_interval(config.tensor_shards, pos.shard)
     layers = stage_layers(model.num_layers, config.pipeline_stages, pos.stage)
-    return ContextInventory(
-        model_shards=tuple((lyr, lo, hi) for lyr in layers),
-        cache_shards=tuple((rid, lyr, lo, hi, tokens)
-                           for rid, tokens in cache if tokens > 0 for lyr in layers),
-    )
+    if not layers:
+        return ContextInventory.empty()
+    block = (layers.start, layers.stop, pos.shard - 1, pos.shard)
+    cache_rects: dict[str, tuple[CacheRect, ...]] = {}
+    for rid, tokens in cache:
+        if tokens > 0:
+            cache_rects[rid] = cache_rects.get(rid, ()) + (block + (tokens,),)
+    return ContextInventory.on_grid(config.tensor_shards, (block,), cache_rects)
 
 
 KvCache = dict[int, list[tuple[str, int]]]  # pipeline -> [(request id, tokens)]
@@ -294,22 +376,37 @@ def kv_cache(requests_by_pipeline: dict[int, list[RequestSpec]]) -> KvCache:
 def overlap_bytes(a: ContextInventory, b: ContextInventory, model: ModelSpec) -> float:
     """Bytes of context shared by two inventories.
 
-    Model shards overlap per-layer by interval intersection; cache shards
-    overlap per (request, layer) weighted by the smaller token count.
+    Model rectangles overlap by layer-block times interval intersection;
+    cache rectangles of the same request overlap likewise, weighted by the
+    smaller token count.  The sum is taken in grid units and divided once, so
+    the result is the exact byte count rounded once to a float.
     """
-    total = Fraction(0)
-    b_by_layer: dict[int, list[Interval]] = {}
-    for lyr, lo, hi in b.model_shards:
-        b_by_layer.setdefault(lyr, []).append((lo, hi))
-    for lyr, lo, hi in a.model_shards:
-        for other in b_by_layer.get(lyr, ()):
-            total += intersect((lo, hi), other) * model.bytes_per_layer
-
-    b_cache: dict[tuple[str, int], list[tuple[Interval, int]]] = {}
-    for rid, lyr, lo, hi, tokens in b.cache_shards:
-        b_cache.setdefault((rid, lyr), []).append(((lo, hi), tokens))
-    for rid, lyr, lo, hi, tokens in a.cache_shards:
-        for other_iv, other_tokens in b_cache.get((rid, lyr), ()):
-            weight = min(tokens, other_tokens) * model.kv_bytes_per_token_per_layer
-            total += intersect((lo, hi), other_iv) * weight
-    return float(total)
+    den = math.lcm(a.den, b.den)
+    ka, kb = den // a.den, den // b.den
+    units = 0
+    for a0, a1, a_lo, a_hi in a.model:
+        a_lo, a_hi = a_lo * ka, a_hi * ka
+        for b0, b1, b_lo, b_hi in b.model:
+            layers = (a1 if a1 < b1 else b1) - (a0 if a0 > b0 else b0)
+            if layers > 0:
+                b_lo, b_hi = b_lo * kb, b_hi * kb
+                width = (a_hi if a_hi < b_hi else b_hi) - (a_lo if a_lo > b_lo else b_lo)
+                if width > 0:
+                    units += layers * width
+    units *= model.bytes_per_layer
+    if a.cache and b.cache:
+        if len(a.cache) > len(b.cache):
+            a, b, ka, kb = b, a, kb, ka
+        kv = 0
+        for rid, rects in a.cache.items():
+            for b0, b1, b_lo, b_hi, b_tokens in b.cache.get(rid, ()):
+                b_lo, b_hi = b_lo * kb, b_hi * kb
+                for a0, a1, a_lo, a_hi, a_tokens in rects:
+                    layers = (a1 if a1 < b1 else b1) - (a0 if a0 > b0 else b0)
+                    if layers > 0:
+                        a_lo, a_hi = a_lo * ka, a_hi * ka
+                        width = (a_hi if a_hi < b_hi else b_hi) - (a_lo if a_lo > b_lo else b_lo)
+                        if width > 0:
+                            kv += layers * width * (a_tokens if a_tokens < b_tokens else b_tokens)
+        units += kv * model.kv_bytes_per_token_per_layer
+    return units / den

@@ -15,17 +15,19 @@ in index order while the cap U_max holds, then places the deferred rest by
 repeatedly choosing the layer minimizing the worst instance's usage.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .domain import (
     ContextInventory,
     GpuRef,
     ModelSpec,
-    intersect,
+    layer_blocks,
     natural_key,
     required_context,
-    subtract_intervals,
+    uncovered,
 )
 from .mapping import DeviceMapping
 
@@ -34,9 +36,14 @@ class MigrationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """One shard movement between two GPUs."""
+class Transfer(NamedTuple):
+    """One shard movement between two GPUs.
+
+    An immutable record like the dataclasses here, but a named tuple: a plan
+    emits one per layer piece, tens of thousands per decision on a large
+    fleet, and a tuple is built about three times faster than a frozen
+    dataclass.
+    """
 
     kind: str  # "model" | "cache"
     layer: int
@@ -143,10 +150,59 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 
 # ---------------------------------------------------------------------------
 # Transfer derivation
+#
+# Everything below works on one integer grid: every bound is a numerator over
+# the lcm `den` of the old inventories' grids and the target's shard count,
+# and a byte count is `units * unit_bytes / den`, the exact value rounded
+# once, as the per-layer Fraction arithmetic it replaces rounded it.
 
-def _cover_from_holders(piece, holders, dst: GpuRef, load: dict[str, float], unit_bytes,
-                        departing: frozenset[str], send_budget: float):
-    """Split an interval piece across holder GPUs.
+def _scaled_blocks(rects, k: int) -> list[tuple[int, int, list[tuple]]]:
+    """`layer_blocks` of the rectangles with their bounds scaled by k."""
+    return [(l0, l1, [(lo * k, hi * k, *rest) for lo, hi, *rest in entries])
+            for l0, l1, entries in layer_blocks(rects)]
+
+
+def _segments(l0: int, l1: int, blocks) -> list[tuple[int, int, list[tuple]]]:
+    """Layers [l0, l1) split at the bounds of the sorted, disjoint `blocks`:
+    `(first, end, entries)`, with no entries where no block covers."""
+    out = []
+    at = l0
+    for b0, b1, entries in blocks:
+        if b1 <= at:
+            continue
+        if b0 >= l1:
+            break
+        if b0 > at:
+            out.append((at, b0, []))
+            at = b0
+        end = min(b1, l1)
+        out.append((at, end, entries))
+        at = end
+    if at < l1:
+        out.append((at, l1, []))
+    return out
+
+
+def _holder_index(blocks_by_gpu) -> dict[int, tuple[list, dict]]:
+    """layer -> (holders, candidate memo), shared by every layer of an
+    elementary block: the `(gpu, lo, hi, ...)` copies covering those layers,
+    in GPU order, then in each GPU's per-layer order."""
+    bounds = sorted({b for _, blocks in blocks_by_gpu for l0, l1, _ in blocks for b in (l0, l1)})
+    index: dict[int, tuple[list, dict]] = {}
+    for c0, c1 in zip(bounds, bounds[1:]):
+        holders = [(gpu, *entry) for gpu, blocks in blocks_by_gpu
+                   for l0, l1, entries in blocks if l0 <= c0 < l1 for entry in entries]
+        if holders:
+            shared = (holders, {})
+            for layer in range(c0, c1):
+                index[layer] = shared
+    return index
+
+
+def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_bytes: int,
+                        den: int, load: dict[str, float], rank: dict, departing: frozenset[str],
+                        send_budget: float) -> list[tuple[GpuRef, int, int]]:
+    """Split the grid piece [lo, hi) across the holder GPUs of its layer block.
 
     Senders are chosen per sub-piece: a copy on the destination's own instance
     wins (intra-instance copies are cheap); then copies on departing instances
@@ -157,43 +213,39 @@ def _cover_from_holders(piece, holders, dst: GpuRef, load: dict[str, float], uni
     draining one replica.  Deterministic throughout; raises when some
     sub-piece has no live copy.
     """
+    holders, memo = block or ((), {})
+    here = dst[0]
     out = []
-    worklist = [piece]
-    while worklist:
-        seg = worklist.pop()
-        start = seg[0]
+    start = lo
+    while start < hi:
+        # copies holding `start` (with enough tokens, for cache), per block
+        found = memo.get((start, tokens))
+        if found is None:
+            found = memo[(start, tokens)] = [
+                (h[0], h[0][0], h[2], (rank[h[0][0]], h[0][1])) for h in holders
+                if h[1] <= start < h[2] and (not tokens or h[3] >= tokens)]
         best = None
-        for gpu, intervals in holders:
+        for gpu, inst, c_hi, order in found:
             if gpu == dst:
                 continue
-            for lo, hi in intervals:
-                if lo <= start < hi:
-                    end = min(hi, seg[1])
-                    remote = gpu[0] != dst[0]
-                    cur = load.get(gpu[0], 0.0)
-                    prefer_departing = (
-                        gpu[0] in departing
-                        and cur + float((end - start) * unit_bytes) <= send_budget + 1e-6
-                    )
-                    key = (int(remote), int(not prefer_departing),
-                           cur if remote else 0.0,
-                           natural_key(gpu[0]), gpu[1], -float(end))
-                    if best is None or key < best[0]:
-                        best = (key, gpu, end)
+            end = c_hi if c_hi < hi else hi
+            remote = inst != here
+            cur = load[inst]
+            prefer_departing = (inst in departing
+                                and cur + (end - start) * unit_bytes / den <= send_budget + 1e-6)
+            key = (remote, not prefer_departing, cur if remote else 0.0, order, -end)
+            if best is None or key < best[0]:
+                best = (key, gpu, end)
         if best is None:
             raise MigrationError(
-                f"no source holds required shard [{start},{seg[1]}): layout inconsistent with mapping")
+                f"no source holds required shard [{Fraction(start, den)},{Fraction(hi, den)}): "
+                "layout inconsistent with mapping")
         _, gpu, end = best
         out.append((gpu, start, end))
-        if gpu[0] != dst[0]:
-            load[gpu[0]] = load.get(gpu[0], 0.0) + float((end - start) * unit_bytes)
-        if end < seg[1]:
-            worklist.append((end, seg[1]))
+        if gpu[0] != here:
+            load[gpu[0]] += (end - start) * unit_bytes / den
+        start = end
     return out
-
-
-def _sorted_gpus(old_layout: dict[GpuRef, ContextInventory]) -> list[GpuRef]:
-    return sorted(old_layout, key=lambda g: (natural_key(g[0]), g[1]))
 
 
 def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInventory],
@@ -205,100 +257,118 @@ def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInv
     For every assigned GPU the non-reused part of its required context is
     pulled from old holders (departing copies first, then load-balanced);
     whatever a GPU holds beyond its own new requirement is freed once the
-    owning round completes.
+    owning round completes.  Pieces are derived per layer block and expanded
+    to one `Transfer` per layer only when emitted.
     """
     if mapping.config is None:
         raise MigrationError("mapping carries no target config")
     target = mapping.config
-    gpus = _sorted_gpus(old_layout)
+    inherited = inherited_by_pipeline or {}
+    rank = {inst: natural_key(inst) for inst in {gpu[0] for gpu in old_layout}}
+    gpus = sorted(old_layout, key=lambda g: (rank[g[0]], g[1]))
+    den = math.lcm(target.tensor_shards, *(inv.den for inv in old_layout.values()))
 
-    model_holders: dict[int, list[tuple[GpuRef, list]]] = {}
-    cache_holders: dict[tuple[str, int], list[tuple[GpuRef, list]]] = {}
+    have: dict[GpuRef, tuple] = {}  # gpu -> (model blocks, {request: cache blocks})
+    need: dict[GpuRef, tuple] = {}
     for gpu in gpus:
         inv = old_layout[gpu]
-        for layer, lo, hi in inv.model_shards:
-            model_holders.setdefault(layer, []).append((gpu, [(lo, hi)]))
-        for rid, layer, lo, hi, tokens in inv.cache_shards:
-            cache_holders.setdefault((rid, layer), []).append((gpu, [((lo, hi), tokens)]))
-
-    required: dict[GpuRef, ContextInventory] = {}
-    for gpu in gpus:
+        k = den // inv.den
+        have[gpu] = (_scaled_blocks(inv.model, k),
+                     {rid: _scaled_blocks(rects, k) for rid, rects in inv.cache.items()})
         pos = mapping.assignment.get(gpu)
-        if pos is None:
-            required[gpu] = ContextInventory.empty()
-        else:
-            inherited = (inherited_by_pipeline or {}).get(pos.pipeline, ())
-            required[gpu] = required_context(target, pos, model, inherited)
+        req = (ContextInventory.empty() if pos is None
+               else required_context(target, pos, model, inherited.get(pos.pipeline, ())))
+        k = den // req.den
+        need[gpu] = (_scaled_blocks(req.model, k),
+                     {rid: _scaled_blocks(rects, k) for rid, rects in req.cache.items()})
+
+    model_holders = _holder_index([(gpu, have[gpu][0]) for gpu in gpus])
+    cache_holders = {
+        rid: _holder_index([(gpu, have[gpu][1][rid]) for gpu in gpus if rid in have[gpu][1]])
+        for rid in {rid for gpu in gpus for rid in have[gpu][1]}}
 
     # One pass to size every receiver's incoming volume: the busiest receiver
     # link bounds the migration makespan no matter how sources are picked, so
     # the source chooser can favor departing copies up to that same volume
     # without making a departing sender the bottleneck.
-    per_token = model.kv_bytes_per_token_per_layer
-    needs: list[tuple] = []  # (dst, kind, layer, piece, unit_bytes, rid, tokens)
+    bpl, per_token = model.bytes_per_layer, model.kv_bytes_per_token_per_layer
+    needs: list[tuple] = []  # (dst, kind, first, end, [(lo, hi, unit bytes, tokens)], rid)
     incoming: dict[str, float] = {}
     for gpu in gpus:
-        need = required[gpu]
-        have = old_layout[gpu]
-        for layer, lo, hi in need.model_shards:
-            for piece in subtract_intervals((lo, hi), have.model_intervals(layer)):
-                needs.append((gpu, "model", layer, piece, model.bytes_per_layer, None, 0))
-                incoming[gpu[0]] = incoming.get(gpu[0], 0.0) + float(
-                    (piece[1] - piece[0]) * model.bytes_per_layer)
-        for rid, layer, lo, hi, tokens in need.cache_shards:
-            own = [iv for iv, t in have.cache_entries(rid, layer) if t >= tokens]
-            for piece in subtract_intervals((lo, hi), own):
-                needs.append((gpu, "cache", layer, piece, per_token * tokens, rid, tokens))
-                incoming[gpu[0]] = incoming.get(gpu[0], 0.0) + float(
-                    (piece[1] - piece[0]) * per_token * tokens)
+        held_model, held_cache = have[gpu]
+        need_model, need_cache = need[gpu]
+        wants = []
+        for l0, l1, entries in need_model:
+            wants.append(("model", None, l0, l1, held_model,
+                          [(lo, hi, bpl, 0) for lo, hi in entries]))
+        for rid, blocks in need_cache.items():
+            for l0, l1, entries in blocks:
+                wants.append(("cache", rid, l0, l1, held_cache.get(rid, ()),
+                              [(lo, hi, per_token * tokens, tokens) for lo, hi, tokens in entries]))
+        for kind, rid, l0, l1, held, entries in wants:
+            for s0, s1, cuts in _segments(l0, l1, held):
+                pieces = [(p_lo, p_hi, unit, tokens) for lo, hi, unit, tokens in entries
+                          for p_lo, p_hi in uncovered(lo, hi, [c for c in cuts
+                                                               if not tokens or c[2] >= tokens])]
+                if not pieces:
+                    continue
+                needs.append((gpu, kind, s0, s1, pieces, rid))
+                sizes = [(p_hi - p_lo) * unit / den for p_lo, p_hi, unit, _ in pieces]
+                total = incoming.get(gpu[0], 0.0)
+                for _ in range(s0, s1):
+                    for size in sizes:
+                        total += size
+                incoming[gpu[0]] = total
     send_budget = max(incoming.values(), default=0.0)
+
+    # every cover bound is a bound of some held or needed entry
+    bounds = {n for model_blocks, cache_blocks in (*have.values(), *need.values())
+              for blocks in (model_blocks, *cache_blocks.values())
+              for _, _, entries in blocks for entry in entries for n in entry[:2]}
+    frac = {n: Fraction(n, den) for n in bounds}
 
     model_transfers: dict[int, list[Transfer]] = {}
     cache_transfers: list[Transfer] = []
-    sender_load: dict[str, float] = {}
-    for dst, kind, layer, piece, unit_bytes, rid, tokens in needs:
-        if kind == "model":
-            holders = model_holders.get(layer, [])
-        else:
-            holders = [
-                (g, [iv for iv, t in entries if t >= tokens])
-                for g, entries in cache_holders.get((rid, layer), [])
-            ]
-        covers = _cover_from_holders(piece, holders, dst, sender_load, unit_bytes,
-                                     departing, send_budget)
-        for src, c_lo, c_hi in covers:
-            tr = Transfer(
-                kind=kind, layer=layer, lo=c_lo, hi=c_hi, src=src, dst=dst,
-                bytes=float((c_hi - c_lo) * unit_bytes),
-                request=rid, tokens=tokens,
-            )
-            if kind == "model":
-                model_transfers.setdefault(layer, []).append(tr)
-            else:
-                cache_transfers.append(tr)
+    sender_load = dict.fromkeys(rank, 0.0)  # bytes each instance is scheduled to send
+    for dst, kind, s0, s1, pieces, rid in needs:
+        index = model_holders if kind == "model" else cache_holders.get(rid, {})
+        for layer in range(s0, s1):
+            block = index.get(layer)
+            out = model_transfers.setdefault(layer, []) if kind == "model" else cache_transfers
+            for lo, hi, unit, tokens in pieces:
+                for src, c_lo, c_hi in _cover_from_holders(lo, hi, block, tokens, dst, unit, den,
+                                                           sender_load, rank, departing,
+                                                           send_budget):
+                    out.append(Transfer(kind, layer, frac[c_lo], frac[c_hi], src, dst,
+                                        (c_hi - c_lo) * unit / den, rid, tokens))
 
     layer_releases: dict[int, dict[str, float]] = {}
     cache_releases: dict[str, float] = {}
     for gpu in gpus:
         inst = gpu[0]
-        have = old_layout[gpu]
-        need = required[gpu]
-        for layer, lo, hi in have.model_shards:
-            kept = Fraction(0)
-            for n_lo, n_hi in need.model_intervals(layer):
-                kept += intersect((lo, hi), (n_lo, n_hi))
-            extra = float(((hi - lo) - kept) * model.bytes_per_layer)
-            if extra > 0:
-                rel = layer_releases.setdefault(layer, {})
-                rel[inst] = rel.get(inst, 0.0) + extra
-        for rid, layer, lo, hi, tokens in have.cache_shards:
-            held = (hi - lo) * tokens
-            kept = Fraction(0)
-            for (n_lo, n_hi), n_tokens in need.cache_entries(rid, layer):
-                kept += intersect((lo, hi), (n_lo, n_hi)) * min(tokens, n_tokens)
-            extra = float((held - kept) * model.kv_bytes_per_token_per_layer)
-            if extra > 0:
-                cache_releases[inst] = cache_releases.get(inst, 0.0) + extra
+        held_model, held_cache = have[gpu]
+        need_model, need_cache = need[gpu]
+        for l0, l1, entries in held_model:
+            for s0, s1, wanted in _segments(l0, l1, need_model):
+                extras = [((hi - lo) - sum(max(0, min(hi, n_hi) - max(lo, n_lo))
+                                           for n_lo, n_hi in wanted)) * bpl / den
+                          for lo, hi in entries]
+                for layer in range(s0, s1):
+                    for extra in extras:
+                        if extra > 0:
+                            rel = layer_releases.setdefault(layer, {})
+                            rel[inst] = rel.get(inst, 0.0) + extra
+        for rid, blocks in held_cache.items():
+            for l0, l1, entries in blocks:
+                for s0, s1, wanted in _segments(l0, l1, need_cache.get(rid, ())):
+                    extras = [((hi - lo) * tokens
+                               - sum(max(0, min(hi, n_hi) - max(lo, n_lo)) * min(tokens, n_tokens)
+                                     for n_lo, n_hi, n_tokens in wanted)) * per_token / den
+                              for lo, hi, tokens in entries]
+                    for _ in range(s0, s1):
+                        for extra in extras:
+                            if extra > 0:
+                                cache_releases[inst] = cache_releases.get(inst, 0.0) + extra
 
     return model_transfers, cache_transfers, layer_releases, cache_releases
 

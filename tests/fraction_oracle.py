@@ -1,0 +1,199 @@
+"""Per-layer `Fraction` geometry: the reference the integer-grid code must match.
+
+These are the original algorithms over the per-layer form of an inventory
+(`ContextInventory.model_shards` / `.cache_shards`): one `(layer, lo, hi)`
+Fraction tuple per layer, plus one per request per layer for KV cache.  They
+are slow but obviously exact, so tests compare the grid implementation in
+`spotsim.domain` and `spotsim.migration` against them value for value.
+"""
+
+from fractions import Fraction
+
+from spotsim.domain import ContextInventory, natural_key, required_context
+from spotsim.migration import MigrationError, Transfer
+
+Interval = tuple[Fraction, Fraction]
+
+
+def intersect(a: Interval, b: Interval) -> Fraction:
+    """Length of the intersection of two half-open intervals."""
+    lo = max(a[0], b[0])
+    hi = min(a[1], b[1])
+    return hi - lo if hi > lo else Fraction(0)
+
+
+def subtract_intervals(base: Interval, cuts: list[Interval]) -> list[Interval]:
+    """base minus the union of cuts, as a sorted list of disjoint intervals."""
+    pieces = [base]
+    for c_lo, c_hi in sorted(cuts):
+        nxt = []
+        for lo, hi in pieces:
+            if c_hi <= lo or c_lo >= hi:
+                nxt.append((lo, hi))
+                continue
+            if lo < c_lo:
+                nxt.append((lo, c_lo))
+            if c_hi < hi:
+                nxt.append((c_hi, hi))
+        pieces = nxt
+    return pieces
+
+
+def model_intervals(inv: ContextInventory, layer: int) -> list[Interval]:
+    return [(lo, hi) for lyr, lo, hi in inv.model_shards if lyr == layer]
+
+
+def cache_entries(inv: ContextInventory, request_id: str, layer: int) -> list[tuple[Interval, int]]:
+    return [((lo, hi), tokens) for rid, lyr, lo, hi, tokens in inv.cache_shards
+            if rid == request_id and lyr == layer]
+
+
+def overlap_bytes(a: ContextInventory, b: ContextInventory, model) -> float:
+    """Bytes of context shared by two inventories, per layer and per request."""
+    total = Fraction(0)
+    b_by_layer: dict[int, list[Interval]] = {}
+    for lyr, lo, hi in b.model_shards:
+        b_by_layer.setdefault(lyr, []).append((lo, hi))
+    for lyr, lo, hi in a.model_shards:
+        for other in b_by_layer.get(lyr, ()):
+            total += intersect((lo, hi), other) * model.bytes_per_layer
+
+    b_cache: dict[tuple[str, int], list[tuple[Interval, int]]] = {}
+    for rid, lyr, lo, hi, tokens in b.cache_shards:
+        b_cache.setdefault((rid, lyr), []).append(((lo, hi), tokens))
+    for rid, lyr, lo, hi, tokens in a.cache_shards:
+        for other_iv, other_tokens in b_cache.get((rid, lyr), ()):
+            weight = min(tokens, other_tokens) * model.kv_bytes_per_token_per_layer
+            total += intersect((lo, hi), other_iv) * weight
+    return float(total)
+
+
+def _cover_from_holders(piece, holders, dst, load, unit_bytes, departing, send_budget):
+    out = []
+    worklist = [piece]
+    while worklist:
+        seg = worklist.pop()
+        start = seg[0]
+        best = None
+        for gpu, intervals in holders:
+            if gpu == dst:
+                continue
+            for lo, hi in intervals:
+                if lo <= start < hi:
+                    end = min(hi, seg[1])
+                    remote = gpu[0] != dst[0]
+                    cur = load.get(gpu[0], 0.0)
+                    prefer_departing = (
+                        gpu[0] in departing
+                        and cur + float((end - start) * unit_bytes) <= send_budget + 1e-6
+                    )
+                    key = (int(remote), int(not prefer_departing),
+                           cur if remote else 0.0,
+                           natural_key(gpu[0]), gpu[1], -float(end))
+                    if best is None or key < best[0]:
+                        best = (key, gpu, end)
+        if best is None:
+            raise MigrationError(
+                f"no source holds required shard [{start},{seg[1]}): layout inconsistent with mapping")
+        _, gpu, end = best
+        out.append((gpu, start, end))
+        if gpu[0] != dst[0]:
+            load[gpu[0]] = load.get(gpu[0], 0.0) + float((end - start) * unit_bytes)
+        if end < seg[1]:
+            worklist.append((end, seg[1]))
+    return out
+
+
+def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
+                     departing=frozenset()):
+    """Per-layer model transfers, cache transfers and end-of-round releases."""
+    if mapping.config is None:
+        raise MigrationError("mapping carries no target config")
+    target = mapping.config
+    gpus = sorted(old_layout, key=lambda g: (natural_key(g[0]), g[1]))
+
+    model_holders: dict[int, list] = {}
+    cache_holders: dict[tuple[str, int], list] = {}
+    for gpu in gpus:
+        inv = old_layout[gpu]
+        for layer, lo, hi in inv.model_shards:
+            model_holders.setdefault(layer, []).append((gpu, [(lo, hi)]))
+        for rid, layer, lo, hi, tokens in inv.cache_shards:
+            cache_holders.setdefault((rid, layer), []).append((gpu, [((lo, hi), tokens)]))
+
+    required: dict = {}
+    for gpu in gpus:
+        pos = mapping.assignment.get(gpu)
+        if pos is None:
+            required[gpu] = ContextInventory.empty()
+        else:
+            inherited = (inherited_by_pipeline or {}).get(pos.pipeline, ())
+            required[gpu] = required_context(target, pos, model, inherited)
+
+    per_token = model.kv_bytes_per_token_per_layer
+    needs: list[tuple] = []
+    incoming: dict[str, float] = {}
+    for gpu in gpus:
+        need = required[gpu]
+        have = old_layout[gpu]
+        for layer, lo, hi in need.model_shards:
+            for piece in subtract_intervals((lo, hi), model_intervals(have, layer)):
+                needs.append((gpu, "model", layer, piece, model.bytes_per_layer, None, 0))
+                incoming[gpu[0]] = incoming.get(gpu[0], 0.0) + float(
+                    (piece[1] - piece[0]) * model.bytes_per_layer)
+        for rid, layer, lo, hi, tokens in need.cache_shards:
+            own = [iv for iv, t in cache_entries(have, rid, layer) if t >= tokens]
+            for piece in subtract_intervals((lo, hi), own):
+                needs.append((gpu, "cache", layer, piece, per_token * tokens, rid, tokens))
+                incoming[gpu[0]] = incoming.get(gpu[0], 0.0) + float(
+                    (piece[1] - piece[0]) * per_token * tokens)
+    send_budget = max(incoming.values(), default=0.0)
+
+    model_transfers: dict[int, list[Transfer]] = {}
+    cache_transfers: list[Transfer] = []
+    sender_load: dict[str, float] = {}
+    for dst, kind, layer, piece, unit_bytes, rid, tokens in needs:
+        if kind == "model":
+            holders = model_holders.get(layer, [])
+        else:
+            holders = [
+                (g, [iv for iv, t in entries if t >= tokens])
+                for g, entries in cache_holders.get((rid, layer), [])
+            ]
+        covers = _cover_from_holders(piece, holders, dst, sender_load, unit_bytes,
+                                     departing, send_budget)
+        for src, c_lo, c_hi in covers:
+            tr = Transfer(
+                kind=kind, layer=layer, lo=c_lo, hi=c_hi, src=src, dst=dst,
+                bytes=float((c_hi - c_lo) * unit_bytes),
+                request=rid, tokens=tokens,
+            )
+            if kind == "model":
+                model_transfers.setdefault(layer, []).append(tr)
+            else:
+                cache_transfers.append(tr)
+
+    layer_releases: dict[int, dict[str, float]] = {}
+    cache_releases: dict[str, float] = {}
+    for gpu in gpus:
+        inst = gpu[0]
+        have = old_layout[gpu]
+        need = required[gpu]
+        for layer, lo, hi in have.model_shards:
+            kept = Fraction(0)
+            for n_lo, n_hi in model_intervals(need, layer):
+                kept += intersect((lo, hi), (n_lo, n_hi))
+            extra = float(((hi - lo) - kept) * model.bytes_per_layer)
+            if extra > 0:
+                rel = layer_releases.setdefault(layer, {})
+                rel[inst] = rel.get(inst, 0.0) + extra
+        for rid, layer, lo, hi, tokens in have.cache_shards:
+            held = (hi - lo) * tokens
+            kept = Fraction(0)
+            for (n_lo, n_hi), n_tokens in cache_entries(need, rid, layer):
+                kept += intersect((lo, hi), (n_lo, n_hi)) * min(tokens, n_tokens)
+            extra = float((held - kept) * model.kv_bytes_per_token_per_layer)
+            if extra > 0:
+                cache_releases[inst] = cache_releases.get(inst, 0.0) + extra
+
+    return model_transfers, cache_transfers, layer_releases, cache_releases

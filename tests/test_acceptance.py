@@ -23,7 +23,6 @@ from spotsim.domain import (
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
-    intersect,
     positions,
     required_context,
 )
@@ -33,6 +32,7 @@ from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run as run_sim
 
 from conftest import make_profile
+from fraction_oracle import intersect
 from test_mapping import brute_force_best, graph_of
 
 

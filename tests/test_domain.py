@@ -8,15 +8,15 @@ from spotsim.domain import (
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
-    intersect,
     natural_key,
     overlap_bytes,
     positions,
     required_context,
     shard_interval,
     stage_layers,
-    subtract_intervals,
 )
+
+from fraction_oracle import intersect, subtract_intervals
 
 MODEL4 = ModelSpec(name="m4", num_layers=4, bytes_per_layer=100, kv_bytes_per_token_per_layer=8)
 MODEL7 = ModelSpec(name="m7", num_layers=7, bytes_per_layer=100, kv_bytes_per_token_per_layer=8)

@@ -1,0 +1,166 @@
+"""The integer-grid geometry equals the per-layer Fraction oracle exactly.
+
+`overlap_bytes` and `derive_transfers` sum integer numerators on a grid and
+divide once; `tests/fraction_oracle.py` keeps the per-layer Fraction
+algorithms they replace.  Over random configurations, positions, KV caches
+and per-layer inventories that are not rectangles (several intervals per
+layer, overlaps, holes, mixed denominators), every byte count must be the
+same float and every transfer list the same list, in the same order.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
+from spotsim.domain import (
+    ContextInventory,
+    ModelSpec,
+    ParallelConfig,
+    overlap_bytes,
+    positions,
+    required_context,
+    uncovered,
+)
+from spotsim.mapping import DeviceMapping
+from spotsim.migration import MigrationError, derive_transfers
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+DENOMINATORS = (1, 2, 3, 4, 6, 8)
+REQUESTS = ("r1", "r2", "r3")
+
+
+@st.composite
+def models(draw):
+    # large, odd byte counts so that rounding order would show
+    return ModelSpec(name="h", num_layers=draw(st.integers(1, 8)),
+                     bytes_per_layer=draw(st.integers(1, 10**10)),
+                     kv_bytes_per_token_per_layer=draw(st.integers(1, 10**5)))
+
+
+@st.composite
+def intervals(draw):
+    den = draw(st.sampled_from(DENOMINATORS))
+    lo = draw(st.integers(0, den - 1))
+    hi = draw(st.integers(lo + 1, den))
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+@st.composite
+def per_layer_inventories(draw, model):
+    """Arbitrary per-layer shards: any intervals on any layers, cache in
+    request-major, then layer, order."""
+    model_shards = []
+    for layer in range(model.num_layers):
+        for lo, hi in draw(st.lists(intervals(), max_size=2)):
+            model_shards.append((layer, lo, hi))
+    cache_shards = []
+    for rid in draw(st.lists(st.sampled_from(REQUESTS), max_size=2, unique=True)):
+        for layer in range(model.num_layers):
+            for lo, hi in draw(st.lists(intervals(), max_size=2)):
+                cache_shards.append((rid, layer, lo, hi, draw(st.integers(0, 40))))
+    return ContextInventory(model_shards=model_shards, cache_shards=cache_shards)
+
+
+@st.composite
+def configs(draw, model):
+    return ParallelConfig(draw(st.integers(1, 2)), draw(st.integers(1, model.num_layers)),
+                          draw(st.sampled_from((1, 2, 3, 4))), 4)
+
+
+@st.composite
+def caches(draw):
+    return [(rid, draw(st.integers(0, 40)))
+            for rid in draw(st.lists(st.sampled_from(REQUESTS), max_size=3, unique=True))]
+
+
+@st.composite
+def position_inventories(draw, model):
+    config = draw(configs(model))
+    pos = draw(st.sampled_from(positions(config)))
+    return required_context(config, pos, model, draw(caches()))
+
+
+def inventories(model):
+    return st.one_of(per_layer_inventories(model), position_inventories(model),
+                     st.just(ContextInventory.empty()))
+
+
+@given(st.data())
+@SETTINGS
+def test_overlap_bytes_matches_oracle(data):
+    model = data.draw(models())
+    a = data.draw(inventories(model))
+    b = data.draw(inventories(model))
+    assert repr(overlap_bytes(a, b, model)) == repr(oracle.overlap_bytes(a, b, model))
+    assert a.model_bytes(model) == float(sum((hi - lo) * model.bytes_per_layer
+                                             for _, lo, hi in a.model_shards))
+
+
+@given(st.data())
+@SETTINGS
+def test_inventory_round_trips_through_per_layer_form(data):
+    model = data.draw(models())
+    inv = data.draw(inventories(model))
+    again = ContextInventory(model_shards=inv.model_shards, cache_shards=inv.cache_shards)
+    assert again == inv and hash(again) == hash(inv)
+    assert again.model_shards == inv.model_shards and again.cache_shards == inv.cache_shards
+
+
+@given(st.data())
+@SETTINGS
+def test_uncovered_matches_subtract_intervals(data):
+    den = data.draw(st.sampled_from((4, 12, 24)))
+    lo = data.draw(st.integers(0, den - 1))
+    hi = data.draw(st.integers(lo + 1, den))
+    cuts = [(c, data.draw(st.integers(c + 1, den)))
+            for c in data.draw(st.lists(st.integers(0, den - 1), max_size=4))]
+    want = oracle.subtract_intervals((Fraction(lo, den), Fraction(hi, den)),
+                                     [(Fraction(c_lo, den), Fraction(c_hi, den)) for c_lo, c_hi in cuts])
+    assert [(Fraction(p_lo, den), Fraction(p_hi, den)) for p_lo, p_hi in uncovered(lo, hi, cuts)] == want
+
+
+@st.composite
+def migrations(draw):
+    """An old layout (a served config with its KV cache, some GPUs replaced by
+    arbitrary or empty inventories), a mapping onto a new config, inherited
+    caches and departing instances."""
+    model = draw(models())
+    old, new = draw(configs(model)), draw(configs(model))
+    per_instance = draw(st.sampled_from((1, 2, 4)))
+    n_gpus = max(old.gpus, new.gpus) + draw(st.integers(0, 3))
+    n_instances = -(-n_gpus // per_instance)
+    gpus = [(f"i-{i + 1}", g) for i in range(n_instances) for g in range(per_instance)]
+    order = draw(st.permutations(gpus))
+    served_cache = {d: draw(caches()) for d in range(1, old.data_parallel + 1)}
+    layout = {gpu: ContextInventory.empty() for gpu in gpus}
+    for gpu, pos in zip(order, positions(old)):
+        layout[gpu] = required_context(old, pos, model, served_cache[pos.pipeline])
+    for gpu in draw(st.lists(st.sampled_from(gpus), max_size=3, unique=True)):
+        layout[gpu] = draw(st.one_of(per_layer_inventories(model), st.just(ContextInventory.empty())))
+    targets = draw(st.permutations(gpus))
+    slots = positions(new)[:len(gpus) - draw(st.integers(0, 1))]
+    mapping = DeviceMapping(assignment=dict(zip(targets, slots)), total_weight=0.0, config=new)
+    inherited = {d: [(rid, draw(st.integers(0, tokens))) for rid, tokens in served_cache.get(d, ())]
+                 for d in range(1, new.data_parallel + 1)} if draw(st.booleans()) else None
+    departing = frozenset(draw(st.lists(st.sampled_from([g[0] for g in gpus]), max_size=2)))
+    return mapping, layout, model, inherited, departing
+
+
+def outcome(derive, case):
+    try:
+        models_, caches_, layer_rel, cache_rel = derive(*case)
+    except MigrationError as exc:
+        return ("error", str(exc))
+    return (list(models_.items()), caches_,
+            {layer: list(rel.items()) for layer, rel in layer_rel.items()},
+            list(cache_rel.items()))
+
+
+@given(migrations())
+@SETTINGS
+def test_derive_transfers_matches_oracle(case):
+    got, want = outcome(derive_transfers, case), outcome(oracle.derive_transfers, case)
+    assert repr(got) == repr(want)

@@ -7,7 +7,9 @@ A change that moves them on purpose must say why and update them here.
 """
 
 import hashlib
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from spotsim.data import bundled_path
 from spotsim.metrics import write_request_csv, write_summary_json
 from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
     "spotserve": "aa8f9910b29ad3f5a975eb14e6532a7c2210bdd51483e5afe51b013cd855e4d3",
@@ -54,3 +58,36 @@ def test_bundled_ablation_reports_match_golden_digest(variant, tmp_path):
     write_summary_json(report, json_path)
     digest = hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
     assert digest == GOLDEN_ABLATION[variant]
+
+
+# Migration plans the bundled spotserve run builds, as `tools/plan_digests.py`
+# prints them: (plan count, SHA-256 over the per-plan `plan_to_dict` digests).
+# They pin the planner's output bytes, which the report digests see only
+# through the migration stalls.
+GOLDEN_PLANS = {
+    ("rate", 0.25): (5, "572e1ba2593e132e547ea0f2491a3a854bbd80548c4293dc4e21685bba0a820d"),
+    ("rate", 0.35): (5, "0b60c3e8fb246d05e43db55f5dd43f27bc818692171bccb60733708523c5f94f"),
+    ("rate", 0.55): (5, "8e062eac1eaa0114023e803a7133e7a5c149a3370f96b62afc1d064c80010805"),
+    ("variant", "-planner"): (5, "e2c908c5893ed9d656bd2ef0b77ade47e3a5218a853329da0cc706375311c623"),
+    ("variant", "-arranger"): (5, "7688a06165bfbe912a9a9f2beee3c4936c0d67c32a7e35fe9cef6f744c55d8f6"),
+}
+
+
+def _plan_digests_tool():
+    spec = importlib.util.spec_from_file_location("plan_digests", ROOT / "tools" / "plan_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_PLANS), ids=lambda c: f"{c[0]}={c[1]}")
+def test_bundled_plans_match_golden_digest(case):
+    tool = _plan_digests_tool()
+    cfg = load_simconfig(bundled_path("scenario_bs.json"))
+    kind, value = case
+    if kind == "rate":
+        cfg = replace(cfg, workload=replace(cfg.workload, rate=value))
+    else:
+        cfg = replace(cfg, disable=dict(ABLATION_VARIANTS)[value])
+    digests = tool.plan_digests(cfg)
+    assert (len(digests), tool.combined_digest(digests)) == GOLDEN_PLANS[case]

@@ -11,10 +11,8 @@ from spotsim.domain import (
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
-    intersect,
     positions,
     required_context,
-    subtract_intervals,
 )
 from spotsim.mapping import map_devices
 from spotsim.migration import (
@@ -27,6 +25,8 @@ from spotsim.migration import (
     plan_to_dict,
     simulate_buffer_usage,
 )
+
+from fraction_oracle import intersect
 
 MODEL = ModelSpec(name="m8", num_layers=8, bytes_per_layer=1000, kv_bytes_per_token_per_layer=16)
 

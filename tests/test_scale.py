@@ -1,0 +1,95 @@
+"""A 48-instance, 192-GPU fleet changes shape: mapping and plan stay exact.
+
+No wall-clock bound: the test checks coverage.  Every byte a target position
+needs is either reused from what its GPU already holds or delivered by
+exactly one transfer, and every transfer's source held the piece it sends.
+"""
+
+from fractions import Fraction
+
+from spotsim.costmodel import load_profile
+from spotsim.data import bundled_path
+from spotsim.domain import (
+    InstanceState,
+    ParallelConfig,
+    RequestSpec,
+    positions,
+    required_context,
+)
+from spotsim.mapping import default_inheritance, map_devices
+from spotsim.migration import plan_migration
+
+from fraction_oracle import intersect
+
+GPUS_PER_INSTANCE = 4
+
+
+def reshaped_fleet():
+    """(12,2,8) served on 48 instances with four requests in flight per
+    pipeline; the last four instances are departing and the rest map onto
+    (11,4,4)."""
+    model = load_profile(bundled_path("llama-30b")).model
+    old, target = ParallelConfig(12, 2, 8, 4), ParallelConfig(11, 4, 4, 4)
+    instances = [InstanceState(id=f"i-{k}", kind="spot", gpus=GPUS_PER_INSTANCE)
+                 for k in range(1, 49)]
+    requests = {d: [RequestSpec(id=f"r{d}-{j}", arrival_time=0.0, s_in=512, s_out=128,
+                                tokens_generated=7 * j + d) for j in range(4)]
+                for d in range(1, old.data_parallel + 1)}
+    cache = {d: [(r.id, r.s_in + r.tokens_generated) for r in reqs] for d, reqs in requests.items()}
+    refs = [ref for inst in instances for ref in inst.gpu_refs()]
+    by_id = {inst.id: inst for inst in instances}
+    for (inst_id, g), pos in zip(refs, positions(old)):
+        by_id[inst_id].gpu_inventories[g] = required_context(old, pos, model, cache[pos.pipeline])
+    for inst in instances[-4:]:
+        inst.status, inst.grace_deadline = "grace_preempting", 30.0
+    survivors = instances[:-4]
+    mapping = map_devices(survivors, target, model, GPUS_PER_INSTANCE,
+                          inheritance=default_inheritance(old.data_parallel, target.data_parallel),
+                          requests_by_old_pipeline=requests)
+    layout = {ref: inv for inst in instances for ref, inv in zip(inst.gpu_refs(), inst.gpu_inventories)}
+    inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
+    plan = plan_migration(mapping, layout, model, u_max=4e9, inherited_by_pipeline=inherited,
+                          departing=frozenset(inst.id for inst in instances[-4:]))
+    return model, target, mapping, layout, inherited, plan
+
+
+def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
+    model, target, mapping, layout, inherited, plan = reshaped_fleet()
+    assert len(layout) == 192 and len(mapping.assignment) == target.gpus == 176
+    assert sorted(mapping.assignment.values()) == positions(target)
+
+    # per-layer holdings: (gpu, request or None, layer) -> [(lo, hi, tokens)]
+    held: dict[tuple, list] = {}
+    for gpu, inv in layout.items():
+        for layer, lo, hi in inv.model_shards:
+            held.setdefault((gpu, None, layer), []).append((lo, hi, 0))
+        for rid, layer, lo, hi, tokens in inv.cache_shards:
+            held.setdefault((gpu, rid, layer), []).append((lo, hi, tokens))
+
+    received: dict[tuple, list] = {}
+    for t in plan.transfers():
+        assert t.dst in mapping.assignment and t.src != t.dst
+        received.setdefault((t.dst, t.request, t.layer), []).append((t.lo, t.hi))
+        # the source held the piece it sends (with enough tokens, for cache)
+        assert any(lo <= t.lo and t.hi <= hi and tokens >= t.tokens
+                   for lo, hi, tokens in held.get((t.src, t.request, t.layer), ())), t
+
+    needed = 0
+    for gpu, pos in mapping.assignment.items():
+        need = required_context(target, pos, model, inherited[pos.pipeline])
+        wants = [(None, layer, lo, hi, 0) for layer, lo, hi in need.model_shards]
+        wants += list(need.cache_shards)
+        for rid, layer, lo, hi, tokens in wants:
+            needed += 1
+            own = [(a, b) for a, b, t in held.get((gpu, rid, layer), ()) if t >= tokens]
+            got = sorted(received.pop((gpu, rid, layer), []))
+            reused = sum(intersect((lo, hi), iv) for iv in own)
+            # delivered pieces lie inside the need, miss what is reused and
+            # never overlap each other, so reuse plus delivery is exact
+            assert all(lo <= a < b <= hi for a, b in got)
+            assert all(intersect(g, iv) == 0 for g in got for iv in own)
+            assert all(got[i][1] <= got[i + 1][0] for i in range(len(got) - 1))
+            assert reused + sum((b - a for a, b in got), Fraction(0)) == hi - lo
+    assert not received  # nothing delivered that no position needs
+    assert needed > 176 * 15  # model layers alone: 176 GPUs x 15 layers
+    assert len(plan.transfers()) > 10_000

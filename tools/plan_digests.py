@@ -1,0 +1,71 @@
+"""Print the SHA-256 of every migration plan one simulation builds.
+
+Each plan `spotsim.simulator.plan_migration` returns during the run is hashed
+as its `plan_to_dict` JSON (sorted keys), one line per plan in build order; a
+last line hashes the whole sequence.  Two source trees whose planners emit
+byte-identical plans print the same lines, which is what a refactor of the
+planner's internals must preserve.
+
+Run from the repo root:
+    PYTHONPATH=src python tools/plan_digests.py [--config PATH] [--rate R]
+        [--disable controller,planner,...]
+"""
+
+import argparse
+import hashlib
+import json
+from dataclasses import replace
+
+import spotsim.simulator as sim
+from spotsim.data import bundled_path
+from spotsim.migration import plan_to_dict
+from spotsim.simconfig import load_simconfig
+
+
+def plan_digest(plan) -> str:
+    doc = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def plan_digests(cfg) -> list[str]:
+    """Digests of the plans built while simulating `cfg`, in build order."""
+    digests: list[str] = []
+    original = sim.plan_migration
+
+    def recording(*args, **kwargs):
+        plan = original(*args, **kwargs)
+        digests.append(plan_digest(plan))
+        return plan
+
+    sim.plan_migration = recording
+    try:
+        sim.run(cfg)
+    finally:
+        sim.plan_migration = original
+    return digests
+
+
+def combined_digest(digests: list[str]) -> str:
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--config", default=str(bundled_path("scenario_bs.json")))
+    ap.add_argument("--rate", type=float, help="override a fixed_rate workload's rate")
+    ap.add_argument("--disable", default="", help="comma-separated spotserve features")
+    args = ap.parse_args(argv)
+    cfg = load_simconfig(args.config)
+    if args.rate is not None:
+        cfg = replace(cfg, workload=replace(cfg.workload, rate=args.rate))
+    if args.disable:
+        cfg = replace(cfg, disable=tuple(args.disable.split(",")))
+    digests = plan_digests(cfg)
+    for i, digest in enumerate(digests):
+        print(f"plan {i} {digest}")
+    print(f"all {len(digests)} {combined_digest(digests)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
