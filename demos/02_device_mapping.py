@@ -54,7 +54,7 @@ for i, gpu in enumerate(graph.gpus):
 mapping = km_match(graph)
 print(f"\nKM assignment (total reuse {mapping.total_weight / 1e9:.2f} GB):")
 for gpu in graph.gpus:
-    pos = mapping.position_of(gpu)
+    pos = mapping.assignment.get(gpu)
     where = f"-> ({pos.pipeline},{pos.stage},{pos.shard})" if pos else "-> idle"
     print(f"  {gpu[0]:>4} {where}")
 

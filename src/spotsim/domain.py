@@ -144,10 +144,6 @@ class RequestSpec:
         if not (0 <= self.tokens_generated <= self.s_out):
             raise DomainError("tokens_generated out of [0, s_out]")
 
-    @property
-    def tokens_remaining(self) -> int:
-        return self.s_out - self.tokens_generated
-
 
 # ---------------------------------------------------------------------------
 # Context inventories
@@ -335,11 +331,6 @@ def stage_layers(num_layers: int, pipeline_stages: int, stage: int) -> range:
     start = (stage - 1) * base + min(stage - 1, extra)
     size = base + (1 if stage - 1 < extra else 0)
     return range(start, start + size)
-
-
-def shard_interval(tensor_shards: int, shard: int) -> tuple[Fraction, Fraction]:
-    """[(m-1)/M, m/M) fraction of every layer owned by 1-based shard m."""
-    return (Fraction(shard - 1, tensor_shards), Fraction(shard, tensor_shards))
 
 
 def required_context(config: ParallelConfig, pos: TopologyPosition, model: ModelSpec,

@@ -2,10 +2,11 @@
 
 Edge weights are reusable bytes (model context overlap plus KV-cache overlap
 for requests the target pipeline inherits), so a maximum-weight assignment is
-exactly the one minimizing migration traffic.  Multi-GPU instances go through
-a two-step matching: GPUs are fused per instance and positions per
-tensor-parallel group, an inner match fixes the per-GPU pairing inside each
-fused pair, and an outer match assigns fused groups.
+exactly the one minimizing migration traffic.  Every instance size goes
+through the same two-step matching: GPUs are fused per instance and positions
+per tensor-parallel group, an inner match fixes the per-GPU pairing inside
+each fused pair, and an outer match assigns fused groups.  A single-GPU
+instance is a fused group of one, where the two steps are the flat match.
 """
 
 from dataclasses import dataclass
@@ -57,9 +58,6 @@ class DeviceMapping:
     total_weight: float
     config: ParallelConfig | None = None
 
-    def position_of(self, gpu: GpuRef) -> TopologyPosition | None:
-        return self.assignment.get(gpu)
-
     def gpu_for(self) -> dict[TopologyPosition, GpuRef]:
         return {pos: gpu for gpu, pos in self.assignment.items()}
 
@@ -68,15 +66,19 @@ class DeviceMapping:
 # Kuhn-Munkres
 
 def _hungarian_max(weights: list[list[float]]) -> list[int]:
-    """Max-weight perfect matching on an n x n matrix; returns col for each row.
+    """Max-weight matching on a rectangular matrix; returns col for each row.
 
-    Potentials + augmenting-path form, O(n^3).  Columns are scanned in
-    ascending order so ties resolve to the lexicographically least matching.
+    The matrix is padded square with zero-weight dummies, so a row matched to
+    a dummy gets a column index past the last real one.  Potentials +
+    augmenting-path form, O(n^3).  Columns are scanned in ascending order so
+    ties resolve to the lexicographically least matching.
     """
-    n = len(weights)
-    if n == 0:
+    rows = len(weights)
+    if rows == 0:
         return []
-    cost = [[-w for w in row] for row in weights]
+    n = max(rows, len(weights[0]))
+    cost = [[-w for w in row] + [0.0] * (n - len(row)) for row in weights]
+    cost += [[0.0] * n for _ in range(n - rows)]
     INF = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -118,31 +120,19 @@ def _hungarian_max(weights: list[list[float]]) -> list[int]:
     row_to_col = [0] * n
     for j in range(1, n + 1):
         row_to_col[match[j] - 1] = j - 1
-    return row_to_col
+    return row_to_col[:rows]
 
 
 def km_match(graph: BipartiteGraph) -> DeviceMapping:
     """Maximum-weight assignment of GPUs to positions.
 
-    Rectangular graphs are padded with zero-weight dummies; dummy-assigned
-    GPUs stay idle and dummy-assigned positions stay uncovered (only possible
-    when there are fewer GPUs than positions).
+    GPUs matched to a padding dummy stay idle; positions matched to one stay
+    uncovered (only possible when there are fewer GPUs than positions).
     """
-    n_l, n_r = len(graph.gpus), len(graph.slots)
-    n = max(n_l, n_r)
-    if n == 0:
-        return DeviceMapping(assignment={}, total_weight=0.0)
-    padded = [[0.0] * n for _ in range(n)]
-    for i in range(n_l):
-        row = graph.weights[i]
-        for j in range(n_r):
-            padded[i][j] = row[j]
-    row_to_col = _hungarian_max(padded)
     assignment: dict[GpuRef, TopologyPosition] = {}
     total = 0.0
-    for i in range(n_l):
-        j = row_to_col[i]
-        if j < n_r:
+    for i, j in enumerate(_hungarian_max(graph.weights)):
+        if j < len(graph.slots):
             assignment[graph.gpus[i]] = graph.slots[j]
             total += graph.weights[i][j]
     return DeviceMapping(assignment=assignment, total_weight=total)
@@ -212,6 +202,7 @@ def map_devices(instances: list[InstanceState], target: ParallelConfig, model: M
     (pipeline, stage) row's shards are fused along m, so a fused pair is
     matched by an inner KM whose matching both scores the fused edge (max of
     matched edge weights, the reference rule) and fixes the per-GPU expansion.
+    At G = 1 every group is a single GPU and the outer match is the flat one.
     """
     for inst in instances:
         if inst.gpus != gpus_per_instance:
@@ -219,56 +210,33 @@ def map_devices(instances: list[InstanceState], target: ParallelConfig, model: M
 
     graph = build_graph(instances, target, model, inheritance, requests_by_old_pipeline)
     group = min(gpus_per_instance, target.tensor_shards)
-    if group == 1 and gpus_per_instance == 1:
-        mapping = km_match(graph)
-        mapping.config = target
-        return mapping
     if gpus_per_instance % group or target.tensor_shards % group:
         raise MappingError(
             f"group size {group} must divide both G={gpus_per_instance} and M={target.tensor_shards}"
         )
 
-    gpu_index = {ref: i for i, ref in enumerate(graph.gpus)}
-    slot_index = {pos: j for j, pos in enumerate(graph.slots)}
+    # fused GPU group a is rows a*group.., fused position group b columns b*group..
+    w = graph.weights
+    n_fused_gpus, n_fused_slots = len(graph.gpus) // group, len(graph.slots) // group
+    perms: dict[tuple[int, int], list[int]] = {}
+    fused_w = [[0.0] * n_fused_slots for _ in range(n_fused_gpus)]
+    for a in range(n_fused_gpus):
+        rows = w[a * group:(a + 1) * group]
+        for b in range(n_fused_slots):
+            sub = [row[b * group:(b + 1) * group] for row in rows]
+            perm = perms[a, b] = _hungarian_max(sub)
+            fused_w[a][b] = max(sub[i][perm[i]] for i in range(group))
 
-    fused_gpus = [graph.gpus[i:i + group] for i in range(0, len(graph.gpus), group)]
-    fused_slots = [graph.slots[j:j + group] for j in range(0, len(graph.slots), group)]
-
-    inner: dict[tuple[int, int], tuple[float, list[int]]] = {}
-    fused_w = [[0.0] * len(fused_slots) for _ in fused_gpus]
-    for a, gpu_grp in enumerate(fused_gpus):
-        for b, slot_grp in enumerate(fused_slots):
-            sub = [
-                [graph.weights[gpu_index[g]][slot_index[s]] for s in slot_grp]
-                for g in gpu_grp
-            ]
-            perm = _hungarian_max(sub)
-            matched = [sub[i][perm[i]] for i in range(group)]
-            inner[(a, b)] = (sum(matched), perm)
-            fused_w[a][b] = max(matched)
-
-    outer = _hungarian_max(_pad_square(fused_w))
     assignment: dict[GpuRef, TopologyPosition] = {}
     total = 0.0
-    for a in range(len(fused_gpus)):
-        b = outer[a]
-        if b >= len(fused_slots):
+    for a, b in enumerate(_hungarian_max(fused_w)):
+        if b >= n_fused_slots:
             continue
-        _, perm = inner[(a, b)]
-        for i, g in enumerate(fused_gpus[a]):
-            s = fused_slots[b][perm[i]]
-            assignment[g] = s
-            total += graph.weights[gpu_index[g]][slot_index[s]]
+        for i, k in enumerate(perms[a, b]):
+            g, s = a * group + i, b * group + k
+            assignment[graph.gpus[g]] = graph.slots[s]
+            total += w[g][s]
     return DeviceMapping(assignment=assignment, total_weight=total, config=target)
-
-
-def _pad_square(weights: list[list[float]]) -> list[list[float]]:
-    n = max(len(weights), len(weights[0]) if weights else 0)
-    out = [[0.0] * n for _ in range(n)]
-    for i, row in enumerate(weights):
-        for j, w in enumerate(row):
-            out[i][j] = w
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ migration starts: receivers are charged when a round begins and every
 superseded old copy of the round's context (sent or merely bystanding) is
 credited back when the round completes.  The layer order first admits layers
 in index order while the cap U_max holds, then places the deferred rest by
-repeatedly choosing the layer minimizing the worst instance's usage.
+repeatedly choosing the layer minimizing the worst instance's usage.  The
+plain index order stays the fallback twice: once inside the ordering, and
+once when the whole plan, cache round included, is replayed for each order
+and the index order peaks lower.  Stage-start markers are placed once, on
+the rounds of the order that wins.
 """
 
 import math
@@ -382,9 +386,10 @@ def plan_migration(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInven
                    departing: frozenset[str] = frozenset()) -> MigrationPlan:
     """Build the full migration plan for a device mapping.
 
-    Round order: all-layer cache first, then layers in memopt order; a
-    start_stage marker follows the round that completes each stage's context
-    (stages needing nothing start up front).
+    Round order: all-layer cache first, then layers in memopt order, or in
+    index order when that replays to a lower peak; a start_stage marker
+    follows the round that completes each stage's context (stages needing
+    nothing start up front).
     """
     target = mapping.config
     if target is None:
@@ -402,53 +407,44 @@ def plan_migration(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInven
         traffic[layer] = t
     order = memopt_layer_order(traffic, u_max)
 
-    def assemble(layer_order: list[int]) -> MigrationPlan:
-        rounds: list[MigrationAction] = []
-        if cache_transfers or cache_releases:
-            rounds.append(MigrationAction(
-                kind="migrate_cache",
-                transfers=tuple(cache_transfers),
-                releases=tuple(sorted(cache_releases.items())),
-            ))
-        for layer in layer_order:
-            transfers = tuple(model_transfers.get(layer, ()))
-            releases = tuple(sorted(layer_releases.get(layer, {}).items()))
-            if transfers or releases:
-                rounds.append(MigrationAction(
-                    kind="migrate_layer", transfers=transfers, releases=releases, layer=layer))
+    cache_round = [MigrationAction(
+        kind="migrate_cache", transfers=tuple(cache_transfers),
+        releases=tuple(sorted(cache_releases.items())),
+    )] if cache_transfers or cache_releases else []
 
-        # a stage may serve once every round delivering context to its GPUs is done
-        stage_gpus: dict[int, set] = {p: set() for p in range(1, target.pipeline_stages + 1)}
-        for gpu, pos in mapping.assignment.items():
-            stage_gpus[pos.stage].add(gpu)
-        ready_after = {p: -1 for p in stage_gpus}
-        for idx, action in enumerate(rounds):
-            for t in action.transfers:
-                for p, members in stage_gpus.items():
-                    if t.dst in members:
-                        ready_after[p] = max(ready_after[p], idx)
-
-        final: list[MigrationAction] = []
-        for p in sorted(ready_after):
-            if ready_after[p] < 0:
-                final.append(MigrationAction(kind="start_stage", stage=p))
-        for idx, action in enumerate(rounds):
-            final.append(action)
-            for p in sorted(ready_after):
-                if ready_after[p] == idx:
-                    final.append(MigrationAction(kind="start_stage", stage=p))
-        plan = MigrationPlan(actions=final, u_max=u_max)
+    def replayed(layer_order: list[int]) -> MigrationPlan:
+        plan = MigrationPlan(actions=cache_round + [
+            MigrationAction(kind="migrate_layer", transfers=tuple(model_transfers.get(layer, ())),
+                            releases=tuple(sorted(layer_releases.get(layer, {}).items())),
+                            layer=layer)
+            for layer in layer_order if model_transfers.get(layer) or layer_releases.get(layer)
+        ], u_max=u_max)
         plan.peak_usage = simulate_buffer_usage(plan, old_layout)
         return plan
 
-    plan = assemble(order)
+    plan = replayed(order)
     index_order = sorted(traffic)
     if order != index_order:
         # the cache round shifts the starting baseline the layer-order pass
         # cannot see; never ship an order that replays worse than naive
-        naive = assemble(index_order)
+        naive = replayed(index_order)
         if max(naive.peak_usage.values(), default=0.0) < max(plan.peak_usage.values(), default=0.0):
-            return naive
+            plan = naive
+
+    # a stage may serve once every round delivering context to its GPUs is done
+    stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
+    last_round = dict.fromkeys(range(1, target.pipeline_stages + 1), -1)
+    for idx, action in enumerate(plan.actions):
+        for t in action.transfers:
+            last_round[stage_of[t.dst]] = idx
+    starts: dict[int, list[MigrationAction]] = {}
+    for p, idx in last_round.items():
+        starts.setdefault(idx, []).append(MigrationAction(kind="start_stage", stage=p))
+    actions = starts.get(-1, [])
+    for idx, action in enumerate(plan.actions):
+        actions.append(action)
+        actions.extend(starts.get(idx, ()))
+    plan.actions = actions
     return plan
 
 

@@ -108,8 +108,18 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise SimConfigError(f"unknown policy {self.policy!r}")
-        if self.duration <= 0:
-            raise SimConfigError("duration must be positive")
+        for name in ("duration", "rate_window", "u_max"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise SimConfigError(f"{name} must be positive")
+        for name, low in (("s_in", 1), ("s_out", 1), ("gpus_per_instance", 1),
+                          ("max_data_parallel", 1), ("pool_size", 0), ("cloud_limit", 0),
+                          ("grace_default", 0), ("ready_default", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise SimConfigError(f"{name} must be >= {low}")
+        if self.rerouting_shape is not None and min(self.rerouting_shape) < 1:
+            raise SimConfigError("rerouting_shape entries must be >= 1")
         if self.rate_source not in ("declared", "estimated"):
             raise SimConfigError(f"unknown rate_source {self.rate_source!r}")
         for feat in self.disable:

@@ -64,7 +64,7 @@ from .mapping import (
     retain_cache,
 )
 from .metrics import MetricsReport, RequestRecord, collect_metrics
-from .migration import MigrationError, derive_transfers, plan_migration
+from .migration import MigrationError, MigrationPlan, derive_transfers, plan_migration
 from .simconfig import SimConfig, TraceEvent, load_trace
 from .workload import gamma_arrivals, load_arrivals
 
@@ -258,25 +258,21 @@ class Engine:
         return batch_latency / (self.config.pipeline_stages * self.profile.pipeline_efficiency)
 
     def try_dispatch(self):
+        """One pass over the pipelines in index order (their insertion order):
+        each open one takes a batch, and starting a batch gates its pipeline
+        past now, so a second pass could start nothing."""
         if self.config is None or self.now < self.paused_until - 1e-9:
             return
-        wake = None
-        progress = True
-        while self.queue and progress:
-            progress = False
-            for d in sorted(self.pipelines):
-                if not self.queue:
-                    break
-                pipe = self.pipelines[d]
-                gate = max(pipe.next_start, pipe.ready_at)
-                if gate > self.now + 1e-9:
-                    wake = gate if wake is None else min(wake, gate)
-                    continue
+        for pipe in self.pipelines.values():
+            if not self.queue:
+                return
+            if max(pipe.next_start, pipe.ready_at) <= self.now + 1e-9:
                 self.start_batch(pipe, self._take_requests())
-                progress = True
-        if wake is not None and self.queue and wake < self.wake_at:
-            self.wake_at = wake
-            self.push(wake, P_INTERNAL, "poll", None)
+        if self.queue and self.pipelines:
+            wake = min(max(p.next_start, p.ready_at) for p in self.pipelines.values())
+            if wake < self.wake_at:
+                self.wake_at = wake
+                self.push(wake, P_INTERNAL, "poll", None)
 
     def _take_requests(self) -> list[RequestRecord]:
         take = min(self.config.batch_limit, len(self.queue))
@@ -350,10 +346,7 @@ class Engine:
             self.requeue(self.pause_batch(batch, batch.iters_at(self.now)), reset_progress=True)
 
     def all_batches(self) -> list[Batch]:
-        out = []
-        for d in sorted(self.pipelines):
-            out.extend(self.pipelines[d].batches)
-        return out
+        return [b for pipe in self.pipelines.values() for b in pipe.batches]
 
     def requeue(self, requests: list[RequestRecord], reset_progress: bool):
         """Interrupted requests re-enter the queue; recompute-from-zero ones go
@@ -655,10 +648,9 @@ class AdaptivePolicy:
         step = engine.profile.decode_seconds(engine.config)
         while engine.queue:
             best = None
-            for d in sorted(engine.pipelines):
+            for d, pipe in engine.pipelines.items():
                 if d not in affected:
                     continue
-                pipe = engine.pipelines[d]
                 slot = max(pipe.next_start, pipe.ready_at, engine.now)
                 if best is None or slot < best[1]:
                     best = (pipe, slot)
@@ -722,15 +714,23 @@ class AdaptivePolicy:
     def _departing(engine: Engine) -> frozenset[str]:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
 
+    def _plan(self, engine: Engine, mapping: DeviceMapping, cache: KvCache | None,
+              inherited: dict | None, u_max: float | None) -> MigrationPlan | None:
+        """Plan from the live layout with `cache` on top; None when some
+        required shard has no live copy left."""
+        snapshot = engine.layout_snapshot(cache)
+        try:
+            return plan_migration(mapping, snapshot, engine.model, u_max=u_max,
+                                  inherited_by_pipeline=inherited,
+                                  departing=self._departing(engine))
+        except MigrationError:
+            return None
+
     def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping) -> float:
         """Pessimistic migration time: every in-flight request's cache moves."""
         inherited = kv_cache(engine.batch_requests_by_pipeline(engine.all_batches()))
-        snapshot = engine.layout_snapshot(inherited)
-        try:
-            plan = plan_migration(mapping, snapshot, engine.model,
-                                  u_max=engine.cfg.u_max, inherited_by_pipeline=inherited,
-                                  departing=self._departing(engine))
-        except MigrationError:
+        plan = self._plan(engine, mapping, inherited, inherited, engine.cfg.u_max)
+        if plan is None:
             return restart_cost(engine.profile, "remote_storage")
         return migration_cost(plan, engine.profile)
 
@@ -759,13 +759,10 @@ class AdaptivePolicy:
         if first_boot:
             return 0.0, 0.0
         with_cache = self._use("arranger")
-        snapshot = engine.layout_snapshot(kv_cache(old_cache) if with_cache else None)
-        u_max = engine.cfg.u_max if self._use("planner") else None
-        try:
-            plan = plan_migration(mapping, snapshot, engine.model, u_max=u_max,
-                                  inherited_by_pipeline=inherited if with_cache else None,
-                                  departing=self._departing(engine))
-        except MigrationError:
+        plan = self._plan(engine, mapping, kv_cache(old_cache) if with_cache else None,
+                          inherited if with_cache else None,
+                          engine.cfg.u_max if self._use("planner") else None)
+        if plan is None:
             # some required shard has no live copy left: reload from storage
             stall = restart_cost(engine.profile, "remote_storage")
             for d in sorted(packed):

@@ -44,7 +44,10 @@ def load_arrivals(path: str | Path) -> list[tuple[float, int, int]]:
                 continue
             try:
                 doc = json.loads(line)
-                out.append((float(doc["t"]), int(doc["s_in"]), int(doc["s_out"])))
+                record = (float(doc["t"]), int(doc["s_in"]), int(doc["s_out"]))
+                if record[0] < 0 or min(record[1:]) < 1:
+                    raise ValueError("t must be >= 0 and s_in, s_out >= 1")
+                out.append(record)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise WorkloadError(f"{path}:{lineno}: bad arrival record: {e}") from None
     out.sort(key=lambda r: r[0])

@@ -155,3 +155,45 @@ def test_policies_wait_out_a_fleet_too_small_to_serve(policy, quick_config, tmp_
     assert main(["--outdir", str(out), "run", str(cfg)]) == 0
     summary = json.loads((out / f"summary_{policy}.json").read_text())
     assert summary["completed"] > 0
+
+
+@pytest.mark.parametrize("field, value, policy", [
+    ("s_in", 0, "spotserve"),
+    ("s_out", -3, "spotserve"),
+    ("gpus_per_instance", 0, "rerouting"),
+    ("pool_size", -1, "rerouting"),
+    ("grace_default", -1.0, "spotserve"),
+    ("ready_default", -5.0, "spotserve"),
+    ("rate_window", 0.0, "spotserve"),
+    ("u_max", 0.0, "spotserve"),
+    ("max_data_parallel", 0, "spotserve"),
+    ("cloud_limit", -1, "spotserve"),
+    ("rerouting_shape", [2, 0, 2], "rerouting"),
+])
+def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_path, capsys):
+    doc = json.loads(quick_config.read_text())
+    doc.update({field: value, "policy": policy})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", [
+    {"t": -1.0, "s_in": 512, "s_out": 128},
+    {"t": 1.0, "s_in": 0, "s_out": 128},
+    {"t": 1.0, "s_in": 512, "s_out": 0},
+])
+def test_bad_arrival_record_exits_two(record, quick_config, tmp_path, capsys):
+    arrivals = tmp_path / "arrivals.jsonl"
+    arrivals.write_text(json.dumps({"t": 0.5, "s_in": 512, "s_out": 128}) + "\n"
+                        + json.dumps(record) + "\n")
+    doc = json.loads(quick_config.read_text())
+    doc["workload"] = {"kind": "arrival_file", "path": str(arrivals)}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "arrivals.jsonl:2" in err

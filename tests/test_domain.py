@@ -12,7 +12,6 @@ from spotsim.domain import (
     overlap_bytes,
     positions,
     required_context,
-    shard_interval,
     stage_layers,
 )
 
@@ -136,11 +135,6 @@ def test_interval_helpers():
     assert intersect((Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(1))) == 0
     rest = subtract_intervals((Fraction(0), Fraction(1)), [(Fraction(1, 4), Fraction(1, 2))])
     assert rest == [(Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(1))]
-
-
-def test_shard_interval_bounds():
-    assert shard_interval(4, 1) == (Fraction(0), Fraction(1, 4))
-    assert shard_interval(4, 4) == (Fraction(3, 4), Fraction(1))
 
 
 def test_cluster_available_count_rule():

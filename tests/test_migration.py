@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spotsim import migration
 from spotsim.domain import (
     ContextInventory,
     InstanceState,
@@ -27,6 +28,7 @@ from spotsim.migration import (
 )
 
 from fraction_oracle import intersect
+from test_acceptance import _random_transition
 
 MODEL = ModelSpec(name="m8", num_layers=8, bytes_per_layer=1000, kv_bytes_per_token_per_layer=16)
 
@@ -242,6 +244,52 @@ class TestPlanMigration:
         plan = plan_migration(mapping, layout, model, u_max=None)
         layer_rounds = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert layer_rounds == sorted(layer_rounds)
+
+    def test_index_order_wins_when_the_cache_round_tips_the_memopt_order(self, monkeypatch):
+        """Seed 1600 of the criterion-03 generator: the memopt order passes
+        its own check, but replayed behind the cache round it peaks above the
+        index order, so the plan ships the index order."""
+        rng = np.random.default_rng(1600)
+        model, _, new_cfg, instances, layout, inherited = _random_transition(rng)
+        mapping = map_devices(instances, new_cfg, model, 1)
+        u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
+        orders = []
+
+        def recorded(traffic, cap):
+            orders.append(memopt_layer_order(traffic, cap))
+            return orders[-1]
+        monkeypatch.setattr(migration, "memopt_layer_order", recorded)
+        plan = plan_migration(mapping, layout, model, u_max=u_max,
+                              inherited_by_pipeline=inherited)
+
+        rounds = [a for a in plan.actions if a.kind != "start_stage"]
+        assert rounds[0].kind == "migrate_cache"
+        layer_rounds = [a.layer for a in rounds if a.kind == "migrate_layer"]
+        assert layer_rounds == sorted(layer_rounds)
+        (memopt,) = orders
+        rank = {layer: i for i, layer in enumerate(memopt)}
+        memopt_rounds = rounds[:1] + sorted(rounds[1:], key=lambda a: rank[a.layer])
+        assert memopt_rounds != rounds
+        memopt_peak = simulate_buffer_usage(MigrationPlan(actions=memopt_rounds), layout)
+        assert plan.peak_usage == simulate_buffer_usage(plan, layout)
+        assert max(plan.peak_usage.values()) < max(memopt_peak.values())
+
+        # one start per stage, right after the last round delivering to it
+        stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
+        last_round = dict.fromkeys(range(1, new_cfg.pipeline_stages + 1), -1)
+        for i, action in enumerate(rounds):
+            for t in action.transfers:
+                last_round[stage_of[t.dst]] = i
+        started_after: dict[int, int] = {}
+        done = -1
+        for action in plan.actions:
+            if action.kind == "start_stage":
+                assert action.stage not in started_after
+                started_after[action.stage] = done
+            else:
+                done += 1
+        assert started_after == last_round
+        assert new_cfg.pipeline_stages > 1 and len(set(last_round.values())) > 1
 
 
 class TestSimulateBufferUsage:

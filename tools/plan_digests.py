@@ -1,10 +1,12 @@
-"""Print the SHA-256 of every migration plan one simulation builds.
+"""Print the SHA-256 of every migration plan one simulation builds, and of
+its report.
 
 Each plan `spotsim.simulator.plan_migration` returns during the run is hashed
-as its `plan_to_dict` JSON (sorted keys), one line per plan in build order; a
-last line hashes the whole sequence.  Two source trees whose planners emit
-byte-identical plans print the same lines, which is what a refactor of the
-planner's internals must preserve.
+as its `plan_to_dict` JSON (sorted keys), one line per plan in build order; an
+`all` line hashes the whole sequence.  A last `report` line hashes the request
+CSV plus summary JSON the `run` command writes, as `tests/test_golden.py`
+hashes them.  Two source trees whose simulations emit byte-identical plans
+and reports print the same lines, so one `diff` of this output compares them.
 
 Run from the repo root:
     PYTHONPATH=src python tools/plan_digests.py [--config PATH] [--rate R]
@@ -14,10 +16,13 @@ Run from the repo root:
 import argparse
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import spotsim.simulator as sim
 from spotsim.data import bundled_path
+from spotsim.metrics import write_request_csv, write_summary_json
 from spotsim.migration import plan_to_dict
 from spotsim.simconfig import load_simconfig
 
@@ -27,8 +32,17 @@ def plan_digest(plan) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def plan_digests(cfg) -> list[str]:
-    """Digests of the plans built while simulating `cfg`, in build order."""
+def report_digest(report) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp) / "requests.csv", Path(tmp) / "summary.json"
+        write_request_csv(report, csv_path)
+        write_summary_json(report, json_path)
+        return hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
+
+
+def recorded_run(cfg):
+    """Simulate `cfg`: its report and the digests of the plans it built, in
+    build order."""
     digests: list[str] = []
     original = sim.plan_migration
 
@@ -39,10 +53,15 @@ def plan_digests(cfg) -> list[str]:
 
     sim.plan_migration = recording
     try:
-        sim.run(cfg)
+        report = sim.run(cfg)
     finally:
         sim.plan_migration = original
-    return digests
+    return report, digests
+
+
+def plan_digests(cfg) -> list[str]:
+    """Digests of the plans built while simulating `cfg`, in build order."""
+    return recorded_run(cfg)[1]
 
 
 def combined_digest(digests: list[str]) -> str:
@@ -60,10 +79,11 @@ def main(argv=None) -> int:
         cfg = replace(cfg, workload=replace(cfg.workload, rate=args.rate))
     if args.disable:
         cfg = replace(cfg, disable=tuple(args.disable.split(",")))
-    digests = plan_digests(cfg)
+    report, digests = recorded_run(cfg)
     for i, digest in enumerate(digests):
         print(f"plan {i} {digest}")
     print(f"all {len(digests)} {combined_digest(digests)}")
+    print(f"report {report_digest(report)}")
     return 0
 
 
