@@ -21,13 +21,10 @@ from .arranger import (
     handle_early_loss,
 )
 from .controller import (
-    ControllerDecision,
-    WorkloadEstimate,
     candidate_configs,
     choose_config,
     estimate_arrival_rate,
     optimize_config,
-    plan_instances,
     should_reconfigure,
 )
 from .costmodel import (

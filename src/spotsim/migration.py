@@ -263,6 +263,11 @@ def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInv
     whatever a GPU holds beyond its own new requirement is freed once the
     owning round completes.  Pieces are derived per layer block and expanded
     to one `Transfer` per layer only when emitted.
+
+    Model and cache pieces share `sender_load` and `send_budget`, and a GPU's
+    cache pieces are covered before the next GPU's model pieces, so the KV
+    cache in `old_layout` can change which holder sends a model piece: the
+    model transfers of one mapping are not independent of the cache.
     """
     if mapping.config is None:
         raise MigrationError("mapping carries no target config")

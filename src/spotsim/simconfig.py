@@ -81,6 +81,10 @@ class WorkloadSpec:
 
 
 POLICIES = ("spotserve", "rerouting", "reparallelization")
+CONFIG_KEYS = ("profile", "trace", "workload", "policy", "duration", "pool_size",
+               "gpus_per_instance", "u_max", "s_in", "s_out", "grace_default", "ready_default",
+               "rate_source", "rate_window", "rerouting_shape", "disable")
+WORKLOAD_KEYS = ("kind", "rate", "cv", "seed", "path")
 ABLATION_FEATURES = ("controller", "planner", "arranger", "mapper")
 
 
@@ -100,8 +104,6 @@ class SimConfig:
     ready_default: float = 120.0
     rate_source: str = "declared"  # "declared" | "estimated"
     rate_window: float = 30.0
-    max_data_parallel: int | None = None
-    cloud_limit: int | None = None  # None: only trace-supplied instances exist
     rerouting_shape: tuple[int, int, int] | None = None  # (P, M, B)
     disable: tuple[str, ...] = ()  # ablation: cumulative features removed
 
@@ -113,10 +115,8 @@ class SimConfig:
             if value is not None and value <= 0:
                 raise SimConfigError(f"{name} must be positive")
         for name, low in (("s_in", 1), ("s_out", 1), ("gpus_per_instance", 1),
-                          ("max_data_parallel", 1), ("pool_size", 0), ("cloud_limit", 0),
-                          ("grace_default", 0), ("ready_default", 0)):
-            value = getattr(self, name)
-            if value is not None and value < low:
+                          ("pool_size", 0), ("grace_default", 0), ("ready_default", 0)):
+            if getattr(self, name) < low:
                 raise SimConfigError(f"{name} must be >= {low}")
         if self.rerouting_shape is not None and min(self.rerouting_shape) < 1:
             raise SimConfigError("rerouting_shape entries must be >= 1")
@@ -138,6 +138,10 @@ def simconfig_from_dict(doc: dict, base_dir: str | Path = ".") -> SimConfig:
 
     try:
         wl = doc["workload"]
+        unknown = ([k for k in doc if k not in CONFIG_KEYS]
+                   + [f"workload.{k}" for k in wl if k not in WORKLOAD_KEYS])
+        if unknown:
+            raise SimConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
         workload = WorkloadSpec(
             kind=wl["kind"],
             rate=wl.get("rate"),
@@ -161,8 +165,6 @@ def simconfig_from_dict(doc: dict, base_dir: str | Path = ".") -> SimConfig:
             ready_default=float(doc.get("ready_default", 120.0)),
             rate_source=doc.get("rate_source", "declared"),
             rate_window=float(doc.get("rate_window", 30.0)),
-            max_data_parallel=doc.get("max_data_parallel"),
-            cloud_limit=doc.get("cloud_limit"),
             rerouting_shape=None if shape is None else (int(shape[0]), int(shape[1]), int(shape[2])),
             disable=tuple(doc.get("disable", ())),
         )
@@ -204,8 +206,6 @@ def simconfig_to_dict(cfg: SimConfig) -> dict:
         "ready_default": cfg.ready_default,
         "rate_source": cfg.rate_source,
         "rate_window": cfg.rate_window,
-        "max_data_parallel": cfg.max_data_parallel,
-        "cloud_limit": cfg.cloud_limit,
         "rerouting_shape": None if cfg.rerouting_shape is None else list(cfg.rerouting_shape),
         "disable": list(cfg.disable),
     }

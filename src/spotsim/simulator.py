@@ -250,7 +250,7 @@ class Engine:
     def current_rate(self) -> float:
         if self.cfg.rate_source == "declared" and self.cfg.workload.kind == "fixed_rate":
             return float(self.cfg.workload.rate)
-        return ctl.estimate_arrival_rate(self.arrival_times, self.now, self.cfg.rate_window).rate
+        return ctl.estimate_arrival_rate(self.arrival_times, self.now, self.cfg.rate_window)
 
     # -- dispatch and completion ---------------------------------------------------
 
@@ -496,8 +496,7 @@ class AdaptivePolicy:
             if d < 1:
                 return None
             return ParallelConfig(d, base.pipeline_stages, base.tensor_shards, base.batch_limit)
-        chosen = ctl.choose_config(n_avail, engine.config, engine.current_rate(), engine.profile,
-                                   cfg.gpus_per_instance, cfg.cloud_limit, cfg.max_data_parallel)
+        chosen = ctl.choose_config(n_avail, engine.current_rate(), engine.profile, cfg.gpus_per_instance)
         if chosen is not None and self.pinned is None:
             self.pinned = chosen
         return chosen
@@ -524,8 +523,8 @@ class AdaptivePolicy:
         if target is None:
             engine.suspend_service()
             return
-        decision = ctl.plan_instances(target, n_avail, cfg.pool_size, cfg.gpus_per_instance)
-        self.apply_free(engine, decision)
+        self.release_surplus(engine, n_avail - target.instances(cfg.gpus_per_instance)
+                             - cfg.pool_size)
 
         mapping = self.compute_mapping(engine, target)
         new_serving = {gpu[0] for gpu in mapping.assignment}
@@ -543,14 +542,15 @@ class AdaptivePolicy:
         }
         engine.commit(commit_at, payload)
 
-    def apply_free(self, engine: Engine, decision: ctl.ControllerDecision):
-        if not decision.free:
+    def release_surplus(self, engine: Engine, surplus: int):
+        """Release up to `surplus` idle instances, on-demand first."""
+        if surplus <= 0:
             return
         serving = engine.serving_instances()
         idle = [i for i in engine.instances_by("active", "allocating")
                 if i.id not in serving]
         idle.sort(key=lambda i: (0 if i.kind == "ondemand" else 1, natural_key(i.id)))
-        for inst in idle[:decision.free]:
+        for inst in idle[:surplus]:
             engine.release_instance(inst, engine.now)
 
     def on_instance_ready(self, engine: Engine, inst: InstanceState):
@@ -793,9 +793,8 @@ class ReroutingPolicy:
         """The fixed (P, M, B) shape, chosen at the first availability that can
         host one; None until then."""
         if self.shape is None:
-            best = ctl.choose_config(engine.available_count(), None, engine.current_rate(),
-                                     engine.profile, engine.cfg.gpus_per_instance,
-                                     max_data_parallel=engine.cfg.max_data_parallel)
+            best = ctl.choose_config(engine.available_count(), engine.current_rate(),
+                                     engine.profile, engine.cfg.gpus_per_instance)
             if best is None:
                 return None
             self.shape = (best.pipeline_stages, best.tensor_shards, best.batch_limit)
@@ -862,9 +861,8 @@ class ReparallelizationPolicy:
 
     def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
         cfg = engine.cfg
-        target = ctl.choose_config(engine.available_count(), engine.config, engine.current_rate(),
-                                   engine.profile, cfg.gpus_per_instance, cfg.cloud_limit,
-                                   cfg.max_data_parallel)
+        target = ctl.choose_config(engine.available_count(), engine.current_rate(),
+                                   engine.profile, cfg.gpus_per_instance)
         if target is None:
             engine.suspend_service()
             self.serving = set()

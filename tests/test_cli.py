@@ -166,8 +166,6 @@ def test_policies_wait_out_a_fleet_too_small_to_serve(policy, quick_config, tmp_
     ("ready_default", -5.0, "spotserve"),
     ("rate_window", 0.0, "spotserve"),
     ("u_max", 0.0, "spotserve"),
-    ("max_data_parallel", 0, "spotserve"),
-    ("cloud_limit", -1, "spotserve"),
     ("rerouting_shape", [2, 0, 2], "rerouting"),
 ])
 def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_path, capsys):
@@ -178,6 +176,24 @@ def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_pat
     assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cloud_limit", 10),
+    ("max_data_parallel", 4),
+    ("pool_sise", 2),
+    ("workload.rat", 0.35),
+])
+def test_unknown_config_key_exits_two(key, value, quick_config, tmp_path, capsys):
+    doc = json.loads(quick_config.read_text())
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
     assert "Traceback" not in err
 
 

@@ -10,7 +10,6 @@ from spotsim.controller import (
     choose_config,
     estimate_arrival_rate,
     optimize_config,
-    plan_instances,
     should_reconfigure,
 )
 from spotsim.costmodel import exec_latency, throughput
@@ -22,31 +21,28 @@ from conftest import make_profile
 class TestEstimateArrivalRate:
     def test_nine_in_thirty_seconds(self):
         times = [100.0 + k for k in range(9)]
-        est = estimate_arrival_rate(times, now=110.0, window=30.0)
-        assert est.rate == pytest.approx(0.3)
+        assert estimate_arrival_rate(times, now=110.0, window=30.0) == pytest.approx(0.3)
 
     def test_empty(self):
-        assert estimate_arrival_rate([], now=50.0).rate == 0.0
+        assert estimate_arrival_rate([], now=50.0) == 0.0
 
     def test_window_boundary_is_half_open(self):
         # (now - w, now]: an arrival exactly at now-w is excluded, at now included
         times = [70.0, 80.0, 100.0]
-        est = estimate_arrival_rate(times, now=100.0, window=30.0)
-        assert est.rate == pytest.approx(2 / 30)
+        assert estimate_arrival_rate(times, now=100.0, window=30.0) == pytest.approx(2 / 30)
 
     def test_bad_window(self):
         with pytest.raises(ControllerError):
             estimate_arrival_rate([], now=0.0, window=0.0)
 
 
-def brute_force_optimum(n_avail, rate, profile, candidates, gpus_per_instance, cloud_limit=None):
+def brute_force_optimum(n_avail, rate, profile, candidates, gpus_per_instance):
     """Independent re-statement of the selection rule by exhaustive scan."""
-    obtainable = n_avail if cloud_limit is None else cloud_limit
     scored = []
     for cfg in candidates:
         scored.append((cfg, cfg.instances(gpus_per_instance), throughput(profile, cfg),
                        exec_latency(profile, cfg, profile.nominal_s_in, profile.nominal_s_out)))
-    feasible = [s for s in scored if s[2] >= rate and s[1] <= obtainable]
+    feasible = [s for s in scored if s[2] >= rate and s[1] <= n_avail]
     if feasible:
         best = min(s[3] for s in feasible)
         near = [s for s in feasible if s[3] <= best * (1 + LATENCY_SIMILARITY)]
@@ -135,23 +131,6 @@ class TestOptimizeConfig:
         assert time.perf_counter() - t0 < 1.0
 
 
-class TestPlanInstances:
-    def test_no_change(self):
-        d = plan_instances(ParallelConfig(2, 2, 8, 2), n_available=10, pool_size=2,
-                           gpus_per_instance=4)
-        assert d.delta == 0 and d.alloc == 0 and d.free == 0
-
-    def test_alloc(self):
-        d = plan_instances(ParallelConfig(2, 2, 8, 2), n_available=6, pool_size=0,
-                           gpus_per_instance=4)
-        assert d.delta == 2 and d.alloc == 2 and d.free == 0
-
-    def test_free_ondemand_first_rule(self):
-        d = plan_instances(ParallelConfig(1, 2, 8, 2), n_available=8, pool_size=2,
-                           gpus_per_instance=4)
-        assert d.delta == -2 and d.free == 2 and d.alloc == 0
-
-
 class TestShouldReconfigure:
     def test_same_config_no_membership_change(self):
         c = ParallelConfig(2, 2, 8, 2)
@@ -163,24 +142,6 @@ class TestShouldReconfigure:
 
     def test_config_change(self):
         assert should_reconfigure(ParallelConfig(2, 2, 8, 2), ParallelConfig(2, 3, 4, 1), False)
-
-
-class TestCloudLimit:
-    def test_feasible_branch_may_exceed_available_instances(self, gpt_profile):
-        # the cloud can supply 10 instances even though only 6 are up: the
-        # optimizer may pick a config that needs an allocation
-        cand = candidate_configs(gpt_profile, max_gpus=40)
-        got = optimize_config(6, None, 0.35, gpt_profile, cand,
-                              gpus_per_instance=4, cloud_limit=10)
-        assert got.shape() == (2, 2, 8)
-        assert got.instances(4) == 8 > 6
-        decision = plan_instances(got, n_available=6, pool_size=0, gpus_per_instance=4)
-        assert decision.alloc == 2
-
-    def test_trace_replay_default_caps_at_available(self, gpt_profile):
-        cand = candidate_configs(gpt_profile, max_gpus=40)
-        got = optimize_config(6, None, 0.35, gpt_profile, cand, gpus_per_instance=4)
-        assert got.instances(4) <= 6
 
 
 def test_latency_similarity_tie_prefers_fewer_instances():
@@ -199,30 +160,11 @@ def test_latency_similarity_tie_prefers_fewer_instances():
 
 
 class TestChooseConfig:
-    def test_second_pass_when_cloud_limit_exceeds_available(self, gpt_profile, monkeypatch):
-        import spotsim.controller as ctl
-        limits = []
-        optimize = ctl.optimize_config
-
-        def recorded(n_available, current, rate, profile, candidates, gpus, cloud_limit):
-            limits.append(cloud_limit)
-            return optimize(n_available, current, rate, profile, candidates, gpus, cloud_limit)
-        monkeypatch.setattr(ctl, "optimize_config", recorded)
-        got = choose_config(6, None, 0.35, gpt_profile, 4, cloud_limit=10)
-        # the first pass wants 8 instances the trace has not delivered yet
-        assert limits == [10, 6]
-        assert got.instances(4) <= 6
-        cand = candidate_configs(gpt_profile, max_gpus=40)
-        assert got == optimize_config(6, None, 0.35, gpt_profile, cand,
-                                      gpus_per_instance=4, cloud_limit=6)
-
     def test_one_pass_without_cloud_limit(self, gpt_profile):
         cand = candidate_configs(gpt_profile, max_gpus=40)
-        assert choose_config(10, None, 0.35, gpt_profile, 4) == \
+        assert choose_config(10, 0.35, gpt_profile, 4) == \
             optimize_config(10, None, 0.35, gpt_profile, cand, gpus_per_instance=4)
 
     def test_none_when_no_candidate_fits(self, gpt_profile):
         # no GPUs at all: not even a candidate
-        assert choose_config(0, None, 0.35, gpt_profile, 4) is None
-        # candidates the cloud could supply, but none fits the instances on hand
-        assert choose_config(0, None, 0.35, gpt_profile, 4, cloud_limit=10) is None
+        assert choose_config(0, 0.35, gpt_profile, 4) is None

@@ -10,7 +10,10 @@ and reports print the same lines, so one `diff` of this output compares them.
 
 Run from the repo root:
     PYTHONPATH=src python tools/plan_digests.py [--config PATH] [--rate R]
-        [--disable controller,planner,...]
+        [--policy spotserve|rerouting|reparallelization] [--disable controller,planner,...]
+
+Only spotserve builds migration plans; the other policies print just the
+`all 0` and `report` lines.
 """
 
 import argparse
@@ -24,7 +27,7 @@ import spotsim.simulator as sim
 from spotsim.data import bundled_path
 from spotsim.metrics import write_request_csv, write_summary_json
 from spotsim.migration import plan_to_dict
-from spotsim.simconfig import load_simconfig
+from spotsim.simconfig import POLICIES, load_simconfig
 
 
 def plan_digest(plan) -> str:
@@ -72,11 +75,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--config", default=str(bundled_path("scenario_bs.json")))
     ap.add_argument("--rate", type=float, help="override a fixed_rate workload's rate")
+    ap.add_argument("--policy", choices=POLICIES, help="override the config's policy")
     ap.add_argument("--disable", default="", help="comma-separated spotserve features")
     args = ap.parse_args(argv)
     cfg = load_simconfig(args.config)
     if args.rate is not None:
         cfg = replace(cfg, workload=replace(cfg.workload, rate=args.rate))
+    if args.policy is not None:
+        cfg = replace(cfg, policy=args.policy)
     if args.disable:
         cfg = replace(cfg, disable=tuple(args.disable.split(",")))
     report, digests = recorded_run(cfg)
