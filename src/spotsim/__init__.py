@@ -15,10 +15,8 @@ from .arranger import (
     Arrangement,
     BatchProgress,
     GraceContext,
-    RecoveryAction,
     arrange_acquisition,
     arrange_preemption,
-    handle_early_loss,
 )
 from .controller import (
     candidate_configs,
@@ -65,6 +63,7 @@ from .migration import (
     MigrationAction,
     MigrationPlan,
     Transfer,
+    derive_transfers,
     memopt_layer_order,
     plan_from_dict,
     plan_migration,

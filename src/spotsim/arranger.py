@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .costmodel import PerfProfile
-from .domain import InstanceState, ModelSpec, ParallelConfig, uncovered
+from .domain import ParallelConfig
 
 
 class ArrangerError(ValueError):
@@ -109,42 +109,3 @@ def arrange_acquisition(ctx: GraceContext, profile: PerfProfile) -> Arrangement:
     if s > remaining:
         s = remaining
     return Arrangement(steps=s, action_after="join_and_migrate")
-
-
-# ---------------------------------------------------------------------------
-# Early-loss fallback
-
-@dataclass
-class RecoveryAction:
-    kind: str  # "none" | "migrate_from_replicas" | "restart_from_storage"
-    source: str | None = None  # local_disk | remote_storage when restarting
-
-
-def handle_early_loss(lost: InstanceState, instances: list[InstanceState], model: ModelSpec,
-                      local_weights_available: bool = False) -> RecoveryAction:
-    """Recovery when an instance dies before its arranged migration ran.
-
-    Its cache is gone either way.  If the survivors still cover every model
-    shard the lost instance held, context migrates from replicas; if some
-    shard has no surviving copy the system must reload weights, from local
-    disk when present, else from remote storage.
-    """
-    gone = [(inv.den, rect) for inv in lost.gpu_inventories for rect in inv.model]
-    if not gone:
-        return RecoveryAction(kind="none")
-
-    survivors = [
-        inst for inst in instances
-        if inst.id != lost.id and inst.status in ("active", "grace_preempting")
-    ]
-    held = [(inv.den, rect) for inst in survivors for inv in inst.gpu_inventories
-            for rect in inv.model]
-    den = math.lcm(*(d for d, _ in gone + held))
-    for d, (l0, l1, lo, hi) in gone:
-        for layer in range(l0, l1):
-            cuts = [(c_lo * (den // c), c_hi * (den // c))
-                    for c, (c0, c1, c_lo, c_hi) in held if c0 <= layer < c1]
-            if uncovered(lo * (den // d), hi * (den // d), cuts):
-                source = "local_disk" if local_weights_available else "remote_storage"
-                return RecoveryAction(kind="restart_from_storage", source=source)
-    return RecoveryAction(kind="migrate_from_replicas")

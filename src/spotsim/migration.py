@@ -1,11 +1,15 @@
 """Progressive, buffer-bounded migration planning.
 
-A plan moves whatever context the device mapping could not reuse: one round
+A plan moves whatever context the device mapping could not reuse.  Planning
+has two steps.  `derive_transfers` decides what moves: the per-layer model
+and cache transfers and the end-of-round releases of one mapping over one
+layout.  `plan_migration` assembles a given derivation into rounds: one round
 of KV-cache transfers first (losing cache is what destroys decoding progress,
 so it goes before everything), then model layers one round per layer in a
 memory-optimized order, with a stage-start marker emitted as soon as a stage's
 full context is in place so front stages resume serving while later stages are
-still migrating.
+still migrating.  The derivation does not depend on the buffer cap, so one
+derivation can be assembled under several caps.
 
 Buffer accounting is per instance, as a net byte delta from the moment the
 migration starts: receivers are charged when a round begins and every
@@ -386,21 +390,17 @@ def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInv
 # Plan assembly
 
 def plan_migration(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInventory],
-                   model: ModelSpec, u_max: float | None = None,
-                   inherited_by_pipeline: dict[int, list[tuple[str, int]]] | None = None,
-                   departing: frozenset[str] = frozenset()) -> MigrationPlan:
-    """Build the full migration plan for a device mapping.
+                   model: ModelSpec, transfers: tuple, u_max: float | None = None) -> MigrationPlan:
+    """Assemble the migration plan of a device mapping from `transfers`, what
+    `derive_transfers` returned for that mapping over `old_layout`.
 
-    Round order: all-layer cache first, then layers in memopt order, or in
-    index order when that replays to a lower peak; a start_stage marker
-    follows the round that completes each stage's context (stages needing
-    nothing start up front).
+    Round order: all-layer cache first, then layers in memopt order under
+    `u_max`, or in index order when that replays to a lower peak; a
+    start_stage marker follows the round that completes each stage's context
+    (stages needing nothing start up front).  Nothing here re-derives: the
+    same derivation assembled under another cap moves the same transfers.
     """
-    target = mapping.config
-    if target is None:
-        raise MigrationError("mapping carries no target config")
-    model_transfers, cache_transfers, layer_releases, cache_releases = derive_transfers(
-        mapping, old_layout, model, inherited_by_pipeline, departing)
+    model_transfers, cache_transfers, layer_releases, cache_releases = transfers
 
     traffic: dict[int, LayerTraffic] = {}
     for layer in range(model.num_layers):
@@ -438,7 +438,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInven
 
     # a stage may serve once every round delivering context to its GPUs is done
     stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
-    last_round = dict.fromkeys(range(1, target.pipeline_stages + 1), -1)
+    last_round = dict.fromkeys(range(1, mapping.config.pipeline_stages + 1), -1)
     for idx, action in enumerate(plan.actions):
         for t in action.transfers:
             last_round[stage_of[t.dst]] = idx

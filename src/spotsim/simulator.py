@@ -574,10 +574,14 @@ class AdaptivePolicy:
                     inst = engine.assignment[pos][0]
                     release[inst] = max(release.get(inst, engine.now), t)
 
+        base = None
         if not first_boot:
+            # One cache-free derivation serves the whole commit: the
+            # participants, and every plan whose cache holds no entries.
+            base = self._base_derivation(engine, mapping)
             deadline = payload.get("grace_deadline")
-            affected = self._affected_pipelines(engine, mapping)
-            t_mig_est = self._estimate_full_migration(engine, mapping) if deadline else 0.0
+            affected = self._affected_pipelines(engine, base)
+            t_mig_est = self._estimate_full_migration(engine, mapping, base) if deadline else 0.0
             for batch in engine.all_batches():
                 if batch.pipeline not in affected:
                     continue  # untouched pipelines keep serving, pause at commit
@@ -630,7 +634,7 @@ class AdaptivePolicy:
             for d, reqs in sorted(packed.items())
         }
 
-        stall, t_full = self._plan_and_cost(engine, mapping, old_cache, inherited,
+        stall, t_full = self._plan_and_cost(engine, mapping, base, old_cache, inherited,
                                             packed, target, first_boot, release)
         payload["entry"][2] = t_full
         engine.resume_at(max(engine.now + stall, commit_start), target, mapping, packed)
@@ -691,45 +695,55 @@ class AdaptivePolicy:
         action = "migrate_with_cache" if arr.action_after == "migrate_with_cache" else "drop"
         return stop_t, done + arr.steps, action
 
-    def _affected_pipelines(self, engine: Engine, mapping: DeviceMapping) -> set[int]:
-        """Pipelines whose instances take part in the context migration."""
+    def _base_derivation(self, engine: Engine, mapping: DeviceMapping) -> tuple | None:
+        """The commit's cache-free `derive_transfers` over the live layout;
+        None when some required shard has no live copy left.  Model needs and
+        holders do not depend on the cache, so then every plan of the commit
+        would fail the same way."""
         try:
-            model_deltas, _, _, _ = derive_transfers(
-                mapping, engine.layout_snapshot(None), engine.model,
-                departing=self._departing(engine))
+            return derive_transfers(mapping, engine.layout_snapshot(None), engine.model,
+                                    departing=self._departing(engine))
         except MigrationError:
-            return set(d for d in engine.pipelines)
-        participants = set()
-        for transfers in model_deltas.values():
-            for t in transfers:
-                participants.add(t.src[0])
-                participants.add(t.dst[0])
-        affected = set()
-        for pos in sorted(engine.assignment):
-            if engine.assignment[pos][0] in participants:
-                affected.add(pos.pipeline)
-        return affected
+            return None
+
+    @staticmethod
+    def _affected_pipelines(engine: Engine, base: tuple | None) -> set[int]:
+        """Pipelines whose instances send or receive a model piece in the base
+        derivation; every pipeline when it failed."""
+        if base is None:
+            return set(engine.pipelines)
+        participants = {inst for transfers in base[0].values() for t in transfers
+                        for inst in (t.src[0], t.dst[0])}
+        return {pos.pipeline for pos, gpu in engine.assignment.items()
+                if gpu[0] in participants}
 
     @staticmethod
     def _departing(engine: Engine) -> frozenset[str]:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
 
-    def _plan(self, engine: Engine, mapping: DeviceMapping, cache: KvCache | None,
-              inherited: dict | None, u_max: float | None) -> MigrationPlan | None:
+    def _plan(self, engine: Engine, mapping: DeviceMapping, base: tuple | None, cache: KvCache,
+              inherited: dict, u_max: float | None) -> MigrationPlan | None:
         """Plan from the live layout with `cache` on top; None when some
-        required shard has no live copy left."""
-        snapshot = engine.layout_snapshot(cache)
-        try:
-            return plan_migration(mapping, snapshot, engine.model, u_max=u_max,
-                                  inherited_by_pipeline=inherited,
-                                  departing=self._departing(engine))
-        except MigrationError:
+        required shard has no live copy left.  A plan whose cache holds no
+        entries assembles the base derivation; one that carries cache derives
+        on its own, since cache and model pieces share the sender choice."""
+        if base is None:
             return None
+        snapshot = engine.layout_snapshot(cache)
+        derived = base
+        if any(cache.values()):
+            try:
+                derived = derive_transfers(mapping, snapshot, engine.model, inherited,
+                                           departing=self._departing(engine))
+            except MigrationError:
+                return None
+        return plan_migration(mapping, snapshot, engine.model, derived, u_max)
 
-    def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping) -> float:
+    def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping,
+                                 base: tuple | None) -> float:
         """Pessimistic migration time: every in-flight request's cache moves."""
         inherited = kv_cache(engine.batch_requests_by_pipeline(engine.all_batches()))
-        plan = self._plan(engine, mapping, inherited, inherited, engine.cfg.u_max)
+        plan = self._plan(engine, mapping, base, inherited, inherited, engine.cfg.u_max)
         if plan is None:
             return restart_cost(engine.profile, "remote_storage")
         return migration_cost(plan, engine.profile)
@@ -752,15 +766,15 @@ class AdaptivePolicy:
             packed[d].append(r)
         return {d: reqs for d, reqs in packed.items() if reqs}
 
-    def _plan_and_cost(self, engine: Engine, mapping: DeviceMapping,
+    def _plan_and_cost(self, engine: Engine, mapping: DeviceMapping, base: tuple | None,
                        old_cache: dict[int, list[RequestRecord]], inherited: dict,
                        packed: dict[int, list[RequestRecord]], target: ParallelConfig,
                        first_boot: bool, release: dict[str, float]) -> tuple[float, float]:
         if first_boot:
             return 0.0, 0.0
         with_cache = self._use("arranger")
-        plan = self._plan(engine, mapping, kv_cache(old_cache) if with_cache else None,
-                          inherited if with_cache else None,
+        plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
+                          inherited if with_cache else {},
                           engine.cfg.u_max if self._use("planner") else None)
         if plan is None:
             # some required shard has no live copy left: reload from storage

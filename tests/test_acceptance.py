@@ -27,7 +27,7 @@ from spotsim.domain import (
     required_context,
 )
 from spotsim.mapping import BipartiteGraph, build_graph, km_match, map_devices
-from spotsim.migration import LayerTraffic, plan_migration
+from spotsim.migration import LayerTraffic, derive_transfers, plan_migration
 from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run as run_sim
 
@@ -229,12 +229,11 @@ def test_criterion_03_migration_plan_soundness():
         mapping = map_devices(instances, new_cfg, model, 1,
                               inheritance=None, requests_by_old_pipeline=None)
         u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
-        plan = plan_migration(mapping, layout, model, u_max=u_max,
-                              inherited_by_pipeline=inherited)
+        derived = derive_transfers(mapping, layout, model, inherited)
+        plan = plan_migration(mapping, layout, model, derived, u_max)
         _check_plan_soundness(model, new_cfg, mapping, layout, plan)
 
-        naive = plan_migration(mapping, layout, model, u_max=None,
-                               inherited_by_pipeline=inherited)
+        naive = plan_migration(mapping, layout, model, derived, u_max=None)
         peak_opt = max(plan.peak_usage.values(), default=0.0)
         peak_naive = max(naive.peak_usage.values(), default=0.0)
         assert peak_opt <= peak_naive + 1e-9, "memopt never beats the naive order"

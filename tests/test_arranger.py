@@ -7,16 +7,9 @@ from spotsim.arranger import (
     GraceContext,
     arrange_acquisition,
     arrange_preemption,
-    handle_early_loss,
 )
-from spotsim.domain import (
-    ContextInventory,
-    InstanceState,
-    ModelSpec,
-    ParallelConfig,
-    positions,
-    required_context,
-)
+from spotsim.costmodel import restart_cost
+from spotsim.domain import ParallelConfig
 
 from conftest import make_profile
 
@@ -140,55 +133,6 @@ class TestArrangeAcquisition:
                 assert init + arr.steps * step >= c.t_remaining
 
 
-MODEL = ModelSpec(name="m4", num_layers=4, bytes_per_layer=100, kv_bytes_per_token_per_layer=8)
-
-
-def instances_for(config, n, model=MODEL):
-    instances = []
-    slots = positions(config)
-    for k in range(n):
-        inst = InstanceState(id=f"i-{k}", kind="spot", gpus=1)
-        if k < len(slots):
-            inst.gpu_inventories = [required_context(config, slots[k], model)]
-        instances.append(inst)
-    return instances
-
-
-class TestHandleEarlyLoss:
-    def test_replica_survives(self):
-        cfg = ParallelConfig(2, 2, 1, 1)  # D=2: every shard replicated
-        instances = instances_for(cfg, 4)
-        lost = instances[1]
-        lost.status = "released"
-        got = handle_early_loss(lost, instances, MODEL)
-        assert got.kind == "migrate_from_replicas"
-
-    def test_unique_shard_lost_restarts_remote(self):
-        cfg = ParallelConfig(1, 2, 1, 1)  # D=1: single copy of each stage
-        instances = instances_for(cfg, 2)
-        lost = instances[0]
-        lost.status = "released"
-        got = handle_early_loss(lost, instances, MODEL)
-        assert got.kind == "restart_from_storage"
-        assert got.source == "remote_storage"
-
-    def test_local_disk_preferred_when_available(self):
-        cfg = ParallelConfig(1, 2, 1, 1)
-        instances = instances_for(cfg, 2)
-        lost = instances[0]
-        lost.status = "released"
-        got = handle_early_loss(lost, instances, MODEL, local_weights_available=True)
-        assert got.source == "local_disk"
-
-    def test_nothing_held_means_no_action(self):
-        cfg = ParallelConfig(1, 2, 1, 1)
-        instances = instances_for(cfg, 3)
-        lost = instances[2]  # spare held nothing
-        lost.status = "released"
-        got = handle_early_loss(lost, instances, MODEL)
-        assert got.kind == "none"
-
-    def test_restart_cost_ratio_applies(self):
-        from spotsim.costmodel import restart_cost
-        prof = make_profile(baseline=10.0)
-        assert restart_cost(prof, "remote_storage") == pytest.approx(95.4)
+def test_restart_cost_ratio_applies():
+    prof = make_profile(baseline=10.0)
+    assert restart_cost(prof, "remote_storage") == pytest.approx(95.4)

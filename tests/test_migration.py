@@ -20,6 +20,7 @@ from spotsim.migration import (
     LayerTraffic,
     MigrationError,
     MigrationPlan,
+    derive_transfers,
     memopt_layer_order,
     plan_from_dict,
     plan_migration,
@@ -53,7 +54,7 @@ def serving_cluster(model, config, n_instances, gpus_per_instance=1, prefix="i")
 def transition_plan(model, old_cfg, new_cfg, n_instances, u_max=None, gpus_per_instance=1):
     instances, layout = serving_cluster(model, old_cfg, n_instances, gpus_per_instance)
     mapping = map_devices(instances, new_cfg, model, gpus_per_instance)
-    plan = plan_migration(mapping, layout, model, u_max=u_max)
+    plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model), u_max)
     return mapping, layout, plan
 
 
@@ -165,7 +166,7 @@ class TestPlanMigration:
                           kv_bytes_per_token_per_layer=16)
         instances, layout = serving_cluster(model, old, 16)
         mapping = map_devices(instances, new, model, 1)
-        plan = plan_migration(mapping, layout, model)
+        plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
         # moved bytes equal required minus reused
         needed = sum(required_context(new, pos, model).model_bytes(model)
                      for pos in positions(new))
@@ -195,7 +196,8 @@ class TestPlanMigration:
             inst.gpu_inventories = [layout[(inst.id, 0)]]
         mapping = map_devices(instances, new, MODEL, 1,
                               inheritance={1: 1})
-        plan = plan_migration(mapping, layout, MODEL, inherited_by_pipeline=cache_map)
+        plan = plan_migration(mapping, layout, MODEL,
+                              derive_transfers(mapping, layout, MODEL, cache_map))
         move_kinds = [a.kind for a in plan.actions if a.kind != "start_stage"]
         assert move_kinds[0] == "migrate_cache"
         assert all(k == "migrate_layer" for k in move_kinds[1:])
@@ -205,7 +207,7 @@ class TestPlanMigration:
         new = ParallelConfig(1, 2, 2, 1)
         instances, layout = serving_cluster(MODEL, old, 4)
         mapping = map_devices(instances, new, MODEL, 1)
-        plan = plan_migration(mapping, layout, MODEL)
+        plan = plan_migration(mapping, layout, MODEL, derive_transfers(mapping, layout, MODEL))
         stage_gpus = {p: set() for p in (1, 2)}
         for gpu, pos in mapping.assignment.items():
             stage_gpus[pos.stage].add(gpu)
@@ -232,7 +234,7 @@ class TestPlanMigration:
             inst.gpu_inventories = [layout[(inst.id, 0)]]
         mapping = map_devices(instances, cfg, MODEL, 1)
         with pytest.raises(MigrationError):
-            plan_migration(mapping, layout, MODEL)
+            derive_transfers(mapping, layout, MODEL)
 
     def test_unbounded_cap_keeps_layer_index_order(self):
         old = ParallelConfig(1, 2, 8, 1)
@@ -241,7 +243,7 @@ class TestPlanMigration:
                           kv_bytes_per_token_per_layer=8)
         instances, layout = serving_cluster(model, old, 16)
         mapping = map_devices(instances, new, model, 1)
-        plan = plan_migration(mapping, layout, model, u_max=None)
+        plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
         layer_rounds = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert layer_rounds == sorted(layer_rounds)
 
@@ -259,8 +261,8 @@ class TestPlanMigration:
             orders.append(memopt_layer_order(traffic, cap))
             return orders[-1]
         monkeypatch.setattr(migration, "memopt_layer_order", recorded)
-        plan = plan_migration(mapping, layout, model, u_max=u_max,
-                              inherited_by_pipeline=inherited)
+        plan = plan_migration(mapping, layout, model,
+                              derive_transfers(mapping, layout, model, inherited), u_max)
 
         rounds = [a for a in plan.actions if a.kind != "start_stage"]
         assert rounds[0].kind == "migrate_cache"
@@ -347,9 +349,10 @@ class TestSimulateBufferUsage:
             new = ParallelConfig(1, 4, 1, 1)
             instances, layout = serving_cluster(model, old, 4)
             mapping = map_devices(instances, new, model, 1)
-            bounded = plan_migration(mapping, layout, model,
+            derived = derive_transfers(mapping, layout, model)
+            bounded = plan_migration(mapping, layout, model, derived,
                                      u_max=float(model.bytes_per_layer) * 1.5)
-            naive = plan_migration(mapping, layout, model, u_max=None)
+            naive = plan_migration(mapping, layout, model, derived, u_max=None)
             assert max(bounded.peak_usage.values()) <= max(naive.peak_usage.values()) + 1e-9
 
 
@@ -380,7 +383,8 @@ def test_departing_sources_keep_bystander_replicas_out():
     departing = frozenset({"i-1"})
     targets = [i for i in instances if i.id != "i-1"]
     mapping = map_devices(targets, cfg, model, 1)
-    plan = plan_migration(mapping, layout, model, departing=departing)
+    plan = plan_migration(mapping, layout, model,
+                          derive_transfers(mapping, layout, model, departing=departing))
     sources = {t.src[0] for t in plan.transfers()}
     assert sources == {"i-1"}
     receivers = {t.dst[0] for t in plan.transfers()}

@@ -17,7 +17,7 @@ from spotsim.domain import (
     required_context,
 )
 from spotsim.mapping import default_inheritance, map_devices
-from spotsim.migration import plan_migration
+from spotsim.migration import derive_transfers, plan_migration
 
 from fraction_oracle import intersect
 
@@ -48,8 +48,9 @@ def reshaped_fleet():
                           requests_by_old_pipeline=requests)
     layout = {ref: inv for inst in instances for ref, inv in zip(inst.gpu_refs(), inst.gpu_inventories)}
     inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
-    plan = plan_migration(mapping, layout, model, u_max=4e9, inherited_by_pipeline=inherited,
-                          departing=frozenset(inst.id for inst in instances[-4:]))
+    derived = derive_transfers(mapping, layout, model, inherited,
+                               departing=frozenset(inst.id for inst in instances[-4:]))
+    plan = plan_migration(mapping, layout, model, derived, u_max=4e9)
     return model, target, mapping, layout, inherited, plan
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from spotsim.costmodel import exec_latency, load_profile, save_profile
+from spotsim.costmodel import exec_latency, load_profile, restart_cost, save_profile
 from spotsim.data import bundled_path
 from spotsim.domain import ContextInventory, ParallelConfig, required_context
 from spotsim.simconfig import (
@@ -285,8 +285,9 @@ def test_overprovision_releases_ondemand_first(tmp_path):
     surplus = 6 - target.instances(cfg.gpus_per_instance) - cfg.pool_size
     assert surplus > 0 and len(released_early) == surplus
     assert {"i-4", "i-5"} <= released_early
-    assert all(kinds[i] == "ondemand" or i.startswith("i-") for i in released_early)
+    # then the idle spot instances, in natural-key order
     spot_released = [i for i in released_early if kinds[i] == "spot"]
+    assert sorted(spot_released) == ["i-0", "i-1"]
     ondemand_kept = [i for i, k in kinds.items() if k == "ondemand" and i not in released_early]
     assert not ondemand_kept, "no on-demand instance may outlive released spot capacity"
 
@@ -331,3 +332,62 @@ def test_holdings_store_after_bundled_run(monkeypatch):
             if held != want:
                 wrong.append(ref)
     assert position and not wrong, f"{len(wrong)} GPUs hold the wrong context: {wrong[:4]}"
+
+
+def test_one_cache_free_derivation_per_commit(monkeypatch):
+    """A spotserve commit derives its cache-free transfers once, for the
+    participants and every plan without cache; only a plan whose snapshot
+    carries KV cache derives again, on that snapshot."""
+    import spotsim.migration as migration
+    import spotsim.simulator as sim
+
+    counts = Counter()
+
+    def counted(derive):
+        def wrapper(*args, **kwargs):
+            counts["derivations"] += 1
+            return derive(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(sim, "derive_transfers", counted(sim.derive_transfers))
+    monkeypatch.setattr(migration, "derive_transfers", counted(migration.derive_transfers))
+    plan_migration, on_commit = sim.plan_migration, sim.AdaptivePolicy.on_commit
+
+    def plan(mapping, old_layout, *args, **kwargs):
+        counts["plans"] += 1
+        counts["plans with cache"] += any(inv.cache for inv in old_layout.values())
+        return plan_migration(mapping, old_layout, *args, **kwargs)
+
+    def commit(policy, engine, payload):
+        counts["commits"] += engine.config is not None
+        return on_commit(policy, engine, payload)
+    monkeypatch.setattr(sim, "plan_migration", plan)
+    monkeypatch.setattr(sim.AdaptivePolicy, "on_commit", commit)
+    run(load_simconfig(bundled_path("scenario_bs.json")))
+    assert counts["commits"] > 0 and counts["plans with cache"] > 0
+    assert counts["plans"] > counts["plans with cache"]
+    assert counts["derivations"] == counts["commits"] + counts["plans with cache"], dict(counts)
+
+
+def test_lost_only_copy_reloads_from_storage(tmp_path):
+    """Three 4-GPU instances serve gpt-20b as (1,3,4,B), one stage each.  At
+    t=100 i-3 is acquired (ready at 160) and i-1 is preempted without grace:
+    the commit waits for i-3, by when the only copy of i-1's stage is gone,
+    so the model reloads from remote storage."""
+    events = (boot_events(3)
+              + [{"t": 100.0, "kind": "acquire", "id": "i-3", "ready_in": 60.0},
+                 {"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 0.0}])
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, events)
+    cfg = SimConfig(
+        profile_path=str(bundled_path("gpt-20b")),
+        trace_path=str(trace),
+        workload=WorkloadSpec(kind="fixed_rate", rate=0.3, cv=1.0, seed=1),
+        policy="spotserve", duration=400.0, pool_size=0, gpus_per_instance=4,
+    )
+    report = run(cfg)
+    profile = load_profile(cfg.profile_path)
+    assert [(t, shape[1:3]) for t, shape, _ in report.reconfigurations] == [
+        (0.0, (3, 4)), (100.0, (3, 4))]
+    t_mig = report.reconfigurations[-1][2]
+    assert t_mig == restart_cost(profile, "remote_storage")
+    assert t_mig == pytest.approx(190.8)

@@ -3,17 +3,20 @@ its report.
 
 Each plan `spotsim.simulator.plan_migration` returns during the run is hashed
 as its `plan_to_dict` JSON (sorted keys), one line per plan in build order; an
-`all` line hashes the whole sequence.  A last `report` line hashes the request
-CSV plus summary JSON the `run` command writes, as `tests/test_golden.py`
-hashes them.  Two source trees whose simulations emit byte-identical plans
-and reports print the same lines, so one `diff` of this output compares them.
+`all` line hashes the whole sequence.  A `derivations` line counts the
+`derive_transfers` calls made through either module binding
+(`spotsim.simulator` or `spotsim.migration`).  A last `report` line hashes the
+request CSV plus summary JSON the `run` command writes, as
+`tests/test_golden.py` hashes them.  Two source trees whose simulations emit
+byte-identical plans and reports, from as many derivations, print the same
+lines, so one `diff` of this output compares them.
 
 Run from the repo root:
     PYTHONPATH=src python tools/plan_digests.py [--config PATH] [--rate R]
         [--policy spotserve|rerouting|reparallelization] [--disable controller,planner,...]
 
 Only spotserve builds migration plans; the other policies print just the
-`all 0` and `report` lines.
+`all 0`, `derivations 0` and `report` lines.
 """
 
 import argparse
@@ -23,6 +26,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import spotsim.migration as migration
 import spotsim.simulator as sim
 from spotsim.data import bundled_path
 from spotsim.metrics import write_request_csv, write_summary_json
@@ -44,22 +48,32 @@ def report_digest(report) -> str:
 
 
 def recorded_run(cfg):
-    """Simulate `cfg`: its report and the digests of the plans it built, in
-    build order."""
+    """Simulate `cfg`: its report, the digests of the plans it built in build
+    order, and its number of `derive_transfers` calls."""
     digests: list[str] = []
-    original = sim.plan_migration
+    derivations = 0
+    plan, derive, mig_derive = sim.plan_migration, sim.derive_transfers, migration.derive_transfers
 
     def recording(*args, **kwargs):
-        plan = original(*args, **kwargs)
-        digests.append(plan_digest(plan))
-        return plan
+        built = plan(*args, **kwargs)
+        digests.append(plan_digest(built))
+        return built
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            nonlocal derivations
+            derivations += 1
+            return fn(*args, **kwargs)
+        return counted
 
     sim.plan_migration = recording
+    sim.derive_transfers, migration.derive_transfers = counting(derive), counting(mig_derive)
     try:
         report = sim.run(cfg)
     finally:
-        sim.plan_migration = original
-    return report, digests
+        sim.plan_migration, sim.derive_transfers, migration.derive_transfers = (
+            plan, derive, mig_derive)
+    return report, digests, derivations
 
 
 def plan_digests(cfg) -> list[str]:
@@ -85,10 +99,11 @@ def main(argv=None) -> int:
         cfg = replace(cfg, policy=args.policy)
     if args.disable:
         cfg = replace(cfg, disable=tuple(args.disable.split(",")))
-    report, digests = recorded_run(cfg)
+    report, digests, derivations = recorded_run(cfg)
     for i, digest in enumerate(digests):
         print(f"plan {i} {digest}")
     print(f"all {len(digests)} {combined_digest(digests)}")
+    print(f"derivations {derivations}")
     print(f"report {report_digest(report)}")
     return 0
 
