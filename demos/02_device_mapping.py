@@ -10,10 +10,9 @@ matching used when instances carry several GPUs.
 
 from spotsim import (
     ContextInventory,
-    InstanceState,
     ModelSpec,
     ParallelConfig,
-    RequestSpec,
+    RequestRecord,
     build_graph,
     km_match,
     map_devices,
@@ -28,19 +27,17 @@ old = ParallelConfig(2, 2, 2, 1)
 new = ParallelConfig(2, 3, 1, 1)
 
 # eight single-GPU instances, loaded with the old layout in id order
-instances = []
-request = RequestSpec(id="r-42", arrival_time=0.0, s_in=512, s_out=128, tokens_generated=64)
+layout = {}
+request = RequestRecord(id="r-42", arrival=0.0, s_in=512, s_out=128, tokens_generated=64)
 for k, pos in enumerate(positions(old)):
-    inst = InstanceState(id=f"u{k}", kind="spot", gpus=1)
     inv = required_context(old, pos, model)
     if pos.pipeline == 1:  # pipeline 1 is mid-request: it holds r-42's cache
         cache = tuple((request.id, lyr, lo, hi, request.s_in + request.tokens_generated)
                       for lyr, lo, hi in inv.model_shards)
         inv = ContextInventory(model_shards=inv.model_shards, cache_shards=cache)
-    inst.gpu_inventories = [inv]
-    instances.append(inst)
+    layout[(f"u{k}", 0)] = inv
 
-graph = build_graph(instances, new, model,
+graph = build_graph(layout, new, model,
                     inheritance=default_inheritance(2, 2),
                     requests_by_old_pipeline={1: [request]})
 
@@ -64,14 +61,9 @@ print(f"\nBytes that must still move: {(required - mapping.total_weight) / 1e9:.
 
 print("\n=== Two-step matching with 2-GPU instances ===")
 fused_old = ParallelConfig(1, 2, 2, 1)
-multi = []
-for k in range(2):
-    inst = InstanceState(id=f"node{k}", kind="spot", gpus=2)
-    inst.gpu_inventories = [
-        required_context(fused_old, pos, model)
-        for pos in positions(fused_old) if pos.stage == k + 1
-    ]
-    multi.append(inst)
+# instance node{k} holds stage k+1, one tensor shard per GPU
+multi = {(f"node{pos.stage - 1}", pos.shard - 1): required_context(fused_old, pos, model)
+         for pos in positions(fused_old)}
 fused = map_devices(multi, fused_old, model, gpus_per_instance=2)
 print("Each instance is fused with its tensor group; stages stay instance-local:")
 for (iid, g), pos in sorted(fused.assignment.items()):

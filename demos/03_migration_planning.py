@@ -10,7 +10,6 @@ accounting that motivates the layer order and the JSON wire format.
 import json
 
 from spotsim import (
-    InstanceState,
     ModelSpec,
     ParallelConfig,
     bundled_path,
@@ -29,16 +28,10 @@ model = ModelSpec(name="demo-12l", num_layers=12, bytes_per_layer=1_500_000_000,
 old = ParallelConfig(1, 2, 8, 1)
 new = ParallelConfig(1, 3, 4, 1)
 
-instances = []
-layout = {}
-for k, pos in enumerate(positions(old)):
-    inst = InstanceState(id=f"g{k}", kind="spot", gpus=1)
-    inv = required_context(old, pos, model)
-    inst.gpu_inventories = [inv]
-    layout[(inst.id, 0)] = inv
-    instances.append(inst)
+layout = {(f"g{k}", 0): required_context(old, pos, model)
+          for k, pos in enumerate(positions(old))}
 
-mapping = map_devices(instances, new, model, gpus_per_instance=1)
+mapping = map_devices(layout, new, model, gpus_per_instance=1)
 # what moves depends only on the mapping and the layout; the buffer cap only
 # orders it, so one derivation is assembled under both caps below
 derived = derive_transfers(mapping, layout, model)

@@ -44,7 +44,7 @@ from .domain import (
     InstanceState,
     ModelSpec,
     ParallelConfig,
-    RequestSpec,
+    RequestRecord,
     TopologyPosition,
     overlap_bytes,
     positions,
@@ -58,7 +58,7 @@ from .mapping import (
     map_devices,
     retain_cache,
 )
-from .metrics import MetricsReport, RequestRecord, collect_metrics, percentile
+from .metrics import MetricsReport, collect_metrics, percentile
 from .migration import (
     MigrationAction,
     MigrationPlan,

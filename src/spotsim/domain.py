@@ -6,9 +6,10 @@ Every GPU therefore owns a (pipeline, stage, shard) position whose resident
 model slice is a contiguous layer block crossed with a tensor-shard fraction
 interval.  Byte-level bookkeeping of those slices (plus per-request KV-cache
 slices) is what the device mapper and migration planner trade in.
-`required_context` is the one builder of those slices, and a GPU's holdings
-live in its instance's `gpu_inventories`, which the simulator's engine writes
-when it installs a layout.
+`required_context` is the one builder of those slices.  A `Layout` maps each
+GPU to its `ContextInventory`; it is the one form of GPU context the mapper,
+the planner and the simulator's holdings store share, and a GPU absent from
+the store holds nothing.
 
 Context geometry is integer: a `ContextInventory` holds rectangles on a grid
 of 1/den, each a half-open layer block [first, end) crossed with a half-open
@@ -28,13 +29,11 @@ All types here are plain values; nothing mutates shared state.
 import math
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 # A GPU is addressed as (instance id, local gpu index).
 GpuRef = tuple[str, int]
-
-DEFAULT_BATCH_CHOICES = (1, 2, 4, 8)
 
 
 class DomainError(ValueError):
@@ -131,18 +130,34 @@ class ModelSpec:
 
 
 @dataclass
-class RequestSpec:
-    """A single inference request and its decoding progress."""
+class RequestRecord:
+    """One inference request: its shape, decoding progress and latencies."""
 
     id: str
-    arrival_time: float
+    arrival: float
     s_in: int
     s_out: int
+    dispatch: float | None = None  # first dispatch
+    completion: float | None = None
     tokens_generated: int = 0
 
-    def __post_init__(self):
-        if not (0 <= self.tokens_generated <= self.s_out):
-            raise DomainError("tokens_generated out of [0, s_out]")
+    @property
+    def done(self) -> bool:
+        return self.completion is not None
+
+    @property
+    def l_sch(self) -> float | None:
+        return None if self.dispatch is None else self.dispatch - self.arrival
+
+    @property
+    def l_exe(self) -> float | None:
+        if self.completion is None or self.dispatch is None:
+            return None
+        return self.completion - self.dispatch
+
+    @property
+    def l_req(self) -> float | None:
+        return None if self.completion is None else self.completion - self.arrival
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +302,14 @@ class ContextInventory:
         return f"ContextInventory(den={self.den}, model={self.model!r}, cache={self.cache!r})"
 
 
+# What each GPU holds; a GPU absent from a layout holds nothing.
+Layout = dict[GpuRef, ContextInventory]
+
+
 @dataclass
 class InstanceState:
-    """One cloud instance and its lifecycle status."""
+    """One cloud instance and its lifecycle status; what its GPUs hold lives
+    in a `Layout`, not here."""
 
     id: str
     kind: str  # "spot" | "ondemand"
@@ -297,7 +317,6 @@ class InstanceState:
     status: str = "active"  # allocating | active | grace_preempting | released
     grace_deadline: float | None = None
     ready_at: float | None = None
-    gpu_inventories: list[ContextInventory] = field(default_factory=list)
 
     _STATUSES = ("allocating", "active", "grace_preempting", "released")
 
@@ -308,8 +327,6 @@ class InstanceState:
             raise DomainError(f"unknown status {self.status!r}")
         if self.status == "grace_preempting" and self.grace_deadline is None:
             raise DomainError("grace_preempting requires a deadline")
-        if not self.gpu_inventories:
-            self.gpu_inventories = [ContextInventory.empty() for _ in range(self.gpus)]
 
     def gpu_refs(self) -> list[GpuRef]:
         return [(self.id, g) for g in range(self.gpus)]
@@ -357,7 +374,7 @@ def required_context(config: ParallelConfig, pos: TopologyPosition, model: Model
 KvCache = dict[int, list[tuple[str, int]]]  # pipeline -> [(request id, tokens)]
 
 
-def kv_cache(requests_by_pipeline: dict[int, list[RequestSpec]]) -> KvCache:
+def kv_cache(requests_by_pipeline: dict[int, list[RequestRecord]]) -> KvCache:
     """The `(request id, tokens)` cache entries of each pipeline's requests,
     prompt plus generated tokens, in request-id order."""
     return {d: [(r.id, r.s_in + r.tokens_generated) for r in sorted(reqs, key=lambda r: r.id)]

@@ -9,16 +9,16 @@ each fused pair, and an outer match assigns fused groups.  A single-GPU
 instance is a fused group of one, where the two steps are the flat match.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .domain import (
-    ContextInventory,
     GpuRef,
-    InstanceState,
     KvCache,
+    Layout,
     ModelSpec,
     ParallelConfig,
-    RequestSpec,
+    RequestRecord,
     TopologyPosition,
     kv_cache,
     natural_key,
@@ -146,32 +146,33 @@ def default_inheritance(d_old: int, d_new: int) -> dict[int, int]:
     return {d: d for d in range(1, min(d_old, d_new) + 1)}
 
 
-def positional_mapping(instances: list[InstanceState], target: ParallelConfig) -> DeviceMapping | None:
-    """GPUs in instance-id order fill the positions in order, reusing nothing;
-    None when there are too few GPUs."""
-    refs = [ref for inst in sorted(instances, key=lambda i: natural_key(i.id))
-            for ref in inst.gpu_refs()]
+def _sorted_gpus(gpus) -> list[GpuRef]:
+    """GPUs by instance id in natural order (ties to the plain id), then by index."""
+    ids = sorted({gpu[0] for gpu in gpus}, key=lambda inst: (natural_key(inst), inst))
+    rank = {inst: k for k, inst in enumerate(ids)}
+    return sorted(gpus, key=lambda gpu: (rank[gpu[0]], gpu[1]))
+
+
+def positional_mapping(gpus: list[GpuRef], target: ParallelConfig) -> DeviceMapping | None:
+    """The GPUs, in instance-id then index order, fill the positions in order,
+    reusing nothing; None when there are too few GPUs."""
     slots = positions(target)
-    if len(refs) < len(slots):
+    if len(gpus) < len(slots):
         return None
-    return DeviceMapping(assignment=dict(zip(refs, slots)), total_weight=0.0, config=target)
+    return DeviceMapping(assignment=dict(zip(_sorted_gpus(gpus), slots)), total_weight=0.0,
+                         config=target)
 
 
-def build_graph(instances: list[InstanceState], target: ParallelConfig, model: ModelSpec,
+def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 inheritance: dict[int, int] | None = None,
-                requests_by_old_pipeline: dict[int, list[RequestSpec]] | None = None) -> BipartiteGraph:
-    """Edge weights = overlap between each GPU's holdings and each position's needs.
+                requests_by_old_pipeline: dict[int, list[RequestRecord]] | None = None) -> BipartiteGraph:
+    """Edge weights = overlap between each layout GPU's holdings and each position's needs.
 
     inheritance maps old pipeline index -> new pipeline index (identity prefix
     by default); requests on inherited pipelines contribute cache overlap to
     the inheriting pipeline's positions.
     """
-    gpus: list[GpuRef] = []
-    inventories: dict[GpuRef, ContextInventory] = {}
-    for inst in sorted(instances, key=lambda i: natural_key(i.id)):
-        for g, ref in enumerate(inst.gpu_refs()):
-            gpus.append(ref)
-            inventories[ref] = inst.gpu_inventories[g]
+    gpus = _sorted_gpus(layout)
 
     inherited_by_new: KvCache = {}
     if inheritance and requests_by_old_pipeline:
@@ -184,19 +185,20 @@ def build_graph(instances: list[InstanceState], target: ParallelConfig, model: M
         required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
         for pos in slots
     ]
-    weights = [[overlap_bytes(inventories[gpu], need, model) for need in needs] for gpu in gpus]
+    weights = [[overlap_bytes(layout[gpu], need, model) for need in needs] for gpu in gpus]
     return BipartiteGraph(gpus=gpus, slots=slots, weights=weights)
 
 
 # ---------------------------------------------------------------------------
 # Two-step matching for multi-GPU instances
 
-def map_devices(instances: list[InstanceState], target: ParallelConfig, model: ModelSpec,
+def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 gpus_per_instance: int,
                 inheritance: dict[int, int] | None = None,
-                requests_by_old_pipeline: dict[int, list[RequestSpec]] | None = None,
+                requests_by_old_pipeline: dict[int, list[RequestRecord]] | None = None,
                 ) -> DeviceMapping:
-    """Two-step device mapping: fuse, match within fused pairs, match fused graph.
+    """Two-step device mapping of the layout's GPUs, `gpus_per_instance` per
+    instance: fuse, match within fused pairs, match fused graph.
 
     Group size is min(G, M): an instance's GPUs are fused in index order and a
     (pipeline, stage) row's shards are fused along m, so a fused pair is
@@ -204,11 +206,11 @@ def map_devices(instances: list[InstanceState], target: ParallelConfig, model: M
     matched edge weights, the reference rule) and fixes the per-GPU expansion.
     At G = 1 every group is a single GPU and the outer match is the flat one.
     """
-    for inst in instances:
-        if inst.gpus != gpus_per_instance:
-            raise MappingError(f"instance {inst.id} has {inst.gpus} GPUs, expected {gpus_per_instance}")
+    for inst, gpus in Counter(gpu[0] for gpu in layout).items():
+        if gpus != gpus_per_instance:
+            raise MappingError(f"instance {inst} has {gpus} GPUs, expected {gpus_per_instance}")
 
-    graph = build_graph(instances, target, model, inheritance, requests_by_old_pipeline)
+    graph = build_graph(layout, target, model, inheritance, requests_by_old_pipeline)
     group = min(gpus_per_instance, target.tensor_shards)
     if gpus_per_instance % group or target.tensor_shards % group:
         raise MappingError(
@@ -242,8 +244,8 @@ def map_devices(instances: list[InstanceState], target: ParallelConfig, model: M
 # ---------------------------------------------------------------------------
 # Cache retention
 
-def retain_cache(active_requests: list[RequestSpec], current: ParallelConfig,
-                 target: ParallelConfig) -> list[RequestSpec]:
+def retain_cache(active_requests: list[RequestRecord], current: ParallelConfig,
+                 target: ParallelConfig) -> list[RequestRecord]:
     """Requests whose KV cache survives a capacity shrink.
 
     When the target handles fewer concurrent requests, the ones with the most

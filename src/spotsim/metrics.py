@@ -1,4 +1,4 @@
-"""Per-request latency records and aggregate serving metrics."""
+"""Aggregate serving metrics over per-request records (`domain.RequestRecord`)."""
 
 import csv
 import json
@@ -7,35 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .costmodel import CostSummary
-
-
-@dataclass
-class RequestRecord:
-    id: str
-    arrival: float
-    s_in: int
-    s_out: int
-    dispatch: float | None = None  # first dispatch
-    completion: float | None = None
-    tokens_generated: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.completion is not None
-
-    @property
-    def l_sch(self) -> float | None:
-        return None if self.dispatch is None else self.dispatch - self.arrival
-
-    @property
-    def l_exe(self) -> float | None:
-        if self.completion is None or self.dispatch is None:
-            return None
-        return self.completion - self.dispatch
-
-    @property
-    def l_req(self) -> float | None:
-        return None if self.completion is None else self.completion - self.arrival
+from .domain import RequestRecord
 
 
 def percentile(values, q: float) -> float:

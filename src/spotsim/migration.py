@@ -31,6 +31,7 @@ from typing import NamedTuple
 from .domain import (
     ContextInventory,
     GpuRef,
+    Layout,
     ModelSpec,
     layer_blocks,
     natural_key,
@@ -99,9 +100,9 @@ class LayerTraffic:
 # ---------------------------------------------------------------------------
 # Memory-optimized layer ordering
 
-def _peak_if_applied(usage: dict[str, float], traffic: LayerTraffic) -> float:
-    """Worst instance usage while the layer is in flight (charged, not yet freed)."""
-    peak = max(usage.values(), default=0.0)
+def _peak_if_applied(usage: dict[str, float], traffic: LayerTraffic, floor: float) -> float:
+    """Worst instance usage while the layer is in flight; `floor` is the worst before it."""
+    peak = floor
     for inst, b in traffic.incoming.items():
         peak = max(peak, usage.get(inst, 0.0) + b)
     return peak
@@ -119,7 +120,7 @@ def _order_peak(order: list[int], traffic_by_layer: dict[int, LayerTraffic]) -> 
     peak = 0.0
     for layer in order:
         traffic = traffic_by_layer[layer]
-        peak = max(peak, _peak_if_applied(usage, traffic))
+        peak = max(peak, _peak_if_applied(usage, traffic, max(usage.values(), default=0.0)))
         _apply(usage, traffic)
     return peak
 
@@ -140,13 +141,14 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
     deferred: list[int] = []
     for layer in sorted(traffic_by_layer):
         traffic = traffic_by_layer[layer]
-        if u_max is None or _peak_if_applied(usage, traffic) <= u_max:
+        if u_max is None or _peak_if_applied(usage, traffic, max(usage.values(), default=0.0)) <= u_max:
             _apply(usage, traffic)
             order.append(layer)
         else:
             deferred.append(layer)
     while deferred:
-        best = min(deferred, key=lambda x: (_peak_if_applied(usage, traffic_by_layer[x]), x))
+        floor = max(usage.values(), default=0.0)
+        best = min(deferred, key=lambda x: (_peak_if_applied(usage, traffic_by_layer[x], floor), x))
         _apply(usage, traffic_by_layer[best])
         order.append(best)
         deferred.remove(best)
@@ -256,8 +258,7 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
     return out
 
 
-def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInventory],
-                     model: ModelSpec,
+def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
                      inherited_by_pipeline: dict[int, list[tuple[str, int]]] | None = None,
                      departing: frozenset[str] = frozenset()):
     """Per-layer model transfers, cache transfers, and end-of-round releases.
@@ -389,8 +390,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInv
 # ---------------------------------------------------------------------------
 # Plan assembly
 
-def plan_migration(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInventory],
-                   model: ModelSpec, transfers: tuple, u_max: float | None = None) -> MigrationPlan:
+def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
+                   transfers: tuple, u_max: float | None = None) -> MigrationPlan:
     """Assemble the migration plan of a device mapping from `transfers`, what
     `derive_transfers` returned for that mapping over `old_layout`.
 
@@ -453,7 +454,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: dict[GpuRef, ContextInven
     return plan
 
 
-def simulate_buffer_usage(plan: MigrationPlan, old_layout: dict[GpuRef, ContextInventory]) -> dict[str, float]:
+def simulate_buffer_usage(plan: MigrationPlan, old_layout: Layout) -> dict[str, float]:
     """Replay a plan's buffer deltas; per-instance peak bytes over the run."""
     usage: dict[str, float] = {}
     for gpu in old_layout:

@@ -9,10 +9,11 @@ throughput phi attainable).  Progress commits at decode-iteration boundaries,
 so a policy can pause a batch mid-decode, migrate its KV cache, and resume it
 elsewhere without losing tokens.
 
-GPU context lives once, in each instance's `gpu_inventories`: the engine
-writes it only when it installs a layout, and `Engine.layout_snapshot` adds
-the KV cache of in-flight requests (see `domain.kv_cache`) on top for a
-decision.
+GPU context lives once, in `Engine.holdings`, a `domain.Layout`: the engine
+writes it only when it installs a layout, and `Engine.layout_snapshot` reads
+it for the live GPUs and adds the KV cache of in-flight requests (see
+`domain.kv_cache`) on top for a decision.  The mapper and the planner both
+take that snapshot as it is.
 
 Determinism: events at equal timestamps order trace < arrival < completion <
 internal, then by insertion sequence; every iteration over instances,
@@ -33,7 +34,7 @@ migrating does not gate the migration start.
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import controller as ctl
 from .arranger import BatchProgress, GraceContext, arrange_preemption
@@ -50,7 +51,9 @@ from .domain import (
     GpuRef,
     InstanceState,
     KvCache,
+    Layout,
     ParallelConfig,
+    RequestRecord,
     TopologyPosition,
     kv_cache,
     natural_key,
@@ -63,7 +66,7 @@ from .mapping import (
     positional_mapping,
     retain_cache,
 )
-from .metrics import MetricsReport, RequestRecord, collect_metrics
+from .metrics import MetricsReport, collect_metrics
 from .migration import MigrationError, MigrationPlan, derive_transfers, plan_migration
 from .simconfig import SimConfig, TraceEvent, load_trace
 from .workload import gamma_arrivals, load_arrivals
@@ -125,6 +128,7 @@ class Engine:
         self._seq = 0
         self.instances: dict[str, InstanceState] = {}
         self.assignment: dict[TopologyPosition, GpuRef] = {}
+        self.holdings: Layout = {}  # what each GPU holds; written by install_layout only
         self.config: ParallelConfig | None = None
         self.pipelines: dict[int, Pipeline] = {}
         self.queue: list[RequestRecord] = []
@@ -363,25 +367,24 @@ class Engine:
     # -- serving state ---------------------------------------------------------------
 
     def install_layout(self, config: ParallelConfig, mapping: DeviceMapping):
-        """Serve `mapping`: every GPU is emptied, then each assigned GPU holds
-        its position's model context."""
+        """Serve `mapping`: each assigned GPU holds its position's model
+        context, and every other GPU holds nothing."""
         self.config = config
         self.assignment = mapping.gpu_for()
-        for inst in self.instances.values():
-            inst.gpu_inventories = [ContextInventory.empty()] * inst.gpus
-        for pos, (inst_id, g) in sorted(self.assignment.items()):
-            self.instances[inst_id].gpu_inventories[g] = required_context(config, pos, self.model)
+        self.holdings = {gpu: required_context(config, pos, self.model)
+                         for pos, gpu in self.assignment.items()}
         self.pipelines = {
             d: Pipeline(index=d, next_start=self.now)
             for d in range(1, config.data_parallel + 1)
         }
 
-    def layout_snapshot(self, cache: KvCache | None = None) -> dict[GpuRef, ContextInventory]:
+    def layout_snapshot(self, cache: KvCache | None = None) -> Layout:
         """Holdings of every live GPU; an assigned GPU also holds the KV cache
         `cache` lists for its pipeline."""
-        snap: dict[GpuRef, ContextInventory] = {}
-        for inst in self.instances_by("active", "allocating", "grace_preempting"):
-            snap.update(zip(inst.gpu_refs(), inst.gpu_inventories))
+        empty = ContextInventory.empty()
+        snap: Layout = {gpu: self.holdings.get(gpu, empty)
+                        for inst in self.instances_by("active", "allocating", "grace_preempting")
+                        for gpu in inst.gpu_refs()}
         if not self.config or not cache:
             return snap
         for pos in sorted(self.assignment):
@@ -503,18 +506,18 @@ class AdaptivePolicy:
 
     def compute_mapping(self, engine: Engine, target: ParallelConfig) -> DeviceMapping:
         by_pipe = engine.batch_requests_by_pipeline(engine.all_batches())
-        snapshot = engine.layout_snapshot(kv_cache(by_pipe))
-        candidates = [replace(inst, gpu_inventories=[snapshot[ref] for ref in inst.gpu_refs()])
-                      for inst in engine.instances_by("active", "allocating")]
+        candidates = {inst.id for inst in engine.instances_by("active", "allocating")}
+        layout = {gpu: held for gpu, held in engine.layout_snapshot(kv_cache(by_pipe)).items()
+                  if gpu[0] in candidates}
         if self._use("mapper"):
             inheritance = None
             if engine.config is not None:
                 inheritance = default_inheritance(engine.config.data_parallel,
                                                   target.data_parallel)
-            return map_devices(candidates, target, engine.model,
+            return map_devices(layout, target, engine.model,
                                engine.cfg.gpus_per_instance,
                                inheritance=inheritance, requests_by_old_pipeline=by_pipe)
-        return positional_mapping(candidates, target)  # the target fits the candidates
+        return positional_mapping(list(layout), target)  # the target fits the candidates
 
     def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
         cfg = engine.cfg
@@ -910,8 +913,8 @@ class ReparallelizationPolicy:
             stall = restart_cost(engine.profile, "local_disk")
         payload["entry"][2] = stall
         self.serving = set(payload["serving"])
-        live = [engine.instances[i] for i in payload["serving"]
-                if engine.instances[i].status in ("active", "allocating")]
+        live = [gpu for inst in engine.instances_by("active", "allocating")
+                if inst.id in self.serving for gpu in inst.gpu_refs()]
         mapping = positional_mapping(live, target)
         if mapping is None:
             engine.suspend_service()

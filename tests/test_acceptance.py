@@ -19,7 +19,6 @@ from spotsim.costmodel import exec_latency, exec_latency_exact, load_profile, mo
 from spotsim.data import bundled_path
 from spotsim.domain import (
     ContextInventory,
-    InstanceState,
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
@@ -78,18 +77,16 @@ def test_criterion_02_two_step_reduction():
     target = ParallelConfig(1, 2, 2, 1)
     rng = np.random.default_rng(20240202)
     for trial in range(200):
-        instances = []
+        layout = {}
         for k in range(int(rng.integers(4, 8))):
-            inst = InstanceState(id=f"i-{k}", kind="spot", gpus=1)
             shards = []
             for lyr in range(model.num_layers):
                 if rng.random() < 0.5:
                     lo = Fraction(int(rng.integers(0, 2)), 2)
                     shards.append((lyr, lo, lo + Fraction(1, 2)))
-            inst.gpu_inventories = [ContextInventory(model_shards=tuple(shards))]
-            instances.append(inst)
-        flat = km_match(build_graph(instances, target, model))
-        fused = map_devices(instances, target, model, gpus_per_instance=1)
+            layout[(f"i-{k}", 0)] = ContextInventory(model_shards=tuple(shards))
+        flat = km_match(build_graph(layout, target, model))
+        fused = map_devices(layout, target, model, gpus_per_instance=1)
         assert fused.assignment == flat.assignment
         assert fused.total_weight == flat.total_weight
     report(2, "two-step mapping reduces to flat KM at G=1 (200 instances)")
@@ -116,18 +113,11 @@ def _random_transition(rng):
     old_cfg = random_config(12)
     new_cfg = random_config(12)
     n_inst = max(old_cfg.gpus, new_cfg.gpus) + int(rng.integers(0, 3))
-    instances = [InstanceState(id=f"i-{k}", kind="spot", gpus=1) for k in range(n_inst)]
-    layout = {}
+    gpus = [(f"i-{k}", 0) for k in range(n_inst)]
+    layout = {gpu: ContextInventory.empty() for gpu in gpus}
     slots = positions(old_cfg)
-    for inst, pos in itertools.zip_longest(instances, slots):
-        if inst is None:
-            break
-        ref = (inst.id, 0)
-        if pos is None:
-            layout[ref] = ContextInventory.empty()
-        else:
-            layout[ref] = required_context(old_cfg, pos, model)
-        inst.gpu_inventories = [layout[ref]]
+    for gpu, pos in zip(gpus, slots):
+        layout[gpu] = required_context(old_cfg, pos, model)
 
     inherited = None
     if rng.random() < 0.5:
@@ -137,7 +127,7 @@ def _random_transition(rng):
                     for j in range(int(rng.integers(1, new_cfg.batch_limit + 1)))]
             inherited[d] = reqs
         # cache lives on the old positions of the inheriting pipelines
-        for ref, pos in zip([(i.id, 0) for i in instances], slots):
+        for ref, pos in zip(gpus, slots):
             if pos.pipeline in inherited:
                 inv = layout[ref]
                 cache = tuple(
@@ -147,9 +137,7 @@ def _random_transition(rng):
                 )
                 layout[ref] = ContextInventory(model_shards=inv.model_shards,
                                                cache_shards=cache)
-    for inst in instances:
-        inst.gpu_inventories = [layout[(inst.id, 0)]]
-    return model, old_cfg, new_cfg, instances, layout, inherited
+    return model, old_cfg, new_cfg, layout, inherited
 
 
 def _check_plan_soundness(model, new_cfg, mapping, layout, plan):
@@ -225,8 +213,8 @@ def test_criterion_03_migration_plan_soundness():
     worst_ratio = 0.0
     checked = exhaustive_checked = 0
     for _ in range(500):
-        model, old_cfg, new_cfg, instances, layout, inherited = _random_transition(rng)
-        mapping = map_devices(instances, new_cfg, model, 1,
+        model, old_cfg, new_cfg, layout, inherited = _random_transition(rng)
+        mapping = map_devices(layout, new_cfg, model, 1,
                               inheritance=None, requests_by_old_pipeline=None)
         u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
         derived = derive_transfers(mapping, layout, model, inherited)

@@ -6,16 +6,16 @@ import pytest
 
 from spotsim.domain import (
     ContextInventory,
-    InstanceState,
     ModelSpec,
     ParallelConfig,
-    RequestSpec,
+    RequestRecord,
     TopologyPosition,
     positions,
     required_context,
 )
 from spotsim.mapping import (
     BipartiteGraph,
+    MappingError,
     build_graph,
     default_inheritance,
     km_match,
@@ -44,18 +44,10 @@ def brute_force_best(weights):
     return best
 
 
-def serving_instances(model, config, ids, tokens_by_request=None):
-    """Instances loaded with the exact contexts of `config`, in id order."""
-    out = []
-    slots = positions(config)
-    refs = []
-    for iid in ids:
-        out.append(InstanceState(id=iid, kind="spot", gpus=1))
-        refs.append((iid, 0))
-    for inst, pos in zip(out, slots):
-        inv = required_context(config, pos, model)
-        inst.gpu_inventories = [inv]
-    return out
+def serving_layout(model, config, ids):
+    """Single-GPU instances holding the exact contexts of `config`, in id order."""
+    return {(iid, 0): required_context(config, pos, model)
+            for iid, pos in zip(ids, positions(config))}
 
 
 class TestKmMatch:
@@ -128,8 +120,8 @@ class TestKmMatch:
 class TestBuildGraph:
     def test_identity_layout_has_full_weight_diagonal(self):
         cfg = ParallelConfig(1, 2, 2, 1)
-        instances = serving_instances(MODEL, cfg, [f"i-{k}" for k in range(4)])
-        graph = build_graph(instances, cfg, MODEL)
+        layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
+        graph = build_graph(layout, cfg, MODEL)
         full = required_context(cfg, TopologyPosition(1, 1, 1), MODEL).model_bytes(MODEL)
         for i in range(4):
             assert graph.weights[i][i] == full
@@ -139,9 +131,9 @@ class TestBuildGraph:
 
     def test_empty_inventory_gives_zero_row(self):
         cfg = ParallelConfig(1, 2, 2, 1)
-        instances = serving_instances(MODEL, cfg, [f"i-{k}" for k in range(4)])
-        instances.append(InstanceState(id="i-9", kind="spot", gpus=1))
-        graph = build_graph(instances, cfg, MODEL)
+        layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
+        layout[("i-9", 0)] = ContextInventory.empty()
+        graph = build_graph(layout, cfg, MODEL)
         row = graph.gpus.index(("i-9", 0))
         assert all(w == 0.0 for w in graph.weights[row])
 
@@ -153,30 +145,29 @@ class TestBuildGraph:
                           kv_bytes_per_token_per_layer=64)
         old = ParallelConfig(2, 2, 2, 1)
         new = ParallelConfig(2, 3, 1, 1)
-        instances = serving_instances(model, old, [f"i-{k}" for k in range(8)])
+        layout = serving_layout(model, old, [f"i-{k}" for k in range(8)])
         # u_1 is pipeline 1, stage 1, shard 2; it carries r-1's KV cache
         u1 = ("i-1", 0)
-        request = RequestSpec(id="r-1", arrival_time=0.0, s_in=64, s_out=32,
-                              tokens_generated=16)
+        request = RequestRecord(id="r-1", arrival=0.0, s_in=64, s_out=32,
+                                tokens_generated=16)
         tokens = request.s_in + request.tokens_generated
-        for inst, pos in zip(instances, positions(old)):
+        for gpu, pos in zip(list(layout), positions(old)):
             if pos.pipeline != 1:
                 continue
-            base_inv = inst.gpu_inventories[0]
+            base_inv = layout[gpu]
             cache = tuple(
                 (request.id, lyr, lo, hi, tokens) for lyr, lo, hi in base_inv.model_shards
             )
-            inst.gpu_inventories = [ContextInventory(
-                model_shards=base_inv.model_shards, cache_shards=cache)]
+            layout[gpu] = ContextInventory(model_shards=base_inv.model_shards, cache_shards=cache)
         reqs = {1: [request]}
-        graph = build_graph(instances, new, model,
+        graph = build_graph(layout, new, model,
                             inheritance=default_inheritance(2, 2),
                             requests_by_old_pipeline=reqs)
         row = graph.gpus.index(u1)
         w = {pos: graph.weights[row][j] for j, pos in enumerate(graph.slots)}
         v_own = TopologyPosition(1, 1, 1)
         v_other = TopologyPosition(2, 1, 1)
-        model_only = build_graph(instances, new, model)
+        model_only = build_graph(layout, new, model)
         base = {pos: model_only.weights[row][j] for j, pos in enumerate(model_only.slots)}
         assert base[v_own] == base[v_other] > 0
         assert max(base.values()) == base[v_own]
@@ -194,39 +185,29 @@ class TestMapDevices:
         rng = np.random.default_rng(3)
         cfg = ParallelConfig(1, 2, 2, 1)
         for trial in range(200):
-            instances = []
+            layout = {}
             for k in range(5):
-                inst = InstanceState(id=f"i-{k}", kind="spot", gpus=1)
                 shards = []
                 for lyr in range(MODEL.num_layers):
                     if rng.random() < 0.5:
                         lo = Fraction(int(rng.integers(0, 2)), 2)
                         shards.append((lyr, lo, lo + Fraction(1, 2)))
-                inst.gpu_inventories = [ContextInventory(model_shards=tuple(shards))]
-                instances.append(inst)
-            flat = km_match(build_graph(instances, cfg, MODEL))
-            fused = map_devices(instances, cfg, MODEL, gpus_per_instance=1)
+                layout[(f"i-{k}", 0)] = ContextInventory(model_shards=tuple(shards))
+            flat = km_match(build_graph(layout, cfg, MODEL))
+            fused = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
             assert fused.assignment == flat.assignment
             assert fused.total_weight == pytest.approx(flat.total_weight)
 
     def test_two_gpu_instances_keep_tensor_groups_local(self):
         cfg = ParallelConfig(1, 2, 2, 1)
-        slots = positions(cfg)
-        instances = []
-        for k in range(2):
-            inst = InstanceState(id=f"i-{k}", kind="spot", gpus=2)
-            stage = k + 1
-            invs = []
-            for m in (1, 2):
-                invs.append(required_context(cfg, TopologyPosition(1, stage, m), MODEL))
-            inst.gpu_inventories = invs
-            instances.append(inst)
-        got = map_devices(instances, cfg, MODEL, gpus_per_instance=2)
+        layout = {(f"i-{k}", m - 1): required_context(cfg, TopologyPosition(1, k + 1, m), MODEL)
+                  for k in range(2) for m in (1, 2)}
+        got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
         # instance k holds stage k+1's shards and must map onto that stage
         for (iid, g), pos in got.assignment.items():
             assert pos.stage == int(iid.split("-")[1]) + 1
         # brute force over all injective per-GPU assignments on this 4x4 case
-        graph = build_graph(instances, cfg, MODEL)
+        graph = build_graph(layout, cfg, MODEL)
         best = brute_force_best(graph.weights)
         assert got.total_weight == pytest.approx(best)
 
@@ -234,20 +215,16 @@ class TestMapDevices:
         cfg = ParallelConfig(1, 2, 2, 1)
         rng = np.random.default_rng(17)
         for _ in range(30):
-            instances = []
+            layout = {}
             for k in range(3):
-                inst = InstanceState(id=f"i-{k}", kind="spot", gpus=2)
-                invs = []
                 for g in range(2):
                     shards = []
                     for lyr in range(MODEL.num_layers):
                         if rng.random() < 0.6:
                             lo = Fraction(int(rng.integers(0, 2)), 2)
                             shards.append((lyr, lo, lo + Fraction(1, 2)))
-                    invs.append(ContextInventory(model_shards=tuple(shards)))
-                inst.gpu_inventories = invs
-                instances.append(inst)
-            got = map_devices(instances, cfg, MODEL, gpus_per_instance=2)
+                    layout[(f"i-{k}", g)] = ContextInventory(model_shards=tuple(shards))
+            got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
             groups = {}
             for (iid, g), pos in got.assignment.items():
                 groups.setdefault((pos.pipeline, pos.stage), set()).add(iid)
@@ -255,22 +232,25 @@ class TestMapDevices:
 
     def test_degenerate_group_when_m_is_one(self):
         cfg = ParallelConfig(1, 2, 1, 1)
-        instances = []
-        for k in range(1):
-            inst = InstanceState(id=f"i-{k}", kind="spot", gpus=2)
-            inst.gpu_inventories = [
-                required_context(cfg, TopologyPosition(1, 1, 1), MODEL),
-                required_context(cfg, TopologyPosition(1, 2, 1), MODEL),
-            ]
-            instances.append(inst)
-        got = map_devices(instances, cfg, MODEL, gpus_per_instance=2)
-        flat = km_match(build_graph(instances, cfg, MODEL))
+        layout = {
+            ("i-0", 0): required_context(cfg, TopologyPosition(1, 1, 1), MODEL),
+            ("i-0", 1): required_context(cfg, TopologyPosition(1, 2, 1), MODEL),
+        }
+        got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
+        flat = km_match(build_graph(layout, cfg, MODEL))
         assert got.assignment == flat.assignment
+
+    def test_instance_with_other_gpu_count_is_rejected(self):
+        cfg = ParallelConfig(1, 2, 4, 1)
+        layout = {(f"i-{k}", g): ContextInventory.empty() for k in range(2) for g in range(4)}
+        del layout[("i-1", 3)]
+        with pytest.raises(MappingError, match="instance i-1 has 3 GPUs, expected 4"):
+            map_devices(layout, cfg, MODEL, 4)
 
     def test_total_migrated_bytes_is_required_minus_matched(self):
         cfg = ParallelConfig(1, 2, 2, 1)
-        instances = serving_instances(MODEL, cfg, [f"i-{k}" for k in range(4)])
-        got = map_devices(instances, cfg, MODEL, gpus_per_instance=1)
+        layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
+        got = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
         required = sum(
             required_context(cfg, pos, MODEL).model_bytes(MODEL) for pos in positions(cfg)
         )
@@ -279,8 +259,8 @@ class TestMapDevices:
 
 class TestRetainCache:
     def request(self, rid, progress):
-        return RequestSpec(id=rid, arrival_time=0.0, s_in=16, s_out=64,
-                           tokens_generated=progress)
+        return RequestRecord(id=rid, arrival=0.0, s_in=16, s_out=64,
+                             tokens_generated=progress)
 
     def test_capacity_unchanged_keeps_all(self):
         reqs = [self.request(f"r-{k}", k) for k in range(4)]

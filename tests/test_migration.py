@@ -8,7 +8,6 @@ import pytest
 from spotsim import migration
 from spotsim.domain import (
     ContextInventory,
-    InstanceState,
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
@@ -35,25 +34,18 @@ MODEL = ModelSpec(name="m8", num_layers=8, bytes_per_layer=1000, kv_bytes_per_to
 
 
 def serving_cluster(model, config, n_instances, gpus_per_instance=1, prefix="i"):
-    """Instances pre-loaded with `config`'s layout in id order; spares empty."""
-    instances = [InstanceState(id=f"{prefix}-{k}", kind="spot", gpus=gpus_per_instance)
-                 for k in range(n_instances)]
-    refs = [(inst.id, g) for inst in instances for g in range(gpus_per_instance)]
-    slots = positions(config)
-    layout = {}
-    for ref, pos in zip(refs, slots):
-        layout[ref] = required_context(config, pos, model)
-    for inst in instances:
-        inst.gpu_inventories = [
-            layout.get((inst.id, g), ContextInventory.empty()) for g in range(inst.gpus)
-        ]
-    full_layout = {ref: layout.get(ref, ContextInventory.empty()) for ref in refs}
-    return instances, full_layout
+    """Layout of `n_instances` instances holding `config`'s context in id
+    order; spare GPUs hold nothing."""
+    layout = {(f"{prefix}-{k}", g): ContextInventory.empty()
+              for k in range(n_instances) for g in range(gpus_per_instance)}
+    for gpu, pos in zip(list(layout), positions(config)):
+        layout[gpu] = required_context(config, pos, model)
+    return layout
 
 
 def transition_plan(model, old_cfg, new_cfg, n_instances, u_max=None, gpus_per_instance=1):
-    instances, layout = serving_cluster(model, old_cfg, n_instances, gpus_per_instance)
-    mapping = map_devices(instances, new_cfg, model, gpus_per_instance)
+    layout = serving_cluster(model, old_cfg, n_instances, gpus_per_instance)
+    mapping = map_devices(layout, new_cfg, model, gpus_per_instance)
     plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model), u_max)
     return mapping, layout, plan
 
@@ -164,8 +156,8 @@ class TestPlanMigration:
         new = ParallelConfig(1, 3, 4, 1)
         model = ModelSpec(name="m12", num_layers=12, bytes_per_layer=1200,
                           kv_bytes_per_token_per_layer=16)
-        instances, layout = serving_cluster(model, old, 16)
-        mapping = map_devices(instances, new, model, 1)
+        layout = serving_cluster(model, old, 16)
+        mapping = map_devices(layout, new, model, 1)
         plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
         # moved bytes equal required minus reused
         needed = sum(required_context(new, pos, model).model_bytes(model)
@@ -181,7 +173,7 @@ class TestPlanMigration:
     def test_cache_round_comes_first(self):
         old = ParallelConfig(1, 2, 2, 1)
         new = ParallelConfig(1, 4, 1, 1)
-        instances, layout = serving_cluster(MODEL, old, 4)
+        layout = serving_cluster(MODEL, old, 4)
         # pipeline 1 carries one request's cache on its old positions
         cache_map = {1: [("r-1", 24)]}
         for ref in layout:
@@ -192,9 +184,7 @@ class TestPlanMigration:
                           for rid, tokens in cache_map[1]
                           for lyr, lo, hi in inv.model_shards)
             layout[ref] = ContextInventory(model_shards=inv.model_shards, cache_shards=cache)
-        for inst in instances:
-            inst.gpu_inventories = [layout[(inst.id, 0)]]
-        mapping = map_devices(instances, new, MODEL, 1,
+        mapping = map_devices(layout, new, MODEL, 1,
                               inheritance={1: 1})
         plan = plan_migration(mapping, layout, MODEL,
                               derive_transfers(mapping, layout, MODEL, cache_map))
@@ -205,8 +195,8 @@ class TestPlanMigration:
     def test_stage_starts_follow_their_context(self):
         old = ParallelConfig(1, 4, 1, 1)
         new = ParallelConfig(1, 2, 2, 1)
-        instances, layout = serving_cluster(MODEL, old, 4)
-        mapping = map_devices(instances, new, MODEL, 1)
+        layout = serving_cluster(MODEL, old, 4)
+        mapping = map_devices(layout, new, MODEL, 1)
         plan = plan_migration(mapping, layout, MODEL, derive_transfers(mapping, layout, MODEL))
         stage_gpus = {p: set() for p in (1, 2)}
         for gpu, pos in mapping.assignment.items():
@@ -225,14 +215,12 @@ class TestPlanMigration:
 
     def test_missing_source_raises(self):
         cfg = ParallelConfig(1, 2, 2, 1)
-        instances, layout = serving_cluster(MODEL, cfg, 4)
+        layout = serving_cluster(MODEL, cfg, 4)
         # wipe every copy of layer 0
         for ref, inv in layout.items():
             kept = tuple(s for s in inv.model_shards if s[0] != 0)
             layout[ref] = ContextInventory(model_shards=kept)
-        for inst in instances:
-            inst.gpu_inventories = [layout[(inst.id, 0)]]
-        mapping = map_devices(instances, cfg, MODEL, 1)
+        mapping = map_devices(layout, cfg, MODEL, 1)
         with pytest.raises(MigrationError):
             derive_transfers(mapping, layout, MODEL)
 
@@ -241,8 +229,8 @@ class TestPlanMigration:
         new = ParallelConfig(1, 4, 4, 1)
         model = ModelSpec(name="m16", num_layers=16, bytes_per_layer=500,
                           kv_bytes_per_token_per_layer=8)
-        instances, layout = serving_cluster(model, old, 16)
-        mapping = map_devices(instances, new, model, 1)
+        layout = serving_cluster(model, old, 16)
+        mapping = map_devices(layout, new, model, 1)
         plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
         layer_rounds = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert layer_rounds == sorted(layer_rounds)
@@ -252,8 +240,8 @@ class TestPlanMigration:
         its own check, but replayed behind the cache round it peaks above the
         index order, so the plan ships the index order."""
         rng = np.random.default_rng(1600)
-        model, _, new_cfg, instances, layout, inherited = _random_transition(rng)
-        mapping = map_devices(instances, new_cfg, model, 1)
+        model, _, new_cfg, layout, inherited = _random_transition(rng)
+        mapping = map_devices(layout, new_cfg, model, 1)
         u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
         orders = []
 
@@ -347,8 +335,8 @@ class TestSimulateBufferUsage:
                               kv_bytes_per_token_per_layer=8)
             old = ParallelConfig(1, 2, 2, 1)
             new = ParallelConfig(1, 4, 1, 1)
-            instances, layout = serving_cluster(model, old, 4)
-            mapping = map_devices(instances, new, model, 1)
+            layout = serving_cluster(model, old, 4)
+            mapping = map_devices(layout, new, model, 1)
             derived = derive_transfers(mapping, layout, model)
             bounded = plan_migration(mapping, layout, model, derived,
                                      u_max=float(model.bytes_per_layer) * 1.5)
@@ -377,11 +365,11 @@ def test_departing_sources_keep_bystander_replicas_out():
     cfg = ParallelConfig(2, 2, 1, 1)
     model = ModelSpec(name="m4r", num_layers=4, bytes_per_layer=1000,
                       kv_bytes_per_token_per_layer=8)
-    instances, layout = serving_cluster(model, cfg, 5)
+    layout = serving_cluster(model, cfg, 5)
     # i-1 (pipeline 1, stage 2) is leaving; i-4 is the idle replacement,
     # and i-1 is still alive as a source during its grace period
     departing = frozenset({"i-1"})
-    targets = [i for i in instances if i.id != "i-1"]
+    targets = {gpu: held for gpu, held in layout.items() if gpu[0] != "i-1"}
     mapping = map_devices(targets, cfg, model, 1)
     plan = plan_migration(mapping, layout, model,
                           derive_transfers(mapping, layout, model, departing=departing))

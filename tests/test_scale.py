@@ -10,9 +10,8 @@ from fractions import Fraction
 from spotsim.costmodel import load_profile
 from spotsim.data import bundled_path
 from spotsim.domain import (
-    InstanceState,
     ParallelConfig,
-    RequestSpec,
+    RequestRecord,
     positions,
     required_context,
 )
@@ -30,26 +29,20 @@ def reshaped_fleet():
     (11,4,4)."""
     model = load_profile(bundled_path("llama-30b")).model
     old, target = ParallelConfig(12, 2, 8, 4), ParallelConfig(11, 4, 4, 4)
-    instances = [InstanceState(id=f"i-{k}", kind="spot", gpus=GPUS_PER_INSTANCE)
-                 for k in range(1, 49)]
-    requests = {d: [RequestSpec(id=f"r{d}-{j}", arrival_time=0.0, s_in=512, s_out=128,
-                                tokens_generated=7 * j + d) for j in range(4)]
+    gpus = [(f"i-{k}", g) for k in range(1, 49) for g in range(GPUS_PER_INSTANCE)]
+    requests = {d: [RequestRecord(id=f"r{d}-{j}", arrival=0.0, s_in=512, s_out=128,
+                                  tokens_generated=7 * j + d) for j in range(4)]
                 for d in range(1, old.data_parallel + 1)}
     cache = {d: [(r.id, r.s_in + r.tokens_generated) for r in reqs] for d, reqs in requests.items()}
-    refs = [ref for inst in instances for ref in inst.gpu_refs()]
-    by_id = {inst.id: inst for inst in instances}
-    for (inst_id, g), pos in zip(refs, positions(old)):
-        by_id[inst_id].gpu_inventories[g] = required_context(old, pos, model, cache[pos.pipeline])
-    for inst in instances[-4:]:
-        inst.status, inst.grace_deadline = "grace_preempting", 30.0
-    survivors = instances[:-4]
+    layout = {gpu: required_context(old, pos, model, cache[pos.pipeline])
+              for gpu, pos in zip(gpus, positions(old))}
+    departing = frozenset(f"i-{k}" for k in range(45, 49))
+    survivors = {gpu: held for gpu, held in layout.items() if gpu[0] not in departing}
     mapping = map_devices(survivors, target, model, GPUS_PER_INSTANCE,
                           inheritance=default_inheritance(old.data_parallel, target.data_parallel),
                           requests_by_old_pipeline=requests)
-    layout = {ref: inv for inst in instances for ref, inv in zip(inst.gpu_refs(), inst.gpu_inventories)}
     inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
-    derived = derive_transfers(mapping, layout, model, inherited,
-                               departing=frozenset(inst.id for inst in instances[-4:]))
+    derived = derive_transfers(mapping, layout, model, inherited, departing=departing)
     plan = plan_migration(mapping, layout, model, derived, u_max=4e9)
     return model, target, mapping, layout, inherited, plan
 

@@ -6,7 +6,7 @@ import pytest
 
 from spotsim.costmodel import exec_latency, load_profile, restart_cost, save_profile
 from spotsim.data import bundled_path
-from spotsim.domain import ContextInventory, ParallelConfig, required_context
+from spotsim.domain import ParallelConfig, required_context
 from spotsim.simconfig import (
     SimConfig,
     SimConfigError,
@@ -15,7 +15,7 @@ from spotsim.simconfig import (
     load_simconfig,
     load_trace,
 )
-from spotsim.simulator import Engine, run
+from spotsim.simulator import AdaptivePolicy, Engine, run
 from spotsim.workload import save_arrivals
 
 
@@ -309,9 +309,9 @@ def test_event_budget_on_bundled_rerouting(monkeypatch):
 
 
 def test_holdings_store_after_bundled_run(monkeypatch):
-    """The instances' `gpu_inventories` are the one holdings store: after the
-    bundled spotserve run every live GPU holds exactly its position's model
-    context, or nothing when unassigned, and no KV cache left by a decision."""
+    """`Engine.holdings` is the one holdings store: after the bundled
+    spotserve run it maps each assigned GPU to exactly its position's model
+    context, with no KV cache left by a decision and no other GPU."""
     engines = []
     run_engine = Engine.run
 
@@ -321,17 +321,40 @@ def test_holdings_store_after_bundled_run(monkeypatch):
     monkeypatch.setattr(Engine, "run", capture)
     run(load_simconfig(bundled_path("scenario_bs.json")))
     (engine,) = engines
-    assert engine.config is not None
-    position = {gpu: pos for pos, gpu in engine.assignment.items()}
-    wrong = []
-    for inst in engine.instances_by("active", "allocating", "grace_preempting"):
-        for ref, held in zip(inst.gpu_refs(), inst.gpu_inventories, strict=True):
-            pos = position.get(ref)
-            want = (ContextInventory.empty() if pos is None
-                    else required_context(engine.config, pos, engine.model))
-            if held != want:
-                wrong.append(ref)
-    assert position and not wrong, f"{len(wrong)} GPUs hold the wrong context: {wrong[:4]}"
+    assert engine.config is not None and engine.assignment
+    assert engine.holdings == {gpu: required_context(engine.config, pos, engine.model)
+                               for pos, gpu in engine.assignment.items()}
+
+
+def test_suspension_keeps_holdings_for_the_reboot(tmp_path, monkeypatch):
+    """Three 4-GPU instances serve gpt-20b as (1,3,4,1).  Losing i-1 at t=100
+    leaves two instances, which no gpt-20b shape fits, so service suspends.
+    When i-3 is announced at t=200 the mapper reuses the model context i-0 and
+    i-2 kept through the suspension."""
+    events = (boot_events(3)
+              + [{"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 0.0},
+                 {"t": 200.0, "kind": "acquire", "id": "i-3", "ready_in": 30.0}])
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, events)
+    cfg = SimConfig(
+        profile_path=str(bundled_path("gpt-20b")),
+        trace_path=str(trace),
+        workload=WorkloadSpec(kind="fixed_rate", rate=0.05, cv=1.0, seed=1),
+        policy="spotserve", duration=600.0, gpus_per_instance=4,
+    )
+    mappings = {}
+    compute_mapping = AdaptivePolicy.compute_mapping
+
+    def recorded(policy, engine, target):
+        mappings[engine.now] = mapping = compute_mapping(policy, engine, target)
+        return mapping
+    monkeypatch.setattr(AdaptivePolicy, "compute_mapping", recorded)
+    report = run(cfg)
+    assert [(t, shape, t_mig) for t, shape, t_mig in report.reconfigurations] == [
+        (0.0, (1, 3, 4, 1), 0.0), (200.0, (1, 3, 4, 1), 0.0)]
+    assert sorted(mappings) == [0.0, 200.0]
+    # the model bytes i-0 and i-2 still hold: 25,397,727,270 + 23,704,545,452
+    assert mappings[200.0].total_weight == 49_102_272_722.0
 
 
 def test_one_cache_free_derivation_per_commit(monkeypatch):
