@@ -2,17 +2,25 @@
 
 Edge weights are reusable bytes (model context overlap plus KV-cache overlap
 for requests the target pipeline inherits), so a maximum-weight assignment is
-exactly the one minimizing migration traffic.  Every instance size goes
-through the same two-step matching: GPUs are fused per instance and positions
-per tensor-parallel group, an inner match fixes the per-GPU pairing inside
-each fused pair, and an outer match assigns fused groups.  A single-GPU
-instance is a fused group of one, where the two steps are the flat match.
+exactly the one minimizing migration traffic.  The whole GPU x position
+matrix is built in one pass from numpy arrays of the holdings' and needs'
+rectangles on a common grid; each weight is the float `overlap_bytes` gives
+for that pair.  Every instance size goes through the same two-step matching:
+GPUs are fused per instance and positions per tensor-parallel group, an inner
+match fixes the per-GPU pairing inside each fused pair, and an outer match
+assigns fused groups.  Each distinct inner block is matched once and its
+matching reused wherever the block recurs.  At group size 1 the weight matrix
+is the fused graph, so the outer match is the only one.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import (
+    ContextInventory,
     GpuRef,
     KvCache,
     Layout,
@@ -46,7 +54,7 @@ class BipartiteGraph:
         for row in self.weights:
             if len(row) != len(self.slots):
                 raise MappingError("weight cols must match slot count")
-            if any(w < 0 for w in row):
+            if row and min(row) < 0:
                 raise MappingError("weights must be >= 0")
 
 
@@ -70,8 +78,12 @@ def _hungarian_max(weights: list[list[float]]) -> list[int]:
 
     The matrix is padded square with zero-weight dummies, so a row matched to
     a dummy gets a column index past the last real one.  Potentials +
-    augmenting-path form, O(n^3).  Columns are scanned in ascending order so
-    ties resolve to the lexicographically least matching.
+    augmenting-path form, O(n^3).  Rows enter in order, and each augmenting
+    search takes the lowest column among equal reduced costs.  That fixes
+    which maximum a tie yields, but it is not the lexicographically least
+    one: `[[1,1,0,1],[0,0,1,0],[1,1,0,1],[1,1,1,0]]` gives `[3,2,1,0]`, not
+    `[0,2,3,1]`.  Mappings depend on this rule, so any replacement must
+    reproduce it.
     """
     rows = len(weights)
     if rows == 0:
@@ -163,6 +175,107 @@ def positional_mapping(gpus: list[GpuRef], target: ParallelConfig) -> DeviceMapp
                          config=target)
 
 
+_PAIRS = 2048  # cache row pairs per array pass in `_overlap_matrix`
+
+
+def _grid_rows(inventories: list[ContextInventory], den: int, requests: dict[str, int]):
+    """The inventories' rectangles on grid 1/den as int64 rows: model rows
+    (owner, first, end, lo, hi) and cache rows (owner, request, first, end, lo,
+    hi, tokens), owner being the index in `inventories` and request the code
+    `requests` gives its id.  Cache of requests not in `requests` is left out."""
+    model_rects, model_owners, cache_rects, cache_keys = [], [], [], []
+    for owner, inv in enumerate(inventories):
+        model_rects += inv.model
+        model_owners += [owner] * len(inv.model)
+        for rid, rects in inv.cache.items():
+            code = requests.get(rid)
+            if code is not None:
+                cache_rects += rects
+                cache_keys += [(owner, code)] * len(rects)
+    scale = np.array([den // inv.den for inv in inventories], dtype=np.int64)
+    model = np.empty((len(model_rects), 5), dtype=np.int64)
+    model[:, 0] = model_owners
+    model[:, 1:] = np.array(model_rects, dtype=np.int64).reshape(-1, 4)
+    model[:, 3:] *= scale[model[:, 0], None]
+    cache = np.empty((len(cache_rects), 7), dtype=np.int64)
+    cache[:, :2] = np.array(cache_keys, dtype=np.int64).reshape(-1, 2)
+    cache[:, 2:] = np.array(cache_rects, dtype=np.int64).reshape(-1, 5)
+    cache[:, 4:6] *= scale[cache[:, 0], None]
+    return model, cache
+
+
+def _areas(a, b):
+    """Overlap areas, in grid units, of `(first, end, lo, hi)` rectangle
+    columns a and b, elementwise with broadcasting."""
+    layers = np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0])
+    width = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 2], b[..., 2])
+    return np.maximum(layers, 0) * np.maximum(width, 0)
+
+
+def _overlap_matrix(holdings: list[ContextInventory], needs: list[ContextInventory],
+                    model: ModelSpec) -> list[list[float]] | None:
+    """`overlap_bytes(holding, need, model)` for every holding and need, from
+    rectangle arrays; None when a numerator may reach 2**52.
+
+    Both sides are laid out on the lcm grid of all their grids.  Model rows
+    meet pairwise; cache rows meet when they belong to the same request.  The
+    integer numerators are summed per cell and divided by the grid once, as
+    `overlap_bytes` does.  Below 2**53 int64 sums are exact and float64 holds
+    every numerator and the grid exactly, so the one true division rounds
+    once.  A per-cell bound, each holding rectangle's area times the most
+    rectangles of one kind a need has, checks that range (with a factor 2 to
+    spare for the bound's own float rounding) before any int64 arithmetic.
+    """
+    den = math.lcm(*(inv.den for inv in holdings), *(inv.den for inv in needs))
+    if den >= 2**52:
+        return None
+    requests: dict[str, int] = {}
+    for need in needs:
+        for rid in need.cache:
+            requests.setdefault(rid, len(requests))
+    held_model, held_cache = _grid_rows(holdings, den, requests)
+    need_model, need_cache = _grid_rows(needs, den, requests)
+
+    n_held, n_need = len(holdings), len(needs)
+    most_model = np.bincount(need_model[:, 0]).max(initial=0)
+    most_cache = np.bincount(need_cache[:, 0] * len(requests) + need_cache[:, 1]).max(initial=0)
+    model_area = _areas(held_model[:, 1:].astype(float), held_model[:, 1:].astype(float))
+    cache_area = (_areas(held_cache[:, 2:6].astype(float), held_cache[:, 2:6].astype(float))
+                  * held_cache[:, 6])
+    bound = (np.bincount(held_model[:, 0], model_area, n_held)
+             * (float(model.bytes_per_layer) * most_model)
+             + np.bincount(held_cache[:, 0], cache_area, n_held)
+             * (float(model.kv_bytes_per_token_per_layer) * most_cache))
+    if bound.max(initial=0.0) >= 2**52:
+        return None
+
+    model_units = np.zeros(n_held * n_need, dtype=np.int64)
+    cells = held_model[:, 0, None] * n_need + need_model[None, :, 0]
+    np.add.at(model_units, cells.ravel(),
+              _areas(held_model[:, None, 1:], need_model[None, :, 1:]).ravel())
+
+    # each held cache row meets every need row of its request: sort the need
+    # rows by request and pair held rows with their request's run of them, at
+    # most _PAIRS pairs at a time, so that the temporaries stay small
+    order = np.argsort(need_cache[:, 1], kind="stable")
+    per_request = np.bincount(need_cache[:, 1], minlength=len(requests))
+    run_starts = np.cumsum(per_request) - per_request
+    kv_units = np.zeros(n_held * n_need, dtype=np.int64)
+    step = max(1, _PAIRS // max(1, per_request.max(initial=0)))
+    for lo in range(0, len(held_cache), step):
+        rows = held_cache[lo:lo + step]
+        runs = per_request[rows[:, 1]]
+        held = np.repeat(np.arange(len(rows)), runs)
+        need = order[np.repeat(run_starts[rows[:, 1]] - (np.cumsum(runs) - runs), runs)
+                     + np.arange(len(held))]
+        np.add.at(kv_units, rows[held, 0] * n_need + need_cache[need, 0],
+                  _areas(rows[held, 2:6], need_cache[need, 2:6])
+                  * np.minimum(rows[held, 6], need_cache[need, 6]))
+
+    units = model_units * model.bytes_per_layer + kv_units * model.kv_bytes_per_token_per_layer
+    return (units / den).reshape(n_held, n_need).tolist()
+
+
 def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 inheritance: dict[int, int] | None = None,
                 requests_by_old_pipeline: dict[int, list[RequestRecord]] | None = None) -> BipartiteGraph:
@@ -170,7 +283,8 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
 
     inheritance maps old pipeline index -> new pipeline index (identity prefix
     by default); requests on inherited pipelines contribute cache overlap to
-    the inheriting pipeline's positions.
+    the inheriting pipeline's positions.  Each weight is the float
+    `overlap_bytes` gives for the pair, computed for all pairs at once.
     """
     gpus = _sorted_gpus(layout)
 
@@ -185,7 +299,10 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
         required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
         for pos in slots
     ]
-    weights = [[overlap_bytes(layout[gpu], need, model) for need in needs] for gpu in gpus]
+    holdings = [layout[gpu] for gpu in gpus]
+    weights = _overlap_matrix(holdings, needs, model)
+    if weights is None:
+        weights = [[overlap_bytes(held, need, model) for need in needs] for held in holdings]
     return BipartiteGraph(gpus=gpus, slots=slots, weights=weights)
 
 
@@ -204,7 +321,9 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
     (pipeline, stage) row's shards are fused along m, so a fused pair is
     matched by an inner KM whose matching both scores the fused edge (max of
     matched edge weights, the reference rule) and fixes the per-GPU expansion.
-    At G = 1 every group is a single GPU and the outer match is the flat one.
+    Equal blocks get equal inner matchings, so each distinct block is
+    matched once.  At group size 1 every group is a single GPU and the outer
+    match on the weight matrix is the only one.
     """
     for inst, gpus in Counter(gpu[0] for gpu in layout).items():
         if gpus != gpus_per_instance:
@@ -217,24 +336,30 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
             f"group size {group} must divide both G={gpus_per_instance} and M={target.tensor_shards}"
         )
 
-    # fused GPU group a is rows a*group.., fused position group b columns b*group..
-    w = graph.weights
+    # fused GPU group a is rows a*group.., fused position group b columns
+    # b*group..; each distinct group x group block is matched once
     n_fused_gpus, n_fused_slots = len(graph.gpus) // group, len(graph.slots) // group
-    perms: dict[tuple[int, int], list[int]] = {}
-    fused_w = [[0.0] * n_fused_slots for _ in range(n_fused_gpus)]
-    for a in range(n_fused_gpus):
-        rows = w[a * group:(a + 1) * group]
-        for b in range(n_fused_slots):
-            sub = [row[b * group:(b + 1) * group] for row in rows]
-            perm = perms[a, b] = _hungarian_max(sub)
-            fused_w[a][b] = max(sub[i][perm[i]] for i in range(group))
+    if group == 1:
+        fused_w, perms = graph.weights, [[0]]
+        block_of = [[0] * n_fused_slots] * n_fused_gpus
+    else:
+        blocks = (np.array(graph.weights).reshape(n_fused_gpus, group, n_fused_slots, group)
+                  .swapaxes(1, 2).reshape(-1, group * group))
+        distinct: dict[bytes, int] = {}
+        which = [distinct.setdefault(key, len(distinct)) for key in map(bytes, blocks)]
+        subs = [np.frombuffer(key).reshape(group, group).tolist() for key in distinct]
+        perms = [_hungarian_max(sub) for sub in subs]
+        best = [max(row[k] for row, k in zip(sub, perm)) for sub, perm in zip(subs, perms)]
+        block_of = [which[a * n_fused_slots:(a + 1) * n_fused_slots] for a in range(n_fused_gpus)]
+        fused_w = [[best[u] for u in row] for row in block_of]
 
+    w = graph.weights
     assignment: dict[GpuRef, TopologyPosition] = {}
     total = 0.0
     for a, b in enumerate(_hungarian_max(fused_w)):
         if b >= n_fused_slots:
             continue
-        for i, k in enumerate(perms[a, b]):
+        for i, k in enumerate(perms[block_of[a][b]]):
             g, s = a * group + i, b * group + k
             assignment[graph.gpus[g]] = graph.slots[s]
             total += w[g][s]

@@ -6,6 +6,11 @@ algorithms they replace.  Over random configurations, positions, KV caches
 and per-layer inventories that are not rectangles (several intervals per
 layer, overlaps, holes, mixed denominators), every byte count must be the
 same float and every transfer list the same list, in the same order.
+
+The mapper's weight matrix, built from rectangle arrays, must hold in every
+cell the float `overlap_bytes` gives for that GPU and position, and
+`map_devices`, which matches each distinct inner block once, must return what
+the per-block loop of `tests/mapping_oracle.py` returns.
 """
 
 from fractions import Fraction
@@ -14,16 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+import mapping_oracle
 from spotsim.domain import (
     ContextInventory,
     ModelSpec,
     ParallelConfig,
+    RequestRecord,
     overlap_bytes,
     positions,
     required_context,
     uncovered,
 )
-from spotsim.mapping import DeviceMapping
+from spotsim.mapping import DeviceMapping, MappingError, build_graph, map_devices
 from spotsim.migration import MigrationError, derive_transfers
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -164,3 +171,55 @@ def outcome(derive, case):
 def test_derive_transfers_matches_oracle(case):
     got, want = outcome(derive_transfers, case), outcome(oracle.derive_transfers, case)
     assert repr(got) == repr(want)
+
+
+@st.composite
+def mapping_cases(draw):
+    """A layout of equal-sized instances (a served config with its KV cache,
+    some GPUs replaced by arbitrary or empty inventories), a target config,
+    an inheritance and the requests of the old pipelines."""
+    model = draw(models())
+    old, new = draw(configs(model)), draw(configs(model))
+    per_instance = draw(st.sampled_from((1, 2, 4)))
+    n_instances = draw(st.integers(1, -(-max(old.gpus, new.gpus) // per_instance) + 1))
+    gpus = [(f"i-{i + 1}", g) for i in range(n_instances) for g in range(per_instance)]
+    served_cache = {d: draw(caches()) for d in range(1, old.data_parallel + 1)}
+    layout = {gpu: ContextInventory.empty() for gpu in gpus}
+    for gpu, pos in zip(draw(st.permutations(gpus)), positions(old)):
+        layout[gpu] = required_context(old, pos, model, served_cache[pos.pipeline])
+    for gpu in draw(st.lists(st.sampled_from(gpus), max_size=3, unique=True)):
+        layout[gpu] = draw(inventories(model))
+    requests = {d: [RequestRecord(id=rid, arrival=0.0, s_in=draw(st.integers(0, 40)), s_out=8)
+                    for rid, _ in entries]
+                for d, entries in served_cache.items()}
+    new_pipelines = st.one_of(st.none(), st.integers(1, new.data_parallel))
+    inheritance = draw(st.one_of(
+        st.none(),
+        st.just({d: d for d in range(1, min(old.data_parallel, new.data_parallel) + 1)}),
+        st.fixed_dictionaries({d: new_pipelines for d in requests})))
+    return layout, new, model, per_instance, inheritance, requests
+
+
+@given(mapping_cases())
+@SETTINGS
+def test_build_graph_weights_match_overlap_bytes(case):
+    layout, target, model, _, inheritance, requests = case
+    got = build_graph(layout, target, model, inheritance, requests)
+    want = mapping_oracle.build_graph(layout, target, model, inheritance, requests)
+    assert (got.gpus, got.slots) == (want.gpus, want.slots)
+    assert repr(got.weights) == repr(want.weights)
+
+
+def mapped(mapper, case):
+    layout, target, model, per_instance, inheritance, requests = case
+    try:
+        got = mapper(layout, target, model, per_instance, inheritance, requests)
+    except MappingError as exc:
+        return ("error", str(exc))
+    return sorted(got.assignment.items()), repr(got.total_weight), got.config
+
+
+@given(mapping_cases())
+@SETTINGS
+def test_map_devices_matches_per_block_oracle(case):
+    assert mapped(map_devices, case) == mapped(mapping_oracle.map_devices, case)

@@ -10,12 +10,15 @@ from spotsim.domain import (
     ParallelConfig,
     RequestRecord,
     TopologyPosition,
+    kv_cache,
     positions,
     required_context,
 )
+import spotsim.mapping as mapping
 from spotsim.mapping import (
     BipartiteGraph,
     MappingError,
+    _hungarian_max,
     build_graph,
     default_inheritance,
     km_match,
@@ -110,6 +113,16 @@ class TestKmMatch:
             got = km_match(graph_of(w.tolist()))
             assert got.total_weight == pytest.approx(brute_force_best(w.tolist()), rel=1e-9)
 
+    def test_tie_rule_is_pinned(self):
+        # Every maximum of this matrix weighs 4; the lexicographically least
+        # one is (0, 2, 3, 1), but the row-by-row augmentation yields another.
+        w = [[1, 1, 0, 1], [0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 1, 0]]
+        best = max(sum(w[i][p[i]] for i in range(4)) for p in itertools.permutations(range(4)))
+        least = min(p for p in itertools.permutations(range(4))
+                    if sum(w[i][p[i]] for i in range(4)) == best)
+        assert least == (0, 2, 3, 1)
+        assert _hungarian_max(w) == [3, 2, 1, 0]
+
     def test_all_slots_covered_when_enough_gpus(self):
         rng = np.random.default_rng(11)
         w = rng.integers(0, 50, size=(6, 4)).astype(float)
@@ -136,6 +149,29 @@ class TestBuildGraph:
         graph = build_graph(layout, cfg, MODEL)
         row = graph.gpus.index(("i-9", 0))
         assert all(w == 0.0 for w in graph.weights[row])
+
+    @pytest.mark.parametrize("bytes_per_layer, kv_bytes", [(2**60, 16), (800, 2**50)])
+    def test_weights_beyond_exact_range_go_through_overlap_bytes(self, monkeypatch,
+                                                                 bytes_per_layer, kv_bytes):
+        # numerators past 2**52 would overflow int64 or round when converted
+        # to float, so every cell falls back to the per-pair computation
+        old, new = ParallelConfig(2, 2, 1, 4), ParallelConfig(2, 1, 2, 4)
+        reqs = {1: [RequestRecord(id="r-1", arrival=0.0, s_in=3000, s_out=8)],
+                2: [RequestRecord(id="r-2", arrival=0.0, s_in=5, s_out=8)]}
+        cache = kv_cache(reqs)
+        calls = []
+        overlap = mapping.overlap_bytes
+        monkeypatch.setattr(mapping, "overlap_bytes",
+                            lambda a, b, m: calls.append(1) or overlap(a, b, m))
+        for model in (MODEL, ModelSpec(name="huge", num_layers=4, bytes_per_layer=bytes_per_layer,
+                                       kv_bytes_per_token_per_layer=kv_bytes)):
+            layout = {(f"i-{k}", 0): required_context(old, pos, model, cache[pos.pipeline])
+                      for k, pos in enumerate(positions(old))}
+            graph = build_graph(layout, new, model, default_inheritance(2, 2), reqs)
+            needs = [required_context(new, pos, model, cache[pos.pipeline]) for pos in graph.slots]
+            assert graph.weights == [[overlap(layout[gpu], need, model) for need in needs]
+                                     for gpu in graph.gpus]
+        assert len(calls) == len(graph.gpus) * len(graph.slots)  # only the huge model falls back
 
     def test_cache_overlap_breaks_model_tie(self):
         # Mapping figure scenario: (2,2,2) -> (2,3,1); the GPU holding pipeline
@@ -197,6 +233,20 @@ class TestMapDevices:
             fused = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
             assert fused.assignment == flat.assignment
             assert fused.total_weight == pytest.approx(flat.total_weight)
+
+    def test_single_gpu_instances_run_one_match(self, monkeypatch):
+        # at group size 1 the fused graph is the weight matrix: no 1x1 inner
+        # matches, only the outer one
+        old, new = ParallelConfig(6, 2, 4, 8), ParallelConfig(4, 3, 4, 8)
+        model = ModelSpec(name="m12", num_layers=12, bytes_per_layer=800,
+                          kv_bytes_per_token_per_layer=16)
+        layout = serving_layout(model, old, [f"i-{k}" for k in range(old.gpus)])
+        calls = []
+        monkeypatch.setattr(mapping, "_hungarian_max",
+                            lambda w: calls.append(len(w)) or _hungarian_max(w))
+        got = map_devices(layout, new, model, gpus_per_instance=1)
+        assert calls == [48]
+        assert got.assignment == km_match(build_graph(layout, new, model)).assignment
 
     def test_two_gpu_instances_keep_tensor_groups_local(self):
         cfg = ParallelConfig(1, 2, 2, 1)

@@ -5,18 +5,20 @@ Each plan `spotsim.simulator.plan_migration` returns during the run is hashed
 as its `plan_to_dict` JSON (sorted keys), one line per plan in build order; an
 `all` line hashes the whole sequence.  A `derivations` line counts the
 `derive_transfers` calls made through either module binding
-(`spotsim.simulator` or `spotsim.migration`).  A last `report` line hashes the
-request CSV plus summary JSON the `run` command writes, as
-`tests/test_golden.py` hashes them.  Two source trees whose simulations emit
-byte-identical plans and reports, from as many derivations, print the same
-lines, so one `diff` of this output compares them.
+(`spotsim.simulator` or `spotsim.migration`).  A `mappings` line counts the
+`spotsim.simulator.map_devices` calls and hashes their results in call order,
+each as its sorted assignment plus the `repr` of its total weight.  A last
+`report` line hashes the request CSV plus summary JSON the `run` command
+writes, as `tests/test_golden.py` hashes them.  Two source trees whose
+simulations emit byte-identical mappings, plans and reports, from as many
+derivations, print the same lines, so one `diff` of this output compares them.
 
 Run from the repo root:
     PYTHONPATH=src python tools/plan_digests.py [--config PATH] [--rate R]
         [--policy spotserve|rerouting|reparallelization] [--disable controller,planner,...]
 
-Only spotserve builds migration plans; the other policies print just the
-`all 0`, `derivations 0` and `report` lines.
+Only spotserve maps devices and builds migration plans; the other policies
+print just the `all 0`, `derivations 0`, `mappings 0` and `report` lines.
 """
 
 import argparse
@@ -49,15 +51,23 @@ def report_digest(report) -> str:
 
 def recorded_run(cfg):
     """Simulate `cfg`: its report, the digests of the plans it built in build
-    order, and its number of `derive_transfers` calls."""
+    order, its number of `derive_transfers` calls, and the records of its
+    `map_devices` results in call order."""
     digests: list[str] = []
+    mappings: list[str] = []
     derivations = 0
     plan, derive, mig_derive = sim.plan_migration, sim.derive_transfers, migration.derive_transfers
+    map_devices = sim.map_devices
 
     def recording(*args, **kwargs):
         built = plan(*args, **kwargs)
         digests.append(plan_digest(built))
         return built
+
+    def recording_mapping(*args, **kwargs):
+        mapping = map_devices(*args, **kwargs)
+        mappings.append(repr(sorted(mapping.assignment.items())) + repr(mapping.total_weight))
+        return mapping
 
     def counting(fn):
         def counted(*args, **kwargs):
@@ -66,14 +76,14 @@ def recorded_run(cfg):
             return fn(*args, **kwargs)
         return counted
 
-    sim.plan_migration = recording
+    sim.plan_migration, sim.map_devices = recording, recording_mapping
     sim.derive_transfers, migration.derive_transfers = counting(derive), counting(mig_derive)
     try:
         report = sim.run(cfg)
     finally:
-        sim.plan_migration, sim.derive_transfers, migration.derive_transfers = (
-            plan, derive, mig_derive)
-    return report, digests, derivations
+        sim.plan_migration, sim.map_devices = plan, map_devices
+        sim.derive_transfers, migration.derive_transfers = derive, mig_derive
+    return report, digests, derivations, mappings
 
 
 def plan_digests(cfg) -> list[str]:
@@ -99,11 +109,12 @@ def main(argv=None) -> int:
         cfg = replace(cfg, policy=args.policy)
     if args.disable:
         cfg = replace(cfg, disable=tuple(args.disable.split(",")))
-    report, digests, derivations = recorded_run(cfg)
+    report, digests, derivations, mappings = recorded_run(cfg)
     for i, digest in enumerate(digests):
         print(f"plan {i} {digest}")
     print(f"all {len(digests)} {combined_digest(digests)}")
     print(f"derivations {derivations}")
+    print(f"mappings {len(mappings)} {combined_digest(mappings)}")
     print(f"report {report_digest(report)}")
     return 0
 
