@@ -15,6 +15,9 @@ Context geometry is integer: a `ContextInventory` holds rectangles on a grid
 of 1/den, each a half-open layer block [first, end) crossed with a half-open
 parameter interval [lo/den, hi/den).  Model context is one rectangle per
 layer block; KV cache is one rectangle per request, carrying its token count.
+Model context is also the KV cache of request None holding one token
+(`ContextInventory.by_request`, weighted by `ModelSpec.unit_bytes`), so code
+that needs no other distinction walks both kinds in one loop.
 A position's context lives on the grid 1/M of its shard count; an inventory
 built from per-layer Fraction shards uses the lcm of their denominators, and
 two grids meet on the lcm of theirs.  Byte counts sum integer numerators and
@@ -127,6 +130,11 @@ class ModelSpec:
     @property
     def total_param_bytes(self) -> int:
         return self.num_layers * self.bytes_per_layer
+
+    def unit_bytes(self, request: str | None) -> int:
+        """Bytes per layer, full parameter interval and token of `request`'s
+        context; model context is request None's."""
+        return self.bytes_per_layer if request is None else self.kv_bytes_per_token_per_layer
 
 
 @dataclass
@@ -285,6 +293,11 @@ class ContextInventory:
                      for rid, rects in self.cache.items()
                      for l0, l1, entries in layer_blocks(rects)
                      for layer in range(l0, l1) for lo, hi, tokens in entries)
+
+    def by_request(self) -> dict[str | None, tuple[CacheRect, ...]]:
+        """Every rectangle as KV cache: the model rectangles, as request None's
+        with one token, then `cache` in its order."""
+        return {None: tuple([rect + (1,) for rect in self.model]), **self.cache}
 
     def model_bytes(self, model: ModelSpec) -> float:
         units = sum((l1 - l0) * (hi - lo) for l0, l1, lo, hi in self.model)

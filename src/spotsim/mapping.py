@@ -5,7 +5,9 @@ for requests the target pipeline inherits), so a maximum-weight assignment is
 exactly the one minimizing migration traffic.  The whole GPU x position
 matrix is built in one pass from numpy arrays of the holdings' and needs'
 rectangles on a common grid; each weight is the float `overlap_bytes` gives
-for that pair.  Every instance size goes through the same two-step matching:
+for that pair.  Model context is treated as the KV cache of request None
+with one token, so model and cache rectangles meet in one join on the
+request.  Every instance size goes through the same two-step matching:
 GPUs are fused per instance and positions per tensor-parallel group, an inner
 match fixes the per-GPU pairing inside each fused pair, and an outer match
 assigns fused groups.  Each distinct inner block is matched once and its
@@ -16,6 +18,7 @@ is the fused graph, so the outer match is the only one.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -175,40 +178,36 @@ def positional_mapping(gpus: list[GpuRef], target: ParallelConfig) -> DeviceMapp
                          config=target)
 
 
-_PAIRS = 2048  # cache row pairs per array pass in `_overlap_matrix`
+_PAIRS = 2048  # row pairs per array pass in `_overlap_matrix`
 
 
-def _grid_rows(inventories: list[ContextInventory], den: int, requests: dict[str, int]):
-    """The inventories' rectangles on grid 1/den as int64 rows: model rows
-    (owner, first, end, lo, hi) and cache rows (owner, request, first, end, lo,
-    hi, tokens), owner being the index in `inventories` and request the code
-    `requests` gives its id.  Cache of requests not in `requests` is left out."""
-    model_rects, model_owners, cache_rects, cache_keys = [], [], [], []
+def _grid_rows(inventories: list[ContextInventory], den: int, keys: dict[str | None, int]):
+    """The inventories' rectangles on grid 1/den as int64 rows (owner, key,
+    first, end, lo, hi, tokens), owner being the index in `inventories` and
+    key the code `keys` gives the request (`ContextInventory.by_request`: model
+    context is request None's, with one token).  Requests not in `keys` are
+    left out."""
+    rects, groups, sizes = [], [], []
     for owner, inv in enumerate(inventories):
-        model_rects += inv.model
-        model_owners += [owner] * len(inv.model)
-        for rid, rects in inv.cache.items():
-            code = requests.get(rid)
-            if code is not None:
-                cache_rects += rects
-                cache_keys += [(owner, code)] * len(rects)
-    scale = np.array([den // inv.den for inv in inventories], dtype=np.int64)
-    model = np.empty((len(model_rects), 5), dtype=np.int64)
-    model[:, 0] = model_owners
-    model[:, 1:] = np.array(model_rects, dtype=np.int64).reshape(-1, 4)
-    model[:, 3:] *= scale[model[:, 0], None]
-    cache = np.empty((len(cache_rects), 7), dtype=np.int64)
-    cache[:, :2] = np.array(cache_keys, dtype=np.int64).reshape(-1, 2)
-    cache[:, 2:] = np.array(cache_rects, dtype=np.int64).reshape(-1, 5)
-    cache[:, 4:6] *= scale[cache[:, 0], None]
-    return model, cache
+        for rid, of_request in inv.by_request().items():
+            key = keys.get(rid)
+            if key is not None and of_request:
+                rects += of_request
+                groups.append((owner, key, den // inv.den))
+                sizes.append(len(of_request))
+    tags = np.repeat(np.array(groups, dtype=np.int64).reshape(-1, 3), sizes, axis=0)
+    rows = np.empty((len(rects), 7), dtype=np.int64)
+    rows[:, :2] = tags[:, :2]
+    rows[:, 2:] = np.fromiter(chain.from_iterable(rects), np.int64, 5 * len(rects)).reshape(-1, 5)
+    rows[:, 4:6] *= tags[:, 2:]
+    return rows
 
 
 def _areas(a, b):
     """Overlap areas, in grid units, of `(first, end, lo, hi)` rectangle
-    columns a and b, elementwise with broadcasting."""
-    layers = np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0])
-    width = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 2], b[..., 2])
+    columns a and b, elementwise."""
+    layers = np.minimum(a[:, 1], b[:, 1]) - np.maximum(a[:, 0], b[:, 0])
+    width = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 2], b[:, 2])
     return np.maximum(layers, 0) * np.maximum(width, 0)
 
 
@@ -217,62 +216,55 @@ def _overlap_matrix(holdings: list[ContextInventory], needs: list[ContextInvento
     """`overlap_bytes(holding, need, model)` for every holding and need, from
     rectangle arrays; None when a numerator may reach 2**52.
 
-    Both sides are laid out on the lcm grid of all their grids.  Model rows
-    meet pairwise; cache rows meet when they belong to the same request.  The
-    integer numerators are summed per cell and divided by the grid once, as
-    `overlap_bytes` does.  Below 2**53 int64 sums are exact and float64 holds
+    Both sides are laid out on the lcm grid of all their grids, model context
+    as the cache of request None.  Rows meet when they belong to the same
+    request; a pair's numerator is its overlap area times the smaller token
+    count times the request's `unit_bytes`.  The integer numerators are summed
+    per cell and divided by the grid once, as `overlap_bytes` does.  A cell
+    bound, each holding row's area times tokens times unit bytes, times the
+    most rows one need has of one request, checks that every cell stays below
+    2**52 (with a factor 2 to spare for the bound's own float rounding) before
+    any int64 arithmetic.  Below 2**53 int64 sums are exact and float64 holds
     every numerator and the grid exactly, so the one true division rounds
-    once.  A per-cell bound, each holding rectangle's area times the most
-    rectangles of one kind a need has, checks that range (with a factor 2 to
-    spare for the bound's own float rounding) before any int64 arithmetic.
+    once.
     """
     den = math.lcm(*(inv.den for inv in holdings), *(inv.den for inv in needs))
     if den >= 2**52:
         return None
-    requests: dict[str, int] = {}
+    keys: dict[str | None, int] = {None: 0}
     for need in needs:
         for rid in need.cache:
-            requests.setdefault(rid, len(requests))
-    held_model, held_cache = _grid_rows(holdings, den, requests)
-    need_model, need_cache = _grid_rows(needs, den, requests)
+            keys.setdefault(rid, len(keys))
+    weight = np.array([model.unit_bytes(rid) for rid in keys], dtype=np.int64)
+    held_rows, need_rows = _grid_rows(holdings, den, keys), _grid_rows(needs, den, keys)
 
     n_held, n_need = len(holdings), len(needs)
-    most_model = np.bincount(need_model[:, 0]).max(initial=0)
-    most_cache = np.bincount(need_cache[:, 0] * len(requests) + need_cache[:, 1]).max(initial=0)
-    model_area = _areas(held_model[:, 1:].astype(float), held_model[:, 1:].astype(float))
-    cache_area = (_areas(held_cache[:, 2:6].astype(float), held_cache[:, 2:6].astype(float))
-                  * held_cache[:, 6])
-    bound = (np.bincount(held_model[:, 0], model_area, n_held)
-             * (float(model.bytes_per_layer) * most_model)
-             + np.bincount(held_cache[:, 0], cache_area, n_held)
-             * (float(model.kv_bytes_per_token_per_layer) * most_cache))
-    if bound.max(initial=0.0) >= 2**52:
+    most = np.bincount(need_rows[:, 0] * len(keys) + need_rows[:, 1]).max(initial=0)
+    held_f = held_rows.astype(float)
+    own = _areas(held_f[:, 2:6], held_f[:, 2:6]) * held_f[:, 6] * weight[held_rows[:, 1]]
+    if (np.bincount(held_rows[:, 0], own, n_held) * float(most)).max(initial=0.0) >= 2**52:
         return None
 
-    model_units = np.zeros(n_held * n_need, dtype=np.int64)
-    cells = held_model[:, 0, None] * n_need + need_model[None, :, 0]
-    np.add.at(model_units, cells.ravel(),
-              _areas(held_model[:, None, 1:], need_model[None, :, 1:]).ravel())
-
-    # each held cache row meets every need row of its request: sort the need
-    # rows by request and pair held rows with their request's run of them, at
-    # most _PAIRS pairs at a time, so that the temporaries stay small
-    order = np.argsort(need_cache[:, 1], kind="stable")
-    per_request = np.bincount(need_cache[:, 1], minlength=len(requests))
-    run_starts = np.cumsum(per_request) - per_request
-    kv_units = np.zeros(n_held * n_need, dtype=np.int64)
-    step = max(1, _PAIRS // max(1, per_request.max(initial=0)))
-    for lo in range(0, len(held_cache), step):
-        rows = held_cache[lo:lo + step]
-        runs = per_request[rows[:, 1]]
-        held = np.repeat(np.arange(len(rows)), runs)
-        need = order[np.repeat(run_starts[rows[:, 1]] - (np.cumsum(runs) - runs), runs)
-                     + np.arange(len(held))]
-        np.add.at(kv_units, rows[held, 0] * n_need + need_cache[need, 0],
-                  _areas(rows[held, 2:6], need_cache[need, 2:6])
-                  * np.minimum(rows[held, 6], need_cache[need, 6]))
-
-    units = model_units * model.bytes_per_layer + kv_units * model.kv_bytes_per_token_per_layer
+    # each held row meets every need row of its request: sort the need rows
+    # by request and pair held rows with their request's run of them, about
+    # _PAIRS pairs at a time, so that the temporaries stay small
+    need_rows = need_rows[np.argsort(need_rows[:, 1], kind="stable")]
+    per_key = np.bincount(need_rows[:, 1], minlength=len(keys))
+    run_starts = np.cumsum(per_key) - per_key
+    pairs_upto = np.cumsum(per_key[held_rows[:, 1]])
+    units = np.zeros(n_held * n_need, dtype=np.int64)
+    lo = 0
+    while lo < len(held_rows):
+        hi = int(np.searchsorted(pairs_upto, pairs_upto[lo] + _PAIRS, "right"))
+        rows = held_rows[lo:hi]
+        runs = per_key[rows[:, 1]]
+        firsts = np.cumsum(runs) - runs
+        held = rows[np.repeat(np.arange(len(rows)), runs)]
+        need = need_rows[np.repeat(run_starts[rows[:, 1]] - firsts, runs) + np.arange(len(held))]
+        numerators = (_areas(held[:, 2:6], need[:, 2:6]) * np.minimum(held[:, 6], need[:, 6])
+                      * weight[held[:, 1]])
+        np.add.at(units, held[:, 0] * n_need + need[:, 0], numerators)
+        lo = hi
     return (units / den).reshape(n_held, n_need).tolist()
 
 

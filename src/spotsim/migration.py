@@ -1,10 +1,12 @@
 """Progressive, buffer-bounded migration planning.
 
-A plan moves whatever context the device mapping could not reuse.  Planning
-has two steps.  `derive_transfers` decides what moves: the per-layer model
-and cache transfers and the end-of-round releases of one mapping over one
-layout.  `plan_migration` assembles a given derivation into rounds: one round
-of KV-cache transfers first (losing cache is what destroys decoding progress,
+A plan moves whatever context the device mapping could not reuse.  Model
+context is treated as the KV cache of request None with one token, so model
+and cache pieces are derived in the same passes.  Planning has two steps.
+`derive_transfers` decides what moves: the per-layer model and cache
+transfers and the end-of-round releases of one mapping over one layout.
+`plan_migration` assembles a given derivation into rounds: one round of
+KV-cache transfers first (losing cache is what destroys decoding progress,
 so it goes before everything), then model layers one round per layer in a
 memory-optimized order, with a stage-start marker emitted as soon as a stage's
 full context is in place so front stages resume serving while later stages are
@@ -228,12 +230,12 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
     out = []
     start = lo
     while start < hi:
-        # copies holding `start` (with enough tokens, for cache), per block
+        # copies holding `start` with enough tokens, per block
         found = memo.get((start, tokens))
         if found is None:
             found = memo[(start, tokens)] = [
                 (h[0], h[0][0], h[2], (rank[h[0][0]], h[0][1])) for h in holders
-                if h[1] <= start < h[2] and (not tokens or h[3] >= tokens)]
+                if h[1] <= start < h[2] and h[3] >= tokens]
         best = None
         for gpu, inst, c_hi, order in found:
             if gpu == dst:
@@ -267,7 +269,10 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     pulled from old holders (departing copies first, then load-balanced);
     whatever a GPU holds beyond its own new requirement is freed once the
     owning round completes.  Pieces are derived per layer block and expanded
-    to one `Transfer` per layer only when emitted.
+    to one `Transfer` per layer only when emitted.  Both kinds take the same
+    passes (`ContextInventory.by_request`); only the output tells them
+    apart: model transfers carry no request and 0 tokens and are kept per
+    layer, like model releases, while cache releases go to the cache round.
 
     Model and cache pieces share `sender_load` and `send_budget`, and a GPU's
     cache pieces are covered before the next GPU's model pieces, so the KV
@@ -282,107 +287,85 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     gpus = sorted(old_layout, key=lambda g: (rank[g[0]], g[1]))
     den = math.lcm(target.tensor_shards, *(inv.den for inv in old_layout.values()))
 
-    have: dict[GpuRef, tuple] = {}  # gpu -> (model blocks, {request: cache blocks})
-    need: dict[GpuRef, tuple] = {}
-    for gpu in gpus:
-        inv = old_layout[gpu]
+    def scaled(inv: ContextInventory) -> dict[str | None, list]:
         k = den // inv.den
-        have[gpu] = (_scaled_blocks(inv.model, k),
-                     {rid: _scaled_blocks(rects, k) for rid, rects in inv.cache.items()})
-        pos = mapping.assignment.get(gpu)
-        req = (ContextInventory.empty() if pos is None
-               else required_context(target, pos, model, inherited.get(pos.pipeline, ())))
-        k = den // req.den
-        need[gpu] = (_scaled_blocks(req.model, k),
-                     {rid: _scaled_blocks(rects, k) for rid, rects in req.cache.items()})
+        return {rid: _scaled_blocks(rects, k) for rid, rects in inv.by_request().items()}
 
-    model_holders = _holder_index([(gpu, have[gpu][0]) for gpu in gpus])
-    cache_holders = {
-        rid: _holder_index([(gpu, have[gpu][1][rid]) for gpu in gpus if rid in have[gpu][1]])
-        for rid in {rid for gpu in gpus for rid in have[gpu][1]}}
+    have = {gpu: scaled(old_layout[gpu]) for gpu in gpus}  # gpu -> {request: blocks}
+    need = {}
+    for gpu in gpus:
+        pos = mapping.assignment.get(gpu)
+        need[gpu] = scaled(ContextInventory.empty() if pos is None else
+                           required_context(target, pos, model, inherited.get(pos.pipeline, ())))
+    holders = {rid: _holder_index([(gpu, have[gpu][rid]) for gpu in gpus if rid in have[gpu]])
+               for rid in {rid for held in have.values() for rid in held}}
 
     # One pass to size every receiver's incoming volume: the busiest receiver
     # link bounds the migration makespan no matter how sources are picked, so
     # the source chooser can favor departing copies up to that same volume
     # without making a departing sender the bottleneck.
-    bpl, per_token = model.bytes_per_layer, model.kv_bytes_per_token_per_layer
-    needs: list[tuple] = []  # (dst, kind, first, end, [(lo, hi, unit bytes, tokens)], rid)
+    needs: list[tuple] = []  # (dst, request, first, end, [(lo, hi, unit bytes, tokens)])
     incoming: dict[str, float] = {}
     for gpu in gpus:
-        held_model, held_cache = have[gpu]
-        need_model, need_cache = need[gpu]
-        wants = []
-        for l0, l1, entries in need_model:
-            wants.append(("model", None, l0, l1, held_model,
-                          [(lo, hi, bpl, 0) for lo, hi in entries]))
-        for rid, blocks in need_cache.items():
-            for l0, l1, entries in blocks:
-                wants.append(("cache", rid, l0, l1, held_cache.get(rid, ()),
-                              [(lo, hi, per_token * tokens, tokens) for lo, hi, tokens in entries]))
-        for kind, rid, l0, l1, held, entries in wants:
-            for s0, s1, cuts in _segments(l0, l1, held):
-                pieces = [(p_lo, p_hi, unit, tokens) for lo, hi, unit, tokens in entries
-                          for p_lo, p_hi in uncovered(lo, hi, [c for c in cuts
-                                                               if not tokens or c[2] >= tokens])]
-                if not pieces:
-                    continue
-                needs.append((gpu, kind, s0, s1, pieces, rid))
-                sizes = [(p_hi - p_lo) * unit / den for p_lo, p_hi, unit, _ in pieces]
-                total = incoming.get(gpu[0], 0.0)
-                for _ in range(s0, s1):
-                    for size in sizes:
-                        total += size
-                incoming[gpu[0]] = total
+        for rid, wanted in need[gpu].items():
+            weight = model.unit_bytes(rid)
+            for l0, l1, entries in wanted:
+                for s0, s1, cuts in _segments(l0, l1, have[gpu].get(rid, ())):
+                    pieces = [(p_lo, p_hi, weight * tokens, tokens) for lo, hi, tokens in entries
+                              for p_lo, p_hi in uncovered(lo, hi, [c for c in cuts
+                                                                   if c[2] >= tokens])]
+                    if not pieces:
+                        continue
+                    needs.append((gpu, rid, s0, s1, pieces))
+                    sizes = [(p_hi - p_lo) * unit / den for p_lo, p_hi, unit, _ in pieces]
+                    total = incoming.get(gpu[0], 0.0)
+                    for _ in range(s0, s1):
+                        for size in sizes:
+                            total += size
+                    incoming[gpu[0]] = total
     send_budget = max(incoming.values(), default=0.0)
 
     # every cover bound is a bound of some held or needed entry
-    bounds = {n for model_blocks, cache_blocks in (*have.values(), *need.values())
-              for blocks in (model_blocks, *cache_blocks.values())
+    bounds = {n for by_request in (*have.values(), *need.values())
+              for blocks in by_request.values()
               for _, _, entries in blocks for entry in entries for n in entry[:2]}
     frac = {n: Fraction(n, den) for n in bounds}
 
     model_transfers: dict[int, list[Transfer]] = {}
     cache_transfers: list[Transfer] = []
     sender_load = dict.fromkeys(rank, 0.0)  # bytes each instance is scheduled to send
-    for dst, kind, s0, s1, pieces, rid in needs:
-        index = model_holders if kind == "model" else cache_holders.get(rid, {})
+    for dst, rid, s0, s1, pieces in needs:
+        index = holders.get(rid, {})
+        kind = "model" if rid is None else "cache"
         for layer in range(s0, s1):
             block = index.get(layer)
-            out = model_transfers.setdefault(layer, []) if kind == "model" else cache_transfers
+            out = model_transfers.setdefault(layer, []) if rid is None else cache_transfers
             for lo, hi, unit, tokens in pieces:
                 for src, c_lo, c_hi in _cover_from_holders(lo, hi, block, tokens, dst, unit, den,
                                                            sender_load, rank, departing,
                                                            send_budget):
                     out.append(Transfer(kind, layer, frac[c_lo], frac[c_hi], src, dst,
-                                        (c_hi - c_lo) * unit / den, rid, tokens))
+                                        (c_hi - c_lo) * unit / den, rid,
+                                        0 if rid is None else tokens))
 
     layer_releases: dict[int, dict[str, float]] = {}
     cache_releases: dict[str, float] = {}
     for gpu in gpus:
         inst = gpu[0]
-        held_model, held_cache = have[gpu]
-        need_model, need_cache = need[gpu]
-        for l0, l1, entries in held_model:
-            for s0, s1, wanted in _segments(l0, l1, need_model):
-                extras = [((hi - lo) - sum(max(0, min(hi, n_hi) - max(lo, n_lo))
-                                           for n_lo, n_hi in wanted)) * bpl / den
-                          for lo, hi in entries]
-                for layer in range(s0, s1):
-                    for extra in extras:
-                        if extra > 0:
-                            rel = layer_releases.setdefault(layer, {})
-                            rel[inst] = rel.get(inst, 0.0) + extra
-        for rid, blocks in held_cache.items():
-            for l0, l1, entries in blocks:
-                for s0, s1, wanted in _segments(l0, l1, need_cache.get(rid, ())):
+        for rid, held in have[gpu].items():
+            weight = model.unit_bytes(rid)
+            for l0, l1, entries in held:
+                for s0, s1, wanted in _segments(l0, l1, need[gpu].get(rid, ())):
                     extras = [((hi - lo) * tokens
                                - sum(max(0, min(hi, n_hi) - max(lo, n_lo)) * min(tokens, n_tokens)
-                                     for n_lo, n_hi, n_tokens in wanted)) * per_token / den
+                                     for n_lo, n_hi, n_tokens in wanted)) * weight / den
                               for lo, hi, tokens in entries]
-                    for _ in range(s0, s1):
+                    for layer in range(s0, s1):
                         for extra in extras:
                             if extra > 0:
-                                cache_releases[inst] = cache_releases.get(inst, 0.0) + extra
+                                rel = (layer_releases.setdefault(layer, {}) if rid is None
+                                       else cache_releases)
+                                rel[inst] = rel.get(inst, 0.0) + extra
 
     return model_transfers, cache_transfers, layer_releases, cache_releases
 

@@ -81,9 +81,6 @@ class WorkloadSpec:
 
 
 POLICIES = ("spotserve", "rerouting", "reparallelization")
-CONFIG_KEYS = ("profile", "trace", "workload", "policy", "duration", "pool_size",
-               "gpus_per_instance", "u_max", "s_in", "s_out", "grace_default", "ready_default",
-               "rate_source", "rate_window", "rerouting_shape", "disable")
 WORKLOAD_KEYS = ("kind", "rate", "cv", "seed", "path")
 ABLATION_FEATURES = ("controller", "planner", "arranger", "mapper")
 
@@ -129,6 +126,27 @@ class SimConfig:
             self.rate_source = "estimated"
 
 
+# The optional config keys, each named as its `SimConfig` field, with the
+# converter of its JSON value; a key left out takes the field's default.
+_OPTIONAL = {
+    "policy": lambda value: value,
+    "duration": float,
+    "pool_size": int,
+    "gpus_per_instance": int,
+    "u_max": lambda value: None if value is None else float(value),
+    "s_in": int,
+    "s_out": int,
+    "grace_default": float,
+    "ready_default": float,
+    "rate_source": lambda value: value,
+    "rate_window": float,
+    "rerouting_shape": lambda shape: (None if shape is None
+                                      else (int(shape[0]), int(shape[1]), int(shape[2]))),
+    "disable": tuple,
+}
+CONFIG_KEYS = ("profile", "trace", "workload", *_OPTIONAL)
+
+
 def simconfig_from_dict(doc: dict, base_dir: str | Path = ".") -> SimConfig:
     base = Path(base_dir)
 
@@ -149,24 +167,11 @@ def simconfig_from_dict(doc: dict, base_dir: str | Path = ".") -> SimConfig:
             seed=wl.get("seed"),
             path=resolve(wl["path"]) if wl.get("path") else None,
         )
-        shape = doc.get("rerouting_shape")
         return SimConfig(
             profile_path=resolve(doc["profile"]),
             trace_path=resolve(doc["trace"]),
             workload=workload,
-            policy=doc.get("policy", "spotserve"),
-            duration=float(doc.get("duration", 1200.0)),
-            pool_size=int(doc.get("pool_size", 2)),
-            gpus_per_instance=int(doc.get("gpus_per_instance", 4)),
-            u_max=None if doc.get("u_max") is None else float(doc["u_max"]),
-            s_in=int(doc.get("s_in", 512)),
-            s_out=int(doc.get("s_out", 128)),
-            grace_default=float(doc.get("grace_default", 30.0)),
-            ready_default=float(doc.get("ready_default", 120.0)),
-            rate_source=doc.get("rate_source", "declared"),
-            rate_window=float(doc.get("rate_window", 30.0)),
-            rerouting_shape=None if shape is None else (int(shape[0]), int(shape[1]), int(shape[2])),
-            disable=tuple(doc.get("disable", ())),
+            **{key: convert(doc[key]) for key, convert in _OPTIONAL.items() if key in doc},
         )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, SimConfigError):

@@ -564,11 +564,14 @@ class AdaptivePolicy:
     def on_commit(self, engine: Engine, payload: dict):
         target: ParallelConfig = payload["target"]
         mapping: DeviceMapping = payload["mapping"]
-        first_boot = engine.config is None
+        if not engine.holdings:
+            # first boot: nothing is installed, so nothing moves or stalls
+            payload["entry"][2] = 0.0
+            engine.resume_at(engine.now, target, mapping)
+            return
 
         migrate_groups: dict[int, list[RequestRecord]] = {}
         release: dict[str, float] = {}  # per-instance earliest transfer time
-        commit_start = engine.now
         drop_cache: list[RequestRecord] = []
 
         def note_release(pipeline_d: int, t: float):
@@ -577,47 +580,45 @@ class AdaptivePolicy:
                     inst = engine.assignment[pos][0]
                     release[inst] = max(release.get(inst, engine.now), t)
 
-        base = None
-        if not first_boot:
-            # One cache-free derivation serves the whole commit: the
-            # participants, and every plan whose cache holds no entries.
-            base = self._base_derivation(engine, mapping)
-            deadline = payload.get("grace_deadline")
-            affected = self._affected_pipelines(engine, base)
-            t_mig_est = self._estimate_full_migration(engine, mapping, base) if deadline else 0.0
-            for batch in engine.all_batches():
-                if batch.pipeline not in affected:
-                    continue  # untouched pipelines keep serving, pause at commit
-                stop_t, iters, action = self._arrange_batch(engine, batch, deadline, t_mig_est)
-                survivors = engine.pause_batch(batch, iters)
-                if not survivors:
-                    note_release(batch.pipeline, min(stop_t, batch.boundary(iters)))
-                    continue
-                note_release(batch.pipeline, stop_t)
-                if action == "migrate_with_cache":
-                    migrate_groups.setdefault(batch.pipeline, []).extend(survivors)
-                else:
-                    drop_cache.extend(survivors)
-            if deadline is not None and self._use("arranger"):
-                self._feed_during_grace(engine, deadline, t_mig_est, affected, note_release)
-            commit_start = max([engine.now] + list(release.values()))
-            # Batches on untouched pipelines carry across the commit: they
-            # pause at their first boundary past the cutover and keep their
-            # cache, which is already in place and adds no transfers.  A batch
-            # whose slot starts beyond the cutover never ran at all: its
-            # requests go back to the queue head as if never dispatched.
-            for batch in engine.all_batches():
-                if batch.seg_start >= commit_start - 1e-9:
-                    engine.drop_batch(batch)
-                    for r in batch.requests:
-                        if r.dispatch == batch.seg_start:
-                            r.dispatch = None
-                    engine.requeue(batch.requests, reset_progress=False)
-                    continue
-                _, iters = batch.next_boundary(commit_start)
-                survivors = engine.pause_batch(batch, iters)
-                if survivors:
-                    migrate_groups.setdefault(batch.pipeline, []).extend(survivors)
+        # One cache-free derivation serves the whole commit: the
+        # participants, and every plan whose cache holds no entries.
+        base = self._base_derivation(engine, mapping)
+        deadline = payload.get("grace_deadline")
+        affected = self._affected_pipelines(engine, base)
+        t_mig_est = self._estimate_full_migration(engine, mapping, base) if deadline else 0.0
+        for batch in engine.all_batches():
+            if batch.pipeline not in affected:
+                continue  # untouched pipelines keep serving, pause at commit
+            stop_t, iters, action = self._arrange_batch(engine, batch, deadline, t_mig_est)
+            survivors = engine.pause_batch(batch, iters)
+            if not survivors:
+                note_release(batch.pipeline, min(stop_t, batch.boundary(iters)))
+                continue
+            note_release(batch.pipeline, stop_t)
+            if action == "migrate_with_cache":
+                migrate_groups.setdefault(batch.pipeline, []).extend(survivors)
+            else:
+                drop_cache.extend(survivors)
+        if deadline is not None and self._use("arranger"):
+            self._feed_during_grace(engine, deadline, t_mig_est, affected, note_release)
+        commit_start = max([engine.now] + list(release.values()))
+        # Batches on untouched pipelines carry across the commit: they
+        # pause at their first boundary past the cutover and keep their
+        # cache, which is already in place and adds no transfers.  A batch
+        # whose slot starts beyond the cutover never ran at all: its
+        # requests go back to the queue head as if never dispatched.
+        for batch in engine.all_batches():
+            if batch.seg_start >= commit_start - 1e-9:
+                engine.drop_batch(batch)
+                for r in batch.requests:
+                    if r.dispatch == batch.seg_start:
+                        r.dispatch = None
+                engine.requeue(batch.requests, reset_progress=False)
+                continue
+            _, iters = batch.next_boundary(commit_start)
+            survivors = engine.pause_batch(batch, iters)
+            if survivors:
+                migrate_groups.setdefault(batch.pipeline, []).extend(survivors)
         engine.requeue(drop_cache, reset_progress=True)
 
         movers = [r for d in sorted(migrate_groups) for r in migrate_groups[d]]
@@ -638,7 +639,7 @@ class AdaptivePolicy:
         }
 
         stall, t_full = self._plan_and_cost(engine, mapping, base, old_cache, inherited,
-                                            packed, target, first_boot, release)
+                                            packed, target, release)
         payload["entry"][2] = t_full
         engine.resume_at(max(engine.now + stall, commit_start), target, mapping, packed)
 
@@ -772,9 +773,7 @@ class AdaptivePolicy:
     def _plan_and_cost(self, engine: Engine, mapping: DeviceMapping, base: tuple | None,
                        old_cache: dict[int, list[RequestRecord]], inherited: dict,
                        packed: dict[int, list[RequestRecord]], target: ParallelConfig,
-                       first_boot: bool, release: dict[str, float]) -> tuple[float, float]:
-        if first_boot:
-            return 0.0, 0.0
+                       release: dict[str, float]) -> tuple[float, float]:
         with_cache = self._use("arranger")
         plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
                           inherited if with_cache else {},
@@ -906,11 +905,9 @@ class ReparallelizationPolicy:
 
     def on_commit(self, engine: Engine, payload):
         target: ParallelConfig = payload["target"]
-        first_boot = engine.config is None
         engine.restart_batches(engine.all_batches())
-        stall = 0.0
-        if not first_boot:
-            stall = restart_cost(engine.profile, "local_disk")
+        # every restart but the first boot reloads the model from local disk
+        stall = restart_cost(engine.profile, "local_disk") if engine.holdings else 0.0
         payload["entry"][2] = stall
         self.serving = set(payload["serving"])
         live = [gpu for inst in engine.instances_by("active", "allocating")

@@ -91,3 +91,13 @@ def test_bundled_plans_match_golden_digest(case):
         cfg = replace(cfg, disable=dict(ABLATION_VARIANTS)[value])
     digests = tool.plan_digests(cfg)
     assert (len(digests), tool.combined_digest(digests)) == GOLDEN_PLANS[case]
+
+
+def test_plan_digests_prints_one_block_per_config(capsys):
+    """Each `--config` gets a `config PATH` header, then its own lines."""
+    tool = _plan_digests_tool()
+    path = str(bundled_path("scenario_bs.json"))
+    assert tool.main(["--config", path, "--config", path, "--policy", "rerouting"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"config {path}" and lines[1] == "all 0 " + tool.combined_digest([])
+    assert len(lines) == 10 and lines[5:] == lines[:5]

@@ -15,7 +15,8 @@ from spotsim.domain import (
     positions,
     required_context,
 )
-from spotsim.mapping import default_inheritance, map_devices
+import spotsim.mapping as mapping_module
+from spotsim.mapping import build_graph, default_inheritance, map_devices
 from spotsim.migration import derive_transfers, plan_migration
 
 from fraction_oracle import intersect
@@ -23,10 +24,10 @@ from fraction_oracle import intersect
 GPUS_PER_INSTANCE = 4
 
 
-def reshaped_fleet():
+def fleet():
     """(12,2,8) served on 48 instances with four requests in flight per
-    pipeline; the last four instances are departing and the rest map onto
-    (11,4,4)."""
+    pipeline, to be reshaped to (11,4,4); the last four instances are
+    departing."""
     model = load_profile(bundled_path("llama-30b")).model
     old, target = ParallelConfig(12, 2, 8, 4), ParallelConfig(11, 4, 4, 4)
     gpus = [(f"i-{k}", g) for k in range(1, 49) for g in range(GPUS_PER_INSTANCE)]
@@ -38,13 +39,34 @@ def reshaped_fleet():
               for gpu, pos in zip(gpus, positions(old))}
     departing = frozenset(f"i-{k}" for k in range(45, 49))
     survivors = {gpu: held for gpu, held in layout.items() if gpu[0] not in departing}
+    inheritance = default_inheritance(old.data_parallel, target.data_parallel)
+    return model, target, layout, survivors, departing, requests, cache, inheritance
+
+
+def reshaped_fleet():
+    """The fleet's survivors mapped onto (11,4,4), and the plan that gets there."""
+    model, target, layout, survivors, departing, requests, cache, inheritance = fleet()
     mapping = map_devices(survivors, target, model, GPUS_PER_INSTANCE,
-                          inheritance=default_inheritance(old.data_parallel, target.data_parallel),
-                          requests_by_old_pipeline=requests)
+                          inheritance=inheritance, requests_by_old_pipeline=requests)
     inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
     derived = derive_transfers(mapping, layout, model, inherited, departing=departing)
     plan = plan_migration(mapping, layout, model, derived, u_max=4e9)
     return model, target, mapping, layout, inherited, plan
+
+
+def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
+    """Every weight of the fleet's graph comes from the rectangle arrays: no
+    cell reaches the bound past which `build_graph` calls `overlap_bytes`."""
+    model, target, _, survivors, _, requests, _, inheritance = fleet()
+    calls = []
+    overlap = mapping_module.overlap_bytes
+
+    def counted(*args):
+        calls.append(args)
+        return overlap(*args)
+    monkeypatch.setattr(mapping_module, "overlap_bytes", counted)
+    graph = build_graph(survivors, target, model, inheritance, requests)
+    assert len(graph.gpus) == 176 and not calls
 
 
 def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():

@@ -14,6 +14,7 @@ from spotsim.simconfig import (
     WorkloadSpec,
     load_simconfig,
     load_trace,
+    simconfig_from_dict,
 )
 from spotsim.simulator import AdaptivePolicy, Engine, run
 from spotsim.workload import save_arrivals
@@ -221,6 +222,13 @@ class TestSimConfig:
         assert cfg.workload.kind == "fixed_rate"
         assert cfg.rerouting_shape == (2, 8, 2)
 
+    def test_required_keys_alone_take_simconfig_defaults(self, tmp_path):
+        wl = {"kind": "fixed_rate", "rate": 0.3, "cv": 1.0, "seed": 1}
+        cfg = simconfig_from_dict({"profile": "p.json", "trace": "t.jsonl", "workload": wl},
+                                  tmp_path)
+        assert cfg == SimConfig(profile_path=str(tmp_path / "p.json"),
+                                trace_path=str(tmp_path / "t.jsonl"), workload=WorkloadSpec(**wl))
+
     def test_declared_rate_needs_fixed_workload(self, tmp_path):
         apath = tmp_path / "a.jsonl"
         save_arrivals([(1.0, 8, 8)], apath)
@@ -326,22 +334,28 @@ def test_holdings_store_after_bundled_run(monkeypatch):
                                for pos, gpu in engine.assignment.items()}
 
 
-def test_suspension_keeps_holdings_for_the_reboot(tmp_path, monkeypatch):
+def suspension_config(tmp_path, policy):
     """Three 4-GPU instances serve gpt-20b as (1,3,4,1).  Losing i-1 at t=100
-    leaves two instances, which no gpt-20b shape fits, so service suspends.
-    When i-3 is announced at t=200 the mapper reuses the model context i-0 and
-    i-2 kept through the suspension."""
+    leaves two instances, which no gpt-20b shape fits, so service suspends
+    until i-3, announced at t=200, is ready."""
     events = (boot_events(3)
               + [{"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 0.0},
                  {"t": 200.0, "kind": "acquire", "id": "i-3", "ready_in": 30.0}])
     trace = tmp_path / "trace.jsonl"
     write_trace(trace, events)
-    cfg = SimConfig(
+    return SimConfig(
         profile_path=str(bundled_path("gpt-20b")),
         trace_path=str(trace),
         workload=WorkloadSpec(kind="fixed_rate", rate=0.05, cv=1.0, seed=1),
-        policy="spotserve", duration=600.0, gpus_per_instance=4,
+        policy=policy, duration=600.0, gpus_per_instance=4,
     )
+
+
+def test_suspension_keeps_holdings_for_the_reboot(tmp_path, monkeypatch):
+    """When i-3 is announced the mapper reuses the model context i-0 and i-2
+    kept through the suspension.  The stage whose only copy left with i-1 is
+    on no live GPU, so the reboot is not a first boot: it reloads from
+    remote storage."""
     mappings = {}
     compute_mapping = AdaptivePolicy.compute_mapping
 
@@ -349,12 +363,24 @@ def test_suspension_keeps_holdings_for_the_reboot(tmp_path, monkeypatch):
         mappings[engine.now] = mapping = compute_mapping(policy, engine, target)
         return mapping
     monkeypatch.setattr(AdaptivePolicy, "compute_mapping", recorded)
-    report = run(cfg)
+    report = run(suspension_config(tmp_path, "spotserve"))
+    profile = load_profile(bundled_path("gpt-20b"))
     assert [(t, shape, t_mig) for t, shape, t_mig in report.reconfigurations] == [
-        (0.0, (1, 3, 4, 1), 0.0), (200.0, (1, 3, 4, 1), 0.0)]
+        (0.0, (1, 3, 4, 1), 0.0), (200.0, (1, 3, 4, 1), restart_cost(profile, "remote_storage"))]
     assert sorted(mappings) == [0.0, 200.0]
     # the model bytes i-0 and i-2 still hold: 25,397,727,270 + 23,704,545,452
     assert mappings[200.0].total_weight == 49_102_272_722.0
+    assert (report.completed, report.arrived) == (26, 28)
+
+
+def test_reparallelization_reboot_after_suspension_restarts(tmp_path):
+    """A reparallelization restart after a suspension reloads from local
+    disk like every restart but the first boot."""
+    report = run(suspension_config(tmp_path, "reparallelization"))
+    profile = load_profile(bundled_path("gpt-20b"))
+    assert [(t, shape, t_mig) for t, shape, t_mig in report.reconfigurations] == [
+        (0.0, (1, 3, 4, 1), 0.0), (200.0, (1, 3, 4, 1), restart_cost(profile, "local_disk"))]
+    assert (report.completed, report.arrived) == (26, 28)
 
 
 def test_one_cache_free_derivation_per_commit(monkeypatch):

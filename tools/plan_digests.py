@@ -13,8 +13,10 @@ writes, as `tests/test_golden.py` hashes them.  Two source trees whose
 simulations emit byte-identical mappings, plans and reports, from as many
 derivations, print the same lines, so one `diff` of this output compares them.
 
-Run from the repo root:
-    PYTHONPATH=src python tools/plan_digests.py [--config PATH] [--rate R]
+`--config` may be given several times (the bundled scenario when it is not
+given); each config's lines follow a `config PATH` header, and `--rate`,
+`--policy` and `--disable` apply to every config.  Run from the repo root:
+    PYTHONPATH=src python tools/plan_digests.py [--config PATH ...] [--rate R]
         [--policy spotserve|rerouting|reparallelization] [--disable controller,planner,...]
 
 Only spotserve maps devices and builds migration plans; the other policies
@@ -97,25 +99,28 @@ def combined_digest(digests: list[str]) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--config", default=str(bundled_path("scenario_bs.json")))
+    ap.add_argument("--config", action="append",
+                    help="simulation config; repeat for several (default: bundled scenario)")
     ap.add_argument("--rate", type=float, help="override a fixed_rate workload's rate")
     ap.add_argument("--policy", choices=POLICIES, help="override the config's policy")
     ap.add_argument("--disable", default="", help="comma-separated spotserve features")
     args = ap.parse_args(argv)
-    cfg = load_simconfig(args.config)
-    if args.rate is not None:
-        cfg = replace(cfg, workload=replace(cfg.workload, rate=args.rate))
-    if args.policy is not None:
-        cfg = replace(cfg, policy=args.policy)
-    if args.disable:
-        cfg = replace(cfg, disable=tuple(args.disable.split(",")))
-    report, digests, derivations, mappings = recorded_run(cfg)
-    for i, digest in enumerate(digests):
-        print(f"plan {i} {digest}")
-    print(f"all {len(digests)} {combined_digest(digests)}")
-    print(f"derivations {derivations}")
-    print(f"mappings {len(mappings)} {combined_digest(mappings)}")
-    print(f"report {report_digest(report)}")
+    for path in args.config or [str(bundled_path("scenario_bs.json"))]:
+        cfg = load_simconfig(path)
+        if args.rate is not None:
+            cfg = replace(cfg, workload=replace(cfg.workload, rate=args.rate))
+        if args.policy is not None:
+            cfg = replace(cfg, policy=args.policy)
+        if args.disable:
+            cfg = replace(cfg, disable=tuple(args.disable.split(",")))
+        report, digests, derivations, mappings = recorded_run(cfg)
+        print(f"config {path}")
+        for i, digest in enumerate(digests):
+            print(f"plan {i} {digest}")
+        print(f"all {len(digests)} {combined_digest(digests)}")
+        print(f"derivations {derivations}")
+        print(f"mappings {len(mappings)} {combined_digest(mappings)}")
+        print(f"report {report_digest(report)}")
     return 0
 
 
