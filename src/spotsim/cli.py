@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .costmodel import ProfileError
 from .metrics import write_request_csv, write_summary_json
 from .simconfig import (
     POLICIES,
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SimConfigError, TraceError, WorkloadError, FileNotFoundError) as e:
+    except (SimConfigError, TraceError, ProfileError, WorkloadError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure

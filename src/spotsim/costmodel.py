@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import ModelSpec, ParallelConfig
+from .domain import STORAGE, ModelSpec, ParallelConfig
 
 HOUR = 3600.0
 
@@ -29,6 +29,10 @@ class CostModelError(ValueError):
 
 class ProfileMissError(CostModelError):
     """A (P,M,B) shape or s_in entry is not covered by the profile."""
+
+
+class ProfileError(CostModelError):
+    """A profile file that does not read as a valid profile."""
 
 
 @dataclass(frozen=True)
@@ -176,10 +180,15 @@ def plan_timeline(plan, profile: PerfProfile, release: dict[str, float] | None =
     transfers adds one fixed latency, and round completions are monotone so
     stage-start markers stay meaningful.
 
+    `STORAGE`'s sends share one out-link that loads the whole model in
+    `restart_cost(profile, "remote_storage")`, the cost of a full reload.
+
     `release` gives per-instance earliest transfer times (an instance still
     finishing arranged decode work frees its link only when it stops).
     """
     release = release or {}
+    storage_s_per_byte = (restart_cost(profile, "remote_storage")
+                          / profile.model.total_param_bytes)
     out_free: dict[str, float] = {}
     in_free: dict[str, float] = {}
     ends: list[float] = []
@@ -194,7 +203,8 @@ def plan_timeline(plan, profile: PerfProfile, release: dict[str, float] | None =
             moved = True
             begin = max(out_free.get(src, release.get(src, start)),
                         in_free.get(dst, release.get(dst, start)))
-            fin = begin + tr.bytes / profile.bandwidth
+            fin = begin + (tr.bytes * storage_s_per_byte if tr.src == STORAGE
+                           else tr.bytes / profile.bandwidth)
             out_free[src] = fin
             in_free[dst] = fin
             end = max(end, fin)
@@ -344,8 +354,11 @@ def profile_to_dict(profile: PerfProfile) -> dict:
 
 
 def load_profile(path: str | Path) -> PerfProfile:
-    with open(path) as f:
-        return profile_from_dict(json.load(f))
+    try:
+        with open(path) as f:
+            return profile_from_dict(json.load(f))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ProfileError(f"{path}: bad profile: {type(e).__name__}: {e}") from None
 
 
 def save_profile(profile: PerfProfile, path: str | Path):

@@ -38,6 +38,12 @@ from fractions import Fraction
 # A GPU is addressed as (instance id, local gpu index).
 GpuRef = tuple[str, int]
 
+# Remote storage as a plan's sender of model pieces no live GPU holds; no
+# instance may take its id.
+STORAGE: GpuRef = ("storage", 0)
+
+INSTANCE_KINDS = ("spot", "ondemand")
+
 
 class DomainError(ValueError):
     """Raised for values that violate a domain invariant."""
@@ -334,7 +340,7 @@ class InstanceState:
     _STATUSES = ("allocating", "active", "grace_preempting", "released")
 
     def __post_init__(self):
-        if self.kind not in ("spot", "ondemand"):
+        if self.kind not in INSTANCE_KINDS:
             raise DomainError(f"unknown instance kind {self.kind!r}")
         if self.status not in self._STATUSES:
             raise DomainError(f"unknown status {self.status!r}")

@@ -2,7 +2,10 @@
 
 A plan moves whatever context the device mapping could not reuse.  Model
 context is treated as the KV cache of request None with one token, so model
-and cache pieces are derived in the same passes.  Planning has two steps.
+and cache pieces are derived in the same passes.  Remote storage (`STORAGE`)
+sends the model pieces no live GPU holds.  KV cache has no such holder: a
+cache piece without a live copy raises `MigrationError`.  Planning has two
+steps.
 `derive_transfers` decides what moves: the per-layer model and cache
 transfers and the end-of-round releases of one mapping over one layout.
 `plan_migration` assembles a given derivation into rounds: one round of
@@ -31,6 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .domain import (
+    STORAGE,
     ContextInventory,
     GpuRef,
     Layout,
@@ -213,7 +217,7 @@ def _holder_index(blocks_by_gpu) -> dict[int, tuple[list, dict]]:
 
 def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_bytes: int,
                         den: int, load: dict[str, float], rank: dict, departing: frozenset[str],
-                        send_budget: float) -> list[tuple[GpuRef, int, int]]:
+                        send_budget: float, stored: bool) -> list[tuple[GpuRef, int, int]]:
     """Split the grid piece [lo, hi) across the holder GPUs of its layer block.
 
     Senders are chosen per sub-piece: a copy on the destination's own instance
@@ -222,8 +226,9 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
     stays within the busiest receiver's volume, so it never becomes the
     bottleneck; then the holder instance with the fewest bytes already
     scheduled to send, so replicated shards spread across senders instead of
-    draining one replica.  Deterministic throughout; raises when some
-    sub-piece has no live copy.
+    draining one replica.  A sub-piece no live copy holds comes from
+    `STORAGE` up to the next live copy's lower bound when the piece is
+    `stored` (model context); otherwise it raises.  Deterministic throughout.
     """
     holders, memo = block or ((), {})
     here = dst[0]
@@ -249,9 +254,10 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
             if best is None or key < best[0]:
                 best = (key, gpu, end)
         if best is None:
-            raise MigrationError(
-                f"no source holds required shard [{Fraction(start, den)},{Fraction(hi, den)}): "
-                "layout inconsistent with mapping")
+            if not stored:
+                raise MigrationError(f"no source holds required shard [{Fraction(start, den)},"
+                                     f"{Fraction(hi, den)}): layout inconsistent with mapping")
+            best = (None, STORAGE, min([h[1] for h in holders if start < h[1] < hi], default=hi))
         _, gpu, end = best
         out.append((gpu, start, end))
         if gpu[0] != here:
@@ -266,13 +272,14 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     """Per-layer model transfers, cache transfers, and end-of-round releases.
 
     For every assigned GPU the non-reused part of its required context is
-    pulled from old holders (departing copies first, then load-balanced);
-    whatever a GPU holds beyond its own new requirement is freed once the
-    owning round completes.  Pieces are derived per layer block and expanded
-    to one `Transfer` per layer only when emitted.  Both kinds take the same
-    passes (`ContextInventory.by_request`); only the output tells them
-    apart: model transfers carry no request and 0 tokens and are kept per
-    layer, like model releases, while cache releases go to the cache round.
+    pulled from old holders (departing copies first, then load-balanced),
+    and a model piece no old holder has from `STORAGE`; whatever a GPU holds
+    beyond its own new requirement is freed once the owning round completes.
+    Pieces are derived per layer block and expanded to one `Transfer` per
+    layer only when emitted.  Both kinds take the same passes
+    (`ContextInventory.by_request`); only the output tells them apart: model
+    transfers carry no request and 0 tokens and are kept per layer, like
+    model releases, while cache releases go to the cache round.
 
     Model and cache pieces share `sender_load` and `send_budget`, and a GPU's
     cache pieces are covered before the next GPU's model pieces, so the KV
@@ -333,7 +340,7 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
 
     model_transfers: dict[int, list[Transfer]] = {}
     cache_transfers: list[Transfer] = []
-    sender_load = dict.fromkeys(rank, 0.0)  # bytes each instance is scheduled to send
+    sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)  # bytes each sender is scheduled to send
     for dst, rid, s0, s1, pieces in needs:
         index = holders.get(rid, {})
         kind = "model" if rid is None else "cache"
@@ -343,7 +350,7 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
             for lo, hi, unit, tokens in pieces:
                 for src, c_lo, c_hi in _cover_from_holders(lo, hi, block, tokens, dst, unit, den,
                                                            sender_load, rank, departing,
-                                                           send_budget):
+                                                           send_budget, rid is None):
                     out.append(Transfer(kind, layer, frac[c_lo], frac[c_hi], src, dst,
                                         (c_hi - c_lo) * unit / den, rid,
                                         0 if rid is None else tokens))

@@ -4,6 +4,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .domain import INSTANCE_KINDS, STORAGE
+
 
 class SimConfigError(ValueError):
     pass
@@ -27,6 +29,7 @@ def load_trace(path: str | Path, grace_default: float = 30.0,
                ready_default: float = 120.0) -> list[TraceEvent]:
     """Availability trace: JSON lines, one preempt/acquire event per line."""
     events = []
+    acquired = set()
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -34,31 +37,27 @@ def load_trace(path: str | Path, grace_default: float = 30.0,
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise TraceError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            try:
-                kind = doc["kind"]
+                kind, t, inst = doc["kind"], float(doc["t"]), str(doc["id"])
                 if kind == "preempt":
-                    ev = TraceEvent(
-                        t=float(doc["t"]), kind="preempt", instance_id=str(doc["id"]),
-                        grace=float(doc.get("grace", grace_default)),
-                    )
-                    if ev.grace < 0:
-                        raise ValueError("grace must be >= 0")
+                    ev = TraceEvent(t, kind, inst, grace=float(doc.get("grace", grace_default)))
                 elif kind == "acquire":
-                    ev = TraceEvent(
-                        t=float(doc["t"]), kind="acquire", instance_id=str(doc["id"]),
-                        itype=str(doc.get("itype", "spot")),
-                        ready_in=float(doc.get("ready_in", ready_default)),
-                    )
+                    ev = TraceEvent(t, kind, inst, itype=str(doc.get("itype", "spot")),
+                                    ready_in=float(doc.get("ready_in", ready_default)))
+                    if ev.itype not in INSTANCE_KINDS:
+                        raise ValueError(f"unknown itype {ev.itype!r}")
+                    if inst in acquired:
+                        raise ValueError(f"instance {inst!r} acquired twice")
+                    acquired.add(inst)
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
+                if (ev.grace or 0.0) < 0 or (ev.ready_in or 0.0) < 0:
+                    raise ValueError("grace and ready_in must be >= 0")
+                if inst == STORAGE[0]:
+                    raise ValueError(f"instance id {inst!r} names remote storage")
             except (KeyError, TypeError, ValueError) as e:
                 raise TraceError(f"{path}:{lineno}: bad trace event: {e}") from None
             events.append(ev)
-    if any(b.t < a.t for a, b in zip(events, events[1:])):
-        events.sort(key=lambda e: e.t)
-    return events
+    return sorted(events, key=lambda e: e.t)
 
 
 @dataclass

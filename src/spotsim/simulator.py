@@ -30,6 +30,12 @@ in-place cache to the new layout.  During a preemption grace the engine
 keeps feeding batches that finish before the migration must start, but only
 into the draining pipelines; a batch that drains its grace period without
 migrating does not gate the migration start.
+
+Every commit has a plan: model context no live GPU holds comes from remote
+storage (`domain.STORAGE`).  KV cache has no such copy, so at a commit the
+batches of a pipeline with a GPU on a released instance restart from token
+zero.  A commit that a later decision superseded is dropped, and one whose
+mapping names a released instance decides anew.
 """
 
 import heapq
@@ -67,7 +73,7 @@ from .mapping import (
     retain_cache,
 )
 from .metrics import MetricsReport, collect_metrics
-from .migration import MigrationError, MigrationPlan, derive_transfers, plan_migration
+from .migration import MigrationPlan, derive_transfers, plan_migration
 from .simconfig import SimConfig, TraceEvent, load_trace
 from .workload import gamma_arrivals, load_arrivals
 
@@ -204,8 +210,6 @@ class Engine:
     def _apply_status(self, group: list[TraceEvent]):
         for ev in group:
             if ev.kind == "acquire":
-                if ev.instance_id in self.instances:
-                    raise SimulationError(f"duplicate instance id {ev.instance_id}")
                 inst = InstanceState(
                     id=ev.instance_id, kind=ev.itype or "spot",
                     gpus=self.cfg.gpus_per_instance,
@@ -564,11 +568,25 @@ class AdaptivePolicy:
     def on_commit(self, engine: Engine, payload: dict):
         target: ParallelConfig = payload["target"]
         mapping: DeviceMapping = payload["mapping"]
+        superseded = payload["entry"] is not engine.reconfig_log[-1]
+        if superseded or any(engine.instances[gpu[0]].status == "released"
+                             for gpu in mapping.assignment):
+            # a later decision replaces this one, or the policy decides anew
+            engine.reconfig_log = [e for e in engine.reconfig_log if e is not payload["entry"]]
+            if not superseded:
+                self.on_trace_group(engine, [])
+            return
         if not engine.holdings:
             # first boot: nothing is installed, so nothing moves or stalls
             payload["entry"][2] = 0.0
             engine.resume_at(engine.now, target, mapping)
             return
+
+        # A pipeline that lost a GPU lost its requests' KV cache with it:
+        # they recompute, and the pipeline takes no more batches.
+        lost = {pos.pipeline for pos, gpu in engine.assignment.items()
+                if engine.instances[gpu[0]].status == "released"}
+        engine.restart_batches([b for b in engine.all_batches() if b.pipeline in lost])
 
         migrate_groups: dict[int, list[RequestRecord]] = {}
         release: dict[str, float] = {}  # per-instance earliest transfer time
@@ -582,9 +600,13 @@ class AdaptivePolicy:
 
         # One cache-free derivation serves the whole commit: the
         # participants, and every plan whose cache holds no entries.
-        base = self._base_derivation(engine, mapping)
+        base = derive_transfers(mapping, engine.layout_snapshot(None), engine.model,
+                                departing=self._departing(engine))
         deadline = payload.get("grace_deadline")
-        affected = self._affected_pipelines(engine, base)
+        participants = {inst for transfers in base[0].values() for t in transfers
+                        for inst in (t.src[0], t.dst[0])}
+        affected = {pos.pipeline for pos, gpu in engine.assignment.items()
+                    if gpu[0] in participants and pos.pipeline not in lost}
         t_mig_est = self._estimate_full_migration(engine, mapping, base) if deadline else 0.0
         for batch in engine.all_batches():
             if batch.pipeline not in affected:
@@ -638,9 +660,14 @@ class AdaptivePolicy:
             for d, reqs in sorted(packed.items())
         }
 
-        stall, t_full = self._plan_and_cost(engine, mapping, base, old_cache, inherited,
-                                            packed, target, release)
-        payload["entry"][2] = t_full
+        with_cache = self._use("arranger")
+        plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
+                          inherited if with_cache else {},
+                          engine.cfg.u_max if self._use("planner") else None)
+        payload["entry"][2] = migration_cost(plan, engine.profile)
+        stall = migration_cost(plan, engine.profile, config=target,
+                               progressive=self._use("planner"),
+                               release=release, start=engine.now)
         engine.resume_at(max(engine.now + stall, commit_start), target, mapping, packed)
 
     def _feed_during_grace(self, engine: Engine, deadline: float, t_mig_est: float,
@@ -655,16 +682,12 @@ class AdaptivePolicy:
         budget_end = deadline - t_mig_est
         step = engine.profile.decode_seconds(engine.config)
         while engine.queue:
-            best = None
-            for d, pipe in engine.pipelines.items():
-                if d not in affected:
-                    continue
-                slot = max(pipe.next_start, pipe.ready_at, engine.now)
-                if best is None or slot < best[1]:
-                    best = (pipe, slot)
-            if best is None:
+            slots = [(max(pipe.next_start, pipe.ready_at, engine.now), d)
+                     for d, pipe in engine.pipelines.items() if d in affected]
+            if not slots:
                 break
-            pipe, slot = best
+            slot, d = min(slots)
+            pipe = engine.pipelines[d]
             take = min(engine.config.batch_limit, len(engine.queue))
             head = engine.queue[:take]
             s_in = max(r.s_in for r in head)
@@ -699,58 +722,28 @@ class AdaptivePolicy:
         action = "migrate_with_cache" if arr.action_after == "migrate_with_cache" else "drop"
         return stop_t, done + arr.steps, action
 
-    def _base_derivation(self, engine: Engine, mapping: DeviceMapping) -> tuple | None:
-        """The commit's cache-free `derive_transfers` over the live layout;
-        None when some required shard has no live copy left.  Model needs and
-        holders do not depend on the cache, so then every plan of the commit
-        would fail the same way."""
-        try:
-            return derive_transfers(mapping, engine.layout_snapshot(None), engine.model,
-                                    departing=self._departing(engine))
-        except MigrationError:
-            return None
-
-    @staticmethod
-    def _affected_pipelines(engine: Engine, base: tuple | None) -> set[int]:
-        """Pipelines whose instances send or receive a model piece in the base
-        derivation; every pipeline when it failed."""
-        if base is None:
-            return set(engine.pipelines)
-        participants = {inst for transfers in base[0].values() for t in transfers
-                        for inst in (t.src[0], t.dst[0])}
-        return {pos.pipeline for pos, gpu in engine.assignment.items()
-                if gpu[0] in participants}
-
     @staticmethod
     def _departing(engine: Engine) -> frozenset[str]:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
 
-    def _plan(self, engine: Engine, mapping: DeviceMapping, base: tuple | None, cache: KvCache,
-              inherited: dict, u_max: float | None) -> MigrationPlan | None:
-        """Plan from the live layout with `cache` on top; None when some
-        required shard has no live copy left.  A plan whose cache holds no
-        entries assembles the base derivation; one that carries cache derives
-        on its own, since cache and model pieces share the sender choice."""
-        if base is None:
-            return None
+    def _plan(self, engine: Engine, mapping: DeviceMapping, base: tuple, cache: KvCache,
+              inherited: dict, u_max: float | None) -> MigrationPlan:
+        """Plan from the live layout with `cache` on top.  A plan whose cache
+        holds no entries assembles the base derivation; one that carries cache
+        derives on its own, since cache and model pieces share the sender
+        choice."""
         snapshot = engine.layout_snapshot(cache)
-        derived = base
         if any(cache.values()):
-            try:
-                derived = derive_transfers(mapping, snapshot, engine.model, inherited,
-                                           departing=self._departing(engine))
-            except MigrationError:
-                return None
-        return plan_migration(mapping, snapshot, engine.model, derived, u_max)
+            base = derive_transfers(mapping, snapshot, engine.model, inherited,
+                                    departing=self._departing(engine))
+        return plan_migration(mapping, snapshot, engine.model, base, u_max)
 
     def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping,
-                                 base: tuple | None) -> float:
+                                 base: tuple) -> float:
         """Pessimistic migration time: every in-flight request's cache moves."""
         inherited = kv_cache(engine.batch_requests_by_pipeline(engine.all_batches()))
-        plan = self._plan(engine, mapping, base, inherited, inherited, engine.cfg.u_max)
-        if plan is None:
-            return restart_cost(engine.profile, "remote_storage")
-        return migration_cost(plan, engine.profile)
+        return migration_cost(self._plan(engine, mapping, base, inherited, inherited,
+                                         engine.cfg.u_max), engine.profile)
 
     def _pack_pipelines(self, old_cache: dict[int, list[RequestRecord]],
                         target: ParallelConfig) -> dict[int, list[RequestRecord]]:
@@ -769,27 +762,6 @@ class AdaptivePolicy:
             d = min(sorted(packed), key=lambda k: (len(packed[k]), k))
             packed[d].append(r)
         return {d: reqs for d, reqs in packed.items() if reqs}
-
-    def _plan_and_cost(self, engine: Engine, mapping: DeviceMapping, base: tuple | None,
-                       old_cache: dict[int, list[RequestRecord]], inherited: dict,
-                       packed: dict[int, list[RequestRecord]], target: ParallelConfig,
-                       release: dict[str, float]) -> tuple[float, float]:
-        with_cache = self._use("arranger")
-        plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
-                          inherited if with_cache else {},
-                          engine.cfg.u_max if self._use("planner") else None)
-        if plan is None:
-            # some required shard has no live copy left: reload from storage
-            stall = restart_cost(engine.profile, "remote_storage")
-            for d in sorted(packed):
-                engine.requeue(packed[d], reset_progress=True)
-            packed.clear()
-            return stall, stall
-        t_full = migration_cost(plan, engine.profile)
-        stall = migration_cost(plan, engine.profile, config=target,
-                               progressive=self._use("planner"),
-                               release=release, start=engine.now)
-        return stall, t_full
 
 
 class ReroutingPolicy:

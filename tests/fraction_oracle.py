@@ -5,11 +5,16 @@ These are the original algorithms over the per-layer form of an inventory
 Fraction tuple per layer, plus one per request per layer for KV cache.  They
 are slow but obviously exact, so tests compare the grid implementation in
 `spotsim.domain` and `spotsim.migration` against them value for value.
+
+Storage rule: remote storage (`STORAGE`) holds every model piece.  A model
+sub-piece that no live copy holds at its start is sent by `STORAGE` up to the
+lowest bound of a live copy above that start; a cache sub-piece with no live
+copy raises `MigrationError`.
 """
 
 from fractions import Fraction
 
-from spotsim.domain import ContextInventory, natural_key, required_context
+from spotsim.domain import STORAGE, ContextInventory, natural_key, required_context
 from spotsim.migration import MigrationError, Transfer
 
 Interval = tuple[Fraction, Fraction]
@@ -68,7 +73,7 @@ def overlap_bytes(a: ContextInventory, b: ContextInventory, model) -> float:
     return float(total)
 
 
-def _cover_from_holders(piece, holders, dst, load, unit_bytes, departing, send_budget):
+def _cover_from_holders(piece, holders, dst, load, unit_bytes, departing, send_budget, stored):
     out = []
     worklist = [piece]
     while worklist:
@@ -93,11 +98,15 @@ def _cover_from_holders(piece, holders, dst, load, unit_bytes, departing, send_b
                     if best is None or key < best[0]:
                         best = (key, gpu, end)
         if best is None:
-            raise MigrationError(
-                f"no source holds required shard [{start},{seg[1]}): layout inconsistent with mapping")
+            if not stored:
+                raise MigrationError(
+                    f"no source holds required shard [{start},{seg[1]}): "
+                    "layout inconsistent with mapping")
+            above = [lo for _, intervals in holders for lo, _ in intervals if start < lo < seg[1]]
+            best = (None, STORAGE, min(above, default=seg[1]))
         _, gpu, end = best
         out.append((gpu, start, end))
-        if gpu[0] != dst[0]:
+        if gpu != STORAGE and gpu[0] != dst[0]:
             load[gpu[0]] = load.get(gpu[0], 0.0) + float((end - start) * unit_bytes)
         if end < seg[1]:
             worklist.append((end, seg[1]))
@@ -161,7 +170,7 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
                 for g, entries in cache_holders.get((rid, layer), [])
             ]
         covers = _cover_from_holders(piece, holders, dst, sender_load, unit_bytes,
-                                     departing, send_budget)
+                                     departing, send_budget, kind == "model")
         for src, c_lo, c_hi in covers:
             tr = Transfer(
                 kind=kind, layer=layer, lo=c_lo, hi=c_hi, src=src, dst=dst,

@@ -1,0 +1,61 @@
+"""Exactness of a migration plan against the layout it was planned over.
+
+Every byte an assigned GPU needs is either reused from what that GPU already
+holds or delivered by exactly one transfer.  A transfer's source is another
+GPU that holds the piece it sends (with enough tokens, for KV cache), or
+remote storage (`STORAGE`) for a model piece that no GPU of the layout holds
+any part of.
+"""
+
+from fractions import Fraction
+
+from spotsim.domain import STORAGE, required_context
+
+from fraction_oracle import intersect
+
+
+def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, int]:
+    """Assert the plan's exactness; returns how many per-layer pieces the
+    assigned GPUs need and how many transfers storage sends."""
+    # per-layer holdings: (gpu, request or None, layer) -> [(lo, hi, tokens)]
+    held: dict[tuple, list] = {}
+    live_model: dict[int, list] = {}  # layer -> model intervals some GPU holds
+    for gpu, inv in layout.items():
+        for layer, lo, hi in inv.model_shards:
+            held.setdefault((gpu, None, layer), []).append((lo, hi, 0))
+            live_model.setdefault(layer, []).append((lo, hi))
+        for rid, layer, lo, hi, tokens in inv.cache_shards:
+            held.setdefault((gpu, rid, layer), []).append((lo, hi, tokens))
+
+    received: dict[tuple, list] = {}
+    from_storage = 0
+    for t in plan.transfers():
+        assert t.dst in mapping.assignment and t.src != t.dst
+        received.setdefault((t.dst, t.request, t.layer), []).append((t.lo, t.hi))
+        if t.src == STORAGE:
+            from_storage += 1
+            assert t.request is None, t
+            assert all(intersect((t.lo, t.hi), iv) == 0 for iv in live_model.get(t.layer, ())), t
+        else:
+            # the source held the piece it sends (with enough tokens, for cache)
+            assert any(lo <= t.lo and t.hi <= hi and tokens >= t.tokens
+                       for lo, hi, tokens in held.get((t.src, t.request, t.layer), ())), t
+
+    needed = 0
+    for gpu, pos in mapping.assignment.items():
+        need = required_context(mapping.config, pos, model, inherited.get(pos.pipeline, ()))
+        wants = [(None, layer, lo, hi, 0) for layer, lo, hi in need.model_shards]
+        wants += list(need.cache_shards)
+        for rid, layer, lo, hi, tokens in wants:
+            needed += 1
+            own = [(a, b) for a, b, t in held.get((gpu, rid, layer), ()) if t >= tokens]
+            got = sorted(received.pop((gpu, rid, layer), []))
+            reused = sum(intersect((lo, hi), iv) for iv in own)
+            # delivered pieces lie inside the need, miss what is reused and
+            # never overlap each other, so reuse plus delivery is exact
+            assert all(lo <= a < b <= hi for a, b in got)
+            assert all(intersect(g, iv) == 0 for g in got for iv in own)
+            assert all(got[i][1] <= got[i + 1][0] for i in range(len(got) - 1))
+            assert reused + sum((b - a for a, b in got), Fraction(0)) == hi - lo
+    assert not received  # nothing delivered that no position needs
+    return needed, from_storage

@@ -213,3 +213,44 @@ def test_bad_arrival_record_exits_two(record, quick_config, tmp_path, capsys):
     assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "arrivals.jsonl:2" in err
+
+
+@pytest.mark.parametrize("event, message", [
+    ({"t": 5.0, "kind": "acquire", "id": "i-9", "itype": "reserved"}, "itype"),
+    ({"t": 5.0, "kind": "acquire", "id": "i-9", "ready_in": -1.0}, "ready_in"),
+    ({"t": 5.0, "kind": "acquire", "id": "i-0"}, "acquired twice"),
+    ({"t": 5.0, "kind": "preempt", "id": "storage"}, "storage"),
+], ids=["unknown-itype", "negative-ready-in", "second-acquire", "storage-id"])
+def test_bad_trace_event_exits_two(event, message, quick_config, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"t": 0.0, "kind": "acquire", "id": "i-0"}) + "\n"
+                     + json.dumps(event) + "\n")
+    doc = json.loads(quick_config.read_text())
+    doc["trace"] = str(trace)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trace.jsonl:2" in err and message in err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[:-2], "bad profile"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "t_dec"}),
+     "'t_dec'"),
+    (lambda text: json.dumps({**json.loads(text),
+                              "prices": {"spot_usd_per_hour": 0.0,
+                                         "ondemand_usd_per_hour": 3.0}}),
+     "prices must be positive"),
+], ids=["invalid-json", "missing-key", "zero-price"])
+def test_bad_profile_exits_two(corrupt, message, quick_config, tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text(corrupt(Path(bundled_path("gpt-20b")).read_text()))
+    doc = json.loads(quick_config.read_text())
+    doc["profile"] = str(profile)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "profile.json" in err and message in err
+    assert "Traceback" not in err

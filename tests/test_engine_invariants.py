@@ -1,0 +1,96 @@
+"""Engine invariants over random traces, on all three policies.
+
+After each run, on the engine's final state and on the plans the spotserve
+policy built along the way:
+- every arrival is recorded once, and an unfinished request waits in at most
+  one place (the queue or one batch);
+- every completion lies in [dispatch, horizon];
+- tokens never exceed `s_out`, and a done request has exactly `s_out`;
+- the bill equals the integral of each instance's price over the time it
+  was held, from its acquisition to its release or the horizon;
+- every plan reuses or delivers every byte its mapping needs exactly once,
+  with remote storage counted as a sender (`plan_checks`).
+
+The traces and the example budget are `test_dispatch_invariant`'s.  Each
+example that plans a transfer from storage is tagged with the hypothesis
+event "storage transfer" (`pytest --hypothesis-show-statistics`).
+"""
+
+import json
+import math
+
+from hypothesis import event, given
+from hypothesis import strategies as st
+
+from spotsim.costmodel import HOUR
+from spotsim.data import bundled_path
+from spotsim.simconfig import SimConfig, WorkloadSpec
+from spotsim.simulator import AdaptivePolicy, Engine, run
+from spotsim.workload import gamma_arrivals
+
+from plan_checks import check_delivers_once
+from test_dispatch_invariant import DURATION, SETTINGS, traces
+
+# the unwrapped methods: the monkeypatch fixture outlives a single example
+ENGINE_RUN, PLAN = Engine.run, AdaptivePolicy._plan
+
+
+def check_engine(engine: Engine, events: list[dict], arrivals: list[float]):
+    horizon = engine.cfg.duration
+    records = engine.records
+    assert len({r.id for r in records}) == len(records)
+    assert sorted(r.arrival for r in records) == sorted(arrivals)
+    waiting = [r.id for r in engine.queue] + [r.id for b in engine.all_batches()
+                                              for r in b.requests]
+    assert len(set(waiting)) == len(waiting)
+    assert not {r.id for r in records if r.done} & set(waiting)
+    for r in records:
+        assert r.tokens_generated <= r.s_out, r
+        if r.done:
+            assert r.dispatch is not None and r.dispatch <= r.completion <= horizon + 1e-9, r
+            assert r.tokens_generated == r.s_out, r
+
+    acquired = {e["id"]: e["t"] for e in events if e["kind"] == "acquire"}
+    held = {inst: (kind, start, end) for inst, kind, start, end in engine.usage}
+    assert len(held) == len(engine.usage) and set(held) == set(engine.instances)
+    bill = 0.0
+    for inst, (kind, start, end) in held.items():
+        released = engine.instances[inst].status == "released"
+        assert start == acquired[inst] and start <= end <= horizon
+        assert released or end == horizon
+        bill += (end - start) / HOUR * engine.profile.prices.rate(kind)
+    assert math.isclose(engine.report().cost.total_usd, bill, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@SETTINGS
+@given(events=traces(),
+       policy=st.sampled_from(["spotserve", "rerouting", "reparallelization"]),
+       model=st.sampled_from(["opt-6.7b", "gpt-20b"]),
+       rate=st.floats(0.2, 3.0), cv=st.sampled_from([1.0, 4.0]), seed=st.integers(0, 99))
+def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv, seed,
+                                                 tmp_path, monkeypatch):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+    cfg = SimConfig(profile_path=str(bundled_path(model)), trace_path=str(trace),
+                    workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=cv, seed=seed),
+                    policy=policy, duration=DURATION, pool_size=1)
+    engines, from_storage = [], []
+
+    def captured(engine):
+        engines.append(engine)
+        return ENGINE_RUN(engine)
+
+    def checked(policy, engine, mapping, base, cache, inherited, u_max):
+        layout = engine.layout_snapshot(cache)
+        built = PLAN(policy, engine, mapping, base, cache, inherited, u_max)
+        from_storage.append(check_delivers_once(built, mapping, layout, engine.model,
+                                                inherited)[1])
+        return built
+    monkeypatch.setattr(Engine, "run", captured)
+    monkeypatch.setattr(AdaptivePolicy, "_plan", checked)
+    run(cfg)
+    if any(from_storage):
+        event("storage transfer")
+    arrivals = [float(t) for t in gamma_arrivals(rate, cv, DURATION, seed)]
+    (engine,) = engines
+    check_engine(engine, events, arrivals)

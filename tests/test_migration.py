@@ -7,6 +7,7 @@ import pytest
 
 from spotsim import migration
 from spotsim.domain import (
+    STORAGE,
     ContextInventory,
     ModelSpec,
     ParallelConfig,
@@ -14,7 +15,7 @@ from spotsim.domain import (
     positions,
     required_context,
 )
-from spotsim.mapping import map_devices
+from spotsim.mapping import DeviceMapping, map_devices
 from spotsim.migration import (
     LayerTraffic,
     MigrationError,
@@ -214,6 +215,8 @@ class TestPlanMigration:
         assert started == {1, 2}
 
     def test_missing_source_raises(self):
+        """A model layer no live GPU holds comes from storage, and nothing
+        else does; a cache piece no live GPU holds has no other holder."""
         cfg = ParallelConfig(1, 2, 2, 1)
         layout = serving_cluster(MODEL, cfg, 4)
         # wipe every copy of layer 0
@@ -221,8 +224,29 @@ class TestPlanMigration:
             kept = tuple(s for s in inv.model_shards if s[0] != 0)
             layout[ref] = ContextInventory(model_shards=kept)
         mapping = map_devices(layout, cfg, MODEL, 1)
-        with pytest.raises(MigrationError):
-            derive_transfers(mapping, layout, MODEL)
+        model_transfers, cache_transfers, _, _ = derive_transfers(mapping, layout, MODEL)
+        assert not cache_transfers and list(model_transfers) == [0]
+        assert sorted((t.src, t.dst, t.lo, t.hi) for t in model_transfers[0]) == [
+            (STORAGE, ("i-0", 0), Fraction(0), Fraction(1, 2)),
+            (STORAGE, ("i-1", 0), Fraction(1, 2), Fraction(1))]
+        with pytest.raises(MigrationError, match="no source holds"):
+            derive_transfers(mapping, layout, MODEL, {1: [("r-1", 4)]})
+
+    def test_storage_sends_up_to_the_next_live_copy(self):
+        """Merging two shards of a stage into one GPU while one shard's only
+        copy of layer 0 is gone: storage sends just that half of layer 0, and
+        the live copy sends the other half."""
+        old, new = ParallelConfig(1, 2, 2, 1), ParallelConfig(1, 2, 1, 1)
+        layout = serving_cluster(MODEL, old, 4)
+        layout[("i-0", 0)] = ContextInventory(
+            model_shards=[s for s in layout[("i-0", 0)].model_shards if s[0] != 0])
+        mapping = DeviceMapping(assignment={("i-2", 0): TopologyPosition(1, 1, 1),
+                                            ("i-3", 0): TopologyPosition(1, 2, 1)},
+                                total_weight=0.0, config=new)
+        model_transfers, _, _, _ = derive_transfers(mapping, layout, MODEL)
+        assert [(t.src, t.lo, t.hi) for t in model_transfers[0]] == [
+            (STORAGE, Fraction(0), Fraction(1, 2)), (("i-1", 0), Fraction(1, 2), Fraction(1))]
+        assert all(t.src != STORAGE for layer in range(1, 8) for t in model_transfers[layer])
 
     def test_unbounded_cap_keeps_layer_index_order(self):
         old = ParallelConfig(1, 2, 8, 1)

@@ -5,8 +5,6 @@ needs is either reused from what its GPU already holds or delivered by
 exactly one transfer, and every transfer's source held the piece it sends.
 """
 
-from fractions import Fraction
-
 from spotsim.costmodel import load_profile
 from spotsim.data import bundled_path
 from spotsim.domain import (
@@ -19,7 +17,7 @@ import spotsim.mapping as mapping_module
 from spotsim.mapping import build_graph, default_inheritance, map_devices
 from spotsim.migration import derive_transfers, plan_migration
 
-from fraction_oracle import intersect
+from plan_checks import check_delivers_once
 
 GPUS_PER_INSTANCE = 4
 
@@ -74,38 +72,7 @@ def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
     assert len(layout) == 192 and len(mapping.assignment) == target.gpus == 176
     assert sorted(mapping.assignment.values()) == positions(target)
 
-    # per-layer holdings: (gpu, request or None, layer) -> [(lo, hi, tokens)]
-    held: dict[tuple, list] = {}
-    for gpu, inv in layout.items():
-        for layer, lo, hi in inv.model_shards:
-            held.setdefault((gpu, None, layer), []).append((lo, hi, 0))
-        for rid, layer, lo, hi, tokens in inv.cache_shards:
-            held.setdefault((gpu, rid, layer), []).append((lo, hi, tokens))
-
-    received: dict[tuple, list] = {}
-    for t in plan.transfers():
-        assert t.dst in mapping.assignment and t.src != t.dst
-        received.setdefault((t.dst, t.request, t.layer), []).append((t.lo, t.hi))
-        # the source held the piece it sends (with enough tokens, for cache)
-        assert any(lo <= t.lo and t.hi <= hi and tokens >= t.tokens
-                   for lo, hi, tokens in held.get((t.src, t.request, t.layer), ())), t
-
-    needed = 0
-    for gpu, pos in mapping.assignment.items():
-        need = required_context(target, pos, model, inherited[pos.pipeline])
-        wants = [(None, layer, lo, hi, 0) for layer, lo, hi in need.model_shards]
-        wants += list(need.cache_shards)
-        for rid, layer, lo, hi, tokens in wants:
-            needed += 1
-            own = [(a, b) for a, b, t in held.get((gpu, rid, layer), ()) if t >= tokens]
-            got = sorted(received.pop((gpu, rid, layer), []))
-            reused = sum(intersect((lo, hi), iv) for iv in own)
-            # delivered pieces lie inside the need, miss what is reused and
-            # never overlap each other, so reuse plus delivery is exact
-            assert all(lo <= a < b <= hi for a, b in got)
-            assert all(intersect(g, iv) == 0 for g in got for iv in own)
-            assert all(got[i][1] <= got[i + 1][0] for i in range(len(got) - 1))
-            assert reused + sum((b - a for a, b in got), Fraction(0)) == hi - lo
-    assert not received  # nothing delivered that no position needs
+    needed, from_storage = check_delivers_once(plan, mapping, layout, model, inherited)
+    assert from_storage == 0
     assert needed > 176 * 15  # model layers alone: 176 GPUs x 15 layers
     assert len(plan.transfers()) > 10_000

@@ -6,7 +6,7 @@ import pytest
 
 from spotsim.costmodel import exec_latency, load_profile, restart_cost, save_profile
 from spotsim.data import bundled_path
-from spotsim.domain import ParallelConfig, required_context
+from spotsim.domain import STORAGE, ParallelConfig, required_context
 from spotsim.simconfig import (
     SimConfig,
     SimConfigError,
@@ -351,11 +351,35 @@ def suspension_config(tmp_path, policy):
     )
 
 
+def storage_share(profile, sent: float) -> float:
+    """Seconds storage takes to send `sent` bytes: the whole model takes one
+    remote-storage restart."""
+    return sent * restart_cost(profile, "remote_storage") / profile.model.total_param_bytes
+
+
+def recorded_plans(monkeypatch) -> list:
+    """Every plan the spotserve policy builds, in build order."""
+    import spotsim.simulator as sim
+
+    plans = []
+    plan_migration = sim.plan_migration
+
+    def recorded(*args, **kwargs):
+        plans.append(plan_migration(*args, **kwargs))
+        return plans[-1]
+    monkeypatch.setattr(sim, "plan_migration", recorded)
+    return plans
+
+
+# gpt-20b's stage 2 of 3: 15 of its 44 layers
+LOST_STAGE_BYTES = 25_397_727_270.0
+
+
 def test_suspension_keeps_holdings_for_the_reboot(tmp_path, monkeypatch):
     """When i-3 is announced the mapper reuses the model context i-0 and i-2
     kept through the suspension.  The stage whose only copy left with i-1 is
-    on no live GPU, so the reboot is not a first boot: it reloads from
-    remote storage."""
+    on no live GPU, so the reboot is not a first boot: storage sends that
+    stage, and only it, to i-3."""
     mappings = {}
     compute_mapping = AdaptivePolicy.compute_mapping
 
@@ -363,10 +387,17 @@ def test_suspension_keeps_holdings_for_the_reboot(tmp_path, monkeypatch):
         mappings[engine.now] = mapping = compute_mapping(policy, engine, target)
         return mapping
     monkeypatch.setattr(AdaptivePolicy, "compute_mapping", recorded)
+    plans = recorded_plans(monkeypatch)
     report = run(suspension_config(tmp_path, "spotserve"))
     profile = load_profile(bundled_path("gpt-20b"))
+    (plan,) = plans
+    assert {t.src for t in plan.transfers()} == {STORAGE}
+    assert {t.dst[0] for t in plan.transfers()} == {"i-3"}
+    assert plan.total_bytes() == LOST_STAGE_BYTES
+    t_mig = storage_share(profile, LOST_STAGE_BYTES) + profile.transfer_latency
     assert [(t, shape, t_mig) for t, shape, t_mig in report.reconfigurations] == [
-        (0.0, (1, 3, 4, 1), 0.0), (200.0, (1, 3, 4, 1), restart_cost(profile, "remote_storage"))]
+        (0.0, (1, 3, 4, 1), 0.0), (200.0, (1, 3, 4, 1), pytest.approx(t_mig))]
+    assert t_mig == pytest.approx(65.05, abs=0.01)
     assert sorted(mappings) == [0.0, 200.0]
     # the model bytes i-0 and i-2 still hold: 25,397,727,270 + 23,704,545,452
     assert mappings[200.0].total_weight == 49_102_272_722.0
@@ -417,11 +448,12 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
     assert counts["derivations"] == counts["commits"] + counts["plans with cache"], dict(counts)
 
 
-def test_lost_only_copy_reloads_from_storage(tmp_path):
+def test_lost_only_copy_loads_its_stage_from_storage(tmp_path, monkeypatch):
     """Three 4-GPU instances serve gpt-20b as (1,3,4,B), one stage each.  At
     t=100 i-3 is acquired (ready at 160) and i-1 is preempted without grace:
     the commit waits for i-3, by when the only copy of i-1's stage is gone,
-    so the model reloads from remote storage."""
+    so storage sends that stage to i-3 and the other two stay in place."""
+    plans = recorded_plans(monkeypatch)
     events = (boot_events(3)
               + [{"t": 100.0, "kind": "acquire", "id": "i-3", "ready_in": 60.0},
                  {"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 0.0}])
@@ -437,6 +469,108 @@ def test_lost_only_copy_reloads_from_storage(tmp_path):
     profile = load_profile(cfg.profile_path)
     assert [(t, shape[1:3]) for t, shape, _ in report.reconfigurations] == [
         (0.0, (3, 4)), (100.0, (3, 4))]
+    (plan,) = plans
+    assert {(t.src, t.dst[0]) for t in plan.transfers()} == {(STORAGE, "i-3")}
+    assert plan.total_bytes() == LOST_STAGE_BYTES
     t_mig = report.reconfigurations[-1][2]
-    assert t_mig == restart_cost(profile, "remote_storage")
-    assert t_mig == pytest.approx(190.8)
+    assert t_mig == pytest.approx(storage_share(profile, LOST_STAGE_BYTES)
+                                  + profile.transfer_latency)
+    assert t_mig == pytest.approx(65.05, abs=0.01)
+
+
+def test_lost_pipeline_recomputes_and_the_commit_migrates(tmp_path, monkeypatch):
+    """Three 4-GPU instances serve opt-6.7b as (3,1,4,2), one pipeline each.
+    At t=100 i-3 is acquired (ready at 160) and i-1 is preempted without
+    grace.  When the commit runs at 160, i-1's pipeline has lost its GPU and
+    with it the KV cache of its batches, but the other two pipelines still
+    hold the model.  The lost pipeline's requests recompute from token zero,
+    and the commit migrates the model to i-3 instead of reloading it from
+    storage."""
+    restarted = []
+    restart_batches = Engine.restart_batches
+
+    def recorded(engine, batches):
+        served_by = {pos.pipeline: gpu[0] for pos, gpu in engine.assignment.items()}
+        requests = [r for b in batches for r in b.requests]
+        restart_batches(engine, batches)
+        if batches:
+            unfinished = [r for r in requests if not r.done]
+            restarted.append((engine.now, {served_by[b.pipeline] for b in batches}, unfinished))
+            assert all(r in engine.queue and r.tokens_generated == 0 for r in unfinished)
+    monkeypatch.setattr(Engine, "restart_batches", recorded)
+    events = (boot_events(3)
+              + [{"t": 100.0, "kind": "acquire", "id": "i-3", "ready_in": 60.0},
+                 {"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 0.0}])
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, events)
+    cfg = SimConfig(
+        profile_path=str(bundled_path("opt-6.7b")),
+        trace_path=str(trace),
+        workload=WorkloadSpec(kind="fixed_rate", rate=0.5, cv=1.0, seed=1),
+        policy="spotserve", duration=400.0, pool_size=0, gpus_per_instance=4,
+    )
+    report = run(cfg)
+    profile = load_profile(cfg.profile_path)
+    ((t, lost, unfinished),) = restarted
+    assert (t, lost) == (160.0, {"i-1"}) and unfinished
+    # i-3 receives the whole model over its own link from the live replicas
+    t_mig = profile.model.total_param_bytes / profile.bandwidth + profile.transfer_latency
+    assert report.reconfigurations == [
+        (0.0, (3, 1, 4, 2), 0.0), (100.0, (3, 1, 4, 2), pytest.approx(t_mig))]
+    assert t_mig < restart_cost(profile, "remote_storage")
+    assert (report.completed, report.arrived) == (187, 191)
+
+
+def live_installs(monkeypatch) -> list:
+    """Record the instances of every installed layout, checking that each
+    serves on live instances only."""
+    installs = []
+    install_layout = Engine.install_layout
+
+    def checked(engine, config, mapping):
+        serving = sorted({gpu[0] for gpu in mapping.assignment})
+        assert all(engine.instances[i].status != "released" for i in serving), serving
+        installs.append(serving)
+        return install_layout(engine, config, mapping)
+    monkeypatch.setattr(Engine, "install_layout", checked)
+    return installs
+
+
+def opt_run(tmp_path, events, rate, pool_size):
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, events)
+    return run(SimConfig(
+        profile_path=str(bundled_path("opt-6.7b")), trace_path=str(trace),
+        workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=1.0, seed=0),
+        policy="spotserve", duration=240.0, pool_size=pool_size))
+
+
+def test_superseded_commit_is_dropped(tmp_path, monkeypatch):
+    """i-1, announced at t=1, is ready at t=2, when i-0 is preempted without
+    grace.  The decision at t=2 commits at once; the commit the t=1 decision
+    scheduled for t=2 runs after it and is dropped, with its log entry,
+    instead of installing a layout on the released i-0."""
+    installs = live_installs(monkeypatch)
+    report = opt_run(tmp_path, [
+        {"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0},
+        {"t": 1.0, "kind": "acquire", "id": "i-1", "ready_in": 1.0},
+        {"t": 2.0, "kind": "preempt", "id": "i-0", "grace": 0.0}], rate=1.0, pool_size=1)
+    assert installs == [["i-0"], ["i-1"]]
+    assert [(t, shape) for t, shape, _ in report.reconfigurations] == [
+        (0.0, (1, 2, 2, 4)), (2.0, (1, 2, 2, 4))]
+
+
+def test_commit_that_lost_an_instance_decides_anew(tmp_path, monkeypatch):
+    """The decision at t=10 maps onto i-1 and i-2, both ready at t=70.  i-2
+    is preempted at t=20 and released at t=25, so at t=70 the commit's
+    mapping names a released instance: the policy decides again and serves
+    on i-0 and i-1."""
+    installs = live_installs(monkeypatch)
+    report = opt_run(tmp_path, [
+        {"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0},
+        {"t": 10.0, "kind": "acquire", "id": "i-1", "ready_in": 60.0},
+        {"t": 10.0, "kind": "acquire", "id": "i-2", "ready_in": 60.0},
+        {"t": 20.0, "kind": "preempt", "id": "i-2", "grace": 5.0}], rate=2.0, pool_size=0)
+    assert installs == [["i-0"], ["i-0", "i-1"]]
+    assert [(t, shape) for t, shape, _ in report.reconfigurations] == [
+        (0.0, (1, 2, 2, 4)), (70.0, (2, 2, 2, 4))]
