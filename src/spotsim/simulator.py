@@ -32,9 +32,9 @@ into the draining pipelines; a batch that drains its grace period without
 migrating does not gate the migration start.
 
 Every commit has a plan: model context no live GPU holds comes from remote
-storage (`domain.STORAGE`).  KV cache has no such copy, so at a commit the
-batches of a pipeline with a GPU on a released instance restart from token
-zero.  A commit that a later decision superseded is dropped, and one whose
+storage (`domain.STORAGE`).  KV cache has no such copy, so when an instance
+is released, the batches of a pipeline with a GPU on it restart from token
+zero, and that pipeline takes no batch until a layout replaces it.  A commit that a later decision superseded is dropped, and one whose
 mapping names a released instance decides anew.
 """
 
@@ -137,6 +137,7 @@ class Engine:
         self.holdings: Layout = {}  # what each GPU holds; written by install_layout only
         self.config: ParallelConfig | None = None
         self.pipelines: dict[int, Pipeline] = {}
+        self.lost: set[int] = set()  # pipelines with an assigned GPU on a released instance
         self.queue: list[RequestRecord] = []
         self.records: list[RequestRecord] = []
         self.arrival_times: list[float] = []
@@ -242,6 +243,20 @@ class Engine:
         if inst.id in self.usage_open:
             kind, start = self.usage_open.pop(inst.id)
             self.usage.append((inst.id, kind, start, min(t, self.cfg.duration)))
+        self._track_losses()
+
+    def _track_losses(self):
+        """A pipeline with an assigned GPU on a released instance lost that
+        GPU and its requests' KV cache: its batches recompute from token zero,
+        and dispatch starts no batch on it until a layout replaces it."""
+        self.lost = {pos.pipeline for pos, gpu in self.assignment.items()
+                     if self.instances[gpu[0]].status == "released"}
+        for d in self.lost:
+            self.pipelines[d].ready_at = math.inf
+        stranded = [b for b in self.all_batches() if b.pipeline in self.lost]
+        if stranded:
+            self.restart_batches(stranded)
+            self.try_dispatch()
 
     def available_count(self) -> int:
         return sum(1 for i in self.instances.values() if i.status in ("active", "allocating"))
@@ -427,6 +442,7 @@ class Engine:
                 for i in range(0, len(reqs), config.batch_limit):
                     # no prefill: the requests continue from their cache
                     self._launch(self.pipelines[d], reqs[i:i + config.batch_limit], 0.0)
+            self._track_losses()  # an instance may have gone while the plan ran
             self.try_dispatch()
 
         self.paused_until = max(self.paused_until, at)
@@ -443,6 +459,7 @@ class Engine:
         self.config = None
         self.assignment = {}
         self.pipelines = {}
+        self.lost = set()
 
     # -- finish ------------------------------------------------------------------------
 
@@ -582,12 +599,6 @@ class AdaptivePolicy:
             engine.resume_at(engine.now, target, mapping)
             return
 
-        # A pipeline that lost a GPU lost its requests' KV cache with it:
-        # they recompute, and the pipeline takes no more batches.
-        lost = {pos.pipeline for pos, gpu in engine.assignment.items()
-                if engine.instances[gpu[0]].status == "released"}
-        engine.restart_batches([b for b in engine.all_batches() if b.pipeline in lost])
-
         migrate_groups: dict[int, list[RequestRecord]] = {}
         release: dict[str, float] = {}  # per-instance earliest transfer time
         drop_cache: list[RequestRecord] = []
@@ -606,7 +617,7 @@ class AdaptivePolicy:
         participants = {inst for transfers in base[0].values() for t in transfers
                         for inst in (t.src[0], t.dst[0])}
         affected = {pos.pipeline for pos, gpu in engine.assignment.items()
-                    if gpu[0] in participants and pos.pipeline not in lost}
+                    if gpu[0] in participants and pos.pipeline not in engine.lost}
         t_mig_est = self._estimate_full_migration(engine, mapping, base) if deadline else 0.0
         for batch in engine.all_batches():
             if batch.pipeline not in affected:

@@ -481,13 +481,18 @@ def test_lost_only_copy_loads_its_stage_from_storage(tmp_path, monkeypatch):
 def test_lost_pipeline_recomputes_and_the_commit_migrates(tmp_path, monkeypatch):
     """Three 4-GPU instances serve opt-6.7b as (3,1,4,2), one pipeline each.
     At t=100 i-3 is acquired (ready at 160) and i-1 is preempted without
-    grace.  When the commit runs at 160, i-1's pipeline has lost its GPU and
-    with it the KV cache of its batches, but the other two pipelines still
-    hold the model.  The lost pipeline's requests recompute from token zero,
-    and the commit migrates the model to i-3 instead of reloading it from
-    storage."""
-    restarted = []
-    restart_batches = Engine.restart_batches
+    grace.  At the release, i-1's pipeline loses its GPU and with it the KV
+    cache of its batches: their requests recompute from token zero, and the
+    pipeline takes no batch until the commit at 160 replaces it.  The other
+    two pipelines still hold the model, so the commit migrates it to i-3
+    instead of reloading it from storage."""
+    restarted, started = [], []
+    restart_batches, start_batch = Engine.restart_batches, Engine.start_batch
+
+    def recorded_start(engine, pipe, requests, at=None):
+        served_by = {pos.pipeline: gpu[0] for pos, gpu in engine.assignment.items()}
+        started.append((engine.now if at is None else at, served_by[pipe.index]))
+        return start_batch(engine, pipe, requests, at)
 
     def recorded(engine, batches):
         served_by = {pos.pipeline: gpu[0] for pos, gpu in engine.assignment.items()}
@@ -498,6 +503,7 @@ def test_lost_pipeline_recomputes_and_the_commit_migrates(tmp_path, monkeypatch)
             restarted.append((engine.now, {served_by[b.pipeline] for b in batches}, unfinished))
             assert all(r in engine.queue and r.tokens_generated == 0 for r in unfinished)
     monkeypatch.setattr(Engine, "restart_batches", recorded)
+    monkeypatch.setattr(Engine, "start_batch", recorded_start)
     events = (boot_events(3)
               + [{"t": 100.0, "kind": "acquire", "id": "i-3", "ready_in": 60.0},
                  {"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 0.0}])
@@ -512,7 +518,9 @@ def test_lost_pipeline_recomputes_and_the_commit_migrates(tmp_path, monkeypatch)
     report = run(cfg)
     profile = load_profile(cfg.profile_path)
     ((t, lost, unfinished),) = restarted
-    assert (t, lost) == (160.0, {"i-1"}) and unfinished
+    assert (t, lost) == (100.0, {"i-1"}) and unfinished
+    assert any(t < 100.0 and inst == "i-1" for t, inst in started)
+    assert not [t for t, inst in started if 100.0 <= t < 160.0 and inst == "i-1"]
     # i-3 receives the whole model over its own link from the live replicas
     t_mig = profile.model.total_param_bytes / profile.bandwidth + profile.transfer_latency
     assert report.reconfigurations == [
