@@ -1,9 +1,10 @@
 """Progressive, buffer-bounded migration planning.
 
 Plans the reshard of a 12-layer model from (P=2,M=8) to (P=3,M=4) on sixteen
-GPUs: the KV cache moves first, layers follow in a memory-aware order, and
-each pipeline stage starts serving as soon as its context is complete, so the
-service stall is far below the full transfer time.  Also shows the buffer
+GPUs while one request is in flight: its KV cache moves first, one transfer
+per layer run, layers follow in a memory-aware order, one round per layer,
+and each pipeline stage starts serving as soon as its context is complete, so
+the service stall is far below the full transfer time.  Also shows the buffer
 accounting that motivates the layer order and the JSON wire format.
 """
 
@@ -27,14 +28,15 @@ model = ModelSpec(name="demo-12l", num_layers=12, bytes_per_layer=1_500_000_000,
                   kv_bytes_per_token_per_layer=262_144)
 old = ParallelConfig(1, 2, 8, 1)
 new = ParallelConfig(1, 3, 4, 1)
+cache = {1: [("r-1", 640)]}  # pipeline 1 serves one request of 640 tokens
 
-layout = {(f"g{k}", 0): required_context(old, pos, model)
+layout = {(f"g{k}", 0): required_context(old, pos, model, cache[1])
           for k, pos in enumerate(positions(old))}
 
 mapping = map_devices(layout, new, model, gpus_per_instance=1)
 # what moves depends only on the mapping and the layout; the buffer cap only
 # orders it, so one derivation is assembled under both caps below
-derived = derive_transfers(mapping, layout, model)
+derived = derive_transfers(mapping, layout, model, cache)
 plan = plan_migration(mapping, layout, model, derived, u_max=3e9)
 
 print(f"=== Plan for {old} -> {new} ===")
@@ -47,7 +49,10 @@ for a in plan.actions:
     if a.kind == "start_stage":
         print(f"  >> stage {a.stage} starts serving")
     elif a.kind == "migrate_cache":
-        print(f"  cache round: {len(a.transfers)} transfers")
+        moved = sum(t.bytes for t in a.transfers) / 1e9
+        layers = sum(t.layers for t in a.transfers)
+        print(f"  cache round: {len(a.transfers)} transfers over {layers} layer pieces, "
+              f"{moved:5.2f} GB")
     else:
         moved = sum(t.bytes for t in a.transfers) / 1e9
         print(f"  layer {a.layer:2d}: {len(a.transfers)} transfers, {moved:5.2f} GB")

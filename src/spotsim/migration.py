@@ -6,8 +6,11 @@ and cache pieces are derived in the same passes.  Remote storage (`STORAGE`)
 sends the model pieces no live GPU holds.  KV cache has no such holder: a
 cache piece without a live copy raises `MigrationError`.  Planning has two
 steps.
-`derive_transfers` decides what moves: the per-layer model and cache
-transfers and the end-of-round releases of one mapping over one layout.
+`derive_transfers` decides what moves over one layout: the model transfers
+of one mapping, one per layer, then its cache transfers, one per layer run
+of a request, and the end-of-round releases.  Model senders are chosen
+without regard to the cache, so a commit derives the model part once and
+each plan that carries cache adds only its cache part.
 `plan_migration` assembles a given derivation into rounds: one round of
 KV-cache transfers first (losing cache is what destroys decoding progress,
 so it goes before everything), then model layers one round per layer in a
@@ -52,12 +55,14 @@ class MigrationError(ValueError):
 
 
 class Transfer(NamedTuple):
-    """One shard movement between two GPUs.
+    """One shard movement between two GPUs, over the layers
+    [layer, layer + layers).
 
-    An immutable record like the dataclasses here, but a named tuple: a plan
-    emits one per layer piece, tens of thousands per decision on a large
-    fleet, and a tuple is built about three times faster than a frozen
-    dataclass.
+    A model transfer covers one layer.  A cache transfer covers a layer run
+    of one request, and `bytes` counts every layer of it.  An immutable
+    record like the dataclasses here, but a named tuple: a plan emits
+    thousands per decision on a large fleet, and a tuple is built about three
+    times faster than a frozen dataclass.
     """
 
     kind: str  # "model" | "cache"
@@ -69,6 +74,7 @@ class Transfer(NamedTuple):
     bytes: float
     request: str | None = None
     tokens: int = 0
+    layers: int = 1
 
 
 @dataclass(frozen=True)
@@ -199,19 +205,17 @@ def _segments(l0: int, l1: int, blocks) -> list[tuple[int, int, list[tuple]]]:
     return out
 
 
-def _holder_index(blocks_by_gpu) -> dict[int, tuple[list, dict]]:
-    """layer -> (holders, candidate memo), shared by every layer of an
-    elementary block: the `(gpu, lo, hi, ...)` copies covering those layers,
-    in GPU order, then in each GPU's per-layer order."""
+def _holder_index(blocks_by_gpu) -> list[tuple[int, int, tuple[list, dict]]]:
+    """`(first, end, (holders, candidate memo))` per elementary layer block:
+    the `(gpu, lo, hi, ...)` copies covering those layers, in GPU order, then
+    in each GPU's per-layer order.  Layers no copy covers have no block."""
     bounds = sorted({b for _, blocks in blocks_by_gpu for l0, l1, _ in blocks for b in (l0, l1)})
-    index: dict[int, tuple[list, dict]] = {}
+    index = []
     for c0, c1 in zip(bounds, bounds[1:]):
         holders = [(gpu, *entry) for gpu, blocks in blocks_by_gpu
                    for l0, l1, entries in blocks if l0 <= c0 < l1 for entry in entries]
         if holders:
-            shared = (holders, {})
-            for layer in range(c0, c1):
-                index[layer] = shared
+            index.append((c0, c1, (holders, {})))
     return index
 
 
@@ -268,23 +272,31 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
 
 def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
                      inherited_by_pipeline: dict[int, list[tuple[str, int]]] | None = None,
-                     departing: frozenset[str] = frozenset()):
-    """Per-layer model transfers, cache transfers, and end-of-round releases.
+                     departing: frozenset[str] = frozenset(), base: tuple | None = None):
+    """Model transfers per layer, cache transfers per layer run, and
+    end-of-round releases.
 
     For every assigned GPU the non-reused part of its required context is
     pulled from old holders (departing copies first, then load-balanced),
     and a model piece no old holder has from `STORAGE`; whatever a GPU holds
     beyond its own new requirement is freed once the owning round completes.
-    Pieces are derived per layer block and expanded to one `Transfer` per
-    layer only when emitted.  Both kinds take the same passes
-    (`ContextInventory.by_request`); only the output tells them apart: model
-    transfers carry no request and 0 tokens and are kept per layer, like
-    model releases, while cache releases go to the cache round.
+    Pieces are derived per layer block; both kinds take the same passes
+    (`ContextInventory.by_request`).
 
-    Model and cache pieces share `sender_load` and `send_budget`, and a GPU's
-    cache pieces are covered before the next GPU's model pieces, so the KV
-    cache in `old_layout` can change which holder sends a model piece: the
-    model transfers of one mapping are not independent of the cache.
+    Model pieces come first, under a sender load and a send budget (the
+    busiest receiver's model bytes) built from model pieces alone, so the KV
+    cache in `old_layout` never changes which holder sends a model piece.
+    They are emitted one `Transfer` per layer, and released per layer.
+    `base`, a derivation of the same mapping over the same model holdings (a
+    commit's cache-free one), supplies the model transfers and layer
+    releases in place of deriving them again.
+
+    Cache pieces follow, from the sender load of the model transfers, under
+    a budget of the busiest receiver's model plus cache bytes.  Each is
+    covered once per layer run, a run of layers over which the receiver's
+    own copy and the request's holders stay the same, and emitted as one
+    `Transfer` per sender with the run's first layer, its layer count and the
+    bytes of all its layers.  Cache releases go to the cache round.
     """
     if mapping.config is None:
         raise MigrationError("mapping carries no target config")
@@ -296,7 +308,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
 
     def scaled(inv: ContextInventory) -> dict[str | None, list]:
         k = den // inv.den
-        return {rid: _scaled_blocks(rects, k) for rid, rects in inv.by_request().items()}
+        return {rid: _scaled_blocks(rects, k) for rid, rects in inv.by_request().items()
+                if rid is not None or base is None}
 
     have = {gpu: scaled(old_layout[gpu]) for gpu in gpus}  # gpu -> {request: blocks}
     need = {}
@@ -311,11 +324,14 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     # link bounds the migration makespan no matter how sources are picked, so
     # the source chooser can favor departing copies up to that same volume
     # without making a departing sender the bottleneck.
-    needs: list[tuple] = []  # (dst, request, first, end, [(lo, hi, unit bytes, tokens)])
-    incoming: dict[str, float] = {}
+    model_needs: list[tuple] = []  # (dst, request, first, end, [(lo, hi, unit bytes, tokens)])
+    cache_needs: list[tuple] = []
+    model_in: dict[str, float] = {}
+    cache_in: dict[str, float] = {}
     for gpu in gpus:
         for rid, wanted in need[gpu].items():
             weight = model.unit_bytes(rid)
+            needs, incoming = (model_needs, model_in) if rid is None else (cache_needs, cache_in)
             for l0, l1, entries in wanted:
                 for s0, s1, cuts in _segments(l0, l1, have[gpu].get(rid, ())):
                     pieces = [(p_lo, p_hi, weight * tokens, tokens) for lo, hi, tokens in entries
@@ -330,7 +346,6 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
                         for size in sizes:
                             total += size
                     incoming[gpu[0]] = total
-    send_budget = max(incoming.values(), default=0.0)
 
     # every cover bound is a bound of some held or needed entry
     bounds = {n for by_request in (*have.values(), *need.values())
@@ -338,24 +353,49 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
               for _, _, entries in blocks for entry in entries for n in entry[:2]}
     frac = {n: Fraction(n, den) for n in bounds}
 
-    model_transfers: dict[int, list[Transfer]] = {}
-    cache_transfers: list[Transfer] = []
-    sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)  # bytes each sender is scheduled to send
-    for dst, rid, s0, s1, pieces in needs:
-        index = holders.get(rid, {})
-        kind = "model" if rid is None else "cache"
-        for layer in range(s0, s1):
-            block = index.get(layer)
-            out = model_transfers.setdefault(layer, []) if rid is None else cache_transfers
-            for lo, hi, unit, tokens in pieces:
-                for src, c_lo, c_hi in _cover_from_holders(lo, hi, block, tokens, dst, unit, den,
-                                                           sender_load, rank, departing,
-                                                           send_budget, rid is None):
-                    out.append(Transfer(kind, layer, frac[c_lo], frac[c_hi], src, dst,
-                                        (c_hi - c_lo) * unit / den, rid,
-                                        0 if rid is None else tokens))
+    if base is None:
+        model_transfers: dict[int, list[Transfer]] = {}
+        # bytes each sender is scheduled to send
+        sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)
+        send_budget = max(model_in.values(), default=0.0)
+        for dst, _, s0, s1, pieces in model_needs:
+            for first, end, block in _segments(s0, s1, holders.get(None, ())):
+                for layer in range(first, end):
+                    out = model_transfers.setdefault(layer, [])
+                    for lo, hi, unit, tokens in pieces:
+                        for src, c_lo, c_hi in _cover_from_holders(
+                                lo, hi, block, tokens, dst, unit, den, sender_load, rank,
+                                departing, send_budget, True):
+                            out.append(Transfer("model", layer, frac[c_lo], frac[c_hi], src, dst,
+                                                (c_hi - c_lo) * unit / den))
+        layer_releases: dict[int, dict[str, float]] = {}
+    else:
+        model_transfers, _, layer_releases, _ = base
 
-    layer_releases: dict[int, dict[str, float]] = {}
+    cache_transfers: list[Transfer] = []
+    if cache_needs:
+        # summed from the model transfers, so the same whether they were
+        # derived here or come from `base`
+        sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)
+        delivered: dict[str, float] = {}
+        for layer in sorted(model_transfers):
+            for t in model_transfers[layer]:
+                if t.src[0] != t.dst[0]:
+                    sender_load[t.src[0]] += t.bytes
+                delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
+        send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
+                          for inst in {*delivered, *cache_in})
+        for dst, rid, s0, s1, pieces in cache_needs:
+            for first, end, block in _segments(s0, s1, holders.get(rid, ())):
+                n = end - first
+                for lo, hi, unit, tokens in pieces:
+                    for src, c_lo, c_hi in _cover_from_holders(
+                            lo, hi, block, tokens, dst, unit * n, den, sender_load, rank,
+                            departing, send_budget, False):
+                        cache_transfers.append(Transfer("cache", first, frac[c_lo], frac[c_hi],
+                                                        src, dst, (c_hi - c_lo) * unit * n / den,
+                                                        rid, tokens, n))
+
     cache_releases: dict[str, float] = {}
     for gpu in gpus:
         inst = gpu[0]
@@ -482,6 +522,7 @@ def plan_to_dict(plan: MigrationPlan) -> dict:
                     "src": [t.src[0], t.src[1]], "dst": [t.dst[0], t.dst[1]],
                     "bytes": t.bytes,
                     **({"request": t.request, "tokens": t.tokens} if t.request else {}),
+                    **({"layers": t.layers} if t.layers != 1 else {}),
                 }
                 for t in a.transfers
             ]
@@ -500,6 +541,7 @@ def plan_from_dict(doc: dict) -> MigrationPlan:
                 lo=Fraction(*t["lo"]), hi=Fraction(*t["hi"]),
                 src=(t["src"][0], t["src"][1]), dst=(t["dst"][0], t["dst"][1]),
                 bytes=t["bytes"], request=t.get("request"), tokens=t.get("tokens", 0),
+                layers=t.get("layers", 1),
             )
             for t in a.get("transfers", ())
         )

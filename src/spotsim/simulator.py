@@ -603,14 +603,16 @@ class AdaptivePolicy:
         release: dict[str, float] = {}  # per-instance earliest transfer time
         drop_cache: list[RequestRecord] = []
 
+        served_by: dict[int, list[str]] = {}  # pipeline -> instance of each position
+        for pos in sorted(engine.assignment):
+            served_by.setdefault(pos.pipeline, []).append(engine.assignment[pos][0])
+
         def note_release(pipeline_d: int, t: float):
-            for pos in sorted(engine.assignment):
-                if pos.pipeline == pipeline_d:
-                    inst = engine.assignment[pos][0]
-                    release[inst] = max(release.get(inst, engine.now), t)
+            for inst in served_by.get(pipeline_d, ()):
+                release[inst] = max(release.get(inst, engine.now), t)
 
         # One cache-free derivation serves the whole commit: the
-        # participants, and every plan whose cache holds no entries.
+        # participants, and the model part of every plan.
         base = derive_transfers(mapping, engine.layout_snapshot(None), engine.model,
                                 departing=self._departing(engine))
         deadline = payload.get("grace_deadline")
@@ -739,14 +741,13 @@ class AdaptivePolicy:
 
     def _plan(self, engine: Engine, mapping: DeviceMapping, base: tuple, cache: KvCache,
               inherited: dict, u_max: float | None) -> MigrationPlan:
-        """Plan from the live layout with `cache` on top.  A plan whose cache
-        holds no entries assembles the base derivation; one that carries cache
-        derives on its own, since cache and model pieces share the sender
-        choice."""
+        """Plan from the live layout with `cache` on top.  The base
+        derivation gives the model part; a plan that carries cache derives
+        only its cache part on top of it."""
         snapshot = engine.layout_snapshot(cache)
         if any(cache.values()):
             base = derive_transfers(mapping, snapshot, engine.model, inherited,
-                                    departing=self._departing(engine))
+                                    departing=self._departing(engine), base=base)
         return plan_migration(mapping, snapshot, engine.model, base, u_max)
 
     def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping,

@@ -10,6 +10,15 @@ Storage rule: remote storage (`STORAGE`) holds every model piece.  A model
 sub-piece that no live copy holds at its start is sent by `STORAGE` up to the
 lowest bound of a live copy above that start; a cache sub-piece with no live
 copy raises `MigrationError`.
+
+Sender rule: model pieces are covered first, layer by layer, under a sender
+load and a send budget (the busiest receiver's model bytes) of model pieces
+alone.  Cache pieces follow.  Their sender load starts from each sender's
+bytes over the model transfers, summed layer by layer, and their budget is
+the busiest receiver's bytes over the model transfers plus its cache bytes.
+A cache piece is covered once per layer run: consecutive layers with equal
+needed entries, equal own entries and equal holders of the request.  Each
+cover is one transfer over the whole run.
 """
 
 from fractions import Fraction
@@ -115,7 +124,8 @@ def _cover_from_holders(piece, holders, dst, load, unit_bytes, departing, send_b
 
 def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
                      departing=frozenset()):
-    """Per-layer model transfers, cache transfers and end-of-round releases."""
+    """Model transfers per layer, cache transfers per layer run, and
+    end-of-round releases."""
     if mapping.config is None:
         raise MigrationError("mapping carries no target config")
     target = mapping.config
@@ -139,48 +149,76 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
             inherited = (inherited_by_pipeline or {}).get(pos.pipeline, ())
             required[gpu] = required_context(target, pos, model, inherited)
 
+    # per-layer needs: model (dst, layer, piece); cache (dst, request, layer,
+    # [(piece, tokens)], run key)
     per_token = model.kv_bytes_per_token_per_layer
-    needs: list[tuple] = []
-    incoming: dict[str, float] = {}
+    model_needs: list[tuple] = []
+    cache_needs: list[tuple] = []
+    model_in: dict[str, float] = {}
+    cache_in: dict[str, float] = {}
     for gpu in gpus:
         need = required[gpu]
         have = old_layout[gpu]
         for layer, lo, hi in need.model_shards:
             for piece in subtract_intervals((lo, hi), model_intervals(have, layer)):
-                needs.append((gpu, "model", layer, piece, model.bytes_per_layer, None, 0))
-                incoming[gpu[0]] = incoming.get(gpu[0], 0.0) + float(
+                model_needs.append((gpu, layer, piece))
+                model_in[gpu[0]] = model_in.get(gpu[0], 0.0) + float(
                     (piece[1] - piece[0]) * model.bytes_per_layer)
-        for rid, layer, lo, hi, tokens in need.cache_shards:
-            own = [iv for iv, t in cache_entries(have, rid, layer) if t >= tokens]
-            for piece in subtract_intervals((lo, hi), own):
-                needs.append((gpu, "cache", layer, piece, per_token * tokens, rid, tokens))
-                incoming[gpu[0]] = incoming.get(gpu[0], 0.0) + float(
-                    (piece[1] - piece[0]) * per_token * tokens)
-    send_budget = max(incoming.values(), default=0.0)
+        for rid, layer in dict.fromkeys((rid, layer) for rid, layer, *_ in need.cache_shards):
+            pieces = [(piece, tokens) for iv, tokens in cache_entries(need, rid, layer)
+                      for piece in subtract_intervals(
+                          iv, [own for own, t in cache_entries(have, rid, layer) if t >= tokens])]
+            for (p_lo, p_hi), tokens in pieces:
+                cache_in[gpu[0]] = cache_in.get(gpu[0], 0.0) + float(
+                    (p_hi - p_lo) * per_token * tokens)
+            if pieces:
+                run_key = (cache_entries(need, rid, layer), cache_entries(have, rid, layer),
+                           cache_holders.get((rid, layer), []))
+                cache_needs.append((gpu, rid, layer, pieces, run_key))
 
     model_transfers: dict[int, list[Transfer]] = {}
-    cache_transfers: list[Transfer] = []
     sender_load: dict[str, float] = {}
-    for dst, kind, layer, piece, unit_bytes, rid, tokens in needs:
-        if kind == "model":
-            holders = model_holders.get(layer, [])
+    send_budget = max(model_in.values(), default=0.0)
+    for dst, layer, piece in model_needs:
+        for src, c_lo, c_hi in _cover_from_holders(piece, model_holders.get(layer, []), dst,
+                                                   sender_load, model.bytes_per_layer,
+                                                   departing, send_budget, True):
+            model_transfers.setdefault(layer, []).append(Transfer(
+                kind="model", layer=layer, lo=c_lo, hi=c_hi, src=src, dst=dst,
+                bytes=float((c_hi - c_lo) * model.bytes_per_layer)))
+
+    # group each receiver's per-layer cache needs into layer runs
+    runs: list[list] = []  # [dst, request, first layer, layer count, pieces, run key]
+    for dst, rid, layer, pieces, run_key in cache_needs:
+        last = runs[-1] if runs else None
+        if last and (last[0], last[1], last[2] + last[3], last[5]) == (dst, rid, layer, run_key):
+            last[3] += 1
         else:
-            holders = [
-                (g, [iv for iv, t in entries if t >= tokens])
-                for g, entries in cache_holders.get((rid, layer), [])
-            ]
-        covers = _cover_from_holders(piece, holders, dst, sender_load, unit_bytes,
-                                     departing, send_budget, kind == "model")
-        for src, c_lo, c_hi in covers:
-            tr = Transfer(
-                kind=kind, layer=layer, lo=c_lo, hi=c_hi, src=src, dst=dst,
-                bytes=float((c_hi - c_lo) * unit_bytes),
-                request=rid, tokens=tokens,
-            )
-            if kind == "model":
-                model_transfers.setdefault(layer, []).append(tr)
-            else:
-                cache_transfers.append(tr)
+            runs.append([dst, rid, layer, 1, pieces, run_key])
+
+    cache_transfers: list[Transfer] = []
+    if runs:
+        sender_load = {}
+        delivered: dict[str, float] = {}
+        for layer in sorted(model_transfers):
+            for t in model_transfers[layer]:
+                if t.src[0] != t.dst[0]:
+                    sender_load[t.src[0]] = sender_load.get(t.src[0], 0.0) + t.bytes
+                delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
+        send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
+                          for inst in {*delivered, *cache_in})
+    for dst, rid, first, count, pieces, _ in runs:
+        for piece, tokens in pieces:
+            unit_bytes = per_token * tokens * count
+            holders = [(g, [iv for iv, t in entries if t >= tokens])
+                       for g, entries in cache_holders.get((rid, first), [])]
+            for src, c_lo, c_hi in _cover_from_holders(piece, holders, dst, sender_load,
+                                                       unit_bytes, departing, send_budget,
+                                                       False):
+                cache_transfers.append(Transfer(
+                    kind="cache", layer=first, lo=c_lo, hi=c_hi, src=src, dst=dst,
+                    bytes=float((c_hi - c_lo) * unit_bytes), request=rid, tokens=tokens,
+                    layers=count))
 
     layer_releases: dict[int, dict[str, float]] = {}
     cache_releases: dict[str, float] = {}

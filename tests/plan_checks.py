@@ -1,10 +1,12 @@
 """Exactness of a migration plan against the layout it was planned over.
 
 Every byte an assigned GPU needs is either reused from what that GPU already
-holds or delivered by exactly one transfer.  A transfer's source is another
-GPU that holds the piece it sends (with enough tokens, for KV cache), or
-remote storage (`STORAGE`) for a model piece that no GPU of the layout holds
-any part of.
+holds or delivered by exactly one transfer.  A transfer over a layer run is
+checked as one piece per layer, and its bytes must be those of one layer
+times its layer count.  A transfer's source is another GPU that holds the
+piece it sends on every layer of its run (with enough tokens, for KV cache),
+or remote storage (`STORAGE`) for a model piece that no GPU of the layout
+holds any part of.
 """
 
 from fractions import Fraction
@@ -31,15 +33,20 @@ def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, i
     from_storage = 0
     for t in plan.transfers():
         assert t.dst in mapping.assignment and t.src != t.dst
-        received.setdefault((t.dst, t.request, t.layer), []).append((t.lo, t.hi))
-        if t.src == STORAGE:
-            from_storage += 1
-            assert t.request is None, t
-            assert all(intersect((t.lo, t.hi), iv) == 0 for iv in live_model.get(t.layer, ())), t
-        else:
-            # the source held the piece it sends (with enough tokens, for cache)
-            assert any(lo <= t.lo and t.hi <= hi and tokens >= t.tokens
-                       for lo, hi, tokens in held.get((t.src, t.request, t.layer), ())), t
+        assert t.layers >= 1 and (t.layers == 1 or t.request is not None), t
+        per_layer = (t.hi - t.lo) * (model.bytes_per_layer if t.request is None
+                                     else model.kv_bytes_per_token_per_layer * t.tokens)
+        assert t.bytes == float(per_layer * t.layers), t
+        from_storage += t.src == STORAGE
+        for layer in range(t.layer, t.layer + t.layers):
+            received.setdefault((t.dst, t.request, layer), []).append((t.lo, t.hi))
+            if t.src == STORAGE:
+                assert t.request is None, t
+                assert all(intersect((t.lo, t.hi), iv) == 0 for iv in live_model.get(layer, ())), t
+            else:
+                # the source held the piece it sends (with enough tokens, for cache)
+                assert any(lo <= t.lo and t.hi <= hi and tokens >= t.tokens
+                           for lo, hi, tokens in held.get((t.src, t.request, layer), ())), t
 
     needed = 0
     for gpu, pos in mapping.assignment.items():

@@ -9,7 +9,11 @@ policy built along the way:
 - the bill equals the integral of each instance's price over the time it
   was held, from its acquisition to its release or the horizon;
 - every plan reuses or delivers every byte its mapping needs exactly once,
-  with remote storage counted as a sender (`plan_checks`).
+  with remote storage counted as a sender (`plan_checks`);
+- every plan that carries KV cache has the model transfers of the cache-free
+  derivation of its mapping, and the same model and cache transfers as one
+  derivation over its cache-carrying layout, so reusing the commit's model
+  part changes nothing.
 
 The traces and the example budget are `test_dispatch_invariant`'s.  Each
 example that plans a transfer from storage is tagged with the hypothesis
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from spotsim.costmodel import HOUR
 from spotsim.data import bundled_path
+from spotsim.migration import derive_transfers
 from spotsim.simconfig import SimConfig, WorkloadSpec
 from spotsim.simulator import AdaptivePolicy, Engine, run
 from spotsim.workload import gamma_arrivals
@@ -33,6 +38,22 @@ from test_dispatch_invariant import DURATION, SETTINGS, traces
 
 # the unwrapped methods: the monkeypatch fixture outlives a single example
 ENGINE_RUN, PLAN = Engine.run, AdaptivePolicy._plan
+
+
+def model_rounds(derived) -> dict:
+    return {layer: tuple(ts) for layer, ts in derived[0].items() if ts}
+
+
+def check_model_reuse(policy, engine, mapping, layout, inherited, plan):
+    """A cache-carrying plan's model part is the cache-free one, and the
+    whole plan is what one derivation over its layout gives."""
+    departing = policy._departing(engine)
+    cache_free = derive_transfers(mapping, engine.layout_snapshot(None), engine.model,
+                                  departing=departing)
+    whole = derive_transfers(mapping, layout, engine.model, inherited, departing=departing)
+    built = {a.layer: a.transfers for a in plan.actions if a.kind == "migrate_layer" and a.transfers}
+    assert built == model_rounds(cache_free) == model_rounds(whole)
+    assert [t for a in plan.actions if a.kind == "migrate_cache" for t in a.transfers] == whole[1]
 
 
 def check_engine(engine: Engine, events: list[dict], arrivals: list[float]):
@@ -85,6 +106,8 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
         built = PLAN(policy, engine, mapping, base, cache, inherited, u_max)
         from_storage.append(check_delivers_once(built, mapping, layout, engine.model,
                                                 inherited)[1])
+        if any(cache.values()):
+            check_model_reuse(policy, engine, mapping, layout, inherited, built)
         return built
     monkeypatch.setattr(Engine, "run", captured)
     monkeypatch.setattr(AdaptivePolicy, "_plan", checked)

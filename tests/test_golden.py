@@ -22,7 +22,7 @@ from spotsim.simulator import run
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
-    "spotserve": "aa8f9910b29ad3f5a975eb14e6532a7c2210bdd51483e5afe51b013cd855e4d3",
+    "spotserve": "0c586ce8eb8ec6f205f89cfe64c3abf006efee7b06b810c9c63542fc9a719bee",
     "rerouting": "8799970ef3ffbf1c879911d6a2437ca1cd05ba733e164220d6d9409edd624b4d",
     "reparallelization": "b2aa67360bd4bc654111753f24273a3def3a631c54177528698693b7cbf80572",
 }
@@ -31,8 +31,8 @@ GOLDEN = {
 # The spotserve ablation variants of `cli.ABLATION_VARIANTS`: they pin the
 # snapshot without KV cache (no arranger) and the positional mapping (no mapper).
 GOLDEN_ABLATION = {
-    "-controller": "0b5f9d237b10f87d60bd3017d2d085df4d49105b8a6f647bd2ad5932a4d6f26e",
-    "-planner": "a8ddc8679f4d148e0bb3cb824210737915d7ae4f6081e5ac3acb14fad3c80929",
+    "-controller": "40a394f87ce6f4745b49da6d83d11e80ad6f0fe2f05325edd0b0a795047882bf",
+    "-planner": "37d3c5504456d767e3df29ec665c4328df4ec5a8f050802dab23a37cae84457f",
     "-arranger": "0873d8ebff36a7057f2d75829b54bc626625f7aea0b520671fd537ae95a2cddb",
     "-mapper": "5fb41f2c35521b59855b7034a8dd531c39f2d1f6a89920abee185067f93aceff",
 }
@@ -65,11 +65,11 @@ def test_bundled_ablation_reports_match_golden_digest(variant, tmp_path):
 # They pin the planner's output bytes, which the report digests see only
 # through the migration stalls.
 GOLDEN_PLANS = {
-    ("rate", 0.25): (5, "572e1ba2593e132e547ea0f2491a3a854bbd80548c4293dc4e21685bba0a820d"),
-    ("rate", 0.35): (5, "0b60c3e8fb246d05e43db55f5dd43f27bc818692171bccb60733708523c5f94f"),
-    ("rate", 0.55): (5, "8e062eac1eaa0114023e803a7133e7a5c149a3370f96b62afc1d064c80010805"),
-    ("variant", "-planner"): (5, "e2c908c5893ed9d656bd2ef0b77ade47e3a5218a853329da0cc706375311c623"),
-    ("variant", "-arranger"): (5, "7688a06165bfbe912a9a9f2beee3c4936c0d67c32a7e35fe9cef6f744c55d8f6"),
+    ("rate", 0.25): (5, "f5db6711e64954157a44f7995945eb6801070c0c7c20df8a9dcfaed3949caa6f"),
+    ("rate", 0.35): (5, "f5a3bcb9c4f53b0509fbbeb6ce59aaeca3b34f17cb2b387e74fb67307a752bfe"),
+    ("rate", 0.55): (5, "62da9be0267284752c1818991fdd757ecd73c35d5845a9c9a7eaa85a511052cf"),
+    ("variant", "-planner"): (5, "46cbad3803b862911341e0c0501bb47cbda19d631aefceb797d8b60e43b51594"),
+    ("variant", "-arranger"): (5, "f7b0c742d2313fb66f2b4f258a79013b71df2e48075fcb835e5292102b42ca50"),
 }
 
 

@@ -383,6 +383,23 @@ def test_plan_json_roundtrip():
     assert back.peak_usage == plan.peak_usage
 
 
+def test_plan_json_roundtrip_keeps_cache_layer_runs():
+    """A cache transfer over a layer run writes its layer count; a one-layer
+    transfer writes none, and a missing count reads as one layer."""
+    old, new = ParallelConfig(1, 2, 2, 1), ParallelConfig(1, 1, 4, 1)
+    cache = {1: [("r-1", 24)]}
+    layout = {(f"i-{k}", 0): required_context(old, pos, MODEL, cache[1])
+              for k, pos in enumerate(positions(old))}
+    mapping = map_devices(layout, new, MODEL, 1, inheritance={1: 1})
+    plan = plan_migration(mapping, layout, MODEL, derive_transfers(mapping, layout, MODEL, cache))
+    assert {(t.kind, t.layers) for t in plan.transfers()} == {("model", 1), ("cache", 4)}
+    doc = json.loads(json.dumps(plan_to_dict(plan)))
+    written = [t for a in doc["actions"] for t in a.get("transfers", ())]
+    assert [t.get("layers") for t in written] == [t.layers if t.layers != 1 else None
+                                                  for t in plan.transfers()]
+    assert plan_from_dict(doc).transfers() == plan.transfers()
+
+
 def test_departing_sources_keep_bystander_replicas_out():
     """A same-shape replacement fill pulls from the departing instance, not
     from the replica pipeline that is still serving."""

@@ -75,4 +75,4 @@ def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
     needed, from_storage = check_delivers_once(plan, mapping, layout, model, inherited)
     assert from_storage == 0
     assert needed > 176 * 15  # model layers alone: 176 GPUs x 15 layers
-    assert len(plan.transfers()) > 10_000
+    assert sum(t.layers for t in plan.transfers()) > 10_000  # per-layer pieces

@@ -415,9 +415,10 @@ def test_reparallelization_reboot_after_suspension_restarts(tmp_path):
 
 
 def test_one_cache_free_derivation_per_commit(monkeypatch):
-    """A spotserve commit derives its cache-free transfers once, for the
-    participants and every plan without cache; only a plan whose snapshot
-    carries KV cache derives again, on that snapshot."""
+    """A spotserve commit derives its model pieces exactly once, in the
+    cache-free derivation that gives the participants and every plan
+    without cache; a plan whose snapshot carries KV cache derives only its
+    cache pieces, on that snapshot, on top of that derivation."""
     import spotsim.migration as migration
     import spotsim.simulator as sim
 
@@ -426,6 +427,7 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
     def counted(derive):
         def wrapper(*args, **kwargs):
             counts["derivations"] += 1
+            counts["model derivations"] += kwargs.get("base") is None
             return derive(*args, **kwargs)
         return wrapper
     monkeypatch.setattr(sim, "derive_transfers", counted(sim.derive_transfers))
@@ -446,6 +448,7 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
     assert counts["commits"] > 0 and counts["plans with cache"] > 0
     assert counts["plans"] > counts["plans with cache"]
     assert counts["derivations"] == counts["commits"] + counts["plans with cache"], dict(counts)
+    assert counts["model derivations"] == counts["commits"], dict(counts)
 
 
 def test_lost_only_copy_loads_its_stage_from_storage(tmp_path, monkeypatch):
