@@ -308,8 +308,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
 
     def scaled(inv: ContextInventory) -> dict[str | None, list]:
         k = den // inv.den
-        return {rid: _scaled_blocks(rects, k) for rid, rects in inv.by_request().items()
-                if rid is not None or base is None}
+        held = inv.by_request() if base is None else inv.cache
+        return {rid: _scaled_blocks(rects, k) for rid, rects in held.items()}
 
     have = {gpu: scaled(old_layout[gpu]) for gpu in gpus}  # gpu -> {request: blocks}
     need = {}

@@ -34,8 +34,9 @@ migrating does not gate the migration start.
 Every commit has a plan: model context no live GPU holds comes from remote
 storage (`domain.STORAGE`).  KV cache has no such copy, so when an instance
 is released, the batches of a pipeline with a GPU on it restart from token
-zero, and that pipeline takes no batch until a layout replaces it.  A commit that a later decision superseded is dropped, and one whose
-mapping names a released instance decides anew.
+zero, and that pipeline takes no batch until a layout replaces it.  A
+commit that a later decision superseded is dropped, and one whose mapping
+names a released instance decides anew.
 """
 
 import heapq
