@@ -676,8 +676,7 @@ class AdaptivePolicy:
 
         with_cache = self._use("arranger")
         plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
-                          inherited if with_cache else {},
-                          engine.cfg.u_max if self._use("planner") else None)
+                          inherited if with_cache else {}, self._u_max(engine))
         payload["entry"][2] = migration_cost(plan, engine.profile)
         stall = migration_cost(plan, engine.profile, config=target,
                                progressive=self._use("planner"),
@@ -736,6 +735,10 @@ class AdaptivePolicy:
         action = "migrate_with_cache" if arr.action_after == "migrate_with_cache" else "drop"
         return stop_t, done + arr.steps, action
 
+    def _u_max(self, engine: Engine) -> float | None:
+        """The buffer cap plans are ordered under: none without the planner."""
+        return engine.cfg.u_max if self._use("planner") else None
+
     @staticmethod
     def _departing(engine: Engine) -> frozenset[str]:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
@@ -756,7 +759,7 @@ class AdaptivePolicy:
         """Pessimistic migration time: every in-flight request's cache moves."""
         inherited = kv_cache(engine.batch_requests_by_pipeline(engine.all_batches()))
         return migration_cost(self._plan(engine, mapping, base, inherited, inherited,
-                                         engine.cfg.u_max), engine.profile)
+                                         self._u_max(engine)), engine.profile)
 
     def _pack_pipelines(self, old_cache: dict[int, list[RequestRecord]],
                         target: ParallelConfig) -> dict[int, list[RequestRecord]]:

@@ -68,8 +68,8 @@ GOLDEN_PLANS = {
     ("rate", 0.25): (5, "f5db6711e64954157a44f7995945eb6801070c0c7c20df8a9dcfaed3949caa6f"),
     ("rate", 0.35): (5, "f5a3bcb9c4f53b0509fbbeb6ce59aaeca3b34f17cb2b387e74fb67307a752bfe"),
     ("rate", 0.55): (5, "62da9be0267284752c1818991fdd757ecd73c35d5845a9c9a7eaa85a511052cf"),
-    ("variant", "-planner"): (5, "46cbad3803b862911341e0c0501bb47cbda19d631aefceb797d8b60e43b51594"),
-    ("variant", "-arranger"): (5, "f7b0c742d2313fb66f2b4f258a79013b71df2e48075fcb835e5292102b42ca50"),
+    ("variant", "-planner"): (5, "56835807cac41ed66991b9fa0dbe9069e2c02bdb9c75f16ba61f953c83faf874"),
+    ("variant", "-arranger"): (5, "746c4ce4acd0ec4e6582db4b8d881a06ac16bace8202a5664b2e453644546071"),
 }
 
 
