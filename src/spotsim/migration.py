@@ -24,11 +24,15 @@ migration starts: receivers are charged when a round begins and every
 superseded old copy of the round's context (sent or merely bystanding) is
 credited back when the round completes.  The layer order first admits layers
 in index order while the cap U_max holds, then places the deferred rest by
-repeatedly choosing the layer minimizing the worst instance's usage.  The
-plain index order stays the fallback twice: once inside the ordering, and
-once when the whole plan, cache round included, is replayed for each order
-and the index order peaks lower.  Stage-start markers are placed once, on
-the rounds of the order that wins.
+repeatedly choosing the layer minimizing the worst instance's usage; layers
+with equal incoming traffic peak alike, so each step compares one layer per
+distinct incoming traffic.  The plain index order stays the fallback twice: once inside the
+ordering, and once when the whole plan, cache round included, is replayed
+for each order and the index order peaks lower.  Assembly reads the
+transfers once: each round is built once with its receivers' byte runs and
+the stages it delivers to, both orders are replayed from the byte runs, and
+the stage-start markers are placed from the stage sets of the rounds of the
+order that wins.
 """
 
 import math
@@ -143,27 +147,36 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
     First pass admits layers in index order while no instance would exceed
     u_max mid-round; the deferred rest are appended greedily, each step taking
     the layer whose migration minimizes the worst instance's usage (ties to
-    the lower layer index).  Every layer is ordered even if u_max cannot be
-    met; the resulting peak is reported by the plan, not hidden.  The plain
-    index order is the fallback schedule: if deferral ever reorders frees so
-    badly that it peaks above the index order, the index order wins.
+    the lower layer index).  A layer's peak depends only on its `incoming`
+    items, so layers with equal incoming traffic peak alike, and under that
+    tie rule only the lowest deferred layer of each distinct incoming
+    traffic is compared at a step: a step costs one evaluation per distinct
+    incoming traffic, not one per deferred layer.
+    Every layer is ordered even if u_max cannot be met; the resulting peak is
+    reported by the plan, not hidden.  The plain index order is the fallback
+    schedule: if deferral ever reorders frees so badly that it peaks above
+    the index order, the index order wins.
     """
     usage: dict[str, float] = {}
     order: list[int] = []
-    deferred: list[int] = []
+    deferred: dict[frozenset, list[int]] = {}  # incoming traffic -> its deferred layers
     for layer in sorted(traffic_by_layer):
         traffic = traffic_by_layer[layer]
         if u_max is None or _peak_if_applied(usage, traffic, max(usage.values(), default=0.0)) <= u_max:
             _apply(usage, traffic)
             order.append(layer)
         else:
-            deferred.append(layer)
-    while deferred:
+            deferred.setdefault(frozenset(traffic.incoming.items()), []).append(layer)
+    classes = [layers[::-1] for layers in deferred.values()]  # lowest layer last
+    while classes:
         floor = max(usage.values(), default=0.0)
-        best = min(deferred, key=lambda x: (_peak_if_applied(usage, traffic_by_layer[x], floor), x))
-        _apply(usage, traffic_by_layer[best])
-        order.append(best)
-        deferred.remove(best)
+        best = min(classes, key=lambda layers: (
+            _peak_if_applied(usage, traffic_by_layer[layers[-1]], floor), layers[-1]))
+        layer = best.pop()
+        _apply(usage, traffic_by_layer[layer])
+        order.append(layer)
+        if not best:
+            classes = [layers for layers in classes if layers]
     index_order = sorted(traffic_by_layer)
     if order != index_order and _order_peak(order, traffic_by_layer) > _order_peak(index_order, traffic_by_layer):
         return index_order
@@ -420,6 +433,13 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
 # ---------------------------------------------------------------------------
 # Plan assembly
 
+def _added(total: float, sizes: list[float]) -> float:
+    """`total` plus each size in turn: the float sum a per-transfer replay makes."""
+    for b in sizes:
+        total += b
+    return total
+
+
 def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
                    transfers: tuple, u_max: float | None = None) -> MigrationPlan:
     """Assemble the migration plan of a device mapping from `transfers`, what
@@ -430,58 +450,74 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
     start_stage marker follows the round that completes each stage's context
     (stages needing nothing start up front).  Nothing here re-derives: the
     same derivation assembled under another cap moves the same transfers.
+
+    One pass over the transfers builds every round once: its action, each
+    receiving instance's bytes in transfer order, and the stages it delivers
+    to.  Both orders are replayed from those byte runs, adding each
+    instance's bytes in the order `simulate_buffer_usage` adds them, so the
+    plan's `peak_usage` is what that replay of the plan gives, bit for bit;
+    the markers come from the rounds' stage sets.
     """
     model_transfers, cache_transfers, layer_releases, cache_releases = transfers
+    stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
 
+    def assembled(kind: str, moved, released: dict[str, float], layer: int | None = None):
+        """A round: its action, its receivers' byte runs, and its stages."""
+        received: dict[str, list[float]] = {}
+        to = set()
+        for t in moved:
+            received.setdefault(t.dst[0], []).append(t.bytes)
+            to.add(t.dst)
+        action = MigrationAction(kind=kind, transfers=tuple(moved),
+                                 releases=tuple(sorted(released.items())), layer=layer)
+        return action, sorted(received.items()), {stage_of[gpu] for gpu in to}
+
+    cache_round = ([assembled("migrate_cache", cache_transfers, cache_releases)]
+                   if cache_transfers or cache_releases else [])
     traffic: dict[int, LayerTraffic] = {}
+    rounds = {}
     for layer in range(model.num_layers):
-        t = LayerTraffic()
-        for tr in model_transfers.get(layer, ()):
-            t.incoming[tr.dst[0]] = t.incoming.get(tr.dst[0], 0.0) + tr.bytes
-        for inst, b in layer_releases.get(layer, {}).items():
-            t.freed[inst] = t.freed.get(inst, 0.0) + b
-        traffic[layer] = t
+        moved, released = model_transfers.get(layer, ()), layer_releases.get(layer, {})
+        incoming: dict[str, float] = {}
+        if moved or released:
+            rounds[layer] = assembled("migrate_layer", moved, released, layer)
+            incoming = {inst: _added(0.0, sizes) for inst, sizes in rounds[layer][1]}
+        traffic[layer] = LayerTraffic(incoming, dict(released))
     order = memopt_layer_order(traffic, u_max)
 
-    cache_round = [MigrationAction(
-        kind="migrate_cache", transfers=tuple(cache_transfers),
-        releases=tuple(sorted(cache_releases.items())),
-    )] if cache_transfers or cache_releases else []
+    def replayed(layer_order: list[int]) -> tuple[list, dict[str, float]]:
+        chosen = cache_round + [rounds[layer] for layer in layer_order if layer in rounds]
+        usage = dict.fromkeys([gpu[0] for gpu in old_layout], 0.0)
+        peaks = dict(usage)
+        for action, received, _ in chosen:
+            for inst, sizes in received:
+                usage[inst] = _added(usage.get(inst, 0.0), sizes)
+                peaks[inst] = max(peaks.get(inst, 0.0), usage[inst])
+            for inst, b in action.releases:
+                usage[inst] = usage.get(inst, 0.0) - b
+        return chosen, peaks
 
-    def replayed(layer_order: list[int]) -> MigrationPlan:
-        plan = MigrationPlan(actions=cache_round + [
-            MigrationAction(kind="migrate_layer", transfers=tuple(model_transfers.get(layer, ())),
-                            releases=tuple(sorted(layer_releases.get(layer, {}).items())),
-                            layer=layer)
-            for layer in layer_order if model_transfers.get(layer) or layer_releases.get(layer)
-        ], u_max=u_max)
-        plan.peak_usage = simulate_buffer_usage(plan, old_layout)
-        return plan
-
-    plan = replayed(order)
-    index_order = sorted(traffic)
-    if order != index_order:
+    chosen, peaks = replayed(order)
+    if order != sorted(traffic):
         # the cache round shifts the starting baseline the layer-order pass
         # cannot see; never ship an order that replays worse than naive
-        naive = replayed(index_order)
-        if max(naive.peak_usage.values(), default=0.0) < max(plan.peak_usage.values(), default=0.0):
-            plan = naive
+        naive = replayed(sorted(traffic))
+        if max(naive[1].values(), default=0.0) < max(peaks.values(), default=0.0):
+            chosen, peaks = naive
 
     # a stage may serve once every round delivering context to its GPUs is done
-    stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
     last_round = dict.fromkeys(range(1, mapping.config.pipeline_stages + 1), -1)
-    for idx, action in enumerate(plan.actions):
-        for t in action.transfers:
-            last_round[stage_of[t.dst]] = idx
+    for idx, (_, _, stages) in enumerate(chosen):
+        for p in stages:
+            last_round[p] = idx
     starts: dict[int, list[MigrationAction]] = {}
     for p, idx in last_round.items():
         starts.setdefault(idx, []).append(MigrationAction(kind="start_stage", stage=p))
     actions = starts.get(-1, [])
-    for idx, action in enumerate(plan.actions):
+    for idx, (action, _, _) in enumerate(chosen):
         actions.append(action)
         actions.extend(starts.get(idx, ()))
-    plan.actions = actions
-    return plan
+    return MigrationPlan(actions=actions, u_max=u_max, peak_usage=peaks)
 
 
 def simulate_buffer_usage(plan: MigrationPlan, old_layout: Layout) -> dict[str, float]:
