@@ -1,0 +1,77 @@
+"""Reference layer order: the quadratic greedy `migration.memopt_layer_order`
+must reproduce exactly.
+
+It admits layers in index order while the cap holds, then at each step
+compares every deferred layer and takes the one whose migration leaves the
+lowest worst-instance usage (ties to the lower layer index), and falls back
+to the index order when that replays to a lower peak.  It evaluates each
+deferred layer at each step, O(L^2) peak evaluations, where the library
+compares only the lowest deferred layer of each distinct incoming traffic.
+`layer_traffic` sums a derivation's per-layer traffic transfer by transfer.
+"""
+
+from spotsim.migration import LayerTraffic
+
+
+def layer_traffic(derived, num_layers: int) -> dict[int, LayerTraffic]:
+    """Every layer's traffic in a `derive_transfers` result."""
+    model_transfers, _, layer_releases, _ = derived
+    traffic = {}
+    for layer in range(num_layers):
+        t = LayerTraffic()
+        for tr in model_transfers.get(layer, ()):
+            t.incoming[tr.dst[0]] = t.incoming.get(tr.dst[0], 0.0) + tr.bytes
+        for inst, b in layer_releases.get(layer, {}).items():
+            t.freed[inst] = t.freed.get(inst, 0.0) + b
+        traffic[layer] = t
+    return traffic
+
+
+def peak_if_applied(usage: dict[str, float], traffic: LayerTraffic, floor: float) -> float:
+    peak = floor
+    for inst, b in traffic.incoming.items():
+        peak = max(peak, usage.get(inst, 0.0) + b)
+    return peak
+
+
+def apply(usage: dict[str, float], traffic: LayerTraffic):
+    for inst, b in traffic.incoming.items():
+        usage[inst] = usage.get(inst, 0.0) + b
+    for inst, b in traffic.freed.items():
+        usage[inst] = usage.get(inst, 0.0) - b
+
+
+def order_peak(order: list[int], traffic_by_layer: dict[int, LayerTraffic]) -> float:
+    usage: dict[str, float] = {}
+    peak = 0.0
+    for layer in order:
+        traffic = traffic_by_layer[layer]
+        peak = max(peak, peak_if_applied(usage, traffic, max(usage.values(), default=0.0)))
+        apply(usage, traffic)
+    return peak
+
+
+def reference_layer_order(traffic_by_layer: dict[int, LayerTraffic],
+                          u_max: float | None) -> list[int]:
+    usage: dict[str, float] = {}
+    order: list[int] = []
+    deferred: list[int] = []
+    for layer in sorted(traffic_by_layer):
+        traffic = traffic_by_layer[layer]
+        if u_max is None or peak_if_applied(usage, traffic,
+                                            max(usage.values(), default=0.0)) <= u_max:
+            apply(usage, traffic)
+            order.append(layer)
+        else:
+            deferred.append(layer)
+    while deferred:
+        floor = max(usage.values(), default=0.0)
+        best = min(deferred, key=lambda x: (peak_if_applied(usage, traffic_by_layer[x], floor), x))
+        apply(usage, traffic_by_layer[best])
+        order.append(best)
+        deferred.remove(best)
+    index_order = sorted(traffic_by_layer)
+    if order != index_order and order_peak(order, traffic_by_layer) > order_peak(index_order,
+                                                                                  traffic_by_layer):
+        return index_order
+    return order

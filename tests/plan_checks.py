@@ -1,4 +1,5 @@
-"""Exactness of a migration plan against the layout it was planned over.
+"""Exactness and assembly of a migration plan against the layout it was
+planned over.
 
 Every byte an assigned GPU needs is either reused from what that GPU already
 holds or delivered by exactly one transfer.  A transfer over a layer run is
@@ -7,11 +8,17 @@ times its layer count.  A transfer's source is another GPU that holds the
 piece it sends on every layer of its run (with enough tokens, for KV cache),
 or remote storage (`STORAGE`) for a model piece that no GPU of the layout
 holds any part of.
+
+Assembly: the plan's `peak_usage` is what `simulate_buffer_usage` replays
+from its rounds, the KV-cache round (if any) comes first, each layer has at
+most one round, and each stage's start marker directly follows the last
+round that delivers to one of its GPUs, or leads the plan when none does.
 """
 
 from fractions import Fraction
 
 from spotsim.domain import STORAGE, required_context
+from spotsim.migration import simulate_buffer_usage
 
 from fraction_oracle import intersect
 
@@ -66,3 +73,29 @@ def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, i
             assert reused + sum((b - a for a, b in got), Fraction(0)) == hi - lo
     assert not received  # nothing delivered that no position needs
     return needed, from_storage
+
+
+def check_assembly(plan, mapping, layout) -> dict[int, int]:
+    """Assert the plan's assembly; returns each stage's last delivering
+    round, counted over the rounds without markers (-1 for none)."""
+    assert plan.peak_usage == simulate_buffer_usage(plan, layout)
+    rounds = [a for a in plan.actions if a.kind != "start_stage"]
+    assert all(a.kind == "migrate_layer" for a in rounds[1:])
+    layers = [a.layer for a in rounds if a.kind == "migrate_layer"]
+    assert len(set(layers)) == len(layers)
+
+    stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
+    last_round = dict.fromkeys(range(1, mapping.config.pipeline_stages + 1), -1)
+    for i, action in enumerate(rounds):
+        for t in action.transfers:
+            last_round[stage_of[t.dst]] = i
+    started_after: dict[int, int] = {}
+    done = -1
+    for action in plan.actions:
+        if action.kind == "start_stage":
+            assert action.stage not in started_after
+            started_after[action.stage] = done
+        else:
+            done += 1
+    assert started_after == last_round
+    return last_round

@@ -9,7 +9,9 @@ policy built along the way:
 - the bill equals the integral of each instance's price over the time it
   was held, from its acquisition to its release or the horizon;
 - every plan reuses or delivers every byte its mapping needs exactly once,
-  with remote storage counted as a sender (`plan_checks`);
+  with remote storage counted as a sender, and is assembled soundly: its
+  recorded peaks replay from its rounds, the cache round comes first, and
+  each stage starts right after its last delivering round (`plan_checks`);
 - every plan that carries KV cache has the model transfers of the cache-free
   derivation of its mapping, and the same model and cache transfers as one
   derivation over its cache-carrying layout, so reusing the commit's model
@@ -33,7 +35,7 @@ from spotsim.simconfig import SimConfig, WorkloadSpec
 from spotsim.simulator import AdaptivePolicy, Engine, run
 from spotsim.workload import gamma_arrivals
 
-from plan_checks import check_delivers_once
+from plan_checks import check_assembly, check_delivers_once
 from test_dispatch_invariant import DURATION, SETTINGS, traces
 
 # the unwrapped methods: the monkeypatch fixture outlives a single example
@@ -106,6 +108,7 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
         built = PLAN(policy, engine, mapping, base, cache, inherited, u_max)
         from_storage.append(check_delivers_once(built, mapping, layout, engine.model,
                                                 inherited)[1])
+        check_assembly(built, mapping, layout)
         if any(cache.values()):
             check_model_reuse(policy, engine, mapping, layout, inherited, built)
         return built

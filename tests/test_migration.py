@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spotsim import migration
 from spotsim.domain import (
@@ -29,6 +31,8 @@ from spotsim.migration import (
 )
 
 from fraction_oracle import intersect
+from memopt_oracle import reference_layer_order
+from plan_checks import check_assembly
 from test_acceptance import _random_transition
 
 MODEL = ModelSpec(name="m8", num_layers=8, bytes_per_layer=1000, kv_bytes_per_token_per_layer=16)
@@ -142,6 +146,34 @@ class TestMemoptLayerOrder:
         best = min(peak_of(list(p)) for p in itertools.permutations(range(n_layers)))
         mine = peak_of(got)
         assert best - 1e-9 <= mine <= naive + 1e-9
+
+
+@st.composite
+def traffic_and_cap(draw):
+    """Up to twelve layers, each pairing one of a few incoming rows with one
+    of a few freed rows over three instances and three sizes, so rows repeat
+    and peaks tie within and across incoming rows; a drawn row may be
+    rebuilt with its items in reverse insertion order.  The cap is None,
+    below every layer, above every layer, or in between."""
+    row = st.dictionaries(st.sampled_from(["a", "b", "c"]), st.sampled_from([1.0, 2.0, 3.0]),
+                          max_size=2)
+    incoming_rows = draw(st.lists(row, min_size=1, max_size=3))
+    freed_rows = draw(st.lists(row, min_size=1, max_size=3))
+    traffic = {}
+    for layer in range(draw(st.integers(1, 12))):
+        incoming, freed = draw(st.sampled_from(incoming_rows)), draw(st.sampled_from(freed_rows))
+        if draw(st.booleans()):
+            incoming, freed = dict(reversed(incoming.items())), dict(reversed(freed.items()))
+        traffic[layer] = LayerTraffic(incoming=dict(incoming), freed=dict(freed))
+    total = sum(b for t in traffic.values() for b in t.incoming.values())
+    cap = draw(st.one_of(st.none(), st.just(-1.0), st.just(total + 1.0), st.floats(0.0, total)))
+    return traffic, cap
+
+
+@given(traffic_and_cap())
+def test_memopt_layer_order_matches_the_reference_greedy(case):
+    traffic, cap = case
+    assert memopt_layer_order(traffic, cap) == reference_layer_order(traffic, cap)
 
 
 class TestPlanMigration:
@@ -285,24 +317,8 @@ class TestPlanMigration:
         memopt_rounds = rounds[:1] + sorted(rounds[1:], key=lambda a: rank[a.layer])
         assert memopt_rounds != rounds
         memopt_peak = simulate_buffer_usage(MigrationPlan(actions=memopt_rounds), layout)
-        assert plan.peak_usage == simulate_buffer_usage(plan, layout)
         assert max(plan.peak_usage.values()) < max(memopt_peak.values())
-
-        # one start per stage, right after the last round delivering to it
-        stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
-        last_round = dict.fromkeys(range(1, new_cfg.pipeline_stages + 1), -1)
-        for i, action in enumerate(rounds):
-            for t in action.transfers:
-                last_round[stage_of[t.dst]] = i
-        started_after: dict[int, int] = {}
-        done = -1
-        for action in plan.actions:
-            if action.kind == "start_stage":
-                assert action.stage not in started_after
-                started_after[action.stage] = done
-            else:
-                done += 1
-        assert started_after == last_round
+        last_round = check_assembly(plan, mapping, layout)
         assert new_cfg.pipeline_stages > 1 and len(set(last_round.values())) > 1
 
 

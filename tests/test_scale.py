@@ -1,8 +1,10 @@
 """A 48-instance, 192-GPU fleet changes shape: mapping and plan stay exact.
 
-No wall-clock bound: the test checks coverage.  Every byte a target position
-needs is either reused from what its GPU already holds or delivered by
-exactly one transfer, and every transfer's source held the piece it sends.
+No wall-clock bound: the test checks coverage and assembly.  Every byte a
+target position needs is either reused from what its GPU already holds or
+delivered by exactly one transfer, and every transfer's source held the
+piece it sends.  The plan is assembled soundly (`plan_checks`), and its
+layer rounds follow the reference greedy's order (`memopt_oracle`).
 """
 
 from spotsim.costmodel import load_profile
@@ -17,7 +19,8 @@ import spotsim.mapping as mapping_module
 from spotsim.mapping import build_graph, default_inheritance, map_devices
 from spotsim.migration import derive_transfers, plan_migration
 
-from plan_checks import check_delivers_once
+from memopt_oracle import layer_traffic, reference_layer_order
+from plan_checks import check_assembly, check_delivers_once
 
 GPUS_PER_INSTANCE = 4
 
@@ -49,7 +52,7 @@ def reshaped_fleet():
     inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
     derived = derive_transfers(mapping, layout, model, inherited, departing=departing)
     plan = plan_migration(mapping, layout, model, derived, u_max=4e9)
-    return model, target, mapping, layout, inherited, plan
+    return model, target, mapping, layout, inherited, derived, plan
 
 
 def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
@@ -68,7 +71,7 @@ def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
 
 
 def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
-    model, target, mapping, layout, inherited, plan = reshaped_fleet()
+    model, target, mapping, layout, inherited, _, plan = reshaped_fleet()
     assert len(layout) == 192 and len(mapping.assignment) == target.gpus == 176
     assert sorted(mapping.assignment.values()) == positions(target)
 
@@ -76,3 +79,13 @@ def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
     assert from_storage == 0
     assert needed > 176 * 15  # model layers alone: 176 GPUs x 15 layers
     assert sum(t.layers for t in plan.transfers()) > 10_000  # per-layer pieces
+
+
+def test_192_gpu_reshape_is_assembled_in_the_reference_layer_order():
+    """The cap is exceeded, so the greedy orders most layers, and the plan
+    keeps its order over the index order."""
+    model, _, mapping, layout, _, derived, plan = reshaped_fleet()
+    check_assembly(plan, mapping, layout)
+    reference = reference_layer_order(layer_traffic(derived, model.num_layers), plan.u_max)
+    assert reference != sorted(reference)
+    assert [a.layer for a in plan.actions if a.kind == "migrate_layer"] == reference
