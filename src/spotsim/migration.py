@@ -26,13 +26,13 @@ credited back when the round completes.  The layer order first admits layers
 in index order while the cap U_max holds, then places the deferred rest by
 repeatedly choosing the layer minimizing the worst instance's usage; layers
 with equal incoming traffic peak alike, so each step compares one layer per
-distinct incoming traffic.  The plain index order stays the fallback twice: once inside the
-ordering, and once when the whole plan, cache round included, is replayed
-for each order and the index order peaks lower.  Assembly reads the
-transfers once: each round is built once with its receivers' byte runs and
-the stages it delivers to, both orders are replayed from the byte runs, and
-the stage-start markers are placed from the stage sets of the rounds of the
-order that wins.
+distinct incoming traffic.  The plain index order stays the fallback twice:
+once inside the ordering, and once when the whole plan, cache round
+included, is replayed for each order and the index order peaks lower.
+Assembly reads the transfers once: each round is built once with its
+receivers' byte runs and the stages it delivers to, both orders are
+replayed from the byte runs, and the stage-start markers are placed from
+the stage sets of the rounds of the order that wins.
 """
 
 import math
@@ -482,7 +482,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
         if moved or released:
             rounds[layer] = assembled("migrate_layer", moved, released, layer)
             incoming = {inst: _added(0.0, sizes) for inst, sizes in rounds[layer][1]}
-        traffic[layer] = LayerTraffic(incoming, dict(released))
+        traffic[layer] = LayerTraffic(incoming, released)
     order = memopt_layer_order(traffic, u_max)
 
     def replayed(layer_order: list[int]) -> tuple[list, dict[str, float]]:
