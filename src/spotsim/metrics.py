@@ -1,6 +1,5 @@
 """Aggregate serving metrics over per-request records (`domain.RequestRecord`)."""
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -97,21 +96,44 @@ CSV_FIELDS = ["id", "arrival", "s_in", "s_out", "dispatch", "completion",
               "l_sch", "l_exe", "l_req", "tokens_generated", "completed"]
 
 
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it: quoted, with doubled quotes, when it
+    holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(records):
+    """One CSV line per record, each latency computed once.  Floats print as
+    their `repr` and ints as `str`, as `csv.writer` prints them; the format
+    string depends on which of dispatch and completion are known."""
+    for r in records:
+        a, d, c = r.arrival, r.dispatch, r.completion
+        if c is None:
+            if d is None:
+                yield "%s,%r,%s,%s,,,,,,%s,0\r\n" % (
+                    _csv_field(r.id), a, r.s_in, r.s_out, r.tokens_generated)
+            else:
+                yield "%s,%r,%s,%s,%r,,%r,,,%s,0\r\n" % (
+                    _csv_field(r.id), a, r.s_in, r.s_out, d, d - a, r.tokens_generated)
+        elif d is None:
+            yield "%s,%r,%s,%s,,%r,,,%r,%s,1\r\n" % (
+                _csv_field(r.id), a, r.s_in, r.s_out, c, c - a, r.tokens_generated)
+        else:
+            yield "%s,%r,%s,%s,%r,%r,%r,%r,%r,%s,1\r\n" % (
+                _csv_field(r.id), a, r.s_in, r.s_out, d, c, d - a, c - d, c - a,
+                r.tokens_generated)
+
+
 def write_request_csv(report: MetricsReport, path: str | Path):
+    """One row per request under a `CSV_FIELDS` header, byte for byte what
+    `csv.writer` writes (`\\r\\n` line ends): floats as `repr`, and an
+    unknown dispatch, completion or latency as an empty field.  The lines
+    are formatted one per record and streamed, not joined first."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_FIELDS)
-        for r in report.records:
-            w.writerow([
-                r.id, repr(r.arrival), r.s_in, r.s_out,
-                "" if r.dispatch is None else repr(r.dispatch),
-                "" if r.completion is None else repr(r.completion),
-                "" if r.l_sch is None else repr(r.l_sch),
-                "" if r.l_exe is None else repr(r.l_exe),
-                "" if r.l_req is None else repr(r.l_req),
-                r.tokens_generated,
-                int(r.done),
-            ])
+        f.write(",".join(CSV_FIELDS) + "\r\n")
+        f.writelines(_csv_lines(report.records))
 
 
 def write_summary_json(report: MetricsReport, path: str | Path):

@@ -20,7 +20,8 @@ internal, then by insertion sequence; every iteration over instances,
 pipelines or requests is explicitly ordered.  Identical configurations give
 bit-identical reports.  Dispatch keeps a single pending wake: a gated
 pipeline schedules a poll only if it is earlier than the one pending, and a
-poll that is no longer the pending wake does nothing.
+poll that is no longer the pending wake does nothing.  A lower bound on the
+pipelines' gates lets a dispatch call that could start nothing return at once.
 
 Modeling choices: pipelines whose instances take part in the transfers drain
 under the grace arrangement and gate the migration through per-instance
@@ -148,6 +149,9 @@ class Engine:
         self.paused_until = 0.0
         self.busy_until = 0.0  # reconfiguration window in progress until then
         self.wake_at = math.inf  # time of the one pending poll
+        # A lower bound on every pipeline's gate, max(next_start, ready_at):
+        # gates only rise, so whatever creates a pipeline must lower it.
+        self.gate_floor = -math.inf
         self._batch_ids = 0
         self.policy = None
 
@@ -284,8 +288,15 @@ class Engine:
     def try_dispatch(self):
         """One pass over the pipelines in index order (their insertion order):
         each open one takes a batch, and starting a batch gates its pipeline
-        past now, so a second pass could start nothing."""
+        past now, so a second pass could start nothing.
+
+        The pass is skipped when `gate_floor` shows it could do nothing: with
+        every gate beyond now and no earlier than the pending wake, it would
+        start no batch and push no poll.  The pass's wake (the lowest gate)
+        becomes the new floor."""
         if self.config is None or self.now < self.paused_until - 1e-9:
+            return
+        if self.queue and self.now + 1e-9 < self.gate_floor and self.wake_at <= self.gate_floor:
             return
         for pipe in self.pipelines.values():
             if not self.queue:
@@ -294,6 +305,7 @@ class Engine:
                 self.start_batch(pipe, self._take_requests())
         if self.queue and self.pipelines:
             wake = min(max(p.next_start, p.ready_at) for p in self.pipelines.values())
+            self.gate_floor = wake
             if wake < self.wake_at:
                 self.wake_at = wake
                 self.push(wake, P_INTERNAL, "poll", None)
@@ -397,6 +409,7 @@ class Engine:
             d: Pipeline(index=d, next_start=self.now)
             for d in range(1, config.data_parallel + 1)
         }
+        self.gate_floor = self.now
 
     def layout_snapshot(self, cache: KvCache | None = None) -> Layout:
         """Holdings of every live GPU; an assigned GPU also holds the KV cache
@@ -843,6 +856,7 @@ class ReroutingPolicy:
             if self._booted:
                 ready_at += restart_cost(engine.profile, "local_disk")
             engine.pipelines[d] = Pipeline(index=d, next_start=engine.now, ready_at=ready_at)
+            engine.gate_floor = min(engine.gate_floor, ready_at)
             added = True
         if self.pipe_instances:
             self._booted = True

@@ -6,22 +6,42 @@ over the pipelines in index order leaves each one either gated or fed.  Over
 random short traces and all three policies, every call must end with an empty
 queue, paused service, or every pipeline gated beyond now; and the pipelines
 must iterate in ascending index order, which the one pass relies on.
+
+A call skips its pass when `Engine.gate_floor` shows the pass could do
+nothing; a reference pass that never skips checks that it would indeed start
+no batch and push no poll, and that the floor stays below every gate.
 """
 
 import json
+import math
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spotsim.costmodel import load_profile, restart_cost, save_profile
 from spotsim.data import bundled_path
 from spotsim.simconfig import SimConfig, WorkloadSpec
-from spotsim.simulator import Engine, run
+from spotsim.simulator import P_INTERNAL, Engine, run
+from spotsim.workload import save_arrivals
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
                                            HealthCheck.function_scoped_fixture])
 DURATION = 240.0
 TRY_DISPATCH = Engine.try_dispatch
+
+
+def _config(events, policy, model, rate, cv, seed, tmp_path) -> SimConfig:
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+    return SimConfig(profile_path=str(bundled_path(model)), trace_path=str(trace),
+                     workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=cv, seed=seed),
+                     policy=policy, duration=DURATION, pool_size=1)
+
+
+def _gate(pipe) -> float:
+    return max(pipe.next_start, pipe.ready_at)
 
 
 @st.composite
@@ -52,11 +72,7 @@ def traces(draw):
        rate=st.floats(0.2, 3.0), cv=st.sampled_from([1.0, 4.0]), seed=st.integers(0, 99))
 def test_one_dispatch_pass_leaves_no_open_pipeline(events, policy, model, rate, cv, seed,
                                                    tmp_path, monkeypatch):
-    trace = tmp_path / "trace.jsonl"
-    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
-    cfg = SimConfig(profile_path=str(bundled_path(model)), trace_path=str(trace),
-                    workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=cv, seed=seed),
-                    policy=policy, duration=DURATION, pool_size=1)
+    cfg = _config(events, policy, model, rate, cv, seed, tmp_path)
 
     def checked(engine):
         TRY_DISPATCH(engine)
@@ -68,3 +84,70 @@ def test_one_dispatch_pass_leaves_no_open_pipeline(events, policy, model, rate, 
 
     monkeypatch.setattr(Engine, "try_dispatch", checked)
     run(cfg)
+
+
+def reference_pass(engine):
+    """`Engine.try_dispatch`'s pass without the skip."""
+    for pipe in engine.pipelines.values():
+        if not engine.queue:
+            return
+        if _gate(pipe) <= engine.now + 1e-9:
+            engine.start_batch(pipe, engine._take_requests())
+    if engine.queue and engine.pipelines:
+        wake = min(_gate(p) for p in engine.pipelines.values())
+        if wake < engine.wake_at:
+            engine.wake_at = wake
+            engine.push(wake, P_INTERNAL, "poll", None)
+
+
+@SETTINGS
+@given(events=traces(),
+       policy=st.sampled_from(["spotserve", "rerouting", "reparallelization"]),
+       model=st.sampled_from(["opt-6.7b", "gpt-20b"]),
+       rate=st.floats(0.2, 3.0), cv=st.sampled_from([1.0, 4.0]), seed=st.integers(0, 99))
+def test_skipped_dispatch_pass_would_do_nothing(events, policy, model, rate, cv, seed,
+                                                tmp_path, monkeypatch):
+    """Whenever a call skips its pass, every gate lies beyond now and at or
+    after the pending wake, and the reference pass run in its place starts no
+    batch and pushes no event; after every call the floor is at most every
+    pipeline's gate."""
+    cfg = _config(events, policy, model, rate, cv, seed, tmp_path)
+
+    def checked(engine):
+        serving = engine.config is not None and engine.now >= engine.paused_until - 1e-9
+        floor = engine.gate_floor
+        if (serving and engine.queue and engine.now + 1e-9 < floor
+                and engine.wake_at <= floor):
+            gates = [_gate(p) for p in engine.pipelines.values()]
+            assert all(g > engine.now + 1e-9 for g in gates), (engine.now, gates)
+            assert min(gates, default=math.inf) >= engine.wake_at, (engine.wake_at, gates)
+            batches, pushed = engine._batch_ids, engine._seq
+            reference_pass(engine)
+            assert (engine._batch_ids, engine._seq) == (batches, pushed)
+        TRY_DISPATCH(engine)
+        assert all(engine.gate_floor <= _gate(p) for p in engine.pipelines.values()), (
+            engine.gate_floor, [_gate(p) for p in engine.pipelines.values()])
+
+    monkeypatch.setattr(Engine, "try_dispatch", checked)
+    run(cfg)
+
+
+def test_rebuilt_pipeline_lowers_the_gate_floor(tmp_path):
+    """A pipeline that rerouting adds mid-run can open before every existing
+    gate.  With a 1.45 s disk restart, the second instance's pipeline (ready
+    at t=4.45) opens before the first one's next slot (t=6.64), so it takes
+    the second queued request then, not at the first one's wake."""
+    profile = replace(load_profile(bundled_path("opt-6.7b")), restart_baseline_s=1.0)
+    save_profile(profile, tmp_path / "profile.json")
+    arrivals = tmp_path / "arrivals.jsonl"
+    save_arrivals([(0.0, 512, 128)] * 3, arrivals)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(e) + "\n" for e in [
+        {"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0},
+        {"t": 3.0, "kind": "acquire", "id": "i-1", "ready_in": 0.0}]))
+    cfg = SimConfig(profile_path=str(tmp_path / "profile.json"), trace_path=str(trace),
+                    workload=WorkloadSpec(kind="arrival_file", path=str(arrivals)),
+                    policy="rerouting", rerouting_shape=(1, 4, 1), duration=60.0,
+                    pool_size=0)
+    dispatches = [r.dispatch for r in run(cfg).records]
+    assert dispatches[:2] == [0.0, 3.0 + restart_cost(profile, "local_disk")], dispatches

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import csv_oracle
 from spotsim.metrics import (
     RequestRecord,
     accumulated_max,
     collect_metrics,
     percentile,
+    write_request_csv,
 )
 from spotsim.costmodel import CostSummary
 from spotsim.workload import WorkloadError, gamma_arrivals, load_arrivals, save_arrivals
@@ -118,3 +122,32 @@ class TestCollectMetrics:
                                  reconfigurations=[], queued_at_horizon=0)
         assert report.accumulated_max_latency == [3.0, 3.0, 5.0, 5.0]
         assert report.p99 >= report.p90 >= report.p50
+
+
+# Times: ints and floats, with a few whose repr is long or unusual.
+TIMES = st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                  st.sampled_from([1e16, 5e-324, 0.1 + 0.2, -0.0]))
+IDS = st.one_of(st.from_regex(r"r-[0-9]{5}", fullmatch=True),
+                st.text(st.sampled_from('r-0, "\r\n\té'), max_size=8), st.text(max_size=8))
+
+
+@st.composite
+def request_records(draw):
+    return RequestRecord(id=draw(IDS), arrival=draw(TIMES),
+                         s_in=draw(st.integers(1, 4096)), s_out=draw(st.integers(1, 4096)),
+                         dispatch=draw(st.none() | TIMES), completion=draw(st.none() | TIMES),
+                         tokens_generated=draw(st.integers(0, 4096)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(request_records(), max_size=12))
+def test_request_csv_matches_csv_writer(records, tmp_path):
+    """The request CSV is byte for byte what `csv.writer` writes: every mix of
+    known and unknown dispatch and completion, int and float times, and ids
+    that need quoting."""
+    report = collect_metrics(records, horizon=100.0, cost=CostSummary(1.0, None),
+                             reconfigurations=[], queued_at_horizon=0)
+    write_request_csv(report, tmp_path / "got.csv")
+    csv_oracle.write_request_csv(report, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
