@@ -106,7 +106,10 @@ SWEEP_METRICS = ("avg_latency", "p50", "p90", "p99", "completed", "arrived",
 
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_simconfig(args.config), args)
-    rates = [float(r) for r in args.rates.split(",")] if args.rates else [None]
+    try:
+        rates = [float(r) for r in args.rates.split(",")] if args.rates else [None]
+    except ValueError:
+        raise SimConfigError(f"--rates needs comma-separated numbers, not {args.rates!r}") from None
     policies = args.policies.split(",") if args.policies else [cfg.policy]
     traces = args.traces.split(",") if args.traces else [None]
     for p in policies:
@@ -211,7 +214,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SimConfigError, TraceError, ProfileError, WorkloadError, FileNotFoundError) as e:
+    except (SimConfigError, TraceError, ProfileError, WorkloadError, FileNotFoundError,
+            IsADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure

@@ -1,6 +1,7 @@
 """Simulation configuration and availability-trace parsing."""
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,8 +51,10 @@ def load_trace(path: str | Path, grace_default: float = 30.0,
                     acquired.add(inst)
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
-                if (ev.grace or 0.0) < 0 or (ev.ready_in or 0.0) < 0:
-                    raise ValueError("grace and ready_in must be >= 0")
+                if not math.isfinite(t):
+                    raise ValueError("t must be finite")
+                if not all(0 <= v < math.inf for v in (ev.grace or 0.0, ev.ready_in or 0.0)):
+                    raise ValueError("grace and ready_in must be finite and >= 0")
                 if inst == STORAGE[0]:
                     raise ValueError(f"instance id {inst!r} names remote storage")
             except (KeyError, TypeError, ValueError) as e:
@@ -72,6 +75,9 @@ class WorkloadSpec:
         if self.kind == "fixed_rate":
             if self.rate is None or self.cv is None or self.seed is None:
                 raise SimConfigError("fixed_rate workload needs rate, cv and seed")
+            for name in ("rate", "cv"):
+                if not math.isfinite(getattr(self, name)):
+                    raise SimConfigError(f"workload {name} must be finite")
         elif self.kind == "arrival_file":
             if not self.path:
                 raise SimConfigError("arrival_file workload needs a path")
@@ -106,6 +112,10 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise SimConfigError(f"unknown policy {self.policy!r}")
+        for name in ("duration", "rate_window", "u_max", "grace_default", "ready_default"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SimConfigError(f"{name} must be finite")
         for name in ("duration", "rate_window", "u_max"):
             value = getattr(self, name)
             if value is not None and value <= 0:

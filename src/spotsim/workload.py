@@ -1,6 +1,7 @@
 """Request arrival generation and arrival-file I/O."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,8 @@ def load_arrivals(path: str | Path) -> list[tuple[float, int, int]]:
             try:
                 doc = json.loads(line)
                 record = (float(doc["t"]), int(doc["s_in"]), int(doc["s_out"]))
-                if record[0] < 0 or min(record[1:]) < 1:
-                    raise ValueError("t must be >= 0 and s_in, s_out >= 1")
+                if not 0 <= record[0] < math.inf or min(record[1:]) < 1:
+                    raise ValueError("t must be finite and >= 0, and s_in, s_out >= 1")
                 out.append(record)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise WorkloadError(f"{path}:{lineno}: bad arrival record: {e}") from None

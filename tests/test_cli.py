@@ -254,3 +254,66 @@ def test_bad_profile_exits_two(corrupt, message, quick_config, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "profile.json" in err and message in err
     assert "Traceback" not in err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _write_lines(path, docs):
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    return str(path)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("config", "duration", NAN),
+    ("config", "duration", INF),
+    ("config", "rate_window", NAN),
+    ("config", "u_max", NAN),
+    ("config", "grace_default", NAN),
+    ("config", "ready_default", INF),
+    ("workload", "rate", INF),
+    ("workload", "cv", NAN),
+    ("trace", "t", NAN),
+    ("trace", "grace", NAN),
+    ("trace", "ready_in", INF),
+    ("arrival", "t", NAN),
+    ("flag", "--rate", "inf"),
+    ("flag", "--duration", "nan"),
+])
+def test_non_finite_number_exits_two(where, key, value, quick_config, tmp_path, capsys):
+    """NaN and Infinity (JSON `NaN`/`Infinity`, or a flag's `nan`/`inf`) are
+    bad input wherever a number is read."""
+    doc = json.loads(quick_config.read_text())
+    argv = []
+    if where == "config":
+        doc[key] = value
+    elif where == "workload":
+        doc["workload"][key] = value
+    elif where == "trace":
+        event = ({"t": 5.0, "kind": "preempt", "id": "i-0", "grace": value} if key == "grace"
+                 else {"t": 5.0, "kind": "acquire", "id": "i-9", key: value})
+        doc["trace"] = _write_lines(tmp_path / "trace.jsonl", [
+            {"t": 0.0, "kind": "acquire", "id": "i-0"}, event])
+    elif where == "arrival":
+        doc["workload"] = {"kind": "arrival_file", "path": _write_lines(
+            tmp_path / "arrivals.jsonl", [{"t": value, "s_in": 512, "s_out": 128}])}
+    else:
+        argv = [key, value]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rates", "abc"),
+    ("--rates", "0.3,,0.4"),
+    ("--traces", "{tmp}"),
+], ids=["rates-word", "rates-empty-item", "traces-directory"])
+def test_bad_sweep_list_exits_two(flag, value, quick_config, tmp_path, capsys):
+    argv = ["--outdir", str(tmp_path / "o"), "sweep", str(quick_config),
+            flag, value.format(tmp=tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
