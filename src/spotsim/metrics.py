@@ -130,7 +130,7 @@ def write_request_csv(report: MetricsReport, path: str | Path):
     """One row per request under a `CSV_FIELDS` header, byte for byte what
     `csv.writer` writes (`\\r\\n` line ends): floats as `repr`, and an
     unknown dispatch, completion or latency as an empty field.  The lines
-    are formatted one per record and streamed, not joined first."""
+    are streamed, not joined first, so the file never sits whole in memory."""
     with open(path, "w", newline="") as f:
         f.write(",".join(CSV_FIELDS) + "\r\n")
         f.writelines(_csv_lines(report.records))

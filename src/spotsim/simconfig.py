@@ -112,18 +112,14 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise SimConfigError(f"unknown policy {self.policy!r}")
-        for name in ("duration", "rate_window", "u_max", "grace_default", "ready_default"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise SimConfigError(f"{name} must be finite")
         for name in ("duration", "rate_window", "u_max"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise SimConfigError(f"{name} must be positive")
+            if value is not None and not 0 < value < math.inf:
+                raise SimConfigError(f"{name} must be positive and finite")
         for name, low in (("s_in", 1), ("s_out", 1), ("gpus_per_instance", 1),
                           ("pool_size", 0), ("grace_default", 0), ("ready_default", 0)):
-            if getattr(self, name) < low:
-                raise SimConfigError(f"{name} must be >= {low}")
+            if not low <= getattr(self, name) < math.inf:
+                raise SimConfigError(f"{name} must be >= {low} and finite")
         if self.rerouting_shape is not None and min(self.rerouting_shape) < 1:
             raise SimConfigError("rerouting_shape entries must be >= 1")
         if self.rate_source not in ("declared", "estimated"):
