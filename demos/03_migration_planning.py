@@ -59,7 +59,7 @@ for a in plan.actions:
 
 prof = load_profile(bundled_path("gpt-20b"))  # for its interconnect parameters
 full = migration_cost(plan, prof)
-stall = migration_cost(plan, prof, config=new, progressive=True)
+stall = migration_cost(plan, prof, config=new)
 print(f"\nfull transfer time:        {full:6.2f} s")
 print(f"progressive service stall: {stall:6.2f} s")
 

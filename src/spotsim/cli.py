@@ -7,6 +7,7 @@ failure.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -17,7 +18,6 @@ from . import __version__
 from .costmodel import ProfileError
 from .metrics import write_request_csv, write_summary_json
 from .simconfig import (
-    POLICIES,
     SimConfig,
     SimConfigError,
     TraceError,
@@ -39,15 +39,26 @@ def _outdir(args) -> Path:
     return path
 
 
+def _with_workload(cfg: SimConfig, what: str, **changes) -> SimConfig:
+    """`cfg` with `changes` to its fixed-rate workload; `what` names the
+    change in the error any other workload raises."""
+    if cfg.workload.kind != "fixed_rate":
+        raise SimConfigError(f"{what} needs a fixed_rate workload")
+    return replace(cfg, workload=replace(cfg.workload, **changes))
+
+
+def _write_table(path: Path, header: list[str], rows: list[list]):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     if getattr(args, "rate", None) is not None:
-        if cfg.workload.kind != "fixed_rate":
-            raise SimConfigError("--rate override needs a fixed_rate workload")
-        cfg = replace(cfg, workload=replace(cfg.workload, rate=args.rate))
+        cfg = _with_workload(cfg, "--rate override", rate=args.rate)
     if getattr(args, "seed", None) is not None:
-        if cfg.workload.kind != "fixed_rate":
-            raise SimConfigError("--seed override needs a fixed_rate workload")
-        cfg = replace(cfg, workload=replace(cfg.workload, seed=args.seed))
+        cfg = _with_workload(cfg, "--seed override", seed=args.seed)
     if getattr(args, "trace", None):
         cfg = replace(cfg, trace_path=args.trace)
     if getattr(args, "profile", None):
@@ -80,17 +91,14 @@ def _run_one(cfg: SimConfig, outdir: Path, tag: str) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_simconfig(args.config), args)
-    outdir = _outdir(args)
     policies = args.policy.split(",") if args.policy else [cfg.policy]
-    for p in policies:
-        if p not in POLICIES:
-            raise SimConfigError(f"unknown policy {p!r}")
+    cells = [replace(cfg, policy=policy) for policy in policies]  # checks every name
+    outdir = _outdir(args)
     outputs = {}
-    for policy in policies:
-        one = replace(cfg, policy=policy)
-        summary = _run_one(one, outdir, policy)
-        outputs[policy] = summary["outputs"]
-        print(f"[{policy}] completed={summary['completed']}/{summary['arrived']}"
+    for one in cells:
+        summary = _run_one(one, outdir, one.policy)
+        outputs[one.policy] = summary["outputs"]
+        print(f"[{one.policy}] completed={summary['completed']}/{summary['arrived']}"
               f" p99={summary['p99']!r} avg={summary['avg_latency']!r}"
               f" usd={summary['total_usd']:.4f}")
     seeds = [cfg.workload.seed] if cfg.workload.kind == "fixed_rate" else []
@@ -112,34 +120,22 @@ def cmd_sweep(args) -> int:
         raise SimConfigError(f"--rates needs comma-separated numbers, not {args.rates!r}") from None
     policies = args.policies.split(",") if args.policies else [cfg.policy]
     traces = args.traces.split(",") if args.traces else [None]
-    for p in policies:
-        if p not in POLICIES:
-            raise SimConfigError(f"unknown policy {p!r}")
+    cells = []  # every cell is built, and so checked, before any runs
+    for rate, policy, trace in itertools.product(rates, policies, traces):
+        cell = replace(cfg, policy=policy, trace_path=cfg.trace_path if trace is None else trace)
+        if rate is not None:
+            cell = _with_workload(cell, "rate sweep", rate=rate)
+        cells.append((rate, cell))
     outdir = _outdir(args)
     rows = []
-    for rate in rates:
-        for policy in policies:
-            for trace in traces:
-                cell = replace(cfg, policy=policy)
-                if rate is not None:
-                    if cell.workload.kind != "fixed_rate":
-                        raise SimConfigError("rate sweep needs a fixed_rate workload")
-                    cell = replace(cell, workload=replace(cell.workload, rate=rate))
-                if trace is not None:
-                    cell = replace(cell, trace_path=trace)
-                report = run_sim(cell)
-                summary = report.summary_dict()
-                seed = cell.workload.seed if cell.workload.kind == "fixed_rate" else ""
-                for metric in SWEEP_METRICS:
-                    rows.append([
-                        "" if rate is None else rate, policy,
-                        cell.trace_path, seed, metric, summary[metric],
-                    ])
+    for rate, cell in cells:
+        summary = run_sim(cell).summary_dict()
+        seed = cell.workload.seed if cell.workload.kind == "fixed_rate" else ""
+        for metric in SWEEP_METRICS:
+            rows.append(["" if rate is None else rate, cell.policy,
+                         cell.trace_path, seed, metric, summary[metric]])
     path = outdir / "sweep.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SWEEP_FIELDS)
-        w.writerows(rows)
+    _write_table(path, SWEEP_FIELDS, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -168,10 +164,7 @@ def cmd_ablate(args) -> int:
                      summary["completed"], summary["arrived"]])
         print(f"[{name:<11}] p99={summary['p99']!r} avg={summary['avg_latency']!r}")
     path = outdir / "ablation.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant", "disabled", "p99", "avg_latency", "completed", "arrived"])
-        w.writerows(rows)
+    _write_table(path, ["variant", "disabled", "p99", "avg_latency", "completed", "arrived"], rows)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -15,10 +15,11 @@ candidate configuration.  There is deliberately no nearest-neighbor fallback.
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .domain import STORAGE, ModelSpec, ParallelConfig
+from .domain import STORAGE, ModelSpec, ParallelConfig, is_count
 
 HOUR = 3600.0
 
@@ -41,8 +42,8 @@ class PriceSheet:
     ondemand_usd_per_hour: float
 
     def __post_init__(self):
-        if self.spot_usd_per_hour <= 0 or self.ondemand_usd_per_hour <= 0:
-            raise CostModelError("prices must be positive")
+        if not all(0 < v < math.inf for v in (self.spot_usd_per_hour, self.ondemand_usd_per_hour)):
+            raise CostModelError("prices must be positive and finite")
 
     def rate(self, kind: str) -> float:
         if kind == "spot":
@@ -68,18 +69,21 @@ class PerfProfile:
     prices: PriceSheet
     local_restart_ratio: float = 1.45
     remote_restart_ratio: float = 9.54
-    restart_baseline_s: float = 10.0  # default equivalent-migration baseline
+    restart_baseline_s: float = 10.0  # equivalent-migration baseline of a restart
     nominal_s_in: int = 512
     nominal_s_out: int = 128
 
     def __post_init__(self):
         if not (0 < self.pipeline_efficiency <= 1):
             raise CostModelError("pipeline_efficiency must be in (0, 1]")
-        if self.bandwidth <= 0 or self.transfer_latency < 0:
-            raise CostModelError("bad interconnect parameters")
-        for shape, v in self.decode_table.items():
-            if v <= 0:
-                raise CostModelError(f"decode cost for {shape} must be positive")
+        positive = [self.bandwidth, self.local_restart_ratio, self.remote_restart_ratio,
+                    self.restart_baseline_s, *self.decode_table.values(),
+                    *(v for entries in self.prefill_table.values() for v in entries.values())]
+        if not (all(0 < v < math.inf for v in positive) and 0 <= self.transfer_latency < math.inf):
+            raise CostModelError("bandwidth, decode and prefill costs and restart ratios and "
+                                 "baseline must be positive, and transfer latency >= 0, all finite")
+        if not (is_count(self.nominal_s_in, 1) and is_count(self.nominal_s_out, 1)):
+            raise CostModelError("nominal s_in and s_out must be integers >= 1")
 
     def shapes(self) -> list[Shape]:
         return sorted(self.decode_table)
@@ -216,48 +220,41 @@ def plan_timeline(plan, profile: PerfProfile, release: dict[str, float] | None =
 
 
 def migration_cost(plan, profile: PerfProfile, config: ParallelConfig | None = None,
-                   progressive: bool = False, release: dict[str, float] | None = None,
-                   start: float = 0.0) -> float:
+                   release: dict[str, float] | None = None, start: float = 0.0) -> float:
     """Service stall imposed by a migration plan, in seconds from `start`.
 
-    Without progressive start the stall is the full plan duration.  With it,
-    serving resumes once the first stage's context lands, and a later stage p
-    only stalls inference if its context is not ready by the time a resumed
-    batch reaches it ((p-1)/P of a decode step later); the cost is the worst
-    such constraint.
+    Without `config` the stall is the full plan duration.  Given the target
+    `config`, the start is progressive: serving resumes once the first
+    stage's context lands, and a later stage p only stalls inference if its
+    context is not ready by the time a resumed batch reaches it ((p-1)/P of
+    a decode step later); the cost is the worst such constraint.
     """
     timeline = plan_timeline(plan, profile, release=release, start=start)
     total = max(timeline[-1] if timeline else start, start) - start
-    if not progressive:
+    if config is None:
         return total
-    starts = [
-        (action.stage, end)
-        for action, end in zip(plan.actions, timeline)
-        if action.kind == "start_stage"
-    ]
+    starts = [(action.stage, end) for action, end in zip(plan.actions, timeline)
+              if action.kind == "start_stage"]
     if not starts:
         return total
-    if config is not None:
-        step = profile.decode_seconds(config) / config.pipeline_stages
-    else:
-        step = 0.0
+    step = profile.decode_seconds(config) / config.pipeline_stages
     stall = 0.0
     for order, (_stage, ready) in enumerate(sorted(starts, key=lambda s: s[0])):
         stall = max(stall, ready - start - order * step)
     return max(0.0, stall)
 
 
-def restart_cost(profile: PerfProfile, source: str, migration_baseline: float | None = None) -> float:
-    """Cold-restart stall relative to an equivalent context migration.
+def restart_cost(profile: PerfProfile, source: str) -> float:
+    """Cold-restart stall relative to the profile's equivalent context
+    migration, `restart_baseline_s`.
 
     Loading weights from local disk or remote storage costs a profiled multiple
     of what migrating the same context over the interconnect would have cost.
     """
-    baseline = profile.restart_baseline_s if migration_baseline is None else migration_baseline
     if source == "local_disk":
-        return profile.local_restart_ratio * baseline
+        return profile.local_restart_ratio * profile.restart_baseline_s
     if source == "remote_storage":
-        return profile.remote_restart_ratio * baseline
+        return profile.remote_restart_ratio * profile.restart_baseline_s
     raise CostModelError(f"unknown restart source {source!r}")
 
 
@@ -291,60 +288,38 @@ def monetary_cost(usage_log, prices: PriceSheet, tokens_served: int | None = Non
 # ---------------------------------------------------------------------------
 # Profile file I/O
 
+# The optional sections of a profile file: each JSON key with its
+# `PerfProfile` field; a key left out takes the field's default.
+_RESTART = {"local_ratio": "local_restart_ratio", "remote_ratio": "remote_restart_ratio",
+            "baseline_s": "restart_baseline_s"}
+_NOMINAL = {"s_in": "nominal_s_in", "s_out": "nominal_s_out"}
+
+
 def profile_from_dict(doc: dict) -> PerfProfile:
-    model = ModelSpec(
-        name=doc["model"]["name"],
-        num_layers=doc["model"]["num_layers"],
-        bytes_per_layer=doc["model"]["bytes_per_layer"],
-        kv_bytes_per_token_per_layer=doc["model"]["kv_bytes_per_token_per_layer"],
-    )
-    decode = {_parse_shape(k): float(v) for k, v in doc["t_dec"].items()}
-    prefill = {
-        _parse_shape(k): {int(s): float(v) for s, v in entries.items()}
-        for k, entries in doc["t_init"].items()
-    }
-    restart = doc.get("restart", {})
-    nominal = doc.get("nominal", {})
+    restart, nominal = doc.get("restart", {}), doc.get("nominal", {})
     return PerfProfile(
-        model=model,
-        decode_table=decode,
-        prefill_table=prefill,
+        model=ModelSpec(**doc["model"]),
+        decode_table={_parse_shape(k): float(v) for k, v in doc["t_dec"].items()},
+        prefill_table={_parse_shape(k): {int(s): float(v) for s, v in entries.items()}
+                       for k, entries in doc["t_init"].items()},
         pipeline_efficiency=float(doc["pipeline_efficiency"]),
         bandwidth=float(doc["bandwidth_bytes_per_s"]),
         transfer_latency=float(doc.get("transfer_latency_s", 0.0)),
-        prices=PriceSheet(
-            spot_usd_per_hour=float(doc["prices"]["spot_usd_per_hour"]),
-            ondemand_usd_per_hour=float(doc["prices"]["ondemand_usd_per_hour"]),
-        ),
-        local_restart_ratio=float(restart.get("local_ratio", 1.45)),
-        remote_restart_ratio=float(restart.get("remote_ratio", 9.54)),
-        restart_baseline_s=float(restart.get("baseline_s", 10.0)),
-        nominal_s_in=int(nominal.get("s_in", 512)),
-        nominal_s_out=int(nominal.get("s_out", 128)),
+        prices=PriceSheet(**doc["prices"]),
+        **{field: float(restart[key]) for key, field in _RESTART.items() if key in restart},
+        **{field: nominal[key] for key, field in _NOMINAL.items() if key in nominal},
     )
 
 
 def profile_to_dict(profile: PerfProfile) -> dict:
     return {
-        "model": {
-            "name": profile.model.name,
-            "num_layers": profile.model.num_layers,
-            "bytes_per_layer": profile.model.bytes_per_layer,
-            "kv_bytes_per_token_per_layer": profile.model.kv_bytes_per_token_per_layer,
-        },
+        "model": asdict(profile.model),
         "pipeline_efficiency": profile.pipeline_efficiency,
         "bandwidth_bytes_per_s": profile.bandwidth,
         "transfer_latency_s": profile.transfer_latency,
-        "restart": {
-            "local_ratio": profile.local_restart_ratio,
-            "remote_ratio": profile.remote_restart_ratio,
-            "baseline_s": profile.restart_baseline_s,
-        },
-        "prices": {
-            "spot_usd_per_hour": profile.prices.spot_usd_per_hour,
-            "ondemand_usd_per_hour": profile.prices.ondemand_usd_per_hour,
-        },
-        "nominal": {"s_in": profile.nominal_s_in, "s_out": profile.nominal_s_out},
+        "restart": {key: getattr(profile, field) for key, field in _RESTART.items()},
+        "prices": asdict(profile.prices),
+        "nominal": {key: getattr(profile, field) for key, field in _NOMINAL.items()},
         "t_dec": {_shape_key(s): v for s, v in sorted(profile.decode_table.items())},
         "t_init": {
             _shape_key(s): {str(k): v for k, v in sorted(entries.items())}

@@ -30,6 +30,7 @@ All types here are plain values; nothing mutates shared state.
 """
 
 import math
+import numbers
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -50,9 +51,15 @@ class DomainError(ValueError):
 
 
 def natural_key(instance_id: str):
-    """Sort key that orders i-2 before i-10."""
+    """Sort key that orders i-2 before i-10: the pair (parts, id), with digit
+    runs compared as numbers and the id ordering ids that read the same."""
     parts = re.split(r"(\d+)", instance_id)
-    return tuple(int(p) if p.isdigit() else p for p in parts)
+    return tuple(int(p) if p.isdigit() else p for p in parts), instance_id
+
+
+def is_count(value, low: int) -> bool:
+    """Whether `value` is an integer (any integral type but bool) >= `low`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True, order=True)
@@ -130,8 +137,10 @@ class ModelSpec:
     kv_bytes_per_token_per_layer: int
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.bytes_per_layer <= 0:
-            raise DomainError("model must have >=1 layers with positive bytes")
+        if not (is_count(self.num_layers, 1) and is_count(self.bytes_per_layer, 1)
+                and is_count(self.kv_bytes_per_token_per_layer, 0)):
+            raise DomainError("model must have an integer number of layers >= 1, positive "
+                              "integer bytes per layer and non-negative integer KV bytes")
 
     @property
     def total_param_bytes(self) -> int:

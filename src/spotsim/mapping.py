@@ -162,9 +162,8 @@ def default_inheritance(d_old: int, d_new: int) -> dict[int, int]:
 
 
 def _sorted_gpus(gpus) -> list[GpuRef]:
-    """GPUs by instance id in natural order (ties to the plain id), then by index."""
-    ids = sorted({gpu[0] for gpu in gpus}, key=lambda inst: (natural_key(inst), inst))
-    rank = {inst: k for k, inst in enumerate(ids)}
+    """GPUs by instance id in `natural_key` order, then by index."""
+    rank = {inst: k for k, inst in enumerate(sorted({gpu[0] for gpu in gpus}, key=natural_key))}
     return sorted(gpus, key=lambda gpu: (rank[gpu[0]], gpu[1]))
 
 

@@ -315,7 +315,7 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
         raise MigrationError("mapping carries no target config")
     target = mapping.config
     inherited = inherited_by_pipeline or {}
-    rank = {inst: natural_key(inst) for inst in {gpu[0] for gpu in old_layout}}
+    rank = {inst: k for k, inst in enumerate(sorted({g[0] for g in old_layout}, key=natural_key))}
     gpus = sorted(old_layout, key=lambda g: (rank[g[0]], g[1]))
     den = math.lcm(target.tensor_shards, *(inv.den for inv in old_layout.values()))
 

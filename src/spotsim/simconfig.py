@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import INSTANCE_KINDS, STORAGE
+from .domain import INSTANCE_KINDS, STORAGE, is_count
 
 
 class SimConfigError(ValueError):
@@ -78,6 +78,8 @@ class WorkloadSpec:
             for name in ("rate", "cv"):
                 if not math.isfinite(getattr(self, name)):
                     raise SimConfigError(f"workload {name} must be finite")
+            if not is_count(self.seed, 0):
+                raise SimConfigError(f"workload seed must be an integer >= 0, not {self.seed!r}")
         elif self.kind == "arrival_file":
             if not self.path:
                 raise SimConfigError("arrival_file workload needs a path")
@@ -120,8 +122,9 @@ class SimConfig:
                           ("pool_size", 0), ("grace_default", 0), ("ready_default", 0)):
             if not low <= getattr(self, name) < math.inf:
                 raise SimConfigError(f"{name} must be >= {low} and finite")
-        if self.rerouting_shape is not None and min(self.rerouting_shape) < 1:
-            raise SimConfigError("rerouting_shape entries must be >= 1")
+        shape = self.rerouting_shape
+        if shape is not None and (len(shape) != 3 or min(shape) < 1):
+            raise SimConfigError("rerouting_shape must be three entries (P, M, B), each >= 1")
         if self.rate_source not in ("declared", "estimated"):
             raise SimConfigError(f"unknown rate_source {self.rate_source!r}")
         for feat in self.disable:
@@ -145,8 +148,7 @@ _OPTIONAL = {
     "ready_default": float,
     "rate_source": lambda value: value,
     "rate_window": float,
-    "rerouting_shape": lambda shape: (None if shape is None
-                                      else (int(shape[0]), int(shape[1]), int(shape[2]))),
+    "rerouting_shape": lambda shape: None if shape is None else tuple(int(n) for n in shape),
     "disable": tuple,
 }
 CONFIG_KEYS = ("profile", "trace", "workload", *_OPTIONAL)
@@ -196,26 +198,11 @@ def load_simconfig(path: str | Path) -> SimConfig:
 
 
 def simconfig_to_dict(cfg: SimConfig) -> dict:
+    """The config as `simconfig_from_dict` reads it (tuples become JSON lists)."""
     wl = {"kind": cfg.workload.kind}
     if cfg.workload.kind == "fixed_rate":
         wl.update(rate=cfg.workload.rate, cv=cfg.workload.cv, seed=cfg.workload.seed)
     else:
         wl["path"] = cfg.workload.path
-    return {
-        "profile": cfg.profile_path,
-        "trace": cfg.trace_path,
-        "workload": wl,
-        "policy": cfg.policy,
-        "duration": cfg.duration,
-        "pool_size": cfg.pool_size,
-        "gpus_per_instance": cfg.gpus_per_instance,
-        "u_max": cfg.u_max,
-        "s_in": cfg.s_in,
-        "s_out": cfg.s_out,
-        "grace_default": cfg.grace_default,
-        "ready_default": cfg.ready_default,
-        "rate_source": cfg.rate_source,
-        "rate_window": cfg.rate_window,
-        "rerouting_shape": None if cfg.rerouting_shape is None else list(cfg.rerouting_shape),
-        "disable": list(cfg.disable),
-    }
+    return {"profile": cfg.profile_path, "trace": cfg.trace_path, "workload": wl,
+            **{key: getattr(cfg, key) for key in _OPTIONAL}}

@@ -17,8 +17,10 @@ take that snapshot as it is.
 
 Determinism: events at equal timestamps order trace < arrival < completion <
 internal, then by insertion sequence; every iteration over instances,
-pipelines or requests is explicitly ordered.  Identical configurations give
-bit-identical reports.  Dispatch keeps a single pending wake: a gated
+pipelines or requests is explicitly ordered.  Trace events within 1e-9 s of
+a group's first one apply as one group, which lands at its last event's time,
+so the clock never lags an event it has applied.  Identical configurations
+give bit-identical reports.  Dispatch keeps a single pending wake: a gated
 pipeline schedules a poll only if it is earlier than the one pending, and a
 poll that is no longer the pending wake does nothing.  A lower bound on the
 pipelines' gates lets a dispatch call that could start nothing return at once.
@@ -150,7 +152,7 @@ class Engine:
         self.busy_until = 0.0  # reconfiguration window in progress until then
         self.wake_at = math.inf  # time of the one pending poll
         # A lower bound on every pipeline's gate, max(next_start, ready_at):
-        # gates only rise, so whatever creates a pipeline must lower it.
+        # gates only rise, and `open_pipeline` lowers it for a new pipeline.
         self.gate_floor = -math.inf
         self._batch_ids = 0
         self.policy = None
@@ -177,10 +179,11 @@ class Engine:
                 while (self.events and self.events[0][0] <= t + 1e-9
                        and self.events[0][3] == "trace"):
                     group.append(heapq.heappop(self.events)[4])
+                self.now = max(self.now, group[-1].t)
                 self._apply_status(group)
-                self._notify(group)
+                self._notify()
             elif kind == "notify":
-                self._notify(data)
+                self._notify()
             elif kind == "ready":
                 self.handle_ready(data)
             elif kind == "deadline":
@@ -204,12 +207,12 @@ class Engine:
                 raise SimulationError(f"unknown event kind {kind}")
         self.finalize()
 
-    def _notify(self, group: list[TraceEvent]):
+    def _notify(self):
         if self.now < self.busy_until - 1e-9:
             # a reconfiguration is committing: react once it lands
-            self.push(self.busy_until, P_INTERNAL, "notify", group)
+            self.push(self.busy_until, P_INTERNAL, "notify", None)
         else:
-            self.policy.on_trace_group(self, group)
+            self.policy.on_trace_group(self)
 
     # -- instance lifecycle -----------------------------------------------------
 
@@ -398,6 +401,12 @@ class Engine:
 
     # -- serving state ---------------------------------------------------------------
 
+    def open_pipeline(self, d: int, ready_at: float = 0.0):
+        """Open pipeline `d`, its first slot now and gated until `ready_at`: the
+        one place a `Pipeline` is built, so it lowers `gate_floor` to its gate."""
+        self.pipelines[d] = Pipeline(index=d, next_start=self.now, ready_at=ready_at)
+        self.gate_floor = min(self.gate_floor, max(self.now, ready_at))
+
     def install_layout(self, config: ParallelConfig, mapping: DeviceMapping):
         """Serve `mapping`: each assigned GPU holds its position's model
         context, and every other GPU holds nothing."""
@@ -405,11 +414,9 @@ class Engine:
         self.assignment = mapping.gpu_for()
         self.holdings = {gpu: required_context(config, pos, self.model)
                          for pos, gpu in self.assignment.items()}
-        self.pipelines = {
-            d: Pipeline(index=d, next_start=self.now)
-            for d in range(1, config.data_parallel + 1)
-        }
-        self.gate_floor = self.now
+        self.pipelines, self.gate_floor = {}, math.inf
+        for d in range(1, config.data_parallel + 1):
+            self.open_pipeline(d)
 
     def layout_snapshot(self, cache: KvCache | None = None) -> Layout:
         """Holdings of every live GPU; an assigned GPU also holds the KV cache
@@ -426,9 +433,10 @@ class Engine:
                 snap[gpu] = required_context(self.config, pos, self.model, cache[pos.pipeline])
         return snap
 
-    def batch_requests_by_pipeline(self, batches: list[Batch]) -> dict[int, list[RequestRecord]]:
+    def requests_by_pipeline(self) -> dict[int, list[RequestRecord]]:
+        """The requests of every in-flight batch, by pipeline."""
         out: dict[int, list[RequestRecord]] = {}
-        for b in batches:
+        for b in self.all_batches():
             out.setdefault(b.pipeline, []).extend(b.requests)
         return out
 
@@ -490,7 +498,7 @@ class Engine:
 
     def report(self) -> MetricsReport:
         tokens = sum(r.tokens_generated for r in self.records)
-        cost = monetary_cost(sorted(self.usage, key=lambda u: (natural_key(u[0]), u[2])),
+        cost = monetary_cost(sorted(self.usage, key=lambda u: natural_key(u[0])),
                              self.profile.prices, tokens_served=tokens)
         return collect_metrics(
             self.records, horizon=self.cfg.duration, cost=cost,
@@ -540,7 +548,7 @@ class AdaptivePolicy:
         return chosen
 
     def compute_mapping(self, engine: Engine, target: ParallelConfig) -> DeviceMapping:
-        by_pipe = engine.batch_requests_by_pipeline(engine.all_batches())
+        by_pipe = engine.requests_by_pipeline()
         candidates = {inst.id for inst in engine.instances_by("active", "allocating")}
         layout = {gpu: held for gpu, held in engine.layout_snapshot(kv_cache(by_pipe)).items()
                   if gpu[0] in candidates}
@@ -554,7 +562,7 @@ class AdaptivePolicy:
                                inheritance=inheritance, requests_by_old_pipeline=by_pipe)
         return positional_mapping(list(layout), target)  # the target fits the candidates
 
-    def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
+    def on_trace_group(self, engine: Engine):
         cfg = engine.cfg
         n_avail = engine.available_count()
         target = self.pick_config(engine, n_avail)
@@ -605,7 +613,7 @@ class AdaptivePolicy:
             # a later decision replaces this one, or the policy decides anew
             engine.reconfig_log = [e for e in engine.reconfig_log if e is not payload["entry"]]
             if not superseded:
-                self.on_trace_group(engine, [])
+                self.on_trace_group(engine)
             return
         if not engine.holdings:
             # first boot: nothing is installed, so nothing moves or stalls
@@ -691,8 +699,8 @@ class AdaptivePolicy:
         plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
                           inherited if with_cache else {}, self._u_max(engine))
         payload["entry"][2] = migration_cost(plan, engine.profile)
-        stall = migration_cost(plan, engine.profile, config=target,
-                               progressive=self._use("planner"),
+        stall = migration_cost(plan, engine.profile,
+                               config=target if self._use("planner") else None,
                                release=release, start=engine.now)
         engine.resume_at(max(engine.now + stall, commit_start), target, mapping, packed)
 
@@ -770,7 +778,7 @@ class AdaptivePolicy:
     def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping,
                                  base: tuple) -> float:
         """Pessimistic migration time: every in-flight request's cache moves."""
-        inherited = kv_cache(engine.batch_requests_by_pipeline(engine.all_batches()))
+        inherited = kv_cache(engine.requests_by_pipeline())
         return migration_cost(self._plan(engine, mapping, base, inherited, inherited,
                                          self._u_max(engine)), engine.profile)
 
@@ -819,12 +827,12 @@ class ReroutingPolicy:
             raise ProfileMissError(f"profile has no entry for fixed shape {self.shape}")
         return self.shape
 
-    def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
+    def on_trace_group(self, engine: Engine):
+        """Drop each pipeline with an instance no longer active, then rebuild."""
         if self._fixed(engine) is None:
             return
-        lost = {ev.instance_id for ev in group if ev.kind == "preempt"}
         affected = [d for d in sorted(self.pipe_instances)
-                    if lost & set(self.pipe_instances[d])]
+                    if any(engine.instances[i].status != "active" for i in self.pipe_instances[d])]
         for d in affected:
             pipe = engine.pipelines.pop(d, None)
             self.pipe_instances.pop(d)
@@ -855,8 +863,7 @@ class ReroutingPolicy:
             ready_at = engine.now
             if self._booted:
                 ready_at += restart_cost(engine.profile, "local_disk")
-            engine.pipelines[d] = Pipeline(index=d, next_start=engine.now, ready_at=ready_at)
-            engine.gate_floor = min(engine.gate_floor, ready_at)
+            engine.open_pipeline(d, ready_at)
             added = True
         if self.pipe_instances:
             self._booted = True
@@ -877,7 +884,7 @@ class ReparallelizationPolicy:
     def __init__(self):
         self.serving: set[str] = set()
 
-    def on_trace_group(self, engine: Engine, group: list[TraceEvent]):
+    def on_trace_group(self, engine: Engine):
         cfg = engine.cfg
         target = ctl.choose_config(engine.available_count(), engine.current_rate(),
                                    engine.profile, cfg.gpus_per_instance)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from spotsim.cli import main
+from spotsim.costmodel import ProfileError, load_profile
 from spotsim.data import bundled_path
 
 
@@ -167,6 +168,8 @@ def test_policies_wait_out_a_fleet_too_small_to_serve(policy, quick_config, tmp_
     ("rate_window", 0.0, "spotserve"),
     ("u_max", 0.0, "spotserve"),
     ("rerouting_shape", [2, 0, 2], "rerouting"),
+    ("rerouting_shape", [2, 8], "rerouting"),
+    ("rerouting_shape", [2, 8, 2, 9], "rerouting"),
 ])
 def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_path, capsys):
     doc = json.loads(quick_config.read_text())
@@ -177,6 +180,20 @@ def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed, argv", [
+    (-1, []), (1.5, []), ("7", []), (True, []), (1, ["--seed", "-1"]),
+], ids=["negative", "fraction", "string", "bool", "negative-flag"])
+def test_bad_workload_seed_exits_two(seed, argv, quick_config, tmp_path, capsys):
+    """The arrival seed is a non-negative integer, from the config or `--seed`."""
+    doc = json.loads(quick_config.read_text())
+    doc["workload"]["seed"] = seed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -257,6 +274,46 @@ def test_bad_profile_exits_two(corrupt, message, quick_config, tmp_path, capsys)
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bandwidth_bytes_per_s", NAN),
+    ("bandwidth_bytes_per_s", INF),
+    ("transfer_latency_s", NAN),
+    ("prices.spot_usd_per_hour", INF),
+    ("prices.spot_usd_per_hour", NAN),
+    ("prices.spot_usd_per_hour_x", 1.0),
+    ("restart.baseline_s", -100.0),
+    ("restart.remote_ratio", -5.0),
+    ("restart.local_ratio", NAN),
+    ("t_dec.*", NAN),
+    ("t_init.*.*", -3.0),
+    ("nominal.s_in", 0),
+    ("model.num_layers", 44.5),
+    ("model.kv_bytes_per_token_per_layer", -1),
+    ("model.layers", 44),
+])
+def test_profile_number_out_of_range_exits_two(key, value, quick_config, tmp_path, capsys):
+    """A profile number that is not finite or out of its range, or an unknown
+    key in `model` or `prices`, is bad input: `load_profile` raises
+    `ProfileError` and `run` exits 2."""
+    doc = json.loads(Path(bundled_path("gpt-20b")).read_text())
+    *path, name = key.split(".")
+    table = doc
+    for part in path:  # "*" names a table's first entry
+        table = table[next(iter(table)) if part == "*" else part]
+    table[next(iter(table)) if name == "*" else name] = value
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    with pytest.raises(ProfileError):
+        load_profile(profile)
+    config = json.loads(quick_config.read_text())
+    config["profile"] = str(profile)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "profile.json" in err and "Traceback" not in err
 
 
 def _write_lines(path, docs):

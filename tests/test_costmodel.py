@@ -179,7 +179,7 @@ class TestMigrationCost:
         ])
         cfg = ParallelConfig(1, 2, 1, 1)
         full = migration_cost(plan, prof)
-        prog = migration_cost(plan, prof, config=cfg, progressive=True)
+        prog = migration_cost(plan, prof, config=cfg)
         assert prog <= full + 1e-12
 
     def test_release_floor_delays_start(self):
@@ -195,15 +195,15 @@ class TestMigrationCost:
 class TestRestartCost:
     def test_remote_ratio(self):
         prof = make_profile()
-        assert restart_cost(prof, "remote_storage", 10.0) == pytest.approx(95.4)
+        assert restart_cost(prof, "remote_storage") == pytest.approx(95.4)
 
     def test_local_ratio(self):
         prof = make_profile()
-        assert restart_cost(prof, "local_disk", 10.0) == pytest.approx(14.5)
+        assert restart_cost(prof, "local_disk") == pytest.approx(14.5)
 
     def test_ratio_override_of_one(self):
         prof = make_profile(local_ratio=1.0)
-        assert restart_cost(prof, "local_disk", 10.0) == pytest.approx(10.0)
+        assert restart_cost(prof, "local_disk") == pytest.approx(10.0)
 
     def test_profile_default_baseline(self):
         prof = make_profile(baseline=20.0)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spotsim.costmodel import load_profile, restart_cost, save_profile
@@ -96,7 +96,22 @@ def reference_pass(engine):
             engine.push(wake, P_INTERNAL, "poll", None)
 
 
+def _acquire(t: float, inst: str) -> dict:
+    return {"t": t, "kind": "acquire", "id": inst, "ready_in": 0.0}
+
+
+# Trace events less than 1e-9 s apart form one group.  Here i-6 and i-4 do:
+# the group's surplus release of i-4 must not come before its acquisition,
+# so the group lands at its last event's time, not its first.
+NEAR_TIE_SURPLUS = dict(
+    events=[*(_acquire(0.0, f"i-{k}") for k in range(4)),
+            {"t": 1.0, "kind": "preempt", "id": "i-0", "grace": 0.0}, _acquire(1.0, "i-5"),
+            _acquire(238.99999999999997, "i-6"), _acquire(239.0, "i-4")],
+    policy="spotserve", model="opt-6.7b", rate=0.5, cv=1.0, seed=0)
+
+
 @SETTINGS
+@example(**NEAR_TIE_SURPLUS)
 @given(events=traces(),
        policy=st.sampled_from(["spotserve", "rerouting", "reparallelization"]),
        model=st.sampled_from(["opt-6.7b", "gpt-20b"]),

@@ -49,6 +49,13 @@ def test_natural_key_orders_instance_ids():
     assert sorted(ids, key=natural_key) == ["i-1", "i-2", "i-10"]
 
 
+def test_natural_key_breaks_ties_by_id():
+    assert natural_key("i-01") < natural_key("i-1")
+    assert sorted(["i-1", "i-01", "i-001"], key=natural_key) == ["i-001", "i-01", "i-1"]
+    # parts of different lengths compare without mixing text and numbers
+    assert sorted(["i-1a2", "i-1a"], key=natural_key) == ["i-1a", "i-1a2"]
+
+
 class TestRequiredContext:
     def test_no_parallelism_holds_everything(self):
         cfg = ParallelConfig(1, 1, 1, 1)

@@ -25,7 +25,7 @@ event "storage transfer" (`pytest --hypothesis-show-statistics`).
 import json
 import math
 
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from spotsim.costmodel import HOUR
@@ -36,7 +36,13 @@ from spotsim.simulator import AdaptivePolicy, Engine, run
 from spotsim.workload import gamma_arrivals
 
 from plan_checks import check_assembly, check_delivers_once
-from test_dispatch_invariant import DURATION, SETTINGS, traces
+from test_dispatch_invariant import (
+    DURATION,
+    NEAR_TIE_SURPLUS,
+    SETTINGS,
+    _acquire,
+    traces,
+)
 
 # the unwrapped methods: the monkeypatch fixture outlives a single example
 ENGINE_RUN, PLAN = Engine.run, AdaptivePolicy._plan
@@ -85,7 +91,16 @@ def check_engine(engine: Engine, events: list[dict], arrivals: list[float]):
     assert math.isclose(engine.report().cost.total_usd, bill, rel_tol=1e-12, abs_tol=1e-12)
 
 
+# Each acquisition in a trace group keeps its own time: a group stamped at
+# its first event's time would bill i-2 from 1.0.
+NEAR_TIE_ACQUIRE = dict(
+    events=[_acquire(0.0, "i-0"), _acquire(1.0, "i-1"), _acquire(1.0000000000000002, "i-2")],
+    policy="spotserve", model="opt-6.7b", rate=0.5, cv=1.0, seed=0)
+
+
 @SETTINGS
+@example(**NEAR_TIE_SURPLUS)
+@example(**NEAR_TIE_ACQUIRE)
 @given(events=traces(),
        policy=st.sampled_from(["spotserve", "rerouting", "reparallelization"]),
        model=st.sampled_from(["opt-6.7b", "gpt-20b"]),

@@ -6,8 +6,11 @@ import pytest
 
 from spotsim.costmodel import exec_latency, load_profile, restart_cost, save_profile
 from spotsim.data import bundled_path
-from spotsim.domain import STORAGE, ParallelConfig, required_context
+from spotsim.domain import STORAGE, ContextInventory, ParallelConfig, required_context
+from spotsim.mapping import _sorted_gpus, positional_mapping
+from spotsim.migration import derive_transfers
 from spotsim.simconfig import (
+    CONFIG_KEYS,
     SimConfig,
     SimConfigError,
     TraceError,
@@ -15,8 +18,9 @@ from spotsim.simconfig import (
     load_simconfig,
     load_trace,
     simconfig_from_dict,
+    simconfig_to_dict,
 )
-from spotsim.simulator import AdaptivePolicy, Engine, run
+from spotsim.simulator import AdaptivePolicy, Engine, make_policy, run
 from spotsim.workload import save_arrivals
 
 
@@ -228,6 +232,21 @@ class TestSimConfig:
                                   tmp_path)
         assert cfg == SimConfig(profile_path=str(tmp_path / "p.json"),
                                 trace_path=str(tmp_path / "t.jsonl"), workload=WorkloadSpec(**wl))
+
+    @pytest.mark.parametrize("every_key", [False, True], ids=["bundled", "every-optional-key"])
+    def test_dict_round_trip(self, every_key):
+        """`simconfig_to_dict` writes every key `simconfig_from_dict` reads,
+        and its JSON reads back as the same config."""
+        cfg = load_simconfig(bundled_path("scenario_bs.json"))
+        if every_key:
+            cfg = replace(cfg, policy="rerouting", duration=600.0, pool_size=3,
+                          gpus_per_instance=8, u_max=4.0e9, s_in=256, s_out=64,
+                          grace_default=20.0, ready_default=60.0, rate_source="estimated",
+                          rate_window=45.0, rerouting_shape=(3, 4, 4),
+                          disable=("controller", "planner"))
+        doc = simconfig_to_dict(cfg)
+        assert list(doc) == list(CONFIG_KEYS)
+        assert simconfig_from_dict(json.loads(json.dumps(doc))) == cfg
 
     def test_declared_rate_needs_fixed_workload(self, tmp_path):
         apath = tmp_path / "a.jsonl"
@@ -585,3 +604,31 @@ def test_commit_that_lost_an_instance_decides_anew(tmp_path, monkeypatch):
     assert installs == [["i-0"], ["i-0", "i-1"]]
     assert [(t, shape) for t, shape, _ in report.reconfigurations] == [
         (0.0, (1, 2, 2, 4)), (70.0, (2, 2, 2, 4))]
+
+
+@pytest.mark.parametrize("first", ["i-1", "i-01"])
+def test_engine_mapper_and_planner_share_one_instance_order(first, tmp_path):
+    """`i-01` and `i-1` read the same number; `natural_key` puts `i-01`
+    first by its id, and the engine, the mapper and the planner all keep that
+    order whichever of the two the trace acquires first."""
+    second = {"i-1": "i-01", "i-01": "i-1"}[first]
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, [{"t": 0.0, "kind": "acquire", "id": inst, "ready_in": 0.0}
+                        for inst in (first, second, "i-2")])
+    profile = load_profile(bundled_path("opt-6.7b"))
+    cfg = SimConfig(profile_path=str(bundled_path("opt-6.7b")), trace_path=str(trace),
+                    workload=WorkloadSpec(kind="fixed_rate", rate=1.0, cv=1.0, seed=0))
+    engine = Engine(cfg, profile, load_trace(trace), [])
+    engine.policy = make_policy(cfg)
+    engine.run()
+    assert [i.id for i in engine.instances_by("active")] == ["i-01", "i-1", "i-2"]
+    assert _sorted_gpus([(first, 0), (second, 0)]) == [("i-01", 0), ("i-1", 0)]
+
+    # i-2 needs the whole model and both others hold it at equal load: the
+    # first instance in the order sends the first layer
+    target = ParallelConfig(1, 1, 1, 1)
+    mapping = positional_mapping([("i-2", 0)], target)
+    full = required_context(target, next(iter(mapping.assignment.values())), profile.model)
+    layout = {(first, 0): full, (second, 0): full, ("i-2", 0): ContextInventory.empty()}
+    model_transfers = derive_transfers(mapping, layout, profile.model)[0]
+    assert model_transfers[0][0].src == ("i-01", 0)
