@@ -84,6 +84,9 @@ class PerfProfile:
                                  "baseline must be positive, and transfer latency >= 0, all finite")
         if not (is_count(self.nominal_s_in, 1) and is_count(self.nominal_s_out, 1)):
             raise CostModelError("nominal s_in and s_out must be integers >= 1")
+        if not all(entries and all(is_count(s_in, 1) for s_in in entries)
+                   for entries in self.prefill_table.values()):
+            raise CostModelError("every prefill table needs an entry, each at an s_in >= 1")
 
     def shapes(self) -> list[Shape]:
         return sorted(self.decode_table)
@@ -295,8 +298,16 @@ _RESTART = {"local_ratio": "local_restart_ratio", "remote_ratio": "remote_restar
 _NOMINAL = {"s_in": "nominal_s_in", "s_out": "nominal_s_out"}
 
 
+def _section(doc: dict, name: str, keys: dict[str, str]) -> dict:
+    """An optional profile section's values by `PerfProfile` field."""
+    section = doc.get(name, {})
+    unknown = [f"{name}.{key}" for key in section if key not in keys]
+    if unknown:
+        raise CostModelError(f"unknown profile key {', '.join(map(repr, unknown))}")
+    return {keys[key]: value for key, value in section.items()}
+
+
 def profile_from_dict(doc: dict) -> PerfProfile:
-    restart, nominal = doc.get("restart", {}), doc.get("nominal", {})
     return PerfProfile(
         model=ModelSpec(**doc["model"]),
         decode_table={_parse_shape(k): float(v) for k, v in doc["t_dec"].items()},
@@ -306,8 +317,8 @@ def profile_from_dict(doc: dict) -> PerfProfile:
         bandwidth=float(doc["bandwidth_bytes_per_s"]),
         transfer_latency=float(doc.get("transfer_latency_s", 0.0)),
         prices=PriceSheet(**doc["prices"]),
-        **{field: float(restart[key]) for key, field in _RESTART.items() if key in restart},
-        **{field: nominal[key] for key, field in _NOMINAL.items() if key in nominal},
+        **{field: float(value) for field, value in _section(doc, "restart", _RESTART).items()},
+        **_section(doc, "nominal", _NOMINAL),
     )
 
 

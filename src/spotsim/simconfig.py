@@ -118,13 +118,15 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise SimConfigError(f"{name} must be positive and finite")
-        for name, low in (("s_in", 1), ("s_out", 1), ("gpus_per_instance", 1),
-                          ("pool_size", 0), ("grace_default", 0), ("ready_default", 0)):
-            if not low <= getattr(self, name) < math.inf:
-                raise SimConfigError(f"{name} must be >= {low} and finite")
+        for name, low in (("s_in", 1), ("s_out", 1), ("gpus_per_instance", 1), ("pool_size", 0)):
+            if not is_count(getattr(self, name), low):
+                raise SimConfigError(f"{name} must be an integer >= {low}")
+        for name in ("grace_default", "ready_default"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise SimConfigError(f"{name} must be >= 0 and finite")
         shape = self.rerouting_shape
-        if shape is not None and (len(shape) != 3 or min(shape) < 1):
-            raise SimConfigError("rerouting_shape must be three entries (P, M, B), each >= 1")
+        if shape is not None and (len(shape) != 3 or not all(is_count(n, 1) for n in shape)):
+            raise SimConfigError("rerouting_shape must be three integers (P, M, B), each >= 1")
         if self.rate_source not in ("declared", "estimated"):
             raise SimConfigError(f"unknown rate_source {self.rate_source!r}")
         for feat in self.disable:
@@ -136,19 +138,20 @@ class SimConfig:
 
 # The optional config keys, each named as its `SimConfig` field, with the
 # converter of its JSON value; a key left out takes the field's default.
+# Integer keys keep their JSON value, which `SimConfig` checks is an integer.
 _OPTIONAL = {
     "policy": lambda value: value,
     "duration": float,
-    "pool_size": int,
-    "gpus_per_instance": int,
+    "pool_size": lambda value: value,
+    "gpus_per_instance": lambda value: value,
     "u_max": lambda value: None if value is None else float(value),
-    "s_in": int,
-    "s_out": int,
+    "s_in": lambda value: value,
+    "s_out": lambda value: value,
     "grace_default": float,
     "ready_default": float,
     "rate_source": lambda value: value,
     "rate_window": float,
-    "rerouting_shape": lambda shape: None if shape is None else tuple(int(n) for n in shape),
+    "rerouting_shape": lambda shape: None if shape is None else tuple(shape),
     "disable": tuple,
 }
 CONFIG_KEYS = ("profile", "trace", "workload", *_OPTIONAL)

@@ -37,9 +37,11 @@ migrating does not gate the migration start.
 Every commit has a plan: model context no live GPU holds comes from remote
 storage (`domain.STORAGE`).  KV cache has no such copy, so when an instance
 is released, the batches of a pipeline with a GPU on it restart from token
-zero, and that pipeline takes no batch until a layout replaces it.  A
-commit that a later decision superseded is dropped, and one whose mapping
-names a released instance decides anew.
+zero, and that pipeline takes no batch until a layout replaces it.  Each
+reconfiguration is one `Decision`; every committing policy asks
+`Engine.admit` first, which drops a superseded decision and makes the policy
+decide anew when one names a released instance.  Decisions still
+uncommitted at the horizon leave the log.
 """
 
 import heapq
@@ -125,6 +127,20 @@ class Pipeline:
     batches: list[Batch] = field(default_factory=list)
 
 
+@dataclass(eq=False)
+class Decision:
+    """One reconfiguration, decided at `t`: serve `target` on `instances`
+    (through `mapping` if the policy maps devices).  `t_mig` stays NaN until
+    the decision commits.  Identity, not equal fields, tells two apart."""
+
+    t: float
+    target: ParallelConfig
+    instances: frozenset[str] = frozenset()
+    mapping: DeviceMapping | None = None
+    grace_deadline: float | None = None
+    t_mig: float = math.nan
+
+
 class Engine:
     """Event loop, cluster state, and request lifecycle."""
 
@@ -145,7 +161,7 @@ class Engine:
         self.queue: list[RequestRecord] = []
         self.records: list[RequestRecord] = []
         self.arrival_times: list[float] = []
-        self.reconfig_log: list[list] = []  # mutable [t, config tuple, t_mig]
+        self.reconfig_log: list[Decision] = []
         self.usage_open: dict[str, tuple[str, float]] = {}
         self.usage: list[tuple[str, str, float, float]] = []
         self.paused_until = 0.0
@@ -446,13 +462,27 @@ class Engine:
         return max([self.now] + [self.instances[i].ready_at for i in serving
                                  if self.instances[i].status == "allocating"])
 
-    def commit(self, at: float, payload: dict):
-        """Hold off reactions until `at`, then let the policy commit there."""
+    def commit(self, at: float, decision: Decision):
+        """Log `decision`, hold off reactions until `at`, then commit it there."""
+        self.reconfig_log.append(decision)
         self.busy_until = max(self.busy_until, at)
         if at <= self.now:
-            self.policy.on_commit(self, payload)
+            self.policy.on_commit(self, decision)
         else:
-            self.push(at, P_INTERNAL, "commit", payload)
+            self.push(at, P_INTERNAL, "commit", decision)
+
+    def admit(self, decision: Decision) -> bool:
+        """Whether `decision` may commit now.  One that a later decision
+        superseded leaves the log; so does one that names a released
+        instance, and the policy then decides anew."""
+        superseded = decision is not self.reconfig_log[-1]
+        if not superseded and all(self.instances[i].status != "released"
+                                  for i in decision.instances):
+            return True
+        self.reconfig_log.remove(decision)
+        if not superseded:
+            self.policy.on_trace_group(self)
+        return False
 
     def resume_at(self, at: float, config: ParallelConfig, mapping: DeviceMapping,
                   carried: dict[int, list[RequestRecord]] | None = None):
@@ -471,11 +501,6 @@ class Engine:
         self.busy_until = max(self.busy_until, at)
         self.push(at, P_INTERNAL, "resume", resume)
 
-    def log_reconfig(self, config: ParallelConfig, t_mig: float) -> list:
-        entry = [self.now, config.as_tuple(), t_mig]
-        self.reconfig_log.append(entry)
-        return entry
-
     def suspend_service(self):
         self.restart_batches(self.all_batches())
         self.config = None
@@ -487,6 +512,8 @@ class Engine:
 
     def finalize(self):
         self.now = self.cfg.duration
+        # a decision whose commit falls past the horizon never served
+        self.reconfig_log = [d for d in self.reconfig_log if not math.isnan(d.t_mig)]
         for batch in self.all_batches():
             iters = batch.iters_at(self.now)
             for r in batch.requests:
@@ -502,7 +529,7 @@ class Engine:
                              self.profile.prices, tokens_served=tokens)
         return collect_metrics(
             self.records, horizon=self.cfg.duration, cost=cost,
-            reconfigurations=[(t, cfg, tm) for t, cfg, tm in self.reconfig_log],
+            reconfigurations=[(d.t, d.target.as_tuple(), d.t_mig) for d in self.reconfig_log],
             queued_at_horizon=len(self.queue),
         )
 
@@ -581,12 +608,9 @@ class AdaptivePolicy:
         commit_at = engine.ready_time(new_serving)
         grace = [i.grace_deadline for i in engine.instances_by("grace_preempting")
                  if i.id in engine.serving_instances()]
-        entry = engine.log_reconfig(target, math.nan)
-        payload = {
-            "target": target, "mapping": mapping, "entry": entry,
-            "grace_deadline": min(grace) if grace and commit_at <= engine.now else None,
-        }
-        engine.commit(commit_at, payload)
+        engine.commit(commit_at, Decision(
+            engine.now, target, frozenset(new_serving), mapping,
+            grace_deadline=min(grace) if grace and commit_at <= engine.now else None))
 
     def release_surplus(self, engine: Engine, surplus: int):
         """Release up to `surplus` idle instances, on-demand first."""
@@ -604,61 +628,78 @@ class AdaptivePolicy:
 
     # -- commit ----------------------------------------------------------------
 
-    def on_commit(self, engine: Engine, payload: dict):
-        target: ParallelConfig = payload["target"]
-        mapping: DeviceMapping = payload["mapping"]
-        superseded = payload["entry"] is not engine.reconfig_log[-1]
-        if superseded or any(engine.instances[gpu[0]].status == "released"
-                             for gpu in mapping.assignment):
-            # a later decision replaces this one, or the policy decides anew
-            engine.reconfig_log = [e for e in engine.reconfig_log if e is not payload["entry"]]
-            if not superseded:
-                self.on_trace_group(engine)
+    def on_commit(self, engine: Engine, decision: Decision):
+        if not engine.admit(decision):
             return
+        target, mapping = decision.target, decision.mapping
         if not engine.holdings:
             # first boot: nothing is installed, so nothing moves or stalls
-            payload["entry"][2] = 0.0
+            decision.t_mig = 0.0
             engine.resume_at(engine.now, target, mapping)
             return
-
-        migrate_groups: dict[int, list[RequestRecord]] = {}
-        release: dict[str, float] = {}  # per-instance earliest transfer time
-        drop_cache: list[RequestRecord] = []
-
-        served_by: dict[int, list[str]] = {}  # pipeline -> instance of each position
-        for pos in sorted(engine.assignment):
-            served_by.setdefault(pos.pipeline, []).append(engine.assignment[pos][0])
-
-        def note_release(pipeline_d: int, t: float):
-            for inst in served_by.get(pipeline_d, ()):
-                release[inst] = max(release.get(inst, engine.now), t)
-
         # One cache-free derivation serves the whole commit: the
         # participants, and the model part of every plan.
         base = derive_transfers(mapping, engine.layout_snapshot(None), engine.model,
                                 departing=self._departing(engine))
-        deadline = payload.get("grace_deadline")
+        stops, migrate_groups = self._arrange(engine, decision, base)
+
+        movers = [r for d in sorted(migrate_groups) for r in migrate_groups[d]]
+        kept_ids = {r.id for r in retain_cache(movers, engine.config or target, target)}
+        engine.requeue([r for r in movers if r.id not in kept_ids], reset_progress=True)
+        old_cache = {d: [r for r in migrate_groups[d] if r.id in kept_ids]
+                     for d in sorted(migrate_groups)}
+        packed = self._pack_pipelines(old_cache, target)
+        # packed order, not id order: it drives the planner's source choice
+        inherited = {d: [(r.id, r.s_in + r.tokens_generated) for r in reqs]
+                     for d, reqs in sorted(packed.items())}
+        with_cache = self._use("arranger")
+        plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
+                          inherited if with_cache else {})
+        release: dict[str, float] = {}  # per-instance earliest transfer time
+        for pos, (inst, _) in engine.assignment.items():
+            if pos.pipeline in stops:
+                release[inst] = max(release.get(inst, engine.now), stops[pos.pipeline])
+        decision.t_mig = migration_cost(plan, engine.profile)
+        stall = migration_cost(plan, engine.profile,
+                               config=target if self._use("planner") else None,
+                               release=release, start=engine.now)
+        engine.resume_at(max([engine.now + stall, *stops.values()]), target, mapping, packed)
+
+    def _arrange(self, engine: Engine, decision: Decision,
+                 base: tuple) -> tuple[dict[int, float], dict[int, list[RequestRecord]]]:
+        """Stop the batches of every pipeline the migration touches, under
+        the grace arrangement, then cut the rest over.  Returns when each
+        such pipeline's last arranged batch stops, and the requests whose
+        cache migrates, by pipeline; the others are requeued."""
+        deadline = decision.grace_deadline
         participants = {inst for transfers in base[0].values() for t in transfers
                         for inst in (t.src[0], t.dst[0])}
         affected = {pos.pipeline for pos, gpu in engine.assignment.items()
                     if gpu[0] in participants and pos.pipeline not in engine.lost}
-        t_mig_est = self._estimate_full_migration(engine, mapping, base) if deadline else 0.0
+        t_mig_est = 0.0
+        if deadline:
+            # pessimistic: every in-flight request's cache moves
+            inherited = kv_cache(engine.requests_by_pipeline())
+            t_mig_est = migration_cost(self._plan(engine, decision.mapping, base, inherited,
+                                                  inherited), engine.profile)
+        stops: dict[int, float] = {}
+        migrate_groups: dict[int, list[RequestRecord]] = {}
+        drop_cache: list[RequestRecord] = []
         for batch in engine.all_batches():
             if batch.pipeline not in affected:
                 continue  # untouched pipelines keep serving, pause at commit
             stop_t, iters, action = self._arrange_batch(engine, batch, deadline, t_mig_est)
             survivors = engine.pause_batch(batch, iters)
             if not survivors:
-                note_release(batch.pipeline, min(stop_t, batch.boundary(iters)))
-                continue
-            note_release(batch.pipeline, stop_t)
-            if action == "migrate_with_cache":
+                stop_t = min(stop_t, batch.boundary(iters))
+            elif action == "migrate_with_cache":
                 migrate_groups.setdefault(batch.pipeline, []).extend(survivors)
             else:
                 drop_cache.extend(survivors)
+            stops[batch.pipeline] = max(stops.get(batch.pipeline, engine.now), stop_t)
         if deadline is not None and self._use("arranger"):
-            self._feed_during_grace(engine, deadline, t_mig_est, affected, note_release)
-        commit_start = max([engine.now] + list(release.values()))
+            self._feed_during_grace(engine, deadline - t_mig_est, affected, stops)
+        commit_start = max([engine.now, *stops.values()])
         # Batches on untouched pipelines carry across the commit: they
         # pause at their first boundary past the cutover and keep their
         # cache, which is already in place and adds no transfers.  A batch
@@ -677,43 +718,15 @@ class AdaptivePolicy:
             if survivors:
                 migrate_groups.setdefault(batch.pipeline, []).extend(survivors)
         engine.requeue(drop_cache, reset_progress=True)
+        return stops, migrate_groups
 
-        movers = [r for d in sorted(migrate_groups) for r in migrate_groups[d]]
-        retained = retain_cache(movers, engine.config or target, target)
-        kept_ids = {r.id for r in retained}
-        discarded = [r for r in movers if r.id not in kept_ids]
-        engine.requeue(discarded, reset_progress=True)
-        old_cache = {
-            d: [r for r in migrate_groups[d] if r.id in kept_ids]
-            for d in sorted(migrate_groups)
-        }
-
-        packed = self._pack_pipelines(old_cache, target)
-        # packed order, not id order: it drives the planner's source choice
-        inherited = {
-            d: [(r.id, r.s_in + r.tokens_generated) for r in reqs]
-            for d, reqs in sorted(packed.items())
-        }
-
-        with_cache = self._use("arranger")
-        plan = self._plan(engine, mapping, base, kv_cache(old_cache) if with_cache else {},
-                          inherited if with_cache else {}, self._u_max(engine))
-        payload["entry"][2] = migration_cost(plan, engine.profile)
-        stall = migration_cost(plan, engine.profile,
-                               config=target if self._use("planner") else None,
-                               release=release, start=engine.now)
-        engine.resume_at(max(engine.now + stall, commit_start), target, mapping, packed)
-
-    def _feed_during_grace(self, engine: Engine, deadline: float, t_mig_est: float,
-                           affected: set[int], note_release) -> None:
+    def _feed_during_grace(self, engine: Engine, budget_end: float, affected: set[int],
+                           stops: dict[int, float]) -> None:
         """Keep feeding batches inside the grace period while they can finish
-        before the migration must start (the JIT check before a new batch).
-
-        Only affected pipelines are fed: their release floor moves with the
-        fed batch, so it genuinely runs before the cutover.  An unaffected
-        pipeline's future slot belongs to the post-commit configuration.
-        """
-        budget_end = deadline - t_mig_est
+        by `budget_end`, when the migration must start (the JIT check before
+        a new batch).  Only affected pipelines are fed: their stop moves with
+        the fed batch, so it runs before the cutover; an unaffected
+        pipeline's future slot belongs to the post-commit configuration."""
         step = engine.profile.decode_seconds(engine.config)
         while engine.queue:
             slots = [(max(pipe.next_start, pipe.ready_at, engine.now), d)
@@ -721,18 +734,13 @@ class AdaptivePolicy:
             if not slots:
                 break
             slot, d = min(slots)
-            pipe = engine.pipelines[d]
-            take = min(engine.config.batch_limit, len(engine.queue))
-            head = engine.queue[:take]
-            s_in = max(r.s_in for r in head)
-            prefill = engine.profile.prefill_seconds(engine.config, s_in)
-            steps = max(r.s_out - r.tokens_generated for r in head)
-            finish = slot + prefill + steps * step
+            head = engine.queue[:engine.config.batch_limit]
+            prefill = engine.profile.prefill_seconds(engine.config, max(r.s_in for r in head))
+            finish = slot + prefill + max(r.s_out - r.tokens_generated for r in head) * step
             if finish > budget_end + 1e-9:
                 break
-            del engine.queue[:take]
-            engine.start_batch(pipe, head, at=slot)
-            note_release(pipe.index, finish)
+            engine.start_batch(engine.pipelines[d], engine._take_requests(), at=slot)
+            stops[d] = max(stops.get(d, engine.now), finish)
 
     # -- commit helpers -----------------------------------------------------------
 
@@ -756,31 +764,22 @@ class AdaptivePolicy:
         action = "migrate_with_cache" if arr.action_after == "migrate_with_cache" else "drop"
         return stop_t, done + arr.steps, action
 
-    def _u_max(self, engine: Engine) -> float | None:
-        """The buffer cap plans are ordered under: none without the planner."""
-        return engine.cfg.u_max if self._use("planner") else None
-
     @staticmethod
     def _departing(engine: Engine) -> frozenset[str]:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
 
     def _plan(self, engine: Engine, mapping: DeviceMapping, base: tuple, cache: KvCache,
-              inherited: dict, u_max: float | None) -> MigrationPlan:
-        """Plan from the live layout with `cache` on top.  The base
-        derivation gives the model part; a plan that carries cache derives
-        only its cache part on top of it."""
+              inherited: dict) -> MigrationPlan:
+        """Plan from the live layout with `cache` on top, ordered under the
+        buffer cap (none without the planner).  The base derivation gives the
+        model part; a plan that carries cache derives only its cache part on
+        top of it."""
         snapshot = engine.layout_snapshot(cache)
         if any(cache.values()):
             base = derive_transfers(mapping, snapshot, engine.model, inherited,
                                     departing=self._departing(engine), base=base)
+        u_max = engine.cfg.u_max if self._use("planner") else None
         return plan_migration(mapping, snapshot, engine.model, base, u_max)
-
-    def _estimate_full_migration(self, engine: Engine, mapping: DeviceMapping,
-                                 base: tuple) -> float:
-        """Pessimistic migration time: every in-flight request's cache moves."""
-        inherited = kv_cache(engine.requests_by_pipeline())
-        return migration_cost(self._plan(engine, mapping, base, inherited, inherited,
-                                         self._u_max(engine)), engine.profile)
 
     def _pack_pipelines(self, old_cache: dict[int, list[RequestRecord]],
                         target: ParallelConfig) -> dict[int, list[RequestRecord]]:
@@ -870,7 +869,7 @@ class ReroutingPolicy:
         d_now = max(1, len(self.pipe_instances))
         engine.config = ParallelConfig(d_now, p, m, b)
         if forced or added:
-            engine.log_reconfig(engine.config, 0.0)
+            engine.reconfig_log.append(Decision(engine.now, engine.config, t_mig=0.0))
         engine.try_dispatch()
 
 
@@ -903,22 +902,21 @@ class ReparallelizationPolicy:
         new_serving = {i.id for i in chosen[:need]}
         if not ctl.should_reconfigure(engine.config, target, new_serving != self.serving):
             return
-        commit_at = engine.ready_time(new_serving)
-        entry = engine.log_reconfig(target, math.nan)
-        payload = {"target": target, "serving": sorted(new_serving, key=natural_key),
-                   "entry": entry}
-        engine.commit(commit_at, payload)
+        engine.commit(engine.ready_time(new_serving),
+                      Decision(engine.now, target, frozenset(new_serving)))
 
     def on_instance_ready(self, engine: Engine, inst: InstanceState):
         pass
 
-    def on_commit(self, engine: Engine, payload):
-        target: ParallelConfig = payload["target"]
+    def on_commit(self, engine: Engine, decision: Decision):
+        if not engine.admit(decision):
+            return
+        target = decision.target
         engine.restart_batches(engine.all_batches())
         # every restart but the first boot reloads the model from local disk
         stall = restart_cost(engine.profile, "local_disk") if engine.holdings else 0.0
-        payload["entry"][2] = stall
-        self.serving = set(payload["serving"])
+        decision.t_mig = stall
+        self.serving = set(decision.instances)
         live = [gpu for inst in engine.instances_by("active", "allocating")
                 if inst.id in self.serving for gpu in inst.gpu_refs()]
         mapping = positional_mapping(live, target)

@@ -170,6 +170,10 @@ def test_policies_wait_out_a_fleet_too_small_to_serve(policy, quick_config, tmp_
     ("rerouting_shape", [2, 0, 2], "rerouting"),
     ("rerouting_shape", [2, 8], "rerouting"),
     ("rerouting_shape", [2, 8, 2, 9], "rerouting"),
+    ("rerouting_shape", [2.5, 8, 2], "rerouting"),
+    ("s_in", 512.7, "spotserve"),
+    ("gpus_per_instance", 4.9, "spotserve"),
+    ("pool_size", True, "spotserve"),
 ])
 def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_path, capsys):
     doc = json.loads(quick_config.read_text())
@@ -292,11 +296,16 @@ NAN, INF = float("nan"), float("inf")
     ("model.num_layers", 44.5),
     ("model.kv_bytes_per_token_per_layer", -1),
     ("model.layers", 44),
+    ("restart.baseline", 5.0),
+    ("nominal.sin", 5),
+    ("t_init.*", {"0": 1.0}),
+    ("t_init.*", {}),
 ])
 def test_profile_number_out_of_range_exits_two(key, value, quick_config, tmp_path, capsys):
-    """A profile number that is not finite or out of its range, or an unknown
-    key in `model` or `prices`, is bad input: `load_profile` raises
-    `ProfileError` and `run` exits 2."""
+    """A profile number that is not finite or out of its range, a prefill
+    table that is empty or keyed below `s_in` 1, or an unknown key in
+    `model`, `prices`, `restart` or `nominal`, is bad input: `load_profile`
+    raises `ProfileError` and `run` exits 2."""
     doc = json.loads(Path(bundled_path("gpt-20b")).read_text())
     *path, name = key.split(".")
     table = doc

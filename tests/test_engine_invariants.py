@@ -6,6 +6,9 @@ policy built along the way:
   one place (the queue or one batch);
 - every completion lies in [dispatch, horizon];
 - tokens never exceed `s_out`, and a done request has exactly `s_out`;
+- the reconfiguration log is in time order within [0, horizon], and every
+  entry has a finite migration time >= 0 (a decision that never committed
+  is not logged);
 - the bill equals the integral of each instance's price over the time it
   was held, from its acquisition to its release or the horizon;
 - every plan reuses or delivers every byte its mapping needs exactly once,
@@ -79,6 +82,10 @@ def check_engine(engine: Engine, events: list[dict], arrivals: list[float]):
             assert r.dispatch is not None and r.dispatch <= r.completion <= horizon + 1e-9, r
             assert r.tokens_generated == r.s_out, r
 
+    times = [d.t for d in engine.reconfig_log]
+    assert times == sorted(times) and all(0 <= t <= horizon for t in times), times
+    assert all(0 <= d.t_mig < math.inf for d in engine.reconfig_log), engine.reconfig_log
+
     acquired = {e["id"]: e["t"] for e in events if e["kind"] == "acquire"}
     held = {inst: (kind, start, end) for inst, kind, start, end in engine.usage}
     assert len(held) == len(engine.usage) and set(held) == set(engine.instances)
@@ -118,9 +125,9 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
         engines.append(engine)
         return ENGINE_RUN(engine)
 
-    def checked(policy, engine, mapping, base, cache, inherited, u_max):
+    def checked(policy, engine, mapping, base, cache, inherited):
         layout = engine.layout_snapshot(cache)
-        built = PLAN(policy, engine, mapping, base, cache, inherited, u_max)
+        built = PLAN(policy, engine, mapping, base, cache, inherited)
         from_storage.append(check_delivers_once(built, mapping, layout, engine.model,
                                                 inherited)[1])
         check_assembly(built, mapping, layout)

@@ -8,6 +8,7 @@ from spotsim.costmodel import exec_latency, load_profile, restart_cost, save_pro
 from spotsim.data import bundled_path
 from spotsim.domain import STORAGE, ContextInventory, ParallelConfig, required_context
 from spotsim.mapping import _sorted_gpus, positional_mapping
+from spotsim.metrics import write_summary_json
 from spotsim.migration import derive_transfers
 from spotsim.simconfig import (
     CONFIG_KEYS,
@@ -308,7 +309,7 @@ def test_overprovision_releases_ondemand_first(tmp_path):
     kinds = {iid: kind for iid, kind, *_ in engine.usage}
     # exactly the instances beyond the target and the pool spare are released,
     # and both on-demand ones must be among those released at t=0
-    target = ParallelConfig(*engine.reconfig_log[0][1])
+    target = engine.reconfig_log[0].target
     surplus = 6 - target.instances(cfg.gpus_per_instance) - cfg.pool_size
     assert surplus > 0 and len(released_early) == surplus
     assert {"i-4", "i-5"} <= released_early
@@ -566,16 +567,20 @@ def live_installs(monkeypatch) -> list:
     return installs
 
 
-def opt_run(tmp_path, events, rate, pool_size):
+def opt_run(tmp_path, events, rate, pool_size, policy="spotserve"):
     trace = tmp_path / "trace.jsonl"
     write_trace(trace, events)
     return run(SimConfig(
         profile_path=str(bundled_path("opt-6.7b")), trace_path=str(trace),
         workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=1.0, seed=0),
-        policy="spotserve", duration=240.0, pool_size=pool_size))
+        policy=policy, duration=240.0, pool_size=pool_size))
 
 
-def test_superseded_commit_is_dropped(tmp_path, monkeypatch):
+COMMITTING = pytest.mark.parametrize("policy", ["spotserve", "reparallelization"])
+
+
+@COMMITTING
+def test_superseded_commit_is_dropped(policy, tmp_path, monkeypatch):
     """i-1, announced at t=1, is ready at t=2, when i-0 is preempted without
     grace.  The decision at t=2 commits at once; the commit the t=1 decision
     scheduled for t=2 runs after it and is dropped, with its log entry,
@@ -584,26 +589,47 @@ def test_superseded_commit_is_dropped(tmp_path, monkeypatch):
     report = opt_run(tmp_path, [
         {"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0},
         {"t": 1.0, "kind": "acquire", "id": "i-1", "ready_in": 1.0},
-        {"t": 2.0, "kind": "preempt", "id": "i-0", "grace": 0.0}], rate=1.0, pool_size=1)
+        {"t": 2.0, "kind": "preempt", "id": "i-0", "grace": 0.0}], rate=1.0, pool_size=1,
+        policy=policy)
     assert installs == [["i-0"], ["i-1"]]
     assert [(t, shape) for t, shape, _ in report.reconfigurations] == [
         (0.0, (1, 2, 2, 4)), (2.0, (1, 2, 2, 4))]
 
 
-def test_commit_that_lost_an_instance_decides_anew(tmp_path, monkeypatch):
-    """The decision at t=10 maps onto i-1 and i-2, both ready at t=70.  i-2
-    is preempted at t=20 and released at t=25, so at t=70 the commit's
-    mapping names a released instance: the policy decides again and serves
-    on i-0 and i-1."""
+@COMMITTING
+def test_commit_that_lost_an_instance_decides_anew(policy, tmp_path, monkeypatch):
+    """The decision at t=10 serves on i-1 and i-2, both ready at t=70.  i-2
+    is preempted at t=20 and released at t=25, so at t=70 the decision
+    names a released instance: the policy decides again and serves on i-0
+    and i-1."""
     installs = live_installs(monkeypatch)
     report = opt_run(tmp_path, [
         {"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0},
         {"t": 10.0, "kind": "acquire", "id": "i-1", "ready_in": 60.0},
         {"t": 10.0, "kind": "acquire", "id": "i-2", "ready_in": 60.0},
-        {"t": 20.0, "kind": "preempt", "id": "i-2", "grace": 5.0}], rate=2.0, pool_size=0)
+        {"t": 20.0, "kind": "preempt", "id": "i-2", "grace": 5.0}], rate=2.0, pool_size=0,
+        policy=policy)
     assert installs == [["i-0"], ["i-0", "i-1"]]
     assert [(t, shape) for t, shape, _ in report.reconfigurations] == [
         (0.0, (1, 2, 2, 4)), (70.0, (2, 2, 2, 4))]
+
+
+@COMMITTING
+def test_decision_committing_past_the_horizon_leaves_the_log(policy, tmp_path):
+    """i-1 is acquired at t=200 and ready at t=260, past the 240 s horizon:
+    the decision to serve on it never commits, so the log keeps only the
+    boot, and the summary holds no bare `NaN`, which JSON forbids."""
+    report = opt_run(tmp_path, [
+        {"t": 0.0, "kind": "acquire", "id": "i-0", "ready_in": 0.0},
+        {"t": 200.0, "kind": "acquire", "id": "i-1", "ready_in": 60.0}], rate=2.0, pool_size=0,
+        policy=policy)
+    assert [(t, t_mig) for t, _, t_mig in report.reconfigurations] == [(0.0, 0.0)]
+    summary = tmp_path / "summary.json"
+    write_summary_json(report, summary)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    assert json.loads(summary.read_text(), parse_constant=reject)["reconfigurations"]
 
 
 @pytest.mark.parametrize("first", ["i-1", "i-01"])
