@@ -35,7 +35,6 @@ from .costmodel import (
     migration_cost,
     monetary_cost,
     restart_cost,
-    save_profile,
     throughput,
 )
 from .data import bundled_path
@@ -68,8 +67,7 @@ from .migration import (
     plan_from_dict,
     plan_migration,
     plan_to_dict,
-    simulate_buffer_usage,
 )
 from .simconfig import SimConfig, TraceEvent, WorkloadSpec, load_simconfig, load_trace
 from .simulator import Engine, run
-from .workload import gamma_arrivals, load_arrivals, save_arrivals
+from .workload import gamma_arrivals, load_arrivals

@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .domain import STORAGE, ModelSpec, ParallelConfig, is_count
+from .domain import STORAGE, ModelSpec, ParallelConfig, as_real, is_count, is_real
 
 HOUR = 3600.0
 
@@ -42,7 +42,8 @@ class PriceSheet:
     ondemand_usd_per_hour: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.spot_usd_per_hour, self.ondemand_usd_per_hour)):
+        if not all(is_real(v) and 0 < v < math.inf
+                   for v in (self.spot_usd_per_hour, self.ondemand_usd_per_hour)):
             raise CostModelError("prices must be positive and finite")
 
     def rate(self, kind: str) -> float:
@@ -310,14 +311,14 @@ def _section(doc: dict, name: str, keys: dict[str, str]) -> dict:
 def profile_from_dict(doc: dict) -> PerfProfile:
     return PerfProfile(
         model=ModelSpec(**doc["model"]),
-        decode_table={_parse_shape(k): float(v) for k, v in doc["t_dec"].items()},
-        prefill_table={_parse_shape(k): {int(s): float(v) for s, v in entries.items()}
+        decode_table={_parse_shape(k): as_real(v) for k, v in doc["t_dec"].items()},
+        prefill_table={_parse_shape(k): {int(s): as_real(v) for s, v in entries.items()}
                        for k, entries in doc["t_init"].items()},
-        pipeline_efficiency=float(doc["pipeline_efficiency"]),
-        bandwidth=float(doc["bandwidth_bytes_per_s"]),
-        transfer_latency=float(doc.get("transfer_latency_s", 0.0)),
+        pipeline_efficiency=as_real(doc["pipeline_efficiency"]),
+        bandwidth=as_real(doc["bandwidth_bytes_per_s"]),
+        transfer_latency=as_real(doc.get("transfer_latency_s", 0.0)),
         prices=PriceSheet(**doc["prices"]),
-        **{field: float(value) for field, value in _section(doc, "restart", _RESTART).items()},
+        **{field: as_real(value) for field, value in _section(doc, "restart", _RESTART).items()},
         **_section(doc, "nominal", _NOMINAL),
     )
 
@@ -345,10 +346,6 @@ def load_profile(path: str | Path) -> PerfProfile:
             return profile_from_dict(json.load(f))
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ProfileError(f"{path}: bad profile: {type(e).__name__}: {e}") from None
-
-
-def save_profile(profile: PerfProfile, path: str | Path):
-    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=1) + "\n")
 
 
 def _parse_shape(key: str) -> Shape:

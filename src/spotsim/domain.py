@@ -13,18 +13,17 @@ the store holds nothing.
 
 Context geometry is integer: a `ContextInventory` holds rectangles on a grid
 of 1/den, each a half-open layer block [first, end) crossed with a half-open
-parameter interval [lo/den, hi/den).  Model context is one rectangle per
-layer block; KV cache is one rectangle per request, carrying its token count.
-Model context is also the KV cache of request None holding one token
-(`ContextInventory.by_request`, weighted by `ModelSpec.unit_bytes`), so code
-that needs no other distinction walks both kinds in one loop.
+parameter interval [lo/den, hi/den), carrying a token count, by request.
+Model context is the KV cache of request None holding one token, weighted by
+`ModelSpec.unit_bytes`, so code that needs no other distinction walks both
+kinds in one loop.
 A position's context lives on the grid 1/M of its shard count; an inventory
 built from per-layer Fraction shards uses the lcm of their denominators, and
 two grids meet on the lcm of theirs.  Byte counts sum integer numerators and
 divide by the grid once, and `int / int` is correctly rounded, so each one is
 the exact rational byte count rounded once, as `float(Fraction)` would give.
-`overlap_bytes` therefore costs O(1) per pair of model rectangles and
-O(shared requests) for cache, independent of the number of layers.
+`overlap_bytes` therefore costs O(1) per pair of rectangles of a request
+both inventories hold, independent of the number of layers.
 
 All types here are plain values; nothing mutates shared state.
 """
@@ -62,6 +61,19 @@ def is_count(value, low: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number (any real type but bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_real(value) -> float:
+    """`value` as a float; TypeError unless `is_real(value)`, so that a string
+    or a boolean read from a file is not taken for a number."""
+    if not is_real(value):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True, order=True)
 class ParallelConfig:
     """Parallelization tuple: pipelines x stages x shards, with a batch cap."""
@@ -90,10 +102,6 @@ class ParallelConfig:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.data_parallel, self.pipeline_stages, self.tensor_shards, self.batch_limit)
-
-    def shape(self) -> tuple[int, int, int]:
-        """(D, P, M) ignoring the batch cap."""
-        return (self.data_parallel, self.pipeline_stages, self.tensor_shards)
 
     def __str__(self):
         return f"({self.data_parallel},{self.pipeline_stages},{self.tensor_shards},B={self.batch_limit})"
@@ -188,8 +196,7 @@ class RequestRecord:
 
 ModelShard = tuple[int, Fraction, Fraction]  # (layer, lo, hi)
 CacheShard = tuple[str, int, Fraction, Fraction, int]  # (request, layer, lo, hi, tokens)
-ModelRect = tuple[int, int, int, int]  # (first layer, end layer, lo, hi) on the grid
-CacheRect = tuple[int, int, int, int, int]  # (first layer, end layer, lo, hi, tokens)
+CacheRect = tuple[int, int, int, int, int]  # (first layer, end layer, lo, hi, tokens) on the grid
 
 
 def _check_interval(lo: Fraction, hi: Fraction):
@@ -241,13 +248,13 @@ def uncovered(lo: int, hi: int, cuts) -> list[tuple[int, int]]:
 class ContextInventory:
     """What one GPU holds, as rectangles on a grid of 1/`den`.
 
-    `model` holds (first layer, end layer, lo, hi) rectangles: layers
-    [first, end) crossed with the parameter fraction [lo/den, hi/den).
-    `cache` maps a request id to its (first layer, end layer, lo, hi, tokens)
-    rectangles.  The layer blocks of one kind (per request, for cache) are
-    equal or disjoint, in layer order; rectangles sharing a block keep the
-    per-layer order of their intervals.  Inventories are values: nothing
-    mutates them after construction.
+    `rects` maps a request id to its (first layer, end layer, lo, hi, tokens)
+    rectangles: layers [first, end) crossed with the parameter fraction
+    [lo/den, hi/den).  Model context is request None's, one token per
+    rectangle, and comes first; a request holding nothing has no entry.  The
+    layer blocks of one request are equal or disjoint, in layer order;
+    rectangles sharing a block keep the per-layer order of their intervals.
+    Inventories are values: nothing mutates them after construction.
 
     The keyword constructor takes the per-layer form, `(layer, lo, hi)` model
     shards and `(request, layer, lo, hi, tokens)` cache shards with Fraction
@@ -255,7 +262,7 @@ class ContextInventory:
     and `cache_shards` expand the rectangles back to that form.
     """
 
-    __slots__ = ("den", "model", "cache")
+    __slots__ = ("den", "rects")
 
     def __init__(self, model_shards: Iterable[ModelShard] = (),
                  cache_shards: Iterable[CacheShard] = ()):
@@ -268,24 +275,20 @@ class ContextInventory:
                 raise DomainError("cache tokens must be >= 0")
         den = math.lcm(*(Fraction(x).denominator for s in model_shards for x in s[1:]),
                        *(Fraction(x).denominator for s in cache_shards for x in s[2:4]))
-        model: dict[int, list] = {}
-        for layer, lo, hi in model_shards:
-            model.setdefault(layer, []).append((int(lo * den), int(hi * den)))
-        cache: dict[str, dict[int, list]] = {}
-        for rid, layer, lo, hi, tokens in cache_shards:
-            cache.setdefault(rid, {}).setdefault(layer, []).append(
+        by_layer: dict[str | None, dict[int, list]] = {}
+        for rid, layer, lo, hi, tokens in (*((None, *s, 1) for s in model_shards), *cache_shards):
+            by_layer.setdefault(rid, {}).setdefault(layer, []).append(
                 (int(lo * den), int(hi * den), tokens))
         self.den = den
-        self.model: tuple[ModelRect, ...] = tuple(_merged_runs(model))
-        self.cache: dict[str, tuple[CacheRect, ...]] = {
-            rid: tuple(_merged_runs(layers)) for rid, layers in cache.items()}
+        self.rects: dict[str | None, tuple[CacheRect, ...]] = {
+            rid: tuple(_merged_runs(layers)) for rid, layers in by_layer.items()}
 
     @classmethod
-    def on_grid(cls, den: int, model: tuple[ModelRect, ...] = (),
-                cache: dict[str, tuple[CacheRect, ...]] | None = None) -> "ContextInventory":
+    def on_grid(cls, den: int, rects: dict[str | None, tuple[CacheRect, ...]] | None = None
+                ) -> "ContextInventory":
         """An inventory from rectangles already in canonical form on grid 1/den."""
         inv = cls.__new__(cls)
-        inv.den, inv.model, inv.cache = den, model, cache or {}
+        inv.den, inv.rects = den, rects or {}
         return inv
 
     @staticmethod
@@ -297,37 +300,32 @@ class ContextInventory:
         """Per-layer form of the model rectangles, layer by layer."""
         den = self.den
         return tuple((layer, Fraction(lo, den), Fraction(hi, den))
-                     for l0, l1, entries in layer_blocks(self.model)
-                     for layer in range(l0, l1) for lo, hi in entries)
+                     for l0, l1, entries in layer_blocks(self.rects.get(None, ()))
+                     for layer in range(l0, l1) for lo, hi, _ in entries)
 
     @property
     def cache_shards(self) -> tuple[CacheShard, ...]:
         """Per-layer form of the cache rectangles, request by request, then layer."""
         den = self.den
         return tuple((rid, layer, Fraction(lo, den), Fraction(hi, den), tokens)
-                     for rid, rects in self.cache.items()
+                     for rid, rects in self.rects.items() if rid is not None
                      for l0, l1, entries in layer_blocks(rects)
                      for layer in range(l0, l1) for lo, hi, tokens in entries)
 
-    def by_request(self) -> dict[str | None, tuple[CacheRect, ...]]:
-        """Every rectangle as KV cache: the model rectangles, as request None's
-        with one token, then `cache` in its order."""
-        return {None: tuple([rect + (1,) for rect in self.model]), **self.cache}
-
     def model_bytes(self, model: ModelSpec) -> float:
-        units = sum((l1 - l0) * (hi - lo) for l0, l1, lo, hi in self.model)
+        units = sum((l1 - l0) * (hi - lo) for l0, l1, lo, hi, _ in self.rects.get(None, ()))
         return units * model.bytes_per_layer / self.den
 
     def __eq__(self, other):
         if not isinstance(other, ContextInventory):
             return NotImplemented
-        return self.den == other.den and self.model == other.model and self.cache == other.cache
+        return self.den == other.den and self.rects == other.rects
 
     def __hash__(self):
-        return hash((self.den, self.model, frozenset(self.cache.items())))
+        return hash((self.den, frozenset(self.rects.items())))
 
     def __repr__(self):
-        return f"ContextInventory(den={self.den}, model={self.model!r}, cache={self.cache!r})"
+        return f"ContextInventory(den={self.den}, rects={self.rects!r})"
 
 
 # What each GPU holds; a GPU absent from a layout holds nothing.
@@ -383,20 +381,20 @@ def required_context(config: ParallelConfig, pos: TopologyPosition, model: Model
     """Context a position must hold: its model slice, plus the KV cache of each
     `(request id, tokens)` entry in `cache` on every layer of its stage.
 
-    On the grid 1/M this is one model rectangle (the stage's layer block times
-    the shard's interval) and one cache rectangle per request; entries with
-    no tokens hold nothing and are skipped.
+    On the grid 1/M this is one rectangle per request, the stage's layer block
+    times the shard's interval: request None's (the model slice) first, then
+    the cache entries'; entries with no tokens hold nothing and are skipped.
     """
     pos.validate_for(config)
     layers = stage_layers(model.num_layers, config.pipeline_stages, pos.stage)
     if not layers:
         return ContextInventory.empty()
     block = (layers.start, layers.stop, pos.shard - 1, pos.shard)
-    cache_rects: dict[str, tuple[CacheRect, ...]] = {}
+    rects: dict[str | None, tuple[CacheRect, ...]] = {None: (block + (1,),)}
     for rid, tokens in cache:
         if tokens > 0:
-            cache_rects[rid] = cache_rects.get(rid, ()) + (block + (tokens,),)
-    return ContextInventory.on_grid(config.tensor_shards, (block,), cache_rects)
+            rects[rid] = rects.get(rid, ()) + (block + (tokens,),)
+    return ContextInventory.on_grid(config.tensor_shards, rects)
 
 
 KvCache = dict[int, list[tuple[str, int]]]  # pipeline -> [(request id, tokens)]
@@ -412,37 +410,26 @@ def kv_cache(requests_by_pipeline: dict[int, list[RequestRecord]]) -> KvCache:
 def overlap_bytes(a: ContextInventory, b: ContextInventory, model: ModelSpec) -> float:
     """Bytes of context shared by two inventories.
 
-    Model rectangles overlap by layer-block times interval intersection;
-    cache rectangles of the same request overlap likewise, weighted by the
-    smaller token count.  The sum is taken in grid units and divided once, so
-    the result is the exact byte count rounded once to a float.
+    Rectangles of the same request overlap by layer-block times interval
+    intersection, weighted by the smaller token count and the request's
+    `unit_bytes`.  The sum is taken in grid units and divided once, so the
+    result is the exact byte count rounded once to a float.
     """
     den = math.lcm(a.den, b.den)
     ka, kb = den // a.den, den // b.den
+    if len(a.rects) > len(b.rects):
+        a, b, ka, kb = b, a, kb, ka
     units = 0
-    for a0, a1, a_lo, a_hi in a.model:
-        a_lo, a_hi = a_lo * ka, a_hi * ka
-        for b0, b1, b_lo, b_hi in b.model:
-            layers = (a1 if a1 < b1 else b1) - (a0 if a0 > b0 else b0)
-            if layers > 0:
-                b_lo, b_hi = b_lo * kb, b_hi * kb
-                width = (a_hi if a_hi < b_hi else b_hi) - (a_lo if a_lo > b_lo else b_lo)
-                if width > 0:
-                    units += layers * width
-    units *= model.bytes_per_layer
-    if a.cache and b.cache:
-        if len(a.cache) > len(b.cache):
-            a, b, ka, kb = b, a, kb, ka
-        kv = 0
-        for rid, rects in a.cache.items():
-            for b0, b1, b_lo, b_hi, b_tokens in b.cache.get(rid, ()):
-                b_lo, b_hi = b_lo * kb, b_hi * kb
-                for a0, a1, a_lo, a_hi, a_tokens in rects:
-                    layers = (a1 if a1 < b1 else b1) - (a0 if a0 > b0 else b0)
-                    if layers > 0:
-                        a_lo, a_hi = a_lo * ka, a_hi * ka
-                        width = (a_hi if a_hi < b_hi else b_hi) - (a_lo if a_lo > b_lo else b_lo)
-                        if width > 0:
-                            kv += layers * width * (a_tokens if a_tokens < b_tokens else b_tokens)
-        units += kv * model.kv_bytes_per_token_per_layer
+    for rid, rects in a.rects.items():
+        shared = 0
+        for b0, b1, b_lo, b_hi, b_tokens in b.rects.get(rid, ()):
+            b_lo, b_hi = b_lo * kb, b_hi * kb
+            for a0, a1, a_lo, a_hi, a_tokens in rects:
+                layers = (a1 if a1 < b1 else b1) - (a0 if a0 > b0 else b0)
+                if layers > 0:
+                    a_lo, a_hi = a_lo * ka, a_hi * ka
+                    width = (a_hi if a_hi < b_hi else b_hi) - (a_lo if a_lo > b_lo else b_lo)
+                    if width > 0:
+                        shared += layers * width * (a_tokens if a_tokens < b_tokens else b_tokens)
+        units += shared * model.unit_bytes(rid)
     return units / den

@@ -183,14 +183,13 @@ _PAIRS = 2048  # row pairs per array pass in `_overlap_matrix`
 def _grid_rows(inventories: list[ContextInventory], den: int, keys: dict[str | None, int]):
     """The inventories' rectangles on grid 1/den as int64 rows (owner, key,
     first, end, lo, hi, tokens), owner being the index in `inventories` and
-    key the code `keys` gives the request (`ContextInventory.by_request`: model
-    context is request None's, with one token).  Requests not in `keys` are
-    left out."""
+    key the code `keys` gives the request (model context is request None's,
+    with one token).  Requests not in `keys` are left out."""
     rects, groups, sizes = [], [], []
     for owner, inv in enumerate(inventories):
-        for rid, of_request in inv.by_request().items():
+        for rid, of_request in inv.rects.items():
             key = keys.get(rid)
-            if key is not None and of_request:
+            if key is not None:
                 rects += of_request
                 groups.append((owner, key, den // inv.den))
                 sizes.append(len(of_request))
@@ -232,7 +231,7 @@ def _overlap_matrix(holdings: list[ContextInventory], needs: list[ContextInvento
         return None
     keys: dict[str | None, int] = {None: 0}
     for need in needs:
-        for rid in need.cache:
+        for rid in need.rects:
             keys.setdefault(rid, len(keys))
     weight = np.array([model.unit_bytes(rid) for rid in keys], dtype=np.int64)
     held_rows, need_rows = _grid_rows(holdings, den, keys), _grid_rows(needs, den, keys)

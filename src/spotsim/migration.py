@@ -293,8 +293,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     pulled from old holders (departing copies first, then load-balanced),
     and a model piece no old holder has from `STORAGE`; whatever a GPU holds
     beyond its own new requirement is freed once the owning round completes.
-    Pieces are derived per layer block; both kinds take the same passes
-    (`ContextInventory.by_request`).
+    Pieces are derived per layer block; both kinds take the same passes,
+    model context being request None's.
 
     Model pieces come first, under a sender load and a send budget (the
     busiest receiver's model bytes) built from model pieces alone, so the KV
@@ -321,8 +321,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
 
     def scaled(inv: ContextInventory) -> dict[str | None, list]:
         k = den // inv.den
-        held = inv.by_request() if base is None else inv.cache
-        return {rid: _scaled_blocks(rects, k) for rid, rects in held.items()}
+        return {rid: _scaled_blocks(rects, k) for rid, rects in inv.rects.items()
+                if base is None or rid is not None}
 
     have = {gpu: scaled(old_layout[gpu]) for gpu in gpus}  # gpu -> {request: blocks}
     need = {}
@@ -361,8 +361,8 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
                     incoming[gpu[0]] = total
 
     # every cover bound is a bound of some held or needed entry
-    bounds = {n for by_request in (*have.values(), *need.values())
-              for blocks in by_request.values()
+    bounds = {n for by_rid in (*have.values(), *need.values())
+              for blocks in by_rid.values()
               for _, _, entries in blocks for entry in entries for n in entry[:2]}
     frac = {n: Fraction(n, den) for n in bounds}
 
@@ -454,9 +454,10 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
     One pass over the transfers builds every round once: its action, each
     receiving instance's bytes in transfer order, and the stages it delivers
     to.  Both orders are replayed from those byte runs, adding each
-    instance's bytes in the order `simulate_buffer_usage` adds them, so the
-    plan's `peak_usage` is what that replay of the plan gives, bit for bit;
-    the markers come from the rounds' stage sets.
+    instance's bytes in the order a per-transfer replay of the plan's actions
+    adds them (`tests/plan_checks.py` keeps that replay), so the plan's
+    `peak_usage` is what it gives, bit for bit; the markers come from the
+    rounds' stage sets.
     """
     model_transfers, cache_transfers, layer_releases, cache_releases = transfers
     stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
@@ -518,23 +519,6 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
         actions.append(action)
         actions.extend(starts.get(idx, ()))
     return MigrationPlan(actions=actions, u_max=u_max, peak_usage=peaks)
-
-
-def simulate_buffer_usage(plan: MigrationPlan, old_layout: Layout) -> dict[str, float]:
-    """Replay a plan's buffer deltas; per-instance peak bytes over the run."""
-    usage: dict[str, float] = {}
-    for gpu in old_layout:
-        usage.setdefault(gpu[0], 0.0)
-    peaks = dict(usage)
-    for action in plan.actions:
-        for tr in action.transfers:
-            inst = tr.dst[0]
-            usage[inst] = usage.get(inst, 0.0) + tr.bytes
-        for inst in sorted({t.dst[0] for t in action.transfers}):
-            peaks[inst] = max(peaks.get(inst, 0.0), usage[inst])
-        for inst, b in action.releases:
-            usage[inst] = usage.get(inst, 0.0) - b
-    return peaks
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import INSTANCE_KINDS, STORAGE, is_count
+from .domain import INSTANCE_KINDS, STORAGE, as_real, is_count, is_real
 
 
 class SimConfigError(ValueError):
@@ -38,12 +38,12 @@ def load_trace(path: str | Path, grace_default: float = 30.0,
                 continue
             try:
                 doc = json.loads(line)
-                kind, t, inst = doc["kind"], float(doc["t"]), str(doc["id"])
+                kind, t, inst = doc["kind"], as_real(doc["t"]), str(doc["id"])
                 if kind == "preempt":
-                    ev = TraceEvent(t, kind, inst, grace=float(doc.get("grace", grace_default)))
+                    ev = TraceEvent(t, kind, inst, grace=as_real(doc.get("grace", grace_default)))
                 elif kind == "acquire":
                     ev = TraceEvent(t, kind, inst, itype=str(doc.get("itype", "spot")),
-                                    ready_in=float(doc.get("ready_in", ready_default)))
+                                    ready_in=as_real(doc.get("ready_in", ready_default)))
                     if ev.itype not in INSTANCE_KINDS:
                         raise ValueError(f"unknown itype {ev.itype!r}")
                     if inst in acquired:
@@ -76,8 +76,9 @@ class WorkloadSpec:
             if self.rate is None or self.cv is None or self.seed is None:
                 raise SimConfigError("fixed_rate workload needs rate, cv and seed")
             for name in ("rate", "cv"):
-                if not math.isfinite(getattr(self, name)):
-                    raise SimConfigError(f"workload {name} must be finite")
+                value = getattr(self, name)
+                if not (is_real(value) and math.isfinite(value)):
+                    raise SimConfigError(f"workload {name} must be a finite number")
             if not is_count(self.seed, 0):
                 raise SimConfigError(f"workload seed must be an integer >= 0, not {self.seed!r}")
         elif self.kind == "arrival_file":
@@ -114,6 +115,11 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise SimConfigError(f"unknown policy {self.policy!r}")
+        for name in ("duration", "rate_window", "u_max", "grace_default", "ready_default"):
+            value = getattr(self, name)
+            if not (is_real(value) or name == "u_max" and value is None):
+                raise SimConfigError(f"{name} must be a number, not {value!r}")
+            setattr(self, name, value if value is None else float(value))
         for name in ("duration", "rate_window", "u_max"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -124,9 +130,11 @@ class SimConfig:
         for name in ("grace_default", "ready_default"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise SimConfigError(f"{name} must be >= 0 and finite")
-        shape = self.rerouting_shape
-        if shape is not None and (len(shape) != 3 or not all(is_count(n, 1) for n in shape)):
-            raise SimConfigError("rerouting_shape must be three integers (P, M, B), each >= 1")
+        if self.rerouting_shape is not None:
+            shape = self.rerouting_shape = tuple(self.rerouting_shape)
+            if len(shape) != 3 or not all(is_count(n, 1) for n in shape):
+                raise SimConfigError("rerouting_shape must be three integers (P, M, B), each >= 1")
+        self.disable = tuple(self.disable)
         if self.rate_source not in ("declared", "estimated"):
             raise SimConfigError(f"unknown rate_source {self.rate_source!r}")
         for feat in self.disable:
@@ -136,24 +144,12 @@ class SimConfig:
             self.rate_source = "estimated"
 
 
-# The optional config keys, each named as its `SimConfig` field, with the
-# converter of its JSON value; a key left out takes the field's default.
-# Integer keys keep their JSON value, which `SimConfig` checks is an integer.
-_OPTIONAL = {
-    "policy": lambda value: value,
-    "duration": float,
-    "pool_size": lambda value: value,
-    "gpus_per_instance": lambda value: value,
-    "u_max": lambda value: None if value is None else float(value),
-    "s_in": lambda value: value,
-    "s_out": lambda value: value,
-    "grace_default": float,
-    "ready_default": float,
-    "rate_source": lambda value: value,
-    "rate_window": float,
-    "rerouting_shape": lambda shape: None if shape is None else tuple(shape),
-    "disable": tuple,
-}
+# The optional config keys, each named as its `SimConfig` field; a key left
+# out takes the field's default.  Each keeps its JSON value, which `SimConfig`
+# checks and normalizes.
+_OPTIONAL = ("policy", "duration", "pool_size", "gpus_per_instance", "u_max", "s_in", "s_out",
+             "grace_default", "ready_default", "rate_source", "rate_window", "rerouting_shape",
+             "disable")
 CONFIG_KEYS = ("profile", "trace", "workload", *_OPTIONAL)
 
 
@@ -181,7 +177,7 @@ def simconfig_from_dict(doc: dict, base_dir: str | Path = ".") -> SimConfig:
             profile_path=resolve(doc["profile"]),
             trace_path=resolve(doc["trace"]),
             workload=workload,
-            **{key: convert(doc[key]) for key, convert in _OPTIONAL.items() if key in doc},
+            **{key: doc[key] for key in _OPTIONAL if key in doc},
         )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, SimConfigError):

@@ -1,10 +1,12 @@
-"""Request arrival generation and arrival-file I/O."""
+"""Request arrival generation and arrival-file reading."""
 
 import json
 import math
 from pathlib import Path
 
 import numpy as np
+
+from .domain import as_real, is_count
 
 
 class WorkloadError(ValueError):
@@ -45,17 +47,14 @@ def load_arrivals(path: str | Path) -> list[tuple[float, int, int]]:
                 continue
             try:
                 doc = json.loads(line)
-                record = (float(doc["t"]), int(doc["s_in"]), int(doc["s_out"]))
-                if not 0 <= record[0] < math.inf or min(record[1:]) < 1:
-                    raise ValueError("t must be finite and >= 0, and s_in, s_out >= 1")
+                record = (as_real(doc["t"]), doc["s_in"], doc["s_out"])
+                if not (0 <= record[0] < math.inf and is_count(record[1], 1)
+                        and is_count(record[2], 1)):
+                    raise ValueError("t must be finite and >= 0, and s_in and s_out "
+                                     "integers >= 1")
                 out.append(record)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise WorkloadError(f"{path}:{lineno}: bad arrival record: {e}") from None
     out.sort(key=lambda r: r[0])
     return out
 
-
-def save_arrivals(records, path: str | Path):
-    with open(path, "w") as f:
-        for t, s_in, s_out in records:
-            f.write(json.dumps({"t": t, "s_in": s_in, "s_out": s_out}) + "\n")

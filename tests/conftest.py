@@ -1,6 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from spotsim.costmodel import PerfProfile, PriceSheet, load_profile
+from spotsim.costmodel import PerfProfile, PriceSheet, load_profile, profile_to_dict
 from spotsim.data import bundled_path
 from spotsim.domain import ModelSpec
 
@@ -41,3 +44,15 @@ def make_profile(t_dec=0.1, t_init=2.0, shapes=((1, 1, 1),), eta=1.0, bandwidth=
         remote_restart_ratio=remote_ratio,
         restart_baseline_s=baseline,
     )
+
+
+def save_profile(profile: PerfProfile, path):
+    """Write `profile` as a profile file `load_profile` reads back."""
+    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=1) + "\n")
+
+
+def save_arrivals(records, path):
+    """Write `(t, s_in, s_out)` records as an arrival file `load_arrivals` reads."""
+    with open(path, "w") as f:
+        for t, s_in, s_out in records:
+            f.write(json.dumps({"t": t, "s_in": s_in, "s_out": s_out}) + "\n")

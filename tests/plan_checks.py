@@ -9,16 +9,16 @@ piece it sends on every layer of its run (with enough tokens, for KV cache),
 or remote storage (`STORAGE`) for a model piece that no GPU of the layout
 holds any part of.
 
-Assembly: the plan's `peak_usage` is what `simulate_buffer_usage` replays
-from its rounds, the KV-cache round (if any) comes first, each layer has at
-most one round, and each stage's start marker directly follows the last
-round that delivers to one of its GPUs, or leads the plan when none does.
+Assembly: the plan's `peak_usage` is what `simulate_buffer_usage`, the
+reference replay of its buffer deltas, gives for its rounds, the KV-cache
+round (if any) comes first, each layer has at most one round, and each
+stage's start marker directly follows the last round that delivers to one of
+its GPUs, or leads the plan when none does.
 """
 
 from fractions import Fraction
 
 from spotsim.domain import STORAGE, required_context
-from spotsim.migration import simulate_buffer_usage
 
 from fraction_oracle import intersect
 
@@ -99,3 +99,21 @@ def check_assembly(plan, mapping, layout) -> dict[int, int]:
             done += 1
     assert started_after == last_round
     return last_round
+
+
+def simulate_buffer_usage(plan, old_layout) -> dict[str, float]:
+    """Replay a plan's buffer deltas, transfer by transfer; per-instance
+    peak bytes over the run."""
+    usage: dict[str, float] = {}
+    for gpu in old_layout:
+        usage.setdefault(gpu[0], 0.0)
+    peaks = dict(usage)
+    for action in plan.actions:
+        for tr in action.transfers:
+            inst = tr.dst[0]
+            usage[inst] = usage.get(inst, 0.0) + tr.bytes
+        for inst in sorted({t.dst[0] for t in action.transfers}):
+            peaks[inst] = max(peaks.get(inst, 0.0), usage[inst])
+        for inst, b in action.releases:
+            usage[inst] = usage.get(inst, 0.0) - b
+    return peaks

@@ -174,6 +174,8 @@ def test_policies_wait_out_a_fleet_too_small_to_serve(policy, quick_config, tmp_
     ("s_in", 512.7, "spotserve"),
     ("gpus_per_instance", 4.9, "spotserve"),
     ("pool_size", True, "spotserve"),
+    ("u_max", True, "spotserve"),
+    ("duration", "300", "spotserve"),
 ])
 def test_bad_config_number_exits_two(field, value, policy, quick_config, tmp_path, capsys):
     doc = json.loads(quick_config.read_text())
@@ -222,6 +224,10 @@ def test_unknown_config_key_exits_two(key, value, quick_config, tmp_path, capsys
     {"t": -1.0, "s_in": 512, "s_out": 128},
     {"t": 1.0, "s_in": 0, "s_out": 128},
     {"t": 1.0, "s_in": 512, "s_out": 0},
+    {"t": 1.0, "s_in": 512.7, "s_out": 128},
+    {"t": 1.0, "s_in": 512, "s_out": True},
+    {"t": 1.0, "s_in": "512", "s_out": 128},
+    {"t": True, "s_in": 512, "s_out": 128},
 ])
 def test_bad_arrival_record_exits_two(record, quick_config, tmp_path, capsys):
     arrivals = tmp_path / "arrivals.jsonl"
@@ -300,12 +306,15 @@ NAN, INF = float("nan"), float("inf")
     ("nominal.sin", 5),
     ("t_init.*", {"0": 1.0}),
     ("t_init.*", {}),
+    ("bandwidth_bytes_per_s", True),
+    ("t_dec.*", "0.05"),
+    ("prices.spot_usd_per_hour", True),
 ])
 def test_profile_number_out_of_range_exits_two(key, value, quick_config, tmp_path, capsys):
-    """A profile number that is not finite or out of its range, a prefill
-    table that is empty or keyed below `s_in` 1, or an unknown key in
-    `model`, `prices`, `restart` or `nominal`, is bad input: `load_profile`
-    raises `ProfileError` and `run` exits 2."""
+    """A profile number that is a string or a boolean, not finite or out of
+    its range, a prefill table that is empty or keyed below `s_in` 1, or an
+    unknown key in `model`, `prices`, `restart` or `nominal`, is bad input:
+    `load_profile` raises `ProfileError` and `run` exits 2."""
     doc = json.loads(Path(bundled_path("gpt-20b")).read_text())
     *path, name = key.split(".")
     table = doc
@@ -345,10 +354,14 @@ def _write_lines(path, docs):
     ("arrival", "t", NAN),
     ("flag", "--rate", "inf"),
     ("flag", "--duration", "nan"),
+    ("workload", "rate", True),
+    ("trace", "t", "0"),
+    ("trace", "grace", "30"),
+    ("trace", "ready_in", False),
 ])
 def test_non_finite_number_exits_two(where, key, value, quick_config, tmp_path, capsys):
     """NaN and Infinity (JSON `NaN`/`Infinity`, or a flag's `nan`/`inf`) are
-    bad input wherever a number is read."""
+    bad input wherever a number is read, and so are strings and booleans."""
     doc = json.loads(quick_config.read_text())
     argv = []
     if where == "config":

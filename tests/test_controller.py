@@ -60,7 +60,7 @@ class TestOptimizeConfig:
         for n in (10, 8, 7, 8):
             cand = candidate_configs(gpt_profile, max_gpus=n * 4)
             best = optimize_config(n, None, 0.35, gpt_profile, cand, gpus_per_instance=4)
-            seq.append(best.shape())
+            seq.append(best.as_tuple()[:3])
         assert seq == [(2, 2, 8), (2, 2, 8), (2, 3, 4), (2, 2, 8)]
 
     def test_zero_rate_prefers_min_latency_then_fewest_instances(self, gpt_profile):

@@ -19,11 +19,12 @@ from dataclasses import replace
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spotsim.costmodel import load_profile, restart_cost, save_profile
+from spotsim.costmodel import load_profile, restart_cost
 from spotsim.data import bundled_path
 from spotsim.simconfig import SimConfig, WorkloadSpec
 from spotsim.simulator import P_INTERNAL, Engine, run
-from spotsim.workload import save_arrivals
+
+from conftest import save_arrivals, save_profile
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,

@@ -28,6 +28,7 @@ from spotsim.domain import (
     overlap_bytes,
     positions,
     required_context,
+    stage_layers,
     uncovered,
 )
 from spotsim.mapping import DeviceMapping, MappingError, build_graph, map_devices
@@ -114,6 +115,28 @@ def test_inventory_round_trips_through_per_layer_form(data):
     again = ContextInventory(model_shards=inv.model_shards, cache_shards=inv.cache_shards)
     assert again == inv and hash(again) == hash(inv)
     assert again.model_shards == inv.model_shards and again.cache_shards == inv.cache_shards
+    for built in (inv, again):
+        if built.model_shards:  # model context is request None's, listed first
+            assert next(iter(built.rects)) is None
+            assert all(tokens == 1 for *_, tokens in built.rects[None])
+        else:
+            assert None not in built.rects
+
+    # a position's context, from `required_context` and from its per-layer form
+    config = data.draw(configs(model))
+    pos = data.draw(st.sampled_from(positions(config)))
+    cache = data.draw(caches())
+    lo, hi = Fraction(pos.shard - 1, config.tensor_shards), Fraction(pos.shard, config.tensor_shards)
+    layers = stage_layers(model.num_layers, config.pipeline_stages, pos.stage)
+    built = required_context(config, pos, model, cache)
+    by_shards = ContextInventory(
+        model_shards=[(layer, lo, hi) for layer in layers],
+        cache_shards=[(rid, layer, lo, hi, tokens) for rid, tokens in cache if tokens > 0
+                      for layer in layers])
+    assert built == by_shards and hash(built) == hash(by_shards)
+    assert list(built.rects) == list(by_shards.rects) == [
+        None, *(rid for rid, tokens in cache if tokens > 0)]
+    assert [rect[4] for rect in built.rects[None]] == [1]
 
 
 @given(st.data())

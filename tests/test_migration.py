@@ -27,12 +27,11 @@ from spotsim.migration import (
     plan_from_dict,
     plan_migration,
     plan_to_dict,
-    simulate_buffer_usage,
 )
 
 from fraction_oracle import intersect
 from memopt_oracle import reference_layer_order
-from plan_checks import check_assembly
+from plan_checks import check_assembly, simulate_buffer_usage
 from test_acceptance import _random_transition
 
 MODEL = ModelSpec(name="m8", num_layers=8, bytes_per_layer=1000, kv_bytes_per_token_per_layer=16)

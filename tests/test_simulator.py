@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from spotsim.costmodel import exec_latency, load_profile, restart_cost, save_profile
+from spotsim.costmodel import exec_latency, load_profile, restart_cost
 from spotsim.data import bundled_path
 from spotsim.domain import STORAGE, ContextInventory, ParallelConfig, required_context
 from spotsim.mapping import _sorted_gpus, positional_mapping
@@ -22,7 +22,8 @@ from spotsim.simconfig import (
     simconfig_to_dict,
 )
 from spotsim.simulator import AdaptivePolicy, Engine, make_policy, run
-from spotsim.workload import save_arrivals
+
+from conftest import save_arrivals, save_profile
 
 
 def write_trace(path, events):
@@ -456,7 +457,8 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
 
     def plan(mapping, old_layout, *args, **kwargs):
         counts["plans"] += 1
-        counts["plans with cache"] += any(inv.cache for inv in old_layout.values())
+        counts["plans with cache"] += any(rid is not None for inv in old_layout.values()
+                                          for rid in inv.rects)
         return plan_migration(mapping, old_layout, *args, **kwargs)
 
     def commit(policy, engine, payload):

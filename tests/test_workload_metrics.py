@@ -12,7 +12,9 @@ from spotsim.metrics import (
     write_request_csv,
 )
 from spotsim.costmodel import CostSummary
-from spotsim.workload import WorkloadError, gamma_arrivals, load_arrivals, save_arrivals
+from spotsim.workload import WorkloadError, gamma_arrivals, load_arrivals
+
+from conftest import save_arrivals
 
 
 class TestGammaArrivals:
