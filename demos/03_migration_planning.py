@@ -5,7 +5,7 @@ GPUs while one request is in flight: its KV cache moves first, one transfer
 per layer run, layers follow in a memory-aware order, one round per layer,
 and each pipeline stage starts serving as soon as its context is complete, so
 the service stall is far below the full transfer time.  Also shows the buffer
-accounting that motivates the layer order and the JSON wire format.
+accounting that motivates the layer order and the JSON `plan_to_dict` writes.
 """
 
 import json
@@ -75,6 +75,6 @@ print(f"  peak:  {max(capped.peak_usage.values()) / 1e9:.2f} GB "
       f"(uncapped order peaks at {max(plan.peak_usage.values()) / 1e9:.2f} GB)")
 
 doc = plan_to_dict(capped)
-print("\nwire format (first transfer of the first round):")
+print("\nplan JSON (first transfer of the first round):")
 first = next(a for a in doc["actions"] if a.get("transfers"))
 print(json.dumps({"kind": first["kind"], "transfers": first["transfers"][:1]}, indent=2))

@@ -64,7 +64,6 @@ from .migration import (
     Transfer,
     derive_transfers,
     memopt_layer_order,
-    plan_from_dict,
     plan_migration,
     plan_to_dict,
 )

@@ -16,7 +16,7 @@ candidate configuration.  There is deliberately no nearest-neighbor fallback.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import STORAGE, ModelSpec, ParallelConfig, as_real, is_count, is_real
@@ -158,16 +158,13 @@ def exec_latency_exact(profile: PerfProfile, config: ParallelConfig, s_in: int, 
     return total
 
 
-def throughput(profile: PerfProfile, config: ParallelConfig,
-               s_in: int | None = None, s_out: int | None = None) -> float:
-    """Serving throughput phi(C) in requests/second at the nominal workload.
+def throughput(profile: PerfProfile, config: ParallelConfig) -> float:
+    """Serving throughput phi(C) in requests/second at the nominal s_in/s_out.
 
     D pipelines each complete B requests per batch; with P stages in flight
     the per-batch makespan amortizes to exec_latency / (P * eta).
     """
-    s_in = profile.nominal_s_in if s_in is None else s_in
-    s_out = profile.nominal_s_out if s_out is None else s_out
-    latency = exec_latency(profile, config, s_in, s_out)
+    latency = exec_latency(profile, config, profile.nominal_s_in, profile.nominal_s_out)
     effective = latency / (config.pipeline_stages * profile.pipeline_efficiency)
     return config.data_parallel * config.batch_limit / effective
 
@@ -323,23 +320,6 @@ def profile_from_dict(doc: dict) -> PerfProfile:
     )
 
 
-def profile_to_dict(profile: PerfProfile) -> dict:
-    return {
-        "model": asdict(profile.model),
-        "pipeline_efficiency": profile.pipeline_efficiency,
-        "bandwidth_bytes_per_s": profile.bandwidth,
-        "transfer_latency_s": profile.transfer_latency,
-        "restart": {key: getattr(profile, field) for key, field in _RESTART.items()},
-        "prices": asdict(profile.prices),
-        "nominal": {key: getattr(profile, field) for key, field in _NOMINAL.items()},
-        "t_dec": {_shape_key(s): v for s, v in sorted(profile.decode_table.items())},
-        "t_init": {
-            _shape_key(s): {str(k): v for k, v in sorted(entries.items())}
-            for s, entries in sorted(profile.prefill_table.items())
-        },
-    }
-
-
 def load_profile(path: str | Path) -> PerfProfile:
     try:
         with open(path) as f:
@@ -352,6 +332,3 @@ def _parse_shape(key: str) -> Shape:
     p, m, b = (int(x) for x in key.split(","))
     return (p, m, b)
 
-
-def _shape_key(shape: Shape) -> str:
-    return ",".join(str(x) for x in shape)

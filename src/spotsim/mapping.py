@@ -359,16 +359,12 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
 # ---------------------------------------------------------------------------
 # Cache retention
 
-def retain_cache(active_requests: list[RequestRecord], current: ParallelConfig,
-                 target: ParallelConfig) -> list[RequestRecord]:
-    """Requests whose KV cache survives a capacity shrink.
+def retain_cache(active_requests: list[RequestRecord], target: ParallelConfig) -> list[RequestRecord]:
+    """Requests whose KV cache survives the switch to `target`, in id order.
 
-    When the target handles fewer concurrent requests, the ones with the most
-    decoding progress are kept (ties to the lower request id); everything else
-    recomputes from scratch after the switch.
+    The target keeps at most its concurrent-request capacity: the requests
+    with the most decoding progress (ties to the lower request id), so all of
+    them when they fit; everything else recomputes from scratch.
     """
-    capacity = target.concurrent_requests
-    if current.concurrent_requests <= capacity and len(active_requests) <= capacity:
-        return sorted(active_requests, key=lambda r: r.id)
     ranked = sorted(active_requests, key=lambda r: (-r.tokens_generated, r.id))
-    return sorted(ranked[:capacity], key=lambda r: r.id)
+    return sorted(ranked[:target.concurrent_requests], key=lambda r: r.id)

@@ -252,7 +252,8 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
     out = []
     start = lo
     while start < hi:
-        # copies holding `start` with enough tokens, per block
+        # copies holding `start` with enough tokens, per block; none is on `dst`,
+        # since a need piece is what dst's own copies leave uncovered
         found = memo.get((start, tokens))
         if found is None:
             found = memo[(start, tokens)] = [
@@ -260,8 +261,6 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
                 if h[1] <= start < h[2] and h[3] >= tokens]
         best = None
         for gpu, inst, c_hi, order in found:
-            if gpu == dst:
-                continue
             end = c_hi if c_hi < hi else hi
             remote = inst != here
             cur = load[inst]
@@ -522,7 +521,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format
+# JSON output: `plan_to_dict` writes a plan; nothing reads one back
 
 def plan_to_dict(plan: MigrationPlan) -> dict:
     def frac(x: Fraction):
@@ -551,25 +550,3 @@ def plan_to_dict(plan: MigrationPlan) -> dict:
         actions.append(doc)
     return {"u_max": plan.u_max, "actions": actions, "peak_usage": dict(sorted(plan.peak_usage.items()))}
 
-
-def plan_from_dict(doc: dict) -> MigrationPlan:
-    actions = []
-    for a in doc["actions"]:
-        transfers = tuple(
-            Transfer(
-                kind=t["kind"], layer=t["layer"],
-                lo=Fraction(*t["lo"]), hi=Fraction(*t["hi"]),
-                src=(t["src"][0], t["src"][1]), dst=(t["dst"][0], t["dst"][1]),
-                bytes=t["bytes"], request=t.get("request"), tokens=t.get("tokens", 0),
-                layers=t.get("layers", 1),
-            )
-            for t in a.get("transfers", ())
-        )
-        releases = tuple((inst, b) for inst, b in a.get("releases", ()))
-        actions.append(MigrationAction(
-            kind=a["kind"], transfers=transfers, releases=releases,
-            layer=a.get("layer"), stage=a.get("stage"),
-        ))
-    plan = MigrationPlan(actions=actions, u_max=doc.get("u_max"))
-    plan.peak_usage = dict(doc.get("peak_usage", {}))
-    return plan

@@ -7,7 +7,8 @@ steps, while its pipeline frees a dispatch slot every latency/(P * eta)
 seconds (pipelined batches overlap, which is what makes the cost model's
 throughput phi attainable).  Progress commits at decode-iteration boundaries,
 so a policy can pause a batch mid-decode, migrate its KV cache, and resume it
-elsewhere without losing tokens.
+elsewhere without losing tokens.  A request whose last token commits inside
+the horizon is complete, whatever its batch does next.
 
 GPU context lives once, in `Engine.holdings`, a `domain.Layout`: the engine
 writes it only when it installs a layout, and `Engine.layout_snapshot` reads
@@ -364,10 +365,7 @@ class Engine:
     def handle_complete(self, batch: Batch, version: int):
         if batch.version != version:
             return
-        for r in batch.requests:
-            r.completion = batch.boundary(r.s_out - batch.base_tokens[r.id])
-            r.tokens_generated = r.s_out
-        self.drop_batch(batch)
+        self.pause_batch(batch, batch.steps_needed)
         self.try_dispatch()
 
     def drop_batch(self, batch: Batch):
@@ -378,20 +376,20 @@ class Engine:
             pipe.batches.remove(batch)
 
     def pause_batch(self, batch: Batch, iters: int) -> list[RequestRecord]:
-        """Stop a batch after `iters` segment iterations; completions landing
-        inside the horizon are finalized, the rest return as survivors."""
+        """Settle a batch after `iters` segment iterations: requests whose last
+        token commits inside the horizon complete, the rest are survivors."""
         self.drop_batch(batch)
         horizon = self.cfg.duration
-        cap = batch.iters_at(horizon)
         survivors = []
         for r in batch.requests:
             base = batch.base_tokens[r.id]
             needed = r.s_out - base
-            if iters >= needed and batch.boundary(needed) <= horizon + 1e-9:
-                r.completion = batch.boundary(needed)
+            end = batch.boundary(needed)
+            if iters >= needed and end <= horizon + 1e-9:
+                r.completion = end
                 r.tokens_generated = r.s_out
             else:
-                r.tokens_generated = min(r.s_out, base + min(iters, cap))
+                r.tokens_generated = min(r.s_out, base + min(iters, batch.iters_at(horizon)))
                 survivors.append(r)
         return survivors
 
@@ -515,9 +513,7 @@ class Engine:
         # a decision whose commit falls past the horizon never served
         self.reconfig_log = [d for d in self.reconfig_log if not math.isnan(d.t_mig)]
         for batch in self.all_batches():
-            iters = batch.iters_at(self.now)
-            for r in batch.requests:
-                r.tokens_generated = min(r.s_out, batch.base_tokens[r.id] + iters)
+            self.pause_batch(batch, batch.iters_at(self.now))
         for inst_id in sorted(self.usage_open, key=natural_key):
             kind, start = self.usage_open[inst_id]
             self.usage.append((inst_id, kind, start, self.cfg.duration))
@@ -644,7 +640,7 @@ class AdaptivePolicy:
         stops, migrate_groups = self._arrange(engine, decision, base)
 
         movers = [r for d in sorted(migrate_groups) for r in migrate_groups[d]]
-        kept_ids = {r.id for r in retain_cache(movers, engine.config or target, target)}
+        kept_ids = {r.id for r in retain_cache(movers, target)}
         engine.requeue([r for r in movers if r.id not in kept_ids], reset_progress=True)
         old_cache = {d: [r for r in migrate_groups[d] if r.id in kept_ids]
                      for d in sorted(migrate_groups)}

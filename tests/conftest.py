@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from spotsim.costmodel import PerfProfile, PriceSheet, load_profile, profile_to_dict
+from spotsim.costmodel import _NOMINAL, _RESTART, PerfProfile, PriceSheet, Shape, load_profile
 from spotsim.data import bundled_path
 from spotsim.domain import ModelSpec
 
@@ -44,6 +45,28 @@ def make_profile(t_dec=0.1, t_init=2.0, shapes=((1, 1, 1),), eta=1.0, bandwidth=
         remote_restart_ratio=remote_ratio,
         restart_baseline_s=baseline,
     )
+
+
+def profile_to_dict(profile: PerfProfile) -> dict:
+    """The profile as `costmodel.profile_from_dict` reads it."""
+    return {
+        "model": asdict(profile.model),
+        "pipeline_efficiency": profile.pipeline_efficiency,
+        "bandwidth_bytes_per_s": profile.bandwidth,
+        "transfer_latency_s": profile.transfer_latency,
+        "restart": {key: getattr(profile, field) for key, field in _RESTART.items()},
+        "prices": asdict(profile.prices),
+        "nominal": {key: getattr(profile, field) for key, field in _NOMINAL.items()},
+        "t_dec": {_shape_key(s): v for s, v in sorted(profile.decode_table.items())},
+        "t_init": {
+            _shape_key(s): {str(k): v for k, v in sorted(entries.items())}
+            for s, entries in sorted(profile.prefill_table.items())
+        },
+    }
+
+
+def _shape_key(shape: Shape) -> str:
+    return ",".join(str(x) for x in shape)
 
 
 def save_profile(profile: PerfProfile, path):

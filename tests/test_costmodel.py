@@ -12,14 +12,13 @@ from spotsim.costmodel import (
     monetary_cost,
     plan_timeline,
     profile_from_dict,
-    profile_to_dict,
     restart_cost,
     throughput,
 )
 from spotsim.domain import ParallelConfig
 from spotsim.migration import MigrationAction, MigrationPlan, Transfer
 
-from conftest import make_profile
+from conftest import make_profile, profile_to_dict
 
 C111 = ParallelConfig(1, 1, 1, 1)
 

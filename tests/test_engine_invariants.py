@@ -2,10 +2,12 @@
 
 After each run, on the engine's final state and on the plans the spotserve
 policy built along the way:
-- every arrival is recorded once, and an unfinished request waits in at most
-  one place (the queue or one batch);
+- every arrival is recorded once, and at the horizon, before `finalize`
+  settles the batches still in flight, a request waits in at most one place
+  (the queue or one batch) and no waiting request is done;
 - every completion lies in [dispatch, horizon];
-- tokens never exceed `s_out`, and a done request has exactly `s_out`;
+- tokens never exceed `s_out`, and a request is done exactly when it holds
+  all `s_out`;
 - the reconfiguration log is in time order within [0, horizon], and every
   entry has a finite migration time >= 0 (a decision that never committed
   is not logged);
@@ -48,7 +50,7 @@ from test_dispatch_invariant import (
 )
 
 # the unwrapped methods: the monkeypatch fixture outlives a single example
-ENGINE_RUN, PLAN = Engine.run, AdaptivePolicy._plan
+ENGINE_RUN, FINALIZE, PLAN = Engine.run, Engine.finalize, AdaptivePolicy._plan
 
 
 def model_rounds(derived) -> dict:
@@ -67,17 +69,22 @@ def check_model_reuse(policy, engine, mapping, layout, inherited, plan):
     assert [t for a in plan.actions if a.kind == "migrate_cache" for t in a.transfers] == whole[1]
 
 
-def check_engine(engine: Engine, events: list[dict], arrivals: list[float]):
+def check_engine(engine: Engine, events: list[dict], arrivals: list[float],
+                 in_flight: list[tuple[str, bool]]):
+    """`in_flight` is each request in a batch as `finalize` began, with
+    whether it was done then."""
     horizon = engine.cfg.duration
     records = engine.records
     assert len({r.id for r in records}) == len(records)
     assert sorted(r.arrival for r in records) == sorted(arrivals)
-    waiting = [r.id for r in engine.queue] + [r.id for b in engine.all_batches()
-                                              for r in b.requests]
+    waiting = [r.id for r in engine.queue] + [rid for rid, _ in in_flight]
     assert len(set(waiting)) == len(waiting)
-    assert not {r.id for r in records if r.done} & set(waiting)
+    assert not any(done for _, done in in_flight)
+    assert not {r.id for r in records if r.done} & {r.id for r in engine.queue}
+    assert not engine.all_batches()
     for r in records:
         assert r.tokens_generated <= r.s_out, r
+        assert r.done or r.tokens_generated < r.s_out, r
         if r.done:
             assert r.dispatch is not None and r.dispatch <= r.completion <= horizon + 1e-9, r
             assert r.tokens_generated == r.s_out, r
@@ -119,11 +126,16 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
     cfg = SimConfig(profile_path=str(bundled_path(model)), trace_path=str(trace),
                     workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=cv, seed=seed),
                     policy=policy, duration=DURATION, pool_size=1)
-    engines, from_storage = [], []
+    engines, from_storage, in_flight = [], [], []
 
     def captured(engine):
         engines.append(engine)
         return ENGINE_RUN(engine)
+
+    def finalized(engine):
+        # finalize settles every batch still in flight and drops it
+        in_flight.extend((r.id, r.done) for b in engine.all_batches() for r in b.requests)
+        return FINALIZE(engine)
 
     def checked(policy, engine, mapping, base, cache, inherited):
         layout = engine.layout_snapshot(cache)
@@ -135,10 +147,11 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
             check_model_reuse(policy, engine, mapping, layout, inherited, built)
         return built
     monkeypatch.setattr(Engine, "run", captured)
+    monkeypatch.setattr(Engine, "finalize", finalized)
     monkeypatch.setattr(AdaptivePolicy, "_plan", checked)
     run(cfg)
     if any(from_storage):
         event("storage transfer")
     arrivals = [float(t) for t in gamma_arrivals(rate, cv, DURATION, seed)]
     (engine,) = engines
-    check_engine(engine, events, arrivals)
+    check_engine(engine, events, arrivals, in_flight)

@@ -314,39 +314,35 @@ class TestRetainCache:
 
     def test_capacity_unchanged_keeps_all(self):
         reqs = [self.request(f"r-{k}", k) for k in range(4)]
-        old = ParallelConfig(2, 1, 1, 2)
-        kept = retain_cache(reqs, old, old)
+        cfg = ParallelConfig(2, 1, 1, 2)
+        kept = retain_cache(reqs, cfg)
         assert {r.id for r in kept} == {r.id for r in reqs}
 
     def test_shrink_keeps_most_progressed(self):
         reqs = [self.request(f"r-{k:02d}", k + 1) for k in range(16)]
-        old = ParallelConfig(4, 1, 1, 4)
         new = ParallelConfig(2, 1, 1, 4)
-        kept = retain_cache(reqs, old, new)
+        kept = retain_cache(reqs, new)
         assert {r.tokens_generated for r in kept} == set(range(9, 17))
 
     def test_tie_breaks_to_lower_id(self):
         reqs = [self.request(f"r-{k}", 7) for k in range(4)]
-        old = ParallelConfig(4, 1, 1, 1)
         new = ParallelConfig(2, 1, 1, 1)
-        kept = retain_cache(reqs, old, new)
+        kept = retain_cache(reqs, new)
         assert sorted(r.id for r in kept) == ["r-0", "r-1"]
 
     def test_output_size_is_min_of_demand_and_capacity(self):
         reqs = [self.request(f"r-{k}", k) for k in range(3)]
-        old = ParallelConfig(4, 1, 1, 2)
         new = ParallelConfig(1, 1, 1, 2)
-        assert len(retain_cache(reqs, old, new)) == 2
-        assert len(retain_cache(reqs[:1], old, new)) == 1
+        assert len(retain_cache(reqs, new)) == 2
+        assert len(retain_cache(reqs[:1], new)) == 1
 
     def test_monotone_in_progress(self):
         reqs = [self.request(f"r-{k}", k) for k in range(8)]
-        old = ParallelConfig(4, 1, 1, 2)
         new = ParallelConfig(2, 1, 1, 2)
-        kept_before = {r.id for r in retain_cache(reqs, old, new)}
+        kept_before = {r.id for r in retain_cache(reqs, new)}
         assert "r-4" in kept_before
         reqs[4].tokens_generated = 50
-        kept_after = {r.id for r in retain_cache(reqs, old, new)}
+        kept_after = {r.id for r in retain_cache(reqs, new)}
         assert "r-4" in kept_after
 
 

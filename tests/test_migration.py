@@ -24,7 +24,6 @@ from spotsim.migration import (
     MigrationPlan,
     derive_transfers,
     memopt_layer_order,
-    plan_from_dict,
     plan_migration,
     plan_to_dict,
 )
@@ -389,18 +388,16 @@ def test_plan_json_roundtrip():
     model = ModelSpec(name="m12", num_layers=12, bytes_per_layer=1200,
                       kv_bytes_per_token_per_layer=16)
     _, _, plan = transition_plan(model, old, new, 16)
-    doc = plan_to_dict(plan)
-    json.dumps(doc)  # serializable
-    back = plan_from_dict(doc)
-    assert [a.kind for a in back.actions] == [a.kind for a in plan.actions]
-    assert back.total_bytes() == pytest.approx(plan.total_bytes())
-    assert [a.transfers for a in back.actions] == [a.transfers for a in plan.actions]
-    assert back.peak_usage == plan.peak_usage
+    doc = json.loads(json.dumps(plan_to_dict(plan)))  # serializable
+    assert [a["kind"] for a in doc["actions"]] == [a.kind for a in plan.actions]
+    written = [t for a in doc["actions"] for t in a.get("transfers", ())]
+    assert sum(t["bytes"] for t in written) == pytest.approx(plan.total_bytes())
+    assert doc["peak_usage"] == plan.peak_usage
 
 
 def test_plan_json_roundtrip_keeps_cache_layer_runs():
     """A cache transfer over a layer run writes its layer count; a one-layer
-    transfer writes none, and a missing count reads as one layer."""
+    transfer writes none."""
     old, new = ParallelConfig(1, 2, 2, 1), ParallelConfig(1, 1, 4, 1)
     cache = {1: [("r-1", 24)]}
     layout = {(f"i-{k}", 0): required_context(old, pos, MODEL, cache[1])
@@ -412,7 +409,6 @@ def test_plan_json_roundtrip_keeps_cache_layer_runs():
     written = [t for a in doc["actions"] for t in a.get("transfers", ())]
     assert [t.get("layers") for t in written] == [t.layers if t.layers != 1 else None
                                                   for t in plan.transfers()]
-    assert plan_from_dict(doc).transfers() == plan.transfers()
 
 
 def test_departing_sources_keep_bystander_replicas_out():

@@ -259,6 +259,27 @@ class TestSimConfig:
         assert cfg.rate_source == "estimated"
 
 
+@pytest.mark.parametrize("policy", ["spotserve", "rerouting", "reparallelization"])
+def test_request_finished_inside_horizon_is_complete(policy, scenario):
+    """Regression: a request whose last token commits inside the horizon is
+    done even while its batch runs past the horizon (`finalize` used to set
+    its tokens and leave it without a completion)."""
+    # booting at 1 s, a 2 s rate window sees both arrivals, so the controller
+    # picks a batched shape and the two requests share one batch
+    cfg = scenario(boot_events(2, t=1.0), arrivals=[(0.0, 512, 8), (0.0, 512, 4000)],
+                   n_boot=0, duration=200.0, rate_window=2.0, policy=policy)
+    report = run(cfg)
+    profile = load_profile(cfg.profile_path)
+    config = ParallelConfig(*report.reconfigurations[-1][1])
+    short, long = sorted(report.records, key=lambda r: r.id)
+    assert short.dispatch == long.dispatch == 1.0 and config.batch_limit >= 2
+    eighth = (short.dispatch + profile.prefill_seconds(config, 512)
+              + 8 * profile.decode_seconds(config))
+    assert short.id == "r-00000" and short.tokens_generated == 8
+    assert short.done and short.completion == pytest.approx(eighth, abs=1e-9)
+    assert not long.done and long.tokens_generated < 4000
+
+
 def test_grace_feeding_never_schedules_across_the_cutover(tmp_path):
     """Regression: a batch fed into a future pipeline slot during a grace
     period must not straddle the reconfiguration cutover (it used to be

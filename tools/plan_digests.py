@@ -21,6 +21,28 @@ given); each config's lines follow a `config PATH` header, and `--rate`,
 
 Only spotserve maps devices and builds migration plans; the other policies
 print just the `all 0`, `derivations 0`, `mappings 0` and `report` lines.
+
+Identity sweep: 483 runs, the 68 benchmark configs `perfbench/gen.py` writes
+at seeds 1 and 7 plus the bundled scenario, each run as spotserve, its four
+cumulative ablations, rerouting and reparallelization.  Write the configs
+once into `$d`, run the block below from the root of each source tree with
+the same `$d` (so the `config` headers match) and that tree's name in
+`$tree` (`old` or `new`), then `diff` the two outputs:
+    d=$(mktemp -d)
+    PYTHONPATH=src python3 perfbench/gen.py $d/s1 --seed 1
+    PYTHONPATH=src python3 perfbench/gen.py $d/s7 --seed 7
+
+    configs="$(for f in $d/s1/*/*.json $d/s7/*/*.json; do printf -- '--config %s ' $f; done)"
+    configs="$configs --config src/spotsim/data/scenario_bs.json"
+    off="controller controller,planner controller,planner,arranger controller,planner,arranger,mapper"
+    { for v in "" $off; do
+        PYTHONPATH=src python3 tools/plan_digests.py $configs ${v:+--disable $v}
+      done
+      for p in rerouting reparallelization; do
+        PYTHONPATH=src python3 tools/plan_digests.py $configs --policy $p
+      done; } > $d/sweep-$tree.txt
+
+    diff $d/sweep-old.txt $d/sweep-new.txt
 """
 
 import argparse
