@@ -88,6 +88,8 @@ class PerfProfile:
         if not all(entries and all(is_count(s_in, 1) for s_in in entries)
                    for entries in self.prefill_table.values()):
             raise CostModelError("every prefill table needs an entry, each at an s_in >= 1")
+        if self.decode_table.keys() != self.prefill_table.keys():
+            raise CostModelError("decode and prefill tables must list the same (P,M,B) shapes")
 
     def shapes(self) -> list[Shape]:
         return sorted(self.decode_table)

@@ -26,9 +26,9 @@ credited back when the round completes.  The layer order first admits layers
 in index order while the cap U_max holds, then places the deferred rest by
 repeatedly choosing the layer minimizing the worst instance's usage; layers
 with equal incoming traffic peak alike, so each step compares one layer per
-distinct incoming traffic.  The plain index order stays the fallback twice:
-once inside the ordering, and once when the whole plan, cache round
-included, is replayed for each order and the index order peaks lower.
+distinct incoming traffic.  The plain index order is the one fallback:
+the whole plan, cache round included, is replayed for both orders, and
+the index order ships when it peaks lower.
 Assembly reads the transfers once: each round is built once with its
 receivers' byte runs and the stages it delivers to, both orders are
 replayed from the byte runs, and the stage-start markers are placed from
@@ -131,16 +131,6 @@ def _apply(usage: dict[str, float], traffic: LayerTraffic):
         usage[inst] = usage.get(inst, 0.0) - b
 
 
-def _order_peak(order: list[int], traffic_by_layer: dict[int, LayerTraffic]) -> float:
-    usage: dict[str, float] = {}
-    peak = 0.0
-    for layer in order:
-        traffic = traffic_by_layer[layer]
-        peak = max(peak, _peak_if_applied(usage, traffic, max(usage.values(), default=0.0)))
-        _apply(usage, traffic)
-    return peak
-
-
 def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float | None) -> list[int]:
     """Order all layers, min-maxing instance buffer usage.
 
@@ -153,9 +143,8 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
     traffic is compared at a step: a step costs one evaluation per distinct
     incoming traffic, not one per deferred layer.
     Every layer is ordered even if u_max cannot be met; the resulting peak is
-    reported by the plan, not hidden.  The plain index order is the fallback
-    schedule: if deferral ever reorders frees so badly that it peaks above
-    the index order, the index order wins.
+    reported by the plan, not hidden.  No comparison with the index order is
+    made here: `plan_migration` replays both orders and keeps the lower.
     """
     usage: dict[str, float] = {}
     order: list[int] = []
@@ -177,9 +166,6 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
         order.append(layer)
         if not best:
             classes = [layers for layers in classes if layers]
-    index_order = sorted(traffic_by_layer)
-    if order != index_order and _order_peak(order, traffic_by_layer) > _order_peak(index_order, traffic_by_layer):
-        return index_order
     return order
 
 
@@ -499,8 +485,8 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
 
     chosen, peaks = replayed(order)
     if order != sorted(traffic):
-        # the cache round shifts the starting baseline the layer-order pass
-        # cannot see; never ship an order that replays worse than naive
+        # the one index-order fallback: the greedy steps see neither the cache
+        # round nor the whole order's peak; never ship an order replaying higher
         naive = replayed(sorted(traffic))
         if max(naive[1].values(), default=0.0) < max(peaks.values(), default=0.0):
             chosen, peaks = naive

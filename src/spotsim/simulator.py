@@ -246,11 +246,14 @@ class Engine:
                 self.push(inst.ready_at, P_TRACE, "ready", inst.id)
             else:
                 inst = self.instances.get(ev.instance_id)
-                if inst is None or inst.status == "released":
+                deadline = ev.t + (ev.grace or 0.0)
+                # the earliest notice binds: a later deadline changes nothing
+                if inst is None or inst.status == "released" or (
+                        inst.status == "grace_preempting" and inst.grace_deadline <= deadline):
                     continue
                 inst.status = "grace_preempting"
-                inst.grace_deadline = ev.t + (ev.grace or 0.0)
-                self.push(inst.grace_deadline, P_TRACE, "deadline", inst.id)
+                inst.grace_deadline = deadline
+                self.push(deadline, P_TRACE, "deadline", inst.id)
 
     def handle_ready(self, instance_id: str):
         inst = self.instances[instance_id]

@@ -3,10 +3,11 @@ must reproduce exactly.
 
 It admits layers in index order while the cap holds, then at each step
 compares every deferred layer and takes the one whose migration leaves the
-lowest worst-instance usage (ties to the lower layer index), and falls back
-to the index order when that replays to a lower peak.  It evaluates each
-deferred layer at each step, O(L^2) peak evaluations, where the library
-compares only the lowest deferred layer of each distinct incoming traffic.
+lowest worst-instance usage (ties to the lower layer index).  Like the
+library it makes no comparison with the index order: that fallback belongs
+to the plan replay.  It evaluates each deferred layer at each step, O(L^2)
+peak evaluations, where the library compares only the lowest deferred layer
+of each distinct incoming traffic.
 `layer_traffic` sums a derivation's per-layer traffic transfer by transfer.
 """
 
@@ -41,16 +42,6 @@ def apply(usage: dict[str, float], traffic: LayerTraffic):
         usage[inst] = usage.get(inst, 0.0) - b
 
 
-def order_peak(order: list[int], traffic_by_layer: dict[int, LayerTraffic]) -> float:
-    usage: dict[str, float] = {}
-    peak = 0.0
-    for layer in order:
-        traffic = traffic_by_layer[layer]
-        peak = max(peak, peak_if_applied(usage, traffic, max(usage.values(), default=0.0)))
-        apply(usage, traffic)
-    return peak
-
-
 def reference_layer_order(traffic_by_layer: dict[int, LayerTraffic],
                           u_max: float | None) -> list[int]:
     usage: dict[str, float] = {}
@@ -70,8 +61,4 @@ def reference_layer_order(traffic_by_layer: dict[int, LayerTraffic],
         apply(usage, traffic_by_layer[best])
         order.append(best)
         deferred.remove(best)
-    index_order = sorted(traffic_by_layer)
-    if order != index_order and order_peak(order, traffic_by_layer) > order_peak(index_order,
-                                                                                  traffic_by_layer):
-        return index_order
     return order

@@ -269,7 +269,11 @@ def test_bad_trace_event_exits_two(event, message, quick_config, tmp_path, capsy
                               "prices": {"spot_usd_per_hour": 0.0,
                                          "ondemand_usd_per_hour": 3.0}}),
      "prices must be positive"),
-], ids=["invalid-json", "missing-key", "zero-price"])
+    (lambda text: json.dumps({**json.loads(text),
+                              "t_init": {k: v for k, v in json.loads(text)["t_init"].items()
+                                         if k != "2,8,2"}}),
+     "same (P,M,B) shapes"),
+], ids=["invalid-json", "missing-key", "zero-price", "unprofiled-prefill-shape"])
 def test_bad_profile_exits_two(corrupt, message, quick_config, tmp_path, capsys):
     profile = tmp_path / "profile.json"
     profile.write_text(corrupt(Path(bundled_path("gpt-20b")).read_text()))

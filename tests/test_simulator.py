@@ -681,3 +681,23 @@ def test_engine_mapper_and_planner_share_one_instance_order(first, tmp_path):
     layout = {(first, 0): full, (second, 0): full, ("i-2", 0): ContextInventory.empty()}
     model_transfers = derive_transfers(mapping, layout, profile.model)[0]
     assert model_transfers[0][0].src == ("i-01", 0)
+
+
+def test_the_earliest_preempt_notice_binds(scenario, monkeypatch):
+    """Regression: a second notice with a later deadline moved the
+    instance's `grace_deadline` later, though the first deadline still
+    released it, so a decision in between could plan transfers from it past
+    its release."""
+    released = []
+    release = Engine.release_instance
+
+    def recorded(engine, inst, t):
+        released.append((inst.id, t, inst.grace_deadline))
+        release(engine, inst, t)
+    monkeypatch.setattr(Engine, "release_instance", recorded)
+    run(scenario([{"t": 100.0, "kind": "preempt", "id": "i-0", "grace": 30.0},
+                  {"t": 110.0, "kind": "preempt", "id": "i-0", "grace": 60.0},
+                  {"t": 100.0, "kind": "preempt", "id": "i-1", "grace": 60.0},
+                  {"t": 110.0, "kind": "preempt", "id": "i-1", "grace": 5.0}],
+                 arrivals=[(1.0, 512, 128)], n_boot=3, pool_size=3))
+    assert released == [("i-1", 115.0, 115.0), ("i-0", 130.0, 130.0)]
