@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SimConfigError, TraceError, ProfileError, WorkloadError, FileNotFoundError,
-            IsADirectoryError, PermissionError) as e:
+            FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure

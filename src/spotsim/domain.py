@@ -6,7 +6,9 @@ Every GPU therefore owns a (pipeline, stage, shard) position whose resident
 model slice is a contiguous layer block crossed with a tensor-shard fraction
 interval.  Byte-level bookkeeping of those slices (plus per-request KV-cache
 slices) is what the device mapper and migration planner trade in.
-`required_context` is the one builder of those slices.  A `Layout` maps each
+`required_context` builds those slices as inventories; the planner lays the
+same slices out as integer rows (a position's stage block crossed with its
+shard and each cache entry) without building inventories.  A `Layout` maps each
 GPU to its `ContextInventory`; it is the one form of GPU context the mapper,
 the planner and the simulator's holdings store share, and a GPU absent from
 the store holds nothing.
@@ -225,24 +227,6 @@ def layer_blocks(rects) -> list[tuple[int, int, list[tuple]]]:
             blocks.append((l0, l1, []))
         blocks[-1][2].append(tuple(entry))
     return blocks
-
-
-def uncovered(lo: int, hi: int, cuts) -> list[tuple[int, int]]:
-    """[lo, hi) minus the union of the `(lo, hi, ...)` cuts, as sorted
-    disjoint grid intervals."""
-    pieces = []
-    for c_lo, c_hi, *_ in sorted(cuts):
-        if c_hi <= lo:
-            continue
-        if c_lo >= hi:
-            break
-        if c_lo > lo:
-            pieces.append((lo, c_lo))
-        lo = max(lo, c_hi)
-        if lo >= hi:
-            return pieces
-    pieces.append((lo, hi))
-    return pieces
 
 
 class ContextInventory:

@@ -8,16 +8,22 @@ cache piece without a live copy raises `MigrationError`.  Planning has two
 steps.
 `derive_transfers` decides what moves over one layout: the model transfers
 of one mapping, one per layer, then its cache transfers, one per layer run
-of a request, and the end-of-round releases.  Model senders are chosen
-without regard to the cache, so a commit derives the model part once and
-each plan that carries cache adds only its cache part.
+of a request, and the end-of-round releases.  It reads the holdings and the
+needs as integer rectangle rows and finds the missing pieces, the receivers'
+incoming bytes and the releases with array passes; only covering, where
+each sender choice depends on the load the choices before it left, is a
+Python loop.  Model senders are chosen without regard to the cache, so a
+commit derives the model part once: its cache-free derivation carries what
+depends only on the mapping and the GPUs, and each plan that carries cache
+builds only its cache rows on top of it.
 `plan_migration` assembles a given derivation into rounds: one round of
 KV-cache transfers first (losing cache is what destroys decoding progress,
 so it goes before everything), then model layers one round per layer in a
 memory-optimized order, with a stage-start marker emitted as soon as a stage's
 full context is in place so front stages resume serving while later stages are
 still migrating.  The derivation does not depend on the buffer cap, so one
-derivation can be assembled under several caps.
+derivation can be assembled under several caps, and the layer order of its
+model rounds is found once per cap for all the plans of one commit.
 
 Buffer accounting is per instance, as a net byte delta from the moment the
 migration starts: receivers are charged when a round begins and every
@@ -40,18 +46,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .domain import (
-    STORAGE,
-    ContextInventory,
-    GpuRef,
-    Layout,
-    ModelSpec,
-    layer_blocks,
-    natural_key,
-    required_context,
-    uncovered,
-)
-from .mapping import DeviceMapping
+import numpy as np
+
+from .domain import STORAGE, GpuRef, Layout, ModelSpec, natural_key, stage_layers
+from .mapping import DeviceMapping, _grid_rows
 
 
 class MigrationError(ValueError):
@@ -172,56 +170,324 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # ---------------------------------------------------------------------------
 # Transfer derivation
 #
-# Everything below works on one integer grid: every bound is a numerator over
-# the lcm `den` of the old inventories' grids and the target's shard count,
-# and a byte count is `units * unit_bytes / den`, the exact value rounded
-# once, as the per-layer Fraction arithmetic it replaces rounded it.
+# A derivation works on int64 rows (gpu, request, first, end, lo, hi, tokens)
+# on one integer grid, built as the mapper builds its weights
+# (`mapping._grid_rows`).  Every bound is a numerator over the lcm `den` of
+# the old inventories' grids and the target's shard count, `gpu` indexes the
+# GPUs in instance-rank order, and `request` is a code; model context is
+# request None's, with one token, and is derived apart from the KV cache.
+# Held rows are the old layout's rectangles.  Need rows are what
+# `required_context` builds: each assigned position's stage block crossed
+# with its shard interval and, for KV cache, with each inherited entry.
+# Array passes over the rows cut each need row into runs at the layer bounds
+# of its request's holders, subtract what the receiver already holds, index
+# the holders of each run's layer block, and find what each GPU holds beyond
+# its need.
+# A byte count is `units * unit_bytes / den` divided as Python ints, the
+# exact value rounded once.  A float that sums several of them (a receiver's
+# incoming bytes, a release) is summed by `np.add.at`, which adds its terms
+# one at a time in array order, never pairwise; the terms are laid out layer
+# by layer in the order of a loop over receivers (or held blocks), layers and
+# pieces, so each sum is the float that loop gives.
+# Covering stays a Python loop over the runs: which holder sends a piece
+# depends on the bytes each sender has been given so far, so each choice
+# depends on the ones before it.
 
-def _scaled_blocks(rects, k: int) -> list[tuple[int, int, list[tuple]]]:
-    """`layer_blocks` of the rectangles with their bounds scaled by k."""
-    return [(l0, l1, [(lo * k, hi * k, *rest) for lo, hi, *rest in entries])
-            for l0, l1, entries in layer_blocks(rects)]
+_G, _R, _F, _E, _LO, _HI, _T = range(7)  # row columns
 
 
-def _segments(l0: int, l1: int, blocks) -> list[tuple[int, int, list[tuple]]]:
-    """Layers [l0, l1) split at the bounds of the sorted, disjoint `blocks`:
-    `(first, end, entries)`, with no entries where no block covers."""
-    out = []
-    at = l0
-    for b0, b1, entries in blocks:
-        if b1 <= at:
-            continue
-        if b0 >= l1:
-            break
-        if b0 > at:
-            out.append((at, b0, []))
-            at = b0
-        end = min(b1, l1)
-        out.append((at, end, entries))
-        at = end
-    if at < l1:
-        out.append((at, l1, []))
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive ranges of `counts` elements: each element's range and
+    its index inside it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive keys starts."""
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """The lengths of the runs of n elements that start at `starts`."""
+    return np.concatenate((starts[1:], [n])) - starts
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending."""
+    keys = np.sort(keys)
+    return keys[_starts(keys)]
+
+
+def _matches(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with left[i] == right[j], by i, then j."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    start = np.searchsorted(keys, left, "left")
+    i, k = _ragged(np.searchsorted(keys, left, "right") - start)
+    return i, order[start[i] + k]
+
+
+def _divided(num: np.ndarray, weight: int, den: int) -> np.ndarray:
+    """`num * weight / den` for int64 numerators, each divided as Python
+    ints and so correctly rounded, once per distinct numerator."""
+    order = np.argsort(num)
+    starts = _starts(num[order])
+    quotients = [n * weight / den for n in num[order[starts]].tolist()]
+    out = np.empty(len(num))
+    out[order] = np.repeat(quotients, _lengths(starts, len(num)))
     return out
 
 
-def _holder_index(blocks_by_gpu) -> list[tuple[int, int, tuple[list, dict]]]:
-    """`(first, end, (holders, candidate memo))` per elementary layer block:
-    the `(gpu, lo, hi, ...)` copies covering those layers, in GPU order, then
-    in each GPU's per-layer order.  Layers no copy covers have no block."""
-    bounds = sorted({b for _, blocks in blocks_by_gpu for l0, l1, _ in blocks for b in (l0, l1)})
-    index = []
-    for c0, c1 in zip(bounds, bounds[1:]):
-        holders = [(gpu, *entry) for gpu, blocks in blocks_by_gpu
-                   for l0, l1, entries in blocks if l0 <= c0 < l1 for entry in entries]
-        if holders:
-            index.append((c0, c1, (holders, {})))
-    return index
+def _sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and for each the sum of its values added
+    one at a time from 0.0 in array order, as a Python loop adds them:
+    `ufunc.at` applies the additions index by index."""
+    totals = np.zeros(keys.max(initial=-1) + 1)
+    np.add.at(totals, keys, values)
+    seen = np.zeros(len(totals), dtype=bool)
+    seen[keys] = True
+    present = np.flatnonzero(seen)
+    return present, totals[present]
 
 
-def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_bytes: int,
-                        den: int, load: dict[str, float], rank: dict, departing: frozenset[str],
-                        send_budget: float, stored: bool) -> list[tuple[GpuRef, int, int]]:
-    """Split the grid piece [lo, hi) across the holder GPUs of its layer block.
+def _tiled(layers: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of units that repeat `counts[u]` values on each of their
+    `layers[u]` layers, in loop order: each term's unit, layer offset and
+    value offset."""
+    unit, layer = _ragged(layers)
+    if counts.max(initial=1) == 1:
+        return unit, layer, np.zeros_like(layer)
+    step, at = _ragged(counts[unit])
+    return unit[step], layer[step], at
+
+
+class _Common:
+    """What the derivations over one mapping and one set of model holdings
+    share: the GPUs in instance-rank order and each instance's rank, the
+    assigned GPUs' stage blocks and shards (`slots`: gpu, pipeline, first
+    layer, end layer, shard), the model transfers' sender and receiver byte
+    totals, summed once when a cache derivation first needs them, and the
+    layer orders `plan_migration` found, by cap."""
+
+    __slots__ = ("gpus", "rank", "inst_of", "slots", "loads", "orders")
+
+    def __init__(self, mapping: DeviceMapping, old_layout: Layout, model: ModelSpec):
+        config = mapping.config
+        rank = self.rank = {inst: k for k, inst in enumerate(
+            sorted({g[0] for g in old_layout}, key=natural_key))}
+        gpus = self.gpus = sorted(old_layout, key=lambda g: (rank[g[0]], g[1]))
+        self.inst_of = np.array([rank[g[0]] for g in gpus], dtype=np.int64)
+        placed = np.array([(g, pos.pipeline, pos.stage, pos.shard)
+                           for g, pos in enumerate(map(mapping.assignment.get, gpus))
+                           if pos is not None], dtype=np.int64).reshape(-1, 4)
+        g, d, p, m = placed.T
+        bad = ((d < 1) | (d > config.data_parallel) | (p < 1) | (p > config.pipeline_stages)
+               | (m < 1) | (m > config.tensor_shards))
+        if bad.any():  # the first such position raises its own error
+            mapping.assignment[gpus[g[bad][0]]].validate_for(config)
+        blocks = np.array([(r.start, r.stop) for r in (
+            stage_layers(model.num_layers, config.pipeline_stages, stage)
+            for stage in range(1, config.pipeline_stages + 1))], dtype=np.int64)
+        first, end = blocks[p - 1].T
+        self.slots = np.stack([g, d, first, end, m], axis=1)[end > first]
+        self.loads: tuple[dict[str, float], dict[str, float]] | None = None
+        self.orders: dict[float | None, list[int]] = {}
+
+    def need_rows(self, k: int, entries: list[tuple[int, int]],
+                  spans: dict[int, tuple[int, int]] | None = None) -> np.ndarray:
+        """Each assigned GPU's need rows, its shard scaled by `k`: one per
+        entry `(request code, tokens)` of `entries[first:first + count]`,
+        where `spans[pipeline] = (first, count)`; every entry when `spans`
+        is None."""
+        s = self.slots
+        if spans is None:
+            first, count = np.zeros(len(s), dtype=np.int64), np.full(len(s), len(entries))
+        else:
+            first, count = np.array([spans.get(d, (0, 0)) for d in s[:, 1].tolist()],
+                                    dtype=np.int64).reshape(-1, 2).T
+        slot, at = _ragged(count)
+        entry = np.array(entries, dtype=np.int64).reshape(-1, 2)[first[slot] + at]
+        rows = np.empty((len(slot), 7), dtype=np.int64)
+        rows[:, _G] = s[slot, 0]
+        rows[:, _R] = entry[:, 0]
+        rows[:, _F:_LO] = s[slot, 2:4]
+        rows[:, _LO] = (s[slot, 4] - 1) * k
+        rows[:, _HI] = s[slot, 4] * k
+        rows[:, _T] = entry[:, 1]
+        return rows
+
+    def model_loads(self, model_transfers: dict[int, list[Transfer]]):
+        """Bytes each instance sends and receives over the model transfers,
+        summed layer by layer."""
+        if self.loads is None:
+            sent = dict.fromkeys([*self.rank, STORAGE[0]], 0.0)
+            delivered: dict[str, float] = {}
+            for layer in sorted(model_transfers):
+                for t in model_transfers[layer]:
+                    if t.src[0] != t.dst[0]:
+                        sent[t.src[0]] += t.bytes
+                    delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
+            self.loads = sent, delivered
+        return self.loads
+
+
+class Derivation(tuple):
+    """What `derive_transfers` returns: the tuple (model transfers by layer,
+    cache transfers, layer releases, cache releases), and in `common` what it
+    shares with every derivation that takes it as `base`."""
+
+    def __new__(cls, parts: tuple, common: _Common):
+        self = super().__new__(cls, parts)
+        self.common = common
+        return self
+
+
+def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], inst_of: np.ndarray,
+            weight: int, den: int) -> tuple[list, dict[int, float]]:
+    """Cover units of one kind of context, and each receiving instance's
+    bytes over them, by instance rank, added layer by layer and piece by
+    piece in unit order.
+
+    Each need row is cut into runs at the layer bounds of its request's held
+    rows, so each run lies inside one elementary layer block of the holder
+    index, and what the receiver holds with enough tokens is subtracted.
+    A unit is one run of one GPU's need of one request: `(dst, request code,
+    first, end, (holders, candidate memo) or None, [(lo, hi, unit bytes,
+    tokens)])`, pieces in entry, then bound, order, units in GPU, request,
+    then layer order.  Holders list `(gpu, lo, hi, tokens)` in GPU, then row,
+    order.
+    """
+    hg, hr, hf, he, hlo, hhi, ht = held.T
+    ng, nr, nf, ne, nlo, nhi, nt = need.T
+    span = 1 + int(max(he.max(initial=0), ne.max(initial=0)))
+    n_req = 1 + int(max(hr.max(initial=0), nr.max(initial=0)))
+    code = hr * span
+    bounds = _distinct(np.concatenate([code + hf, code + he]))
+
+    # runs: each need row cut at the bounds strictly inside its layers
+    n_code = nr * span
+    i0 = np.searchsorted(bounds, n_code + nf, "right")
+    i1 = np.searchsorted(bounds, n_code + ne, "left")
+    row, j = _ragged(i1 - i0 + 1)
+    r_code, at = n_code[row], i0[row] + j
+    padded = np.append(bounds, 0)
+    first = np.where(j == 0, nf[row], padded[at - 1] - r_code)
+    end = np.where(at == i1[row], ne[row], padded[at] - r_code)
+    block = np.searchsorted(bounds, r_code + first, "right") - 1
+    lo, hi, tokens = nlo[row], nhi[row], nt[row]
+
+    # the receiver's own cuts: its rows of the request over the run with
+    # enough tokens, clipped to the needed interval, by run then lower bound
+    i, h = _matches(ng[row] * n_req + nr[row], hg * n_req + hr)
+    cuts = ((hf[h] <= first[i]) & (first[i] < he[h]) & (ht[h] >= tokens[i])
+            & (hlo[h] < hi[i]) & (hhi[h] > lo[i]))
+    i, h = i[cuts], h[cuts]
+    c_lo, c_hi = np.maximum(hlo[h], lo[i]), np.minimum(hhi[h], hi[i])
+    order = np.lexsort((c_lo, i))
+    i, c_lo, c_hi = i[order], c_lo[order], c_hi[order]
+    # uncovered pieces: the gap before each cut, after a run's last cut, and
+    # whole runs without cuts
+    reach = np.maximum.accumulate(i * (den + 1) + c_hi) - i * (den + 1)
+    opens = np.zeros(len(i), dtype=bool)
+    opens[_starts(i)] = True
+    closes = np.append(opens[1:], True)
+    before = lo[i]
+    before[~opens] = reach[np.flatnonzero(~opens) - 1]
+    gap, tail = c_lo > before, closes & (reach < hi[i])
+    uncut = np.ones(len(row), dtype=bool)
+    uncut[i] = False
+    p_run = np.concatenate([i[gap], i[tail], np.flatnonzero(uncut)])
+    p_lo = np.concatenate([before[gap], reach[tail], lo[uncut]])
+    p_hi = np.concatenate([c_lo[gap], hi[i[tail]], hi[uncut]])
+
+    # a unit gathers the runs of the entries of one GPU's need of one request
+    group = np.zeros(len(need), dtype=np.int64)
+    starts = _starts(ng * n_req + nr)
+    group[starts] = starts
+    group = np.maximum.accumulate(group)[row]
+    order = np.lexsort((p_lo, row[p_run], j[p_run], group[p_run]))
+    p_run, p_lo, p_hi = p_run[order], p_lo[order], p_hi[order]
+    unit_key = group[p_run] * (len(bounds) + 1) + j[p_run]
+    u_first = _starts(unit_key)
+    u_run = p_run[u_first]
+
+    # holders of the elementary blocks the units cover
+    k0 = np.searchsorted(bounds, code + hf)
+    h, at = _ragged(np.searchsorted(bounds, code + he) - k0)
+    k = k0[h] + at
+    wanted = np.zeros(len(bounds) + 1, dtype=bool)
+    wanted[block[u_run]] = True
+    h, k = h[wanted[k]], k[wanted[k]]
+    order = np.lexsort((h, k))
+    h, k = h[order], k[order]
+    copies = [(gpus[g], a, b, t) for g, a, b, t in held[:, [_G, _LO, _HI, _T]].tolist()]
+    listed = [copies[c] for c in h.tolist()]
+    cut = _starts(k)
+    holders = {b: (listed[a:z], {}) for b, a, z in zip(
+        k[cut].tolist(), cut.tolist(), [*cut[1:].tolist(), len(listed)])}
+
+    p_tokens = tokens[p_run]
+    pieces = list(zip(p_lo.tolist(), p_hi.tolist(), [weight * t for t in p_tokens.tolist()],
+                      p_tokens.tolist()))
+    dst = ng[row[u_run]]
+    units = [(gpus[g], r, f, e, holders.get(b), pieces[a:z]) for g, r, f, e, b, a, z in zip(
+        dst.tolist(), nr[row[u_run]].tolist(), first[u_run].tolist(), end[u_run].tolist(),
+        block[u_run].tolist(), u_first.tolist(), [*u_first[1:].tolist(), len(pieces)])]
+
+    counts = _lengths(u_first, len(pieces))
+    unit, _, at = _tiled(end[u_run] - first[u_run], counts)
+    sizes = _divided((p_hi - p_lo) * p_tokens, weight, den)
+    incoming = _sums(inst_of[dst][unit], sizes[u_first[unit] + at])
+    return units, dict(zip(*(a.tolist() for a in incoming)))
+
+
+def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: int, den: int):
+    """What each GPU holds beyond its need, as (layer, instance rank, bytes)
+    terms with positive bytes, in the order of a loop over held blocks, the
+    block's layers cut at its need block, each layer, then the block's rows."""
+    hg, hr, hf, he, hlo, hhi, ht = held.T
+    n_req = 1 + int(max(hr.max(initial=0), need[:, _R].max(initial=0)))
+    i, n = _matches(hg * n_req + hr, need[:, _G] * n_req + need[:, _R])
+    overlap = np.maximum(np.minimum(hhi[i], need[n, _HI]) - np.maximum(hlo[i], need[n, _LO]), 0)
+    kept = np.zeros(len(held), dtype=np.int64)
+    np.add.at(kept, i, overlap * np.minimum(ht[i], need[n, _T]))
+    f, e = np.zeros(len(held), dtype=np.int64), np.zeros(len(held), dtype=np.int64)
+    f[i], e[i] = need[n, _F], need[n, _E]  # the need block, empty if none
+
+    # up to three segments per row: before, inside and after the need block
+    firsts = np.stack([hf, np.maximum(hf, f), np.maximum(hf, np.minimum(he, e))], axis=1)
+    ends = np.stack([np.minimum(he, np.maximum(hf, f)), np.minimum(he, e), he], axis=1)
+    whole = (hhi - hlo) * ht
+    num = np.stack([whole, whole - kept, whole], axis=1)
+
+    # a held block is a run of rows with equal (gpu, request, first, end)
+    block = np.zeros(len(held), dtype=np.int64)
+    block[1:] = np.any(held[1:, :_LO] != held[:-1, :_LO], axis=1)
+    block = np.cumsum(block)
+    r, s = np.nonzero(ends > firsts)
+    order = np.lexsort((r, s, block[r]))
+    r, s = r[order], s[order]
+    u_first = _starts(block[r] * 3 + s)
+    u_row, u_seg = r[u_first], s[u_first]
+    unit, layer_off, at = _tiled(ends[u_row, u_seg] - firsts[u_row, u_seg],
+                                 _lengths(u_first, len(r)))
+    value = _divided(num[r, s], weight, den)[u_first[unit] + at]
+    positive = value > 0
+    layer = firsts[u_row, u_seg][unit] + layer_off
+    return layer[positive], inst_of[hg[u_row]][unit][positive], value[positive]
+
+
+def _cover_from_holders(pieces: list[tuple[int, int, int, int]], block, dst: GpuRef,
+                        layers: int, den: int, load: dict[str, float], rank: dict,
+                        departing: frozenset[str], send_budget: float,
+                        stored: bool) -> list[list[tuple[GpuRef, int, int, float]]]:
+    """Split the grid pieces `(lo, hi, unit bytes, tokens)` of one receiver
+    across the holder GPUs of their layer block, on each of `layers` layers
+    in turn and piece by piece within a layer: per layer, `(sender, lo, hi,
+    bytes)` per sub-piece.
 
     Senders are chosen per sub-piece: a copy on the destination's own instance
     wins (intra-instance copies are cheap); then copies on departing instances
@@ -235,42 +501,64 @@ def _cover_from_holders(lo: int, hi: int, block, tokens: int, dst: GpuRef, unit_
     """
     holders, memo = block or ((), {})
     here = dst[0]
-    out = []
-    start = lo
-    while start < hi:
-        # copies holding `start` with enough tokens, per block; none is on `dst`,
-        # since a need piece is what dst's own copies leave uncovered
-        found = memo.get((start, tokens))
-        if found is None:
-            found = memo[(start, tokens)] = [
-                (h[0], h[0][0], h[2], (rank[h[0][0]], h[0][1])) for h in holders
-                if h[1] <= start < h[2] and h[3] >= tokens]
-        best = None
-        for gpu, inst, c_hi, order in found:
-            end = c_hi if c_hi < hi else hi
-            remote = inst != here
-            cur = load[inst]
-            prefer_departing = (inst in departing
-                                and cur + (end - start) * unit_bytes / den <= send_budget + 1e-6)
-            key = (remote, not prefer_departing, cur if remote else 0.0, order, -end)
-            if best is None or key < best[0]:
-                best = (key, gpu, end)
-        if best is None:
-            if not stored:
-                raise MigrationError(f"no source holds required shard [{Fraction(start, den)},"
-                                     f"{Fraction(hi, den)}): layout inconsistent with mapping")
-            best = (None, STORAGE, min([h[1] for h in holders if start < h[1] < hi], default=hi))
-        _, gpu, end = best
-        out.append((gpu, start, end))
-        if gpu[0] != here:
-            load[gpu[0]] += (end - start) * unit_bytes / den
-        start = end
-    return out
+    budget = send_budget + 1e-6
+    per_layer = []
+    for _ in range(layers):
+        out = []
+        for lo, hi, unit_bytes, tokens in pieces:
+            start = lo
+            while start < hi:
+                # copies holding `start` with enough tokens, per block, in GPU
+                # order; none is on `dst`, since a need piece is what dst's
+                # own copies leave uncovered
+                found = memo.get((start, tokens))
+                if found is None:
+                    found = memo[(start, tokens)] = [
+                        (h[0], h[0][0], h[2], (rank[h[0][0]], h[0][1])) for h in holders
+                        if h[1] <= start < h[2] and h[3] >= tokens]
+                # the least (remote, not departing within budget, load if
+                # remote, order, -end); `found` is in `order` already, so a
+                # later copy wins a tie on the first three only as the same
+                # GPU's longer copy
+                best_class = 4
+                for gpu, inst, c_hi, order in found:
+                    end = c_hi if c_hi < hi else hi
+                    cur = load[inst]
+                    cheap = inst in departing and cur + (end - start) * unit_bytes / den <= budget
+                    if inst == here:
+                        cls, cur = (0 if cheap else 1), 0.0
+                    else:
+                        cls = 2 if cheap else 3
+                    if cls < best_class or (cls == best_class and (
+                            cur < best_load or (cur == best_load and order == best_order
+                                                and end > stop))):
+                        best_class, best_load, best_order, sender, stop = cls, cur, order, gpu, end
+                if best_class == 4:
+                    if not stored:
+                        raise MigrationError(
+                            f"no source holds required shard [{Fraction(start, den)},"
+                            f"{Fraction(hi, den)}): layout inconsistent with mapping")
+                    sender = STORAGE
+                    stop = min([h[1] for h in holders if start < h[1] < hi], default=hi)
+                size = (stop - start) * unit_bytes / den
+                out.append((sender, start, stop, size))
+                if sender[0] != here:
+                    load[sender[0]] += size
+                start = stop
+        per_layer.append(out)
+    return per_layer
+
+
+def _fractions(den: int, *rows: np.ndarray) -> dict[int, Fraction]:
+    """Every interval bound of the rows as a Fraction of the grid."""
+    bounds = _distinct(np.concatenate([r[:, _LO:_T].ravel() for r in rows]))
+    return {n: Fraction(n, den) for n in bounds.tolist()}
 
 
 def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
                      inherited_by_pipeline: dict[int, list[tuple[str, int]]] | None = None,
-                     departing: frozenset[str] = frozenset(), base: tuple | None = None):
+                     departing: frozenset[str] = frozenset(),
+                     base: Derivation | None = None) -> Derivation:
     """Model transfers per layer, cache transfers per layer run, and
     end-of-round releases.
 
@@ -278,16 +566,17 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     pulled from old holders (departing copies first, then load-balanced),
     and a model piece no old holder has from `STORAGE`; whatever a GPU holds
     beyond its own new requirement is freed once the owning round completes.
-    Pieces are derived per layer block; both kinds take the same passes,
-    model context being request None's.
+    Both kinds of context take the same array passes, model context being
+    request None's.
 
     Model pieces come first, under a sender load and a send budget (the
     busiest receiver's model bytes) built from model pieces alone, so the KV
     cache in `old_layout` never changes which holder sends a model piece.
     They are emitted one `Transfer` per layer, and released per layer.
     `base`, a derivation of the same mapping over the same model holdings (a
-    commit's cache-free one), supplies the model transfers and layer
-    releases in place of deriving them again.
+    commit's cache-free one), supplies the model transfers, the layer
+    releases and what depends only on the mapping and the GPUs in place of
+    deriving them again, so only the cache rows are built.
 
     Cache pieces follow, from the sender load of the model transfers, under
     a budget of the busiest receiver's model plus cache bytes.  Each is
@@ -298,121 +587,81 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     """
     if mapping.config is None:
         raise MigrationError("mapping carries no target config")
-    target = mapping.config
-    inherited = inherited_by_pipeline or {}
-    rank = {inst: k for k, inst in enumerate(sorted({g[0] for g in old_layout}, key=natural_key))}
-    gpus = sorted(old_layout, key=lambda g: (rank[g[0]], g[1]))
-    den = math.lcm(target.tensor_shards, *(inv.den for inv in old_layout.values()))
-
-    def scaled(inv: ContextInventory) -> dict[str | None, list]:
-        k = den // inv.den
-        return {rid: _scaled_blocks(rects, k) for rid, rects in inv.rects.items()
-                if base is None or rid is not None}
-
-    have = {gpu: scaled(old_layout[gpu]) for gpu in gpus}  # gpu -> {request: blocks}
-    need = {}
-    for gpu in gpus:
-        pos = mapping.assignment.get(gpu)
-        need[gpu] = scaled(ContextInventory.empty() if pos is None else
-                           required_context(target, pos, model, inherited.get(pos.pipeline, ())))
-    holders = {rid: _holder_index([(gpu, have[gpu][rid]) for gpu in gpus if rid in have[gpu]])
-               for rid in {rid for held in have.values() for rid in held}}
-
-    # One pass to size every receiver's incoming volume: the busiest receiver
-    # link bounds the migration makespan no matter how sources are picked, so
-    # the source chooser can favor departing copies up to that same volume
-    # without making a departing sender the bottleneck.
-    model_needs: list[tuple] = []  # (dst, request, first, end, [(lo, hi, unit bytes, tokens)])
-    cache_needs: list[tuple] = []
-    model_in: dict[str, float] = {}
-    cache_in: dict[str, float] = {}
-    for gpu in gpus:
-        for rid, wanted in need[gpu].items():
-            weight = model.unit_bytes(rid)
-            needs, incoming = (model_needs, model_in) if rid is None else (cache_needs, cache_in)
-            for l0, l1, entries in wanted:
-                for s0, s1, cuts in _segments(l0, l1, have[gpu].get(rid, ())):
-                    pieces = [(p_lo, p_hi, weight * tokens, tokens) for lo, hi, tokens in entries
-                              for p_lo, p_hi in uncovered(lo, hi, [c for c in cuts
-                                                                   if c[2] >= tokens])]
-                    if not pieces:
-                        continue
-                    needs.append((gpu, rid, s0, s1, pieces))
-                    sizes = [(p_hi - p_lo) * unit / den for p_lo, p_hi, unit, _ in pieces]
-                    total = incoming.get(gpu[0], 0.0)
-                    for _ in range(s0, s1):
-                        for size in sizes:
-                            total += size
-                    incoming[gpu[0]] = total
-
-    # every cover bound is a bound of some held or needed entry
-    bounds = {n for by_rid in (*have.values(), *need.values())
-              for blocks in by_rid.values()
-              for _, _, entries in blocks for entry in entries for n in entry[:2]}
-    frac = {n: Fraction(n, den) for n in bounds}
+    den = math.lcm(mapping.config.tensor_shards, *(inv.den for inv in old_layout.values()))
+    k = den // mapping.config.tensor_shards
+    common = _Common(mapping, old_layout, model) if base is None else base.common
+    gpus, rank, inst_of = common.gpus, common.rank, common.inst_of
+    names = list(rank)
+    invs = [old_layout[gpu] for gpu in gpus]
+    new = tuple.__new__  # a Transfer from all its fields, skipping the keyword defaults
 
     if base is None:
+        weight = model.bytes_per_layer
+        held, need = _grid_rows(invs, den, {None: 0}), common.need_rows(k, [(0, 1)])
+        units, incoming = _pieces(held, need, gpus, inst_of, weight, den)
+        frac = _fractions(den, held, need)
         model_transfers: dict[int, list[Transfer]] = {}
         # bytes each sender is scheduled to send
         sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)
-        send_budget = max(model_in.values(), default=0.0)
-        for dst, _, s0, s1, pieces in model_needs:
-            for first, end, block in _segments(s0, s1, holders.get(None, ())):
-                for layer in range(first, end):
-                    out = model_transfers.setdefault(layer, [])
-                    for lo, hi, unit, tokens in pieces:
-                        for src, c_lo, c_hi in _cover_from_holders(
-                                lo, hi, block, tokens, dst, unit, den, sender_load, rank,
-                                departing, send_budget, True):
-                            out.append(Transfer("model", layer, frac[c_lo], frac[c_hi], src, dst,
-                                                (c_hi - c_lo) * unit / den))
-        layer_releases: dict[int, dict[str, float]] = {}
+        send_budget = max(incoming.values(), default=0.0)
+        for to, _, first, end, block, pieces in units:
+            covers = _cover_from_holders(pieces, block, to, end - first, den, sender_load, rank,
+                                         departing, send_budget, True)
+            for layer, covered in enumerate(covers, first):
+                out = model_transfers.setdefault(layer, [])
+                for src, c_lo, c_hi, size in covered:
+                    out.append(new(Transfer, ("model", layer, frac[c_lo], frac[c_hi], src, to,
+                                              size, None, 0, 1)))
+        layer, inst, value = _released(held, need, inst_of, weight, den)
+        # layers in the order the release loop meets them first
+        layer_releases: dict[int, dict[str, float]] = {
+            at: {} for at in dict.fromkeys(layer.tolist())}
+        for key, total in zip(*(a.tolist() for a in _sums(layer * len(names) + inst, value))):
+            layer_releases[key // len(names)][names[key % len(names)]] = total
     else:
         model_transfers, _, layer_releases, _ = base
 
+    # each pipeline's cache entries as `required_context` lays them out:
+    # positive token counts, by request in order of first appearance
+    entries: list[tuple[str, int]] = []
+    spans: dict[int, tuple[int, int]] = {}
+    for d, cache in (inherited_by_pipeline or {}).items():
+        by_rid: dict[str, list[int]] = {}
+        for rid, tokens in cache:
+            if tokens > 0:
+                by_rid.setdefault(rid, []).append(tokens)
+        spans[d] = (len(entries), sum(map(len, by_rid.values())))
+        entries += [(rid, tokens) for rid, counts in by_rid.items() for tokens in counts]
+    rids = list(dict.fromkeys([*(rid for inv in invs for rid in inv.rects if rid is not None),
+                               *(rid for rid, _ in entries)]))
+    if not rids:
+        return Derivation((model_transfers, [], layer_releases, {}), common)
+    keys = {rid: code for code, rid in enumerate(rids)}
+    need = common.need_rows(k, [(keys[rid], tokens) for rid, tokens in entries], spans)
+    weight = model.kv_bytes_per_token_per_layer
+    held = _grid_rows(invs, den, keys)
+    units, incoming = _pieces(held, need, gpus, inst_of, weight, den)
     cache_transfers: list[Transfer] = []
-    if cache_needs:
+    if units:
         # summed from the model transfers, so the same whether they were
         # derived here or come from `base`
-        sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)
-        delivered: dict[str, float] = {}
-        for layer in sorted(model_transfers):
-            for t in model_transfers[layer]:
-                if t.src[0] != t.dst[0]:
-                    sender_load[t.src[0]] += t.bytes
-                delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
+        sent, delivered = common.model_loads(model_transfers)
+        sender_load = dict(sent)
+        cache_in = {names[i]: total for i, total in incoming.items()}
         send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
                           for inst in {*delivered, *cache_in})
-        for dst, rid, s0, s1, pieces in cache_needs:
-            for first, end, block in _segments(s0, s1, holders.get(rid, ())):
-                n = end - first
-                for lo, hi, unit, tokens in pieces:
-                    for src, c_lo, c_hi in _cover_from_holders(
-                            lo, hi, block, tokens, dst, unit * n, den, sender_load, rank,
-                            departing, send_budget, False):
-                        cache_transfers.append(Transfer("cache", first, frac[c_lo], frac[c_hi],
-                                                        src, dst, (c_hi - c_lo) * unit * n / den,
-                                                        rid, tokens, n))
-
-    cache_releases: dict[str, float] = {}
-    for gpu in gpus:
-        inst = gpu[0]
-        for rid, held in have[gpu].items():
-            weight = model.unit_bytes(rid)
-            for l0, l1, entries in held:
-                for s0, s1, wanted in _segments(l0, l1, need[gpu].get(rid, ())):
-                    extras = [((hi - lo) * tokens
-                               - sum(max(0, min(hi, n_hi) - max(lo, n_lo)) * min(tokens, n_tokens)
-                                     for n_lo, n_hi, n_tokens in wanted)) * weight / den
-                              for lo, hi, tokens in entries]
-                    for layer in range(s0, s1):
-                        for extra in extras:
-                            if extra > 0:
-                                rel = (layer_releases.setdefault(layer, {}) if rid is None
-                                       else cache_releases)
-                                rel[inst] = rel.get(inst, 0.0) + extra
-
-    return model_transfers, cache_transfers, layer_releases, cache_releases
+        frac = _fractions(den, held, need)
+        for to, code, first, end, block, pieces in units:
+            n = end - first
+            for lo, hi, unit, tokens in pieces:
+                [covered] = _cover_from_holders([(lo, hi, unit * n, tokens)], block, to, 1, den,
+                                                sender_load, rank, departing, send_budget, False)
+                for src, c_lo, c_hi, size in covered:
+                    cache_transfers.append(new(Transfer, ("cache", first, frac[c_lo], frac[c_hi],
+                                                          src, to, size, rids[code], tokens, n)))
+    _, inst, value = _released(held, need, inst_of, weight, den)
+    cache_releases = {names[i]: total for i, total in zip(*(a.tolist() for a in _sums(inst, value)))}
+    return Derivation((model_transfers, cache_transfers, layer_releases, cache_releases), common)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +718,12 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
             rounds[layer] = assembled("migrate_layer", moved, released, layer)
             incoming = {inst: _added(0.0, sizes) for inst, sizes in rounds[layer][1]}
         traffic[layer] = LayerTraffic(incoming, released)
-    order = memopt_layer_order(traffic, u_max)
+    # the model rounds, and so their order, are those of the derivation's
+    # base: one commit orders them once per cap
+    orders = transfers.common.orders if isinstance(transfers, Derivation) else {}
+    if u_max not in orders:
+        orders[u_max] = memopt_layer_order(traffic, u_max)
+    order = orders[u_max]
 
     def replayed(layer_order: list[int]) -> tuple[list, dict[str, float]]:
         chosen = cache_round + [rounds[layer] for layer in layer_order if layer in rounds]

@@ -400,3 +400,25 @@ def test_bad_sweep_list_exits_two(flag, value, quick_config, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["outdir-is-file", "outdir-under-file", "config-under-file",
+                                   "trace-under-file"])
+def test_path_through_a_file_exits_two(where, quick_config, tmp_path, capsys):
+    """An output or input path that names a regular file as a directory, or
+    an output directory that is a file, is bad input, not a runtime error."""
+    f = tmp_path / "f"
+    f.write_text("")
+    outdir, config, extra = tmp_path / "o", quick_config, []
+    if where == "outdir-is-file":
+        outdir = f
+    elif where == "outdir-under-file":
+        outdir = f / "sub"
+    elif where == "config-under-file":
+        config = f / "x.json"
+    argv = ["--outdir", str(outdir), "run", str(config)]
+    if where == "trace-under-file":
+        argv = ["--outdir", str(outdir), "sweep", str(config), "--traces", str(f / "t.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

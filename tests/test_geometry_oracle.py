@@ -5,7 +5,10 @@ divide once; `tests/fraction_oracle.py` keeps the per-layer Fraction
 algorithms they replace.  Over random configurations, positions, KV caches
 and per-layer inventories that are not rectangles (several intervals per
 layer, overlaps, holes, mixed denominators), every byte count must be the
-same float and every transfer list the same list, in the same order.
+same float and every transfer list the same list, in the same order.  That
+holds both for one derivation of the whole layout and for the two steps the
+engine takes: a cache-free derivation, then cache derivations given it as
+`base`.
 
 The mapper's weight matrix, built from rectangle arrays, must hold in every
 cell the float `overlap_bytes` gives for that GPU and position, and
@@ -29,7 +32,6 @@ from spotsim.domain import (
     positions,
     required_context,
     stage_layers,
-    uncovered,
 )
 from spotsim.mapping import DeviceMapping, MappingError, build_graph, map_devices
 from spotsim.migration import MigrationError, derive_transfers
@@ -139,19 +141,6 @@ def test_inventory_round_trips_through_per_layer_form(data):
     assert [rect[4] for rect in built.rects[None]] == [1]
 
 
-@given(st.data())
-@SETTINGS
-def test_uncovered_matches_subtract_intervals(data):
-    den = data.draw(st.sampled_from((4, 12, 24)))
-    lo = data.draw(st.integers(0, den - 1))
-    hi = data.draw(st.integers(lo + 1, den))
-    cuts = [(c, data.draw(st.integers(c + 1, den)))
-            for c in data.draw(st.lists(st.integers(0, den - 1), max_size=4))]
-    want = oracle.subtract_intervals((Fraction(lo, den), Fraction(hi, den)),
-                                     [(Fraction(c_lo, den), Fraction(c_hi, den)) for c_lo, c_hi in cuts])
-    assert [(Fraction(p_lo, den), Fraction(p_hi, den)) for p_lo, p_hi in uncovered(lo, hi, cuts)] == want
-
-
 @st.composite
 def migrations(draw):
     """An old layout (a served config with its KV cache, some GPUs replaced by
@@ -194,6 +183,35 @@ def outcome(derive, case):
 def test_derive_transfers_matches_oracle(case):
     got, want = outcome(derive_transfers, case), outcome(oracle.derive_transfers, case)
     assert repr(got) == repr(want)
+
+
+def model_only(layout):
+    """The layout without its KV cache, each inventory on its own grid."""
+    return {gpu: ContextInventory.on_grid(inv.den, {rid: rects for rid, rects in inv.rects.items()
+                                                    if rid is None})
+            for gpu, inv in layout.items()}
+
+
+@given(migrations(), st.data())
+@SETTINGS
+def test_two_step_derivation_matches_one_step_and_oracle(case, data):
+    """The path the engine takes: a cache-free derivation, then cache
+    derivations given it as `base`, each the same as one derivation of the
+    whole layout, down to the `repr` of every transfer and release."""
+    mapping, layout, model, inherited, departing = case
+    cache_free = derive_transfers(mapping, model_only(layout), model, departing=departing)
+
+    def two_step(mapping, layout, model, inherited, departing):
+        return derive_transfers(mapping, layout, model, inherited, departing, base=cache_free)
+
+    want = outcome(oracle.derive_transfers, case)
+    assert repr(outcome(two_step, case)) == repr(outcome(derive_transfers, case)) == repr(want)
+    # a second cache derivation from the same base, as a commit's plan
+    # follows its grace estimate, with fewer inherited entries
+    fewer = {d: data.draw(st.lists(st.sampled_from(entries), unique=True)) if entries else []
+             for d, entries in (inherited or {}).items()}
+    again = (mapping, layout, model, fewer, departing)
+    assert repr(outcome(two_step, again)) == repr(outcome(oracle.derive_transfers, again))
 
 
 @st.composite

@@ -4,12 +4,15 @@ No wall-clock bound: the test checks coverage and assembly.  Every byte a
 target position needs is either reused from what its GPU already holds or
 delivered by exactly one transfer, and every transfer's source held the
 piece it sends.  The plan is assembled soundly (`plan_checks`), and its
-layer rounds follow the reference greedy's order (`memopt_oracle`).
+layer rounds follow the reference greedy's order (`memopt_oracle`).  The
+same holds for the plan derived in the engine's two steps, which is the
+same plan.
 """
 
 from spotsim.costmodel import load_profile
 from spotsim.data import bundled_path
 from spotsim.domain import (
+    ContextInventory,
     ParallelConfig,
     RequestRecord,
     positions,
@@ -79,6 +82,23 @@ def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
     assert from_storage == 0
     assert needed > 176 * 15  # model layers alone: 176 GPUs x 15 layers
     assert sum(t.layers for t in plan.transfers()) > 10_000  # per-layer pieces
+
+
+def test_192_gpu_reshape_derived_in_two_steps_is_the_same_plan():
+    """The engine's path: a cache-free derivation with the departing
+    instances, then the cache derivation given it as `base`.  It delivers
+    every byte once, is assembled soundly, and equals the one-step plan."""
+    model, target, mapping, layout, inherited, derived, plan = reshaped_fleet()
+    departing = frozenset(f"i-{k}" for k in range(45, 49))
+    cache_free = {gpu: ContextInventory.on_grid(inv.den, {None: inv.rects[None]})
+                  for gpu, inv in layout.items()}
+    base = derive_transfers(mapping, cache_free, model, departing=departing)
+    two_step = derive_transfers(mapping, layout, model, inherited, departing=departing, base=base)
+    assert repr(tuple(two_step)) == repr(tuple(derived))
+    again = plan_migration(mapping, layout, model, two_step, u_max=4e9)
+    check_delivers_once(again, mapping, layout, model, inherited)
+    check_assembly(again, mapping, layout)
+    assert again.actions == plan.actions and again.peak_usage == plan.peak_usage
 
 
 def test_192_gpu_reshape_is_assembled_in_the_reference_layer_order():
