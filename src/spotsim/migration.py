@@ -199,15 +199,15 @@ _G, _R, _F, _E, _LO, _HI, _T = range(7)  # row columns
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For consecutive ranges of `counts` elements: each element's range and
     its index inside it."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    owner = np.arange(len(counts)).repeat(counts)
+    return owner, np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts)
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal consecutive keys starts."""
     new = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return np.flatnonzero(new)
+    return new.nonzero()[0]
 
 
 def _lengths(starts: np.ndarray, n: int) -> np.ndarray:
@@ -216,28 +216,28 @@ def _lengths(starts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys, ascending."""
-    keys = np.sort(keys)
+    """The distinct keys, ascending; sorts `keys` in place."""
+    keys.sort()
     return keys[_starts(keys)]
 
 
 def _matches(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with left[i] == right[j], by i, then j."""
-    order = np.argsort(right, kind="stable")
+    order = right.argsort(kind="stable")
     keys = right[order]
-    start = np.searchsorted(keys, left, "left")
-    i, k = _ragged(np.searchsorted(keys, left, "right") - start)
+    start = keys.searchsorted(left, "left")
+    i, k = _ragged(keys.searchsorted(left, "right") - start)
     return i, order[start[i] + k]
 
 
 def _divided(num: np.ndarray, weight: int, den: int) -> np.ndarray:
     """`num * weight / den` for int64 numerators, each divided as Python
     ints and so correctly rounded, once per distinct numerator."""
-    order = np.argsort(num)
+    order = num.argsort()
     starts = _starts(num[order])
-    quotients = [n * weight / den for n in num[order[starts]].tolist()]
+    quotients = np.array([n * weight / den for n in num[order[starts]].tolist()])
     out = np.empty(len(num))
-    out[order] = np.repeat(quotients, _lengths(starts, len(num)))
+    out[order] = quotients.repeat(_lengths(starts, len(num)))
     return out
 
 
@@ -249,7 +249,7 @@ def _sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     np.add.at(totals, keys, values)
     seen = np.zeros(len(totals), dtype=bool)
     seen[keys] = True
-    present = np.flatnonzero(seen)
+    present = seen.nonzero()[0]
     return present, totals[present]
 
 
@@ -292,7 +292,7 @@ class _Common:
             stage_layers(model.num_layers, config.pipeline_stages, stage)
             for stage in range(1, config.pipeline_stages + 1))], dtype=np.int64)
         first, end = blocks[p - 1].T
-        self.slots = np.stack([g, d, first, end, m], axis=1)[end > first]
+        self.slots = np.array([g, d, first, end, m]).T[end > first]
         self.loads: tuple[dict[str, float], dict[str, float]] | None = None
         self.orders: dict[float | None, list[int]] = {}
 
@@ -369,14 +369,14 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], inst_of: np.
 
     # runs: each need row cut at the bounds strictly inside its layers
     n_code = nr * span
-    i0 = np.searchsorted(bounds, n_code + nf, "right")
-    i1 = np.searchsorted(bounds, n_code + ne, "left")
+    i0 = bounds.searchsorted(n_code + nf, "right")
+    i1 = bounds.searchsorted(n_code + ne, "left")
     row, j = _ragged(i1 - i0 + 1)
     r_code, at = n_code[row], i0[row] + j
-    padded = np.append(bounds, 0)
+    padded = np.concatenate((bounds, [0]))
     first = np.where(j == 0, nf[row], padded[at - 1] - r_code)
     end = np.where(at == i1[row], ne[row], padded[at] - r_code)
-    block = np.searchsorted(bounds, r_code + first, "right") - 1
+    block = bounds.searchsorted(r_code + first, "right") - 1
     lo, hi, tokens = nlo[row], nhi[row], nt[row]
 
     # the receiver's own cuts: its rows of the request over the run with
@@ -393,13 +393,13 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], inst_of: np.
     reach = np.maximum.accumulate(i * (den + 1) + c_hi) - i * (den + 1)
     opens = np.zeros(len(i), dtype=bool)
     opens[_starts(i)] = True
-    closes = np.append(opens[1:], True)
+    closes = np.concatenate((opens[1:], [True]))
     before = lo[i]
-    before[~opens] = reach[np.flatnonzero(~opens) - 1]
+    before[~opens] = reach[(~opens).nonzero()[0] - 1]
     gap, tail = c_lo > before, closes & (reach < hi[i])
     uncut = np.ones(len(row), dtype=bool)
     uncut[i] = False
-    p_run = np.concatenate([i[gap], i[tail], np.flatnonzero(uncut)])
+    p_run = np.concatenate([i[gap], i[tail], uncut.nonzero()[0]])
     p_lo = np.concatenate([before[gap], reach[tail], lo[uncut]])
     p_hi = np.concatenate([c_lo[gap], hi[i[tail]], hi[uncut]])
 
@@ -415,8 +415,8 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], inst_of: np.
     u_run = p_run[u_first]
 
     # holders of the elementary blocks the units cover
-    k0 = np.searchsorted(bounds, code + hf)
-    h, at = _ragged(np.searchsorted(bounds, code + he) - k0)
+    k0 = bounds.searchsorted(code + hf)
+    h, at = _ragged(bounds.searchsorted(code + he) - k0)
     k = k0[h] + at
     wanted = np.zeros(len(bounds) + 1, dtype=bool)
     wanted[block[u_run]] = True
@@ -449,34 +449,36 @@ def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: i
     terms with positive bytes, in the order of a loop over held blocks, the
     block's layers cut at its need block, each layer, then the block's rows."""
     hg, hr, hf, he, hlo, hhi, ht = held.T
-    n_req = 1 + int(max(hr.max(initial=0), need[:, _R].max(initial=0)))
-    i, n = _matches(hg * n_req + hr, need[:, _G] * n_req + need[:, _R])
-    overlap = np.maximum(np.minimum(hhi[i], need[n, _HI]) - np.maximum(hlo[i], need[n, _LO]), 0)
+    ng, nr, nf, ne, nlo, nhi, nt = need.T
+    n_req = 1 + int(max(hr.max(initial=0), nr.max(initial=0)))
+    i, n = _matches(hg * n_req + hr, ng * n_req + nr)
+    overlap = np.maximum(np.minimum(hhi[i], nhi[n]) - np.maximum(hlo[i], nlo[n]), 0)
     kept = np.zeros(len(held), dtype=np.int64)
-    np.add.at(kept, i, overlap * np.minimum(ht[i], need[n, _T]))
+    np.add.at(kept, i, overlap * np.minimum(ht[i], nt[n]))
     f, e = np.zeros(len(held), dtype=np.int64), np.zeros(len(held), dtype=np.int64)
-    f[i], e[i] = need[n, _F], need[n, _E]  # the need block, empty if none
+    f[i], e[i] = nf[n], ne[n]  # the need block, empty if none
 
     # up to three segments per row: before, inside and after the need block
-    firsts = np.stack([hf, np.maximum(hf, f), np.maximum(hf, np.minimum(he, e))], axis=1)
-    ends = np.stack([np.minimum(he, np.maximum(hf, f)), np.minimum(he, e), he], axis=1)
+    inside = np.maximum(hf, f), np.minimum(he, e)
+    firsts = np.array([hf, inside[0], np.maximum(hf, inside[1])])
+    ends = np.array([np.minimum(he, inside[0]), inside[1], he])
     whole = (hhi - hlo) * ht
-    num = np.stack([whole, whole - kept, whole], axis=1)
+    num = np.array([whole, whole - kept, whole])
 
     # a held block is a run of rows with equal (gpu, request, first, end)
     block = np.zeros(len(held), dtype=np.int64)
-    block[1:] = np.any(held[1:, :_LO] != held[:-1, :_LO], axis=1)
-    block = np.cumsum(block)
-    r, s = np.nonzero(ends > firsts)
+    block[1:] = (held[1:, :_LO] != held[:-1, :_LO]).any(axis=1)
+    block = block.cumsum()
+    s, r = (ends > firsts).nonzero()
     order = np.lexsort((r, s, block[r]))
     r, s = r[order], s[order]
     u_first = _starts(block[r] * 3 + s)
     u_row, u_seg = r[u_first], s[u_first]
-    unit, layer_off, at = _tiled(ends[u_row, u_seg] - firsts[u_row, u_seg],
+    unit, layer_off, at = _tiled(ends[u_seg, u_row] - firsts[u_seg, u_row],
                                  _lengths(u_first, len(r)))
-    value = _divided(num[r, s], weight, den)[u_first[unit] + at]
+    value = _divided(num[s, r], weight, den)[u_first[unit] + at]
     positive = value > 0
-    layer = firsts[u_row, u_seg][unit] + layer_off
+    layer = firsts[u_seg, u_row][unit] + layer_off
     return layer[positive], inst_of[hg[u_row]][unit][positive], value[positive]
 
 
