@@ -345,11 +345,11 @@ class Derivation(tuple):
         return self
 
 
-def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], inst_of: np.ndarray,
-            weight: int, den: int) -> tuple[list, dict[int, float]]:
-    """Cover units of one kind of context, and each receiving instance's
-    bytes over them, by instance rank, added layer by layer and piece by
-    piece in unit order.
+def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], weight: int,
+            den: int) -> tuple[list, tuple]:
+    """Cover units of one kind of context, and the terms `_incoming` sums:
+    each unit's receiving GPU, layer count and piece count, and each piece's
+    width times tokens, in unit order.
 
     Each need row is cut into runs at the layer bounds of its request's held
     rows, so each run lies inside one elementary layer block of the holder
@@ -437,11 +437,18 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], inst_of: np.
         dst.tolist(), nr[row[u_run]].tolist(), first[u_run].tolist(), end[u_run].tolist(),
         block[u_run].tolist(), u_first.tolist(), [*u_first[1:].tolist(), len(pieces)])]
 
-    counts = _lengths(u_first, len(pieces))
-    unit, _, at = _tiled(end[u_run] - first[u_run], counts)
-    sizes = _divided((p_hi - p_lo) * p_tokens, weight, den)
-    incoming = _sums(inst_of[dst][unit], sizes[u_first[unit] + at])
-    return units, dict(zip(*(a.tolist() for a in incoming)))
+    return units, (dst, end[u_run] - first[u_run], _lengths(u_first, len(pieces)),
+                   (p_hi - p_lo) * p_tokens)
+
+
+def _incoming(terms: tuple, inst_of: np.ndarray, weight: int, den: int) -> dict[int, float]:
+    """Each receiving instance's bytes over the units `_pieces` gave `terms`
+    of, by instance rank, added layer by layer and piece by piece in unit
+    order."""
+    dst, layers, counts, num = terms
+    unit, _, at = _tiled(layers, counts)
+    sizes = _divided(num, weight, den)[(counts.cumsum() - counts)[unit] + at]
+    return dict(zip(*(a.tolist() for a in _sums(inst_of[dst][unit], sizes))))
 
 
 def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: int, den: int):
@@ -551,10 +558,16 @@ def _cover_from_holders(pieces: list[tuple[int, int, int, int]], block, dst: Gpu
     return per_layer
 
 
-def _fractions(den: int, *rows: np.ndarray) -> dict[int, Fraction]:
-    """Every interval bound of the rows as a Fraction of the grid."""
-    bounds = _distinct(np.concatenate([r[:, _LO:_T].ravel() for r in rows]))
-    return {n: Fraction(n, den) for n in bounds.tolist()}
+class _Grid(dict):
+    """`Fraction(n, den)` by grid numerator n, each made once."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, n: int) -> Fraction:
+        self[n] = value = Fraction(n, self.den)
+        return value
 
 
 def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
@@ -600,12 +613,14 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     if base is None:
         weight = model.bytes_per_layer
         held, need = _grid_rows(invs, den, {None: 0}), common.need_rows(k, [(0, 1)])
-        units, incoming = _pieces(held, need, gpus, inst_of, weight, den)
-        frac = _fractions(den, held, need)
+        units, terms = _pieces(held, need, gpus, weight, den)
+        frac = _Grid(den)
         model_transfers: dict[int, list[Transfer]] = {}
         # bytes each sender is scheduled to send
         sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)
-        send_budget = max(incoming.values(), default=0.0)
+        # the budget only bounds departing senders
+        send_budget = max(_incoming(terms, inst_of, weight, den).values(),
+                          default=0.0) if departing else 0.0
         for to, _, first, end, block, pieces in units:
             covers = _cover_from_holders(pieces, block, to, end - first, den, sender_load, rank,
                                          departing, send_budget, True)
@@ -642,17 +657,20 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     need = common.need_rows(k, [(keys[rid], tokens) for rid, tokens in entries], spans)
     weight = model.kv_bytes_per_token_per_layer
     held = _grid_rows(invs, den, keys)
-    units, incoming = _pieces(held, need, gpus, inst_of, weight, den)
+    units, terms = _pieces(held, need, gpus, weight, den)
     cache_transfers: list[Transfer] = []
     if units:
         # summed from the model transfers, so the same whether they were
         # derived here or come from `base`
         sent, delivered = common.model_loads(model_transfers)
         sender_load = dict(sent)
-        cache_in = {names[i]: total for i, total in incoming.items()}
-        send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
-                          for inst in {*delivered, *cache_in})
-        frac = _fractions(den, held, need)
+        send_budget = 0.0
+        if departing:
+            cache_in = {names[i]: total
+                        for i, total in _incoming(terms, inst_of, weight, den).items()}
+            send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
+                              for inst in {*delivered, *cache_in})
+        frac = _Grid(den)
         for to, code, first, end, block, pieces in units:
             n = end - first
             for lo, hi, unit, tokens in pieces:
