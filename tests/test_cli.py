@@ -409,7 +409,7 @@ def test_path_through_a_file_exits_two(where, quick_config, tmp_path, capsys):
     an output directory that is a file, is bad input, not a runtime error."""
     f = tmp_path / "f"
     f.write_text("")
-    outdir, config, extra = tmp_path / "o", quick_config, []
+    outdir, config = tmp_path / "o", quick_config
     if where == "outdir-is-file":
         outdir = f
     elif where == "outdir-under-file":
