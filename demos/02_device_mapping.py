@@ -9,7 +9,6 @@ matching used when instances carry several GPUs.
 """
 
 from spotsim import (
-    ContextInventory,
     ModelSpec,
     ParallelConfig,
     RequestRecord,
@@ -30,12 +29,9 @@ new = ParallelConfig(2, 3, 1, 1)
 layout = {}
 request = RequestRecord(id="r-42", arrival=0.0, s_in=512, s_out=128, tokens_generated=64)
 for k, pos in enumerate(positions(old)):
-    inv = required_context(old, pos, model)
-    if pos.pipeline == 1:  # pipeline 1 is mid-request: it holds r-42's cache
-        cache = tuple((request.id, lyr, lo, hi, request.s_in + request.tokens_generated)
-                      for lyr, lo, hi in inv.model_shards)
-        inv = ContextInventory(model_shards=inv.model_shards, cache_shards=cache)
-    layout[(f"u{k}", 0)] = inv
+    # pipeline 1 is mid-request: it holds r-42's cache
+    cache = [(request.id, request.s_in + request.tokens_generated)] if pos.pipeline == 1 else []
+    layout[(f"u{k}", 0)] = required_context(old, pos, model, cache)
 
 graph = build_graph(layout, new, model,
                     inheritance=default_inheritance(2, 2),
@@ -55,7 +51,7 @@ for gpu in graph.gpus:
     where = f"-> ({pos.pipeline},{pos.stage},{pos.shard})" if pos else "-> idle"
     print(f"  {gpu[0]:>4} {where}")
 
-required = sum(required_context(new, s, model).model_bytes(model) for s in graph.slots)
+required = new.data_parallel * model.total_param_bytes  # every pipeline holds the whole model
 print(f"\nBytes that must still move: {(required - mapping.total_weight) / 1e9:.2f} GB "
       f"(required {required / 1e9:.2f} GB minus reuse)")
 

@@ -6,12 +6,12 @@ Every GPU therefore owns a (pipeline, stage, shard) position whose resident
 model slice is a contiguous layer block crossed with a tensor-shard fraction
 interval.  Byte-level bookkeeping of those slices (plus per-request KV-cache
 slices) is what the device mapper and migration planner trade in.
-`required_context` builds those slices as inventories; the planner lays the
-same slices out as integer rows (a position's stage block crossed with its
-shard and each cache entry) without building inventories.  A `Layout` maps each
-GPU to its `ContextInventory`; it is the one form of GPU context the mapper,
-the planner and the simulator's holdings store share, and a GPU absent from
-the store holds nothing.
+`required_context` builds a position's slices as an inventory, the form the
+engine installs and snapshots; the mapper and the planner score and move
+the same slices as integer rows from one builder, `mapping.position_rows`.
+A `Layout` maps each GPU to its `ContextInventory`; it is the one form of
+GPU context the mapper, the planner and the simulator's holdings store
+share, and a GPU absent from the store holds nothing.
 
 Context geometry is integer: a `ContextInventory` holds rectangles on a grid
 of 1/den, each a half-open layer block [first, end) crossed with a half-open
@@ -19,9 +19,8 @@ parameter interval [lo/den, hi/den), carrying a token count, by request.
 Model context is the KV cache of request None holding one token, weighted by
 `ModelSpec.unit_bytes`, so code that needs no other distinction walks both
 kinds in one loop.
-A position's context lives on the grid 1/M of its shard count; an inventory
-built from per-layer Fraction shards uses the lcm of their denominators, and
-two grids meet on the lcm of theirs.  Byte counts sum integer numerators and
+A position's context lives on the grid 1/M of its shard count, and two
+grids meet on the lcm of theirs.  Byte counts sum integer numerators and
 divide by the grid once, and `int / int` is correctly rounded, so each one is
 the exact rational byte count rounded once, as `float(Fraction)` would give.
 `overlap_bytes` therefore costs O(1) per pair of rectangles of a request
@@ -35,7 +34,6 @@ import numbers
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 # A GPU is addressed as (instance id, local gpu index).
 GpuRef = tuple[str, int]
@@ -196,37 +194,7 @@ class RequestRecord:
 # ---------------------------------------------------------------------------
 # Context inventories
 
-ModelShard = tuple[int, Fraction, Fraction]  # (layer, lo, hi)
-CacheShard = tuple[str, int, Fraction, Fraction, int]  # (request, layer, lo, hi, tokens)
 CacheRect = tuple[int, int, int, int, int]  # (first layer, end layer, lo, hi, tokens) on the grid
-
-
-def _check_interval(lo: Fraction, hi: Fraction):
-    if not (0 <= lo < hi <= 1):
-        raise DomainError(f"interval [{lo},{hi}) must be non-empty inside [0,1)")
-
-
-def _merged_runs(by_layer: dict[int, list]) -> list:
-    """Rectangles of a per-layer entry map: maximal runs of consecutive layers
-    with equal entry lists, each entry once per run, in per-layer order."""
-    runs: list[list] = []
-    for layer in sorted(by_layer):
-        entries = by_layer[layer]
-        if runs and runs[-1][1] == layer and runs[-1][2] == entries:
-            runs[-1][1] = layer + 1
-        else:
-            runs.append([layer, layer + 1, entries])
-    return [(l0, l1, *entry) for l0, l1, entries in runs for entry in entries]
-
-
-def layer_blocks(rects) -> list[tuple[int, int, list[tuple]]]:
-    """Rectangles grouped by layer block: `(first, end, [(lo, hi, ...), ...])`."""
-    blocks: list[tuple[int, int, list[tuple]]] = []
-    for l0, l1, *entry in rects:
-        if not blocks or blocks[-1][:2] != (l0, l1):
-            blocks.append((l0, l1, []))
-        blocks[-1][2].append(tuple(entry))
-    return blocks
 
 
 class ContextInventory:
@@ -239,66 +207,16 @@ class ContextInventory:
     layer blocks of one request are equal or disjoint, in layer order;
     rectangles sharing a block keep the per-layer order of their intervals.
     Inventories are values: nothing mutates them after construction.
-
-    The keyword constructor takes the per-layer form, `(layer, lo, hi)` model
-    shards and `(request, layer, lo, hi, tokens)` cache shards with Fraction
-    bounds, and merges adjacent layers with equal intervals; `model_shards`
-    and `cache_shards` expand the rectangles back to that form.
     """
 
     __slots__ = ("den", "rects")
 
-    def __init__(self, model_shards: Iterable[ModelShard] = (),
-                 cache_shards: Iterable[CacheShard] = ()):
-        model_shards, cache_shards = tuple(model_shards), tuple(cache_shards)
-        for _, lo, hi in model_shards:
-            _check_interval(lo, hi)
-        for _, _, lo, hi, tokens in cache_shards:
-            _check_interval(lo, hi)
-            if tokens < 0:
-                raise DomainError("cache tokens must be >= 0")
-        den = math.lcm(*(Fraction(x).denominator for s in model_shards for x in s[1:]),
-                       *(Fraction(x).denominator for s in cache_shards for x in s[2:4]))
-        by_layer: dict[str | None, dict[int, list]] = {}
-        for rid, layer, lo, hi, tokens in (*((None, *s, 1) for s in model_shards), *cache_shards):
-            by_layer.setdefault(rid, {}).setdefault(layer, []).append(
-                (int(lo * den), int(hi * den), tokens))
-        self.den = den
-        self.rects: dict[str | None, tuple[CacheRect, ...]] = {
-            rid: tuple(_merged_runs(layers)) for rid, layers in by_layer.items()}
-
-    @classmethod
-    def on_grid(cls, den: int, rects: dict[str | None, tuple[CacheRect, ...]] | None = None
-                ) -> "ContextInventory":
-        """An inventory from rectangles already in canonical form on grid 1/den."""
-        inv = cls.__new__(cls)
-        inv.den, inv.rects = den, rects or {}
-        return inv
+    def __init__(self, den: int, rects: dict[str | None, tuple[CacheRect, ...]]):
+        self.den, self.rects = den, rects
 
     @staticmethod
     def empty() -> "ContextInventory":
-        return ContextInventory.on_grid(1)
-
-    @property
-    def model_shards(self) -> tuple[ModelShard, ...]:
-        """Per-layer form of the model rectangles, layer by layer."""
-        den = self.den
-        return tuple((layer, Fraction(lo, den), Fraction(hi, den))
-                     for l0, l1, entries in layer_blocks(self.rects.get(None, ()))
-                     for layer in range(l0, l1) for lo, hi, _ in entries)
-
-    @property
-    def cache_shards(self) -> tuple[CacheShard, ...]:
-        """Per-layer form of the cache rectangles, request by request, then layer."""
-        den = self.den
-        return tuple((rid, layer, Fraction(lo, den), Fraction(hi, den), tokens)
-                     for rid, rects in self.rects.items() if rid is not None
-                     for l0, l1, entries in layer_blocks(rects)
-                     for layer in range(l0, l1) for lo, hi, tokens in entries)
-
-    def model_bytes(self, model: ModelSpec) -> float:
-        units = sum((l1 - l0) * (hi - lo) for l0, l1, lo, hi, _ in self.rects.get(None, ()))
-        return units * model.bytes_per_layer / self.den
+        return ContextInventory(1, {})
 
     def __eq__(self, other):
         if not isinstance(other, ContextInventory):
@@ -378,7 +296,7 @@ def required_context(config: ParallelConfig, pos: TopologyPosition, model: Model
     for rid, tokens in cache:
         if tokens > 0:
             rects[rid] = rects.get(rid, ()) + (block + (tokens,),)
-    return ContextInventory.on_grid(config.tensor_shards, rects)
+    return ContextInventory(config.tensor_shards, rects)
 
 
 KvCache = dict[int, list[tuple[str, int]]]  # pipeline -> [(request id, tokens)]

@@ -3,11 +3,12 @@
 Edge weights are reusable bytes (model context overlap plus KV-cache overlap
 for requests the target pipeline inherits), so a maximum-weight assignment is
 exactly the one minimizing migration traffic.  The whole GPU x position
-matrix is built in one pass from numpy arrays of the holdings' and needs'
-rectangles on a common grid; each weight is the float `overlap_bytes` gives
-for that pair.  Model context is treated as the KV cache of request None
-with one token, so model and cache rectangles meet in one join on the
-request.  Every instance size goes through the same two-step matching:
+matrix is built in one pass from int64 rows of the holdings' and the
+positions' rectangles on a common grid (`position_rows`, which the planner
+shares, lays out the positions'); each weight is the float `overlap_bytes`
+gives for that pair.  Model context is the KV cache of request None with one
+token, so model and cache meet in one join on the request.  Every instance
+size goes through the same two-step matching:
 GPUs are fused per instance and positions per tensor-parallel group, an inner
 match fixes the per-GPU pairing inside each fused pair, and an outer match
 assigns fused groups.  Each distinct inner block is matched once and its
@@ -36,6 +37,7 @@ from .domain import (
     overlap_bytes,
     positions,
     required_context,
+    stage_layers,
 )
 
 
@@ -161,10 +163,10 @@ def default_inheritance(d_old: int, d_new: int) -> dict[int, int]:
     return {d: d for d in range(1, min(d_old, d_new) + 1)}
 
 
-def _sorted_gpus(gpus) -> list[GpuRef]:
-    """GPUs by instance id in `natural_key` order, then by index."""
+def gpu_order(gpus) -> tuple[list[GpuRef], dict[str, int]]:
+    """GPUs by instance id in `natural_key` order, then by index; and the ranks."""
     rank = {inst: k for k, inst in enumerate(sorted({gpu[0] for gpu in gpus}, key=natural_key))}
-    return sorted(gpus, key=lambda gpu: (rank[gpu[0]], gpu[1]))
+    return sorted(gpus, key=lambda gpu: (rank[gpu[0]], gpu[1])), rank
 
 
 def positional_mapping(gpus: list[GpuRef], target: ParallelConfig) -> DeviceMapping | None:
@@ -173,11 +175,18 @@ def positional_mapping(gpus: list[GpuRef], target: ParallelConfig) -> DeviceMapp
     slots = positions(target)
     if len(gpus) < len(slots):
         return None
-    return DeviceMapping(assignment=dict(zip(_sorted_gpus(gpus), slots)), total_weight=0.0,
+    return DeviceMapping(assignment=dict(zip(gpu_order(gpus)[0], slots)), total_weight=0.0,
                          config=target)
 
 
 _PAIRS = 2048  # row pairs per array pass in `_overlap_matrix`
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive ranges of `counts` elements: each element's range and
+    its index inside it."""
+    owner = np.arange(len(counts)).repeat(counts)
+    return owner, np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts)
 
 
 def _grid_rows(inventories: list[ContextInventory], den: int, keys: dict[str | None, int]):
@@ -201,6 +210,51 @@ def _grid_rows(inventories: list[ContextInventory], den: int, keys: dict[str | N
     return rows
 
 
+def slot_table(config: ParallelConfig, model: ModelSpec,
+               placed: list[tuple[int, TopologyPosition]]) -> np.ndarray:
+    """`(owner, position)` pairs as int64 rows (owner, pipeline, first layer,
+    end layer, shard), but for positions whose stage has no layers; the
+    first position invalid for `config` raises its own error."""
+    owner, d, p, m = np.array([(o, pos.pipeline, pos.stage, pos.shard)
+                               for o, pos in placed], dtype=np.int64).reshape(-1, 4).T
+    bad = ((d < 1) | (d > config.data_parallel) | (p < 1) | (p > config.pipeline_stages)
+           | (m < 1) | (m > config.tensor_shards))
+    if bad.any():
+        placed[bad.nonzero()[0][0]][1].validate_for(config)
+    blocks = np.array([(r.start, r.stop) for r in (
+        stage_layers(model.num_layers, config.pipeline_stages, stage)
+        for stage in range(1, config.pipeline_stages + 1))], dtype=np.int64)
+    first, end = blocks[p - 1].T
+    return np.array([owner, d, first, end, m]).T[end > first]
+
+
+def position_rows(slots: np.ndarray, k: int, cache: dict[int, list[tuple[str | None, int]]],
+                  keys: dict[str | None, int]) -> np.ndarray:
+    """The rows `_grid_rows` gives for the `required_context` of a
+    `slot_table`'s positions on a grid `k` times finer than their shards:
+    each position's pipeline's `cache` entries with positive tokens, by
+    request in order of first appearance (the model slice is request None's,
+    one token), each new request added to `keys` with the next code."""
+    entries: list[tuple[int, int]] = []
+    spans: dict[int, tuple[int, int]] = {}
+    for d, of_pipeline in cache.items():
+        by_rid: dict[str | None, list[int]] = {}
+        for rid, tokens in of_pipeline:
+            if tokens > 0:
+                by_rid.setdefault(rid, []).append(tokens)
+        spans[d] = (len(entries), sum(map(len, by_rid.values())))
+        entries += [(keys.setdefault(rid, len(keys)), tokens)
+                    for rid, counts in by_rid.items() for tokens in counts]
+    if not entries:
+        return np.empty((0, 7), dtype=np.int64)
+    first, count = np.array([spans.get(d, (0, 0)) for d in slots[:, 1].tolist()],
+                            dtype=np.int64).reshape(-1, 2).T
+    slot, at = _ragged(count)
+    code, tokens = np.array(entries, dtype=np.int64).reshape(-1, 2)[first[slot] + at].T
+    owner, _, start, stop, shard = slots[slot].T
+    return np.column_stack((owner, code, start, stop, (shard - 1) * k, shard * k, tokens))
+
+
 def _areas(a, b):
     """Overlap areas, in grid units, of `(first, end, lo, hi)` rectangle
     columns a and b, elementwise."""
@@ -209,34 +263,29 @@ def _areas(a, b):
     return np.maximum(layers, 0) * np.maximum(width, 0)
 
 
-def _overlap_matrix(holdings: list[ContextInventory], needs: list[ContextInventory],
+def _overlap_matrix(holdings: list[ContextInventory], need_rows: np.ndarray, n_need: int,
+                    keys: dict[str | None, int], den: int,
                     model: ModelSpec) -> list[list[float]] | None:
-    """`overlap_bytes(holding, need, model)` for every holding and need, from
-    rectangle arrays; None when a numerator may reach 2**52.
+    """`overlap_bytes(holding, need, model)` for every holding and each of
+    the `n_need` needs whose rows on grid 1/den are `need_rows`, with the
+    request codes `keys` gives; None when a numerator may reach 2**52.
 
-    Both sides are laid out on the lcm grid of all their grids, model context
-    as the cache of request None.  Rows meet when they belong to the same
-    request; a pair's numerator is its overlap area times the smaller token
-    count times the request's `unit_bytes`.  The integer numerators are summed
-    per cell and divided by the grid once, as `overlap_bytes` does.  A cell
-    bound, each holding row's area times tokens times unit bytes, times the
-    most rows one need has of one request, checks that every cell stays below
-    2**52 (with a factor 2 to spare for the bound's own float rounding) before
-    any int64 arithmetic.  Below 2**53 int64 sums are exact and float64 holds
-    every numerator and the grid exactly, so the one true division rounds
-    once.
+    The holdings are laid out on the same grid, model context as the cache
+    of request None.  Rows meet when they belong to the same request; a
+    pair's numerator is its overlap area times the smaller token count times
+    the request's `unit_bytes`.  The integer numerators are summed per cell
+    and divided by the grid once, as `overlap_bytes` does.  A cell bound,
+    each holding row's area times tokens times unit bytes, times the most
+    rows one need has of one request, checks that every cell stays below
+    2**52 (with a factor 2 to spare for the bound's own float rounding)
+    before any int64 arithmetic.  Below 2**53 int64 sums are exact and
+    float64 holds every numerator and the grid (below 2**52 by the caller)
+    exactly, so the one true division rounds once.
     """
-    den = math.lcm(*(inv.den for inv in holdings), *(inv.den for inv in needs))
-    if den >= 2**52:
-        return None
-    keys: dict[str | None, int] = {None: 0}
-    for need in needs:
-        for rid in need.rects:
-            keys.setdefault(rid, len(keys))
     weight = np.array([model.unit_bytes(rid) for rid in keys], dtype=np.int64)
-    held_rows, need_rows = _grid_rows(holdings, den, keys), _grid_rows(needs, den, keys)
+    held_rows = _grid_rows(holdings, den, keys)
 
-    n_held, n_need = len(holdings), len(needs)
+    n_held = len(holdings)
     most = np.bincount(need_rows[:, 0] * len(keys) + need_rows[:, 1]).max(initial=0)
     held_f = held_rows.astype(float)
     own = _areas(held_f[:, 2:6], held_f[:, 2:6]) * held_f[:, 6] * weight[held_rows[:, 1]]
@@ -276,7 +325,7 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
     the inheriting pipeline's positions.  Each weight is the float
     `overlap_bytes` gives for the pair, computed for all pairs at once.
     """
-    gpus = _sorted_gpus(layout)
+    gpus = gpu_order(layout)[0]
 
     inherited_by_new: KvCache = {}
     if inheritance and requests_by_old_pipeline:
@@ -285,13 +334,18 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 inherited_by_new.setdefault(inheritance[d_old], []).extend(entries)
 
     slots = positions(target)
-    needs = [
-        required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
-        for pos in slots
-    ]
     holdings = [layout[gpu] for gpu in gpus]
-    weights = _overlap_matrix(holdings, needs, model)
+    den = math.lcm(target.tensor_shards, *(inv.den for inv in holdings))
+    weights = None
+    if den < 2**52:
+        table, keys = slot_table(target, model, list(enumerate(slots))), {None: 0}
+        cache = {d: [(None, 1), *inherited_by_new.get(d, ())]
+                 for d in range(1, target.data_parallel + 1)}
+        need_rows = position_rows(table, den // target.tensor_shards, cache, keys)
+        weights = _overlap_matrix(holdings, need_rows, len(slots), keys, den, model)
     if weights is None:
+        needs = [required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
+                 for pos in slots]
         weights = [[overlap_bytes(held, need, model) for need in needs] for held in holdings]
     return BipartiteGraph(gpus=gpus, slots=slots, weights=weights)
 

@@ -48,8 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import STORAGE, GpuRef, Layout, ModelSpec, natural_key, stage_layers
-from .mapping import DeviceMapping, _grid_rows
+from .domain import STORAGE, GpuRef, Layout, ModelSpec
+from .mapping import DeviceMapping, _grid_rows, _ragged, gpu_order, position_rows, slot_table
 
 
 class MigrationError(ValueError):
@@ -171,14 +171,13 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # Transfer derivation
 #
 # A derivation works on int64 rows (gpu, request, first, end, lo, hi, tokens)
-# on one integer grid, built as the mapper builds its weights
-# (`mapping._grid_rows`).  Every bound is a numerator over the lcm `den` of
-# the old inventories' grids and the target's shard count, `gpu` indexes the
-# GPUs in instance-rank order, and `request` is a code; model context is
-# request None's, with one token, and is derived apart from the KV cache.
-# Held rows are the old layout's rectangles.  Need rows are what
-# `required_context` builds: each assigned position's stage block crossed
-# with its shard interval and, for KV cache, with each inherited entry.
+# on one integer grid, the rows the mapper scores: held rows from the old
+# inventories (`mapping._grid_rows`), need rows from the assigned positions
+# (`mapping.position_rows`, the rectangles `required_context` would give).
+# Every bound is a numerator over the lcm `den` of the old inventories' grids
+# and the target's shard count, `gpu` indexes the GPUs in `gpu_order`, and
+# `request` is a code; model context is request None's, with one token, and
+# is derived apart from the KV cache.
 # Array passes over the rows cut each need row into runs at the layer bounds
 # of its request's holders, subtract what the receiver already holds, index
 # the holders of each run's layer block, and find what each GPU holds beyond
@@ -194,13 +193,6 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # depends on the ones before it.
 
 _G, _R, _F, _E, _LO, _HI, _T = range(7)  # row columns
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For consecutive ranges of `counts` elements: each element's range and
-    its index inside it."""
-    owner = np.arange(len(counts)).repeat(counts)
-    return owner, np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts)
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
@@ -266,58 +258,20 @@ def _tiled(layers: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 class _Common:
     """What the derivations over one mapping and one set of model holdings
-    share: the GPUs in instance-rank order and each instance's rank, the
-    assigned GPUs' stage blocks and shards (`slots`: gpu, pipeline, first
-    layer, end layer, shard), the model transfers' sender and receiver byte
-    totals, summed once when a cache derivation first needs them, and the
-    layer orders `plan_migration` found, by cap."""
+    share: the GPUs in `gpu_order` and each instance's rank, the assigned
+    GPUs' `slot_table` (`slots`), the model transfers' sender and receiver
+    byte totals, summed once when a cache derivation first needs them, and
+    the layer orders `plan_migration` found, by cap."""
 
     __slots__ = ("gpus", "rank", "inst_of", "slots", "loads", "orders")
 
     def __init__(self, mapping: DeviceMapping, old_layout: Layout, model: ModelSpec):
-        config = mapping.config
-        rank = self.rank = {inst: k for k, inst in enumerate(
-            sorted({g[0] for g in old_layout}, key=natural_key))}
-        gpus = self.gpus = sorted(old_layout, key=lambda g: (rank[g[0]], g[1]))
+        gpus, rank = self.gpus, self.rank = gpu_order(old_layout)
         self.inst_of = np.array([rank[g[0]] for g in gpus], dtype=np.int64)
-        placed = np.array([(g, pos.pipeline, pos.stage, pos.shard)
-                           for g, pos in enumerate(map(mapping.assignment.get, gpus))
-                           if pos is not None], dtype=np.int64).reshape(-1, 4)
-        g, d, p, m = placed.T
-        bad = ((d < 1) | (d > config.data_parallel) | (p < 1) | (p > config.pipeline_stages)
-               | (m < 1) | (m > config.tensor_shards))
-        if bad.any():  # the first such position raises its own error
-            mapping.assignment[gpus[g[bad][0]]].validate_for(config)
-        blocks = np.array([(r.start, r.stop) for r in (
-            stage_layers(model.num_layers, config.pipeline_stages, stage)
-            for stage in range(1, config.pipeline_stages + 1))], dtype=np.int64)
-        first, end = blocks[p - 1].T
-        self.slots = np.array([g, d, first, end, m]).T[end > first]
+        self.slots = slot_table(mapping.config, model, [
+            (g, pos) for g, pos in enumerate(map(mapping.assignment.get, gpus)) if pos is not None])
         self.loads: tuple[dict[str, float], dict[str, float]] | None = None
         self.orders: dict[float | None, list[int]] = {}
-
-    def need_rows(self, k: int, entries: list[tuple[int, int]],
-                  spans: dict[int, tuple[int, int]] | None = None) -> np.ndarray:
-        """Each assigned GPU's need rows, its shard scaled by `k`: one per
-        entry `(request code, tokens)` of `entries[first:first + count]`,
-        where `spans[pipeline] = (first, count)`; every entry when `spans`
-        is None."""
-        s = self.slots
-        if spans is None:
-            first, count = np.zeros(len(s), dtype=np.int64), np.full(len(s), len(entries))
-        else:
-            first, count = np.array([spans.get(d, (0, 0)) for d in s[:, 1].tolist()],
-                                    dtype=np.int64).reshape(-1, 2).T
-        slot, at = _ragged(count)
-        entry = np.array(entries, dtype=np.int64).reshape(-1, 2)[first[slot] + at]
-        rows = np.empty((len(slot), 7), dtype=np.int64)
-        rows[:, _G] = s[slot, 0]
-        rows[:, _R] = entry[:, 0]
-        rows[:, _F:_LO] = s[slot, 2:4]
-        rows[:, _LO] = (s[slot, 4] - 1) * k
-        rows[:, _HI] = s[slot, 4] * k
-        rows[:, _T] = entry[:, 1]
-        return rows
 
     def model_loads(self, model_transfers: dict[int, list[Transfer]]):
         """Bytes each instance sends and receives over the model transfers,
@@ -611,8 +565,9 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     new = tuple.__new__  # a Transfer from all its fields, skipping the keyword defaults
 
     if base is None:
-        weight = model.bytes_per_layer
-        held, need = _grid_rows(invs, den, {None: 0}), common.need_rows(k, [(0, 1)])
+        weight, keys = model.bytes_per_layer, {None: 0}
+        cache = {d: [(None, 1)] for d in range(1, mapping.config.data_parallel + 1)}  # the model
+        held, need = _grid_rows(invs, den, keys), position_rows(common.slots, k, cache, keys)
         units, terms = _pieces(held, need, gpus, weight, den)
         frac = _Grid(den)
         model_transfers: dict[int, list[Transfer]] = {}
@@ -638,23 +593,13 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     else:
         model_transfers, _, layer_releases, _ = base
 
-    # each pipeline's cache entries as `required_context` lays them out:
-    # positive token counts, by request in order of first appearance
-    entries: list[tuple[str, int]] = []
-    spans: dict[int, tuple[int, int]] = {}
-    for d, cache in (inherited_by_pipeline or {}).items():
-        by_rid: dict[str, list[int]] = {}
-        for rid, tokens in cache:
-            if tokens > 0:
-                by_rid.setdefault(rid, []).append(tokens)
-        spans[d] = (len(entries), sum(map(len, by_rid.values())))
-        entries += [(rid, tokens) for rid, counts in by_rid.items() for tokens in counts]
-    rids = list(dict.fromkeys([*(rid for inv in invs for rid in inv.rects if rid is not None),
-                               *(rid for rid, _ in entries)]))
-    if not rids:
+    # the held requests first, then the inherited ones the need rows add
+    keys = {rid: code for code, rid in enumerate(dict.fromkeys(
+        rid for inv in invs for rid in inv.rects if rid is not None))}
+    need = position_rows(common.slots, k, inherited_by_pipeline or {}, keys)
+    if not keys:
         return Derivation((model_transfers, [], layer_releases, {}), common)
-    keys = {rid: code for code, rid in enumerate(rids)}
-    need = common.need_rows(k, [(keys[rid], tokens) for rid, tokens in entries], spans)
+    rids = list(keys)
     weight = model.kv_bytes_per_token_per_layer
     held = _grid_rows(invs, den, keys)
     units, terms = _pieces(held, need, gpus, weight, den)
@@ -695,9 +640,10 @@ def _added(total: float, sizes: list[float]) -> float:
 
 
 def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
-                   transfers: tuple, u_max: float | None = None) -> MigrationPlan:
-    """Assemble the migration plan of a device mapping from `transfers`, what
-    `derive_transfers` returned for that mapping over `old_layout`.
+                   transfers: Derivation, u_max: float | None = None) -> MigrationPlan:
+    """Assemble the migration plan of a device mapping from `transfers`, the
+    `Derivation` that `derive_transfers` returned for that mapping over
+    `old_layout`.
 
     Round order: all-layer cache first, then layers in memopt order under
     `u_max`, or in index order when that replays to a lower peak; a
@@ -740,7 +686,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
         traffic[layer] = LayerTraffic(incoming, released)
     # the model rounds, and so their order, are those of the derivation's
     # base: one commit orders them once per cap
-    orders = transfers.common.orders if isinstance(transfers, Derivation) else {}
+    orders = transfers.common.orders
     if u_max not in orders:
         orders[u_max] = memopt_layer_order(traffic, u_max)
     order = orders[u_max]

@@ -53,7 +53,6 @@ from . import controller as ctl
 from .arranger import BatchProgress, GraceContext, arrange_preemption
 from .costmodel import (
     PerfProfile,
-    ProfileMissError,
     load_profile,
     migration_cost,
     monetary_cost,
@@ -81,7 +80,7 @@ from .mapping import (
 )
 from .metrics import MetricsReport, collect_metrics
 from .migration import MigrationPlan, derive_transfers, plan_migration
-from .simconfig import SimConfig, TraceEvent, load_trace
+from .simconfig import SimConfig, SimConfigError, TraceEvent, load_trace
 from .workload import gamma_arrivals, load_arrivals
 
 # Event priorities at equal timestamps.
@@ -813,16 +812,15 @@ class ReroutingPolicy:
         self._booted = False
 
     def _fixed(self, engine: Engine) -> tuple[int, int, int] | None:
-        """The fixed (P, M, B) shape, chosen at the first availability that can
-        host one; None until then."""
+        """The fixed (P, M, B) shape, chosen from the profile's shapes at the
+        first availability that can host one; None until then.  A configured
+        shape was checked against the profile when the run loaded it."""
         if self.shape is None:
             best = ctl.choose_config(engine.available_count(), engine.current_rate(),
                                      engine.profile, engine.cfg.gpus_per_instance)
             if best is None:
                 return None
             self.shape = (best.pipeline_stages, best.tensor_shards, best.batch_limit)
-        if tuple(self.shape) not in engine.profile.decode_table:
-            raise ProfileMissError(f"profile has no entry for fixed shape {self.shape}")
         return self.shape
 
     def on_trace_group(self, engine: Engine):
@@ -938,6 +936,10 @@ def make_policy(cfg: SimConfig):
 def run(cfg: SimConfig) -> MetricsReport:
     """Simulate one configuration end to end and aggregate its metrics."""
     profile = load_profile(cfg.profile_path)
+    shape = cfg.rerouting_shape
+    if cfg.policy == "rerouting" and shape is not None and shape not in profile.shapes():
+        raise SimConfigError(f"rerouting_shape {shape} is not a (P, M, B) shape of profile "
+                             f"{cfg.profile_path}")
     trace = load_trace(cfg.trace_path, cfg.grace_default, cfg.ready_default)
     if cfg.workload.kind == "fixed_rate":
         times = gamma_arrivals(cfg.workload.rate, cfg.workload.cv, cfg.duration,

@@ -1,10 +1,15 @@
 """Per-layer `Fraction` geometry: the reference the integer-grid code must match.
 
-These are the original algorithms over the per-layer form of an inventory
-(`ContextInventory.model_shards` / `.cache_shards`): one `(layer, lo, hi)`
-Fraction tuple per layer, plus one per request per layer for KV cache.  They
-are slow but obviously exact, so tests compare the grid implementation in
-`spotsim.domain` and `spotsim.migration` against them value for value.
+`spotsim.domain.ContextInventory` holds rectangles on an integer grid, and
+the mapper and the planner work on the same rectangles as int64 rows.  Here
+is the per-layer form of an inventory: one `(layer, lo, hi)` Fraction tuple
+per layer, plus one `(request, layer, lo, hi, tokens)` per request per layer
+for KV cache.  `inventory` builds a grid inventory from that form, and
+`model_shards`, `cache_shards` and `model_bytes` read it back; tests build
+their hand-made inventories with these helpers.  The algorithms below are
+the original ones over the per-layer form.  They are slow but obviously
+exact, so tests compare the grid implementation in `spotsim.domain`,
+`spotsim.mapping` and `spotsim.migration` against them value for value.
 
 Storage rule: remote storage (`STORAGE`) holds every model piece.  A model
 sub-piece that no live copy holds at its start is sent by `STORAGE` up to the
@@ -21,12 +26,88 @@ needed entries, equal own entries and equal holders of the request.  Each
 cover is one transfer over the whole run.
 """
 
+import math
 from fractions import Fraction
 
-from spotsim.domain import STORAGE, ContextInventory, natural_key, required_context
+from spotsim.domain import STORAGE, ContextInventory, DomainError, natural_key, required_context
 from spotsim.migration import MigrationError, Transfer
 
 Interval = tuple[Fraction, Fraction]
+ModelShard = tuple[int, Fraction, Fraction]  # (layer, lo, hi)
+CacheShard = tuple[str, int, Fraction, Fraction, int]  # (request, layer, lo, hi, tokens)
+
+
+def _check_interval(lo: Fraction, hi: Fraction):
+    if not (0 <= lo < hi <= 1):
+        raise DomainError(f"interval [{lo},{hi}) must be non-empty inside [0,1)")
+
+
+def _merged_runs(by_layer: dict[int, list]) -> list:
+    """Rectangles of a per-layer entry map: maximal runs of consecutive layers
+    with equal entry lists, each entry once per run, in per-layer order."""
+    runs: list[list] = []
+    for layer in sorted(by_layer):
+        entries = by_layer[layer]
+        if runs and runs[-1][1] == layer and runs[-1][2] == entries:
+            runs[-1][1] = layer + 1
+        else:
+            runs.append([layer, layer + 1, entries])
+    return [(l0, l1, *entry) for l0, l1, entries in runs for entry in entries]
+
+
+def layer_blocks(rects) -> list[tuple[int, int, list[tuple]]]:
+    """Rectangles grouped by layer block: `(first, end, [(lo, hi, ...), ...])`."""
+    blocks: list[tuple[int, int, list[tuple]]] = []
+    for l0, l1, *entry in rects:
+        if not blocks or blocks[-1][:2] != (l0, l1):
+            blocks.append((l0, l1, []))
+        blocks[-1][2].append(tuple(entry))
+    return blocks
+
+
+def inventory(model_shards=(), cache_shards=()) -> ContextInventory:
+    """The grid inventory of per-layer shards: `(layer, lo, hi)` model shards
+    and `(request, layer, lo, hi, tokens)` cache shards with Fraction bounds,
+    on the lcm grid of their denominators, adjacent layers with equal
+    intervals merged into one rectangle."""
+    model_shards, cache_shards = tuple(model_shards), tuple(cache_shards)
+    for _, lo, hi in model_shards:
+        _check_interval(lo, hi)
+    for _, _, lo, hi, tokens in cache_shards:
+        _check_interval(lo, hi)
+        if tokens < 0:
+            raise DomainError("cache tokens must be >= 0")
+    den = math.lcm(*(Fraction(x).denominator for s in model_shards for x in s[1:]),
+                   *(Fraction(x).denominator for s in cache_shards for x in s[2:4]))
+    by_layer: dict[str | None, dict[int, list]] = {}
+    for rid, layer, lo, hi, tokens in (*((None, *s, 1) for s in model_shards), *cache_shards):
+        by_layer.setdefault(rid, {}).setdefault(layer, []).append(
+            (int(lo * den), int(hi * den), tokens))
+    return ContextInventory(den, {rid: tuple(_merged_runs(layers))
+                                  for rid, layers in by_layer.items()})
+
+
+def model_shards(inv: ContextInventory) -> tuple[ModelShard, ...]:
+    """Per-layer form of the model rectangles, layer by layer."""
+    den = inv.den
+    return tuple((layer, Fraction(lo, den), Fraction(hi, den))
+                 for l0, l1, entries in layer_blocks(inv.rects.get(None, ()))
+                 for layer in range(l0, l1) for lo, hi, _ in entries)
+
+
+def cache_shards(inv: ContextInventory) -> tuple[CacheShard, ...]:
+    """Per-layer form of the cache rectangles, request by request, then layer."""
+    den = inv.den
+    return tuple((rid, layer, Fraction(lo, den), Fraction(hi, den), tokens)
+                 for rid, rects in inv.rects.items() if rid is not None
+                 for l0, l1, entries in layer_blocks(rects)
+                 for layer in range(l0, l1) for lo, hi, tokens in entries)
+
+
+def model_bytes(inv: ContextInventory, model) -> float:
+    """Bytes of model context `inv` holds, summed over the per-layer shards."""
+    return float(sum(((hi - lo) * model.bytes_per_layer for _, lo, hi in model_shards(inv)),
+                     Fraction(0)))
 
 
 def intersect(a: Interval, b: Interval) -> Fraction:
@@ -54,11 +135,11 @@ def subtract_intervals(base: Interval, cuts: list[Interval]) -> list[Interval]:
 
 
 def model_intervals(inv: ContextInventory, layer: int) -> list[Interval]:
-    return [(lo, hi) for lyr, lo, hi in inv.model_shards if lyr == layer]
+    return [(lo, hi) for lyr, lo, hi in model_shards(inv) if lyr == layer]
 
 
 def cache_entries(inv: ContextInventory, request_id: str, layer: int) -> list[tuple[Interval, int]]:
-    return [((lo, hi), tokens) for rid, lyr, lo, hi, tokens in inv.cache_shards
+    return [((lo, hi), tokens) for rid, lyr, lo, hi, tokens in cache_shards(inv)
             if rid == request_id and lyr == layer]
 
 
@@ -66,16 +147,16 @@ def overlap_bytes(a: ContextInventory, b: ContextInventory, model) -> float:
     """Bytes of context shared by two inventories, per layer and per request."""
     total = Fraction(0)
     b_by_layer: dict[int, list[Interval]] = {}
-    for lyr, lo, hi in b.model_shards:
+    for lyr, lo, hi in model_shards(b):
         b_by_layer.setdefault(lyr, []).append((lo, hi))
-    for lyr, lo, hi in a.model_shards:
+    for lyr, lo, hi in model_shards(a):
         for other in b_by_layer.get(lyr, ()):
             total += intersect((lo, hi), other) * model.bytes_per_layer
 
     b_cache: dict[tuple[str, int], list[tuple[Interval, int]]] = {}
-    for rid, lyr, lo, hi, tokens in b.cache_shards:
+    for rid, lyr, lo, hi, tokens in cache_shards(b):
         b_cache.setdefault((rid, lyr), []).append(((lo, hi), tokens))
-    for rid, lyr, lo, hi, tokens in a.cache_shards:
+    for rid, lyr, lo, hi, tokens in cache_shards(a):
         for other_iv, other_tokens in b_cache.get((rid, lyr), ()):
             weight = min(tokens, other_tokens) * model.kv_bytes_per_token_per_layer
             total += intersect((lo, hi), other_iv) * weight
@@ -135,9 +216,9 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
     cache_holders: dict[tuple[str, int], list] = {}
     for gpu in gpus:
         inv = old_layout[gpu]
-        for layer, lo, hi in inv.model_shards:
+        for layer, lo, hi in model_shards(inv):
             model_holders.setdefault(layer, []).append((gpu, [(lo, hi)]))
-        for rid, layer, lo, hi, tokens in inv.cache_shards:
+        for rid, layer, lo, hi, tokens in cache_shards(inv):
             cache_holders.setdefault((rid, layer), []).append((gpu, [((lo, hi), tokens)]))
 
     required: dict = {}
@@ -159,12 +240,12 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
     for gpu in gpus:
         need = required[gpu]
         have = old_layout[gpu]
-        for layer, lo, hi in need.model_shards:
+        for layer, lo, hi in model_shards(need):
             for piece in subtract_intervals((lo, hi), model_intervals(have, layer)):
                 model_needs.append((gpu, layer, piece))
                 model_in[gpu[0]] = model_in.get(gpu[0], 0.0) + float(
                     (piece[1] - piece[0]) * model.bytes_per_layer)
-        for rid, layer in dict.fromkeys((rid, layer) for rid, layer, *_ in need.cache_shards):
+        for rid, layer in dict.fromkeys((rid, layer) for rid, layer, *_ in cache_shards(need)):
             pieces = [(piece, tokens) for iv, tokens in cache_entries(need, rid, layer)
                       for piece in subtract_intervals(
                           iv, [own for own, t in cache_entries(have, rid, layer) if t >= tokens])]
@@ -226,7 +307,7 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
         inst = gpu[0]
         have = old_layout[gpu]
         need = required[gpu]
-        for layer, lo, hi in have.model_shards:
+        for layer, lo, hi in model_shards(have):
             kept = Fraction(0)
             for n_lo, n_hi in model_intervals(need, layer):
                 kept += intersect((lo, hi), (n_lo, n_hi))
@@ -234,7 +315,7 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
             if extra > 0:
                 rel = layer_releases.setdefault(layer, {})
                 rel[inst] = rel.get(inst, 0.0) + extra
-        for rid, layer, lo, hi, tokens in have.cache_shards:
+        for rid, layer, lo, hi, tokens in cache_shards(have):
             held = (hi - lo) * tokens
             kept = Fraction(0)
             for (n_lo, n_hi), n_tokens in cache_entries(need, rid, layer):

@@ -15,7 +15,7 @@ from spotsim.mapping import (
     DeviceMapping,
     MappingError,
     _hungarian_max,
-    _sorted_gpus,
+    gpu_order,
 )
 
 
@@ -32,7 +32,7 @@ def needs(target, model, inheritance=None, requests_by_old_pipeline=None):
 
 
 def build_graph(layout, target, model, inheritance=None, requests_by_old_pipeline=None):
-    gpus = _sorted_gpus(layout)
+    gpus = gpu_order(layout)[0]
     wanted = needs(target, model, inheritance, requests_by_old_pipeline)
     weights = [[overlap_bytes(layout[gpu], need, model) for need in wanted] for gpu in gpus]
     return BipartiteGraph(gpus=gpus, slots=positions(target), weights=weights)

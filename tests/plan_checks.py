@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from spotsim.domain import STORAGE, required_context
 
-from fraction_oracle import intersect
+from fraction_oracle import cache_shards, intersect, model_shards
 
 
 def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, int]:
@@ -30,10 +30,10 @@ def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, i
     held: dict[tuple, list] = {}
     live_model: dict[int, list] = {}  # layer -> model intervals some GPU holds
     for gpu, inv in layout.items():
-        for layer, lo, hi in inv.model_shards:
+        for layer, lo, hi in model_shards(inv):
             held.setdefault((gpu, None, layer), []).append((lo, hi, 0))
             live_model.setdefault(layer, []).append((lo, hi))
-        for rid, layer, lo, hi, tokens in inv.cache_shards:
+        for rid, layer, lo, hi, tokens in cache_shards(inv):
             held.setdefault((gpu, rid, layer), []).append((lo, hi, tokens))
 
     received: dict[tuple, list] = {}
@@ -58,8 +58,8 @@ def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, i
     needed = 0
     for gpu, pos in mapping.assignment.items():
         need = required_context(mapping.config, pos, model, inherited.get(pos.pipeline, ()))
-        wants = [(None, layer, lo, hi, 0) for layer, lo, hi in need.model_shards]
-        wants += list(need.cache_shards)
+        wants = [(None, layer, lo, hi, 0) for layer, lo, hi in model_shards(need)]
+        wants += list(cache_shards(need))
         for rid, layer, lo, hi, tokens in wants:
             needed += 1
             own = [(a, b) for a, b, t in held.get((gpu, rid, layer), ()) if t >= tokens]

@@ -31,7 +31,7 @@ from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run as run_sim
 
 from conftest import make_profile
-from fraction_oracle import intersect
+from fraction_oracle import intersect, inventory, model_shards
 from test_mapping import brute_force_best, graph_of
 
 
@@ -84,7 +84,7 @@ def test_criterion_02_two_step_reduction():
                 if rng.random() < 0.5:
                     lo = Fraction(int(rng.integers(0, 2)), 2)
                     shards.append((lyr, lo, lo + Fraction(1, 2)))
-            layout[(f"i-{k}", 0)] = ContextInventory(model_shards=tuple(shards))
+            layout[(f"i-{k}", 0)] = inventory(model_shards=tuple(shards))
         flat = km_match(build_graph(layout, target, model))
         fused = map_devices(layout, target, model, gpus_per_instance=1)
         assert fused.assignment == flat.assignment
@@ -133,10 +133,9 @@ def _random_transition(rng):
                 cache = tuple(
                     (rid, lyr, lo, hi, tokens)
                     for rid, tokens in inherited[pos.pipeline]
-                    for lyr, lo, hi in inv.model_shards
+                    for lyr, lo, hi in model_shards(inv)
                 )
-                layout[ref] = ContextInventory(model_shards=inv.model_shards,
-                                               cache_shards=cache)
+                layout[ref] = inventory(model_shards=model_shards(inv), cache_shards=cache)
     return model, old_cfg, new_cfg, layout, inherited
 
 
@@ -171,8 +170,8 @@ def _check_plan_soundness(model, new_cfg, mapping, layout, plan):
                 received.setdefault(tr.dst, []).append((tr.layer, tr.lo, tr.hi))
     for gpu, pos in mapping.assignment.items():
         need = required_context(new_cfg, pos, model)
-        for layer, lo, hi in need.model_shards:
-            own = [(l2, h2) for lyr, l2, h2 in layout[gpu].model_shards if lyr == layer]
+        for layer, lo, hi in model_shards(need):
+            own = [(l2, h2) for lyr, l2, h2 in model_shards(layout[gpu]) if lyr == layer]
             got = [(l2, h2) for lyr, l2, h2 in received.get(gpu, []) if lyr == layer]
             segs = [s for s in own + got if intersect((lo, hi), s) > 0]
             total = sum(intersect((lo, hi), s) for s in segs)

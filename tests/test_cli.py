@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from spotsim import cli
 from spotsim.cli import main
 from spotsim.costmodel import ProfileError, load_profile
 from spotsim.data import bundled_path
@@ -129,13 +130,29 @@ def test_outdir_env_var(quick_config, tmp_path, monkeypatch):
     assert (out / "manifest.json").exists()
 
 
-def test_runtime_failure_exits_three(quick_config, tmp_path):
+def test_runtime_failure_exits_three(quick_config, tmp_path, monkeypatch, capsys):
+    def failing(cfg):
+        raise RuntimeError("simulated failure")
+    monkeypatch.setattr(cli, "run_sim", failing)
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(quick_config)]) == 3
+    assert capsys.readouterr().err == "runtime error: RuntimeError: simulated failure\n"
+
+
+@pytest.mark.parametrize("shape, profile", [
+    ([9, 9, 9], "gpt-20b"),
+    ([2, 8, 2], "opt-6.7b"),  # the bundled scenario's shape, which opt-6.7b lacks
+])
+def test_unprofiled_rerouting_shape_exits_two(shape, profile, quick_config, tmp_path, capsys):
+    """A rerouting shape the profile has no entry for is bad input: the run
+    stops when it loads the profile, before any event, not mid-run."""
     doc = json.loads(quick_config.read_text())
-    doc["policy"] = "rerouting"
-    doc["rerouting_shape"] = [9, 9, 9]  # shape the profile does not cover
-    bad = quick_config.parent / "broken.json"
+    doc.update(policy="rerouting", rerouting_shape=shape, profile=str(bundled_path(profile)))
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 3
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rerouting_shape") and "Traceback" not in err
+    assert not (tmp_path / "o" / "summary_rerouting.json").exists()
 
 
 @pytest.mark.parametrize("policy", ["spotserve", "rerouting", "reparallelization"])

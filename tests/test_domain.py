@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from spotsim.domain import (
-    ContextInventory,
     DomainError,
     ModelSpec,
     ParallelConfig,
@@ -15,14 +14,14 @@ from spotsim.domain import (
     stage_layers,
 )
 
-from fraction_oracle import intersect, subtract_intervals
+from fraction_oracle import intersect, inventory, model_bytes, model_shards, subtract_intervals
 
 MODEL4 = ModelSpec(name="m4", num_layers=4, bytes_per_layer=100, kv_bytes_per_token_per_layer=8)
 MODEL7 = ModelSpec(name="m7", num_layers=7, bytes_per_layer=100, kv_bytes_per_token_per_layer=8)
 
 
 def inv_layers(inv):
-    return sorted({layer for layer, _, _ in inv.model_shards})
+    return sorted({layer for layer, _, _ in model_shards(inv)})
 
 
 class TestParallelConfig:
@@ -61,19 +60,19 @@ class TestRequiredContext:
         cfg = ParallelConfig(1, 1, 1, 1)
         inv = required_context(cfg, TopologyPosition(1, 1, 1), MODEL4)
         assert inv_layers(inv) == [0, 1, 2, 3]
-        assert all((lo, hi) == (Fraction(0), Fraction(1)) for _, lo, hi in inv.model_shards)
+        assert all((lo, hi) == (Fraction(0), Fraction(1)) for _, lo, hi in model_shards(inv))
 
     def test_even_split(self):
         cfg = ParallelConfig(1, 2, 2, 1)
         inv = required_context(cfg, TopologyPosition(1, 2, 1), MODEL4)
         assert inv_layers(inv) == [2, 3]
-        assert all((lo, hi) == (Fraction(0), Fraction(1, 2)) for _, lo, hi in inv.model_shards)
+        assert all((lo, hi) == (Fraction(0), Fraction(1, 2)) for _, lo, hi in model_shards(inv))
 
     def test_remainder_goes_to_earlier_stages(self):
         cfg = ParallelConfig(2, 3, 1, 1)
         inv = required_context(cfg, TopologyPosition(1, 1, 1), MODEL7)
         assert inv_layers(inv) == [0, 1, 2]
-        assert all((lo, hi) == (Fraction(0), Fraction(1)) for _, lo, hi in inv.model_shards)
+        assert all((lo, hi) == (Fraction(0), Fraction(1)) for _, lo, hi in model_shards(inv))
         # oracle: block sizes by the ceil-then-floor rule
         sizes = [len(stage_layers(7, 3, p)) for p in (1, 2, 3)]
         assert sizes == [3, 2, 2]
@@ -92,7 +91,7 @@ class TestRequiredContext:
             for pos in positions(cfg):
                 if pos.pipeline != pipeline:
                     continue
-                for lyr, lo, hi in required_context(cfg, pos, model).model_shards:
+                for lyr, lo, hi in model_shards(required_context(cfg, pos, model)):
                     covered[lyr] += hi - lo
             assert all(v == 1 for v in covered.values())
 
@@ -101,21 +100,21 @@ class TestOverlapBytes:
     def test_self_overlap_is_full_size(self):
         cfg = ParallelConfig(1, 2, 2, 1)
         inv = required_context(cfg, TopologyPosition(1, 1, 2), MODEL4)
-        assert overlap_bytes(inv, inv, MODEL4) == inv.model_bytes(MODEL4)
+        assert overlap_bytes(inv, inv, MODEL4) == model_bytes(inv, MODEL4)
 
     def test_disjoint_layers(self):
-        a = ContextInventory(model_shards=((0, Fraction(0), Fraction(1)),))
-        b = ContextInventory(model_shards=((1, Fraction(0), Fraction(1)),))
+        a = inventory(model_shards=((0, Fraction(0), Fraction(1)),))
+        b = inventory(model_shards=((1, Fraction(0), Fraction(1)),))
         assert overlap_bytes(a, b, MODEL4) == 0.0
 
     def test_interval_arithmetic(self):
-        a = ContextInventory(model_shards=((0, Fraction(0), Fraction(1, 2)),))
-        b = ContextInventory(model_shards=((0, Fraction(1, 4), Fraction(3, 4)),))
+        a = inventory(model_shards=((0, Fraction(0), Fraction(1, 2)),))
+        b = inventory(model_shards=((0, Fraction(1, 4), Fraction(3, 4)),))
         assert overlap_bytes(a, b, MODEL4) == 25.0
 
     def test_cache_overlap_uses_min_tokens(self):
-        a = ContextInventory(cache_shards=(("r1", 0, Fraction(0), Fraction(1), 10),))
-        b = ContextInventory(cache_shards=(("r1", 0, Fraction(0), Fraction(1, 2), 6),))
+        a = inventory(cache_shards=(("r1", 0, Fraction(0), Fraction(1), 10),))
+        b = inventory(cache_shards=(("r1", 0, Fraction(0), Fraction(1, 2), 6),))
         # half interval, min(10, 6) tokens, 8 bytes per token-layer
         assert overlap_bytes(a, b, MODEL4) == 0.5 * 6 * 8
 
@@ -130,11 +129,11 @@ class TestOverlapBytes:
                         lo = Fraction(rng.randrange(0, 3), 4)
                         hi = Fraction(rng.randrange(int(lo * 4) + 1, 5), 4)
                         shards.append((lyr, lo, hi))
-                return ContextInventory(model_shards=tuple(shards))
+                return inventory(model_shards=tuple(shards))
             a, b = rand_inv(), rand_inv()
             ab = overlap_bytes(a, b, MODEL4)
             assert ab == overlap_bytes(b, a, MODEL4)
-            assert ab <= min(a.model_bytes(MODEL4), b.model_bytes(MODEL4)) + 1e-12
+            assert ab <= min(model_bytes(a, MODEL4), model_bytes(b, MODEL4)) + 1e-12
 
 
 def test_interval_helpers():

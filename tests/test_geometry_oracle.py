@@ -33,7 +33,15 @@ from spotsim.domain import (
     required_context,
     stage_layers,
 )
-from spotsim.mapping import DeviceMapping, MappingError, build_graph, map_devices
+from spotsim.mapping import (
+    DeviceMapping,
+    MappingError,
+    _grid_rows,
+    build_graph,
+    map_devices,
+    position_rows,
+    slot_table,
+)
 from spotsim.migration import MigrationError, derive_transfers
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -71,7 +79,7 @@ def per_layer_inventories(draw, model):
         for layer in range(model.num_layers):
             for lo, hi in draw(st.lists(intervals(), max_size=2)):
                 cache_shards.append((rid, layer, lo, hi, draw(st.integers(0, 40))))
-    return ContextInventory(model_shards=model_shards, cache_shards=cache_shards)
+    return oracle.inventory(model_shards=model_shards, cache_shards=cache_shards)
 
 
 @st.composite
@@ -105,8 +113,6 @@ def test_overlap_bytes_matches_oracle(data):
     a = data.draw(inventories(model))
     b = data.draw(inventories(model))
     assert repr(overlap_bytes(a, b, model)) == repr(oracle.overlap_bytes(a, b, model))
-    assert a.model_bytes(model) == float(sum((hi - lo) * model.bytes_per_layer
-                                             for _, lo, hi in a.model_shards))
 
 
 @given(st.data())
@@ -114,11 +120,12 @@ def test_overlap_bytes_matches_oracle(data):
 def test_inventory_round_trips_through_per_layer_form(data):
     model = data.draw(models())
     inv = data.draw(inventories(model))
-    again = ContextInventory(model_shards=inv.model_shards, cache_shards=inv.cache_shards)
+    model_shards, cache_shards = oracle.model_shards(inv), oracle.cache_shards(inv)
+    again = oracle.inventory(model_shards=model_shards, cache_shards=cache_shards)
     assert again == inv and hash(again) == hash(inv)
-    assert again.model_shards == inv.model_shards and again.cache_shards == inv.cache_shards
+    assert oracle.model_shards(again) == model_shards and oracle.cache_shards(again) == cache_shards
     for built in (inv, again):
-        if built.model_shards:  # model context is request None's, listed first
+        if oracle.model_shards(built):  # model context is request None's, listed first
             assert next(iter(built.rects)) is None
             assert all(tokens == 1 for *_, tokens in built.rects[None])
         else:
@@ -131,7 +138,7 @@ def test_inventory_round_trips_through_per_layer_form(data):
     lo, hi = Fraction(pos.shard - 1, config.tensor_shards), Fraction(pos.shard, config.tensor_shards)
     layers = stage_layers(model.num_layers, config.pipeline_stages, pos.stage)
     built = required_context(config, pos, model, cache)
-    by_shards = ContextInventory(
+    by_shards = oracle.inventory(
         model_shards=[(layer, lo, hi) for layer in layers],
         cache_shards=[(rid, layer, lo, hi, tokens) for rid, tokens in cache if tokens > 0
                       for layer in layers])
@@ -139,6 +146,38 @@ def test_inventory_round_trips_through_per_layer_form(data):
     assert list(built.rects) == list(by_shards.rects) == [
         None, *(rid for rid, tokens in cache if tokens > 0)]
     assert [rect[4] for rect in built.rects[None]] == [1]
+
+
+@given(st.data())
+@SETTINGS
+def test_position_rows_are_required_context_rows(data):
+    """The row builder the mapper and the planner score and move context
+    with gives, for any positions and per-pipeline caches, the rows of the
+    `required_context` inventories the engine installs and snapshots.
+    Caches may repeat a request, carry zero tokens or name pipelines with no
+    placed position, and configs may have more stages than layers."""
+    model = data.draw(models())
+    config = ParallelConfig(data.draw(st.integers(1, 3)),
+                            data.draw(st.integers(1, model.num_layers + 3)),
+                            data.draw(st.sampled_from((1, 2, 3, 4))), 4)
+    placed = data.draw(st.lists(st.sampled_from(positions(config)), max_size=8))
+    entries = st.lists(st.tuples(st.sampled_from(REQUESTS), st.integers(0, 40)), max_size=4)
+    cache = data.draw(st.dictionaries(st.integers(1, config.data_parallel), entries))
+    k = data.draw(st.integers(1, 6))
+    table = slot_table(config, model, list(enumerate(placed)))
+    invs = [required_context(config, pos, model, cache.get(pos.pipeline, ())) for pos in placed]
+    den, pipelines = config.tensor_shards * k, range(1, config.data_parallel + 1)
+
+    # the mapper's rows: model and cache at once, the same multiset
+    keys = {None: 0}
+    rows = position_rows(table, k, {d: [(None, 1), *cache.get(d, ())] for d in pipelines}, keys)
+    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, _grid_rows(invs, den, keys).tolist()))
+    # the planner's: the model, then the cache, each in the inventories' order
+    model_rows = position_rows(table, k, {d: [(None, 1)] for d in pipelines}, {None: 0})
+    assert model_rows.tolist() == _grid_rows(invs, den, {None: 0}).tolist()
+    keys = {}
+    rows = position_rows(table, k, cache, keys)
+    assert rows.tolist() == _grid_rows(invs, den, keys).tolist()
 
 
 @st.composite
@@ -187,8 +226,8 @@ def test_derive_transfers_matches_oracle(case):
 
 def model_only(layout):
     """The layout without its KV cache, each inventory on its own grid."""
-    return {gpu: ContextInventory.on_grid(inv.den, {rid: rects for rid, rects in inv.rects.items()
-                                                    if rid is None})
+    return {gpu: ContextInventory(inv.den, {rid: rects for rid, rects in inv.rects.items()
+                                            if rid is None})
             for gpu, inv in layout.items()}
 
 

@@ -26,6 +26,8 @@ from spotsim.mapping import (
     retain_cache,
 )
 
+from fraction_oracle import inventory, model_bytes, model_shards
+
 MODEL = ModelSpec(name="m4", num_layers=4, bytes_per_layer=800, kv_bytes_per_token_per_layer=16)
 
 
@@ -135,7 +137,7 @@ class TestBuildGraph:
         cfg = ParallelConfig(1, 2, 2, 1)
         layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
         graph = build_graph(layout, cfg, MODEL)
-        full = required_context(cfg, TopologyPosition(1, 1, 1), MODEL).model_bytes(MODEL)
+        full = model_bytes(required_context(cfg, TopologyPosition(1, 1, 1), MODEL), MODEL)
         for i in range(4):
             assert graph.weights[i][i] == full
         got = km_match(graph)
@@ -192,9 +194,9 @@ class TestBuildGraph:
                 continue
             base_inv = layout[gpu]
             cache = tuple(
-                (request.id, lyr, lo, hi, tokens) for lyr, lo, hi in base_inv.model_shards
+                (request.id, lyr, lo, hi, tokens) for lyr, lo, hi in model_shards(base_inv)
             )
-            layout[gpu] = ContextInventory(model_shards=base_inv.model_shards, cache_shards=cache)
+            layout[gpu] = inventory(model_shards=model_shards(base_inv), cache_shards=cache)
         reqs = {1: [request]}
         graph = build_graph(layout, new, model,
                             inheritance=default_inheritance(2, 2),
@@ -228,7 +230,7 @@ class TestMapDevices:
                     if rng.random() < 0.5:
                         lo = Fraction(int(rng.integers(0, 2)), 2)
                         shards.append((lyr, lo, lo + Fraction(1, 2)))
-                layout[(f"i-{k}", 0)] = ContextInventory(model_shards=tuple(shards))
+                layout[(f"i-{k}", 0)] = inventory(model_shards=tuple(shards))
             flat = km_match(build_graph(layout, cfg, MODEL))
             fused = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
             assert fused.assignment == flat.assignment
@@ -273,7 +275,7 @@ class TestMapDevices:
                         if rng.random() < 0.6:
                             lo = Fraction(int(rng.integers(0, 2)), 2)
                             shards.append((lyr, lo, lo + Fraction(1, 2)))
-                    layout[(f"i-{k}", g)] = ContextInventory(model_shards=tuple(shards))
+                    layout[(f"i-{k}", g)] = inventory(model_shards=tuple(shards))
             got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
             groups = {}
             for (iid, g), pos in got.assignment.items():
@@ -302,7 +304,7 @@ class TestMapDevices:
         layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
         got = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
         required = sum(
-            required_context(cfg, pos, MODEL).model_bytes(MODEL) for pos in positions(cfg)
+            model_bytes(required_context(cfg, pos, MODEL), MODEL) for pos in positions(cfg)
         )
         assert required - got.total_weight == pytest.approx(0.0)
 

@@ -29,7 +29,7 @@ from spotsim.migration import (
     plan_to_dict,
 )
 
-from fraction_oracle import intersect
+from fraction_oracle import intersect, inventory, model_bytes, model_shards
 from memopt_oracle import reference_layer_order
 from plan_checks import check_assembly, simulate_buffer_usage
 from test_acceptance import _random_transition
@@ -58,7 +58,7 @@ def replay_coverage(mapping, layout, plan, model):
     """Replays transfers: every position's required context must be covered by
     reuse plus received shards exactly once, and transfers must come from
     holders."""
-    holdings = {gpu: list(inv.model_shards) for gpu, inv in layout.items()}
+    holdings = {gpu: list(model_shards(inv)) for gpu, inv in layout.items()}
     received = {gpu: [] for gpu in layout}
     for action in plan.actions:
         for tr in action.transfers:
@@ -66,14 +66,14 @@ def replay_coverage(mapping, layout, plan, model):
                 continue
             src_cover = sum(
                 intersect((tr.lo, tr.hi), (lo, hi))
-                for lyr, lo, hi in layout[tr.src].model_shards if lyr == tr.layer
+                for lyr, lo, hi in model_shards(layout[tr.src]) if lyr == tr.layer
             )
             assert src_cover == tr.hi - tr.lo, "transfer source must hold the shard"
             received[tr.dst].append((tr.layer, tr.lo, tr.hi))
     for gpu, pos in mapping.assignment.items():
         need = required_context(mapping.config, pos, model)
-        for layer, lo, hi in need.model_shards:
-            own = [(l2, h2) for lyr, l2, h2 in layout[gpu].model_shards if lyr == layer]
+        for layer, lo, hi in model_shards(need):
+            own = [(l2, h2) for lyr, l2, h2 in model_shards(layout[gpu]) if lyr == layer]
             got = [(l2, h2) for lyr, l2, h2 in received[gpu] if lyr == layer]
             cover = own + got
             total = sum(intersect((lo, hi), seg) for seg in cover)
@@ -152,10 +152,11 @@ class TestMemoptLayerOrder:
                                 0.0, config)
         moved = {layer: [Transfer("model", layer, Fraction(0), Fraction(1), STORAGE, (inst, 0), b)
                          for inst, b in t.incoming.items()] for layer, t in traffic.items()}
-        derived = (moved, [], {layer: t.freed for layer, t in traffic.items()}, {})
         model = ModelSpec(name="m6", num_layers=n_layers, bytes_per_layer=100,
                           kv_bytes_per_token_per_layer=1)
         layout = {gpu: ContextInventory.empty() for gpu in mapping.assignment}
+        derived = migration.Derivation((moved, [], {layer: t.freed for layer, t in traffic.items()},
+                                        {}), migration._Common(mapping, layout, model))
         plan = plan_migration(mapping, layout, model, derived, u_max)
         shipped = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert max(plan.peak_usage.values()) == peak_of(shipped) <= peak_of(index_order)
@@ -209,7 +210,7 @@ class TestPlanMigration:
         mapping = map_devices(layout, new, model, 1)
         plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
         # moved bytes equal required minus reused
-        needed = sum(required_context(new, pos, model).model_bytes(model)
+        needed = sum(model_bytes(required_context(new, pos, model), model)
                      for pos in positions(new))
         assert plan.total_bytes() == pytest.approx(needed - mapping.total_weight)
         assert plan.total_bytes() > 0
@@ -231,8 +232,8 @@ class TestPlanMigration:
             inv = layout[ref]
             cache = tuple((rid, lyr, lo, hi, tokens)
                           for rid, tokens in cache_map[1]
-                          for lyr, lo, hi in inv.model_shards)
-            layout[ref] = ContextInventory(model_shards=inv.model_shards, cache_shards=cache)
+                          for lyr, lo, hi in model_shards(inv))
+            layout[ref] = inventory(model_shards=model_shards(inv), cache_shards=cache)
         mapping = map_devices(layout, new, MODEL, 1,
                               inheritance={1: 1})
         plan = plan_migration(mapping, layout, MODEL,
@@ -269,8 +270,8 @@ class TestPlanMigration:
         layout = serving_cluster(MODEL, cfg, 4)
         # wipe every copy of layer 0
         for ref, inv in layout.items():
-            kept = tuple(s for s in inv.model_shards if s[0] != 0)
-            layout[ref] = ContextInventory(model_shards=kept)
+            kept = tuple(s for s in model_shards(inv) if s[0] != 0)
+            layout[ref] = inventory(model_shards=kept)
         mapping = map_devices(layout, cfg, MODEL, 1)
         model_transfers, cache_transfers, _, _ = derive_transfers(mapping, layout, MODEL)
         assert not cache_transfers and list(model_transfers) == [0]
@@ -286,8 +287,8 @@ class TestPlanMigration:
         the live copy sends the other half."""
         old, new = ParallelConfig(1, 2, 2, 1), ParallelConfig(1, 2, 1, 1)
         layout = serving_cluster(MODEL, old, 4)
-        layout[("i-0", 0)] = ContextInventory(
-            model_shards=[s for s in layout[("i-0", 0)].model_shards if s[0] != 0])
+        layout[("i-0", 0)] = inventory(
+            model_shards=[s for s in model_shards(layout[("i-0", 0)]) if s[0] != 0])
         mapping = DeviceMapping(assignment={("i-2", 0): TopologyPosition(1, 1, 1),
                                             ("i-3", 0): TopologyPosition(1, 2, 1)},
                                 total_weight=0.0, config=new)

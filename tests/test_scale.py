@@ -90,7 +90,7 @@ def test_192_gpu_reshape_derived_in_two_steps_is_the_same_plan():
     every byte once, is assembled soundly, and equals the one-step plan."""
     model, target, mapping, layout, inherited, derived, plan = reshaped_fleet()
     departing = frozenset(f"i-{k}" for k in range(45, 49))
-    cache_free = {gpu: ContextInventory.on_grid(inv.den, {None: inv.rects[None]})
+    cache_free = {gpu: ContextInventory(inv.den, {None: inv.rects[None]})
                   for gpu, inv in layout.items()}
     base = derive_transfers(mapping, cache_free, model, departing=departing)
     two_step = derive_transfers(mapping, layout, model, inherited, departing=departing, base=base)

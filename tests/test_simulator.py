@@ -7,7 +7,7 @@ import pytest
 from spotsim.costmodel import exec_latency, load_profile, restart_cost
 from spotsim.data import bundled_path
 from spotsim.domain import STORAGE, ContextInventory, ParallelConfig, required_context
-from spotsim.mapping import _sorted_gpus, positional_mapping
+from spotsim.mapping import gpu_order, positional_mapping
 from spotsim.metrics import write_summary_json
 from spotsim.migration import derive_transfers
 from spotsim.simconfig import (
@@ -671,7 +671,7 @@ def test_engine_mapper_and_planner_share_one_instance_order(first, tmp_path):
     engine.policy = make_policy(cfg)
     engine.run()
     assert [i.id for i in engine.instances_by("active")] == ["i-01", "i-1", "i-2"]
-    assert _sorted_gpus([(first, 0), (second, 0)]) == [("i-01", 0), ("i-1", 0)]
+    assert gpu_order([(first, 0), (second, 0)])[0] == [("i-01", 0), ("i-1", 0)]
 
     # i-2 needs the whole model and both others hold it at equal load: the
     # first instance in the order sends the first layer
