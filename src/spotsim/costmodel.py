@@ -12,6 +12,15 @@ exact summation form is kept alongside to bound the approximation error.
 The profile tables double as the feasibility filter: a (P,M,B) shape that is
 absent was not profiled (e.g. it does not fit in GPU memory) and is not a
 candidate configuration.  There is deliberately no nearest-neighbor fallback.
+
+Migration time follows a port model.  Every instance has a full-duplex link,
+an out-port and an in-port at the interconnect bandwidth, and remote storage
+has one out-port that loads the whole model in a remote-storage restart.
+With transfers that can be split, a round's optimal time is its busiest
+port's load: the preemptive open-shop bound, which edge-colouring schedules
+attain (Gonzalez and Sahni, JACM 1976).  So a plan's time depends on the
+bytes each port carries per round, never on how the round's transfers are
+cut or listed.
 """
 
 import json
@@ -174,52 +183,72 @@ def throughput(profile: PerfProfile, config: ParallelConfig) -> float:
 # ---------------------------------------------------------------------------
 # Migration and restart stalls
 
+def _port_rates(profile: PerfProfile) -> tuple[float, float]:
+    """Bytes per second through an instance's port (the interconnect
+    bandwidth) and through `STORAGE`'s out-port, which loads the whole model
+    in `restart_cost(profile, "remote_storage")`, the cost of a full reload."""
+    return (profile.bandwidth,
+            profile.model.total_param_bytes / restart_cost(profile, "remote_storage"))
+
+
 def plan_timeline(plan, profile: PerfProfile, release: dict[str, float] | None = None,
                   start: float = 0.0) -> list[float]:
-    """Completion time of each plan action under asynchronous transfers.
+    """Completion time of each plan action under the port model.
 
-    Transfers issue in plan order (the order is the priority: cache rounds
-    first, then layers), every instance's full-duplex link serializes its own
-    sends and its own receives, and transfers on disjoint instance pairs
-    stream concurrently -- rounds pipeline instead of barriering, matching
-    batched asynchronous send/recv execution.  Same-instance copies ride the
-    intra-instance interconnect and cost no link time.  Each round with
-    transfers adds one fixed latency, and round completions are monotone so
-    stage-start markers stay meaningful.
-
-    `STORAGE`'s sends share one out-link that loads the whole model in
-    `restart_cost(profile, "remote_storage")`, the cost of a full reload.
+    Each instance's out-port and in-port carry their rounds' cross-instance
+    bytes (`MigrationAction.sent`/`received`, summed when the round was
+    built) back to back from the port's release time, so rounds pipeline
+    instead of barriering.  A round ends when the last port it touches has
+    carried its cumulative bytes, never before the previous round ends, plus
+    one fixed latency if it moved bytes; a round that moves nothing ends with
+    the previous one.  Same-instance copies ride the intra-instance
+    interconnect and touch no port.  Round completions are therefore
+    monotone, and stage-start markers stay meaningful.
 
     `release` gives per-instance earliest transfer times (an instance still
-    finishing arranged decode work frees its link only when it stops).
+    finishing arranged decode work frees its link only when it stops).  The
+    work is one step per port per round; no transfer is read.
     """
     release = release or {}
-    storage_s_per_byte = (restart_cost(profile, "remote_storage")
-                          / profile.model.total_param_bytes)
-    out_free: dict[str, float] = {}
-    in_free: dict[str, float] = {}
+    link, storage = _port_rates(profile)
+    sent: dict[str, float] = {}
+    received: dict[str, float] = {}
     ends: list[float] = []
-    prev_end = start
+    end = start
     for action in plan.actions:
-        end = prev_end
-        moved = False
-        for tr in action.transfers:
-            src, dst = tr.src[0], tr.dst[0]
-            if src == dst:
-                continue
-            moved = True
-            begin = max(out_free.get(src, release.get(src, start)),
-                        in_free.get(dst, release.get(dst, start)))
-            fin = begin + (tr.bytes * storage_s_per_byte if tr.src == STORAGE
-                           else tr.bytes / profile.bandwidth)
-            out_free[src] = fin
-            in_free[dst] = fin
-            end = max(end, fin)
-        if moved:
+        if action.sent:
+            for inst, b in action.sent:
+                total = sent[inst] = sent.get(inst, 0.0) + b
+                done = release.get(inst, start) + total / (storage if inst == STORAGE[0] else link)
+                if done > end:
+                    end = done
+            for inst, b in action.received:
+                total = received[inst] = received.get(inst, 0.0) + b
+                done = release.get(inst, start) + total / link
+                if done > end:
+                    end = done
             end += profile.transfer_latency
-        ends.append(max(end, prev_end))
-        prev_end = ends[-1]
+        ends.append(end)
     return ends
+
+
+def migration_bound(sent: dict[str, float], received: dict[str, float], rounds: int,
+                    profile: PerfProfile) -> float:
+    """An upper bound on the time a plan takes from start 0 with no release:
+    the busiest port's time over the per-port byte totals `sent` and
+    `received` of all its rounds, plus one latency for each of the `rounds`
+    rounds that move bytes.
+
+    `plan_timeline` ends each round at most one latency after the busiest
+    port so far, so no order of those rounds takes longer.  The latencies
+    are added one at a time, as the timeline adds them.
+    """
+    link, storage = _port_rates(profile)
+    bound = max([b / (storage if inst == STORAGE[0] else link) for inst, b in sent.items()]
+                + [b / link for b in received.values()], default=0.0)
+    for _ in range(rounds):
+        bound += profile.transfer_latency
+    return bound
 
 
 def migration_cost(plan, profile: PerfProfile, config: ParallelConfig | None = None,

@@ -22,8 +22,9 @@ so it goes before everything), then model layers one round per layer in a
 memory-optimized order, with a stage-start marker emitted as soon as a stage's
 full context is in place so front stages resume serving while later stages are
 still migrating.  The derivation does not depend on the buffer cap, so one
-derivation can be assembled under several caps, and the layer order of its
-model rounds is found once per cap for all the plans of one commit.
+derivation can be assembled under several caps.  A commit assembles one
+plan: the arranger's grace estimate reads only a derivation's per-port byte
+totals (`Derivation.port_loads`).
 
 Buffer accounting is per instance, as a net byte delta from the moment the
 migration starts: receivers are charged when a round begins and every
@@ -35,10 +36,11 @@ with equal incoming traffic peak alike, so each step compares one layer per
 distinct incoming traffic.  The plain index order is the one fallback:
 the whole plan, cache round included, is replayed for both orders, and
 the index order ships when it peaks lower.
-Assembly reads the transfers once: each round is built once with its
-receivers' byte runs and the stages it delivers to, both orders are
-replayed from the byte runs, and the stage-start markers are placed from
-the stage sets of the rounds of the order that wins.
+Assembly builds each round once, with its receivers' byte runs, the stages
+it delivers to and the bytes each port carries (`MigrationAction.sent` and
+`received`, all that `costmodel` prices); both orders are replayed from the
+byte runs, and the stage-start markers are placed from the stage sets of
+the rounds of the order that wins.
 """
 
 import math
@@ -79,15 +81,41 @@ class Transfer(NamedTuple):
     layers: int = 1
 
 
+def port_bytes(transfers) -> tuple[dict[str, float], dict[str, float]]:
+    """The bytes each instance sends and receives over `transfers` to and
+    from other instances, added in transfer order: what the round's
+    out-ports and in-ports carry.  Same-instance copies count on neither."""
+    sent: dict[str, float] = {}
+    received: dict[str, float] = {}
+    for t in transfers:
+        src, dst = t.src[0], t.dst[0]
+        if src != dst:
+            sent[src] = sent.get(src, 0.0) + t.bytes
+            received[dst] = received.get(dst, 0.0) + t.bytes
+    return sent, received
+
+
 @dataclass(frozen=True)
 class MigrationAction:
-    """One plan round: a batch of concurrent transfers plus end-of-round frees."""
+    """One plan round: a batch of concurrent transfers plus end-of-round frees.
+
+    `sent` and `received` are the round's `port_bytes`, summed once when the
+    action is built, as (instance, bytes) pairs; `costmodel` times plans from
+    them alone.
+    """
 
     kind: str  # "migrate_cache" | "migrate_layer" | "start_stage"
     transfers: tuple[Transfer, ...] = ()
     releases: tuple[tuple[str, float], ...] = ()  # (instance, bytes freed)
     layer: int | None = None
     stage: int | None = None
+    sent: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+    received: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sent, received = port_bytes(self.transfers)
+        object.__setattr__(self, "sent", tuple(sent.items()))
+        object.__setattr__(self, "received", tuple(received.items()))
 
 
 @dataclass
@@ -259,11 +287,11 @@ def _tiled(layers: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class _Common:
     """What the derivations over one mapping and one set of model holdings
     share: the GPUs in `gpu_order` and each instance's rank, the assigned
-    GPUs' `slot_table` (`slots`), the model transfers' sender and receiver
-    byte totals, summed once when a cache derivation first needs them, and
-    the layer orders `plan_migration` found, by cap."""
+    GPUs' `slot_table` (`slots`), and the model transfers' sender and
+    receiver byte totals, summed once when a cache derivation first needs
+    them."""
 
-    __slots__ = ("gpus", "rank", "inst_of", "slots", "loads", "orders")
+    __slots__ = ("gpus", "rank", "inst_of", "slots", "loads")
 
     def __init__(self, mapping: DeviceMapping, old_layout: Layout, model: ModelSpec):
         gpus, rank = self.gpus, self.rank = gpu_order(old_layout)
@@ -271,7 +299,6 @@ class _Common:
         self.slots = slot_table(mapping.config, model, [
             (g, pos) for g, pos in enumerate(map(mapping.assignment.get, gpus)) if pos is not None])
         self.loads: tuple[dict[str, float], dict[str, float]] | None = None
-        self.orders: dict[float | None, list[int]] = {}
 
     def model_loads(self, model_transfers: dict[int, list[Transfer]]):
         """Bytes each instance sends and receives over the model transfers,
@@ -297,6 +324,23 @@ class Derivation(tuple):
         self = super().__new__(cls, parts)
         self.common = common
         return self
+
+    def port_loads(self) -> tuple[dict[str, float], dict[str, float], int]:
+        """The `port_bytes` of all the rounds a plan of this derivation has,
+        added round by round, and how many of those rounds move bytes
+        between instances: what `costmodel.migration_bound` reads.  No plan
+        is assembled, and the rounds' order does not matter."""
+        sent: dict[str, float] = {}
+        received: dict[str, float] = {}
+        rounds = 0
+        for moved in (*self[0].values(), self[1]):
+            out, into = port_bytes(moved)
+            rounds += bool(out)
+            for inst, b in out.items():
+                sent[inst] = sent.get(inst, 0.0) + b
+            for inst, b in into.items():
+                received[inst] = received.get(inst, 0.0) + b
+        return sent, received, rounds
 
 
 def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], weight: int,
@@ -684,12 +728,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
             rounds[layer] = assembled("migrate_layer", moved, released, layer)
             incoming = {inst: _added(0.0, sizes) for inst, sizes in rounds[layer][1]}
         traffic[layer] = LayerTraffic(incoming, released)
-    # the model rounds, and so their order, are those of the derivation's
-    # base: one commit orders them once per cap
-    orders = transfers.common.orders
-    if u_max not in orders:
-        orders[u_max] = memopt_layer_order(traffic, u_max)
-    order = orders[u_max]
+    order = memopt_layer_order(traffic, u_max)
 
     def replayed(layer_order: list[int]) -> tuple[list, dict[str, float]]:
         chosen = cache_round + [rounds[layer] for layer in layer_order if layer in rounds]

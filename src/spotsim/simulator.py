@@ -54,6 +54,7 @@ from .arranger import BatchProgress, GraceContext, arrange_preemption
 from .costmodel import (
     PerfProfile,
     load_profile,
+    migration_bound,
     migration_cost,
     monetary_cost,
     restart_cost,
@@ -79,7 +80,7 @@ from .mapping import (
     retain_cache,
 )
 from .metrics import MetricsReport, collect_metrics
-from .migration import MigrationPlan, derive_transfers, plan_migration
+from .migration import Derivation, MigrationPlan, derive_transfers, plan_migration
 from .simconfig import SimConfig, SimConfigError, TraceEvent, load_trace
 from .workload import gamma_arrivals, load_arrivals
 
@@ -664,7 +665,7 @@ class AdaptivePolicy:
         engine.resume_at(max([engine.now + stall, *stops.values()]), target, mapping, packed)
 
     def _arrange(self, engine: Engine, decision: Decision,
-                 base: tuple) -> tuple[dict[int, float], dict[int, list[RequestRecord]]]:
+                 base: Derivation) -> tuple[dict[int, float], dict[int, list[RequestRecord]]]:
         """Stop the batches of every pipeline the migration touches, under
         the grace arrangement, then cut the rest over.  Returns when each
         such pipeline's last arranged batch stops, and the requests whose
@@ -676,10 +677,11 @@ class AdaptivePolicy:
                     if gpu[0] in participants and pos.pipeline not in engine.lost}
         t_mig_est = 0.0
         if deadline:
-            # pessimistic: every in-flight request's cache moves
+            # An upper bound on the migration if every in-flight request's
+            # cache moves: from that derivation's port totals, with no plan.
             inherited = kv_cache(engine.requests_by_pipeline())
-            t_mig_est = migration_cost(self._plan(engine, decision.mapping, base, inherited,
-                                                  inherited), engine.profile)
+            _, derived = self._derive(engine, decision.mapping, base, inherited, inherited)
+            t_mig_est = migration_bound(*derived.port_loads(), engine.profile)
         stops: dict[int, float] = {}
         migrate_groups: dict[int, list[RequestRecord]] = {}
         drop_cache: list[RequestRecord] = []
@@ -766,18 +768,24 @@ class AdaptivePolicy:
     def _departing(engine: Engine) -> frozenset[str]:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
 
-    def _plan(self, engine: Engine, mapping: DeviceMapping, base: tuple, cache: KvCache,
-              inherited: dict) -> MigrationPlan:
-        """Plan from the live layout with `cache` on top, ordered under the
-        buffer cap (none without the planner).  The base derivation gives the
-        model part; a plan that carries cache derives only its cache part on
-        top of it."""
+    def _derive(self, engine: Engine, mapping: DeviceMapping, base: Derivation,
+                cache: KvCache, inherited: dict) -> tuple[Layout, Derivation]:
+        """The live layout with `cache` on top, and its derivation: the base
+        derivation gives the model part, and a layout that carries cache
+        derives only its cache part on top of it."""
         snapshot = engine.layout_snapshot(cache)
         if any(cache.values()):
             base = derive_transfers(mapping, snapshot, engine.model, inherited,
                                     departing=self._departing(engine), base=base)
+        return snapshot, base
+
+    def _plan(self, engine: Engine, mapping: DeviceMapping, base: Derivation, cache: KvCache,
+              inherited: dict) -> MigrationPlan:
+        """Plan from the live layout with `cache` on top (`_derive`), ordered
+        under the buffer cap (none without the planner)."""
+        snapshot, derived = self._derive(engine, mapping, base, cache, inherited)
         u_max = engine.cfg.u_max if self._use("planner") else None
-        return plan_migration(mapping, snapshot, engine.model, base, u_max)
+        return plan_migration(mapping, snapshot, engine.model, derived, u_max)
 
     def _pack_pipelines(self, old_cache: dict[int, list[RequestRecord]],
                         target: ParallelConfig) -> dict[int, list[RequestRecord]]:

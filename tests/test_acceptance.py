@@ -15,17 +15,16 @@ import numpy as np
 import pytest
 
 from spotsim.cli import main as cli_main
-from spotsim.costmodel import exec_latency, exec_latency_exact, load_profile, monetary_cost
+from spotsim.costmodel import exec_latency, exec_latency_exact, monetary_cost
 from spotsim.data import bundled_path
 from spotsim.domain import (
     ContextInventory,
     ModelSpec,
     ParallelConfig,
-    TopologyPosition,
     positions,
     required_context,
 )
-from spotsim.mapping import BipartiteGraph, build_graph, km_match, map_devices
+from spotsim.mapping import build_graph, km_match, map_devices
 from spotsim.migration import LayerTraffic, derive_transfers, plan_migration
 from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run as run_sim

@@ -1,13 +1,13 @@
-import math
-
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from spotsim.costmodel import (
     CostModelError,
     ProfileMissError,
     exec_latency,
     exec_latency_exact,
-    load_profile,
+    migration_bound,
     migration_cost,
     monetary_cost,
     plan_timeline,
@@ -15,7 +15,7 @@ from spotsim.costmodel import (
     restart_cost,
     throughput,
 )
-from spotsim.domain import ParallelConfig
+from spotsim.domain import STORAGE, ParallelConfig
 from spotsim.migration import MigrationAction, MigrationPlan, Transfer
 
 from conftest import make_profile, profile_to_dict
@@ -189,6 +189,88 @@ class TestMigrationCost:
         # sender busy until t=5: one-second transfer ends at 6, cost from t=2 is 4
         got = migration_cost(plan, prof, release={"a": 5.0}, start=2.0)
         assert got == pytest.approx(4.0)
+
+
+# Rounds of transfers with integer byte counts, so every port sum is exact
+# and any split of a transfer sums to the same floats.
+INSTANCES = ["a", "b", "c"]
+transfers = st.builds(
+    lambda src, dst, k, nbytes: frac_transfer(STORAGE if src == STORAGE[0] else (src, k),
+                                              (dst, 1 - k), nbytes),
+    st.sampled_from([*INSTANCES, STORAGE[0]]), st.sampled_from(INSTANCES),
+    st.integers(0, 1), st.integers(0, 10**10))
+rounds = st.lists(st.lists(transfers, max_size=5), min_size=1, max_size=5)
+profiles = st.builds(lambda bandwidth, latency: make_profile(bandwidth=bandwidth, latency=latency),
+                     st.sampled_from([1e9, 3e8]), st.sampled_from([0.0, 0.01, 2.5]))
+releases = st.dictionaries(st.sampled_from(INSTANCES), st.floats(0, 100))
+
+
+def layer_plan(plan_rounds) -> MigrationPlan:
+    """One `migrate_layer` action per round, each followed by a stage start."""
+    actions = []
+    for layer, moved in enumerate(plan_rounds):
+        actions.append(MigrationAction(kind="migrate_layer", layer=layer, transfers=tuple(moved)))
+        actions.append(MigrationAction(kind="start_stage", stage=layer + 1))
+    return MigrationPlan(actions=actions)
+
+
+def port_rate(profile, inst: str) -> float:
+    """Storage loads the whole model in one remote-storage restart."""
+    if inst == STORAGE[0]:
+        return profile.model.total_param_bytes / restart_cost(profile, "remote_storage")
+    return profile.bandwidth
+
+
+class TestPortModel:
+    """`plan_timeline` under the port model, on random plans."""
+
+    @given(plan_rounds=rounds, profile=profiles, release=releases, start=st.floats(0, 50),
+           data=st.data())
+    def test_splitting_a_transfer_changes_nothing(self, plan_rounds, profile, release, start,
+                                                  data):
+        at = data.draw(st.sampled_from([(i, j) for i, moved in enumerate(plan_rounds)
+                                        for j in range(len(moved))] or [None]))
+        assume(at is not None)
+        i, j = at
+        whole = plan_rounds[i][j]
+        part = data.draw(st.integers(0, int(whole.bytes)))
+        split = [list(moved) for moved in plan_rounds]
+        split[i][j] = whole._replace(bytes=float(part))
+        split[i].insert(data.draw(st.integers(0, len(split[i]))),
+                        whole._replace(bytes=whole.bytes - part))
+        assert (plan_timeline(layer_plan(split), profile, release, start)
+                == plan_timeline(layer_plan(plan_rounds), profile, release, start))
+
+    @given(plan_rounds=rounds, profile=profiles, release=releases, start=st.floats(0, 50))
+    def test_no_round_ends_before_its_ports(self, plan_rounds, profile, release, start):
+        plan = layer_plan(plan_rounds)
+        ends = plan_timeline(plan, profile, release, start)
+        carried: dict[tuple[str, str], float] = {}
+        for action, end, before in zip(plan.actions, ends, [start, *ends]):
+            assert end >= before
+            touched = set()
+            for t in action.transfers:
+                if t.src[0] != t.dst[0]:
+                    for port in (("out", t.src[0]), ("in", t.dst[0])):
+                        carried[port] = carried.get(port, 0.0) + t.bytes
+                        touched.add(port)
+            for side, inst in touched:
+                rate = port_rate(profile, inst) if side == "out" else profile.bandwidth
+                assert end >= release.get(inst, start) + carried[side, inst] / rate
+
+    @given(plan_rounds=rounds, profile=profiles)
+    def test_makespan_within_the_port_bound(self, plan_rounds, profile):
+        sent: dict[str, float] = {}
+        received: dict[str, float] = {}
+        moving = 0
+        for moved in plan_rounds:
+            cross = [t for t in moved if t.src[0] != t.dst[0]]
+            moving += bool(cross)
+            for t in cross:
+                sent[t.src[0]] = sent.get(t.src[0], 0.0) + t.bytes
+                received[t.dst[0]] = received.get(t.dst[0], 0.0) + t.bytes
+        cost = migration_cost(layer_plan(plan_rounds), profile)
+        assert cost <= migration_bound(sent, received, moving, profile)
 
 
 class TestRestartCost:

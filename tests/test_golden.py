@@ -22,7 +22,7 @@ from spotsim.simulator import run
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
-    "spotserve": "0c586ce8eb8ec6f205f89cfe64c3abf006efee7b06b810c9c63542fc9a719bee",
+    "spotserve": "cd7173343cd148ab22022eff4cba6b262ab12e00df56bf8eb1d5d57c33370952",
     "rerouting": "8799970ef3ffbf1c879911d6a2437ca1cd05ba733e164220d6d9409edd624b4d",
     "reparallelization": "b2aa67360bd4bc654111753f24273a3def3a631c54177528698693b7cbf80572",
 }
@@ -31,10 +31,10 @@ GOLDEN = {
 # The spotserve ablation variants of `cli.ABLATION_VARIANTS`: they pin the
 # snapshot without KV cache (no arranger) and the positional mapping (no mapper).
 GOLDEN_ABLATION = {
-    "-controller": "40a394f87ce6f4745b49da6d83d11e80ad6f0fe2f05325edd0b0a795047882bf",
-    "-planner": "37d3c5504456d767e3df29ec665c4328df4ec5a8f050802dab23a37cae84457f",
-    "-arranger": "0873d8ebff36a7057f2d75829b54bc626625f7aea0b520671fd537ae95a2cddb",
-    "-mapper": "5fb41f2c35521b59855b7034a8dd531c39f2d1f6a89920abee185067f93aceff",
+    "-controller": "04df75c00a2d2e8d2c7bbc4ee4b12597df360519c086adbb5d995d50974d5721",
+    "-planner": "e1a70343daf261b3dd5e09bdbb3c72f8fcb276fa6ae6acab2ed19cfecd44b859",
+    "-arranger": "5f5957008391a9d2b76a743a0d0521d85da8305156bdb2a083b5284a5389aa8e",
+    "-mapper": "b2419b80de0a73c4c0593969901f040c36596ad82d5784d15227dbe33080b753",
 }
 
 
@@ -65,11 +65,11 @@ def test_bundled_ablation_reports_match_golden_digest(variant, tmp_path):
 # They pin the planner's output bytes, which the report digests see only
 # through the migration stalls.
 GOLDEN_PLANS = {
-    ("rate", 0.25): (5, "f5db6711e64954157a44f7995945eb6801070c0c7c20df8a9dcfaed3949caa6f"),
-    ("rate", 0.35): (5, "f5a3bcb9c4f53b0509fbbeb6ce59aaeca3b34f17cb2b387e74fb67307a752bfe"),
-    ("rate", 0.55): (5, "62da9be0267284752c1818991fdd757ecd73c35d5845a9c9a7eaa85a511052cf"),
-    ("variant", "-planner"): (5, "56835807cac41ed66991b9fa0dbe9069e2c02bdb9c75f16ba61f953c83faf874"),
-    ("variant", "-arranger"): (5, "746c4ce4acd0ec4e6582db4b8d881a06ac16bace8202a5664b2e453644546071"),
+    ("rate", 0.25): (3, "f9f734d12521539764ad69566c778880144bc7157c4d8970a05d2fa06783230b"),
+    ("rate", 0.35): (3, "3b4898beaee6eae1f5156162c40c414bc879752a0adc63e7eb0f93676a34f04e"),
+    ("rate", 0.55): (3, "2e5ac5525cec1e185e569427c3fb62c3b4b8e2dc9c41792b809db2b86558e335"),
+    ("variant", "-planner"): (3, "d22f8cf6fb40cabbe2292878781df375efc31f303897a04b31cf8fbff84d1644"),
+    ("variant", "-arranger"): (3, "cbe2e5eb36c0c1c83857a9bbc5db86b0f7389f6ab28cb26bc68c53444b9b85f8"),
 }
 
 

@@ -11,6 +11,7 @@ from spotsim import migration
 from spotsim.domain import (
     STORAGE,
     ContextInventory,
+    DomainError,
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
@@ -280,6 +281,19 @@ class TestPlanMigration:
             (STORAGE, ("i-1", 0), Fraction(1, 2), Fraction(1))]
         with pytest.raises(MigrationError, match="no source holds"):
             derive_transfers(mapping, layout, MODEL, {1: [("r-1", 4)]})
+
+    def test_position_outside_the_target_config_raises(self):
+        """A mapping that places a GPU outside its config fails in the slot
+        table, naming the first invalid position in GPU order."""
+        cfg = ParallelConfig(1, 2, 2, 1)
+        layout = serving_cluster(MODEL, cfg, 4)
+        placed = dict(zip(sorted(layout), positions(cfg)))
+        placed[("i-1", 0)] = TopologyPosition(1, 3, 1)  # a third stage
+        placed[("i-3", 0)] = TopologyPosition(2, 1, 1)  # a second pipeline
+        mapping = DeviceMapping(placed, total_weight=0.0, config=cfg)
+        with pytest.raises(DomainError) as raised:
+            derive_transfers(mapping, layout, MODEL)
+        assert str(raised.value) == f"position {TopologyPosition(1, 3, 1)} invalid for config {cfg}"
 
     def test_storage_sends_up_to_the_next_live_copy(self):
         """Merging two shards of a stage into one GPU while one shard's only

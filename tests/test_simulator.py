@@ -1,15 +1,16 @@
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from spotsim.costmodel import exec_latency, load_profile, restart_cost
+from spotsim.costmodel import exec_latency, load_profile, migration_cost, restart_cost
 from spotsim.data import bundled_path
 from spotsim.domain import STORAGE, ContextInventory, ParallelConfig, required_context
 from spotsim.mapping import gpu_order, positional_mapping
 from spotsim.metrics import write_summary_json
-from spotsim.migration import derive_transfers
+from spotsim.migration import derive_transfers, plan_migration
 from spotsim.simconfig import (
     CONFIG_KEYS,
     SimConfig,
@@ -23,7 +24,7 @@ from spotsim.simconfig import (
 )
 from spotsim.simulator import AdaptivePolicy, Engine, make_policy, run
 
-from conftest import save_arrivals, save_profile
+from conftest import save_arrivals
 
 
 def write_trace(path, events):
@@ -458,9 +459,11 @@ def test_reparallelization_reboot_after_suspension_restarts(tmp_path):
 
 def test_one_cache_free_derivation_per_commit(monkeypatch):
     """A spotserve commit derives its model pieces exactly once, in the
-    cache-free derivation that gives the participants and every plan
-    without cache; a plan whose snapshot carries KV cache derives only its
-    cache pieces, on that snapshot, on top of that derivation."""
+    cache-free derivation that gives the participants, the grace estimate's
+    model part and every plan without cache; a plan or an estimate whose
+    snapshot carries KV cache derives only its cache pieces, on that
+    snapshot, on top of that derivation.  Each commit builds one plan: the
+    grace estimate reads its derivation's port totals and assembles none."""
     import spotsim.migration as migration
     import spotsim.simulator as sim
 
@@ -475,6 +478,7 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
     monkeypatch.setattr(sim, "derive_transfers", counted(sim.derive_transfers))
     monkeypatch.setattr(migration, "derive_transfers", counted(migration.derive_transfers))
     plan_migration, on_commit = sim.plan_migration, sim.AdaptivePolicy.on_commit
+    derive, bound = sim.AdaptivePolicy._derive, sim.migration_bound
 
     def plan(mapping, old_layout, *args, **kwargs):
         counts["plans"] += 1
@@ -482,16 +486,95 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
                                           for rid in inv.rects)
         return plan_migration(mapping, old_layout, *args, **kwargs)
 
+    carried = [False]  # whether the last `_derive` call's snapshot carried cache
+
+    def derived(policy, engine, mapping, base, cache, inherited):
+        carried[0] = any(cache.values())
+        return derive(policy, engine, mapping, base, cache, inherited)
+
+    def estimate(*args):
+        # the estimate bounds the derivation `_derive` just returned
+        counts["estimates"] += 1
+        counts["estimates with cache"] += carried[0]
+        return bound(*args)
+
     def commit(policy, engine, payload):
         counts["commits"] += engine.config is not None
         return on_commit(policy, engine, payload)
     monkeypatch.setattr(sim, "plan_migration", plan)
+    monkeypatch.setattr(sim, "migration_bound", estimate)
+    monkeypatch.setattr(sim.AdaptivePolicy, "_derive", derived)
     monkeypatch.setattr(sim.AdaptivePolicy, "on_commit", commit)
     run(load_simconfig(bundled_path("scenario_bs.json")))
     assert counts["commits"] > 0 and counts["plans with cache"] > 0
-    assert counts["plans"] > counts["plans with cache"]
-    assert counts["derivations"] == counts["commits"] + counts["plans with cache"], dict(counts)
+    assert counts["estimates with cache"] > 0
+    assert counts["plans"] == counts["commits"], dict(counts)
+    assert counts["derivations"] == (counts["commits"] + counts["plans with cache"]
+                                     + counts["estimates with cache"]), dict(counts)
     assert counts["model derivations"] == counts["commits"], dict(counts)
+
+
+def recorded_estimates(monkeypatch) -> list[tuple[float, float, bool]]:
+    """Each grace estimate of the spotserve policy, with the migration time
+    (no release, start 0) of the plan assembled from the derivation it
+    bounds, under the cap the commit's own plan uses, and whether that
+    derivation moves KV cache."""
+    import spotsim.simulator as sim
+
+    records, last = [], []
+    derive, bound = AdaptivePolicy._derive, sim.migration_bound
+
+    def derived(policy, engine, mapping, base, cache, inherited):
+        last[:] = [policy, engine, mapping, derive(policy, engine, mapping, base, cache, inherited)]
+        return last[-1]
+
+    def estimate(*args):
+        policy, engine, mapping, (snapshot, derivation) = last
+        u_max = engine.cfg.u_max if policy._use("planner") else None
+        plan = plan_migration(mapping, snapshot, engine.model, derivation, u_max)
+        records.append((bound(*args), migration_cost(plan, engine.profile), bool(derivation[1])))
+        return records[-1][0]
+    monkeypatch.setattr(AdaptivePolicy, "_derive", derived)
+    monkeypatch.setattr(sim, "migration_bound", estimate)
+    return records
+
+
+def churn_config(tmp_path, seed: int) -> SimConfig:
+    """gpt-20b on ten 4-GPU instances for 900 s: every 90 s, alternately,
+    1-2 running instances are preempted with 30 s of grace or 1-2 new ones
+    are acquired, ready 60 s later."""
+    rng = random.Random(seed)
+    events = boot_events(10)
+    up, next_id = [f"i-{k}" for k in range(10)], 10
+    for slot in range(1, 10):
+        t = slot * 90.0 + rng.uniform(-20.0, 20.0)
+        for _ in range(rng.randint(1, 2)):
+            if slot % 2:
+                events.append({"t": t, "kind": "preempt", "grace": 30.0,
+                               "id": up.pop(rng.randrange(len(up)))})
+            else:
+                events.append({"t": t, "kind": "acquire", "id": f"i-{next_id}", "ready_in": 60.0})
+                up.append(f"i-{next_id}")
+                next_id += 1
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, events)
+    return SimConfig(profile_path=str(bundled_path("gpt-20b")), trace_path=str(trace),
+                     workload=WorkloadSpec(kind="fixed_rate", rate=0.5, cv=4.0, seed=seed),
+                     policy="spotserve", duration=900.0, gpus_per_instance=4)
+
+
+@pytest.mark.parametrize("source", ["bundled", "churn"])
+def test_grace_estimate_bounds_the_plan_it_skips(source, tmp_path, monkeypatch):
+    """The arranger's estimate, read from a derivation's port totals, is no
+    less than the time of the plan that derivation assembles into, on every
+    grace commit of the bundled scenario and of a random churn trace; some
+    of those commits carry KV cache."""
+    records = recorded_estimates(monkeypatch)
+    cfg = (load_simconfig(bundled_path("scenario_bs.json")) if source == "bundled"
+           else churn_config(tmp_path, seed=3))
+    run(cfg)
+    assert any(cost > 0 and cache for _, cost, cache in records), records
+    assert all(estimate >= cost for estimate, cost, _ in records), records
 
 
 def test_lost_only_copy_loads_its_stage_from_storage(tmp_path, monkeypatch):
