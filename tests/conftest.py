@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import asdict
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from spotsim.costmodel import _NOMINAL, _RESTART, PerfProfile, PriceSheet, Shape, load_profile
 from spotsim.data import bundled_path
 from spotsim.domain import ModelSpec
+from spotsim.simconfig import SimConfig, WorkloadSpec
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +81,36 @@ def save_arrivals(records, path):
     with open(path, "w") as f:
         for t, s_in, s_out in records:
             f.write(json.dumps({"t": t, "s_in": s_in, "s_out": s_out}) + "\n")
+
+
+def write_trace(path, events):
+    path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+
+def boot_events(n, t=0.0, gpus_kind="spot"):
+    return [{"t": t, "kind": "acquire", "id": f"i-{k}", "itype": gpus_kind, "ready_in": 0.0}
+            for k in range(n)]
+
+
+def churn_config(tmp_path, seed: int) -> SimConfig:
+    """gpt-20b on ten 4-GPU instances for 900 s: every 90 s, alternately,
+    1-2 running instances are preempted with 30 s of grace or 1-2 new ones
+    are acquired, ready 60 s later."""
+    rng = random.Random(seed)
+    events = boot_events(10)
+    up, next_id = [f"i-{k}" for k in range(10)], 10
+    for slot in range(1, 10):
+        t = slot * 90.0 + rng.uniform(-20.0, 20.0)
+        for _ in range(rng.randint(1, 2)):
+            if slot % 2:
+                events.append({"t": t, "kind": "preempt", "grace": 30.0,
+                               "id": up.pop(rng.randrange(len(up)))})
+            else:
+                events.append({"t": t, "kind": "acquire", "id": f"i-{next_id}", "ready_in": 60.0})
+                up.append(f"i-{next_id}")
+                next_id += 1
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, events)
+    return SimConfig(profile_path=str(bundled_path("gpt-20b")), trace_path=str(trace),
+                     workload=WorkloadSpec(kind="fixed_rate", rate=0.5, cv=4.0, seed=seed),
+                     policy="spotserve", duration=900.0, gpus_per_instance=4)

@@ -19,6 +19,8 @@ from spotsim.metrics import write_request_csv, write_summary_json
 from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run
 
+from conftest import churn_config
+
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
@@ -63,13 +65,15 @@ def test_bundled_ablation_reports_match_golden_digest(variant, tmp_path):
 # Migration plans the bundled spotserve run builds, as `tools/plan_digests.py`
 # prints them: (plan count, SHA-256 over the per-plan `plan_to_dict` digests).
 # They pin the planner's output bytes, which the report digests see only
-# through the migration stalls.
+# through the migration stalls.  `("churn", seed)` is `conftest.churn_config`,
+# whose grace commits have departing senders and multi-layer cache runs.
 GOLDEN_PLANS = {
     ("rate", 0.25): (3, "f9f734d12521539764ad69566c778880144bc7157c4d8970a05d2fa06783230b"),
     ("rate", 0.35): (3, "3b4898beaee6eae1f5156162c40c414bc879752a0adc63e7eb0f93676a34f04e"),
     ("rate", 0.55): (3, "2e5ac5525cec1e185e569427c3fb62c3b4b8e2dc9c41792b809db2b86558e335"),
     ("variant", "-planner"): (3, "d22f8cf6fb40cabbe2292878781df375efc31f303897a04b31cf8fbff84d1644"),
     ("variant", "-arranger"): (3, "cbe2e5eb36c0c1c83857a9bbc5db86b0f7389f6ab28cb26bc68c53444b9b85f8"),
+    ("churn", 3): (7, "18e9f5908f2a73c9053911e199a1e29be0a99b7ead4fd96d97085f8d7f544c93"),
 }
 
 
@@ -81,11 +85,13 @@ def _plan_digests_tool():
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_PLANS), ids=lambda c: f"{c[0]}={c[1]}")
-def test_bundled_plans_match_golden_digest(case):
+def test_bundled_plans_match_golden_digest(case, tmp_path):
     tool = _plan_digests_tool()
     cfg = load_simconfig(bundled_path("scenario_bs.json"))
     kind, value = case
-    if kind == "rate":
+    if kind == "churn":
+        cfg = churn_config(tmp_path, seed=value)
+    elif kind == "rate":
         cfg = replace(cfg, workload=replace(cfg.workload, rate=value))
     else:
         cfg = replace(cfg, disable=dict(ABLATION_VARIANTS)[value])

@@ -1,5 +1,4 @@
 import json
-import random
 from collections import Counter
 from dataclasses import replace
 
@@ -24,16 +23,7 @@ from spotsim.simconfig import (
 )
 from spotsim.simulator import AdaptivePolicy, Engine, make_policy, run
 
-from conftest import save_arrivals
-
-
-def write_trace(path, events):
-    path.write_text("".join(json.dumps(e) + "\n" for e in events))
-
-
-def boot_events(n, t=0.0, gpus_kind="spot"):
-    return [{"t": t, "kind": "acquire", "id": f"i-{k}", "itype": gpus_kind, "ready_in": 0.0}
-            for k in range(n)]
+from conftest import boot_events, churn_config, save_arrivals, write_trace
 
 
 @pytest.fixture()
@@ -537,30 +527,6 @@ def recorded_estimates(monkeypatch) -> list[tuple[float, float, bool]]:
     monkeypatch.setattr(AdaptivePolicy, "_derive", derived)
     monkeypatch.setattr(sim, "migration_bound", estimate)
     return records
-
-
-def churn_config(tmp_path, seed: int) -> SimConfig:
-    """gpt-20b on ten 4-GPU instances for 900 s: every 90 s, alternately,
-    1-2 running instances are preempted with 30 s of grace or 1-2 new ones
-    are acquired, ready 60 s later."""
-    rng = random.Random(seed)
-    events = boot_events(10)
-    up, next_id = [f"i-{k}" for k in range(10)], 10
-    for slot in range(1, 10):
-        t = slot * 90.0 + rng.uniform(-20.0, 20.0)
-        for _ in range(rng.randint(1, 2)):
-            if slot % 2:
-                events.append({"t": t, "kind": "preempt", "grace": 30.0,
-                               "id": up.pop(rng.randrange(len(up)))})
-            else:
-                events.append({"t": t, "kind": "acquire", "id": f"i-{next_id}", "ready_in": 60.0})
-                up.append(f"i-{next_id}")
-                next_id += 1
-    trace = tmp_path / "trace.jsonl"
-    write_trace(trace, events)
-    return SimConfig(profile_path=str(bundled_path("gpt-20b")), trace_path=str(trace),
-                     workload=WorkloadSpec(kind="fixed_rate", rate=0.5, cv=4.0, seed=seed),
-                     policy="spotserve", duration=900.0, gpus_per_instance=4)
 
 
 @pytest.mark.parametrize("source", ["bundled", "churn"])
