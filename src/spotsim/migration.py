@@ -12,10 +12,11 @@ of a request, and the end-of-round releases.  It reads the holdings and the
 needs as integer rectangle rows and finds the missing pieces, the receivers'
 incoming bytes and the releases with array passes; only covering, where
 each sender choice depends on the load the choices before it left, is a
-Python loop.  Model senders are chosen without regard to the cache, so a
-commit derives the model part once: its cache-free derivation carries what
-depends only on the mapping and the GPUs, and each plan that carries cache
-builds only its cache rows on top of it.
+Python loop, and it writes its choices straight into grid-integer columns.
+Model senders are chosen without regard to the cache, so a commit derives
+the model part once: its cache-free derivation carries what depends only on
+the mapping and the GPUs, the model columns among it, and each plan that
+carries cache builds only its cache rows on top of it.
 `plan_migration` assembles a given derivation into rounds: one round of
 KV-cache transfers first (losing cache is what destroys decoding progress,
 so it goes before everything), then model layers one round per layer in a
@@ -36,11 +37,17 @@ with equal incoming traffic peak alike, so each step compares one layer per
 distinct incoming traffic.  The plain index order is the one fallback:
 the whole plan, cache round included, is replayed for both orders, and
 the index order ships when it peaks lower.
-Assembly builds each round once, with its receivers' byte runs, the stages
-it delivers to and the bytes each port carries (`MigrationAction.sent` and
-`received`, all that `costmodel` prices); both orders are replayed from the
-byte runs, and the stage-start markers are placed from the stage sets of
-the rounds of the order that wins.
+One array pass over a derivation's columns gives every round at once: its
+slice of the columns, the bytes each port carries (`MigrationAction.sent`
+and `received`, all that `costmodel` prices) and each receiver's bytes.
+The model rounds' pass is made once per cache-free derivation and shared by
+every plan, estimate and participants set built on it.  Both orders are
+replayed from the columns' receivers and bytes, and the stage-start markers
+are placed from the receivers' stages in the order that wins.
+`Transfer` records are output only: a round expands its slice of the
+columns into records when asked (`MigrationAction.transfers`,
+`MigrationPlan.transfers()`, `Derivation.records()`), and nothing in
+derivation, assembly or pricing reads one.
 """
 
 import math
@@ -60,13 +67,12 @@ class MigrationError(ValueError):
 
 class Transfer(NamedTuple):
     """One shard movement between two GPUs, over the layers
-    [layer, layer + layers).
+    [layer, layer + layers): an output record.
 
     A model transfer covers one layer.  A cache transfer covers a layer run
-    of one request, and `bytes` counts every layer of it.  An immutable
-    record like the dataclasses here, but a named tuple: a plan emits
-    thousands per decision on a large fleet, and a tuple is built about three
-    times faster than a frozen dataclass.
+    of one request, and `bytes` counts every layer of it.  Derivations and
+    plans keep their transfers as grid-integer columns; a record is built
+    only when output or a check asks for one (`_expand`).
     """
 
     kind: str  # "model" | "cache"
@@ -81,41 +87,60 @@ class Transfer(NamedTuple):
     layers: int = 1
 
 
-def port_bytes(transfers) -> tuple[dict[str, float], dict[str, float]]:
-    """The bytes each instance sends and receives over `transfers` to and
-    from other instances, added in transfer order: what the round's
-    out-ports and in-ports carry.  Same-instance copies count on neither."""
-    sent: dict[str, float] = {}
-    received: dict[str, float] = {}
-    for t in transfers:
-        src, dst = t.src[0], t.dst[0]
-        if src != dst:
-            sent[src] = sent.get(src, 0.0) + t.bytes
-            received[dst] = received.get(dst, 0.0) + t.bytes
-    return sent, received
-
-
-@dataclass(frozen=True)
 class MigrationAction:
     """One plan round: a batch of concurrent transfers plus end-of-round frees.
 
-    `sent` and `received` are the round's `port_bytes`, summed once when the
-    action is built, as (instance, bytes) pairs; `costmodel` times plans from
-    them alone.
+    `sent` and `received` are the bytes each instance's out-port and in-port
+    carry in the round (`_round_sums`), as (instance, bytes) pairs; `costmodel`
+    times plans from them alone.  A round that `plan_migration` assembles
+    keeps a slice of its derivation's columns and gets its sums from the
+    derivation; `transfers` expands the slice into records on each read.  A
+    round built from `transfers` records is summed by the same rule.
     """
 
-    kind: str  # "migrate_cache" | "migrate_layer" | "start_stage"
-    transfers: tuple[Transfer, ...] = ()
-    releases: tuple[tuple[str, float], ...] = ()  # (instance, bytes freed)
-    layer: int | None = None
-    stage: int | None = None
-    sent: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
-    received: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "releases", "layer", "stage", "sent", "received", "_records", "_span")
 
-    def __post_init__(self):
-        sent, received = port_bytes(self.transfers)
-        object.__setattr__(self, "sent", tuple(sent.items()))
-        object.__setattr__(self, "received", tuple(received.items()))
+    def __init__(self, kind: str, transfers: tuple[Transfer, ...] = (),
+                 releases: tuple[tuple[str, float], ...] = (),  # (instance, bytes freed)
+                 layer: int | None = None, stage: int | None = None):
+        self.kind, self.releases, self.layer, self.stage = kind, releases, layer, stage
+        self._records, self._span = tuple(transfers), None
+        self.sent = self.received = ()
+        if self._records:
+            names = list(dict.fromkeys(g[0] for t in self._records for g in (t.src, t.dst)))
+            code = {inst: i for i, inst in enumerate(names)}
+            src = np.array([code[t.src[0]] for t in self._records], dtype=np.int64)
+            dst = np.array([code[t.dst[0]] for t in self._records], dtype=np.int64)
+            [(sent, received, _)] = _round_sums(np.zeros(len(src), dtype=np.int64), src, dst,
+                                                np.array([t.bytes for t in self._records]),
+                                                names).values()
+            self.sent, self.received = tuple(sent), tuple(received)
+
+    @classmethod
+    def _assembled(cls, kind: str, moves: "_Moves", found: "_Round", releases: tuple,
+                   layer: int | None = None) -> "MigrationAction":
+        """The round `found` of `moves`, with the sums of its pass."""
+        self = cls.__new__(cls)
+        self.kind, self.releases, self.layer, self.stage = kind, releases, layer, None
+        self._records, self._span = None, (moves, *found.span)
+        self.sent, self.received = found.sent, found.received
+        return self
+
+    @property
+    def transfers(self) -> tuple[Transfer, ...]:
+        return self._records if self._span is None else tuple(_expand(*self._span))
+
+    def _fields(self) -> tuple:
+        return self.kind, self.transfers, self.releases, self.layer, self.stage
+
+    def __eq__(self, other):
+        if not isinstance(other, MigrationAction):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "MigrationAction(kind={!r}, transfers={!r}, releases={!r}, layer={!r}, stage={!r})" \
+            .format(*self._fields())
 
 
 @dataclass
@@ -218,9 +243,12 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # pieces, so each sum is the float that loop gives.
 # Covering stays a Python loop over the runs: which holder sends a piece
 # depends on the bytes each sender has been given so far, so each choice
-# depends on the ones before it.
+# depends on the ones before it.  It appends each choice to a flat list, which
+# becomes the derivation's transfer columns (`_Moves`) in one conversion.
 
 _G, _R, _F, _E, _LO, _HI, _T = range(7)  # row columns
+_LAYER, _SRC, _DST = 0, 1, 4  # transfer columns: layer, src, lo, hi, dst[, request, tokens, layers]
+_PUT = 5  # values the cover appends per sub-piece: layer, src, lo, hi, bytes
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
@@ -267,9 +295,7 @@ def _sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     `ufunc.at` applies the additions index by index."""
     totals = np.zeros(keys.max(initial=-1) + 1)
     np.add.at(totals, keys, values)
-    seen = np.zeros(len(totals), dtype=bool)
-    seen[keys] = True
-    present = seen.nonzero()[0]
+    present = np.bincount(keys, minlength=len(totals)).nonzero()[0]
     return present, totals[present]
 
 
@@ -284,66 +310,213 @@ def _tiled(layers: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return unit[step], layer[step], at
 
 
+class _Moves:
+    """Transfers of one kind as grid-integer columns, in the order their
+    rounds keep them: int64 `cols` (layer, sender GPU index or -1 for
+    `STORAGE`, lo, hi, receiver GPU index, and for KV cache also request
+    code, tokens and layer count) and float64 `size`, each transfer's bytes.
+    GPU indices index `gpus`, bounds are numerators over `den`, and request
+    codes index `rids` (None for model transfers)."""
+
+    __slots__ = ("cols", "size", "gpus", "den", "rids")
+
+    def __init__(self, cols: np.ndarray, size: np.ndarray, gpus: list[GpuRef], den: int,
+                 rids: list[str] | None):
+        self.cols, self.size, self.gpus, self.den, self.rids = cols, size, gpus, den, rids
+
+    @classmethod
+    def covered(cls, out: list, tags: list, counts: list[int], gpus: list[GpuRef], den: int,
+                rids: list[str] | None) -> "_Moves":
+        """The columns of the cover's output `out`: each run of `counts[i]`
+        sub-pieces gets the tag columns `tags[i]` (receiver, and for KV cache
+        request, tokens and layer count)."""
+        table = np.fromiter(out, np.float64, len(out)).reshape(-1, _PUT)
+        width = 1 if rids is None else 4
+        tags = np.array(tags, dtype=np.int64).reshape(-1, width).repeat(counts, axis=0)
+        return cls(np.concatenate((table[:, :_DST].astype(np.int64), tags), axis=1),
+                   table[:, _DST], gpus, den, rids)
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+
+_NO_COLS, _NO_SIZES = np.empty((0, _DST + 4), dtype=np.int64), np.empty(0)  # no cache transfers
+
+
+def _expand(moves: _Moves, a: int, z: int) -> list[Transfer]:
+    """The `Transfer` records of transfers a..z of `moves`: the one place
+    records are built."""
+    gpus = [*moves.gpus, STORAGE]  # a sender index of -1 is STORAGE
+    rows, sizes = moves.cols[a:z].tolist(), moves.size[a:z].tolist()
+    frac = {n: Fraction(n, moves.den) for n in np.unique(moves.cols[a:z, 2:4]).tolist()}
+    if moves.rids is None:
+        return [Transfer("model", layer, frac[lo], frac[hi], gpus[src], gpus[dst], size)
+                for (layer, src, lo, hi, dst), size in zip(rows, sizes)]
+    return [Transfer("cache", layer, frac[lo], frac[hi], gpus[src], gpus[dst], size,
+                     moves.rids[code], tokens, layers)
+            for (layer, src, lo, hi, dst, code, tokens, layers), size in zip(rows, sizes)]
+
+
+def _round_sums(rounds: np.ndarray, src: np.ndarray, dst: np.ndarray, size: np.ndarray,
+                names: list[str]) -> dict[int, tuple[list, list, dict]]:
+    """Per round, in one array pass: the bytes each instance sends and
+    receives to and from other instances, what the round's out-ports and
+    in-ports carry, as (instance, bytes) pairs; and the bytes each instance
+    receives, same-instance copies included.  Each sum adds its terms one at
+    a time in array order.  `src` and `dst` are instance codes into `names`,
+    so a same-instance copy counts on neither port."""
+    n = len(names)
+    cross = src != dst
+    # a key per (round, instance, part): sent, received, then all received
+    at = rounds * (3 * n)
+    into = at + 3 * dst
+    keys, sums = _sums(np.concatenate(((at + 3 * src)[cross], into[cross] + 1, into + 2)),
+                       np.concatenate((size[cross], size[cross], size)))
+    r, key = np.divmod(keys, 3 * n)
+    inst, part = np.divmod(key, 3)
+    found: dict[int, tuple[list, list, dict]] = {}
+    for r, i, part, b in zip(r.tolist(), inst.tolist(), part.tolist(), sums.tolist()):
+        if r not in found:
+            sent, received, incoming = found[r] = [], [], {}
+        if part == 2:
+            incoming[names[i]] = b
+        elif part:
+            received.append((names[i], b))
+        else:
+            sent.append((names[i], b))
+    return found
+
+
+class _Round(NamedTuple):
+    """One round of a derivation's transfers: its slice of the columns, its
+    port sums (`_round_sums`), and each receiving instance's bytes
+    (`incoming`)."""
+
+    span: tuple[int, int]
+    sent: tuple = ()
+    received: tuple = ()
+    incoming: dict = {}
+
+
+_NOTHING = _Round((0, 0))
+
+
 class _Common:
     """What the derivations over one mapping and one set of model holdings
-    share: the GPUs in `gpu_order` and each instance's rank, the assigned
-    GPUs' `slot_table` (`slots`), and the model transfers' sender and
-    receiver byte totals, summed once when a cache derivation first needs
-    them."""
+    share: the GPUs in `gpu_order`; the instance names by rank, then
+    `STORAGE`'s (`names`); each GPU's instance name (`owner`), code into
+    `names` (`inst_of`) and stage (0 if unassigned), each with `STORAGE`'s
+    entry last, where a sender index of -1 finds it; the assigned GPUs'
+    `slot_table` (`slots`); the model transfers as columns ordered by layer,
+    the layers in the order covering first met them, and the layer releases.
+    The model loads and the layer rounds are computed once, when first
+    asked for."""
 
-    __slots__ = ("gpus", "rank", "inst_of", "slots", "loads")
+    __slots__ = ("gpus", "rank", "names", "owner", "inst_of", "stage", "slots", "model",
+                 "layers", "layer_releases", "_loads", "_rounds")
 
     def __init__(self, mapping: DeviceMapping, old_layout: Layout, model: ModelSpec):
         gpus, rank = self.gpus, self.rank = gpu_order(old_layout)
-        self.inst_of = np.array([rank[g[0]] for g in gpus], dtype=np.int64)
+        self.names = [*rank, STORAGE[0]]
+        self.owner = [gpu[0] for gpu in gpus] + [STORAGE[0]]
+        self.inst_of = np.array([rank[gpu[0]] for gpu in gpus] + [len(rank)], dtype=np.int64)
+        placed = list(map(mapping.assignment.get, gpus))
+        self.stage = np.array([0 if pos is None else pos.stage for pos in placed] + [0],
+                              dtype=np.int64)
         self.slots = slot_table(mapping.config, model, [
-            (g, pos) for g, pos in enumerate(map(mapping.assignment.get, gpus)) if pos is not None])
-        self.loads: tuple[dict[str, float], dict[str, float]] | None = None
+            (g, pos) for g, pos in enumerate(placed) if pos is not None])
+        self._loads = self._rounds = None
 
-    def model_loads(self, model_transfers: dict[int, list[Transfer]]):
-        """Bytes each instance sends and receives over the model transfers,
-        summed layer by layer."""
-        if self.loads is None:
-            sent = dict.fromkeys([*self.rank, STORAGE[0]], 0.0)
-            delivered: dict[str, float] = {}
-            for layer in sorted(model_transfers):
-                for t in model_transfers[layer]:
-                    if t.src[0] != t.dst[0]:
-                        sent[t.src[0]] += t.bytes
-                    delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
-            self.loads = sent, delivered
-        return self.loads
+    def model_loads(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Bytes each instance sends to other instances and receives over
+        the model transfers, summed layer by layer in transfer order."""
+        if self._loads is None:
+            src, dst = (self.inst_of[self.model.cols[:, c]] for c in (_SRC, _DST))
+            cross = src != dst
+            sent = dict.fromkeys(self.names, 0.0)
+            for i, b in zip(*(a.tolist() for a in _sums(src[cross], self.model.size[cross]))):
+                sent[self.names[i]] = b
+            self._loads = sent, {self.names[i]: b for i, b in zip(
+                *(a.tolist() for a in _sums(dst, self.model.size)))}
+        return self._loads
+
+    def layer_rounds(self) -> dict[int, _Round]:
+        """The model transfers' rounds, by layer."""
+        if self._rounds is None:
+            self._rounds = self.rounds(self.model, self.model.cols[:, _LAYER])
+        return self._rounds
+
+    def rounds(self, moves: _Moves, key: np.ndarray) -> dict[int, _Round]:
+        """The rounds of `moves` by their round keys `key`, ascending, in one
+        array pass."""
+        if not len(moves):
+            return {}
+        ends = np.bincount(key).cumsum().tolist()
+        return {r: _Round((ends[r - 1] if r else 0, ends[r]), tuple(sent), tuple(received), into)
+                for r, (sent, received, into) in _round_sums(
+                    key, self.inst_of[moves.cols[:, _SRC]], self.inst_of[moves.cols[:, _DST]],
+                    moves.size, self.names).items()}
 
 
-class Derivation(tuple):
-    """What `derive_transfers` returns: the tuple (model transfers by layer,
-    cache transfers, layer releases, cache releases), and in `common` what it
-    shares with every derivation that takes it as `base`."""
+class Derivation:
+    """What `derive_transfers` returns: in `common`, what it shares with
+    every derivation that takes it as `base` (the GPUs, the model transfers
+    and the layer releases); its KV-cache transfers as columns (`cache`) in
+    covering order, all one round; and the cache releases."""
 
-    def __new__(cls, parts: tuple, common: _Common):
-        self = super().__new__(cls, parts)
-        self.common = common
-        return self
+    __slots__ = ("common", "cache", "cache_releases", "_cache_round")
+
+    def __init__(self, common: _Common, cache: _Moves, cache_releases: dict[str, float]):
+        self.common, self.cache, self.cache_releases = common, cache, cache_releases
+        self._cache_round: _Round | None = None
+
+    def cache_round(self) -> _Round:
+        """The cache transfers' round (`_NOTHING` when there are none)."""
+        if self._cache_round is None:
+            self._cache_round = self.common.rounds(
+                self.cache, np.zeros(len(self.cache), dtype=np.int64)).get(0, _NOTHING)
+        return self._cache_round
+
+    def participants(self) -> set[str]:
+        """The instances a model transfer is sent from or to, `STORAGE`
+        included: those of the layer rounds' sums."""
+        found = set()
+        for layer in self.common.layer_rounds().values():
+            found.update(inst for inst, _ in layer.sent)
+            found.update(layer.incoming)
+        return found
 
     def port_loads(self) -> tuple[dict[str, float], dict[str, float], int]:
-        """The `port_bytes` of all the rounds a plan of this derivation has,
-        added round by round, and how many of those rounds move bytes
+        """The port sums of all the rounds a plan of this derivation has,
+        added round by round (the layers in the order covering met them,
+        then the cache round), and how many of those rounds move bytes
         between instances: what `costmodel.migration_bound` reads.  No plan
         is assembled, and the rounds' order does not matter."""
         sent: dict[str, float] = {}
         received: dict[str, float] = {}
         rounds = 0
-        for moved in (*self[0].values(), self[1]):
-            out, into = port_bytes(moved)
-            rounds += bool(out)
-            for inst, b in out.items():
+        layer_rounds = self.common.layer_rounds()
+        for found in (*(layer_rounds[layer] for layer in self.common.layers), self.cache_round()):
+            rounds += bool(found.sent)
+            for inst, b in found.sent:
                 sent[inst] = sent.get(inst, 0.0) + b
-            for inst, b in into.items():
+            for inst, b in found.received:
                 received[inst] = received.get(inst, 0.0) + b
         return sent, received, rounds
 
+    def records(self) -> tuple[dict[int, list[Transfer]], list[Transfer],
+                               dict[int, dict[str, float]], dict[str, float]]:
+        """The derivation as records, for output and checks: (model
+        transfers by layer, the layers in the order covering met them; cache
+        transfers; layer releases; cache releases)."""
+        common = self.common
+        spans = {layer: found.span for layer, found in common.layer_rounds().items()}
+        return ({layer: _expand(common.model, *spans[layer]) for layer in common.layers},
+                _expand(self.cache, 0, len(self.cache)), common.layer_releases,
+                self.cache_releases)
 
-def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], weight: int,
+
+def _pieces(held: np.ndarray, need: np.ndarray, owner: list[str], weight: int,
             den: int) -> tuple[list, tuple]:
     """Cover units of one kind of context, and the terms `_incoming` sums:
     each unit's receiving GPU, layer count and piece count, and each piece's
@@ -352,11 +525,12 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], weight: int,
     Each need row is cut into runs at the layer bounds of its request's held
     rows, so each run lies inside one elementary layer block of the holder
     index, and what the receiver holds with enough tokens is subtracted.
-    A unit is one run of one GPU's need of one request: `(dst, request code,
-    first, end, (holders, candidate memo) or None, [(lo, hi, unit bytes,
-    tokens)])`, pieces in entry, then bound, order, units in GPU, request,
-    then layer order.  Holders list `(gpu, lo, hi, tokens)` in GPU, then row,
-    order.
+    A unit is one run of one GPU's need of one request: `(dst, its instance,
+    request code, first, end, (holders, candidate memo) or None, [(lo, hi,
+    unit bytes, tokens)])`, pieces in entry, then bound, order, units in GPU,
+    request, then layer order.  Holders list `(gpu, its instance, lo, hi,
+    tokens)` in GPU, then row, order.  A GPU is its index, and `owner` gives
+    its instance.
     """
     hg, hr, hf, he, hlo, hhi, ht = held.T
     ng, nr, nf, ne, nlo, nhi, nt = need.T
@@ -421,7 +595,7 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], weight: int,
     h, k = h[wanted[k]], k[wanted[k]]
     order = np.lexsort((h, k))
     h, k = h[order], k[order]
-    copies = [(gpus[g], a, b, t) for g, a, b, t in held[:, [_G, _LO, _HI, _T]].tolist()]
+    copies = [(g, owner[g], a, b, t) for g, a, b, t in held[:, [_G, _LO, _HI, _T]].tolist()]
     listed = [copies[c] for c in h.tolist()]
     cut = _starts(k)
     holders = {b: (listed[a:z], {}) for b, a, z in zip(
@@ -431,7 +605,7 @@ def _pieces(held: np.ndarray, need: np.ndarray, gpus: list[GpuRef], weight: int,
     pieces = list(zip(p_lo.tolist(), p_hi.tolist(), [weight * t for t in p_tokens.tolist()],
                       p_tokens.tolist()))
     dst = ng[row[u_run]]
-    units = [(gpus[g], r, f, e, holders.get(b), pieces[a:z]) for g, r, f, e, b, a, z in zip(
+    units = [(g, owner[g], r, f, e, holders.get(b), pieces[a:z]) for g, r, f, e, b, a, z in zip(
         dst.tolist(), nr[row[u_run]].tolist(), first[u_run].tolist(), end[u_run].tolist(),
         block[u_run].tolist(), u_first.tolist(), [*u_first[1:].tolist(), len(pieces)])]
 
@@ -487,14 +661,16 @@ def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: i
     return layer[positive], inst_of[hg[u_row]][unit][positive], value[positive]
 
 
-def _cover_from_holders(pieces: list[tuple[int, int, int, int]], block, dst: GpuRef,
-                        layers: int, den: int, load: dict[str, float], rank: dict,
-                        departing: frozenset[str], send_budget: float,
-                        stored: bool) -> list[list[tuple[GpuRef, int, int, float]]]:
-    """Split the grid pieces `(lo, hi, unit bytes, tokens)` of one receiver
-    across the holder GPUs of their layer block, on each of `layers` layers
-    in turn and piece by piece within a layer: per layer, `(sender, lo, hi,
-    bytes)` per sub-piece.
+def _cover_from_holders(out: list, pieces: list[tuple[int, int, int, int]], block, here: str,
+                        first: int, layers: int, den: int, load: dict[str, float],
+                        owner: list[str], departing: frozenset[str], send_budget: float,
+                        stored: bool) -> None:
+    """Split the grid pieces `(lo, hi, unit bytes, tokens)` of one receiver,
+    a GPU of instance `here`, across the holder GPUs of their layer block, on
+    each of `layers` layers from `first` in turn and piece by piece within a
+    layer, appending `layer, sender, lo, hi, bytes` to `out` for each
+    sub-piece; the sender is a GPU index, -1 for `STORAGE`, and `owner` gives
+    each index's instance.
 
     Senders are chosen per sub-piece: a copy on the destination's own instance
     wins (intra-instance copies are cheap); then copies on departing instances
@@ -507,28 +683,26 @@ def _cover_from_holders(pieces: list[tuple[int, int, int, int]], block, dst: Gpu
     `stored` (model context); otherwise it raises.  Deterministic throughout.
     """
     holders, memo = block or ((), {})
-    here = dst[0]
     budget = send_budget + 1e-6
-    per_layer = []
-    for _ in range(layers):
-        out = []
+    put = out.extend
+    for layer in range(first, first + layers):
         for lo, hi, unit_bytes, tokens in pieces:
             start = lo
             while start < hi:
                 # copies holding `start` with enough tokens, per block, in GPU
-                # order; none is on `dst`, since a need piece is what dst's
-                # own copies leave uncovered
+                # order; none is on the destination GPU, since a need piece is
+                # what its own copies leave uncovered
                 found = memo.get((start, tokens))
                 if found is None:
                     found = memo[(start, tokens)] = [
-                        (h[0], h[0][0], h[2], (rank[h[0][0]], h[0][1])) for h in holders
-                        if h[1] <= start < h[2] and h[3] >= tokens]
+                        (g, inst, c_hi) for g, inst, c_lo, c_hi, c_tokens in holders
+                        if c_lo <= start < c_hi and c_tokens >= tokens]
                 # the least (remote, not departing within budget, load if
-                # remote, order, -end); `found` is in `order` already, so a
+                # remote, GPU, -end); `found` is in GPU order already, so a
                 # later copy wins a tie on the first three only as the same
                 # GPU's longer copy
                 best_class = 4
-                for gpu, inst, c_hi, order in found:
+                for g, inst, c_hi in found:
                     end = c_hi if c_hi < hi else hi
                     cur = load[inst]
                     cheap = inst in departing and cur + (end - start) * unit_bytes / den <= budget
@@ -537,35 +711,20 @@ def _cover_from_holders(pieces: list[tuple[int, int, int, int]], block, dst: Gpu
                     else:
                         cls = 2 if cheap else 3
                     if cls < best_class or (cls == best_class and (
-                            cur < best_load or (cur == best_load and order == best_order
-                                                and end > stop))):
-                        best_class, best_load, best_order, sender, stop = cls, cur, order, gpu, end
+                            cur < best_load or (cur == best_load and g == sender and end > stop))):
+                        best_class, best_load, sender, stop = cls, cur, g, end
                 if best_class == 4:
                     if not stored:
                         raise MigrationError(
                             f"no source holds required shard [{Fraction(start, den)},"
                             f"{Fraction(hi, den)}): layout inconsistent with mapping")
-                    sender = STORAGE
-                    stop = min([h[1] for h in holders if start < h[1] < hi], default=hi)
+                    sender = -1
+                    stop = min([h[2] for h in holders if start < h[2] < hi], default=hi)
                 size = (stop - start) * unit_bytes / den
-                out.append((sender, start, stop, size))
-                if sender[0] != here:
-                    load[sender[0]] += size
+                put((layer, sender, start, stop, size))
+                if owner[sender] != here:
+                    load[owner[sender]] += size
                 start = stop
-        per_layer.append(out)
-    return per_layer
-
-
-class _Grid(dict):
-    """`Fraction(n, den)` by grid numerator n, each made once."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, n: int) -> Fraction:
-        self[n] = value = Fraction(n, self.den)
-        return value
 
 
 def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
@@ -580,12 +739,13 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     and a model piece no old holder has from `STORAGE`; whatever a GPU holds
     beyond its own new requirement is freed once the owning round completes.
     Both kinds of context take the same array passes, model context being
-    request None's.
+    request None's.  Transfers come out as columns (`_Moves`), no record
+    built.
 
     Model pieces come first, under a sender load and a send budget (the
     busiest receiver's model bytes) built from model pieces alone, so the KV
     cache in `old_layout` never changes which holder sends a model piece.
-    They are emitted one `Transfer` per layer, and released per layer.
+    They are emitted one transfer per layer, and released per layer.
     `base`, a derivation of the same mapping over the same model holdings (a
     commit's cache-free one), supplies the model transfers, the layer
     releases and what depends only on the mapping and the GPUs in place of
@@ -595,7 +755,7 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     a budget of the busiest receiver's model plus cache bytes.  Each is
     covered once per layer run, a run of layers over which the receiver's
     own copy and the request's holders stay the same, and emitted as one
-    `Transfer` per sender with the run's first layer, its layer count and the
+    transfer per sender with the run's first layer, its layer count and the
     bytes of all its layers.  Cache releases go to the cache round.
     """
     if mapping.config is None:
@@ -603,55 +763,52 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     den = math.lcm(mapping.config.tensor_shards, *(inv.den for inv in old_layout.values()))
     k = den // mapping.config.tensor_shards
     common = _Common(mapping, old_layout, model) if base is None else base.common
-    gpus, rank, inst_of = common.gpus, common.rank, common.inst_of
-    names = list(rank)
+    gpus, inst_of, names, owner = common.gpus, common.inst_of, common.names, common.owner
     invs = [old_layout[gpu] for gpu in gpus]
-    new = tuple.__new__  # a Transfer from all its fields, skipping the keyword defaults
 
     if base is None:
         weight, keys = model.bytes_per_layer, {None: 0}
         cache = {d: [(None, 1)] for d in range(1, mapping.config.data_parallel + 1)}  # the model
         held, need = _grid_rows(invs, den, keys), position_rows(common.slots, k, cache, keys)
-        units, terms = _pieces(held, need, gpus, weight, den)
-        frac = _Grid(den)
-        model_transfers: dict[int, list[Transfer]] = {}
+        units, terms = _pieces(held, need, owner, weight, den)
         # bytes each sender is scheduled to send
-        sender_load = dict.fromkeys([*rank, STORAGE[0]], 0.0)
+        sender_load = dict.fromkeys(names, 0.0)
         # the budget only bounds departing senders
         send_budget = max(_incoming(terms, inst_of, weight, den).values(),
                           default=0.0) if departing else 0.0
-        for to, _, first, end, block, pieces in units:
-            covers = _cover_from_holders(pieces, block, to, end - first, den, sender_load, rank,
-                                         departing, send_budget, True)
-            for layer, covered in enumerate(covers, first):
-                out = model_transfers.setdefault(layer, [])
-                for src, c_lo, c_hi, size in covered:
-                    out.append(new(Transfer, ("model", layer, frac[c_lo], frac[c_hi], src, to,
-                                              size, None, 0, 1)))
+        out: list = []
+        counts = []
+        for _, inst, _, first, end, block, pieces in units:
+            before = len(out)
+            _cover_from_holders(out, pieces, block, inst, first, end - first, den, sender_load,
+                                owner, departing, send_budget, True)
+            counts.append((len(out) - before) // _PUT)
+        moves = _Moves.covered(out, [(u[0],) for u in units], counts, gpus, den, None)
+        order = moves.cols[:, _LAYER].argsort(kind="stable")
+        common.model = _Moves(moves.cols[order], moves.size[order], gpus, den, None)
+        common.layers = list(dict.fromkeys(out[_LAYER::_PUT]))  # in the order covering met them
         layer, inst, value = _released(held, need, inst_of, weight, den)
         # layers in the order the release loop meets them first
-        layer_releases: dict[int, dict[str, float]] = {
-            at: {} for at in dict.fromkeys(layer.tolist())}
-        for key, total in zip(*(a.tolist() for a in _sums(layer * len(names) + inst, value))):
-            layer_releases[key // len(names)][names[key % len(names)]] = total
-    else:
-        model_transfers, _, layer_releases, _ = base
+        common.layer_releases = {at: {} for at in dict.fromkeys(layer.tolist())}
+        n = len(names)
+        for key, total in zip(*(a.tolist() for a in _sums(layer * n + inst, value))):
+            common.layer_releases[key // n][names[key % n]] = total
 
     # the held requests first, then the inherited ones the need rows add
     keys = {rid: code for code, rid in enumerate(dict.fromkeys(
         rid for inv in invs for rid in inv.rects if rid is not None))}
     need = position_rows(common.slots, k, inherited_by_pipeline or {}, keys)
-    if not keys:
-        return Derivation((model_transfers, [], layer_releases, {}), common)
     rids = list(keys)
+    if not keys:
+        return Derivation(common, _Moves(_NO_COLS, _NO_SIZES, gpus, den, rids), {})
     weight = model.kv_bytes_per_token_per_layer
     held = _grid_rows(invs, den, keys)
-    units, terms = _pieces(held, need, gpus, weight, den)
-    cache_transfers: list[Transfer] = []
+    units, terms = _pieces(held, need, owner, weight, den)
+    out, tags, counts = [], [], []
     if units:
         # summed from the model transfers, so the same whether they were
         # derived here or come from `base`
-        sent, delivered = common.model_loads(model_transfers)
+        sent, delivered = common.model_loads()
         sender_load = dict(sent)
         send_budget = 0.0
         if departing:
@@ -659,29 +816,21 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
                         for i, total in _incoming(terms, inst_of, weight, den).items()}
             send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
                               for inst in {*delivered, *cache_in})
-        frac = _Grid(den)
-        for to, code, first, end, block, pieces in units:
+        for g, inst, code, first, end, block, pieces in units:
             n = end - first
             for lo, hi, unit, tokens in pieces:
-                [covered] = _cover_from_holders([(lo, hi, unit * n, tokens)], block, to, 1, den,
-                                                sender_load, rank, departing, send_budget, False)
-                for src, c_lo, c_hi, size in covered:
-                    cache_transfers.append(new(Transfer, ("cache", first, frac[c_lo], frac[c_hi],
-                                                          src, to, size, rids[code], tokens, n)))
+                before = len(out)
+                _cover_from_holders(out, [(lo, hi, unit * n, tokens)], block, inst, first, 1, den,
+                                    sender_load, owner, departing, send_budget, False)
+                tags.append((g, code, tokens, n))
+                counts.append((len(out) - before) // _PUT)
     _, inst, value = _released(held, need, inst_of, weight, den)
     cache_releases = {names[i]: total for i, total in zip(*(a.tolist() for a in _sums(inst, value)))}
-    return Derivation((model_transfers, cache_transfers, layer_releases, cache_releases), common)
+    return Derivation(common, _Moves.covered(out, tags, counts, gpus, den, rids), cache_releases)
 
 
 # ---------------------------------------------------------------------------
 # Plan assembly
-
-def _added(total: float, sizes: list[float]) -> float:
-    """`total` plus each size in turn: the float sum a per-transfer replay makes."""
-    for b in sizes:
-        total += b
-    return total
-
 
 def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
                    transfers: Derivation, u_max: float | None = None) -> MigrationPlan:
@@ -695,72 +844,85 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
     (stages needing nothing start up front).  Nothing here re-derives: the
     same derivation assembled under another cap moves the same transfers.
 
-    One pass over the transfers builds every round once: its action, each
-    receiving instance's bytes in transfer order, and the stages it delivers
-    to.  Both orders are replayed from those byte runs, adding each
-    instance's bytes in the order a per-transfer replay of the plan's actions
-    adds them (`tests/plan_checks.py` keeps that replay), so the plan's
-    `peak_usage` is what it gives, bit for bit; the markers come from the
-    rounds' stage sets.
+    The rounds come from the derivation's array passes (`_Common.rounds`):
+    each action keeps its slice of the columns and its port sums, and no
+    record is read.  Both orders are replayed from the columns' receivers
+    and bytes, adding each instance's bytes in the order a per-transfer
+    replay of the plan's actions adds them (`tests/plan_checks.py` keeps
+    that replay), so the plan's `peak_usage` is what it gives, bit for bit;
+    each stage's marker follows the last round of the winning order that
+    delivers to one of its GPUs.
     """
-    model_transfers, cache_transfers, layer_releases, cache_releases = transfers
-    stage_of = {gpu: pos.stage for gpu, pos in mapping.assignment.items()}
+    common = transfers.common
+    layer_rounds = common.layer_rounds()
+    cache, n_layers = transfers.cache, model.num_layers
 
-    def assembled(kind: str, moved, released: dict[str, float], layer: int | None = None):
-        """A round: its action, its receivers' byte runs, and its stages."""
-        received: dict[str, list[float]] = {}
-        to = set()
-        for t in moved:
-            received.setdefault(t.dst[0], []).append(t.bytes)
-            to.add(t.dst)
-        action = MigrationAction(kind=kind, transfers=tuple(moved),
-                                 releases=tuple(sorted(released.items())), layer=layer)
-        return action, sorted(received.items()), {stage_of[gpu] for gpu in to}
-
-    cache_round = ([assembled("migrate_cache", cache_transfers, cache_releases)]
-                   if cache_transfers or cache_releases else [])
+    rounds: dict[int, MigrationAction] = {}  # by layer; the cache round is round n_layers
+    if len(cache) or transfers.cache_releases:
+        rounds[n_layers] = MigrationAction._assembled(
+            "migrate_cache", cache, transfers.cache_round(),
+            tuple(sorted(transfers.cache_releases.items())))
     traffic: dict[int, LayerTraffic] = {}
-    rounds = {}
-    for layer in range(model.num_layers):
-        moved, released = model_transfers.get(layer, ()), layer_releases.get(layer, {})
-        incoming: dict[str, float] = {}
-        if moved or released:
-            rounds[layer] = assembled("migrate_layer", moved, released, layer)
-            incoming = {inst: _added(0.0, sizes) for inst, sizes in rounds[layer][1]}
-        traffic[layer] = LayerTraffic(incoming, released)
+    for layer in range(n_layers):
+        found = layer_rounds.get(layer, _NOTHING)
+        released = common.layer_releases.get(layer, {})
+        if found is not _NOTHING or released:
+            rounds[layer] = MigrationAction._assembled(
+                "migrate_layer", common.model, found, tuple(sorted(released.items())), layer)
+        traffic[layer] = LayerTraffic(found.incoming, released)
     order = memopt_layer_order(traffic, u_max)
 
-    def replayed(layer_order: list[int]) -> tuple[list, dict[str, float]]:
-        chosen = cache_round + [rounds[layer] for layer in layer_order if layer in rounds]
-        usage = dict.fromkeys([gpu[0] for gpu in old_layout], 0.0)
-        peaks = dict(usage)
-        for action, received, _ in chosen:
-            for inst, sizes in received:
-                usage[inst] = _added(usage.get(inst, 0.0), sizes)
-                peaks[inst] = max(peaks.get(inst, 0.0), usage[inst])
-            for inst, b in action.releases:
-                usage[inst] = usage.get(inst, 0.0) - b
-        return chosen, peaks
+    # each transfer's round, receiving GPU, receiving instance code and bytes,
+    # the cache round's after the layers'
+    receiver = np.concatenate((common.model.cols[:, _DST], cache.cols[:, _DST]))
+    moved_in = np.concatenate((common.model.cols[:, _LAYER], np.full(len(cache), n_layers)))
+    to = common.inst_of[receiver].tolist()
+    sizes = np.concatenate((common.model.size, cache.size)).tolist()
+    span = {layer: found.span for layer, found in layer_rounds.items()}
+    span[n_layers] = len(common.model), len(to)
+    code = {inst: i for i, inst in enumerate(common.names)}
+    freed = {r: [(code[inst], b) for inst, b in action.releases] for r, action in rounds.items()}
 
-    chosen, peaks = replayed(order)
+    def replayed(layer_order: list[int]) -> tuple[list[int], list[float]]:
+        """The rounds, the cache round first, then the layers in
+        `layer_order`; and each instance's peak usage, by code: its bytes
+        received, added one at a time in round and transfer order, less
+        its releases, taken after each round's receives."""
+        chosen = [r for r in (n_layers, *layer_order) if r in rounds]
+        usage = [0.0] * len(code)
+        peak = list(usage)
+        for r in chosen:
+            a, z = span.get(r, (0, 0))
+            for i, b in zip(to[a:z], sizes[a:z]):
+                usage[i] += b
+            for i in set(to[a:z]):
+                if usage[i] > peak[i]:
+                    peak[i] = usage[i]
+            for i, b in freed[r]:
+                usage[i] -= b
+        return chosen, peak
+
+    chosen, peak = replayed(order)
     if order != sorted(traffic):
         # the one index-order fallback: the greedy steps see neither the cache
         # round nor the whole order's peak; never ship an order replaying higher
         naive = replayed(sorted(traffic))
-        if max(naive[1].values(), default=0.0) < max(peaks.values(), default=0.0):
-            chosen, peaks = naive
+        if max(naive[1]) < max(peak):
+            chosen, peak = naive
+    peaks = {inst: peak[code[inst]] for inst in dict.fromkeys(gpu[0] for gpu in old_layout)}
 
-    # a stage may serve once every round delivering context to its GPUs is done
-    last_round = dict.fromkeys(range(1, mapping.config.pipeline_stages + 1), -1)
-    for idx, (_, _, stages) in enumerate(chosen):
-        for p in stages:
-            last_round[p] = idx
+    # a stage may serve once every round delivering context to its GPUs is
+    # done: each stage's last delivering round, -1 for none
+    at = np.full(n_layers + 1, -1)
+    at[chosen] = np.arange(len(chosen))
+    last_round = np.full(mapping.config.pipeline_stages + 1, -1)
+    np.maximum.at(last_round, common.stage[receiver], at[moved_in])
     starts: dict[int, list[MigrationAction]] = {}
-    for p, idx in last_round.items():
+    for p, idx in enumerate(last_round[1:].tolist(), 1):
         starts.setdefault(idx, []).append(MigrationAction(kind="start_stage", stage=p))
     actions = starts.get(-1, [])
-    for idx, (action, _, _) in enumerate(chosen):
-        actions.append(action)
+    for idx, r in enumerate(chosen):
+        actions.append(rounds[r])
         actions.extend(starts.get(idx, ()))
     return MigrationPlan(actions=actions, u_max=u_max, peak_usage=peaks)
 

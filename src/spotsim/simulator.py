@@ -671,8 +671,7 @@ class AdaptivePolicy:
         such pipeline's last arranged batch stops, and the requests whose
         cache migrates, by pipeline; the others are requeued."""
         deadline = decision.grace_deadline
-        participants = {inst for transfers in base[0].values() for t in transfers
-                        for inst in (t.src[0], t.dst[0])}
+        participants = base.participants()
         affected = {pos.pipeline for pos, gpu in engine.assignment.items()
                     if gpu[0] in participants and pos.pipeline not in engine.lost}
         t_mig_est = 0.0

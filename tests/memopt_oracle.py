@@ -15,7 +15,8 @@ from spotsim.migration import LayerTraffic
 
 
 def layer_traffic(derived, num_layers: int) -> dict[int, LayerTraffic]:
-    """Every layer's traffic in a `derive_transfers` result."""
+    """Every layer's traffic in the records of a `derive_transfers` result
+    (`Derivation.records()`)."""
     model_transfers, _, layer_releases, _ = derived
     traffic = {}
     for layer in range(num_layers):

@@ -54,7 +54,7 @@ ENGINE_RUN, FINALIZE, PLAN = Engine.run, Engine.finalize, AdaptivePolicy._plan
 
 
 def model_rounds(derived) -> dict:
-    return {layer: tuple(ts) for layer, ts in derived[0].items() if ts}
+    return {layer: tuple(ts) for layer, ts in derived.records()[0].items() if ts}
 
 
 def check_model_reuse(policy, engine, mapping, layout, inherited, plan):
@@ -66,7 +66,8 @@ def check_model_reuse(policy, engine, mapping, layout, inherited, plan):
     whole = derive_transfers(mapping, layout, engine.model, inherited, departing=departing)
     built = {a.layer: a.transfers for a in plan.actions if a.kind == "migrate_layer" and a.transfers}
     assert built == model_rounds(cache_free) == model_rounds(whole)
-    assert [t for a in plan.actions if a.kind == "migrate_cache" for t in a.transfers] == whole[1]
+    assert [t for a in plan.actions if a.kind == "migrate_cache"
+            for t in a.transfers] == whole.records()[1]
 
 
 def check_engine(engine: Engine, events: list[dict], arrivals: list[float],

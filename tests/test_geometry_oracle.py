@@ -8,7 +8,9 @@ layer, overlaps, holes, mixed denominators), every byte count must be the
 same float and every transfer list the same list, in the same order.  That
 holds both for one derivation of the whole layout and for the two steps the
 engine takes: a cache-free derivation, then cache derivations given it as
-`base`.
+`base`.  A derivation keeps its transfers as grid-integer columns, and what
+the engine reads is summed from them; each such sum must be the float the
+loop over the expanded records gives.
 
 The mapper's weight matrix, built from rectangle arrays, must hold in every
 cell the float `overlap_bytes` gives for that GPU and position, and
@@ -23,7 +25,9 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 import mapping_oracle
+from plan_checks import simulate_buffer_usage
 from spotsim.domain import (
+    STORAGE,
     ContextInventory,
     ModelSpec,
     ParallelConfig,
@@ -42,7 +46,7 @@ from spotsim.mapping import (
     position_rows,
     slot_table,
 )
-from spotsim.migration import MigrationError, derive_transfers
+from spotsim.migration import MigrationAction, MigrationError, derive_transfers, plan_migration
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -207,6 +211,12 @@ def migrations(draw):
     return mapping, layout, model, inherited, departing
 
 
+def records(*case):
+    """`derive_transfers` as records (`Derivation.records()`), as the oracle
+    gives them."""
+    return derive_transfers(*case).records()
+
+
 def outcome(derive, case):
     try:
         models_, caches_, layer_rel, cache_rel = derive(*case)
@@ -220,7 +230,7 @@ def outcome(derive, case):
 @given(migrations())
 @SETTINGS
 def test_derive_transfers_matches_oracle(case):
-    got, want = outcome(derive_transfers, case), outcome(oracle.derive_transfers, case)
+    got, want = outcome(records, case), outcome(oracle.derive_transfers, case)
     assert repr(got) == repr(want)
 
 
@@ -241,16 +251,101 @@ def test_two_step_derivation_matches_one_step_and_oracle(case, data):
     cache_free = derive_transfers(mapping, model_only(layout), model, departing=departing)
 
     def two_step(mapping, layout, model, inherited, departing):
-        return derive_transfers(mapping, layout, model, inherited, departing, base=cache_free)
+        return derive_transfers(mapping, layout, model, inherited, departing,
+                                base=cache_free).records()
 
     want = outcome(oracle.derive_transfers, case)
-    assert repr(outcome(two_step, case)) == repr(outcome(derive_transfers, case)) == repr(want)
+    assert repr(outcome(two_step, case)) == repr(outcome(records, case)) == repr(want)
     # a second cache derivation from the same base, as a commit's plan
     # follows its grace estimate, with fewer inherited entries
     fewer = {d: data.draw(st.lists(st.sampled_from(entries), unique=True)) if entries else []
              for d, entries in (inherited or {}).items()}
     again = (mapping, layout, model, fewer, departing)
     assert repr(outcome(two_step, again)) == repr(outcome(oracle.derive_transfers, again))
+
+
+def port_bytes(transfers) -> tuple[dict[str, float], dict[str, float]]:
+    """The bytes each instance sends and receives over `transfers` to and
+    from other instances, added record by record."""
+    sent: dict[str, float] = {}
+    received: dict[str, float] = {}
+    for t in transfers:
+        if t.src[0] != t.dst[0]:
+            sent[t.src[0]] = sent.get(t.src[0], 0.0) + t.bytes
+            received[t.dst[0]] = received.get(t.dst[0], 0.0) + t.bytes
+    return sent, received
+
+
+def same(got, want) -> bool:
+    """Equal (instance, bytes) items, bit for bit, in any order."""
+    return repr(sorted(dict(got).items())) == repr(sorted(dict(want).items()))
+
+
+@given(migrations())
+@SETTINGS
+def test_columns_give_what_the_record_loops_gave(case):
+    """Every sum the engine reads from a derivation's columns is, bit for
+    bit, what the loop over its expanded records it replaces gives: each
+    round's port sums and incoming bytes, the model loads (layer by layer,
+    then record by record), `port_loads` (round by round: the layers in the
+    order covering met them, then the cache round) and the participants.
+    The records equal the oracle's, and a plan's rounds, rebuilt from their
+    records by hand, are summed alike."""
+    mapping, layout, model, inherited, departing = case
+    cache_free = derive_transfers(mapping, model_only(layout), model, departing=departing)
+    try:
+        derived = derive_transfers(mapping, layout, model, inherited, departing, base=cache_free)
+    except MigrationError:
+        return
+    records = derived.records()
+    assert repr(outcome(lambda *_: records, case)) == repr(outcome(oracle.derive_transfers, case))
+    model_transfers, cache_transfers, _, _ = records
+    common = derived.common
+
+    rounds = {**common.layer_rounds(), "cache": derived.cache_round()}
+    moved = {**model_transfers, "cache": cache_transfers}
+    for key, found in rounds.items():
+        sent, received = port_bytes(moved.get(key, ()))
+        incoming: dict[str, float] = {}
+        for t in moved.get(key, ()):
+            incoming[t.dst[0]] = incoming.get(t.dst[0], 0.0) + t.bytes
+        assert same(found.sent, sent) and same(found.received, received)
+        assert same(found.incoming, incoming)
+
+    sent = dict.fromkeys([*common.rank, STORAGE[0]], 0.0)
+    delivered: dict[str, float] = {}
+    for layer in sorted(model_transfers):
+        for t in model_transfers[layer]:
+            if t.src[0] != t.dst[0]:
+                sent[t.src[0]] += t.bytes
+            delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
+    got_sent, got_delivered = common.model_loads()
+    assert same(got_sent, sent) and same(got_delivered, delivered)
+
+    sent, received, count = {}, {}, 0
+    for transfers in (*model_transfers.values(), cache_transfers):
+        out, into = port_bytes(transfers)
+        count += bool(out)
+        for inst, b in out.items():
+            sent[inst] = sent.get(inst, 0.0) + b
+        for inst, b in into.items():
+            received[inst] = received.get(inst, 0.0) + b
+    got_sent, got_received, got_count = derived.port_loads()
+    assert same(got_sent, sent) and same(got_received, received) and got_count == count
+
+    assert cache_free.participants() == derived.participants() == {
+        inst for transfers in model_transfers.values() for t in transfers
+        for inst in (t.src[0], t.dst[0])}
+
+    plan = plan_migration(mapping, layout, model, derived)
+    assert plan.peak_usage == simulate_buffer_usage(plan, layout)
+    for action in plan.actions:
+        sent, received = port_bytes(action.transfers)
+        by_hand = MigrationAction(action.kind, action.transfers, action.releases, action.layer,
+                                  action.stage)
+        assert by_hand == action
+        for built in (action, by_hand):
+            assert same(built.sent, sent) and same(built.received, received)
 
 
 @st.composite

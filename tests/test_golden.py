@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from spotsim import migration
 from spotsim.cli import ABLATION_VARIANTS
 from spotsim.data import bundled_path
 from spotsim.metrics import write_request_csv, write_summary_json
@@ -40,26 +41,38 @@ GOLDEN_ABLATION = {
 }
 
 
-@pytest.mark.parametrize("policy", sorted(GOLDEN))
-def test_bundled_reports_match_golden_digest(policy, tmp_path):
-    cfg = load_simconfig(bundled_path("scenario_bs.json"))
-    report = run(replace(cfg, policy=policy))
+def report_digest(report, tmp_path) -> str:
     csv_path, json_path = tmp_path / "requests.csv", tmp_path / "summary.json"
     write_request_csv(report, csv_path)
     write_summary_json(report, json_path)
-    digest = hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
-    assert digest == GOLDEN[policy]
+    return hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN))
+def test_bundled_reports_match_golden_digest(policy, tmp_path):
+    cfg = load_simconfig(bundled_path("scenario_bs.json"))
+    assert report_digest(run(replace(cfg, policy=policy)), tmp_path) == GOLDEN[policy]
 
 
 @pytest.mark.parametrize("variant", list(GOLDEN_ABLATION))
 def test_bundled_ablation_reports_match_golden_digest(variant, tmp_path):
     cfg = load_simconfig(bundled_path("scenario_bs.json"))
     report = run(replace(cfg, disable=dict(ABLATION_VARIANTS)[variant]))
-    csv_path, json_path = tmp_path / "requests.csv", tmp_path / "summary.json"
-    write_request_csv(report, csv_path)
-    write_summary_json(report, json_path)
-    digest = hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_ABLATION[variant]
+    assert report_digest(report, tmp_path) == GOLDEN_ABLATION[variant]
+
+
+@pytest.mark.parametrize("variant", ["spotserve", *GOLDEN_ABLATION])
+def test_engine_path_builds_no_transfer_record(variant, tmp_path, monkeypatch):
+    """`Transfer` records are output only: with their one builder patched to
+    raise, the bundled spotserve run and each of its ablations still ends
+    with its golden report."""
+    def refused(*args):
+        raise AssertionError("a Transfer record was built on the engine path")
+    monkeypatch.setattr(migration, "_expand", refused)
+    cfg = load_simconfig(bundled_path("scenario_bs.json"))
+    disabled = dict(ABLATION_VARIANTS).get(variant, ())
+    want = GOLDEN_ABLATION[variant] if disabled else GOLDEN["spotserve"]
+    assert report_digest(run(replace(cfg, disable=disabled)), tmp_path) == want
 
 
 # Migration plans the bundled spotserve run builds, as `tools/plan_digests.py`

@@ -156,8 +156,17 @@ class TestMemoptLayerOrder:
         model = ModelSpec(name="m6", num_layers=n_layers, bytes_per_layer=100,
                           kv_bytes_per_token_per_layer=1)
         layout = {gpu: ContextInventory.empty() for gpu in mapping.assignment}
-        derived = migration.Derivation((moved, [], {layer: t.freed for layer, t in traffic.items()},
-                                        {}), migration._Common(mapping, layout, model))
+        # a derivation of those transfers, as the columns (layer, src, lo,
+        # hi, dst) on grid 1 and bytes that covering would have written
+        common = migration._Common(mapping, layout, model)
+        rows = [(t.layer, -1, 0, 1, common.gpus.index(t.dst)) for ts in moved.values() for t in ts]
+        common.model = migration._Moves(np.array(rows, dtype=np.int64), np.array(
+            [t.bytes for ts in moved.values() for t in ts]), common.gpus, 1, None)
+        common.layers = list(moved)
+        common.layer_releases = {layer: t.freed for layer, t in traffic.items()}
+        derived = migration.Derivation(common, migration._Moves(
+            np.empty((0, 8), dtype=np.int64), np.empty(0), common.gpus, 1, []), {})
+        assert derived.records()[0] == moved
         plan = plan_migration(mapping, layout, model, derived, u_max)
         shipped = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert max(plan.peak_usage.values()) == peak_of(shipped) <= peak_of(index_order)
@@ -274,7 +283,7 @@ class TestPlanMigration:
             kept = tuple(s for s in model_shards(inv) if s[0] != 0)
             layout[ref] = inventory(model_shards=kept)
         mapping = map_devices(layout, cfg, MODEL, 1)
-        model_transfers, cache_transfers, _, _ = derive_transfers(mapping, layout, MODEL)
+        model_transfers, cache_transfers, _, _ = derive_transfers(mapping, layout, MODEL).records()
         assert not cache_transfers and list(model_transfers) == [0]
         assert sorted((t.src, t.dst, t.lo, t.hi) for t in model_transfers[0]) == [
             (STORAGE, ("i-0", 0), Fraction(0), Fraction(1, 2)),
@@ -306,7 +315,7 @@ class TestPlanMigration:
         mapping = DeviceMapping(assignment={("i-2", 0): TopologyPosition(1, 1, 1),
                                             ("i-3", 0): TopologyPosition(1, 2, 1)},
                                 total_weight=0.0, config=new)
-        model_transfers, _, _, _ = derive_transfers(mapping, layout, MODEL)
+        model_transfers, _, _, _ = derive_transfers(mapping, layout, MODEL).records()
         assert [(t.src, t.lo, t.hi) for t in model_transfers[0]] == [
             (STORAGE, Fraction(0), Fraction(1, 2)), (("i-1", 0), Fraction(1, 2), Fraction(1))]
         assert all(t.src != STORAGE for layer in range(1, 8) for t in model_transfers[layer])

@@ -94,7 +94,7 @@ def test_192_gpu_reshape_derived_in_two_steps_is_the_same_plan():
                   for gpu, inv in layout.items()}
     base = derive_transfers(mapping, cache_free, model, departing=departing)
     two_step = derive_transfers(mapping, layout, model, inherited, departing=departing, base=base)
-    assert repr(tuple(two_step)) == repr(tuple(derived))
+    assert repr(two_step.records()) == repr(derived.records())
     again = plan_migration(mapping, layout, model, two_step, u_max=4e9)
     check_delivers_once(again, mapping, layout, model, inherited)
     check_assembly(again, mapping, layout)
@@ -106,6 +106,7 @@ def test_192_gpu_reshape_is_assembled_in_the_reference_layer_order():
     keeps its order over the index order."""
     model, _, mapping, layout, _, derived, plan = reshaped_fleet()
     check_assembly(plan, mapping, layout)
-    reference = reference_layer_order(layer_traffic(derived, model.num_layers), plan.u_max)
+    reference = reference_layer_order(layer_traffic(derived.records(), model.num_layers),
+                                      plan.u_max)
     assert reference != sorted(reference)
     assert [a.layer for a in plan.actions if a.kind == "migrate_layer"] == reference

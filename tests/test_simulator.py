@@ -522,7 +522,8 @@ def recorded_estimates(monkeypatch) -> list[tuple[float, float, bool]]:
         policy, engine, mapping, (snapshot, derivation) = last
         u_max = engine.cfg.u_max if policy._use("planner") else None
         plan = plan_migration(mapping, snapshot, engine.model, derivation, u_max)
-        records.append((bound(*args), migration_cost(plan, engine.profile), bool(derivation[1])))
+        records.append((bound(*args), migration_cost(plan, engine.profile),
+                        bool(derivation.records()[1])))
         return records[-1][0]
     monkeypatch.setattr(AdaptivePolicy, "_derive", derived)
     monkeypatch.setattr(sim, "migration_bound", estimate)
@@ -728,7 +729,7 @@ def test_engine_mapper_and_planner_share_one_instance_order(first, tmp_path):
     mapping = positional_mapping([("i-2", 0)], target)
     full = required_context(target, next(iter(mapping.assignment.values())), profile.model)
     layout = {(first, 0): full, (second, 0): full, ("i-2", 0): ContextInventory.empty()}
-    model_transfers = derive_transfers(mapping, layout, profile.model)[0]
+    model_transfers = derive_transfers(mapping, layout, profile.model).records()[0]
     assert model_transfers[0][0].src == ("i-01", 0)
 
 
