@@ -9,6 +9,7 @@ matching used when instances carry several GPUs.
 """
 
 from spotsim import (
+    Layout,
     ModelSpec,
     ParallelConfig,
     RequestRecord,
@@ -33,7 +34,7 @@ for k, pos in enumerate(positions(old)):
     cache = [(request.id, request.s_in + request.tokens_generated)] if pos.pipeline == 1 else []
     layout[(f"u{k}", 0)] = required_context(old, pos, model, cache)
 
-graph = build_graph(layout, new, model,
+graph = build_graph(Layout.of(layout), new, model,
                     inheritance=default_inheritance(2, 2),
                     requests_by_old_pipeline={1: [request]})
 
@@ -60,7 +61,7 @@ fused_old = ParallelConfig(1, 2, 2, 1)
 # instance node{k} holds stage k+1, one tensor shard per GPU
 multi = {(f"node{pos.stage - 1}", pos.shard - 1): required_context(fused_old, pos, model)
          for pos in positions(fused_old)}
-fused = map_devices(multi, fused_old, model, gpus_per_instance=2)
+fused = map_devices(Layout.of(multi), fused_old, model, gpus_per_instance=2)
 print("Each instance is fused with its tensor group; stages stay instance-local:")
 for (iid, g), pos in sorted(fused.assignment.items()):
     print(f"  {iid}/gpu{g} -> stage {pos.stage}, shard {pos.shard}")

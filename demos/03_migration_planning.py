@@ -12,6 +12,7 @@ import json
 
 from spotsim import (
     ModelSpec,
+    Layout,
     ParallelConfig,
     bundled_path,
     derive_transfers,
@@ -30,8 +31,8 @@ old = ParallelConfig(1, 2, 8, 1)
 new = ParallelConfig(1, 3, 4, 1)
 cache = {1: [("r-1", 640)]}  # pipeline 1 serves one request of 640 tokens
 
-layout = {(f"g{k}", 0): required_context(old, pos, model, cache[1])
-          for k, pos in enumerate(positions(old))}
+layout = Layout.of({(f"g{k}", 0): required_context(old, pos, model, cache[1])
+                    for k, pos in enumerate(positions(old))})
 
 mapping = map_devices(layout, new, model, gpus_per_instance=1)
 # what moves depends only on the mapping and the layout; the buffer cap only

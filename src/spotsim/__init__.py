@@ -41,6 +41,7 @@ from .data import bundled_path
 from .domain import (
     ContextInventory,
     InstanceState,
+    Layout,
     ModelSpec,
     ParallelConfig,
     RequestRecord,

@@ -6,16 +6,19 @@ Every GPU therefore owns a (pipeline, stage, shard) position whose resident
 model slice is a contiguous layer block crossed with a tensor-shard fraction
 interval.  Byte-level bookkeeping of those slices (plus per-request KV-cache
 slices) is what the device mapper and migration planner trade in.
-`required_context` builds a position's slices as an inventory, the form the
-engine installs and snapshots; the mapper and the planner score and move
-the same slices as integer rows from one builder, `mapping.position_rows`.
-A `Layout` maps each GPU to its `ContextInventory`; it is the one form of
-GPU context the mapper, the planner and the simulator's holdings store
-share, and a GPU absent from the store holds nothing.
+A `Layout` is what the live GPUs hold, as one table of integer rows
+`(gpu, request code, first, end, lo, hi, tokens)` on one grid: the one form
+of GPU context the mapper, the planner and the simulator's installed
+context share; a GPU with no rows holds nothing.  The engine builds its
+tables from positions with `mapping.position_rows`, the builder the mapper
+and the planner lay needs out with.  `required_context` gives one
+position's slices as a `ContextInventory`, and `Layout.of` is the one
+conversion of inventories into a table.
 
-Context geometry is integer: a `ContextInventory` holds rectangles on a grid
-of 1/den, each a half-open layer block [first, end) crossed with a half-open
-parameter interval [lo/den, hi/den), carrying a token count, by request.
+Context geometry is integer: an inventory or a table holds rectangles on a
+grid of 1/den, each a half-open layer block [first, end) crossed with a
+half-open parameter interval [lo/den, hi/den), carrying a token count, by
+request.
 Model context is the KV cache of request None holding one token, weighted by
 `ModelSpec.unit_bytes`, so code that needs no other distinction walks both
 kinds in one loop.
@@ -29,11 +32,14 @@ both inventories hold, independent of the number of layers.
 All types here are plain values; nothing mutates shared state.
 """
 
+import functools
 import math
 import numbers
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 # A GPU is addressed as (instance id, local gpu index).
 GpuRef = tuple[str, int]
@@ -49,11 +55,18 @@ class DomainError(ValueError):
     """Raised for values that violate a domain invariant."""
 
 
+@functools.cache
 def natural_key(instance_id: str):
     """Sort key that orders i-2 before i-10: the pair (parts, id), with digit
-    runs compared as numbers and the id ordering ids that read the same."""
+    runs compared as numbers and the id ordering ids that read the same.
+    Cached, since a run sorts its few instance ids again and again."""
     parts = re.split(r"(\d+)", instance_id)
     return tuple(int(p) if p.isdigit() else p for p in parts), instance_id
+
+
+def gpu_order(gpus) -> list[GpuRef]:
+    """GPUs by instance id in `natural_key` order, then by index."""
+    return sorted(gpus, key=lambda gpu: (natural_key(gpu[0]), gpu[1]))
 
 
 def is_count(value, low: int) -> bool:
@@ -230,8 +243,63 @@ class ContextInventory:
         return f"ContextInventory(den={self.den}, rects={self.rects!r})"
 
 
-# What each GPU holds; a GPU absent from a layout holds nothing.
-Layout = dict[GpuRef, ContextInventory]
+_NO_ROWS = np.empty((0, 7), dtype=np.int64)
+
+
+class Layout:
+    """What the live GPUs hold, as one table of rows on a grid of 1/`den`.
+
+    `gpus` lists the GPUs in `gpu_order`.  `rows` is an int64 array of rows
+    `(gpu, request code, first, end, lo, hi, tokens)`: `gpu` indexes `gpus`,
+    and the rectangle is the layers [first, end) crossed with the parameter
+    fraction [lo/den, hi/den).  `rids` gives each code's request id, code 0
+    being the model's (request None, one token per row).  Rows come GPU by
+    GPU, each GPU's in the order its inventory lists them (the model's
+    first); a GPU with no rows holds nothing.  Codes only name requests: two
+    tables are equal when they hold the same GPUs, grid and rows with the
+    same request ids.  Nothing writes to a table after construction.
+    """
+
+    __slots__ = ("gpus", "den", "rows", "rids")
+
+    def __init__(self, gpus: list[GpuRef], den: int = 1, rows: np.ndarray = _NO_ROWS,
+                 rids: Sequence[str | None] = (None,)):
+        self.gpus, self.den, self.rows, self.rids = gpus, den, rows, rids
+
+    @classmethod
+    def of(cls, holdings: dict[GpuRef, ContextInventory]) -> "Layout":
+        """The table of each GPU's inventory, on the lcm grid of their grids,
+        request codes in order of first appearance."""
+        gpus = gpu_order(holdings)
+        den = math.lcm(*(inv.den for inv in holdings.values()))
+        keys: dict[str | None, int] = {None: 0}
+        rows: list[tuple] = []
+        for g, gpu in enumerate(gpus):
+            inv = holdings[gpu]
+            k = den // inv.den
+            for rid, of_request in inv.rects.items():
+                code = keys.setdefault(rid, len(keys))
+                rows += [(g, code, f, e, lo * k, hi * k, t) for f, e, lo, hi, t in of_request]
+        return cls(gpus, den, np.array(rows, dtype=np.int64).reshape(-1, 7), list(keys))
+
+    def rows_on(self, den: int) -> np.ndarray:
+        """A copy of the rows on the grid 1/`den`, a multiple of this table's
+        grid."""
+        rows = self.rows.copy()
+        rows[:, 4:6] *= den // self.den
+        return rows
+
+    def _named(self) -> list[tuple]:
+        """The rows with each code replaced by its request id."""
+        return [(g, self.rids[code], *rect) for g, code, *rect in self.rows.tolist()]
+
+    def __eq__(self, other):
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return (self.gpus, self.den, self._named()) == (other.gpus, other.den, other._named())
+
+    def __repr__(self):
+        return f"Layout(gpus={self.gpus!r}, den={self.den}, rows={self._named()!r})"
 
 
 @dataclass

@@ -2,13 +2,15 @@
 
 Edge weights are reusable bytes (model context overlap plus KV-cache overlap
 for requests the target pipeline inherits), so a maximum-weight assignment is
-exactly the one minimizing migration traffic.  The whole GPU x position
-matrix is built in one pass from int64 rows of the holdings' and the
-positions' rectangles on a common grid (`position_rows`, which the planner
-shares, lays out the positions'); each weight is the float `overlap_bytes`
-gives for that pair.  Model context is the KV cache of request None with one
-token, so model and cache meet in one join on the request.  Every instance
-size goes through the same two-step matching:
+exactly the one minimizing migration traffic.  The holdings come as a
+`Layout`, one table of int64 rectangle rows; the positions' needs are laid
+out as rows on the same grid by `position_rows`, which the planner and the
+engine share, and the layout's request codes are extended to the requests
+the positions inherit.  The whole GPU x position matrix is built in one pass
+from those rows; each weight is the float `overlap_bytes` gives for that
+pair.  Model context is the KV cache of request None with one token, so
+model and cache meet in one join on the request.  Every instance size goes
+through the same two-step matching:
 GPUs are fused per instance and positions per tensor-parallel group, an inner
 match fixes the per-GPU pairing inside each fused pair, and an outer match
 assigns fused groups.  Each distinct inner block is matched once and its
@@ -19,7 +21,6 @@ is the fused graph, so the outer match is the only one.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .domain import (
     RequestRecord,
     TopologyPosition,
     kv_cache,
-    natural_key,
     overlap_bytes,
     positions,
     required_context,
@@ -163,19 +163,13 @@ def default_inheritance(d_old: int, d_new: int) -> dict[int, int]:
     return {d: d for d in range(1, min(d_old, d_new) + 1)}
 
 
-def gpu_order(gpus) -> tuple[list[GpuRef], dict[str, int]]:
-    """GPUs by instance id in `natural_key` order, then by index; and the ranks."""
-    rank = {inst: k for k, inst in enumerate(sorted({gpu[0] for gpu in gpus}, key=natural_key))}
-    return sorted(gpus, key=lambda gpu: (rank[gpu[0]], gpu[1])), rank
-
-
-def positional_mapping(gpus: list[GpuRef], target: ParallelConfig) -> DeviceMapping | None:
-    """The GPUs, in instance-id then index order, fill the positions in order,
+def positional_mapping(layout: Layout, target: ParallelConfig) -> DeviceMapping | None:
+    """The layout's GPUs, in their order, fill the positions in order,
     reusing nothing; None when there are too few GPUs."""
     slots = positions(target)
-    if len(gpus) < len(slots):
+    if len(layout.gpus) < len(slots):
         return None
-    return DeviceMapping(assignment=dict(zip(gpu_order(gpus)[0], slots)), total_weight=0.0,
+    return DeviceMapping(assignment=dict(zip(layout.gpus, slots)), total_weight=0.0,
                          config=target)
 
 
@@ -187,27 +181,6 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its index inside it."""
     owner = np.arange(len(counts)).repeat(counts)
     return owner, np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts)
-
-
-def _grid_rows(inventories: list[ContextInventory], den: int, keys: dict[str | None, int]):
-    """The inventories' rectangles on grid 1/den as int64 rows (owner, key,
-    first, end, lo, hi, tokens), owner being the index in `inventories` and
-    key the code `keys` gives the request (model context is request None's,
-    with one token).  Requests not in `keys` are left out."""
-    rects, groups, sizes = [], [], []
-    for owner, inv in enumerate(inventories):
-        for rid, of_request in inv.rects.items():
-            key = keys.get(rid)
-            if key is not None:
-                rects += of_request
-                groups.append((owner, key, den // inv.den))
-                sizes.append(len(of_request))
-    tags = np.repeat(np.array(groups, dtype=np.int64).reshape(-1, 3), sizes, axis=0)
-    rows = np.empty((len(rects), 7), dtype=np.int64)
-    rows[:, :2] = tags[:, :2]
-    rows[:, 2:] = np.fromiter(chain.from_iterable(rects), np.int64, 5 * len(rects)).reshape(-1, 5)
-    rows[:, 4:6] *= tags[:, 2:]
-    return rows
 
 
 def slot_table(config: ParallelConfig, model: ModelSpec,
@@ -230,11 +203,11 @@ def slot_table(config: ParallelConfig, model: ModelSpec,
 
 def position_rows(slots: np.ndarray, k: int, cache: dict[int, list[tuple[str | None, int]]],
                   keys: dict[str | None, int]) -> np.ndarray:
-    """The rows `_grid_rows` gives for the `required_context` of a
-    `slot_table`'s positions on a grid `k` times finer than their shards:
+    """The `Layout` rows of the `required_context` of a `slot_table`'s
+    positions on a grid `k` times finer than their shards, owner for GPU:
     each position's pipeline's `cache` entries with positive tokens, by
     request in order of first appearance (the model slice is request None's,
-    one token), each new request added to `keys` with the next code."""
+    one token), each request not in `keys` added with the next code."""
     entries: list[tuple[int, int]] = []
     spans: dict[int, tuple[int, int]] = {}
     for d, of_pipeline in cache.items():
@@ -263,29 +236,30 @@ def _areas(a, b):
     return np.maximum(layers, 0) * np.maximum(width, 0)
 
 
-def _overlap_matrix(holdings: list[ContextInventory], need_rows: np.ndarray, n_need: int,
+def _overlap_matrix(held_rows: np.ndarray, n_held: int, need_rows: np.ndarray, n_need: int,
                     keys: dict[str | None, int], den: int,
                     model: ModelSpec) -> list[list[float]] | None:
-    """`overlap_bytes(holding, need, model)` for every holding and each of
-    the `n_need` needs whose rows on grid 1/den are `need_rows`, with the
-    request codes `keys` gives; None when a numerator may reach 2**52.
+    """`overlap_bytes(holding, need, model)` for each of the `n_held`
+    holdings and `n_need` needs whose rows on grid 1/den are `held_rows` and
+    `need_rows`, with the request codes `keys` gives; None when a numerator
+    may reach 2**52.
 
-    The holdings are laid out on the same grid, model context as the cache
-    of request None.  Rows meet when they belong to the same request; a
-    pair's numerator is its overlap area times the smaller token count times
-    the request's `unit_bytes`.  The integer numerators are summed per cell
-    and divided by the grid once, as `overlap_bytes` does.  A cell bound,
-    each holding row's area times tokens times unit bytes, times the most
-    rows one need has of one request, checks that every cell stays below
-    2**52 (with a factor 2 to spare for the bound's own float rounding)
-    before any int64 arithmetic.  Below 2**53 int64 sums are exact and
-    float64 holds every numerator and the grid (below 2**52 by the caller)
-    exactly, so the one true division rounds once.
+    Rows meet when they belong to the same request, so held rows of a
+    request no need has are left out first.  A pair's numerator is its
+    overlap area times the smaller token count times the request's
+    `unit_bytes`.  The integer numerators are summed per cell and divided by
+    the grid once, as `overlap_bytes` does.  A cell bound, each holding
+    row's area times tokens times unit bytes, times the most rows one need
+    has of one request, checks that every cell stays below 2**52 (with a
+    factor 2 to spare for the bound's own float rounding) before any int64
+    arithmetic.  Below 2**53 int64 sums are exact and float64 holds every
+    numerator and the grid (below 2**52 by the caller) exactly, so the one
+    true division rounds once.
     """
     weight = np.array([model.unit_bytes(rid) for rid in keys], dtype=np.int64)
-    held_rows = _grid_rows(holdings, den, keys)
+    per_key = np.bincount(need_rows[:, 1], minlength=len(keys))
+    held_rows = held_rows[per_key[held_rows[:, 1]] > 0]
 
-    n_held = len(holdings)
     most = np.bincount(need_rows[:, 0] * len(keys) + need_rows[:, 1]).max(initial=0)
     held_f = held_rows.astype(float)
     own = _areas(held_f[:, 2:6], held_f[:, 2:6]) * held_f[:, 6] * weight[held_rows[:, 1]]
@@ -296,7 +270,6 @@ def _overlap_matrix(holdings: list[ContextInventory], need_rows: np.ndarray, n_n
     # by request and pair held rows with their request's run of them, about
     # _PAIRS pairs at a time, so that the temporaries stay small
     need_rows = need_rows[np.argsort(need_rows[:, 1], kind="stable")]
-    per_key = np.bincount(need_rows[:, 1], minlength=len(keys))
     run_starts = np.cumsum(per_key) - per_key
     pairs_upto = np.cumsum(per_key[held_rows[:, 1]])
     units = np.zeros(n_held * n_need, dtype=np.int64)
@@ -323,10 +296,9 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
     inheritance maps old pipeline index -> new pipeline index (identity prefix
     by default); requests on inherited pipelines contribute cache overlap to
     the inheriting pipeline's positions.  Each weight is the float
-    `overlap_bytes` gives for the pair, computed for all pairs at once.
+    `overlap_bytes` gives for the pair, computed for all pairs at once; past
+    the exact range, each GPU's rows are scored as an inventory, pair by pair.
     """
-    gpus = gpu_order(layout)[0]
-
     inherited_by_new: KvCache = {}
     if inheritance and requests_by_old_pipeline:
         for d_old, entries in kv_cache(requests_by_old_pipeline).items():
@@ -334,20 +306,26 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 inherited_by_new.setdefault(inheritance[d_old], []).extend(entries)
 
     slots = positions(target)
-    holdings = [layout[gpu] for gpu in gpus]
-    den = math.lcm(target.tensor_shards, *(inv.den for inv in holdings))
+    den = math.lcm(target.tensor_shards, layout.den)
     weights = None
     if den < 2**52:
-        table, keys = slot_table(target, model, list(enumerate(slots))), {None: 0}
+        table = slot_table(target, model, list(enumerate(slots)))
+        keys = {rid: code for code, rid in enumerate(layout.rids)}
         cache = {d: [(None, 1), *inherited_by_new.get(d, ())]
                  for d in range(1, target.data_parallel + 1)}
         need_rows = position_rows(table, den // target.tensor_shards, cache, keys)
-        weights = _overlap_matrix(holdings, need_rows, len(slots), keys, den, model)
+        weights = _overlap_matrix(layout.rows_on(den), len(layout.gpus), need_rows, len(slots),
+                                  keys, den, model)
     if weights is None:
+        rects: list[dict] = [{} for _ in layout.gpus]
+        for g, code, *rect in layout.rows.tolist():
+            rects[g].setdefault(layout.rids[code], []).append(tuple(rect))
+        holdings = [ContextInventory(layout.den, {rid: tuple(r) for rid, r in of_gpu.items()})
+                    for of_gpu in rects]
         needs = [required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
                  for pos in slots]
         weights = [[overlap_bytes(held, need, model) for need in needs] for held in holdings]
-    return BipartiteGraph(gpus=gpus, slots=slots, weights=weights)
+    return BipartiteGraph(gpus=layout.gpus, slots=slots, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +347,7 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
     matched once.  At group size 1 every group is a single GPU and the outer
     match on the weight matrix is the only one.
     """
-    for inst, gpus in Counter(gpu[0] for gpu in layout).items():
+    for inst, gpus in Counter(gpu[0] for gpu in layout.gpus).items():
         if gpus != gpus_per_instance:
             raise MappingError(f"instance {inst} has {gpus} GPUs, expected {gpus_per_instance}")
 
@@ -389,12 +367,13 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
     else:
         blocks = (np.array(graph.weights).reshape(n_fused_gpus, group, n_fused_slots, group)
                   .swapaxes(1, 2).reshape(-1, group * group))
-        distinct: dict[bytes, int] = {}
-        which = [distinct.setdefault(key, len(distinct)) for key in map(bytes, blocks)]
-        subs = [np.frombuffer(key).reshape(group, group).tolist() for key in distinct]
+        # blocks with equal bytes share a label; the labels' order is immaterial
+        keys = blocks.view(np.dtype((np.void, blocks.itemsize * group * group)))
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        subs = blocks[first].reshape(-1, group, group).tolist()
         perms = [_hungarian_max(sub) for sub in subs]
         best = [max(row[k] for row, k in zip(sub, perm)) for sub, perm in zip(subs, perms)]
-        block_of = [which[a * n_fused_slots:(a + 1) * n_fused_slots] for a in range(n_fused_gpus)]
+        block_of = which.reshape(n_fused_gpus, n_fused_slots).tolist()
         fused_w = [[best[u] for u in row] for row in block_of]
 
     w = graph.weights

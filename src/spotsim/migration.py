@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import STORAGE, GpuRef, Layout, ModelSpec
-from .mapping import DeviceMapping, _grid_rows, _ragged, gpu_order, position_rows, slot_table
+from .mapping import DeviceMapping, _ragged, position_rows, slot_table
 
 
 class MigrationError(ValueError):
@@ -224,13 +224,14 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # Transfer derivation
 #
 # A derivation works on int64 rows (gpu, request, first, end, lo, hi, tokens)
-# on one integer grid, the rows the mapper scores: held rows from the old
-# inventories (`mapping._grid_rows`), need rows from the assigned positions
+# on one integer grid, the rows the mapper scores: held rows are the old
+# `Layout`'s own, need rows come from the assigned positions
 # (`mapping.position_rows`, the rectangles `required_context` would give).
-# Every bound is a numerator over the lcm `den` of the old inventories' grids
-# and the target's shard count, `gpu` indexes the GPUs in `gpu_order`, and
-# `request` is a code; model context is request None's, with one token, and
-# is derived apart from the KV cache.
+# Every bound is a numerator over the lcm `den` of the layout's grid and the
+# target's shard count, `gpu` indexes the layout's GPUs, and `request` is the
+# layout's code, extended to the inherited requests it does not hold; model
+# context is code 0, request None's with one token, and is derived apart
+# from the KV cache.
 # Array passes over the rows cut each need row into runs at the layer bounds
 # of its request's holders, subtract what the receiver already holds, index
 # the holders of each run's layer block, and find what each GPU holds beyond
@@ -403,7 +404,7 @@ _NOTHING = _Round((0, 0))
 
 class _Common:
     """What the derivations over one mapping and one set of model holdings
-    share: the GPUs in `gpu_order`; the instance names by rank, then
+    share: the layout's GPUs; the instance names in their order, then
     `STORAGE`'s (`names`); each GPU's instance name (`owner`), code into
     `names` (`inst_of`) and stage (0 if unassigned), each with `STORAGE`'s
     entry last, where a sender index of -1 finds it; the assigned GPUs'
@@ -416,7 +417,8 @@ class _Common:
                  "layers", "layer_releases", "_loads", "_rounds")
 
     def __init__(self, mapping: DeviceMapping, old_layout: Layout, model: ModelSpec):
-        gpus, rank = self.gpus, self.rank = gpu_order(old_layout)
+        gpus = self.gpus = old_layout.gpus
+        rank = self.rank = {inst: k for k, inst in enumerate(dict.fromkeys(g[0] for g in gpus))}
         self.names = [*rank, STORAGE[0]]
         self.owner = [gpu[0] for gpu in gpus] + [STORAGE[0]]
         self.inst_of = np.array([rank[gpu[0]] for gpu in gpus] + [len(rank)], dtype=np.int64)
@@ -760,16 +762,17 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     """
     if mapping.config is None:
         raise MigrationError("mapping carries no target config")
-    den = math.lcm(mapping.config.tensor_shards, *(inv.den for inv in old_layout.values()))
+    den = math.lcm(mapping.config.tensor_shards, old_layout.den)
     k = den // mapping.config.tensor_shards
     common = _Common(mapping, old_layout, model) if base is None else base.common
     gpus, inst_of, names, owner = common.gpus, common.inst_of, common.names, common.owner
-    invs = [old_layout[gpu] for gpu in gpus]
+    rows = old_layout.rows_on(den)
+    is_model = rows[:, 1] == 0
 
     if base is None:
-        weight, keys = model.bytes_per_layer, {None: 0}
+        weight = model.bytes_per_layer
         cache = {d: [(None, 1)] for d in range(1, mapping.config.data_parallel + 1)}  # the model
-        held, need = _grid_rows(invs, den, keys), position_rows(common.slots, k, cache, keys)
+        held, need = rows[is_model], position_rows(common.slots, k, cache, {None: 0})
         units, terms = _pieces(held, need, owner, weight, den)
         # bytes each sender is scheduled to send
         sender_load = dict.fromkeys(names, 0.0)
@@ -794,15 +797,14 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
         for key, total in zip(*(a.tolist() for a in _sums(layer * n + inst, value))):
             common.layer_releases[key // n][names[key % n]] = total
 
-    # the held requests first, then the inherited ones the need rows add
-    keys = {rid: code for code, rid in enumerate(dict.fromkeys(
-        rid for inv in invs for rid in inv.rects if rid is not None))}
+    # the layout's codes, then the inherited requests the need rows add
+    keys = {rid: code for code, rid in enumerate(old_layout.rids)}
     need = position_rows(common.slots, k, inherited_by_pipeline or {}, keys)
     rids = list(keys)
-    if not keys:
+    held = rows[~is_model]
+    if not len(held) and not len(need):
         return Derivation(common, _Moves(_NO_COLS, _NO_SIZES, gpus, den, rids), {})
     weight = model.kv_bytes_per_token_per_layer
-    held = _grid_rows(invs, den, keys)
     units, terms = _pieces(held, need, owner, weight, den)
     out, tags, counts = [], [], []
     if units:
@@ -909,7 +911,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
         naive = replayed(sorted(traffic))
         if max(naive[1]) < max(peak):
             chosen, peak = naive
-    peaks = {inst: peak[code[inst]] for inst in dict.fromkeys(gpu[0] for gpu in old_layout)}
+    peaks = {inst: peak[code[inst]] for inst in dict.fromkeys(gpu[0] for gpu in old_layout.gpus)}
 
     # a stage may serve once every round delivering context to its GPUs is
     # done: each stage's last delivering round, -1 for none

@@ -10,11 +10,12 @@ so a policy can pause a batch mid-decode, migrate its KV cache, and resume it
 elsewhere without losing tokens.  A request whose last token commits inside
 the horizon is complete, whatever its batch does next.
 
-GPU context lives once, in `Engine.holdings`, a `domain.Layout`: the engine
-writes it only when it installs a layout, and `Engine.layout_snapshot` reads
-it for the live GPUs and adds the KV cache of in-flight requests (see
-`domain.kv_cache`) on top for a decision.  The mapper and the planner both
-take that snapshot as it is.
+GPU context lives once, in `Engine.holdings`, the installed GPUs' model rows
+as a `domain.Layout`: the engine builds it only when it installs a layout.
+`Engine.layout_snapshot` narrows it to the live GPUs and adds the rows of
+the in-flight requests' KV cache (see `domain.kv_cache`) for a decision, so
+no decision builds an inventory.  The mapper and the planner both take that
+snapshot as it is.
 
 Determinism: events at equal timestamps order trace < arrival < completion <
 internal, then by insertion sequence; every iteration over instances,
@@ -49,6 +50,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import controller as ctl
 from .arranger import BatchProgress, GraceContext, arrange_preemption
 from .costmodel import (
@@ -60,7 +63,6 @@ from .costmodel import (
     restart_cost,
 )
 from .domain import (
-    ContextInventory,
     GpuRef,
     InstanceState,
     KvCache,
@@ -68,16 +70,18 @@ from .domain import (
     ParallelConfig,
     RequestRecord,
     TopologyPosition,
+    gpu_order,
     kv_cache,
     natural_key,
-    required_context,
 )
 from .mapping import (
     DeviceMapping,
     default_inheritance,
     map_devices,
+    position_rows,
     positional_mapping,
     retain_cache,
+    slot_table,
 )
 from .metrics import MetricsReport, collect_metrics
 from .migration import Derivation, MigrationPlan, derive_transfers, plan_migration
@@ -86,6 +90,9 @@ from .workload import gamma_arrivals, load_arrivals
 
 # Event priorities at equal timestamps.
 P_TRACE, P_ARRIVAL, P_COMPLETE, P_INTERNAL = 0, 1, 2, 3
+
+# Instance statuses whose GPUs hold context.
+LIVE = ("active", "allocating", "grace_preempting")
 
 
 class SimulationError(RuntimeError):
@@ -155,7 +162,10 @@ class Engine:
         self._seq = 0
         self.instances: dict[str, InstanceState] = {}
         self.assignment: dict[TopologyPosition, GpuRef] = {}
-        self.holdings: Layout = {}  # what each GPU holds; written by install_layout only
+        # the installed GPUs' model rows, and their positions as a
+        # `slot_table` (owner for GPU); written by install_layout only
+        self.holdings: Layout | None = None
+        self.placed: np.ndarray | None = None
         self.config: ParallelConfig | None = None
         self.pipelines: dict[int, Pipeline] = {}
         self.lost: set[int] = set()  # pipelines with an assigned GPU on a released instance
@@ -429,26 +439,34 @@ class Engine:
         context, and every other GPU holds nothing."""
         self.config = config
         self.assignment = mapping.gpu_for()
-        self.holdings = {gpu: required_context(config, pos, self.model)
-                         for pos, gpu in self.assignment.items()}
+        gpus = gpu_order(mapping.assignment)
+        self.placed = slot_table(config, self.model,
+                                [(g, mapping.assignment[gpu]) for g, gpu in enumerate(gpus)])
+        model = {d: [(None, 1)] for d in range(1, config.data_parallel + 1)}
+        self.holdings = Layout(gpus, config.tensor_shards,
+                               position_rows(self.placed, 1, model, {None: 0}))
         self.pipelines, self.gate_floor = {}, math.inf
         for d in range(1, config.data_parallel + 1):
             self.open_pipeline(d)
 
-    def layout_snapshot(self, cache: KvCache | None = None) -> Layout:
-        """Holdings of every live GPU; an assigned GPU also holds the KV cache
-        `cache` lists for its pipeline."""
-        empty = ContextInventory.empty()
-        snap: Layout = {gpu: self.holdings.get(gpu, empty)
-                        for inst in self.instances_by("active", "allocating", "grace_preempting")
-                        for gpu in inst.gpu_refs()}
-        if not self.config or not cache:
-            return snap
-        for pos in sorted(self.assignment):
-            gpu = self.assignment[pos]
-            if cache.get(pos.pipeline) and gpu in snap:
-                snap[gpu] = required_context(self.config, pos, self.model, cache[pos.pipeline])
-        return snap
+    def layout_snapshot(self, cache: KvCache | None = None,
+                        statuses: tuple[str, ...] = LIVE) -> Layout:
+        """Holdings of the GPUs of every instance in `statuses`; an assigned
+        GPU also holds the KV cache `cache` lists for its pipeline.  The
+        installed rows are renumbered to those GPUs, and only the cache
+        rows are built."""
+        gpus = [gpu for inst in self.instances_by(*statuses) for gpu in inst.gpu_refs()]
+        if self.holdings is None:
+            return Layout(gpus)
+        index = {gpu: g for g, gpu in enumerate(gpus)}
+        live = np.array([index.get(gpu, -1) for gpu in self.holdings.gpus], dtype=np.int64)
+        rows, slots, keys = self.holdings.rows.copy(), self.placed.copy(), {None: 0}
+        rows[:, 0], slots[:, 0] = live[rows[:, 0]], live[slots[:, 0]]
+        if self.config and cache:
+            rows = np.concatenate((rows, position_rows(slots[slots[:, 0] >= 0], 1, cache, keys)))
+            rows = rows[rows[:, 0].argsort(kind="stable")]  # GPU by GPU, the model's first
+        rows = rows[rows[:, 0] >= 0]
+        return Layout(gpus, self.holdings.den if len(rows) else 1, rows, list(keys))
 
     def requests_by_pipeline(self) -> dict[int, list[RequestRecord]]:
         """The requests of every in-flight batch, by pipeline."""
@@ -575,9 +593,7 @@ class AdaptivePolicy:
 
     def compute_mapping(self, engine: Engine, target: ParallelConfig) -> DeviceMapping:
         by_pipe = engine.requests_by_pipeline()
-        candidates = {inst.id for inst in engine.instances_by("active", "allocating")}
-        layout = {gpu: held for gpu, held in engine.layout_snapshot(kv_cache(by_pipe)).items()
-                  if gpu[0] in candidates}
+        layout = engine.layout_snapshot(kv_cache(by_pipe), ("active", "allocating"))
         if self._use("mapper"):
             inheritance = None
             if engine.config is not None:
@@ -586,7 +602,7 @@ class AdaptivePolicy:
             return map_devices(layout, target, engine.model,
                                engine.cfg.gpus_per_instance,
                                inheritance=inheritance, requests_by_old_pipeline=by_pipe)
-        return positional_mapping(list(layout), target)  # the target fits the candidates
+        return positional_mapping(layout, target)  # the target fits the candidates
 
     def on_trace_group(self, engine: Engine):
         cfg = engine.cfg
@@ -631,7 +647,7 @@ class AdaptivePolicy:
         if not engine.admit(decision):
             return
         target, mapping = decision.target, decision.mapping
-        if not engine.holdings:
+        if engine.holdings is None:
             # first boot: nothing is installed, so nothing moves or stalls
             decision.t_mig = 0.0
             engine.resume_at(engine.now, target, mapping)
@@ -918,12 +934,12 @@ class ReparallelizationPolicy:
         target = decision.target
         engine.restart_batches(engine.all_batches())
         # every restart but the first boot reloads the model from local disk
-        stall = restart_cost(engine.profile, "local_disk") if engine.holdings else 0.0
+        stall = restart_cost(engine.profile, "local_disk") if engine.holdings is not None else 0.0
         decision.t_mig = stall
         self.serving = set(decision.instances)
         live = [gpu for inst in engine.instances_by("active", "allocating")
                 if inst.id in self.serving for gpu in inst.gpu_refs()]
-        mapping = positional_mapping(live, target)
+        mapping = positional_mapping(Layout(live), target)
         if mapping is None:
             engine.suspend_service()
             return

@@ -9,14 +9,8 @@ each distinct inner block once, so tests compare the two value for value.
 
 from collections import Counter
 
-from spotsim.domain import kv_cache, overlap_bytes, positions, required_context
-from spotsim.mapping import (
-    BipartiteGraph,
-    DeviceMapping,
-    MappingError,
-    _hungarian_max,
-    gpu_order,
-)
+from spotsim.domain import gpu_order, kv_cache, overlap_bytes, positions, required_context
+from spotsim.mapping import BipartiteGraph, DeviceMapping, MappingError, _hungarian_max
 
 
 def needs(target, model, inheritance=None, requests_by_old_pipeline=None):
@@ -32,7 +26,7 @@ def needs(target, model, inheritance=None, requests_by_old_pipeline=None):
 
 
 def build_graph(layout, target, model, inheritance=None, requests_by_old_pipeline=None):
-    gpus = gpu_order(layout)[0]
+    gpus = gpu_order(layout)
     wanted = needs(target, model, inheritance, requests_by_old_pipeline)
     weights = [[overlap_bytes(layout[gpu], need, model) for need in wanted] for gpu in gpus]
     return BipartiteGraph(gpus=gpus, slots=positions(target), weights=weights)

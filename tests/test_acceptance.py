@@ -19,6 +19,7 @@ from spotsim.costmodel import exec_latency, exec_latency_exact, monetary_cost
 from spotsim.data import bundled_path
 from spotsim.domain import (
     ContextInventory,
+    Layout,
     ModelSpec,
     ParallelConfig,
     positions,
@@ -84,8 +85,9 @@ def test_criterion_02_two_step_reduction():
                     lo = Fraction(int(rng.integers(0, 2)), 2)
                     shards.append((lyr, lo, lo + Fraction(1, 2)))
             layout[(f"i-{k}", 0)] = inventory(model_shards=tuple(shards))
-        flat = km_match(build_graph(layout, target, model))
-        fused = map_devices(layout, target, model, gpus_per_instance=1)
+        table = Layout.of(layout)
+        flat = km_match(build_graph(table, target, model))
+        fused = map_devices(table, target, model, gpus_per_instance=1)
         assert fused.assignment == flat.assignment
         assert fused.total_weight == flat.total_weight
     report(2, "two-step mapping reduces to flat KM at G=1 (200 instances)")
@@ -212,14 +214,15 @@ def test_criterion_03_migration_plan_soundness():
     checked = exhaustive_checked = 0
     for _ in range(500):
         model, old_cfg, new_cfg, layout, inherited = _random_transition(rng)
-        mapping = map_devices(layout, new_cfg, model, 1,
+        table = Layout.of(layout)
+        mapping = map_devices(table, new_cfg, model, 1,
                               inheritance=None, requests_by_old_pipeline=None)
         u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
-        derived = derive_transfers(mapping, layout, model, inherited)
-        plan = plan_migration(mapping, layout, model, derived, u_max)
+        derived = derive_transfers(mapping, table, model, inherited)
+        plan = plan_migration(mapping, table, model, derived, u_max)
         _check_plan_soundness(model, new_cfg, mapping, layout, plan)
 
-        naive = plan_migration(mapping, layout, model, derived, u_max=None)
+        naive = plan_migration(mapping, table, model, derived, u_max=None)
         peak_opt = max(plan.peak_usage.values(), default=0.0)
         peak_naive = max(naive.peak_usage.values(), default=0.0)
         assert peak_opt <= peak_naive + 1e-9, "memopt never beats the naive order"

@@ -20,7 +20,11 @@ policy built along the way:
 - every plan that carries KV cache has the model transfers of the cache-free
   derivation of its mapping, and the same model and cache transfers as one
   derivation over its cache-carrying layout, so reusing the commit's model
-  part changes nothing.
+  part changes nothing;
+- every snapshot the engine takes, for a mapping or a plan, equals
+  `Layout.of` over the `required_context` inventories it stands for: each
+  live GPU's installed model context, an assigned GPU's with its pipeline's
+  KV cache.
 
 The traces and the example budget are `test_dispatch_invariant`'s.  Each
 example that plans a transfer from storage is tagged with the hypothesis
@@ -35,9 +39,10 @@ from hypothesis import strategies as st
 
 from spotsim.costmodel import HOUR
 from spotsim.data import bundled_path
+from spotsim.domain import ContextInventory, Layout, required_context
 from spotsim.migration import derive_transfers
 from spotsim.simconfig import SimConfig, WorkloadSpec
-from spotsim.simulator import AdaptivePolicy, Engine, run
+from spotsim.simulator import LIVE, AdaptivePolicy, Engine, run
 from spotsim.workload import gamma_arrivals
 
 from plan_checks import check_assembly, check_delivers_once
@@ -51,6 +56,22 @@ from test_dispatch_invariant import (
 
 # the unwrapped methods: the monkeypatch fixture outlives a single example
 ENGINE_RUN, FINALIZE, PLAN = Engine.run, Engine.finalize, AdaptivePolicy._plan
+INSTALL, SNAPSHOT = Engine.install_layout, Engine.layout_snapshot
+
+
+def inventories(engine, installed, cache, statuses=LIVE) -> dict:
+    """What a snapshot stands for, as inventories: each GPU of an instance
+    in `statuses` holds the model context `installed` gives it (nothing if
+    none), and an assigned GPU also the KV cache `cache` lists for its
+    pipeline."""
+    empty = ContextInventory.empty()
+    held = {gpu: installed.get(gpu, empty)
+            for inst in engine.instances_by(*statuses) for gpu in inst.gpu_refs()}
+    if engine.config and cache:
+        for pos, gpu in engine.assignment.items():
+            if cache.get(pos.pipeline) and gpu in held:
+                held[gpu] = required_context(engine.config, pos, engine.model, cache[pos.pipeline])
+    return held
 
 
 def model_rounds(derived) -> dict:
@@ -128,6 +149,18 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
                     workload=WorkloadSpec(kind="fixed_rate", rate=rate, cv=cv, seed=seed),
                     policy=policy, duration=DURATION, pool_size=1)
     engines, from_storage, in_flight = [], [], []
+    installed = {}  # each installed GPU's model context
+
+    def install(engine, config, mapping):
+        installed.clear()
+        installed.update({gpu: required_context(config, pos, engine.model)
+                          for gpu, pos in mapping.assignment.items()})
+        return INSTALL(engine, config, mapping)
+
+    def snapshot(engine, cache=None, statuses=LIVE):
+        layout = SNAPSHOT(engine, cache, statuses)
+        assert layout == Layout.of(inventories(engine, installed, cache, statuses))
+        return layout
 
     def captured(engine):
         engines.append(engine)
@@ -139,15 +172,18 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
         return FINALIZE(engine)
 
     def checked(policy, engine, mapping, base, cache, inherited):
-        layout = engine.layout_snapshot(cache)
+        held = inventories(engine, installed, cache)
         built = PLAN(policy, engine, mapping, base, cache, inherited)
-        from_storage.append(check_delivers_once(built, mapping, layout, engine.model,
+        from_storage.append(check_delivers_once(built, mapping, held, engine.model,
                                                 inherited)[1])
-        check_assembly(built, mapping, layout)
+        check_assembly(built, mapping, held)
         if any(cache.values()):
-            check_model_reuse(policy, engine, mapping, layout, inherited, built)
+            check_model_reuse(policy, engine, mapping, engine.layout_snapshot(cache), inherited,
+                              built)
         return built
     monkeypatch.setattr(Engine, "run", captured)
+    monkeypatch.setattr(Engine, "install_layout", install)
+    monkeypatch.setattr(Engine, "layout_snapshot", snapshot)
     monkeypatch.setattr(Engine, "finalize", finalized)
     monkeypatch.setattr(AdaptivePolicy, "_plan", checked)
     run(cfg)

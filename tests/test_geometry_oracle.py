@@ -29,6 +29,7 @@ from plan_checks import simulate_buffer_usage
 from spotsim.domain import (
     STORAGE,
     ContextInventory,
+    Layout,
     ModelSpec,
     ParallelConfig,
     RequestRecord,
@@ -40,7 +41,6 @@ from spotsim.domain import (
 from spotsim.mapping import (
     DeviceMapping,
     MappingError,
-    _grid_rows,
     build_graph,
     map_devices,
     position_rows,
@@ -169,19 +169,27 @@ def test_position_rows_are_required_context_rows(data):
     cache = data.draw(st.dictionaries(st.integers(1, config.data_parallel), entries))
     k = data.draw(st.integers(1, 6))
     table = slot_table(config, model, list(enumerate(placed)))
-    invs = [required_context(config, pos, model, cache.get(pos.pipeline, ())) for pos in placed]
+    # one instance, so that GPU g is the table's GPU g
+    layout = Layout.of({("i", g): required_context(config, pos, model, cache.get(pos.pipeline, ()))
+                        for g, pos in enumerate(placed)})
     den, pipelines = config.tensor_shards * k, range(1, config.data_parallel + 1)
+    held = [(g, layout.rids[code], *rect) for g, code, *rect in layout.rows_on(den).tolist()]
+
+    def named(rows, keys):
+        rids = list(keys)
+        return [(g, rids[code], *rect) for g, code, *rect in rows.tolist()]
 
     # the mapper's rows: model and cache at once, the same multiset
     keys = {None: 0}
     rows = position_rows(table, k, {d: [(None, 1), *cache.get(d, ())] for d in pipelines}, keys)
-    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, _grid_rows(invs, den, keys).tolist()))
-    # the planner's: the model, then the cache, each in the inventories' order
+    assert sorted(named(rows, keys), key=repr) == sorted(held, key=repr)
+    # the planner's and the engine's: the model, then the cache, each in the
+    # inventories' order
     model_rows = position_rows(table, k, {d: [(None, 1)] for d in pipelines}, {None: 0})
-    assert model_rows.tolist() == _grid_rows(invs, den, {None: 0}).tolist()
+    assert named(model_rows, {None: 0}) == [row for row in held if row[1] is None]
     keys = {}
     rows = position_rows(table, k, cache, keys)
-    assert rows.tolist() == _grid_rows(invs, den, keys).tolist()
+    assert named(rows, keys) == [row for row in held if row[1] is not None]
 
 
 @st.composite
@@ -211,10 +219,10 @@ def migrations(draw):
     return mapping, layout, model, inherited, departing
 
 
-def records(*case):
+def records(mapping, layout, *rest):
     """`derive_transfers` as records (`Derivation.records()`), as the oracle
     gives them."""
-    return derive_transfers(*case).records()
+    return derive_transfers(mapping, Layout.of(layout), *rest).records()
 
 
 def outcome(derive, case):
@@ -235,10 +243,11 @@ def test_derive_transfers_matches_oracle(case):
 
 
 def model_only(layout):
-    """The layout without its KV cache, each inventory on its own grid."""
-    return {gpu: ContextInventory(inv.den, {rid: rects for rid, rects in inv.rects.items()
-                                            if rid is None})
-            for gpu, inv in layout.items()}
+    """The table of the layout without its KV cache, each inventory on its
+    own grid."""
+    return Layout.of({gpu: ContextInventory(inv.den, {rid: rects for rid, rects in inv.rects.items()
+                                                      if rid is None})
+                      for gpu, inv in layout.items()})
 
 
 @given(migrations(), st.data())
@@ -251,7 +260,7 @@ def test_two_step_derivation_matches_one_step_and_oracle(case, data):
     cache_free = derive_transfers(mapping, model_only(layout), model, departing=departing)
 
     def two_step(mapping, layout, model, inherited, departing):
-        return derive_transfers(mapping, layout, model, inherited, departing,
+        return derive_transfers(mapping, Layout.of(layout), model, inherited, departing,
                                 base=cache_free).records()
 
     want = outcome(oracle.derive_transfers, case)
@@ -294,7 +303,8 @@ def test_columns_give_what_the_record_loops_gave(case):
     mapping, layout, model, inherited, departing = case
     cache_free = derive_transfers(mapping, model_only(layout), model, departing=departing)
     try:
-        derived = derive_transfers(mapping, layout, model, inherited, departing, base=cache_free)
+        derived = derive_transfers(mapping, Layout.of(layout), model, inherited, departing,
+                                   base=cache_free)
     except MigrationError:
         return
     records = derived.records()
@@ -337,7 +347,7 @@ def test_columns_give_what_the_record_loops_gave(case):
         inst for transfers in model_transfers.values() for t in transfers
         for inst in (t.src[0], t.dst[0])}
 
-    plan = plan_migration(mapping, layout, model, derived)
+    plan = plan_migration(mapping, Layout.of(layout), model, derived)
     assert plan.peak_usage == simulate_buffer_usage(plan, layout)
     for action in plan.actions:
         sent, received = port_bytes(action.transfers)
@@ -379,7 +389,7 @@ def mapping_cases(draw):
 @SETTINGS
 def test_build_graph_weights_match_overlap_bytes(case):
     layout, target, model, _, inheritance, requests = case
-    got = build_graph(layout, target, model, inheritance, requests)
+    got = build_graph(Layout.of(layout), target, model, inheritance, requests)
     want = mapping_oracle.build_graph(layout, target, model, inheritance, requests)
     assert (got.gpus, got.slots) == (want.gpus, want.slots)
     assert repr(got.weights) == repr(want.weights)
@@ -397,4 +407,6 @@ def mapped(mapper, case):
 @given(mapping_cases())
 @SETTINGS
 def test_map_devices_matches_per_block_oracle(case):
-    assert mapped(map_devices, case) == mapped(mapping_oracle.map_devices, case)
+    def mapper(layout, *rest):
+        return map_devices(Layout.of(layout), *rest)
+    assert mapped(mapper, case) == mapped(mapping_oracle.map_devices, case)

@@ -16,6 +16,7 @@ import pytest
 from spotsim import migration
 from spotsim.cli import ABLATION_VARIANTS
 from spotsim.data import bundled_path
+from spotsim.domain import ContextInventory, Layout
 from spotsim.metrics import write_request_csv, write_summary_json
 from spotsim.simconfig import load_simconfig
 from spotsim.simulator import run
@@ -62,13 +63,20 @@ def test_bundled_ablation_reports_match_golden_digest(variant, tmp_path):
 
 
 @pytest.mark.parametrize("variant", ["spotserve", *GOLDEN_ABLATION])
-def test_engine_path_builds_no_transfer_record(variant, tmp_path, monkeypatch):
-    """`Transfer` records are output only: with their one builder patched to
-    raise, the bundled spotserve run and each of its ablations still ends
-    with its golden report."""
-    def refused(*args):
-        raise AssertionError("a Transfer record was built on the engine path")
-    monkeypatch.setattr(migration, "_expand", refused)
+def test_engine_path_builds_no_transfer_record_or_inventory(variant, tmp_path, monkeypatch):
+    """`Transfer` records are output only, and the engine keeps its context
+    as rows: with the one builder of records, the constructor of
+    `ContextInventory` (so `required_context` too) and `Layout.of`, the one
+    conversion of inventories into rows, patched to raise, the bundled
+    spotserve run and each of its ablations still ends with its golden
+    report."""
+    def refused(what):
+        def build(*args, **kwargs):
+            raise AssertionError(f"{what} was built on the engine path")
+        return build
+    monkeypatch.setattr(migration, "_expand", refused("a Transfer record"))
+    monkeypatch.setattr(ContextInventory, "__init__", refused("an inventory"))
+    monkeypatch.setattr(Layout, "of", refused("a Layout from inventories"))
     cfg = load_simconfig(bundled_path("scenario_bs.json"))
     disabled = dict(ABLATION_VARIANTS).get(variant, ())
     want = GOLDEN_ABLATION[variant] if disabled else GOLDEN["spotserve"]

@@ -6,6 +6,7 @@ import pytest
 
 from spotsim.domain import (
     ContextInventory,
+    Layout,
     ModelSpec,
     ParallelConfig,
     RequestRecord,
@@ -136,7 +137,7 @@ class TestBuildGraph:
     def test_identity_layout_has_full_weight_diagonal(self):
         cfg = ParallelConfig(1, 2, 2, 1)
         layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
-        graph = build_graph(layout, cfg, MODEL)
+        graph = build_graph(Layout.of(layout), cfg, MODEL)
         full = model_bytes(required_context(cfg, TopologyPosition(1, 1, 1), MODEL), MODEL)
         for i in range(4):
             assert graph.weights[i][i] == full
@@ -148,7 +149,7 @@ class TestBuildGraph:
         cfg = ParallelConfig(1, 2, 2, 1)
         layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
         layout[("i-9", 0)] = ContextInventory.empty()
-        graph = build_graph(layout, cfg, MODEL)
+        graph = build_graph(Layout.of(layout), cfg, MODEL)
         row = graph.gpus.index(("i-9", 0))
         assert all(w == 0.0 for w in graph.weights[row])
 
@@ -169,7 +170,7 @@ class TestBuildGraph:
                                        kv_bytes_per_token_per_layer=kv_bytes)):
             layout = {(f"i-{k}", 0): required_context(old, pos, model, cache[pos.pipeline])
                       for k, pos in enumerate(positions(old))}
-            graph = build_graph(layout, new, model, default_inheritance(2, 2), reqs)
+            graph = build_graph(Layout.of(layout), new, model, default_inheritance(2, 2), reqs)
             needs = [required_context(new, pos, model, cache[pos.pipeline]) for pos in graph.slots]
             assert graph.weights == [[overlap(layout[gpu], need, model) for need in needs]
                                      for gpu in graph.gpus]
@@ -198,14 +199,15 @@ class TestBuildGraph:
             )
             layout[gpu] = inventory(model_shards=model_shards(base_inv), cache_shards=cache)
         reqs = {1: [request]}
-        graph = build_graph(layout, new, model,
+        table = Layout.of(layout)
+        graph = build_graph(table, new, model,
                             inheritance=default_inheritance(2, 2),
                             requests_by_old_pipeline=reqs)
         row = graph.gpus.index(u1)
         w = {pos: graph.weights[row][j] for j, pos in enumerate(graph.slots)}
         v_own = TopologyPosition(1, 1, 1)
         v_other = TopologyPosition(2, 1, 1)
-        model_only = build_graph(layout, new, model)
+        model_only = build_graph(table, new, model)
         base = {pos: model_only.weights[row][j] for j, pos in enumerate(model_only.slots)}
         assert base[v_own] == base[v_other] > 0
         assert max(base.values()) == base[v_own]
@@ -231,8 +233,9 @@ class TestMapDevices:
                         lo = Fraction(int(rng.integers(0, 2)), 2)
                         shards.append((lyr, lo, lo + Fraction(1, 2)))
                 layout[(f"i-{k}", 0)] = inventory(model_shards=tuple(shards))
-            flat = km_match(build_graph(layout, cfg, MODEL))
-            fused = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
+            table = Layout.of(layout)
+            flat = km_match(build_graph(table, cfg, MODEL))
+            fused = map_devices(table, cfg, MODEL, gpus_per_instance=1)
             assert fused.assignment == flat.assignment
             assert fused.total_weight == pytest.approx(flat.total_weight)
 
@@ -246,20 +249,22 @@ class TestMapDevices:
         calls = []
         monkeypatch.setattr(mapping, "_hungarian_max",
                             lambda w: calls.append(len(w)) or _hungarian_max(w))
-        got = map_devices(layout, new, model, gpus_per_instance=1)
+        table = Layout.of(layout)
+        got = map_devices(table, new, model, gpus_per_instance=1)
         assert calls == [48]
-        assert got.assignment == km_match(build_graph(layout, new, model)).assignment
+        assert got.assignment == km_match(build_graph(table, new, model)).assignment
 
     def test_two_gpu_instances_keep_tensor_groups_local(self):
         cfg = ParallelConfig(1, 2, 2, 1)
         layout = {(f"i-{k}", m - 1): required_context(cfg, TopologyPosition(1, k + 1, m), MODEL)
                   for k in range(2) for m in (1, 2)}
-        got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
+        table = Layout.of(layout)
+        got = map_devices(table, cfg, MODEL, gpus_per_instance=2)
         # instance k holds stage k+1's shards and must map onto that stage
         for (iid, g), pos in got.assignment.items():
             assert pos.stage == int(iid.split("-")[1]) + 1
         # brute force over all injective per-GPU assignments on this 4x4 case
-        graph = build_graph(layout, cfg, MODEL)
+        graph = build_graph(table, cfg, MODEL)
         best = brute_force_best(graph.weights)
         assert got.total_weight == pytest.approx(best)
 
@@ -276,7 +281,7 @@ class TestMapDevices:
                             lo = Fraction(int(rng.integers(0, 2)), 2)
                             shards.append((lyr, lo, lo + Fraction(1, 2)))
                     layout[(f"i-{k}", g)] = inventory(model_shards=tuple(shards))
-            got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
+            got = map_devices(Layout.of(layout), cfg, MODEL, gpus_per_instance=2)
             groups = {}
             for (iid, g), pos in got.assignment.items():
                 groups.setdefault((pos.pipeline, pos.stage), set()).add(iid)
@@ -288,8 +293,9 @@ class TestMapDevices:
             ("i-0", 0): required_context(cfg, TopologyPosition(1, 1, 1), MODEL),
             ("i-0", 1): required_context(cfg, TopologyPosition(1, 2, 1), MODEL),
         }
-        got = map_devices(layout, cfg, MODEL, gpus_per_instance=2)
-        flat = km_match(build_graph(layout, cfg, MODEL))
+        table = Layout.of(layout)
+        got = map_devices(table, cfg, MODEL, gpus_per_instance=2)
+        flat = km_match(build_graph(table, cfg, MODEL))
         assert got.assignment == flat.assignment
 
     def test_instance_with_other_gpu_count_is_rejected(self):
@@ -297,12 +303,12 @@ class TestMapDevices:
         layout = {(f"i-{k}", g): ContextInventory.empty() for k in range(2) for g in range(4)}
         del layout[("i-1", 3)]
         with pytest.raises(MappingError, match="instance i-1 has 3 GPUs, expected 4"):
-            map_devices(layout, cfg, MODEL, 4)
+            map_devices(Layout.of(layout), cfg, MODEL, 4)
 
     def test_total_migrated_bytes_is_required_minus_matched(self):
         cfg = ParallelConfig(1, 2, 2, 1)
         layout = serving_layout(MODEL, cfg, [f"i-{k}" for k in range(4)])
-        got = map_devices(layout, cfg, MODEL, gpus_per_instance=1)
+        got = map_devices(Layout.of(layout), cfg, MODEL, gpus_per_instance=1)
         required = sum(
             model_bytes(required_context(cfg, pos, MODEL), MODEL) for pos in positions(cfg)
         )

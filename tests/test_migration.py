@@ -12,6 +12,7 @@ from spotsim.domain import (
     STORAGE,
     ContextInventory,
     DomainError,
+    Layout,
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
@@ -50,8 +51,9 @@ def serving_cluster(model, config, n_instances, gpus_per_instance=1, prefix="i")
 
 def transition_plan(model, old_cfg, new_cfg, n_instances, u_max=None, gpus_per_instance=1):
     layout = serving_cluster(model, old_cfg, n_instances, gpus_per_instance)
-    mapping = map_devices(layout, new_cfg, model, gpus_per_instance)
-    plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model), u_max)
+    table = Layout.of(layout)
+    mapping = map_devices(table, new_cfg, model, gpus_per_instance)
+    plan = plan_migration(mapping, table, model, derive_transfers(mapping, table, model), u_max)
     return mapping, layout, plan
 
 
@@ -155,7 +157,7 @@ class TestMemoptLayerOrder:
                          for inst, b in t.incoming.items()] for layer, t in traffic.items()}
         model = ModelSpec(name="m6", num_layers=n_layers, bytes_per_layer=100,
                           kv_bytes_per_token_per_layer=1)
-        layout = {gpu: ContextInventory.empty() for gpu in mapping.assignment}
+        layout = Layout.of({gpu: ContextInventory.empty() for gpu in mapping.assignment})
         # a derivation of those transfers, as the columns (layer, src, lo,
         # hi, dst) on grid 1 and bytes that covering would have written
         common = migration._Common(mapping, layout, model)
@@ -217,8 +219,9 @@ class TestPlanMigration:
         model = ModelSpec(name="m12", num_layers=12, bytes_per_layer=1200,
                           kv_bytes_per_token_per_layer=16)
         layout = serving_cluster(model, old, 16)
-        mapping = map_devices(layout, new, model, 1)
-        plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
+        table = Layout.of(layout)
+        mapping = map_devices(table, new, model, 1)
+        plan = plan_migration(mapping, table, model, derive_transfers(mapping, table, model))
         # moved bytes equal required minus reused
         needed = sum(model_bytes(required_context(new, pos, model), model)
                      for pos in positions(new))
@@ -244,10 +247,11 @@ class TestPlanMigration:
                           for rid, tokens in cache_map[1]
                           for lyr, lo, hi in model_shards(inv))
             layout[ref] = inventory(model_shards=model_shards(inv), cache_shards=cache)
-        mapping = map_devices(layout, new, MODEL, 1,
+        table = Layout.of(layout)
+        mapping = map_devices(table, new, MODEL, 1,
                               inheritance={1: 1})
-        plan = plan_migration(mapping, layout, MODEL,
-                              derive_transfers(mapping, layout, MODEL, cache_map))
+        plan = plan_migration(mapping, table, MODEL,
+                              derive_transfers(mapping, table, MODEL, cache_map))
         move_kinds = [a.kind for a in plan.actions if a.kind != "start_stage"]
         assert move_kinds[0] == "migrate_cache"
         assert all(k == "migrate_layer" for k in move_kinds[1:])
@@ -256,8 +260,9 @@ class TestPlanMigration:
         old = ParallelConfig(1, 4, 1, 1)
         new = ParallelConfig(1, 2, 2, 1)
         layout = serving_cluster(MODEL, old, 4)
-        mapping = map_devices(layout, new, MODEL, 1)
-        plan = plan_migration(mapping, layout, MODEL, derive_transfers(mapping, layout, MODEL))
+        table = Layout.of(layout)
+        mapping = map_devices(table, new, MODEL, 1)
+        plan = plan_migration(mapping, table, MODEL, derive_transfers(mapping, table, MODEL))
         stage_gpus = {p: set() for p in (1, 2)}
         for gpu, pos in mapping.assignment.items():
             stage_gpus[pos.stage].add(gpu)
@@ -282,14 +287,15 @@ class TestPlanMigration:
         for ref, inv in layout.items():
             kept = tuple(s for s in model_shards(inv) if s[0] != 0)
             layout[ref] = inventory(model_shards=kept)
-        mapping = map_devices(layout, cfg, MODEL, 1)
-        model_transfers, cache_transfers, _, _ = derive_transfers(mapping, layout, MODEL).records()
+        table = Layout.of(layout)
+        mapping = map_devices(table, cfg, MODEL, 1)
+        model_transfers, cache_transfers, _, _ = derive_transfers(mapping, table, MODEL).records()
         assert not cache_transfers and list(model_transfers) == [0]
         assert sorted((t.src, t.dst, t.lo, t.hi) for t in model_transfers[0]) == [
             (STORAGE, ("i-0", 0), Fraction(0), Fraction(1, 2)),
             (STORAGE, ("i-1", 0), Fraction(1, 2), Fraction(1))]
         with pytest.raises(MigrationError, match="no source holds"):
-            derive_transfers(mapping, layout, MODEL, {1: [("r-1", 4)]})
+            derive_transfers(mapping, table, MODEL, {1: [("r-1", 4)]})
 
     def test_position_outside_the_target_config_raises(self):
         """A mapping that places a GPU outside its config fails in the slot
@@ -301,7 +307,7 @@ class TestPlanMigration:
         placed[("i-3", 0)] = TopologyPosition(2, 1, 1)  # a second pipeline
         mapping = DeviceMapping(placed, total_weight=0.0, config=cfg)
         with pytest.raises(DomainError) as raised:
-            derive_transfers(mapping, layout, MODEL)
+            derive_transfers(mapping, Layout.of(layout), MODEL)
         assert str(raised.value) == f"position {TopologyPosition(1, 3, 1)} invalid for config {cfg}"
 
     def test_storage_sends_up_to_the_next_live_copy(self):
@@ -315,7 +321,7 @@ class TestPlanMigration:
         mapping = DeviceMapping(assignment={("i-2", 0): TopologyPosition(1, 1, 1),
                                             ("i-3", 0): TopologyPosition(1, 2, 1)},
                                 total_weight=0.0, config=new)
-        model_transfers, _, _, _ = derive_transfers(mapping, layout, MODEL).records()
+        model_transfers, _, _, _ = derive_transfers(mapping, Layout.of(layout), MODEL).records()
         assert [(t.src, t.lo, t.hi) for t in model_transfers[0]] == [
             (STORAGE, Fraction(0), Fraction(1, 2)), (("i-1", 0), Fraction(1, 2), Fraction(1))]
         assert all(t.src != STORAGE for layer in range(1, 8) for t in model_transfers[layer])
@@ -326,8 +332,9 @@ class TestPlanMigration:
         model = ModelSpec(name="m16", num_layers=16, bytes_per_layer=500,
                           kv_bytes_per_token_per_layer=8)
         layout = serving_cluster(model, old, 16)
-        mapping = map_devices(layout, new, model, 1)
-        plan = plan_migration(mapping, layout, model, derive_transfers(mapping, layout, model))
+        table = Layout.of(layout)
+        mapping = map_devices(table, new, model, 1)
+        plan = plan_migration(mapping, table, model, derive_transfers(mapping, table, model))
         layer_rounds = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert layer_rounds == sorted(layer_rounds)
 
@@ -337,7 +344,7 @@ class TestPlanMigration:
         ships the index order."""
         rng = np.random.default_rng(1600)
         model, _, new_cfg, layout, inherited = _random_transition(rng)
-        mapping = map_devices(layout, new_cfg, model, 1)
+        mapping = map_devices(Layout.of(layout), new_cfg, model, 1)
         u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
         orders = []
 
@@ -345,8 +352,9 @@ class TestPlanMigration:
             orders.append(memopt_layer_order(traffic, cap))
             return orders[-1]
         monkeypatch.setattr(migration, "memopt_layer_order", recorded)
-        plan = plan_migration(mapping, layout, model,
-                              derive_transfers(mapping, layout, model, inherited), u_max)
+        table = Layout.of(layout)
+        plan = plan_migration(mapping, table, model,
+                              derive_transfers(mapping, table, model, inherited), u_max)
 
         rounds = [a for a in plan.actions if a.kind != "start_stage"]
         assert rounds[0].kind == "migrate_cache"
@@ -416,11 +424,12 @@ class TestSimulateBufferUsage:
             old = ParallelConfig(1, 2, 2, 1)
             new = ParallelConfig(1, 4, 1, 1)
             layout = serving_cluster(model, old, 4)
-            mapping = map_devices(layout, new, model, 1)
-            derived = derive_transfers(mapping, layout, model)
-            bounded = plan_migration(mapping, layout, model, derived,
+            table = Layout.of(layout)
+            mapping = map_devices(table, new, model, 1)
+            derived = derive_transfers(mapping, table, model)
+            bounded = plan_migration(mapping, table, model, derived,
                                      u_max=float(model.bytes_per_layer) * 1.5)
-            naive = plan_migration(mapping, layout, model, derived, u_max=None)
+            naive = plan_migration(mapping, table, model, derived, u_max=None)
             assert max(bounded.peak_usage.values()) <= max(naive.peak_usage.values()) + 1e-9
 
 
@@ -444,8 +453,9 @@ def test_plan_json_roundtrip_keeps_cache_layer_runs():
     cache = {1: [("r-1", 24)]}
     layout = {(f"i-{k}", 0): required_context(old, pos, MODEL, cache[1])
               for k, pos in enumerate(positions(old))}
-    mapping = map_devices(layout, new, MODEL, 1, inheritance={1: 1})
-    plan = plan_migration(mapping, layout, MODEL, derive_transfers(mapping, layout, MODEL, cache))
+    table = Layout.of(layout)
+    mapping = map_devices(table, new, MODEL, 1, inheritance={1: 1})
+    plan = plan_migration(mapping, table, MODEL, derive_transfers(mapping, table, MODEL, cache))
     assert {(t.kind, t.layers) for t in plan.transfers()} == {("model", 1), ("cache", 4)}
     doc = json.loads(json.dumps(plan_to_dict(plan)))
     written = [t for a in doc["actions"] for t in a.get("transfers", ())]
@@ -464,9 +474,10 @@ def test_departing_sources_keep_bystander_replicas_out():
     # and i-1 is still alive as a source during its grace period
     departing = frozenset({"i-1"})
     targets = {gpu: held for gpu, held in layout.items() if gpu[0] != "i-1"}
-    mapping = map_devices(targets, cfg, model, 1)
-    plan = plan_migration(mapping, layout, model,
-                          derive_transfers(mapping, layout, model, departing=departing))
+    mapping = map_devices(Layout.of(targets), cfg, model, 1)
+    table = Layout.of(layout)
+    plan = plan_migration(mapping, table, model,
+                          derive_transfers(mapping, table, model, departing=departing))
     sources = {t.src[0] for t in plan.transfers()}
     assert sources == {"i-1"}
     receivers = {t.dst[0] for t in plan.transfers()}

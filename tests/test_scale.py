@@ -13,6 +13,7 @@ from spotsim.costmodel import load_profile
 from spotsim.data import bundled_path
 from spotsim.domain import (
     ContextInventory,
+    Layout,
     ParallelConfig,
     RequestRecord,
     positions,
@@ -50,11 +51,12 @@ def fleet():
 def reshaped_fleet():
     """The fleet's survivors mapped onto (11,4,4), and the plan that gets there."""
     model, target, layout, survivors, departing, requests, cache, inheritance = fleet()
-    mapping = map_devices(survivors, target, model, GPUS_PER_INSTANCE,
+    mapping = map_devices(Layout.of(survivors), target, model, GPUS_PER_INSTANCE,
                           inheritance=inheritance, requests_by_old_pipeline=requests)
     inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
-    derived = derive_transfers(mapping, layout, model, inherited, departing=departing)
-    plan = plan_migration(mapping, layout, model, derived, u_max=4e9)
+    table = Layout.of(layout)
+    derived = derive_transfers(mapping, table, model, inherited, departing=departing)
+    plan = plan_migration(mapping, table, model, derived, u_max=4e9)
     return model, target, mapping, layout, inherited, derived, plan
 
 
@@ -69,7 +71,7 @@ def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
         calls.append(args)
         return overlap(*args)
     monkeypatch.setattr(mapping_module, "overlap_bytes", counted)
-    graph = build_graph(survivors, target, model, inheritance, requests)
+    graph = build_graph(Layout.of(survivors), target, model, inheritance, requests)
     assert len(graph.gpus) == 176 and not calls
 
 
@@ -92,10 +94,11 @@ def test_192_gpu_reshape_derived_in_two_steps_is_the_same_plan():
     departing = frozenset(f"i-{k}" for k in range(45, 49))
     cache_free = {gpu: ContextInventory(inv.den, {None: inv.rects[None]})
                   for gpu, inv in layout.items()}
-    base = derive_transfers(mapping, cache_free, model, departing=departing)
-    two_step = derive_transfers(mapping, layout, model, inherited, departing=departing, base=base)
+    base = derive_transfers(mapping, Layout.of(cache_free), model, departing=departing)
+    table = Layout.of(layout)
+    two_step = derive_transfers(mapping, table, model, inherited, departing=departing, base=base)
     assert repr(two_step.records()) == repr(derived.records())
-    again = plan_migration(mapping, layout, model, two_step, u_max=4e9)
+    again = plan_migration(mapping, table, model, two_step, u_max=4e9)
     check_delivers_once(again, mapping, layout, model, inherited)
     check_assembly(again, mapping, layout)
     assert again.actions == plan.actions and again.peak_usage == plan.peak_usage

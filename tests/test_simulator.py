@@ -6,8 +6,15 @@ import pytest
 
 from spotsim.costmodel import exec_latency, load_profile, migration_cost, restart_cost
 from spotsim.data import bundled_path
-from spotsim.domain import STORAGE, ContextInventory, ParallelConfig, required_context
-from spotsim.mapping import gpu_order, positional_mapping
+from spotsim.domain import (
+    STORAGE,
+    ContextInventory,
+    Layout,
+    ParallelConfig,
+    gpu_order,
+    required_context,
+)
+from spotsim.mapping import positional_mapping
 from spotsim.metrics import write_summary_json
 from spotsim.migration import derive_transfers, plan_migration
 from spotsim.simconfig import (
@@ -363,8 +370,8 @@ def test_holdings_store_after_bundled_run(monkeypatch):
     run(load_simconfig(bundled_path("scenario_bs.json")))
     (engine,) = engines
     assert engine.config is not None and engine.assignment
-    assert engine.holdings == {gpu: required_context(engine.config, pos, engine.model)
-                               for pos, gpu in engine.assignment.items()}
+    assert engine.holdings == Layout.of({gpu: required_context(engine.config, pos, engine.model)
+                                         for pos, gpu in engine.assignment.items()})
 
 
 def suspension_config(tmp_path, policy):
@@ -472,8 +479,7 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
 
     def plan(mapping, old_layout, *args, **kwargs):
         counts["plans"] += 1
-        counts["plans with cache"] += any(rid is not None for inv in old_layout.values()
-                                          for rid in inv.rects)
+        counts["plans with cache"] += bool(old_layout.rows[:, 1].any())
         return plan_migration(mapping, old_layout, *args, **kwargs)
 
     carried = [False]  # whether the last `_derive` call's snapshot carried cache
@@ -721,15 +727,15 @@ def test_engine_mapper_and_planner_share_one_instance_order(first, tmp_path):
     engine.policy = make_policy(cfg)
     engine.run()
     assert [i.id for i in engine.instances_by("active")] == ["i-01", "i-1", "i-2"]
-    assert gpu_order([(first, 0), (second, 0)])[0] == [("i-01", 0), ("i-1", 0)]
+    assert gpu_order([(first, 0), (second, 0)]) == [("i-01", 0), ("i-1", 0)]
 
     # i-2 needs the whole model and both others hold it at equal load: the
     # first instance in the order sends the first layer
     target = ParallelConfig(1, 1, 1, 1)
-    mapping = positional_mapping([("i-2", 0)], target)
+    mapping = positional_mapping(Layout.of({("i-2", 0): ContextInventory.empty()}), target)
     full = required_context(target, next(iter(mapping.assignment.values())), profile.model)
     layout = {(first, 0): full, (second, 0): full, ("i-2", 0): ContextInventory.empty()}
-    model_transfers = derive_transfers(mapping, layout, profile.model).records()[0]
+    model_transfers = derive_transfers(mapping, Layout.of(layout), profile.model).records()[0]
     assert model_transfers[0][0].src == ("i-01", 0)
 
 
