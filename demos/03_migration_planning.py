@@ -38,7 +38,7 @@ mapping = map_devices(layout, new, model, gpus_per_instance=1)
 # what moves depends only on the mapping and the layout; the buffer cap only
 # orders it, so one derivation is assembled under both caps below
 derived = derive_transfers(mapping, layout, model, cache)
-plan = plan_migration(mapping, layout, model, derived, u_max=3e9)
+plan = plan_migration(derived, u_max=3e9)
 
 print(f"=== Plan for {old} -> {new} ===")
 print(f"reused bytes: {mapping.total_weight / 1e9:6.2f} GB")
@@ -69,7 +69,7 @@ for inst, peak in sorted(plan.peak_usage.items()):
     if peak > 0:
         print(f"  {inst:>4}: {peak / 1e9:5.2f}")
 
-capped = plan_migration(mapping, layout, model, derived, u_max=1e9)
+capped = plan_migration(derived, u_max=1e9)
 print(f"\nwith a 1 GB buffer cap the order defers hot layers:")
 print("  order:", [a.layer for a in capped.actions if a.kind == "migrate_layer"])
 print(f"  peak:  {max(capped.peak_usage.values()) / 1e9:.2f} GB "

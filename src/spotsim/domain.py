@@ -23,11 +23,13 @@ Model context is the KV cache of request None holding one token, weighted by
 `ModelSpec.unit_bytes`, so code that needs no other distinction walks both
 kinds in one loop.
 A position's context lives on the grid 1/M of its shard count, and two
-grids meet on the lcm of theirs.  Byte counts sum integer numerators and
-divide by the grid once, and `int / int` is correctly rounded, so each one is
-the exact rational byte count rounded once, as `float(Fraction)` would give.
-`overlap_bytes` therefore costs O(1) per pair of rectangles of a request
-both inventories hold, independent of the number of layers.
+grids meet on the lcm of theirs.  A byte count is integer grid units times
+integer unit bytes over the grid, and `exact_bytes` is the rule that turns
+units into bytes: each count is the exact rational rounded once, as
+`float(Fraction)` would give.  The mapper and the planner both call it on
+their unit arrays.  `overlap_bytes` is the per-pair reference for two
+inventories; it divides Python ints once and costs O(1) per pair of
+rectangles of a request both hold, independent of the number of layers.
 
 All types here are plain values; nothing mutates shared state.
 """
@@ -403,3 +405,27 @@ def overlap_bytes(a: ContextInventory, b: ContextInventory, model: ModelSpec) ->
                         shared += layers * width * (a_tokens if a_tokens < b_tokens else b_tokens)
         units += shared * model.unit_bytes(rid)
     return units / den
+
+
+def exact_bytes(units: Sequence[np.ndarray], weights: Sequence[int], den: int) -> np.ndarray:
+    """The sum over k of `units[k] * weights[k] / den`, element by element,
+    for int64 unit arrays of one shape and integer weights: the exact
+    rational rounded once, the float `n * w / den` gives for Python ints.
+
+    When the sum of each array's largest magnitude times its weight's stays
+    below 2**53 (taken in Python ints, since units may be negative) and so
+    does `den`, float64 holds every product and partial sum exactly and the
+    one division rounds once.  Otherwise each element is divided as Python
+    ints.  The float sum starts from +0.0, so a zero is never -0.0.
+    """
+    weights = [int(w) for w in weights]
+    reach = [max(-int(u.min(initial=0)), int(u.max(initial=0))) for u in units]
+    if den < 2**53 and sum(r * abs(w) for r, w in zip(reach, weights)) < 2**53:
+        total = np.zeros(units[0].shape)
+        for u, w, r in zip(units, weights, reach):
+            if r and w:
+                total += u * float(w)
+        return total / den
+    rows = zip(*(u.ravel().tolist() for u in units))
+    return np.array([sum(n * w for n, w in zip(row, weights)) / den for row in rows],
+                    dtype=float).reshape(units[0].shape)

@@ -7,15 +7,16 @@ exactly the one minimizing migration traffic.  The holdings come as a
 out as rows on the same grid by `position_rows`, which the planner and the
 engine share, and the layout's request codes are extended to the requests
 the positions inherit.  The whole GPU x position matrix is built in one pass
-from those rows; each weight is the float `overlap_bytes` gives for that
-pair.  Model context is the KV cache of request None with one token, so
-model and cache meet in one join on the request.  Every instance size goes
-through the same two-step matching:
-GPUs are fused per instance and positions per tensor-parallel group, an inner
-match fixes the per-GPU pairing inside each fused pair, and an outer match
-assigns fused groups.  Each distinct inner block is matched once and its
-matching reused wherever the block recurs.  At group size 1 the weight matrix
-is the fused graph, so the outer match is the only one.
+from those rows, whatever the byte counts: each cell's model and cache units
+go through `domain.exact_bytes`, so each weight is the float `overlap_bytes`
+gives for that pair.  Model context is the KV cache of request None with one
+token, so model and cache meet in one join on the request.  Every instance
+size goes through the same two-step matching: GPUs are fused per instance
+and positions per tensor-parallel group, an inner match fixes the per-GPU
+pairing inside each fused pair, and an outer match assigns fused groups.
+Each distinct inner block is matched once and its matching reused wherever
+the block recurs.  At group size 1 the weight matrix is the fused graph, so
+the outer match is the only one.
 """
 
 import math
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    ContextInventory,
     GpuRef,
     KvCache,
     Layout,
@@ -33,12 +33,17 @@ from .domain import (
     ParallelConfig,
     RequestRecord,
     TopologyPosition,
+    exact_bytes,
     kv_cache,
     overlap_bytes,
     positions,
-    required_context,
     stage_layers,
 )
+
+# `overlap_bytes` is bound here for perfbench's tracer, which wraps it by name.
+__all__ = ["BipartiteGraph", "DeviceMapping", "MappingError", "build_graph", "default_inheritance",
+           "km_match", "map_devices", "overlap_bytes", "position_rows", "positional_mapping",
+           "retain_cache", "slot_table"]
 
 
 class MappingError(ValueError):
@@ -237,34 +242,20 @@ def _areas(a, b):
 
 
 def _overlap_matrix(held_rows: np.ndarray, n_held: int, need_rows: np.ndarray, n_need: int,
-                    keys: dict[str | None, int], den: int,
-                    model: ModelSpec) -> list[list[float]] | None:
+                    keys: dict[str | None, int], den: int, model: ModelSpec) -> list[list[float]]:
     """`overlap_bytes(holding, need, model)` for each of the `n_held`
     holdings and `n_need` needs whose rows on grid 1/den are `held_rows` and
-    `need_rows`, with the request codes `keys` gives; None when a numerator
-    may reach 2**52.
+    `need_rows`, with the request codes `keys` gives.
 
     Rows meet when they belong to the same request, so held rows of a
-    request no need has are left out first.  A pair's numerator is its
-    overlap area times the smaller token count times the request's
-    `unit_bytes`.  The integer numerators are summed per cell and divided by
-    the grid once, as `overlap_bytes` does.  A cell bound, each holding
-    row's area times tokens times unit bytes, times the most rows one need
-    has of one request, checks that every cell stays below 2**52 (with a
-    factor 2 to spare for the bound's own float rounding) before any int64
-    arithmetic.  Below 2**53 int64 sums are exact and float64 holds every
-    numerator and the grid (below 2**52 by the caller) exactly, so the one
-    true division rounds once.
+    request no need has are left out first.  A pair's units are its overlap
+    area times the smaller token count.  Each cell sums its model units
+    (request code 0) and its cache units (the other codes) apart, and
+    `exact_bytes` weighs them by the model's unit bytes and divides by the
+    grid, as `overlap_bytes` does.
     """
-    weight = np.array([model.unit_bytes(rid) for rid in keys], dtype=np.int64)
     per_key = np.bincount(need_rows[:, 1], minlength=len(keys))
     held_rows = held_rows[per_key[held_rows[:, 1]] > 0]
-
-    most = np.bincount(need_rows[:, 0] * len(keys) + need_rows[:, 1]).max(initial=0)
-    held_f = held_rows.astype(float)
-    own = _areas(held_f[:, 2:6], held_f[:, 2:6]) * held_f[:, 6] * weight[held_rows[:, 1]]
-    if (np.bincount(held_rows[:, 0], own, n_held) * float(most)).max(initial=0.0) >= 2**52:
-        return None
 
     # each held row meets every need row of its request: sort the need rows
     # by request and pair held rows with their request's run of them, about
@@ -272,7 +263,8 @@ def _overlap_matrix(held_rows: np.ndarray, n_held: int, need_rows: np.ndarray, n
     need_rows = need_rows[np.argsort(need_rows[:, 1], kind="stable")]
     run_starts = np.cumsum(per_key) - per_key
     pairs_upto = np.cumsum(per_key[held_rows[:, 1]])
-    units = np.zeros(n_held * n_need, dtype=np.int64)
+    cells = n_held * n_need
+    units = np.zeros(2 * cells, dtype=np.int64)  # model units, then cache units
     lo = 0
     while lo < len(held_rows):
         hi = int(np.searchsorted(pairs_upto, pairs_upto[lo] + _PAIRS, "right"))
@@ -281,11 +273,13 @@ def _overlap_matrix(held_rows: np.ndarray, n_held: int, need_rows: np.ndarray, n
         firsts = np.cumsum(runs) - runs
         held = rows[np.repeat(np.arange(len(rows)), runs)]
         need = need_rows[np.repeat(run_starts[rows[:, 1]] - firsts, runs) + np.arange(len(held))]
-        numerators = (_areas(held[:, 2:6], need[:, 2:6]) * np.minimum(held[:, 6], need[:, 6])
-                      * weight[held[:, 1]])
-        np.add.at(units, held[:, 0] * n_need + need[:, 0], numerators)
+        np.add.at(units, (held[:, 1] > 0) * cells + held[:, 0] * n_need + need[:, 0],
+                  _areas(held[:, 2:6], need[:, 2:6]) * np.minimum(held[:, 6], need[:, 6]))
         lo = hi
-    return (units / den).reshape(n_held, n_need).tolist()
+    model_units, cache_units = units.reshape(2, cells)
+    return exact_bytes((model_units, cache_units),
+                       (model.bytes_per_layer, model.kv_bytes_per_token_per_layer),
+                       den).reshape(n_held, n_need).tolist()
 
 
 def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
@@ -296,8 +290,7 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
     inheritance maps old pipeline index -> new pipeline index (identity prefix
     by default); requests on inherited pipelines contribute cache overlap to
     the inheriting pipeline's positions.  Each weight is the float
-    `overlap_bytes` gives for the pair, computed for all pairs at once; past
-    the exact range, each GPU's rows are scored as an inventory, pair by pair.
+    `overlap_bytes` gives for the pair, computed for all pairs at once.
     """
     inherited_by_new: KvCache = {}
     if inheritance and requests_by_old_pipeline:
@@ -307,24 +300,12 @@ def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
 
     slots = positions(target)
     den = math.lcm(target.tensor_shards, layout.den)
-    weights = None
-    if den < 2**52:
-        table = slot_table(target, model, list(enumerate(slots)))
-        keys = {rid: code for code, rid in enumerate(layout.rids)}
-        cache = {d: [(None, 1), *inherited_by_new.get(d, ())]
-                 for d in range(1, target.data_parallel + 1)}
-        need_rows = position_rows(table, den // target.tensor_shards, cache, keys)
-        weights = _overlap_matrix(layout.rows_on(den), len(layout.gpus), need_rows, len(slots),
-                                  keys, den, model)
-    if weights is None:
-        rects: list[dict] = [{} for _ in layout.gpus]
-        for g, code, *rect in layout.rows.tolist():
-            rects[g].setdefault(layout.rids[code], []).append(tuple(rect))
-        holdings = [ContextInventory(layout.den, {rid: tuple(r) for rid, r in of_gpu.items()})
-                    for of_gpu in rects]
-        needs = [required_context(target, pos, model, inherited_by_new.get(pos.pipeline, ()))
-                 for pos in slots]
-        weights = [[overlap_bytes(held, need, model) for need in needs] for held in holdings]
+    table = slot_table(target, model, list(enumerate(slots)))
+    keys = {rid: code for code, rid in enumerate(layout.rids)}
+    cache = {d: [(None, 1), *inherited_by_new.get(d, ())] for d in range(1, target.data_parallel + 1)}
+    need_rows = position_rows(table, den // target.tensor_shards, cache, keys)
+    weights = _overlap_matrix(layout.rows_on(den), len(layout.gpus), need_rows, len(slots),
+                              keys, den, model)
     return BipartiteGraph(gpus=layout.gpus, slots=slots, weights=weights)
 
 

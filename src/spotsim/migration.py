@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import STORAGE, GpuRef, Layout, ModelSpec
+from .domain import STORAGE, GpuRef, Layout, ModelSpec, exact_bytes
 from .mapping import DeviceMapping, _ragged, position_rows, slot_table
 
 
@@ -236,8 +236,10 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # of its request's holders, subtract what the receiver already holds, index
 # the holders of each run's layer block, and find what each GPU holds beyond
 # its need.
-# A byte count is `units * unit_bytes / den` divided as Python ints, the
-# exact value rounded once.  A float that sums several of them (a receiver's
+# A byte count is `domain.exact_bytes` of its grid units, the exact value
+# `units * unit_bytes / den` rounded once, the rule the mapper weighs its
+# cells by; covering divides one sub-piece's units as Python ints, which
+# gives the same float.  A float that sums several of them (a receiver's
 # incoming bytes, a release) is summed by `np.add.at`, which adds its terms
 # one at a time in array order, never pairwise; the terms are laid out layer
 # by layer in the order of a loop over receivers (or held blocks), layers and
@@ -277,17 +279,6 @@ def _matches(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
     start = keys.searchsorted(left, "left")
     i, k = _ragged(keys.searchsorted(left, "right") - start)
     return i, order[start[i] + k]
-
-
-def _divided(num: np.ndarray, weight: int, den: int) -> np.ndarray:
-    """`num * weight / den` for int64 numerators, each divided as Python
-    ints and so correctly rounded, once per distinct numerator."""
-    order = num.argsort()
-    starts = _starts(num[order])
-    quotients = np.array([n * weight / den for n in num[order[starts]].tolist()])
-    out = np.empty(len(num))
-    out[order] = quotients.repeat(_lengths(starts, len(num)))
-    return out
 
 
 def _sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,17 +395,18 @@ _NOTHING = _Round((0, 0))
 
 class _Common:
     """What the derivations over one mapping and one set of model holdings
-    share: the layout's GPUs; the instance names in their order, then
-    `STORAGE`'s (`names`); each GPU's instance name (`owner`), code into
-    `names` (`inst_of`) and stage (0 if unassigned), each with `STORAGE`'s
-    entry last, where a sender index of -1 finds it; the assigned GPUs'
-    `slot_table` (`slots`); the model transfers as columns ordered by layer,
-    the layers in the order covering first met them, and the layer releases.
-    The model loads and the layer rounds are computed once, when first
-    asked for."""
+    share: the layout's GPUs; each instance's rank in their order (`rank`),
+    and the instance names in that order, then `STORAGE`'s (`names`); each
+    GPU's instance name (`owner`), code into `names` (`inst_of`) and stage
+    (0 if unassigned), each with `STORAGE`'s entry last, where a sender
+    index of -1 finds it; the target's stage count and the model's layer
+    count; the assigned GPUs' `slot_table` (`slots`); the model transfers as
+    columns ordered by layer, the layers in the order covering first met
+    them, and the layer releases.  The model loads and the layer rounds are
+    computed once, when first asked for."""
 
-    __slots__ = ("gpus", "rank", "names", "owner", "inst_of", "stage", "slots", "model",
-                 "layers", "layer_releases", "_loads", "_rounds")
+    __slots__ = ("gpus", "rank", "names", "owner", "inst_of", "stage", "pipeline_stages",
+                 "num_layers", "slots", "model", "layers", "layer_releases", "_loads", "_rounds")
 
     def __init__(self, mapping: DeviceMapping, old_layout: Layout, model: ModelSpec):
         gpus = self.gpus = old_layout.gpus
@@ -425,6 +417,7 @@ class _Common:
         placed = list(map(mapping.assignment.get, gpus))
         self.stage = np.array([0 if pos is None else pos.stage for pos in placed] + [0],
                               dtype=np.int64)
+        self.pipeline_stages, self.num_layers = mapping.config.pipeline_stages, model.num_layers
         self.slots = slot_table(mapping.config, model, [
             (g, pos) for g, pos in enumerate(placed) if pos is not None])
         self._loads = self._rounds = None
@@ -621,7 +614,7 @@ def _incoming(terms: tuple, inst_of: np.ndarray, weight: int, den: int) -> dict[
     order."""
     dst, layers, counts, num = terms
     unit, _, at = _tiled(layers, counts)
-    sizes = _divided(num, weight, den)[(counts.cumsum() - counts)[unit] + at]
+    sizes = exact_bytes((num,), (weight,), den)[(counts.cumsum() - counts)[unit] + at]
     return dict(zip(*(a.tolist() for a in _sums(inst_of[dst][unit], sizes))))
 
 
@@ -657,7 +650,7 @@ def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: i
     u_row, u_seg = r[u_first], s[u_first]
     unit, layer_off, at = _tiled(ends[u_seg, u_row] - firsts[u_seg, u_row],
                                  _lengths(u_first, len(r)))
-    value = _divided(num[s, r], weight, den)[u_first[unit] + at]
+    value = exact_bytes((num[s, r],), (weight,), den)[u_first[unit] + at]
     positive = value > 0
     layer = firsts[u_seg, u_row][unit] + layer_off
     return layer[positive], inst_of[hg[u_row]][unit][positive], value[positive]
@@ -834,11 +827,11 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
 # ---------------------------------------------------------------------------
 # Plan assembly
 
-def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
-                   transfers: Derivation, u_max: float | None = None) -> MigrationPlan:
-    """Assemble the migration plan of a device mapping from `transfers`, the
-    `Derivation` that `derive_transfers` returned for that mapping over
-    `old_layout`.
+def plan_migration(transfers: Derivation, u_max: float | None = None) -> MigrationPlan:
+    """Assemble the migration plan of `transfers`, a `Derivation` that
+    `derive_transfers` returned; it carries all the plan reads of the
+    mapping, the layout and the model it was derived from.  `peak_usage`
+    lists the layout's instances in its GPU order.
 
     Round order: all-layer cache first, then layers in memopt order under
     `u_max`, or in index order when that replays to a lower peak; a
@@ -857,7 +850,7 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
     """
     common = transfers.common
     layer_rounds = common.layer_rounds()
-    cache, n_layers = transfers.cache, model.num_layers
+    cache, n_layers = transfers.cache, common.num_layers
 
     rounds: dict[int, MigrationAction] = {}  # by layer; the cache round is round n_layers
     if len(cache) or transfers.cache_releases:
@@ -911,13 +904,13 @@ def plan_migration(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
         naive = replayed(sorted(traffic))
         if max(naive[1]) < max(peak):
             chosen, peak = naive
-    peaks = {inst: peak[code[inst]] for inst in dict.fromkeys(gpu[0] for gpu in old_layout.gpus)}
+    peaks = {inst: peak[code[inst]] for inst in common.rank}
 
     # a stage may serve once every round delivering context to its GPUs is
     # done: each stage's last delivering round, -1 for none
     at = np.full(n_layers + 1, -1)
     at[chosen] = np.arange(len(chosen))
-    last_round = np.full(mapping.config.pipeline_stages + 1, -1)
+    last_round = np.full(common.pipeline_stages + 1, -1)
     np.maximum.at(last_round, common.stage[receiver], at[moved_in])
     starts: dict[int, list[MigrationAction]] = {}
     for p, idx in enumerate(last_round[1:].tolist(), 1):

@@ -695,7 +695,7 @@ class AdaptivePolicy:
             # An upper bound on the migration if every in-flight request's
             # cache moves: from that derivation's port totals, with no plan.
             inherited = kv_cache(engine.requests_by_pipeline())
-            _, derived = self._derive(engine, decision.mapping, base, inherited, inherited)
+            derived = self._derive(engine, decision.mapping, base, inherited, inherited)
             t_mig_est = migration_bound(*derived.port_loads(), engine.profile)
         stops: dict[int, float] = {}
         migrate_groups: dict[int, list[RequestRecord]] = {}
@@ -784,23 +784,21 @@ class AdaptivePolicy:
         return frozenset(i.id for i in engine.instances_by("grace_preempting"))
 
     def _derive(self, engine: Engine, mapping: DeviceMapping, base: Derivation,
-                cache: KvCache, inherited: dict) -> tuple[Layout, Derivation]:
-        """The live layout with `cache` on top, and its derivation: the base
+                cache: KvCache, inherited: dict) -> Derivation:
+        """The derivation of the live layout with `cache` on top: the base
         derivation gives the model part, and a layout that carries cache
         derives only its cache part on top of it."""
-        snapshot = engine.layout_snapshot(cache)
         if any(cache.values()):
-            base = derive_transfers(mapping, snapshot, engine.model, inherited,
-                                    departing=self._departing(engine), base=base)
-        return snapshot, base
+            base = derive_transfers(mapping, engine.layout_snapshot(cache), engine.model,
+                                    inherited, departing=self._departing(engine), base=base)
+        return base
 
     def _plan(self, engine: Engine, mapping: DeviceMapping, base: Derivation, cache: KvCache,
               inherited: dict) -> MigrationPlan:
         """Plan from the live layout with `cache` on top (`_derive`), ordered
         under the buffer cap (none without the planner)."""
-        snapshot, derived = self._derive(engine, mapping, base, cache, inherited)
         u_max = engine.cfg.u_max if self._use("planner") else None
-        return plan_migration(mapping, snapshot, engine.model, derived, u_max)
+        return plan_migration(self._derive(engine, mapping, base, cache, inherited), u_max)
 
     def _pack_pipelines(self, old_cache: dict[int, list[RequestRecord]],
                         target: ParallelConfig) -> dict[int, list[RequestRecord]]:

@@ -219,10 +219,10 @@ def test_criterion_03_migration_plan_soundness():
                               inheritance=None, requests_by_old_pipeline=None)
         u_max = float(model.bytes_per_layer) * float(rng.uniform(0.5, 3.0))
         derived = derive_transfers(mapping, table, model, inherited)
-        plan = plan_migration(mapping, table, model, derived, u_max)
+        plan = plan_migration(derived, u_max)
         _check_plan_soundness(model, new_cfg, mapping, layout, plan)
 
-        naive = plan_migration(mapping, table, model, derived, u_max=None)
+        naive = plan_migration(derived, u_max=None)
         peak_opt = max(plan.peak_usage.values(), default=0.0)
         peak_naive = max(naive.peak_usage.values(), default=0.0)
         assert peak_opt <= peak_naive + 1e-9, "memopt never beats the naive order"

@@ -138,6 +138,17 @@ def test_runtime_failure_exits_three(quick_config, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == "runtime error: RuntimeError: simulated failure\n"
 
 
+def test_model_bytes_past_int64_run_to_exit_zero(tmp_path):
+    """A layer of 2**70 bytes overflows int64 and float64's exact range: the
+    mapper and the planner count its bytes exactly and the run completes."""
+    doc = json.loads(Path(bundled_path("gpt-20b")).read_text())
+    doc["model"]["bytes_per_layer"] = 2**70
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bundled_path("scenario_bs.json")),
+                 "--profile", str(profile), "--duration", "300"]) == 0
+
+
 @pytest.mark.parametrize("shape, profile", [
     ([9, 9, 9], "gpt-20b"),
     ([2, 8, 2], "opt-6.7b"),  # the bundled scenario's shape, which opt-6.7b lacks

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotsim.domain import (
     DomainError,
     ModelSpec,
     ParallelConfig,
     TopologyPosition,
+    exact_bytes,
     natural_key,
     overlap_bytes,
     positions,
@@ -134,6 +138,36 @@ class TestOverlapBytes:
             ab = overlap_bytes(a, b, MODEL4)
             assert ab == overlap_bytes(b, a, MODEL4)
             assert ab <= min(model_bytes(a, MODEL4), model_bytes(b, MODEL4)) + 1e-12
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def test_exact_bytes_is_the_rational_rounded_once():
+    """Each element is the exact sum of units times weights over `den`,
+    rounded once, with no -0.0; small inputs take the float branch and
+    large ones the Python-int branch, and the draws reach both."""
+    branches = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 6))
+        weights = data.draw(st.lists(st.one_of(st.integers(0, 2**10), st.integers(0, 2**70)),
+                                     min_size=1, max_size=2))
+        units = [np.array(data.draw(st.lists(st.one_of(st.integers(-64, 64), INT64),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+                 for _ in weights]
+        den = data.draw(st.integers(1, 1024))
+        got = exact_bytes(units, weights, den)
+        sums = [sum(int(u[i]) * w for u, w in zip(units, weights)) for i in range(n)]
+        assert repr(got.tolist()) == repr([float(Fraction(total, den)) for total in sums])
+        reach = sum(max((abs(x) for x in u.tolist()), default=0) * w
+                    for u, w in zip(units, weights))
+        branches.add("float" if reach < 2**53 else "int")
+
+    check()
+    assert branches == {"float", "int"}
 
 
 def test_interval_helpers():

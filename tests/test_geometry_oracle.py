@@ -10,7 +10,9 @@ holds both for one derivation of the whole layout and for the two steps the
 engine takes: a cache-free derivation, then cache derivations given it as
 `base`.  A derivation keeps its transfers as grid-integer columns, and what
 the engine reads is summed from them; each such sum must be the float the
-loop over the expanded records gives.
+loop over the expanded records gives.  Models draw byte counts past 2**53
+and past 2**63 as well, so the mapper and the planner are compared on both
+branches of `domain.exact_bytes`.
 
 The mapper's weight matrix, built from rectangle arrays, must hold in every
 cell the float `overlap_bytes` gives for that GPU and position, and
@@ -54,12 +56,18 @@ DENOMINATORS = (1, 2, 3, 4, 6, 8)
 REQUESTS = ("r1", "r2", "r3")
 
 
+def byte_counts(most: int):
+    """Byte counts up to `most`, or past 2**53 (float64's exact integers), or
+    past 2**63 (int64's range), where bytes are divided as Python ints."""
+    return st.one_of(st.integers(1, most), st.integers(2**53, 2**54), st.integers(2**63, 2**65))
+
+
 @st.composite
 def models(draw):
     # large, odd byte counts so that rounding order would show
     return ModelSpec(name="h", num_layers=draw(st.integers(1, 8)),
-                     bytes_per_layer=draw(st.integers(1, 10**10)),
-                     kv_bytes_per_token_per_layer=draw(st.integers(1, 10**5)))
+                     bytes_per_layer=draw(byte_counts(10**10)),
+                     kv_bytes_per_token_per_layer=draw(byte_counts(10**5)))
 
 
 @st.composite
@@ -347,7 +355,7 @@ def test_columns_give_what_the_record_loops_gave(case):
         inst for transfers in model_transfers.values() for t in transfers
         for inst in (t.src[0], t.dst[0])}
 
-    plan = plan_migration(mapping, Layout.of(layout), model, derived)
+    plan = plan_migration(derived)
     assert plan.peak_usage == simulate_buffer_usage(plan, layout)
     for action in plan.actions:
         sent, received = port_bytes(action.transfers)

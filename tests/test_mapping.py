@@ -12,6 +12,7 @@ from spotsim.domain import (
     RequestRecord,
     TopologyPosition,
     kv_cache,
+    overlap_bytes,
     positions,
     required_context,
 )
@@ -153,28 +154,23 @@ class TestBuildGraph:
         row = graph.gpus.index(("i-9", 0))
         assert all(w == 0.0 for w in graph.weights[row])
 
-    @pytest.mark.parametrize("bytes_per_layer, kv_bytes", [(2**60, 16), (800, 2**50)])
-    def test_weights_beyond_exact_range_go_through_overlap_bytes(self, monkeypatch,
-                                                                 bytes_per_layer, kv_bytes):
-        # numerators past 2**52 would overflow int64 or round when converted
-        # to float, so every cell falls back to the per-pair computation
+    @pytest.mark.parametrize("bytes_per_layer, kv_bytes",
+                             [(2**60, 16), (800, 2**50), (2**70, 16), (800, 2**64)])
+    def test_weights_of_any_size_equal_overlap_bytes(self, bytes_per_layer, kv_bytes):
+        # byte counts past 2**53 leave float64's exact range, and past 2**63
+        # int64's, so these cells are divided as Python ints
         old, new = ParallelConfig(2, 2, 1, 4), ParallelConfig(2, 1, 2, 4)
         reqs = {1: [RequestRecord(id="r-1", arrival=0.0, s_in=3000, s_out=8)],
                 2: [RequestRecord(id="r-2", arrival=0.0, s_in=5, s_out=8)]}
         cache = kv_cache(reqs)
-        calls = []
-        overlap = mapping.overlap_bytes
-        monkeypatch.setattr(mapping, "overlap_bytes",
-                            lambda a, b, m: calls.append(1) or overlap(a, b, m))
         for model in (MODEL, ModelSpec(name="huge", num_layers=4, bytes_per_layer=bytes_per_layer,
                                        kv_bytes_per_token_per_layer=kv_bytes)):
             layout = {(f"i-{k}", 0): required_context(old, pos, model, cache[pos.pipeline])
                       for k, pos in enumerate(positions(old))}
             graph = build_graph(Layout.of(layout), new, model, default_inheritance(2, 2), reqs)
             needs = [required_context(new, pos, model, cache[pos.pipeline]) for pos in graph.slots]
-            assert graph.weights == [[overlap(layout[gpu], need, model) for need in needs]
+            assert graph.weights == [[overlap_bytes(layout[gpu], need, model) for need in needs]
                                      for gpu in graph.gpus]
-        assert len(calls) == len(graph.gpus) * len(graph.slots)  # only the huge model falls back
 
     def test_cache_overlap_breaks_model_tie(self):
         # Mapping figure scenario: (2,2,2) -> (2,3,1); the GPU holding pipeline

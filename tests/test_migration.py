@@ -53,7 +53,7 @@ def transition_plan(model, old_cfg, new_cfg, n_instances, u_max=None, gpus_per_i
     layout = serving_cluster(model, old_cfg, n_instances, gpus_per_instance)
     table = Layout.of(layout)
     mapping = map_devices(table, new_cfg, model, gpus_per_instance)
-    plan = plan_migration(mapping, table, model, derive_transfers(mapping, table, model), u_max)
+    plan = plan_migration(derive_transfers(mapping, table, model), u_max)
     return mapping, layout, plan
 
 
@@ -169,7 +169,7 @@ class TestMemoptLayerOrder:
         derived = migration.Derivation(common, migration._Moves(
             np.empty((0, 8), dtype=np.int64), np.empty(0), common.gpus, 1, []), {})
         assert derived.records()[0] == moved
-        plan = plan_migration(mapping, layout, model, derived, u_max)
+        plan = plan_migration(derived, u_max)
         shipped = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert max(plan.peak_usage.values()) == peak_of(shipped) <= peak_of(index_order)
         # seeds 2 and 4 are where the greedy alone peaks above the index order
@@ -221,7 +221,7 @@ class TestPlanMigration:
         layout = serving_cluster(model, old, 16)
         table = Layout.of(layout)
         mapping = map_devices(table, new, model, 1)
-        plan = plan_migration(mapping, table, model, derive_transfers(mapping, table, model))
+        plan = plan_migration(derive_transfers(mapping, table, model))
         # moved bytes equal required minus reused
         needed = sum(model_bytes(required_context(new, pos, model), model)
                      for pos in positions(new))
@@ -250,8 +250,7 @@ class TestPlanMigration:
         table = Layout.of(layout)
         mapping = map_devices(table, new, MODEL, 1,
                               inheritance={1: 1})
-        plan = plan_migration(mapping, table, MODEL,
-                              derive_transfers(mapping, table, MODEL, cache_map))
+        plan = plan_migration(derive_transfers(mapping, table, MODEL, cache_map))
         move_kinds = [a.kind for a in plan.actions if a.kind != "start_stage"]
         assert move_kinds[0] == "migrate_cache"
         assert all(k == "migrate_layer" for k in move_kinds[1:])
@@ -262,7 +261,7 @@ class TestPlanMigration:
         layout = serving_cluster(MODEL, old, 4)
         table = Layout.of(layout)
         mapping = map_devices(table, new, MODEL, 1)
-        plan = plan_migration(mapping, table, MODEL, derive_transfers(mapping, table, MODEL))
+        plan = plan_migration(derive_transfers(mapping, table, MODEL))
         stage_gpus = {p: set() for p in (1, 2)}
         for gpu, pos in mapping.assignment.items():
             stage_gpus[pos.stage].add(gpu)
@@ -334,7 +333,7 @@ class TestPlanMigration:
         layout = serving_cluster(model, old, 16)
         table = Layout.of(layout)
         mapping = map_devices(table, new, model, 1)
-        plan = plan_migration(mapping, table, model, derive_transfers(mapping, table, model))
+        plan = plan_migration(derive_transfers(mapping, table, model))
         layer_rounds = [a.layer for a in plan.actions if a.kind == "migrate_layer"]
         assert layer_rounds == sorted(layer_rounds)
 
@@ -353,8 +352,7 @@ class TestPlanMigration:
             return orders[-1]
         monkeypatch.setattr(migration, "memopt_layer_order", recorded)
         table = Layout.of(layout)
-        plan = plan_migration(mapping, table, model,
-                              derive_transfers(mapping, table, model, inherited), u_max)
+        plan = plan_migration(derive_transfers(mapping, table, model, inherited), u_max)
 
         rounds = [a for a in plan.actions if a.kind != "start_stage"]
         assert rounds[0].kind == "migrate_cache"
@@ -427,9 +425,8 @@ class TestSimulateBufferUsage:
             table = Layout.of(layout)
             mapping = map_devices(table, new, model, 1)
             derived = derive_transfers(mapping, table, model)
-            bounded = plan_migration(mapping, table, model, derived,
-                                     u_max=float(model.bytes_per_layer) * 1.5)
-            naive = plan_migration(mapping, table, model, derived, u_max=None)
+            bounded = plan_migration(derived, u_max=float(model.bytes_per_layer) * 1.5)
+            naive = plan_migration(derived, u_max=None)
             assert max(bounded.peak_usage.values()) <= max(naive.peak_usage.values()) + 1e-9
 
 
@@ -455,7 +452,7 @@ def test_plan_json_roundtrip_keeps_cache_layer_runs():
               for k, pos in enumerate(positions(old))}
     table = Layout.of(layout)
     mapping = map_devices(table, new, MODEL, 1, inheritance={1: 1})
-    plan = plan_migration(mapping, table, MODEL, derive_transfers(mapping, table, MODEL, cache))
+    plan = plan_migration(derive_transfers(mapping, table, MODEL, cache))
     assert {(t.kind, t.layers) for t in plan.transfers()} == {("model", 1), ("cache", 4)}
     doc = json.loads(json.dumps(plan_to_dict(plan)))
     written = [t for a in doc["actions"] for t in a.get("transfers", ())]
@@ -476,8 +473,7 @@ def test_departing_sources_keep_bystander_replicas_out():
     targets = {gpu: held for gpu, held in layout.items() if gpu[0] != "i-1"}
     mapping = map_devices(Layout.of(targets), cfg, model, 1)
     table = Layout.of(layout)
-    plan = plan_migration(mapping, table, model,
-                          derive_transfers(mapping, table, model, departing=departing))
+    plan = plan_migration(derive_transfers(mapping, table, model, departing=departing))
     sources = {t.src[0] for t in plan.transfers()}
     assert sources == {"i-1"}
     receivers = {t.dst[0] for t in plan.transfers()}

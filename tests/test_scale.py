@@ -56,13 +56,13 @@ def reshaped_fleet():
     inherited = {d: cache[d] for d in range(1, target.data_parallel + 1)}
     table = Layout.of(layout)
     derived = derive_transfers(mapping, table, model, inherited, departing=departing)
-    plan = plan_migration(mapping, table, model, derived, u_max=4e9)
+    plan = plan_migration(derived, u_max=4e9)
     return model, target, mapping, layout, inherited, derived, plan
 
 
 def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
-    """Every weight of the fleet's graph comes from the rectangle arrays: no
-    cell reaches the bound past which `build_graph` calls `overlap_bytes`."""
+    """Every weight of the fleet's graph comes from the rectangle arrays:
+    `build_graph` never scores a pair with `overlap_bytes`."""
     model, target, _, survivors, _, requests, _, inheritance = fleet()
     calls = []
     overlap = mapping_module.overlap_bytes
@@ -98,7 +98,7 @@ def test_192_gpu_reshape_derived_in_two_steps_is_the_same_plan():
     table = Layout.of(layout)
     two_step = derive_transfers(mapping, table, model, inherited, departing=departing, base=base)
     assert repr(two_step.records()) == repr(derived.records())
-    again = plan_migration(mapping, table, model, two_step, u_max=4e9)
+    again = plan_migration(two_step, u_max=4e9)
     check_delivers_once(again, mapping, layout, model, inherited)
     check_assembly(again, mapping, layout)
     assert again.actions == plan.actions and again.peak_usage == plan.peak_usage

@@ -477,10 +477,12 @@ def test_one_cache_free_derivation_per_commit(monkeypatch):
     plan_migration, on_commit = sim.plan_migration, sim.AdaptivePolicy.on_commit
     derive, bound = sim.AdaptivePolicy._derive, sim.migration_bound
 
-    def plan(mapping, old_layout, *args, **kwargs):
+    def plan(transfers, *args, **kwargs):
         counts["plans"] += 1
-        counts["plans with cache"] += bool(old_layout.rows[:, 1].any())
-        return plan_migration(mapping, old_layout, *args, **kwargs)
+        # a derivation over a layout that carries cache names a request
+        # besides the model; a cache-free one names only the model
+        counts["plans with cache"] += transfers.cache.rids != [None]
+        return plan_migration(transfers, *args, **kwargs)
 
     carried = [False]  # whether the last `_derive` call's snapshot carried cache
 
@@ -521,13 +523,13 @@ def recorded_estimates(monkeypatch) -> list[tuple[float, float, bool]]:
     derive, bound = AdaptivePolicy._derive, sim.migration_bound
 
     def derived(policy, engine, mapping, base, cache, inherited):
-        last[:] = [policy, engine, mapping, derive(policy, engine, mapping, base, cache, inherited)]
+        last[:] = [policy, engine, derive(policy, engine, mapping, base, cache, inherited)]
         return last[-1]
 
     def estimate(*args):
-        policy, engine, mapping, (snapshot, derivation) = last
+        policy, engine, derivation = last
         u_max = engine.cfg.u_max if policy._use("planner") else None
-        plan = plan_migration(mapping, snapshot, engine.model, derivation, u_max)
+        plan = plan_migration(derivation, u_max)
         records.append((bound(*args), migration_cost(plan, engine.profile),
                         bool(derivation.records()[1])))
         return records[-1][0]
