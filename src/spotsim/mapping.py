@@ -10,18 +10,18 @@ the positions inherit.  The whole GPU x position matrix is built in one pass
 from those rows, whatever the byte counts: each cell's model and cache units
 go through `domain.exact_bytes`, so each weight is the float `overlap_bytes`
 gives for that pair.  Model context is the KV cache of request None with one
-token, so model and cache meet in one join on the request.  Every instance
-size goes through the same two-step matching: GPUs are fused per instance
-and positions per tensor-parallel group, an inner match fixes the per-GPU
-pairing inside each fused pair, and an outer match assigns fused groups.
-Each distinct inner block is matched once and its matching reused wherever
-the block recurs.  At group size 1 the weight matrix is the fused graph, so
-the outer match is the only one.
+token, so model and cache meet in one join on the request.  The weights stay
+one float64 array from that join to the assignment total; only
+`_hungarian_max` turns them into lists, for its search.  Every instance size
+goes through one two-step matching, which `km_match` runs at group size 1:
+GPUs are fused per instance and positions per tensor-parallel group, an
+inner match fixes the per-GPU pairing inside each distinct fused block, and
+an outer match assigns fused groups.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,16 +56,18 @@ class BipartiteGraph:
 
     gpus: list[GpuRef]
     slots: list[TopologyPosition]
-    weights: list[list[float]]  # weights[i][j] = reusable bytes gpu i -> slot j
+    weights: np.ndarray  # float64, weights[i, j] = reusable bytes gpu i -> slot j
 
     def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.gpus):
             raise MappingError("weight rows must match gpu count")
-        for row in self.weights:
-            if len(row) != len(self.slots):
-                raise MappingError("weight cols must match slot count")
-            if row and min(row) < 0:
-                raise MappingError("weights must be >= 0")
+        if not self.gpus:  # `[]` has no column axis
+            self.weights = self.weights.reshape(0, len(self.slots))
+        if self.weights.shape[1:] != (len(self.slots),):
+            raise MappingError("weight cols must match slot count")
+        if self.weights.size and self.weights.min() < 0:
+            raise MappingError("weights must be >= 0")
 
 
 @dataclass
@@ -83,8 +85,9 @@ class DeviceMapping:
 # ---------------------------------------------------------------------------
 # Kuhn-Munkres
 
-def _hungarian_max(weights: list[list[float]]) -> list[int]:
-    """Max-weight matching on a rectangular matrix; returns col for each row.
+def _hungarian_max(weights: np.ndarray | list[list[float]]) -> list[int]:
+    """Max-weight matching on a rectangular matrix (an array or nested
+    lists); returns col for each row.
 
     The matrix is padded square with zero-weight dummies, so a row matched to
     a dummy gets a column index past the last real one.  Potentials +
@@ -93,14 +96,16 @@ def _hungarian_max(weights: list[list[float]]) -> list[int]:
     which maximum a tie yields, but it is not the lexicographically least
     one: `[[1,1,0,1],[0,0,1,0],[1,1,0,1],[1,1,1,0]]` gives `[3,2,1,0]`, not
     `[0,2,3,1]`.  Mappings depend on this rule, so any replacement must
-    reproduce it.
+    reproduce it.  The search runs on Python lists, made here and only here.
     """
-    rows = len(weights)
-    if rows == 0:
+    w = np.asarray(weights, dtype=float)
+    if not len(w):
         return []
-    n = max(rows, len(weights[0]))
-    cost = [[-w for w in row] + [0.0] * (n - len(row)) for row in weights]
-    cost += [[0.0] * n for _ in range(n - rows)]
+    rows, cols = w.shape
+    n = max(rows, cols)
+    c = np.zeros((n, n))
+    c[:rows, :cols] = -w
+    cost = c.tolist()
     INF = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -145,19 +150,49 @@ def _hungarian_max(weights: list[list[float]]) -> list[int]:
     return row_to_col[:rows]
 
 
+def _matched(graph: BipartiteGraph, group: int) -> DeviceMapping:
+    """Two-step match of `group` GPUs to `group` positions: fused GPU group a
+    is rows a*group.., fused position group b columns b*group...  An inner KM
+    per distinct block scores the fused edge (max of matched edge weights, the
+    reference rule) and gives `inner[a, b]`, each GPU's column in block b; the
+    outer KM assigns fused groups.  At group size 1 the weights are the fused
+    graph.
+    """
+    w = graph.weights
+    n_fused_gpus, n_fused_slots = len(graph.gpus) // group, len(graph.slots) // group
+    if group == 1:
+        fused_w, inner = w, np.zeros((*w.shape, 1), dtype=np.intp)
+    else:
+        blocks = (w.reshape(n_fused_gpus, group, n_fused_slots, group)
+                  .swapaxes(1, 2).reshape(-1, group * group))
+        # blocks with equal bytes share a label; the labels' order is immaterial
+        keys = blocks.view(np.dtype((np.void, blocks.itemsize * group * group)))
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        subs = blocks[first].reshape(-1, group, group)
+        perms = np.array([_hungarian_max(sub) for sub in subs], dtype=np.intp).reshape(-1, group)
+        best = subs[np.arange(len(subs))[:, None], np.arange(group), perms].max(axis=1)
+        which = which.reshape(n_fused_gpus, n_fused_slots)
+        fused_w, inner = best[which], perms[which]
+
+    assignment: dict[GpuRef, TopologyPosition] = {}
+    total = 0.0
+    for a, b in enumerate(_hungarian_max(fused_w)):
+        if b >= n_fused_slots:
+            continue
+        for i, k in enumerate(inner[a, b].tolist()):
+            g, s = a * group + i, b * group + k
+            assignment[graph.gpus[g]] = graph.slots[s]
+            total += float(w[g, s])
+    return DeviceMapping(assignment=assignment, total_weight=total)
+
+
 def km_match(graph: BipartiteGraph) -> DeviceMapping:
     """Maximum-weight assignment of GPUs to positions.
 
     GPUs matched to a padding dummy stay idle; positions matched to one stay
     uncovered (only possible when there are fewer GPUs than positions).
     """
-    assignment: dict[GpuRef, TopologyPosition] = {}
-    total = 0.0
-    for i, j in enumerate(_hungarian_max(graph.weights)):
-        if j < len(graph.slots):
-            assignment[graph.gpus[i]] = graph.slots[j]
-            total += graph.weights[i][j]
-    return DeviceMapping(assignment=assignment, total_weight=total)
+    return _matched(graph, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +277,7 @@ def _areas(a, b):
 
 
 def _overlap_matrix(held_rows: np.ndarray, n_held: int, need_rows: np.ndarray, n_need: int,
-                    keys: dict[str | None, int], den: int, model: ModelSpec) -> list[list[float]]:
+                    keys: dict[str | None, int], den: int, model: ModelSpec) -> np.ndarray:
     """`overlap_bytes(holding, need, model)` for each of the `n_held`
     holdings and `n_need` needs whose rows on grid 1/den are `held_rows` and
     `need_rows`, with the request codes `keys` gives.
@@ -279,7 +314,7 @@ def _overlap_matrix(held_rows: np.ndarray, n_held: int, need_rows: np.ndarray, n
     model_units, cache_units = units.reshape(2, cells)
     return exact_bytes((model_units, cache_units),
                        (model.bytes_per_layer, model.kv_bytes_per_token_per_layer),
-                       den).reshape(n_held, n_need).tolist()
+                       den).reshape(n_held, n_need)
 
 
 def build_graph(layout: Layout, target: ParallelConfig, model: ModelSpec,
@@ -318,15 +353,8 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 requests_by_old_pipeline: dict[int, list[RequestRecord]] | None = None,
                 ) -> DeviceMapping:
     """Two-step device mapping of the layout's GPUs, `gpus_per_instance` per
-    instance: fuse, match within fused pairs, match fused graph.
-
-    Group size is min(G, M): an instance's GPUs are fused in index order and a
-    (pipeline, stage) row's shards are fused along m, so a fused pair is
-    matched by an inner KM whose matching both scores the fused edge (max of
-    matched edge weights, the reference rule) and fixes the per-GPU expansion.
-    Equal blocks get equal inner matchings, so each distinct block is
-    matched once.  At group size 1 every group is a single GPU and the outer
-    match on the weight matrix is the only one.
+    instance.  Group size is min(G, M): an instance's GPUs are fused in index
+    order and a (pipeline, stage) row's shards along m (see `_matched`).
     """
     for inst, gpus in Counter(gpu[0] for gpu in layout.gpus).items():
         if gpus != gpus_per_instance:
@@ -338,36 +366,7 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
         raise MappingError(
             f"group size {group} must divide both G={gpus_per_instance} and M={target.tensor_shards}"
         )
-
-    # fused GPU group a is rows a*group.., fused position group b columns
-    # b*group..; each distinct group x group block is matched once
-    n_fused_gpus, n_fused_slots = len(graph.gpus) // group, len(graph.slots) // group
-    if group == 1:
-        fused_w, perms = graph.weights, [[0]]
-        block_of = [[0] * n_fused_slots] * n_fused_gpus
-    else:
-        blocks = (np.array(graph.weights).reshape(n_fused_gpus, group, n_fused_slots, group)
-                  .swapaxes(1, 2).reshape(-1, group * group))
-        # blocks with equal bytes share a label; the labels' order is immaterial
-        keys = blocks.view(np.dtype((np.void, blocks.itemsize * group * group)))
-        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        subs = blocks[first].reshape(-1, group, group).tolist()
-        perms = [_hungarian_max(sub) for sub in subs]
-        best = [max(row[k] for row, k in zip(sub, perm)) for sub, perm in zip(subs, perms)]
-        block_of = which.reshape(n_fused_gpus, n_fused_slots).tolist()
-        fused_w = [[best[u] for u in row] for row in block_of]
-
-    w = graph.weights
-    assignment: dict[GpuRef, TopologyPosition] = {}
-    total = 0.0
-    for a, b in enumerate(_hungarian_max(fused_w)):
-        if b >= n_fused_slots:
-            continue
-        for i, k in enumerate(perms[block_of[a][b]]):
-            g, s = a * group + i, b * group + k
-            assignment[graph.gpus[g]] = graph.slots[s]
-            total += w[g][s]
-    return DeviceMapping(assignment=assignment, total_weight=total, config=target)
+    return replace(_matched(graph, group), config=target)
 
 
 # ---------------------------------------------------------------------------

@@ -62,5 +62,5 @@ def map_devices(layout, target, model, gpus_per_instance, inheritance=None,
         for i, k in enumerate(perms[a, b]):
             g, s = a * group + i, b * group + k
             assignment[graph.gpus[g]] = graph.slots[s]
-            total += w[g][s]
+            total += float(w[g][s])
     return DeviceMapping(assignment=assignment, total_weight=total, config=target)

@@ -57,6 +57,27 @@ def serving_layout(model, config, ids):
             for iid, pos in zip(ids, positions(config))}
 
 
+class TestBipartiteGraph:
+    def test_weights_are_one_float64_array(self):
+        graph = graph_of([[4, 1, 0], [2, 0, 3]])
+        assert graph.weights.dtype == np.float64 and graph.weights.shape == (2, 3)
+        assert BipartiteGraph(gpus=[], slots=[], weights=[]).weights.shape == (0, 0)
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.zeros((3, 2)), "weight rows must match gpu count"),
+        (np.zeros((1, 2)), "weight rows must match gpu count"),
+        (np.zeros((2, 3)), "weight cols must match slot count"),
+        (np.zeros((2, 1)), "weight cols must match slot count"),
+        (np.zeros(2), "weight cols must match slot count"),
+        ([[1.0, 2.0], [0.0, -1.0]], "weights must be >= 0"),
+    ])
+    def test_malformed_weights_are_rejected(self, weights, message):
+        gpus = [("i-0", 0), ("i-1", 0)]
+        slots = [TopologyPosition(1, 1, 1), TopologyPosition(1, 1, 2)]
+        with pytest.raises(MappingError, match=message):
+            BipartiteGraph(gpus=gpus, slots=slots, weights=weights)
+
+
 class TestKmMatch:
     def test_one_by_one(self):
         got = km_match(graph_of([[7.0]]))
@@ -127,6 +148,23 @@ class TestKmMatch:
         assert least == (0, 2, 3, 1)
         assert _hungarian_max(w) == [3, 2, 1, 0]
 
+    def test_array_and_lists_match_alike(self):
+        rng = np.random.default_rng(5)
+        tie = np.array([[1, 1, 0, 1], [0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 1, 0]], dtype=float)
+        for w in (tie, rng.integers(0, 4, size=(6, 4)).astype(float),
+                  rng.integers(0, 4, size=(4, 7)).astype(float), rng.random((5, 5))):
+            assert _hungarian_max(w) == _hungarian_max(w.tolist())
+        assert _hungarian_max(tie) == [3, 2, 1, 0]
+
+    @pytest.mark.parametrize("shape", [(94, 92), (92, 94), (5, 5)])
+    def test_all_zero_matrix_gives_identity(self, shape):
+        # rows past the last column take the padding columns in order
+        assert _hungarian_max(np.zeros(shape)) == list(range(shape[0]))
+
+    def test_total_weight_is_a_python_float(self):
+        got = km_match(graph_of([[4, 1, 0], [2, 0, 3], [1, 2, 2]]))
+        assert type(got.total_weight) is float and got.total_weight == 9.0
+
     def test_all_slots_covered_when_enough_gpus(self):
         rng = np.random.default_rng(11)
         w = rng.integers(0, 50, size=(6, 4)).astype(float)
@@ -169,8 +207,8 @@ class TestBuildGraph:
                       for k, pos in enumerate(positions(old))}
             graph = build_graph(Layout.of(layout), new, model, default_inheritance(2, 2), reqs)
             needs = [required_context(new, pos, model, cache[pos.pipeline]) for pos in graph.slots]
-            assert graph.weights == [[overlap_bytes(layout[gpu], need, model) for need in needs]
-                                     for gpu in graph.gpus]
+            assert graph.weights.tolist() == [
+                [overlap_bytes(layout[gpu], need, model) for need in needs] for gpu in graph.gpus]
 
     def test_cache_overlap_breaks_model_tie(self):
         # Mapping figure scenario: (2,2,2) -> (2,3,1); the GPU holding pipeline
@@ -300,6 +338,15 @@ class TestMapDevices:
         del layout[("i-1", 3)]
         with pytest.raises(MappingError, match="instance i-1 has 3 GPUs, expected 4"):
             map_devices(Layout.of(layout), cfg, MODEL, 4)
+
+    @pytest.mark.parametrize("per_instance", [1, 2])
+    def test_total_weight_is_a_python_float(self, per_instance):
+        # its repr goes into mapping digests: np.float64 prints differently
+        cfg = ParallelConfig(1, 2, 2, 1)
+        layout = {(f"i-{k // per_instance}", k % per_instance): required_context(cfg, pos, MODEL)
+                  for k, pos in enumerate(positions(cfg))}
+        got = map_devices(Layout.of(layout), cfg, MODEL, gpus_per_instance=per_instance)
+        assert type(got.total_weight) is float and got.total_weight > 0
 
     def test_total_migrated_bytes_is_required_minus_matched(self):
         cfg = ParallelConfig(1, 2, 2, 1)

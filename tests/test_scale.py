@@ -23,6 +23,7 @@ import spotsim.mapping as mapping_module
 from spotsim.mapping import build_graph, default_inheritance, map_devices
 from spotsim.migration import derive_transfers, plan_migration
 
+import mapping_oracle
 from memopt_oracle import layer_traffic, reference_layer_order
 from plan_checks import check_assembly, check_delivers_once
 
@@ -62,7 +63,8 @@ def reshaped_fleet():
 
 def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
     """Every weight of the fleet's graph comes from the rectangle arrays:
-    `build_graph` never scores a pair with `overlap_bytes`."""
+    `build_graph` never scores a pair with `overlap_bytes`.  The weights
+    equal the per-pair oracle's value for value, and so does the mapping."""
     model, target, _, survivors, _, requests, _, inheritance = fleet()
     calls = []
     overlap = mapping_module.overlap_bytes
@@ -73,6 +75,15 @@ def test_192_gpu_reshape_weights_stay_in_the_exact_range(monkeypatch):
     monkeypatch.setattr(mapping_module, "overlap_bytes", counted)
     graph = build_graph(Layout.of(survivors), target, model, inheritance, requests)
     assert len(graph.gpus) == 176 and not calls
+
+    want = mapping_oracle.build_graph(survivors, target, model, inheritance, requests)
+    assert (graph.gpus, graph.slots) == (want.gpus, want.slots)
+    assert graph.weights.tolist() == want.weights.tolist()
+    got = map_devices(Layout.of(survivors), target, model, GPUS_PER_INSTANCE, inheritance, requests)
+    ref = mapping_oracle.map_devices(survivors, target, model, GPUS_PER_INSTANCE, inheritance,
+                                     requests)
+    assert got.assignment == ref.assignment and got.config == ref.config
+    assert repr(got.total_weight) == repr(ref.total_weight)
 
 
 def test_192_gpu_reshape_reuses_or_delivers_every_required_byte_once():
