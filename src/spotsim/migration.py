@@ -6,13 +6,15 @@ and cache pieces are derived in the same passes.  Remote storage (`STORAGE`)
 sends the model pieces no live GPU holds.  KV cache has no such holder: a
 cache piece without a live copy raises `MigrationError`.  Planning has two
 steps.
-`derive_transfers` decides what moves over one layout: the model transfers
-of one mapping, one per layer, then its cache transfers, one per layer run
-of a request, and the end-of-round releases.  It reads the holdings and the
-needs as integer rectangle rows and finds the missing pieces, the receivers'
-incoming bytes and the releases with array passes; only covering, where
-each sender choice depends on the load the choices before it left, is a
-Python loop, and it writes its choices straight into grid-integer columns.
+`derive_transfers` decides what moves over one layout, and the end-of-round
+releases.  It reads the holdings and the needs as integer rectangle rows
+and finds the missing pieces, the receivers' incoming bytes and the
+releases with array passes.  One rule covers both kinds of context: each
+piece once over its layer run, the layers over which its receiver's copy
+and its request's holders stay the same.  Each sender choice depends on the
+load the ones before it left, so this one loop is Python; it writes its
+choices into grid-integer columns, a cache choice as one transfer over its
+run, a model choice as one per layer.
 Model senders are chosen without regard to the cache, so a commit derives
 the model part once: its cache-free derivation carries what depends only on
 the mapping and the GPUs, the model columns among it, and each plan that
@@ -247,7 +249,7 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # Covering stays a Python loop over the runs: which holder sends a piece
 # depends on the bytes each sender has been given so far, so each choice
 # depends on the ones before it.  It appends each choice to a flat list, which
-# becomes the derivation's transfer columns (`_Moves`) in one conversion.
+# becomes transfer columns (`_Moves`) in one conversion.
 
 _G, _R, _F, _E, _LO, _HI, _T = range(7)  # row columns
 _LAYER, _SRC, _DST = 0, 1, 4  # transfer columns: layer, src, lo, hi, dst[, request, tokens, layers]
@@ -317,16 +319,26 @@ class _Moves:
         self.cols, self.size, self.gpus, self.den, self.rids = cols, size, gpus, den, rids
 
     @classmethod
-    def covered(cls, out: list, tags: list, counts: list[int], gpus: list[GpuRef], den: int,
-                rids: list[str] | None) -> "_Moves":
-        """The columns of the cover's output `out`: each run of `counts[i]`
-        sub-pieces gets the tag columns `tags[i]` (receiver, and for KV cache
-        request, tokens and layer count)."""
+    def covered(cls, units: list, common: "_Common", den: int, rids: list[str] | None,
+                load: dict[str, float], departing: frozenset[str], send_budget: float,
+                stored: bool) -> "_Moves":
+        """The one cover loop: each piece of the `_pieces` units, model or
+        cache, covered once over its unit's layer run (`_cover_from_holders`),
+        each sub-piece as one transfer of the run, tagged with its receiver,
+        request code, tokens and layer count."""
+        out, tags, counts = [], [], []
+        for g, inst, code, first, end, block, pieces in units:
+            for lo, hi, unit, tokens in pieces:
+                before = len(out)
+                _cover_from_holders(out, (lo, hi, unit * (end - first), tokens), block, inst,
+                                    first, den, load, common.owner, departing, send_budget,
+                                    stored)
+                tags.append((g, code, tokens, end - first))
+                counts.append((len(out) - before) // _PUT)
         table = np.fromiter(out, np.float64, len(out)).reshape(-1, _PUT)
-        width = 1 if rids is None else 4
-        tags = np.array(tags, dtype=np.int64).reshape(-1, width).repeat(counts, axis=0)
+        tags = np.array(tags, dtype=np.int64).reshape(-1, 4).repeat(counts, axis=0)
         return cls(np.concatenate((table[:, :_DST].astype(np.int64), tags), axis=1),
-                   table[:, _DST], gpus, den, rids)
+                   table[:, _DST], common.gpus, den, rids)
 
     def __len__(self) -> int:
         return len(self.size)
@@ -656,16 +668,14 @@ def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: i
     return layer[positive], inst_of[hg[u_row]][unit][positive], value[positive]
 
 
-def _cover_from_holders(out: list, pieces: list[tuple[int, int, int, int]], block, here: str,
-                        first: int, layers: int, den: int, load: dict[str, float],
-                        owner: list[str], departing: frozenset[str], send_budget: float,
-                        stored: bool) -> None:
-    """Split the grid pieces `(lo, hi, unit bytes, tokens)` of one receiver,
-    a GPU of instance `here`, across the holder GPUs of their layer block, on
-    each of `layers` layers from `first` in turn and piece by piece within a
-    layer, appending `layer, sender, lo, hi, bytes` to `out` for each
-    sub-piece; the sender is a GPU index, -1 for `STORAGE`, and `owner` gives
-    each index's instance.
+def _cover_from_holders(out: list, piece: tuple[int, int, int, int], block, here: str,
+                        layer: int, den: int, load: dict[str, float], owner: list[str],
+                        departing: frozenset[str], send_budget: float, stored: bool) -> None:
+    """Split the grid piece `(lo, hi, unit bytes, tokens)` of one receiver, a
+    GPU of instance `here`, across the holder GPUs of its layer block,
+    appending `layer, sender, lo, hi, bytes` to `out` for each sub-piece; the
+    sender is a GPU index, -1 for `STORAGE`, and `owner` gives each index's
+    instance.  Unit bytes count the piece's whole layer run, from `layer`.
 
     Senders are chosen per sub-piece: a copy on the destination's own instance
     wins (intra-instance copies are cheap); then copies on departing instances
@@ -679,47 +689,44 @@ def _cover_from_holders(out: list, pieces: list[tuple[int, int, int, int]], bloc
     """
     holders, memo = block or ((), {})
     budget = send_budget + 1e-6
-    put = out.extend
-    for layer in range(first, first + layers):
-        for lo, hi, unit_bytes, tokens in pieces:
-            start = lo
-            while start < hi:
-                # copies holding `start` with enough tokens, per block, in GPU
-                # order; none is on the destination GPU, since a need piece is
-                # what its own copies leave uncovered
-                found = memo.get((start, tokens))
-                if found is None:
-                    found = memo[(start, tokens)] = [
-                        (g, inst, c_hi) for g, inst, c_lo, c_hi, c_tokens in holders
-                        if c_lo <= start < c_hi and c_tokens >= tokens]
-                # the least (remote, not departing within budget, load if
-                # remote, GPU, -end); `found` is in GPU order already, so a
-                # later copy wins a tie on the first three only as the same
-                # GPU's longer copy
-                best_class = 4
-                for g, inst, c_hi in found:
-                    end = c_hi if c_hi < hi else hi
-                    cur = load[inst]
-                    cheap = inst in departing and cur + (end - start) * unit_bytes / den <= budget
-                    if inst == here:
-                        cls, cur = (0 if cheap else 1), 0.0
-                    else:
-                        cls = 2 if cheap else 3
-                    if cls < best_class or (cls == best_class and (
-                            cur < best_load or (cur == best_load and g == sender and end > stop))):
-                        best_class, best_load, sender, stop = cls, cur, g, end
-                if best_class == 4:
-                    if not stored:
-                        raise MigrationError(
-                            f"no source holds required shard [{Fraction(start, den)},"
-                            f"{Fraction(hi, den)}): layout inconsistent with mapping")
-                    sender = -1
-                    stop = min([h[2] for h in holders if start < h[2] < hi], default=hi)
-                size = (stop - start) * unit_bytes / den
-                put((layer, sender, start, stop, size))
-                if owner[sender] != here:
-                    load[owner[sender]] += size
-                start = stop
+    lo, hi, unit_bytes, tokens = piece
+    start = lo
+    while start < hi:
+        # copies holding `start` with enough tokens, per block, in GPU order;
+        # none is on the destination GPU, since a need piece is what its own
+        # copies leave uncovered
+        found = memo.get((start, tokens))
+        if found is None:
+            found = memo[(start, tokens)] = [
+                (g, inst, c_hi) for g, inst, c_lo, c_hi, c_tokens in holders
+                if c_lo <= start < c_hi and c_tokens >= tokens]
+        # the least (remote, not departing within budget, load if remote,
+        # GPU, -end); `found` is in GPU order already, so a later copy wins a
+        # tie on the first three only as the same GPU's longer copy
+        best_class = 4
+        for g, inst, c_hi in found:
+            end = c_hi if c_hi < hi else hi
+            cur = load[inst]
+            cheap = inst in departing and cur + (end - start) * unit_bytes / den <= budget
+            if inst == here:
+                cls, cur = (0 if cheap else 1), 0.0
+            else:
+                cls = 2 if cheap else 3
+            if cls < best_class or (cls == best_class and (
+                    cur < best_load or (cur == best_load and g == sender and end > stop))):
+                best_class, best_load, sender, stop = cls, cur, g, end
+        if best_class == 4:
+            if not stored:
+                raise MigrationError(
+                    f"no source holds required shard [{Fraction(start, den)},"
+                    f"{Fraction(hi, den)}): layout inconsistent with mapping")
+            sender = -1
+            stop = min([h[2] for h in holders if start < h[2] < hi], default=hi)
+        size = (stop - start) * unit_bytes / den
+        out.extend((layer, sender, start, stop, size))
+        if owner[sender] != here:
+            load[owner[sender]] += size
+        start = stop
 
 
 def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
@@ -734,23 +741,22 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     and a model piece no old holder has from `STORAGE`; whatever a GPU holds
     beyond its own new requirement is freed once the owning round completes.
     Both kinds of context take the same array passes, model context being
-    request None's.  Transfers come out as columns (`_Moves`), no record
-    built.
+    request None's, and one cover, each piece once per layer run
+    (`_Moves.covered`).  Transfers come out as columns, no record built.
 
     Model pieces come first, under a sender load and a send budget (the
     busiest receiver's model bytes) built from model pieces alone, so the KV
     cache in `old_layout` never changes which holder sends a model piece.
-    They are emitted one transfer per layer, and released per layer.
-    `base`, a derivation of the same mapping over the same model holdings (a
-    commit's cache-free one), supplies the model transfers, the layer
-    releases and what depends only on the mapping and the GPUs in place of
-    deriving them again, so only the cache rows are built.
+    Each choice is emitted as one transfer per layer of its run, with that
+    layer's bytes, and model context is released per layer.  `base`, a
+    derivation of the same mapping over the same model holdings (a commit's
+    cache-free one), supplies the model transfers, the layer releases and
+    what depends only on the mapping and the GPUs in place of deriving them
+    again, so only the cache rows are built.
 
     Cache pieces follow, from the sender load of the model transfers, under
-    a budget of the busiest receiver's model plus cache bytes.  Each is
-    covered once per layer run, a run of layers over which the receiver's
-    own copy and the request's holders stay the same, and emitted as one
-    transfer per sender with the run's first layer, its layer count and the
+    a budget of the busiest receiver's model plus cache bytes.  Each choice
+    is one transfer with the run's first layer, its layer count and the
     bytes of all its layers.  Cache releases go to the cache round.
     """
     if mapping.config is None:
@@ -772,17 +778,17 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
         # the budget only bounds departing senders
         send_budget = max(_incoming(terms, inst_of, weight, den).values(),
                           default=0.0) if departing else 0.0
-        out: list = []
-        counts = []
-        for _, inst, _, first, end, block, pieces in units:
-            before = len(out)
-            _cover_from_holders(out, pieces, block, inst, first, end - first, den, sender_load,
-                                owner, departing, send_budget, True)
-            counts.append((len(out) - before) // _PUT)
-        moves = _Moves.covered(out, [(u[0],) for u in units], counts, gpus, den, None)
-        order = moves.cols[:, _LAYER].argsort(kind="stable")
-        common.model = _Moves(moves.cols[order], moves.size[order], gpus, den, None)
-        common.layers = list(dict.fromkeys(out[_LAYER::_PUT]))  # in the order covering met them
+        runs = _Moves.covered(units, common, den, None, sender_load, departing, send_budget,
+                              True)
+        # each choice as one transfer per layer of its run, by layer, with the
+        # layer's own bytes (the run's bytes over its length may round apart)
+        run, at = _ragged(runs.cols[:, -1])
+        cols = runs.cols[run, :_DST + 1]
+        cols[:, _LAYER] += at
+        common.layers = list(dict.fromkeys(cols[:, _LAYER].tolist()))  # the order covering met them
+        cols = cols[cols[:, _LAYER].argsort(kind="stable")]
+        common.model = _Moves(cols, exact_bytes((cols[:, 3] - cols[:, 2],), (weight,), den),
+                              gpus, den, None)
         layer, inst, value = _released(held, need, inst_of, weight, den)
         # layers in the order the release loop meets them first
         common.layer_releases = {at: {} for at in dict.fromkeys(layer.tolist())}
@@ -799,29 +805,21 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
         return Derivation(common, _Moves(_NO_COLS, _NO_SIZES, gpus, den, rids), {})
     weight = model.kv_bytes_per_token_per_layer
     units, terms = _pieces(held, need, owner, weight, den)
-    out, tags, counts = [], [], []
+    sender_load, send_budget = {}, 0.0
     if units:
         # summed from the model transfers, so the same whether they were
         # derived here or come from `base`
         sent, delivered = common.model_loads()
         sender_load = dict(sent)
-        send_budget = 0.0
         if departing:
             cache_in = {names[i]: total
                         for i, total in _incoming(terms, inst_of, weight, den).items()}
             send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
                               for inst in {*delivered, *cache_in})
-        for g, inst, code, first, end, block, pieces in units:
-            n = end - first
-            for lo, hi, unit, tokens in pieces:
-                before = len(out)
-                _cover_from_holders(out, [(lo, hi, unit * n, tokens)], block, inst, first, 1, den,
-                                    sender_load, owner, departing, send_budget, False)
-                tags.append((g, code, tokens, n))
-                counts.append((len(out) - before) // _PUT)
+    moves = _Moves.covered(units, common, den, rids, sender_load, departing, send_budget, False)
     _, inst, value = _released(held, need, inst_of, weight, den)
     cache_releases = {names[i]: total for i, total in zip(*(a.tolist() for a in _sums(inst, value)))}
-    return Derivation(common, _Moves.covered(out, tags, counts, gpus, den, rids), cache_releases)
+    return Derivation(common, moves, cache_releases)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,18 @@ sub-piece that no live copy holds at its start is sent by `STORAGE` up to the
 lowest bound of a live copy above that start; a cache sub-piece with no live
 copy raises `MigrationError`.
 
-Sender rule: model pieces are covered first, layer by layer, under a sender
-load and a send budget (the busiest receiver's model bytes) of model pieces
+Sender rule: model and cache pieces are covered by one rule.  Each
+receiver's per-layer needs of one request (model context is request None's,
+with one token) are grouped into layer runs, consecutive layers with equal
+needed entries, equal own entries and equal holders of the request
+(`layer_runs`), and each piece of a run is covered once, at its bytes per
+layer times the run's length.  A model cover is emitted as one transfer per
+layer of the run, with that layer's bytes; a cache cover is one transfer
+over the whole run.  Model pieces are covered first, under a sender load
+and a send budget (the busiest receiver's model bytes) of model pieces
 alone.  Cache pieces follow.  Their sender load starts from each sender's
 bytes over the model transfers, summed layer by layer, and their budget is
 the busiest receiver's bytes over the model transfers plus its cache bytes.
-A cache piece is covered once per layer run: consecutive layers with equal
-needed entries, equal own entries and equal holders of the request.  Each
-cover is one transfer over the whole run.
 """
 
 import math
@@ -134,11 +138,11 @@ def subtract_intervals(base: Interval, cuts: list[Interval]) -> list[Interval]:
     return pieces
 
 
-def model_intervals(inv: ContextInventory, layer: int) -> list[Interval]:
-    return [(lo, hi) for lyr, lo, hi in model_shards(inv) if lyr == layer]
-
-
-def cache_entries(inv: ContextInventory, request_id: str, layer: int) -> list[tuple[Interval, int]]:
+def entries(inv: ContextInventory, request_id: str | None, layer: int) -> list[tuple[Interval, int]]:
+    """The `((lo, hi), tokens)` entries of one request on one layer; model
+    context is request None's, with one token."""
+    if request_id is None:
+        return [((lo, hi), 1) for lyr, lo, hi in model_shards(inv) if lyr == layer]
     return [((lo, hi), tokens) for rid, lyr, lo, hi, tokens in cache_shards(inv)
             if rid == request_id and lyr == layer]
 
@@ -203,6 +207,21 @@ def _cover_from_holders(piece, holders, dst, load, unit_bytes, departing, send_b
     return out
 
 
+def layer_runs(needs: list[tuple]) -> list[list]:
+    """Per-layer needs `(dst, request, layer, pieces, key)`, in receiver,
+    request, then layer order, grouped into layer runs: consecutive layers
+    of one receiver and request with equal keys, as `[dst, request, first
+    layer, layer count, pieces]`."""
+    runs: list[list] = []
+    for dst, rid, layer, pieces, key in needs:
+        last = runs[-1] if runs else None
+        if last and (last[0], last[1], last[2] + last[3], last[5]) == (dst, rid, layer, key):
+            last[3] += 1
+        else:
+            runs.append([dst, rid, layer, 1, pieces, key])
+    return [run[:5] for run in runs]
+
+
 def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
                      departing=frozenset()):
     """Model transfers per layer, cache transfers per layer run, and
@@ -212,14 +231,13 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
     target = mapping.config
     gpus = sorted(old_layout, key=lambda g: (natural_key(g[0]), g[1]))
 
-    model_holders: dict[int, list] = {}
-    cache_holders: dict[tuple[str, int], list] = {}
+    holders: dict[tuple[str | None, int], list] = {}  # (request, layer) -> [(gpu, entries)]
     for gpu in gpus:
         inv = old_layout[gpu]
         for layer, lo, hi in model_shards(inv):
-            model_holders.setdefault(layer, []).append((gpu, [(lo, hi)]))
+            holders.setdefault((None, layer), []).append((gpu, [((lo, hi), 1)]))
         for rid, layer, lo, hi, tokens in cache_shards(inv):
-            cache_holders.setdefault((rid, layer), []).append((gpu, [((lo, hi), tokens)]))
+            holders.setdefault((rid, layer), []).append((gpu, [((lo, hi), tokens)]))
 
     required: dict = {}
     for gpu in gpus:
@@ -230,76 +248,71 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
             inherited = (inherited_by_pipeline or {}).get(pos.pipeline, ())
             required[gpu] = required_context(target, pos, model, inherited)
 
-    # per-layer needs: model (dst, layer, piece); cache (dst, request, layer,
-    # [(piece, tokens)], run key)
-    per_token = model.kv_bytes_per_token_per_layer
-    model_needs: list[tuple] = []
-    cache_needs: list[tuple] = []
-    model_in: dict[str, float] = {}
-    cache_in: dict[str, float] = {}
+    # per-layer needs, model (request None) and cache alike: (dst, request,
+    # layer, [(piece, tokens)], run key), and each instance's incoming bytes
+    def unit_bytes(rid):
+        return model.bytes_per_layer if rid is None else model.kv_bytes_per_token_per_layer
+
+    needs: dict[bool, list[tuple]] = {True: [], False: []}  # by "is model"
+    incoming: dict[bool, dict[str, float]] = {True: {}, False: {}}
     for gpu in gpus:
         need = required[gpu]
         have = old_layout[gpu]
-        for layer, lo, hi in model_shards(need):
-            for piece in subtract_intervals((lo, hi), model_intervals(have, layer)):
-                model_needs.append((gpu, layer, piece))
-                model_in[gpu[0]] = model_in.get(gpu[0], 0.0) + float(
-                    (piece[1] - piece[0]) * model.bytes_per_layer)
-        for rid, layer in dict.fromkeys((rid, layer) for rid, layer, *_ in cache_shards(need)):
-            pieces = [(piece, tokens) for iv, tokens in cache_entries(need, rid, layer)
+        for rid, layer in dict.fromkeys([*((None, layer) for layer, *_ in model_shards(need)),
+                                         *((rid, layer) for rid, layer, *_ in cache_shards(need))]):
+            pieces = [(piece, tokens) for iv, tokens in entries(need, rid, layer)
                       for piece in subtract_intervals(
-                          iv, [own for own, t in cache_entries(have, rid, layer) if t >= tokens])]
+                          iv, [own for own, t in entries(have, rid, layer) if t >= tokens])]
+            into = incoming[rid is None]
             for (p_lo, p_hi), tokens in pieces:
-                cache_in[gpu[0]] = cache_in.get(gpu[0], 0.0) + float(
-                    (p_hi - p_lo) * per_token * tokens)
+                into[gpu[0]] = into.get(gpu[0], 0.0) + float(
+                    (p_hi - p_lo) * unit_bytes(rid) * tokens)
             if pieces:
-                run_key = (cache_entries(need, rid, layer), cache_entries(have, rid, layer),
-                           cache_holders.get((rid, layer), []))
-                cache_needs.append((gpu, rid, layer, pieces, run_key))
+                key = (entries(need, rid, layer), entries(have, rid, layer),
+                       holders.get((rid, layer), []))
+                needs[rid is None].append((gpu, rid, layer, pieces, key))
+
+    def cover(runs, load, send_budget, stored):
+        """Each piece of each run covered once over the run, at its unit
+        bytes times the run's length: `(run, tokens, sender, lo, hi)`."""
+        for run in runs:
+            dst, rid, first, count, pieces = run
+            for piece, tokens in pieces:
+                run_holders = [(g, [iv for iv, t in held if t >= tokens])
+                               for g, held in holders.get((rid, first), [])]
+                for src, c_lo, c_hi in _cover_from_holders(
+                        piece, run_holders, dst, load, unit_bytes(rid) * tokens * count,
+                        departing, send_budget, stored):
+                    yield run, tokens, src, c_lo, c_hi
 
     model_transfers: dict[int, list[Transfer]] = {}
-    sender_load: dict[str, float] = {}
-    send_budget = max(model_in.values(), default=0.0)
-    for dst, layer, piece in model_needs:
-        for src, c_lo, c_hi in _cover_from_holders(piece, model_holders.get(layer, []), dst,
-                                                   sender_load, model.bytes_per_layer,
-                                                   departing, send_budget, True):
+    for (dst, _, first, count, _), _, src, c_lo, c_hi in cover(
+            layer_runs(needs[True]), {}, max(incoming[True].values(), default=0.0), True):
+        for layer in range(first, first + count):
             model_transfers.setdefault(layer, []).append(Transfer(
                 kind="model", layer=layer, lo=c_lo, hi=c_hi, src=src, dst=dst,
                 bytes=float((c_hi - c_lo) * model.bytes_per_layer)))
 
-    # group each receiver's per-layer cache needs into layer runs
-    runs: list[list] = []  # [dst, request, first layer, layer count, pieces, run key]
-    for dst, rid, layer, pieces, run_key in cache_needs:
-        last = runs[-1] if runs else None
-        if last and (last[0], last[1], last[2] + last[3], last[5]) == (dst, rid, layer, run_key):
-            last[3] += 1
-        else:
-            runs.append([dst, rid, layer, 1, pieces, run_key])
-
+    cache_runs = layer_runs(needs[False])
     cache_transfers: list[Transfer] = []
-    if runs:
-        sender_load = {}
+    sender_load: dict[str, float] = {}
+    send_budget = 0.0
+    if cache_runs:
         delivered: dict[str, float] = {}
         for layer in sorted(model_transfers):
             for t in model_transfers[layer]:
                 if t.src[0] != t.dst[0]:
                     sender_load[t.src[0]] = sender_load.get(t.src[0], 0.0) + t.bytes
                 delivered[t.dst[0]] = delivered.get(t.dst[0], 0.0) + t.bytes
+        cache_in = incoming[False]
         send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
                           for inst in {*delivered, *cache_in})
-    for dst, rid, first, count, pieces, _ in runs:
-        for piece, tokens in pieces:
-            unit_bytes = per_token * tokens * count
-            holders = [(g, [iv for iv, t in entries if t >= tokens])
-                       for g, entries in cache_holders.get((rid, first), [])]
-            for src, c_lo, c_hi in _cover_from_holders(piece, holders, dst, sender_load,
-                                                       unit_bytes, departing, send_budget,
-                                                       False):
-                cache_transfers.append(Transfer(
-                    kind="cache", layer=first, lo=c_lo, hi=c_hi, src=src, dst=dst,
-                    bytes=float((c_hi - c_lo) * unit_bytes), request=rid, tokens=tokens,
-                    layers=count))
+    for (dst, rid, first, count, _), tokens, src, c_lo, c_hi in cover(
+            cache_runs, sender_load, send_budget, False):
+        cache_transfers.append(Transfer(
+            kind="cache", layer=first, lo=c_lo, hi=c_hi, src=src, dst=dst,
+            bytes=float((c_hi - c_lo) * unit_bytes(rid) * tokens * count), request=rid,
+            tokens=tokens, layers=count))
 
     layer_releases: dict[int, dict[str, float]] = {}
     cache_releases: dict[str, float] = {}
@@ -309,8 +322,8 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
         need = required[gpu]
         for layer, lo, hi in model_shards(have):
             kept = Fraction(0)
-            for n_lo, n_hi in model_intervals(need, layer):
-                kept += intersect((lo, hi), (n_lo, n_hi))
+            for n_iv, _ in entries(need, None, layer):
+                kept += intersect((lo, hi), n_iv)
             extra = float(((hi - lo) - kept) * model.bytes_per_layer)
             if extra > 0:
                 rel = layer_releases.setdefault(layer, {})
@@ -318,8 +331,8 @@ def derive_transfers(mapping, old_layout, model, inherited_by_pipeline=None,
         for rid, layer, lo, hi, tokens in cache_shards(have):
             held = (hi - lo) * tokens
             kept = Fraction(0)
-            for (n_lo, n_hi), n_tokens in cache_entries(need, rid, layer):
-                kept += intersect((lo, hi), (n_lo, n_hi)) * min(tokens, n_tokens)
+            for n_iv, n_tokens in entries(need, rid, layer):
+                kept += intersect((lo, hi), n_iv) * min(tokens, n_tokens)
             extra = float((held - kept) * model.kv_bytes_per_token_per_layer)
             if extra > 0:
                 cache_releases[inst] = cache_releases.get(inst, 0.0) + extra

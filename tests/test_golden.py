@@ -89,12 +89,12 @@ def test_engine_path_builds_no_transfer_record_or_inventory(variant, tmp_path, m
 # through the migration stalls.  `("churn", seed)` is `conftest.churn_config`,
 # whose grace commits have departing senders and multi-layer cache runs.
 GOLDEN_PLANS = {
-    ("rate", 0.25): (3, "f9f734d12521539764ad69566c778880144bc7157c4d8970a05d2fa06783230b"),
-    ("rate", 0.35): (3, "3b4898beaee6eae1f5156162c40c414bc879752a0adc63e7eb0f93676a34f04e"),
-    ("rate", 0.55): (3, "2e5ac5525cec1e185e569427c3fb62c3b4b8e2dc9c41792b809db2b86558e335"),
+    ("rate", 0.25): (3, "3feabe65b2d38f1d744d730225faed19ac0f5c4e210520bf70b5f3fe1f409d74"),
+    ("rate", 0.35): (3, "3d6ce4bb6cfc2560accf4b9a0a0a0ae2d7f8231d8158e7a2f2bbe4f8af6f693d"),
+    ("rate", 0.55): (3, "c62d07d6ce63d2341eb490322a6e995099d3a5530bd3b1f06fd6e48f87ca64c7"),
     ("variant", "-planner"): (3, "d22f8cf6fb40cabbe2292878781df375efc31f303897a04b31cf8fbff84d1644"),
     ("variant", "-arranger"): (3, "cbe2e5eb36c0c1c83857a9bbc5db86b0f7389f6ab28cb26bc68c53444b9b85f8"),
-    ("churn", 3): (7, "18e9f5908f2a73c9053911e199a1e29be0a99b7ead4fd96d97085f8d7f544c93"),
+    ("churn", 3): (7, "805e92d6acab1974cb30988ce57790e7314a3a378d8b205d4aa8bd9ec8d993d7"),
 }
 
 

@@ -478,3 +478,45 @@ def test_departing_sources_keep_bystander_replicas_out():
     assert sources == {"i-1"}
     receivers = {t.dst[0] for t in plan.transfers()}
     assert receivers == {"i-4"}
+
+
+M4 = ModelSpec(name="m4", num_layers=4, bytes_per_layer=1000, kv_bytes_per_token_per_layer=8)
+
+
+def test_a_stage_from_two_remote_replicas_keeps_one_sender_per_sub_piece():
+    """A new replica needs a whole stage that two serving replicas hold: its
+    piece is covered once over the stage's layer run, so one sender sends
+    it on every layer instead of the two taking turns layer by layer."""
+    layout = serving_cluster(M4, ParallelConfig(2, 1, 1, 1), 3)
+    mapping = DeviceMapping(assignment={(f"i-{k}", 0): TopologyPosition(k + 1, 1, 1)
+                                        for k in range(3)},
+                            total_weight=0.0, config=ParallelConfig(3, 1, 1, 1))
+    model_transfers, _, _, _ = derive_transfers(mapping, Layout.of(layout), M4).records()
+    assert sorted(model_transfers) == [0, 1, 2, 3]
+    senders: dict[tuple, set] = {}
+    for layer, transfers in model_transfers.items():
+        assert [(t.dst, t.bytes) for t in transfers] == [(("i-2", 0), 1000.0)]
+        for t in transfers:
+            senders.setdefault((t.lo, t.hi), set()).add(t.src)
+    assert senders == {(Fraction(0), Fraction(1)): {("i-0", 0)}}
+
+
+def test_a_departing_budget_that_fits_a_prefix_of_a_run_sends_none_of_it():
+    """The departing i-0 first sends i-2 the half of every layer it lacks
+    (2,000 bytes), which leaves 2,000 of the 4,000-byte budget (the busiest
+    receiver's bytes): room for two layers of i-3's four-layer run, not the
+    whole run.  The run is one choice, so i-0 sends none of it and the
+    serving replica i-1 sends all of it."""
+    layout = serving_cluster(M4, ParallelConfig(2, 1, 1, 1), 4)
+    layout[("i-2", 0)] = inventory(model_shards=[(layer, Fraction(0), Fraction(1, 2))
+                                                 for layer in range(4)])
+    mapping = DeviceMapping(assignment={(f"i-{k}", 0): TopologyPosition(k, 1, 1)
+                                        for k in range(1, 4)},
+                            total_weight=0.0, config=ParallelConfig(3, 1, 1, 1))
+    model_transfers, _, _, _ = derive_transfers(mapping, Layout.of(layout), M4,
+                                                departing=frozenset({"i-0"})).records()
+    sent = {(t.src[0], t.dst[0], t.lo, t.hi) for transfers in model_transfers.values()
+            for t in transfers}
+    assert sent == {("i-0", "i-2", Fraction(1, 2), Fraction(1)),
+                    ("i-1", "i-3", Fraction(0), Fraction(1))}
+    assert all(len(transfers) == 2 for transfers in model_transfers.values())
