@@ -97,6 +97,13 @@ class PerfProfile:
         if not all(entries and all(is_count(s_in, 1) for s_in in entries)
                    for entries in self.prefill_table.values()):
             raise CostModelError("every prefill table needs an entry, each at an s_in >= 1")
+        for shape, entries in self.prefill_table.items():
+            pts = sorted(entries.items())
+            if _prefill_at(entries, 1) <= 0 or (len(pts) > 1 and pts[-1][1] < pts[-2][1]):
+                raise CostModelError(
+                    f"prefill table {shape} extrapolates to a cost <= 0: its line through the "
+                    f"first two entries must stay positive at s_in 1, and its last two "
+                    f"entries must not fall")
         if self.decode_table.keys() != self.prefill_table.keys():
             raise CostModelError("decode and prefill tables must list the same (P,M,B) shapes")
 

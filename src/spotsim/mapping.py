@@ -353,19 +353,16 @@ def map_devices(layout: Layout, target: ParallelConfig, model: ModelSpec,
                 requests_by_old_pipeline: dict[int, list[RequestRecord]] | None = None,
                 ) -> DeviceMapping:
     """Two-step device mapping of the layout's GPUs, `gpus_per_instance` per
-    instance.  Group size is min(G, M): an instance's GPUs are fused in index
-    order and a (pipeline, stage) row's shards along m (see `_matched`).
+    instance.  Group size is gcd(G, M), which is min(G, M) wherever that
+    divides both: an instance's GPUs are fused in index order and a
+    (pipeline, stage) row's shards along m (see `_matched`).
     """
     for inst, gpus in Counter(gpu[0] for gpu in layout.gpus).items():
         if gpus != gpus_per_instance:
             raise MappingError(f"instance {inst} has {gpus} GPUs, expected {gpus_per_instance}")
 
     graph = build_graph(layout, target, model, inheritance, requests_by_old_pipeline)
-    group = min(gpus_per_instance, target.tensor_shards)
-    if gpus_per_instance % group or target.tensor_shards % group:
-        raise MappingError(
-            f"group size {group} must divide both G={gpus_per_instance} and M={target.tensor_shards}"
-        )
+    group = math.gcd(gpus_per_instance, target.tensor_shards)
     return replace(_matched(graph, group), config=target)
 
 

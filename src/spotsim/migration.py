@@ -39,17 +39,19 @@ with equal incoming traffic peak alike, so each step compares one layer per
 distinct incoming traffic.  The plain index order is the one fallback:
 the whole plan, cache round included, is replayed for both orders, and
 the index order ships when it peaks lower.
-One array pass over a derivation's columns gives every round at once: its
-slice of the columns, the bytes each port carries (`MigrationAction.sent`
-and `received`, all that `costmodel` prices) and each receiver's bytes.
-The model rounds' pass is made once per cache-free derivation and shared by
-every plan, estimate and participants set built on it.  Both orders are
-replayed from the columns' receivers and bytes, and the stage-start markers
-are placed from the receivers' stages in the order that wins.
-`Transfer` records are output only: a round expands its slice of the
-columns into records when asked (`MigrationAction.transfers`,
-`MigrationPlan.transfers()`, `Derivation.records()`), and nothing in
-derivation, assembly or pricing reads one.
+A round has one form, the `MigrationAction`, built once per derivation by
+one array pass over its columns: its slice of the columns, the bytes each
+port carries (`sent` and `received`, all that `costmodel` prices), each
+receiver's bytes and its releases.  The model rounds are built once per
+cache-free derivation, and every plan, estimate and participants set of a
+commit holds those same objects.  Both orders are replayed from the
+columns' receivers and bytes, and the stage-start markers are placed from
+the receivers' stages in the order that wins.
+`Transfer` records are output only, built in one place (`_expand`): a round
+expands its slice of the columns into records when asked
+(`MigrationAction.transfers`, `MigrationPlan.transfers()`,
+`Derivation.records()`).  Nothing in derivation, assembly or pricing reads
+a record, and no round is built from records.
 """
 
 import math
@@ -93,44 +95,31 @@ class MigrationAction:
     """One plan round: a batch of concurrent transfers plus end-of-round frees.
 
     `sent` and `received` are the bytes each instance's out-port and in-port
-    carry in the round (`_round_sums`), as (instance, bytes) pairs; `costmodel`
-    times plans from them alone.  A round that `plan_migration` assembles
-    keeps a slice of its derivation's columns and gets its sums from the
-    derivation; `transfers` expands the slice into records on each read.  A
-    round built from `transfers` records is summed by the same rule.
+    carry in the round, as (instance, bytes) pairs, and `incoming` each
+    receiving instance's bytes, same-instance copies included
+    (`_round_sums`); `costmodel` times plans from `sent` and `received`
+    alone.  `span` is the round's slice `(moves, a, z)` of its derivation's
+    columns, and `transfers` expands it into records on each read.  A
+    derivation builds its rounds once (`_Common.rounds`), and every plan
+    assembled from it holds those same objects; a stage-start marker carries
+    only its stage.
     """
 
-    __slots__ = ("kind", "releases", "layer", "stage", "sent", "received", "_records", "_span")
+    __slots__ = ("kind", "releases", "layer", "stage", "sent", "received", "incoming", "span")
 
-    def __init__(self, kind: str, transfers: tuple[Transfer, ...] = (),
+    def __init__(self, kind: str,
                  releases: tuple[tuple[str, float], ...] = (),  # (instance, bytes freed)
-                 layer: int | None = None, stage: int | None = None):
+                 layer: int | None = None, stage: int | None = None,
+                 sent: tuple[tuple[str, float], ...] = (),
+                 received: tuple[tuple[str, float], ...] = (),
+                 incoming: dict[str, float] | None = None,
+                 span: tuple["_Moves", int, int] | None = None):
         self.kind, self.releases, self.layer, self.stage = kind, releases, layer, stage
-        self._records, self._span = tuple(transfers), None
-        self.sent = self.received = ()
-        if self._records:
-            names = list(dict.fromkeys(g[0] for t in self._records for g in (t.src, t.dst)))
-            code = {inst: i for i, inst in enumerate(names)}
-            src = np.array([code[t.src[0]] for t in self._records], dtype=np.int64)
-            dst = np.array([code[t.dst[0]] for t in self._records], dtype=np.int64)
-            [(sent, received, _)] = _round_sums(np.zeros(len(src), dtype=np.int64), src, dst,
-                                                np.array([t.bytes for t in self._records]),
-                                                names).values()
-            self.sent, self.received = tuple(sent), tuple(received)
-
-    @classmethod
-    def _assembled(cls, kind: str, moves: "_Moves", found: "_Round", releases: tuple,
-                   layer: int | None = None) -> "MigrationAction":
-        """The round `found` of `moves`, with the sums of its pass."""
-        self = cls.__new__(cls)
-        self.kind, self.releases, self.layer, self.stage = kind, releases, layer, None
-        self._records, self._span = None, (moves, *found.span)
-        self.sent, self.received = found.sent, found.received
-        return self
+        self.sent, self.received, self.incoming, self.span = sent, received, incoming, span
 
     @property
     def transfers(self) -> tuple[Transfer, ...]:
-        return self._records if self._span is None else tuple(_expand(*self._span))
+        return () if self.span is None else tuple(_expand(*self.span))
 
     def _fields(self) -> tuple:
         return self.kind, self.transfers, self.releases, self.layer, self.stage
@@ -391,20 +380,6 @@ def _round_sums(rounds: np.ndarray, src: np.ndarray, dst: np.ndarray, size: np.n
     return found
 
 
-class _Round(NamedTuple):
-    """One round of a derivation's transfers: its slice of the columns, its
-    port sums (`_round_sums`), and each receiving instance's bytes
-    (`incoming`)."""
-
-    span: tuple[int, int]
-    sent: tuple = ()
-    received: tuple = ()
-    incoming: dict = {}
-
-
-_NOTHING = _Round((0, 0))
-
-
 class _Common:
     """What the derivations over one mapping and one set of model holdings
     share: the layout's GPUs; each instance's rank in their order (`rank`),
@@ -447,22 +422,34 @@ class _Common:
                 *(a.tolist() for a in _sums(dst, self.model.size)))}
         return self._loads
 
-    def layer_rounds(self) -> dict[int, _Round]:
-        """The model transfers' rounds, by layer."""
+    def layer_rounds(self) -> dict[int, MigrationAction]:
+        """One `migrate_layer` round per layer that moves or frees model
+        context, by layer."""
         if self._rounds is None:
-            self._rounds = self.rounds(self.model, self.model.cols[:, _LAYER])
+            self._rounds = self.rounds(self.model, self.model.cols[:, _LAYER], self.layer_releases)
         return self._rounds
 
-    def rounds(self, moves: _Moves, key: np.ndarray) -> dict[int, _Round]:
-        """The rounds of `moves` by their round keys `key`, ascending, in one
-        array pass."""
-        if not len(moves):
-            return {}
+    def rounds(self, moves: _Moves, key: np.ndarray,
+               releases: dict[int, dict[str, float]]) -> dict[int, MigrationAction]:
+        """The rounds that move or free context, by round key, ascending:
+        each `moves` transfer is in the round of its key in `key`, the
+        round's sums come from one array pass over them, and round r frees
+        `releases[r]`, sorted by instance.  Model transfers make
+        `migrate_layer` rounds of layer r, KV cache `migrate_cache` ones."""
+        model = moves.rids is None
+        found = _round_sums(key, self.inst_of[moves.cols[:, _SRC]],
+                            self.inst_of[moves.cols[:, _DST]], moves.size,
+                            self.names) if len(moves) else {}
         ends = np.bincount(key).cumsum().tolist()
-        return {r: _Round((ends[r - 1] if r else 0, ends[r]), tuple(sent), tuple(received), into)
-                for r, (sent, received, into) in _round_sums(
-                    key, self.inst_of[moves.cols[:, _SRC]], self.inst_of[moves.cols[:, _DST]],
-                    moves.size, self.names).items()}
+        rounds = {}
+        for r in sorted({*found, *(r for r, freed in releases.items() if freed)}):
+            sent, received, incoming = found.get(r, ((), (), {}))
+            rounds[r] = MigrationAction(
+                "migrate_layer" if model else "migrate_cache",
+                tuple(sorted(releases.get(r, {}).items())), r if model else None,
+                sent=tuple(sent), received=tuple(received), incoming=incoming,
+                span=(moves, ends[r - 1] if r else 0, ends[r]) if r in found else None)
+        return rounds
 
 
 class Derivation:
@@ -471,18 +458,19 @@ class Derivation:
     and the layer releases); its KV-cache transfers as columns (`cache`) in
     covering order, all one round; and the cache releases."""
 
-    __slots__ = ("common", "cache", "cache_releases", "_cache_round")
+    __slots__ = ("common", "cache", "cache_releases", "_cache_rounds")
 
     def __init__(self, common: _Common, cache: _Moves, cache_releases: dict[str, float]):
         self.common, self.cache, self.cache_releases = common, cache, cache_releases
-        self._cache_round: _Round | None = None
+        self._cache_rounds: dict[int, MigrationAction] | None = None
 
-    def cache_round(self) -> _Round:
-        """The cache transfers' round (`_NOTHING` when there are none)."""
-        if self._cache_round is None:
-            self._cache_round = self.common.rounds(
-                self.cache, np.zeros(len(self.cache), dtype=np.int64)).get(0, _NOTHING)
-        return self._cache_round
+    def cache_round(self) -> MigrationAction | None:
+        """The `migrate_cache` round, None when no KV cache moves or is
+        freed; built once."""
+        if self._cache_rounds is None:
+            self._cache_rounds = self.common.rounds(
+                self.cache, np.zeros(len(self.cache), dtype=np.int64), {0: self.cache_releases})
+        return self._cache_rounds.get(0)
 
     def participants(self) -> set[str]:
         """The instances a model transfer is sent from or to, `STORAGE`
@@ -503,7 +491,9 @@ class Derivation:
         received: dict[str, float] = {}
         rounds = 0
         layer_rounds = self.common.layer_rounds()
-        for found in (*(layer_rounds[layer] for layer in self.common.layers), self.cache_round()):
+        cache_round = self.cache_round()
+        for found in (*(layer_rounds[layer] for layer in self.common.layers),
+                      *(() if cache_round is None else (cache_round,))):
             rounds += bool(found.sent)
             for inst, b in found.sent:
                 sent[inst] = sent.get(inst, 0.0) + b
@@ -517,8 +507,8 @@ class Derivation:
         transfers by layer, the layers in the order covering met them; cache
         transfers; layer releases; cache releases)."""
         common = self.common
-        spans = {layer: found.span for layer, found in common.layer_rounds().items()}
-        return ({layer: _expand(common.model, *spans[layer]) for layer in common.layers},
+        rounds = common.layer_rounds()
+        return ({layer: list(rounds[layer].transfers) for layer in common.layers},
                 _expand(self.cache, 0, len(self.cache)), common.layer_releases,
                 self.cache_releases)
 
@@ -837,32 +827,28 @@ def plan_migration(transfers: Derivation, u_max: float | None = None) -> Migrati
     (stages needing nothing start up front).  Nothing here re-derives: the
     same derivation assembled under another cap moves the same transfers.
 
-    The rounds come from the derivation's array passes (`_Common.rounds`):
-    each action keeps its slice of the columns and its port sums, and no
-    record is read.  Both orders are replayed from the columns' receivers
-    and bytes, adding each instance's bytes in the order a per-transfer
-    replay of the plan's actions adds them (`tests/plan_checks.py` keeps
-    that replay), so the plan's `peak_usage` is what it gives, bit for bit;
-    each stage's marker follows the last round of the winning order that
-    delivers to one of its GPUs.
+    The plan's rounds are the derivation's own actions
+    (`_Common.layer_rounds`, `Derivation.cache_round`), built once and held
+    by every plan of it; only the stage-start markers are made here.  The
+    layer order reads each layer round's `incoming` and the layer releases,
+    and no record is read.  Both orders are replayed from the columns'
+    receivers and bytes, adding each instance's bytes in the order a
+    per-transfer replay of the plan's actions adds them
+    (`tests/plan_checks.py` keeps that replay), so the plan's `peak_usage`
+    is what it gives, bit for bit; each stage's marker follows the last
+    round of the winning order that delivers to one of its GPUs.
     """
     common = transfers.common
     layer_rounds = common.layer_rounds()
     cache, n_layers = transfers.cache, common.num_layers
 
-    rounds: dict[int, MigrationAction] = {}  # by layer; the cache round is round n_layers
-    if len(cache) or transfers.cache_releases:
-        rounds[n_layers] = MigrationAction._assembled(
-            "migrate_cache", cache, transfers.cache_round(),
-            tuple(sorted(transfers.cache_releases.items())))
-    traffic: dict[int, LayerTraffic] = {}
-    for layer in range(n_layers):
-        found = layer_rounds.get(layer, _NOTHING)
-        released = common.layer_releases.get(layer, {})
-        if found is not _NOTHING or released:
-            rounds[layer] = MigrationAction._assembled(
-                "migrate_layer", common.model, found, tuple(sorted(released.items())), layer)
-        traffic[layer] = LayerTraffic(found.incoming, released)
+    rounds = dict(layer_rounds)  # by layer; the cache round is round n_layers
+    cache_round = transfers.cache_round()
+    if cache_round is not None:
+        rounds[n_layers] = cache_round
+    traffic = {layer: LayerTraffic() for layer in range(n_layers)}
+    for layer, found in layer_rounds.items():
+        traffic[layer] = LayerTraffic(found.incoming, common.layer_releases.get(layer, {}))
     order = memopt_layer_order(traffic, u_max)
 
     # each transfer's round, receiving GPU, receiving instance code and bytes,
@@ -871,7 +857,7 @@ def plan_migration(transfers: Derivation, u_max: float | None = None) -> Migrati
     moved_in = np.concatenate((common.model.cols[:, _LAYER], np.full(len(cache), n_layers)))
     to = common.inst_of[receiver].tolist()
     sizes = np.concatenate((common.model.size, cache.size)).tolist()
-    span = {layer: found.span for layer, found in layer_rounds.items()}
+    span = {layer: found.span[1:] for layer, found in layer_rounds.items() if found.span}
     span[n_layers] = len(common.model), len(to)
     code = {inst: i for i, inst in enumerate(common.names)}
     freed = {r: [(code[inst], b) for inst, b in action.releases] for r, action in rounds.items()}

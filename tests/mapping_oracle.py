@@ -7,6 +7,7 @@ match; `spotsim.mapping` builds the weights from rectangle arrays and matches
 each distinct inner block once, so tests compare the two value for value.
 """
 
+import math
 from collections import Counter
 
 from spotsim.domain import gpu_order, kv_cache, overlap_bytes, positions, required_context
@@ -38,11 +39,7 @@ def map_devices(layout, target, model, gpus_per_instance, inheritance=None,
         if gpus != gpus_per_instance:
             raise MappingError(f"instance {inst} has {gpus} GPUs, expected {gpus_per_instance}")
     graph = build_graph(layout, target, model, inheritance, requests_by_old_pipeline)
-    group = min(gpus_per_instance, target.tensor_shards)
-    if gpus_per_instance % group or target.tensor_shards % group:
-        raise MappingError(
-            f"group size {group} must divide both G={gpus_per_instance} and M={target.tensor_shards}"
-        )
+    group = math.gcd(gpus_per_instance, target.tensor_shards)
     w = graph.weights
     n_fused_gpus, n_fused_slots = len(graph.gpus) // group, len(graph.slots) // group
     perms = {}

@@ -14,6 +14,11 @@ reference replay of its buffer deltas, gives for its rounds, the KV-cache
 round (if any) comes first, each layer has at most one round, and each
 stage's start marker directly follows the last round that delivers to one of
 its GPUs, or leads the plan when none does.
+
+`Round` is a plan round built by hand from `Transfer` records, its port sums
+added record by record (`port_bytes`): the reference rule a planned
+`MigrationAction`'s sums must equal, and a round tests can time
+(`costmodel.plan_timeline` reads only its attributes) or replay.
 """
 
 from fractions import Fraction
@@ -21,6 +26,30 @@ from fractions import Fraction
 from spotsim.domain import STORAGE, required_context
 
 from fraction_oracle import cache_shards, intersect, model_shards
+
+
+def port_bytes(transfers) -> tuple[dict[str, float], dict[str, float]]:
+    """The bytes each instance sends and receives over `transfers` to and
+    from other instances, added record by record."""
+    sent: dict[str, float] = {}
+    received: dict[str, float] = {}
+    for t in transfers:
+        if t.src[0] != t.dst[0]:
+            sent[t.src[0]] = sent.get(t.src[0], 0.0) + t.bytes
+            received[t.dst[0]] = received.get(t.dst[0], 0.0) + t.bytes
+    return sent, received
+
+
+class Round:
+    """A plan round of hand-made `Transfer` records plus end-of-round frees,
+    with the attributes a `MigrationAction` has for timing and replay; its
+    `sent` and `received` are `port_bytes` of its records."""
+
+    def __init__(self, kind, transfers=(), releases=(), layer=None, stage=None):
+        self.kind, self.transfers, self.releases = kind, tuple(transfers), releases
+        self.layer, self.stage = layer, stage
+        sent, received = port_bytes(self.transfers)
+        self.sent, self.received = tuple(sent.items()), tuple(received.items())
 
 
 def check_delivers_once(plan, mapping, layout, model, inherited) -> tuple[int, int]:

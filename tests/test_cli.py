@@ -149,6 +149,43 @@ def test_model_bytes_past_int64_run_to_exit_zero(tmp_path):
                  "--profile", str(profile), "--duration", "300"]) == 0
 
 
+def test_spotserve_runs_instances_of_three_gpus(quick_config, tmp_path):
+    """Three GPUs per instance under a target of four tensor shards: the
+    mapper fuses groups of gcd(3, 4) = 1 GPU, the run exits 0, and every
+    completion lies in [dispatch, horizon]."""
+    doc = json.loads(quick_config.read_text())
+    doc["gpus_per_instance"] = 3
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--outdir", str(out), "run", str(cfg)]) == 0
+    with open(out / "requests_spotserve.csv") as f:
+        done = [r for r in csv.DictReader(f) if r["completed"] == "1"]
+    assert done
+    assert all(float(r["dispatch"]) <= float(r["completion"]) <= doc["duration"] for r in done)
+
+
+@pytest.mark.parametrize("entries", [{"128": 0.2, "256": 2.0}, {"128": 2.0, "256": 0.2}],
+                         ids=["below-zero-at-s_in-1", "falling-last-segment"])
+def test_prefill_table_reaching_zero_exits_two(entries, quick_config, tmp_path, capsys):
+    """A prefill table whose extrapolation can reach a cost <= 0 at some
+    s_in >= 1 is bad input.  With every gpt-20b table set to the first
+    entries, a run at s_in 16 would complete requests before their dispatch;
+    the second falls below zero past s_in 270."""
+    doc = json.loads(Path(bundled_path("gpt-20b")).read_text())
+    doc["t_init"] = {shape: entries for shape in doc["t_init"]}
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    config = json.loads(quick_config.read_text())
+    config.update(profile=str(profile), s_in=16, s_out=1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "profile.json" in err and "prefill" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("shape, profile", [
     ([9, 9, 9], "gpt-20b"),
     ([2, 8, 2], "opt-6.7b"),  # the bundled scenario's shape, which opt-6.7b lacks

@@ -16,9 +16,10 @@ from spotsim.costmodel import (
     throughput,
 )
 from spotsim.domain import STORAGE, ParallelConfig
-from spotsim.migration import MigrationAction, MigrationPlan, Transfer
+from spotsim.migration import MigrationPlan, Transfer
 
 from conftest import make_profile, profile_to_dict
+from plan_checks import Round
 
 C111 = ParallelConfig(1, 1, 1, 1)
 
@@ -126,14 +127,14 @@ class TestMigrationCost:
 
     def test_single_transfer(self):
         prof = make_profile(bandwidth=1e9, latency=0.0)
-        plan = MigrationPlan(actions=[MigrationAction(
+        plan = MigrationPlan(actions=[Round(
             kind="migrate_layer", layer=0,
             transfers=(frac_transfer(("a", 0), ("b", 0), 1e9),))])
         assert migration_cost(plan, prof) == pytest.approx(1.0)
 
     def test_disjoint_pairs_run_concurrently(self):
         prof = make_profile(bandwidth=1e9, latency=0.0)
-        plan = MigrationPlan(actions=[MigrationAction(
+        plan = MigrationPlan(actions=[Round(
             kind="migrate_layer", layer=0,
             transfers=(frac_transfer(("a", 0), ("b", 0), 1e9),
                        frac_transfer(("c", 0), ("d", 0), 1e9)))])
@@ -141,7 +142,7 @@ class TestMigrationCost:
 
     def test_shared_endpoint_serializes(self):
         prof = make_profile(bandwidth=1e9, latency=0.0)
-        plan = MigrationPlan(actions=[MigrationAction(
+        plan = MigrationPlan(actions=[Round(
             kind="migrate_layer", layer=0,
             transfers=(frac_transfer(("a", 0), ("b", 0), 1e9),
                        frac_transfer(("a", 1), ("c", 0), 1e9)))])
@@ -149,7 +150,7 @@ class TestMigrationCost:
 
     def test_same_instance_copy_is_free(self):
         prof = make_profile(bandwidth=1e9, latency=0.0)
-        plan = MigrationPlan(actions=[MigrationAction(
+        plan = MigrationPlan(actions=[Round(
             kind="migrate_layer", layer=0,
             transfers=(frac_transfer(("a", 0), ("a", 1), 5e9),))])
         assert migration_cost(plan, prof) == 0.0
@@ -158,7 +159,7 @@ class TestMigrationCost:
         prof = make_profile(bandwidth=1e9, latency=0.0)
         transfers = [frac_transfer((f"s{i}", 0), (f"d{i % 2}", 0), 1e9) for i in range(4)]
         plan = MigrationPlan(actions=[
-            MigrationAction(kind="migrate_layer", layer=i, transfers=(t,))
+            Round(kind="migrate_layer", layer=i, transfers=(t,))
             for i, t in enumerate(transfers)
         ])
         total = sum(t.bytes for t in transfers)
@@ -169,12 +170,12 @@ class TestMigrationCost:
     def test_progressive_le_full(self):
         prof = make_profile(bandwidth=1e9, latency=0.0, shapes=((2, 1, 1),))
         plan = MigrationPlan(actions=[
-            MigrationAction(kind="migrate_layer", layer=0,
-                            transfers=(frac_transfer(("a", 0), ("b", 0), 1e9),)),
-            MigrationAction(kind="start_stage", stage=1),
-            MigrationAction(kind="migrate_layer", layer=1,
-                            transfers=(frac_transfer(("a", 0), ("c", 0), 1e9),)),
-            MigrationAction(kind="start_stage", stage=2),
+            Round(kind="migrate_layer", layer=0,
+                  transfers=(frac_transfer(("a", 0), ("b", 0), 1e9),)),
+            Round(kind="start_stage", stage=1),
+            Round(kind="migrate_layer", layer=1,
+                  transfers=(frac_transfer(("a", 0), ("c", 0), 1e9),)),
+            Round(kind="start_stage", stage=2),
         ])
         cfg = ParallelConfig(1, 2, 1, 1)
         full = migration_cost(plan, prof)
@@ -183,7 +184,7 @@ class TestMigrationCost:
 
     def test_release_floor_delays_start(self):
         prof = make_profile(bandwidth=1e9, latency=0.0)
-        plan = MigrationPlan(actions=[MigrationAction(
+        plan = MigrationPlan(actions=[Round(
             kind="migrate_layer", layer=0,
             transfers=(frac_transfer(("a", 0), ("b", 0), 1e9),))])
         # sender busy until t=5: one-second transfer ends at 6, cost from t=2 is 4
@@ -209,8 +210,8 @@ def layer_plan(plan_rounds) -> MigrationPlan:
     """One `migrate_layer` action per round, each followed by a stage start."""
     actions = []
     for layer, moved in enumerate(plan_rounds):
-        actions.append(MigrationAction(kind="migrate_layer", layer=layer, transfers=tuple(moved)))
-        actions.append(MigrationAction(kind="start_stage", stage=layer + 1))
+        actions.append(Round(kind="migrate_layer", layer=layer, transfers=tuple(moved)))
+        actions.append(Round(kind="start_stage", stage=layer + 1))
     return MigrationPlan(actions=actions)
 
 

@@ -15,9 +15,11 @@ COVER = "_cover_from_holders"
 
 
 def uses(source: str, name: str) -> list[tuple[str, int]]:
-    """Each place `source` names `name`, as a bare name or an attribute but
-    not in its own `def`: the enclosing function's qualified name
-    (`<module>` at the top level) and the line, in source order."""
+    """Each place `source` names `name`, as a bare name, an attribute or an
+    import that renames it, but not in its own `def` and not in a type
+    annotation, which names a class without building it: the enclosing
+    function's qualified name (`<module>` at the top level) and the line,
+    in source order."""
     found = []
 
     def visit(node: ast.AST, scope: str):
@@ -26,8 +28,12 @@ def uses(source: str, name: str) -> list[tuple[str, int]]:
                 inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
                 visit(child, inner)
                 continue
+            if isinstance(child, ast.arg) or child in (getattr(node, "returns", None),
+                                                       getattr(node, "annotation", None)):
+                continue
             if ((isinstance(child, ast.Name) and child.id == name)
-                    or (isinstance(child, ast.Attribute) and child.attr == name)):
+                    or (isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.alias) and child.name == name and child.asname)):
                 found.append((scope, child.lineno))
             visit(child, scope)
 

@@ -28,6 +28,7 @@ from spotsim.mapping import (
     retain_cache,
 )
 
+import mapping_oracle
 from fraction_oracle import inventory, model_bytes, model_shards
 
 MODEL = ModelSpec(name="m4", num_layers=4, bytes_per_layer=800, kv_bytes_per_token_per_layer=16)
@@ -331,6 +332,22 @@ class TestMapDevices:
         got = map_devices(table, cfg, MODEL, gpus_per_instance=2)
         flat = km_match(build_graph(table, cfg, MODEL))
         assert got.assignment == flat.assignment
+
+    @pytest.mark.parametrize("per_instance, group", [(3, 1), (6, 2)])
+    def test_group_size_is_the_gcd_of_g_and_m(self, per_instance, group, monkeypatch):
+        # M=4 with G=3 or 6: min(G, M) divides only one of them
+        old, new = ParallelConfig(1, 2, 6, 1), ParallelConfig(1, 3, 4, 1)
+        layout = {(f"i-{k // per_instance}", k % per_instance): required_context(old, pos, MODEL)
+                  for k, pos in enumerate(positions(old))}
+        groups = []
+        matched = mapping._matched
+        monkeypatch.setattr(mapping, "_matched",
+                            lambda graph, size: groups.append(size) or matched(graph, size))
+        got = map_devices(Layout.of(layout), new, MODEL, per_instance)
+        want = mapping_oracle.map_devices(layout, new, MODEL, per_instance)
+        assert groups == [group]
+        assert got.assignment == want.assignment and len(got.assignment) == new.gpus
+        assert repr(got.total_weight) == repr(want.total_weight)
 
     def test_instance_with_other_gpu_count_is_rejected(self):
         cfg = ParallelConfig(1, 2, 4, 1)

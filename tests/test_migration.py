@@ -33,7 +33,7 @@ from spotsim.migration import (
 
 from fraction_oracle import intersect, inventory, model_bytes, model_shards
 from memopt_oracle import reference_layer_order
-from plan_checks import check_assembly, simulate_buffer_usage
+from plan_checks import Round, check_assembly, simulate_buffer_usage
 from test_acceptance import _random_transition
 
 MODEL = ModelSpec(name="m8", num_layers=8, bytes_per_layer=1000, kv_bytes_per_token_per_layer=16)
@@ -367,6 +367,25 @@ class TestPlanMigration:
         last_round = check_assembly(plan, mapping, layout)
         assert new_cfg.pipeline_stages > 1 and len(set(last_round.values())) > 1
 
+    def test_plans_of_one_derivation_hold_its_rounds(self, monkeypatch):
+        """Rounds are built once per derivation: plans under two caps hold
+        the very same round objects, and the port totals and participants
+        read them without building a round again."""
+        model, _, new_cfg, layout, inherited = _random_transition(np.random.default_rng(5))
+        table = Layout.of(layout)
+        derived = derive_transfers(map_devices(table, new_cfg, model, 1), table, model, inherited)
+        layer_rounds = derived.common.layer_rounds()
+        plans = [plan_migration(derived), plan_migration(derived, 0.1 * model.bytes_per_layer)]
+        assert [a.layer for a in plans[0].actions] != [a.layer for a in plans[1].actions]
+        for plan in plans:
+            rounds = [a for a in plan.actions if a.kind != "start_stage"]
+            assert rounds[0] is derived.cache_round() is not None
+            assert sorted(map(id, rounds[1:])) == sorted(map(id, layer_rounds.values()))
+        built = []
+        monkeypatch.setattr(migration, "MigrationAction", lambda *a, **k: built.append(a))
+        assert derived.port_loads() and derived.participants()
+        assert derived.common.layer_rounds() is layer_rounds and not built
+
 
 class TestSimulateBufferUsage:
     def test_empty_plan(self):
@@ -374,29 +393,28 @@ class TestSimulateBufferUsage:
         assert usage == {"a": 0.0}
 
     def test_single_transfer_peaks(self):
-        from spotsim.migration import MigrationAction, Transfer
+        from spotsim.migration import Transfer
         tr = Transfer(kind="model", layer=0, lo=Fraction(0), hi=Fraction(1),
                       src=("a", 0), dst=("b", 0), bytes=100.0)
-        plan = MigrationPlan(actions=[MigrationAction(kind="migrate_layer", layer=0,
-                                                      transfers=(tr,),
-                                                      releases=(("a", 100.0),))])
+        plan = MigrationPlan(actions=[Round(kind="migrate_layer", layer=0, transfers=(tr,),
+                                            releases=(("a", 100.0),))])
         usage = simulate_buffer_usage(plan, {("a", 0): ContextInventory.empty(),
                                              ("b", 0): ContextInventory.empty()})
         assert usage["b"] == 100.0
         assert usage["a"] == 0.0
 
     def test_matches_hand_replay(self):
-        from spotsim.migration import MigrationAction, Transfer
+        from spotsim.migration import Transfer
         def tr(src, dst, nbytes):
             return Transfer(kind="model", layer=0, lo=Fraction(0), hi=Fraction(1),
                             src=(src, 0), dst=(dst, 0), bytes=float(nbytes))
         plan = MigrationPlan(actions=[
-            MigrationAction(kind="migrate_layer", layer=0,
-                            transfers=(tr("a", "b", 60), tr("b", "c", 40)),
-                            releases=(("a", 60.0), ("b", 40.0))),
-            MigrationAction(kind="migrate_layer", layer=1,
-                            transfers=(tr("c", "a", 30),),
-                            releases=(("c", 30.0),)),
+            Round(kind="migrate_layer", layer=0,
+                  transfers=(tr("a", "b", 60), tr("b", "c", 40)),
+                  releases=(("a", 60.0), ("b", 40.0))),
+            Round(kind="migrate_layer", layer=1,
+                  transfers=(tr("c", "a", 30),),
+                  releases=(("c", 30.0),)),
         ])
         inv = {(x, 0): ContextInventory.empty() for x in "abc"}
         usage = simulate_buffer_usage(plan, inv)
