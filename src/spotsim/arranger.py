@@ -6,7 +6,9 @@ window (maximize S with l_exe(S) < T- - T_mig).  If the migration would cost
 more than the work it preserves, the batch just drains the grace period and
 reroutes without its cache.  An acquisition is the mirror image: keep decoding
 on the old configuration until the new instance's initialization period is
-covered (minimize S with l_exe(S) >= T+), then join and migrate.
+covered (minimize S with l_exe(S) >= T+), then join and migrate.  Both use
+one search, `_steps_reaching`: l_exe(S) = init + S * step never falls as S
+grows, so the largest S below a budget is one short of the first reaching it.
 """
 
 import math
@@ -60,20 +62,23 @@ def _latency_of(ctx: GraceContext, profile: PerfProfile, steps: int) -> float:
     return init + steps * step
 
 
+def _steps_reaching(ctx: GraceContext, profile: PerfProfile, t: float) -> int:
+    """Smallest S >= 0 with l_exe(S) >= t: a guess from the step length,
+    corrected one step at a time."""
+    base = _latency_of(ctx, profile, 0)
+    if base >= t:
+        return 0
+    s = max(1, math.ceil((t - base) / profile.decode_seconds(ctx.config)))
+    while _latency_of(ctx, profile, s) < t:
+        s += 1
+    while s > 1 and _latency_of(ctx, profile, s - 1) >= t:
+        s -= 1
+    return s
+
+
 def _max_steps_below(ctx: GraceContext, profile: PerfProfile, budget: float) -> int:
     """Largest S in [0, remaining] with l_exe(S) strictly below the budget."""
-    remaining = ctx.batch.steps_remaining
-    if _latency_of(ctx, profile, 0) >= budget:
-        return 0
-    step = profile.decode_seconds(ctx.config)
-    base = _latency_of(ctx, profile, 0)
-    # strict inequality: largest S with base + S*step < budget
-    s = int(math.ceil((budget - base) / step)) - 1
-    while _latency_of(ctx, profile, s + 1) < budget:
-        s += 1
-    while s > 0 and _latency_of(ctx, profile, s) >= budget:
-        s -= 1
-    return max(0, min(s, remaining))
+    return max(0, min(_steps_reaching(ctx, profile, budget) - 1, ctx.batch.steps_remaining))
 
 
 def arrange_preemption(ctx: GraceContext, profile: PerfProfile) -> Arrangement:
@@ -96,16 +101,5 @@ def arrange_acquisition(ctx: GraceContext, profile: PerfProfile) -> Arrangement:
     """Smallest decode count covering the new instance's initialization."""
     if ctx.kind != "acquisition":
         raise ArrangerError("arrange_acquisition needs an acquisition context")
-    remaining = ctx.batch.steps_remaining
-    step = profile.decode_seconds(ctx.config)
-    s = 0
-    if _latency_of(ctx, profile, 0) < ctx.t_remaining:
-        base = _latency_of(ctx, profile, 0)
-        s = max(0, int(math.floor((ctx.t_remaining - base) / step)))
-        while _latency_of(ctx, profile, s) < ctx.t_remaining:
-            s += 1
-        while s > 0 and _latency_of(ctx, profile, s - 1) >= ctx.t_remaining:
-            s -= 1
-    if s > remaining:
-        s = remaining
-    return Arrangement(steps=s, action_after="join_and_migrate")
+    steps = min(_steps_reaching(ctx, profile, ctx.t_remaining), ctx.batch.steps_remaining)
+    return Arrangement(steps=steps, action_after="join_and_migrate")

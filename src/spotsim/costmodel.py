@@ -106,6 +106,9 @@ class PerfProfile:
                     f"entries must not fall")
         if self.decode_table.keys() != self.prefill_table.keys():
             raise CostModelError("decode and prefill tables must list the same (P,M,B) shapes")
+        if not all(len(shape) == 3 and all(is_count(n, 1) for n in shape)
+                   for shape in self.decode_table):
+            raise CostModelError("every (P,M,B) shape must be three integers, each >= 1")
 
     def shapes(self) -> list[Shape]:
         return sorted(self.decode_table)
@@ -346,9 +349,9 @@ def _section(doc: dict, name: str, keys: dict[str, str]) -> dict:
 def profile_from_dict(doc: dict) -> PerfProfile:
     return PerfProfile(
         model=ModelSpec(**doc["model"]),
-        decode_table={_parse_shape(k): as_real(v) for k, v in doc["t_dec"].items()},
-        prefill_table={_parse_shape(k): {int(s): as_real(v) for s, v in entries.items()}
-                       for k, entries in doc["t_init"].items()},
+        decode_table=_by_shape(doc["t_dec"], as_real),
+        prefill_table=_by_shape(doc["t_init"],
+                                lambda e: {int(s): as_real(v) for s, v in e.items()}),
         pipeline_efficiency=as_real(doc["pipeline_efficiency"]),
         bandwidth=as_real(doc["bandwidth_bytes_per_s"]),
         transfer_latency=as_real(doc.get("transfer_latency_s", 0.0)),
@@ -366,7 +369,10 @@ def load_profile(path: str | Path) -> PerfProfile:
         raise ProfileError(f"{path}: bad profile: {type(e).__name__}: {e}") from None
 
 
-def _parse_shape(key: str) -> Shape:
-    p, m, b = (int(x) for x in key.split(","))
-    return (p, m, b)
+def _by_shape(table: dict, value) -> dict[Shape, object]:
+    """A `t_dec` or `t_init` table by shape, each entry read by `value`."""
+    out = {tuple(int(x) for x in key.split(",")): value(entry) for key, entry in table.items()}
+    if len(out) < len(table):
+        raise CostModelError("two keys name one (P,M,B) shape")
+    return out
 

@@ -306,8 +306,8 @@ class Layout:
 
 @dataclass
 class InstanceState:
-    """One cloud instance and its lifecycle status; what its GPUs hold lives
-    in a `Layout`, not here."""
+    """One cloud instance, its lifecycle status and the interval the bill
+    charges for it; what its GPUs hold lives in a `Layout`, not here."""
 
     id: str
     kind: str  # "spot" | "ondemand"
@@ -315,6 +315,8 @@ class InstanceState:
     status: str = "active"  # allocating | active | grace_preempting | released
     grace_deadline: float | None = None
     ready_at: float | None = None
+    acquired_at: float = 0.0
+    released_at: float | None = None  # None while held
 
     _STATUSES = ("allocating", "active", "grace_preempting", "released")
 

@@ -39,6 +39,10 @@ def load_trace(path: str | Path, grace_default: float = 30.0,
             try:
                 doc = json.loads(line)
                 kind, t, inst = doc["kind"], as_real(doc["t"]), str(doc["id"])
+                unknown = [k for k in doc
+                           if k not in ("t", "kind", "id", "grace", "itype", "ready_in")]
+                if unknown:
+                    raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
                 if kind == "preempt":
                     ev = TraceEvent(t, kind, inst, grace=as_real(doc.get("grace", grace_default)))
                 elif kind == "acquire":
@@ -51,8 +55,8 @@ def load_trace(path: str | Path, grace_default: float = 30.0,
                     acquired.add(inst)
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
-                if not math.isfinite(t):
-                    raise ValueError("t must be finite")
+                if not 0 <= t < math.inf:
+                    raise ValueError("t must be finite and >= 0")
                 if not all(0 <= v < math.inf for v in (ev.grace or 0.0, ev.ready_in or 0.0)):
                     raise ValueError("grace and ready_in must be finite and >= 0")
                 if inst == STORAGE[0]:

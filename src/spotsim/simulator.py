@@ -15,7 +15,9 @@ as a `domain.Layout`: the engine builds it only when it installs a layout.
 `Engine.layout_snapshot` narrows it to the live GPUs and adds the rows of
 the in-flight requests' KV cache (see `domain.kv_cache`) for a decision, so
 no decision builds an inventory.  The mapper and the planner both take that
-snapshot as it is.
+snapshot as it is.  The bill's data lives on each `InstanceState`, held from
+`acquired_at` to `released_at` (or the horizon), and `Engine.usage` lists it.
+A request's committed tokens live on the request alone.
 
 Determinism: events at equal timestamps order trace < arrival < completion <
 internal, then by insertion sequence; every iteration over instances,
@@ -101,10 +103,8 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class Batch:
-    bid: int
     pipeline: int
     requests: list[RequestRecord]
-    base_tokens: dict[str, int]  # committed tokens at segment start
     seg_start: float
     seg_prefill: float  # prefill inside this segment (0 when resuming on cache)
     step: float  # decode seconds per iteration
@@ -173,15 +173,12 @@ class Engine:
         self.records: list[RequestRecord] = []
         self.arrival_times: list[float] = []
         self.reconfig_log: list[Decision] = []
-        self.usage_open: dict[str, tuple[str, float]] = {}
-        self.usage: list[tuple[str, str, float, float]] = []
         self.paused_until = 0.0
         self.busy_until = 0.0  # reconfiguration window in progress until then
         self.wake_at = math.inf  # time of the one pending poll
         # A lower bound on every pipeline's gate, max(next_start, ready_at):
         # gates only rise, and `open_pipeline` lowers it for a new pipeline.
         self.gate_floor = -math.inf
-        self._batch_ids = 0
         self.policy = None
 
         for ev in trace:
@@ -248,11 +245,10 @@ class Engine:
             if ev.kind == "acquire":
                 inst = InstanceState(
                     id=ev.instance_id, kind=ev.itype or "spot",
-                    gpus=self.cfg.gpus_per_instance,
-                    status="allocating", ready_at=ev.t + (ev.ready_in or 0.0),
+                    gpus=self.cfg.gpus_per_instance, status="allocating",
+                    ready_at=ev.t + (ev.ready_in or 0.0), acquired_at=ev.t,
                 )
                 self.instances[ev.instance_id] = inst
-                self.usage_open[inst.id] = (inst.kind, ev.t)
                 self.push(inst.ready_at, P_TRACE, "ready", inst.id)
             else:
                 inst = self.instances.get(ev.instance_id)
@@ -278,9 +274,7 @@ class Engine:
 
     def release_instance(self, inst: InstanceState, t: float):
         inst.status = "released"
-        if inst.id in self.usage_open:
-            kind, start = self.usage_open.pop(inst.id)
-            self.usage.append((inst.id, kind, start, min(t, self.cfg.duration)))
+        inst.released_at = min(t, self.cfg.duration)
         self._track_losses()
 
     def _track_losses(self):
@@ -354,12 +348,8 @@ class Engine:
         start = self.now if at is None else at
         step = self.profile.decode_seconds(self.config)
         steps = max(r.s_out - r.tokens_generated for r in requests)
-        batch = Batch(
-            bid=self._batch_ids, pipeline=pipe.index, requests=list(requests),
-            base_tokens={r.id: r.tokens_generated for r in requests},
-            seg_start=start, seg_prefill=prefill, step=step, steps_needed=steps,
-        )
-        self._batch_ids += 1
+        batch = Batch(pipeline=pipe.index, requests=list(requests), seg_start=start,
+                      seg_prefill=prefill, step=step, steps_needed=steps)
         pipe.batches.append(batch)
         latency = prefill + steps * step
         pipe.next_start = max(pipe.next_start, start + self.spacing(latency))
@@ -390,19 +380,20 @@ class Engine:
 
     def pause_batch(self, batch: Batch, iters: int) -> list[RequestRecord]:
         """Settle a batch after `iters` segment iterations: requests whose last
-        token commits inside the horizon complete, the rest are survivors."""
+        token commits inside the horizon complete, the rest are survivors.
+        Each request still holds the tokens it had when the batch launched."""
         self.drop_batch(batch)
         horizon = self.cfg.duration
         survivors = []
         for r in batch.requests:
-            base = batch.base_tokens[r.id]
-            needed = r.s_out - base
+            needed = r.s_out - r.tokens_generated
             end = batch.boundary(needed)
             if iters >= needed and end <= horizon + 1e-9:
                 r.completion = end
                 r.tokens_generated = r.s_out
             else:
-                r.tokens_generated = min(r.s_out, base + min(iters, batch.iters_at(horizon)))
+                r.tokens_generated = min(r.s_out, r.tokens_generated
+                                         + min(iters, batch.iters_at(horizon)))
                 survivors.append(r)
         return survivors
 
@@ -535,15 +526,17 @@ class Engine:
         self.reconfig_log = [d for d in self.reconfig_log if not math.isnan(d.t_mig)]
         for batch in self.all_batches():
             self.pause_batch(batch, batch.iters_at(self.now))
-        for inst_id in sorted(self.usage_open, key=natural_key):
-            kind, start = self.usage_open[inst_id]
-            self.usage.append((inst_id, kind, start, self.cfg.duration))
-        self.usage_open = {}
+
+    def usage(self) -> list[tuple[str, str, float, float]]:
+        """The bill's intervals: each instance's (id, kind, acquired_at,
+        released_at or the horizon), in `natural_key` order."""
+        return [(i.id, i.kind, i.acquired_at,
+                 self.cfg.duration if i.released_at is None else i.released_at)
+                for i in sorted(self.instances.values(), key=lambda i: natural_key(i.id))]
 
     def report(self) -> MetricsReport:
         tokens = sum(r.tokens_generated for r in self.records)
-        cost = monetary_cost(sorted(self.usage, key=lambda u: natural_key(u[0])),
-                             self.profile.prices, tokens_served=tokens)
+        cost = monetary_cost(self.usage(), self.profile.prices, tokens_served=tokens)
         return collect_metrics(
             self.records, horizon=self.cfg.duration, cost=cost,
             reconfigurations=[(d.t, d.target.as_tuple(), d.t_mig) for d in self.reconfig_log],
@@ -616,13 +609,13 @@ class AdaptivePolicy:
 
         mapping = self.compute_mapping(engine, target)
         new_serving = {gpu[0] for gpu in mapping.assignment}
-        changed = new_serving != engine.serving_instances()
-        if not ctl.should_reconfigure(engine.config, target, changed):
+        serving = engine.serving_instances()
+        if not ctl.should_reconfigure(engine.config, target, new_serving != serving):
             return
 
         commit_at = engine.ready_time(new_serving)
         grace = [i.grace_deadline for i in engine.instances_by("grace_preempting")
-                 if i.id in engine.serving_instances()]
+                 if i.id in serving]
         engine.commit(commit_at, Decision(
             engine.now, target, frozenset(new_serving), mapping,
             grace_deadline=min(grace) if grace and commit_at <= engine.now else None))
@@ -762,22 +755,19 @@ class AdaptivePolicy:
     def _arrange_batch(self, engine: Engine, batch: Batch, deadline: float | None,
                        t_mig_est: float) -> tuple[float, int, str]:
         boundary_t, done = batch.next_boundary(engine.now)
-        remaining = batch.steps_needed - done
         if not self._use("arranger"):
-            return boundary_t, done, "drop"
+            return boundary_t, done, "reroute_without_cache"
         if deadline is None:
             return boundary_t, done, "migrate_with_cache"
         ctx = GraceContext(
             kind="preemption",
             t_remaining=max(0.0, deadline - boundary_t),
             t_migration=t_mig_est,
-            batch=BatchProgress(steps_remaining=remaining, prefill_pending=False),
+            batch=BatchProgress(steps_remaining=batch.steps_needed - done),
             config=engine.config,
         )
         arr = arrange_preemption(ctx, engine.profile)
-        stop_t = boundary_t + arr.steps * batch.step
-        action = "migrate_with_cache" if arr.action_after == "migrate_with_cache" else "drop"
-        return stop_t, done + arr.steps, action
+        return boundary_t + arr.steps * batch.step, done + arr.steps, arr.action_after
 
     @staticmethod
     def _departing(engine: Engine) -> frozenset[str]:

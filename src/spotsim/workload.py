@@ -48,6 +48,9 @@ def load_arrivals(path: str | Path) -> list[tuple[float, int, int]]:
             try:
                 doc = json.loads(line)
                 record = (as_real(doc["t"]), doc["s_in"], doc["s_out"])
+                unknown = [k for k in doc if k not in ("t", "s_in", "s_out")]
+                if unknown:
+                    raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
                 if not (0 <= record[0] < math.inf and is_count(record[1], 1)
                         and is_count(record[2], 1)):
                     raise ValueError("t must be finite and >= 0, and s_in and s_out "

@@ -293,6 +293,7 @@ def test_unknown_config_key_exits_two(key, value, quick_config, tmp_path, capsys
     {"t": 1.0, "s_in": 512, "s_out": True},
     {"t": 1.0, "s_in": "512", "s_out": 128},
     {"t": True, "s_in": 512, "s_out": 128},
+    {"t": 1.0, "s_in": 512, "s_out": 128, "prio": 1},
 ])
 def test_bad_arrival_record_exits_two(record, quick_config, tmp_path, capsys):
     arrivals = tmp_path / "arrivals.jsonl"
@@ -312,7 +313,10 @@ def test_bad_arrival_record_exits_two(record, quick_config, tmp_path, capsys):
     ({"t": 5.0, "kind": "acquire", "id": "i-9", "ready_in": -1.0}, "ready_in"),
     ({"t": 5.0, "kind": "acquire", "id": "i-0"}, "acquired twice"),
     ({"t": 5.0, "kind": "preempt", "id": "storage"}, "storage"),
-], ids=["unknown-itype", "negative-ready-in", "second-acquire", "storage-id"])
+    ({"t": -3600.0, "kind": "acquire", "id": "i-9"}, "t must be finite and >= 0"),
+    ({"t": 5.0, "kind": "preempt", "id": "i-0", "grace_s": 5.0}, "unknown key 'grace_s'"),
+], ids=["unknown-itype", "negative-ready-in", "second-acquire", "storage-id", "before-zero",
+        "unknown-key"])
 def test_bad_trace_event_exits_two(event, message, quick_config, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({"t": 0.0, "kind": "acquire", "id": "i-0"}) + "\n"
@@ -349,6 +353,29 @@ def test_bad_profile_exits_two(corrupt, message, quick_config, tmp_path, capsys)
     assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "profile.json" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["0,4,8", "2,0,8", "2,4,0", "-1,4,8", "2, 8, 2"],
+                         ids=["p-zero", "m-zero", "b-zero", "p-negative", "repeated"])
+def test_bad_profile_shape_exits_two(key, quick_config, tmp_path, capsys):
+    """A `t_dec`/`t_init` shape with a part below 1, or one that repeats a
+    shape another key names ("2, 8, 2" is "2,8,2"), is bad input."""
+    doc = json.loads(Path(bundled_path("gpt-20b")).read_text())
+    for table in (doc["t_dec"], doc["t_init"]):
+        if key == "2, 8, 2":
+            table[key] = table["2,8,2"]
+        else:
+            table[key] = table.pop(next(iter(table)))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    config = json.loads(quick_config.read_text())
+    config["profile"] = str(profile)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["--outdir", str(tmp_path / "o"), "run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "profile.json" in err and "shape" in err
     assert "Traceback" not in err
 
 

@@ -13,6 +13,11 @@ policy built along the way:
   is not logged);
 - the bill equals the integral of each instance's price over the time it
   was held, from its acquisition to its release or the horizon;
+- a preempted instance is held no later than its earliest notice's deadline
+  (notice time plus grace);
+- a request's committed tokens do not change while its batch runs: on entry
+  to `Engine.pause_batch` each request holds what it held when its batch
+  launched, which is what the settlement counts from;
 - every plan reuses or delivers every byte its mapping needs exactly once,
   with remote storage counted as a sender, and is assembled soundly: its
   recorded peaks replay from its rounds, the cache round comes first, and
@@ -57,6 +62,7 @@ from test_dispatch_invariant import (
 # the unwrapped methods: the monkeypatch fixture outlives a single example
 ENGINE_RUN, FINALIZE, PLAN = Engine.run, Engine.finalize, AdaptivePolicy._plan
 INSTALL, SNAPSHOT = Engine.install_layout, Engine.layout_snapshot
+LAUNCH, PAUSE = Engine._launch, Engine.pause_batch
 
 
 def inventories(engine, installed, cache, statuses=LIVE) -> dict:
@@ -116,8 +122,9 @@ def check_engine(engine: Engine, events: list[dict], arrivals: list[float],
     assert all(0 <= d.t_mig < math.inf for d in engine.reconfig_log), engine.reconfig_log
 
     acquired = {e["id"]: e["t"] for e in events if e["kind"] == "acquire"}
-    held = {inst: (kind, start, end) for inst, kind, start, end in engine.usage}
-    assert len(held) == len(engine.usage) and set(held) == set(engine.instances)
+    usage = engine.usage()
+    held = {inst: (kind, start, end) for inst, kind, start, end in usage}
+    assert len(held) == len(usage) and set(held) == set(engine.instances)
     bill = 0.0
     for inst, (kind, start, end) in held.items():
         released = engine.instances[inst].status == "released"
@@ -125,6 +132,20 @@ def check_engine(engine: Engine, events: list[dict], arrivals: list[float],
         assert released or end == horizon
         bill += (end - start) / HOUR * engine.profile.prices.rate(kind)
     assert math.isclose(engine.report().cost.total_usd, bill, rel_tol=1e-12, abs_tol=1e-12)
+
+    # A notice applies to an instance acquired before it in the trace.  A
+    # group of trace events lands at its last event's time, up to 1e-9 s
+    # after a zero-grace deadline in it.
+    deadlines = {}
+    for e in events:
+        if e["kind"] == "acquire":
+            deadlines[e["id"]] = math.inf
+        elif e["id"] in deadlines:
+            deadline = e["t"] + e.get("grace", engine.cfg.grace_default)
+            deadlines[e["id"]] = min(deadlines[e["id"]], deadline)
+    for inst, deadline in deadlines.items():
+        assert engine.instances[inst].released_at is not None or deadline > horizon, inst
+        assert held[inst][2] <= deadline + 1e-9, (inst, held[inst], deadline)
 
 
 # Each acquisition in a trace group keeps its own time: a group stamped at
@@ -150,6 +171,17 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
                     policy=policy, duration=DURATION, pool_size=1)
     engines, from_storage, in_flight = [], [], []
     installed = {}  # each installed GPU's model context
+    launched = {}  # id(batch): the batch, and its requests' tokens at launch
+
+    def launch(engine, pipe, requests, prefill, at=None):
+        tokens = {r.id: r.tokens_generated for r in requests}
+        batch = LAUNCH(engine, pipe, requests, prefill, at)
+        launched[id(batch)] = (batch, tokens)
+        return batch
+
+    def pause(engine, batch, iters):
+        assert {r.id: r.tokens_generated for r in batch.requests} == launched[id(batch)][1]
+        return PAUSE(engine, batch, iters)
 
     def install(engine, config, mapping):
         installed.clear()
@@ -185,6 +217,8 @@ def test_engine_invariants_hold_on_random_traces(events, policy, model, rate, cv
     monkeypatch.setattr(Engine, "install_layout", install)
     monkeypatch.setattr(Engine, "layout_snapshot", snapshot)
     monkeypatch.setattr(Engine, "finalize", finalized)
+    monkeypatch.setattr(Engine, "_launch", launch)
+    monkeypatch.setattr(Engine, "pause_batch", pause)
     monkeypatch.setattr(AdaptivePolicy, "_plan", checked)
     run(cfg)
     if any(from_storage):

@@ -325,8 +325,8 @@ def test_overprovision_releases_ondemand_first(tmp_path):
     engine = Engine(cfg, profile, _load_trace(trace), [(10.0, 512, 128)])
     engine.policy = make_policy(cfg)
     engine.run()
-    released_early = {iid for iid, kind, start, end in engine.usage if end < 300.0}
-    kinds = {iid: kind for iid, kind, *_ in engine.usage}
+    released_early = {iid for iid, kind, start, end in engine.usage() if end < 300.0}
+    kinds = {iid: kind for iid, kind, *_ in engine.usage()}
     # exactly the instances beyond the target and the pool spare are released,
     # and both on-demand ones must be among those released at t=0
     target = engine.reconfig_log[0].target
