@@ -22,13 +22,14 @@ class ControllerError(ValueError):
     pass
 
 
-def estimate_arrival_rate(arrival_times, now: float, window: float = 30.0) -> float:
+def estimate_arrival_rate(arrivals, now: float, window: float = 30.0, key=None) -> float:
     """Arrivals in (now - window, now] divided by the window length, in
-    requests/second."""
+    requests/second.  `arrivals` is in arrival order, and `key` gives each
+    one's arrival time (the entry itself when None)."""
     if window <= 0:
         raise ControllerError("window must be positive")
-    lo = bisect.bisect_right(arrival_times, now - window)
-    hi = bisect.bisect_right(arrival_times, now)
+    lo = bisect.bisect_right(arrivals, now - window, key=key)
+    hi = bisect.bisect_right(arrivals, now, key=key)
     return (hi - lo) / window
 
 

@@ -350,8 +350,7 @@ def profile_from_dict(doc: dict) -> PerfProfile:
     return PerfProfile(
         model=ModelSpec(**doc["model"]),
         decode_table=_by_shape(doc["t_dec"], as_real),
-        prefill_table=_by_shape(doc["t_init"],
-                                lambda e: {int(s): as_real(v) for s, v in e.items()}),
+        prefill_table=_by_shape(doc["t_init"], _by_length),
         pipeline_efficiency=as_real(doc["pipeline_efficiency"]),
         bandwidth=as_real(doc["bandwidth_bytes_per_s"]),
         transfer_latency=as_real(doc.get("transfer_latency_s", 0.0)),
@@ -376,3 +375,10 @@ def _by_shape(table: dict, value) -> dict[Shape, object]:
         raise CostModelError("two keys name one (P,M,B) shape")
     return out
 
+
+def _by_length(entry: dict) -> dict[int, float]:
+    """A `t_init` entry by s_in, each value read as a real."""
+    out = {int(s_in): as_real(value) for s_in, value in entry.items()}
+    if len(out) < len(entry):
+        raise CostModelError("two s_in keys name one length")
+    return out

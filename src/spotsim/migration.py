@@ -11,10 +11,15 @@ releases.  It reads the holdings and the needs as integer rectangle rows
 and finds the missing pieces, the receivers' incoming bytes and the
 releases with array passes.  One rule covers both kinds of context: each
 piece once over its layer run, the layers over which its receiver's copy
-and its request's holders stay the same.  Each sender choice depends on the
-load the ones before it left, so this one loop is Python; it writes its
-choices into grid-integer columns, a cache choice as one transfer over its
-run, a model choice as one per layer.
+and its request's holders stay the same.  A piece whose live copies tile
+it has no choice of sender: each sub-piece comes from the one copy that
+holds it, and an array join finds those.  In the engine's layouts every
+KV-cache piece is one, since a request's cache lives on one pipeline, one
+GPU per (stage, shard).
+Each real choice (a model piece that replicas hold, or one that storage
+sends) depends on the load the sub-pieces before it left, so only that
+loop is Python.  The cover writes grid-integer columns, a cache sub-piece
+as one transfer over its run, a model one as one per layer.
 Model senders are chosen without regard to the cache, so a commit derives
 the model part once: its cache-free derivation carries what depends only on
 the mapping and the GPUs, the model columns among it, and each plan that
@@ -235,14 +240,16 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
 # one at a time in array order, never pairwise; the terms are laid out layer
 # by layer in the order of a loop over receivers (or held blocks), layers and
 # pieces, so each sum is the float that loop gives.
-# Covering stays a Python loop over the runs: which holder sends a piece
-# depends on the bytes each sender has been given so far, so each choice
-# depends on the ones before it.  It appends each choice to a flat list, which
-# becomes transfer columns (`_Moves`) in one conversion.
+# Covering is a Python loop only over the pieces with a choice of sender:
+# which holder sends such a piece depends on the bytes each sender has been
+# given so far, so each choice depends on the ones before it.  It appends
+# each choice to a flat list, which becomes transfer columns (`_Moves`) in
+# one conversion, merged in cover order with the forced sub-pieces the array
+# join gave.
 
 _G, _R, _F, _E, _LO, _HI, _T = range(7)  # row columns
 _LAYER, _SRC, _DST = 0, 1, 4  # transfer columns: layer, src, lo, hi, dst[, request, tokens, layers]
-_PUT = 5  # values the cover appends per sub-piece: layer, src, lo, hi, bytes
+_PUT = 6  # values the cover appends per sub-piece: piece, layer, src, lo, hi, bytes
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
@@ -308,32 +315,41 @@ class _Moves:
         self.cols, self.size, self.gpus, self.den, self.rids = cols, size, gpus, den, rids
 
     @classmethod
-    def covered(cls, units: list, common: "_Common", den: int, rids: list[str] | None,
+    def covered(cls, cover: tuple, common: "_Common", den: int, rids: list[str] | None,
                 load: dict[str, float], departing: frozenset[str], send_budget: float,
                 stored: bool) -> "_Moves":
-        """The one cover loop: each piece of the `_pieces` units, model or
-        cache, covered once over its unit's layer run (`_cover_from_holders`),
-        each sub-piece as one transfer of the run, tagged with its receiver,
-        request code, tokens and layer count."""
-        out, tags, counts = [], [], []
-        for g, inst, code, first, end, block, pieces in units:
-            for lo, hi, unit, tokens in pieces:
-                before = len(out)
-                _cover_from_holders(out, (lo, hi, unit * (end - first), tokens), block, inst,
-                                    first, den, load, common.owner, departing, send_budget,
-                                    stored)
-                tags.append((g, code, tokens, end - first))
-                counts.append((len(out) - before) // _PUT)
-        table = np.fromiter(out, np.float64, len(out)).reshape(-1, _PUT)
-        tags = np.array(tags, dtype=np.int64).reshape(-1, 4).repeat(counts, axis=0)
-        return cls(np.concatenate((table[:, :_DST].astype(np.int64), tags), axis=1),
-                   table[:, _DST], common.gpus, den, rids)
+        """The one cover loop: the pieces of one `_pieces` cover, model or
+        cache, each covered once over its unit's layer run, each sub-piece as
+        one transfer of the run, tagged with its receiver, request code,
+        tokens and layer count, in piece, then bound, order.
+
+        A forced piece's sub-pieces come from `_pieces` as they are; only the
+        other pieces, those with a choice of sender and those some point of
+        which no live copy holds, run through `_cover_from_holders`.  It
+        takes the forced sub-pieces' cross-instance bytes into the sender
+        loads in cover order, so each choice sees the loads a cover of every
+        piece in turn would have left."""
+        tags, (piece, cols, size), choices = cover
+        if choices:
+            cross = common.inst_of[cols[:, 1]] != common.inst_of[tags[piece, 0]]
+            out = _cover_from_holders(choices, list(zip(
+                piece[cross].tolist(), [common.owner[g] for g in cols[cross, 1].tolist()],
+                size[cross].tolist())), den, load, common.owner, departing, send_budget, stored)
+            table = np.fromiter(out, np.float64, len(out)).reshape(-1, _PUT)
+            piece = np.concatenate((piece, table[:, 0].astype(np.int64)))
+            order = piece.argsort(kind="stable")
+            piece = piece[order]
+            cols = np.concatenate((cols, table[:, 1:_PUT - 1].astype(np.int64)))[order]
+            size = np.concatenate((size, table[:, -1]))[order]
+        return cls(np.concatenate((cols, tags[piece]), axis=1), size, common.gpus, den, rids)
 
     def __len__(self) -> int:
         return len(self.size)
 
 
 _NO_COLS, _NO_SIZES = np.empty((0, _DST + 4), dtype=np.int64), np.empty(0)  # no cache transfers
+# no forced sub-pieces: piece indices, (layer, src, lo, hi) columns, bytes
+_NO_SUBS = np.empty(0, dtype=np.int64), np.empty((0, _DST), dtype=np.int64), np.empty(0)
 
 
 def _expand(moves: _Moves, a: int, z: int) -> list[Transfer]:
@@ -514,20 +530,27 @@ class Derivation:
 
 
 def _pieces(held: np.ndarray, need: np.ndarray, owner: list[str], weight: int,
-            den: int) -> tuple[list, tuple]:
-    """Cover units of one kind of context, and the terms `_incoming` sums:
-    each unit's receiving GPU, layer count and piece count, and each piece's
-    width times tokens, in unit order.
+            den: int) -> tuple[tuple, tuple]:
+    """The cover of one kind of context, for `_Moves.covered`, and the terms
+    `_incoming` sums: each unit's receiving GPU, layer count and piece
+    count, and each piece's width times tokens, in unit order.
 
     Each need row is cut into runs at the layer bounds of its request's held
     rows, so each run lies inside one elementary layer block of the holder
     index, and what the receiver holds with enough tokens is subtracted.
-    A unit is one run of one GPU's need of one request: `(dst, its instance,
-    request code, first, end, (holders, candidate memo) or None, [(lo, hi,
-    unit bytes, tokens)])`, pieces in entry, then bound, order, units in GPU,
-    request, then layer order.  Holders list `(gpu, its instance, lo, hi,
-    tokens)` in GPU, then row, order.  A GPU is its index, and `owner` gives
-    its instance.
+    A unit is one run of one GPU's need of one request, its pieces in
+    entry, then bound, order, the units in GPU, request, then layer order;
+    the pieces in that order are the cover order.  One array join finds
+    each piece's copies: the held rows of its unit's layer block that share
+    a point with it and hold enough tokens.
+
+    The cover is `(tags, forced, choices)`.  `tags` gives each piece's
+    receiving GPU, request code, tokens and layer count.  `forced` holds the
+    sub-pieces of the pieces whose copies tile them, where there is no
+    choice of sender: their piece indices, `(layer, sender, lo, hi)`
+    columns and bytes, by piece, then bound.  `choices` lists the other
+    pieces, in cover order, for `_cover_from_holders`.  A GPU is its index,
+    and `owner` gives its instance.
     """
     hg, hr, hf, he, hlo, hhi, ht = held.T
     ng, nr, nf, ne, nlo, nhi, nt = need.T
@@ -583,31 +606,60 @@ def _pieces(held: np.ndarray, need: np.ndarray, owner: list[str], weight: int,
     u_first = _starts(unit_key)
     u_run = p_run[u_first]
 
-    # holders of the elementary blocks the units cover
+    # each piece's unit's first run, which gives the piece its layers
+    p_unit = np.zeros(len(p_run), dtype=np.int64)
+    p_unit[u_first[1:]] = 1
+    u = u_run[p_unit.cumsum()]
+    p_tokens, p_first, p_layers, p_block = tokens[p_run], first[u], end[u] - first[u], block[u]
+    tags = np.stack((ng[row[u]], nr[row[u]], p_tokens, p_layers), axis=1)
+
+    # each piece's copies: the held rows of its layer block that share a
+    # point with it and hold enough tokens, by piece, then row
     k0 = bounds.searchsorted(code + hf)
     h, at = _ragged(bounds.searchsorted(code + he) - k0)
     k = k0[h] + at
-    wanted = np.zeros(len(bounds) + 1, dtype=bool)
-    wanted[block[u_run]] = True
-    h, k = h[wanted[k]], k[wanted[k]]
-    order = np.lexsort((h, k))
+    order = k.argsort(kind="stable")
     h, k = h[order], k[order]
-    copies = [(g, owner[g], a, b, t) for g, a, b, t in held[:, [_G, _LO, _HI, _T]].tolist()]
-    listed = [copies[c] for c in h.tolist()]
-    cut = _starts(k)
-    holders = {b: (listed[a:z], {}) for b, a, z in zip(
-        k[cut].tolist(), cut.tolist(), [*cut[1:].tolist(), len(listed)])}
+    a = k.searchsorted(p_block)
+    p, at = _ragged(k.searchsorted(p_block, "right") - a)
+    c = h[a[p] + at]
+    c_lo, c_hi = np.maximum(hlo[c], p_lo[p]), np.minimum(hhi[c], p_hi[p])
+    shared = (c_lo < c_hi) & (ht[c] >= p_tokens[p])
+    p, c, c_lo, c_hi = p[shared], c[shared], c_lo[shared], c_hi[shared]
 
-    p_tokens = tokens[p_run]
-    pieces = list(zip(p_lo.tolist(), p_hi.tolist(), [weight * t for t in p_tokens.tolist()],
-                      p_tokens.tolist()))
-    dst = ng[row[u_run]]
-    units = [(g, owner[g], r, f, e, holders.get(b), pieces[a:z]) for g, r, f, e, b, a, z in zip(
-        dst.tolist(), nr[row[u_run]].tolist(), first[u_run].tolist(), end[u_run].tolist(),
-        block[u_run].tolist(), u_first.tolist(), [*u_first[1:].tolist(), len(pieces)])]
+    # a piece is forced when its copies, clipped to it, tile it: their
+    # widths add up to its own and no two overlap.  Each point then has one
+    # copy, which sends the sub-piece the cover loop would give it.  Copies
+    # of replicated context add up to more, so only where they add up to
+    # the piece are they sorted and checked.
+    forced = np.bincount(p, c_hi - c_lo, len(p_run)) == p_hi - p_lo
+    sub = _NO_SUBS
+    if forced.any():
+        keep = forced[p]
+        order = np.lexsort((c_lo[keep], p[keep]))
+        q, s, s_lo, s_hi = (x[keep][order] for x in (p, c, c_lo, c_hi))
+        forced[q[1:][(q[1:] == q[:-1]) & (s_lo[1:] < s_hi[:-1])]] = False
+        keep = forced[q]
+        q, s, s_lo, s_hi = q[keep], s[keep], s_lo[keep], s_hi[keep]
+        sub = (q, np.stack((p_first[q], hg[s], s_lo, s_hi), axis=1),
+               exact_bytes(((s_hi - s_lo) * p_tokens[q] * p_layers[q],), (weight,), den))
 
-    return units, (dst, end[u_run] - first[u_run], _lengths(u_first, len(pieces)),
-                   (p_hi - p_lo) * p_tokens)
+    # the other pieces, with their copies in row order, for the cover loop
+    choices = []
+    free = (~forced).nonzero()[0]
+    if len(free):
+        keep = ~forced[p]
+        p, c = p[keep], c[keep]
+        held_copies = [(g, owner[g], a, b) for g, a, b in held[:, [_G, _LO, _HI]].tolist()]
+        copies = [held_copies[x] for x in c.tolist()]
+        choices = [(q, owner[g], f, (lo, hi, weight * t * n), copies[a:z])
+                   for q, g, f, lo, hi, t, n, a, z in zip(
+                       free.tolist(), *(x[free].tolist() for x in (
+                           tags[:, 0], p_first, p_lo, p_hi, p_tokens, p_layers)),
+                       p.searchsorted(free).tolist(), p.searchsorted(free, "right").tolist())]
+
+    return (tags, sub, choices), (ng[row[u_run]], end[u_run] - first[u_run],
+                                  _lengths(u_first, len(p_run)), (p_hi - p_lo) * p_tokens)
 
 
 def _incoming(terms: tuple, inst_of: np.ndarray, weight: int, den: int) -> dict[int, float]:
@@ -658,14 +710,26 @@ def _released(held: np.ndarray, need: np.ndarray, inst_of: np.ndarray, weight: i
     return layer[positive], inst_of[hg[u_row]][unit][positive], value[positive]
 
 
-def _cover_from_holders(out: list, piece: tuple[int, int, int, int], block, here: str,
-                        layer: int, den: int, load: dict[str, float], owner: list[str],
-                        departing: frozenset[str], send_budget: float, stored: bool) -> None:
-    """Split the grid piece `(lo, hi, unit bytes, tokens)` of one receiver, a
-    GPU of instance `here`, across the holder GPUs of its layer block,
-    appending `layer, sender, lo, hi, bytes` to `out` for each sub-piece; the
-    sender is a GPU index, -1 for `STORAGE`, and `owner` gives each index's
-    instance.  Unit bytes count the piece's whole layer run, from `layer`.
+def _cover_from_holders(choices: list, forced: list, den: int, load: dict[str, float],
+                        owner: list[str], departing: frozenset[str], send_budget: float,
+                        stored: bool) -> list:
+    """Cover the pieces `_pieces` found a choice of sender for, in cover
+    order, and return `piece, layer, sender, lo, hi, bytes` for each
+    sub-piece, flat; the sender is a GPU index, -1 for `STORAGE`, and
+    `owner` gives each index's instance.
+
+    A piece is `(piece index, receiver's instance, layer, (lo, hi, unit
+    bytes), copies)`: its receiver, a GPU of that instance, needs the grid
+    interval [lo, hi) over a layer run from `layer`, and unit bytes count
+    the run's every layer.  Its copies are `(gpu, its instance, lo, hi)`, in
+    GPU, then row, order: the held rows of its layer block that share a
+    point with it and hold enough of its tokens (every model row, with its
+    one token), none on the receiver itself, since a need piece is what its
+    own copies leave uncovered.  `forced` lists `(piece index, sender's
+    instance, bytes)` for the forced sub-pieces sent between instances, in
+    cover order; each is added to its sender's load before the first piece
+    here that follows it, so every choice sees the loads the sub-pieces
+    before it left.
 
     Senders are chosen per sub-piece: a copy on the destination's own instance
     wins (intra-instance copies are cheap); then copies on departing instances
@@ -677,46 +741,48 @@ def _cover_from_holders(out: list, piece: tuple[int, int, int, int], block, here
     `STORAGE` up to the next live copy's lower bound when the piece is
     `stored` (model context); otherwise it raises.  Deterministic throughout.
     """
-    holders, memo = block or ((), {})
+    out: list = []
     budget = send_budget + 1e-6
-    lo, hi, unit_bytes, tokens = piece
-    start = lo
-    while start < hi:
-        # copies holding `start` with enough tokens, per block, in GPU order;
-        # none is on the destination GPU, since a need piece is what its own
-        # copies leave uncovered
-        found = memo.get((start, tokens))
-        if found is None:
-            found = memo[(start, tokens)] = [
-                (g, inst, c_hi) for g, inst, c_lo, c_hi, c_tokens in holders
-                if c_lo <= start < c_hi and c_tokens >= tokens]
-        # the least (remote, not departing within budget, load if remote,
-        # GPU, -end); `found` is in GPU order already, so a later copy wins a
-        # tie on the first three only as the same GPU's longer copy
-        best_class = 4
-        for g, inst, c_hi in found:
-            end = c_hi if c_hi < hi else hi
-            cur = load[inst]
-            cheap = inst in departing and cur + (end - start) * unit_bytes / den <= budget
-            if inst == here:
-                cls, cur = (0 if cheap else 1), 0.0
-            else:
-                cls = 2 if cheap else 3
-            if cls < best_class or (cls == best_class and (
-                    cur < best_load or (cur == best_load and g == sender and end > stop))):
-                best_class, best_load, sender, stop = cls, cur, g, end
-        if best_class == 4:
-            if not stored:
-                raise MigrationError(
-                    f"no source holds required shard [{Fraction(start, den)},"
-                    f"{Fraction(hi, den)}): layout inconsistent with mapping")
-            sender = -1
-            stop = min([h[2] for h in holders if start < h[2] < hi], default=hi)
-        size = (stop - start) * unit_bytes / den
-        out.extend((layer, sender, start, stop, size))
-        if owner[sender] != here:
-            load[owner[sender]] += size
-        start = stop
+    k = 0
+    for q, here, layer, (lo, hi, unit_bytes), copies in choices:
+        while k < len(forced) and forced[k][0] < q:
+            _, inst, size = forced[k]
+            load[inst] += size
+            k += 1
+        start = lo
+        while start < hi:
+            # the least (remote, not departing within budget, load if
+            # remote, GPU, -end) over the copies holding `start`; `copies`
+            # are in GPU order already, so a later copy wins a tie on the
+            # first three only as the same GPU's longer copy
+            best_class = 4
+            for g, inst, c_lo, c_hi in copies:
+                if not c_lo <= start < c_hi:
+                    continue
+                end = c_hi if c_hi < hi else hi
+                cur = load[inst]
+                cheap = inst in departing and cur + (end - start) * unit_bytes / den <= budget
+                if inst == here:
+                    cls, cur = (0 if cheap else 1), 0.0
+                else:
+                    cls = 2 if cheap else 3
+                if cls < best_class or (cls == best_class and (
+                        cur < best_load or (cur == best_load and g == sender and end > stop))):
+                    best_class, best_load, sender, stop = cls, cur, g, end
+            if best_class == 4:
+                if not stored:
+                    raise MigrationError(
+                        f"no source holds required shard [{Fraction(start, den)},"
+                        f"{Fraction(hi, den)}): layout inconsistent with mapping")
+                sender = -1
+                # every copy starts below `hi`, since it shares a point with the piece
+                stop = min([c[2] for c in copies if start < c[2]], default=hi)
+            size = (stop - start) * unit_bytes / den
+            out += (q, layer, sender, start, stop, size)
+            if owner[sender] != here:
+                load[owner[sender]] += size
+            start = stop
+    return out
 
 
 def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpec,
@@ -732,7 +798,10 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     beyond its own new requirement is freed once the owning round completes.
     Both kinds of context take the same array passes, model context being
     request None's, and one cover, each piece once per layer run
-    (`_Moves.covered`).  Transfers come out as columns, no record built.
+    (`_Moves.covered`).  A piece whose live copies tile it takes its
+    sub-pieces from those copies with no choice made; only the other
+    pieces reach the sender choice.  Transfers come out as columns, no
+    record built.
 
     Model pieces come first, under a sender load and a send budget (the
     busiest receiver's model bytes) built from model pieces alone, so the KV
@@ -745,7 +814,10 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     again, so only the cache rows are built.
 
     Cache pieces follow, from the sender load of the model transfers, under
-    a budget of the busiest receiver's model plus cache bytes.  Each choice
+    a budget of the busiest receiver's model plus cache bytes.  Those loads
+    and that budget are summed only when some cache piece has a choice of
+    sender, which the engine's layouts never give: a request's cache lives
+    on one pipeline, so each point of it has one live copy.  Each sub-piece
     is one transfer with the run's first layer, its layer count and the
     bytes of all its layers.  Cache releases go to the cache round.
     """
@@ -762,13 +834,13 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
         weight = model.bytes_per_layer
         cache = {d: [(None, 1)] for d in range(1, mapping.config.data_parallel + 1)}  # the model
         held, need = rows[is_model], position_rows(common.slots, k, cache, {None: 0})
-        units, terms = _pieces(held, need, owner, weight, den)
+        cover, terms = _pieces(held, need, owner, weight, den)
         # bytes each sender is scheduled to send
         sender_load = dict.fromkeys(names, 0.0)
-        # the budget only bounds departing senders
+        # the budget only bounds departing senders, where a piece has a choice
         send_budget = max(_incoming(terms, inst_of, weight, den).values(),
-                          default=0.0) if departing else 0.0
-        runs = _Moves.covered(units, common, den, None, sender_load, departing, send_budget,
+                          default=0.0) if departing and cover[2] else 0.0
+        runs = _Moves.covered(cover, common, den, None, sender_load, departing, send_budget,
                               True)
         # each choice as one transfer per layer of its run, by layer, with the
         # layer's own bytes (the run's bytes over its length may round apart)
@@ -794,9 +866,9 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
     if not len(held) and not len(need):
         return Derivation(common, _Moves(_NO_COLS, _NO_SIZES, gpus, den, rids), {})
     weight = model.kv_bytes_per_token_per_layer
-    units, terms = _pieces(held, need, owner, weight, den)
+    cover, terms = _pieces(held, need, owner, weight, den)
     sender_load, send_budget = {}, 0.0
-    if units:
+    if cover[2]:  # some piece has a choice of sender
         # summed from the model transfers, so the same whether they were
         # derived here or come from `base`
         sent, delivered = common.model_loads()
@@ -806,7 +878,7 @@ def derive_transfers(mapping: DeviceMapping, old_layout: Layout, model: ModelSpe
                         for i, total in _incoming(terms, inst_of, weight, den).items()}
             send_budget = max(delivered.get(inst, 0.0) + cache_in.get(inst, 0.0)
                               for inst in {*delivered, *cache_in})
-    moves = _Moves.covered(units, common, den, rids, sender_load, departing, send_budget, False)
+    moves = _Moves.covered(cover, common, den, rids, sender_load, departing, send_budget, False)
     _, inst, value = _released(held, need, inst_of, weight, den)
     cache_releases = {names[i]: total for i, total in zip(*(a.tolist() for a in _sums(inst, value)))}
     return Derivation(common, moves, cache_releases)

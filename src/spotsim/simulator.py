@@ -51,6 +51,7 @@ uncommitted at the horizon leave the log.
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -170,8 +171,7 @@ class Engine:
         self.pipelines: dict[int, Pipeline] = {}
         self.lost: set[int] = set()  # pipelines with an assigned GPU on a released instance
         self.queue: list[RequestRecord] = []
-        self.records: list[RequestRecord] = []
-        self.arrival_times: list[float] = []
+        self.records: list[RequestRecord] = []  # every arrival so far, in arrival order
         self.reconfig_log: list[Decision] = []
         self.paused_until = 0.0
         self.busy_until = 0.0  # reconfiguration window in progress until then
@@ -214,7 +214,6 @@ class Engine:
                 self.handle_deadline(data)
             elif kind == "arrival":
                 self.records.append(data)
-                self.arrival_times.append(t)
                 self.queue.append(data)
                 self.try_dispatch()
             elif kind == "complete":
@@ -270,7 +269,9 @@ class Engine:
     def handle_deadline(self, instance_id: str):
         inst = self.instances[instance_id]
         if inst.status == "grace_preempting":
-            self.release_instance(inst, self.now)
+            # a trace group lands at its last event's time, which may be past
+            # the deadline of a zero-grace notice in it
+            self.release_instance(inst, min(self.now, inst.grace_deadline))
 
     def release_instance(self, inst: InstanceState, t: float):
         inst.status = "released"
@@ -305,7 +306,8 @@ class Engine:
     def current_rate(self) -> float:
         if self.cfg.rate_source == "declared" and self.cfg.workload.kind == "fixed_rate":
             return float(self.cfg.workload.rate)
-        return ctl.estimate_arrival_rate(self.arrival_times, self.now, self.cfg.rate_window)
+        return ctl.estimate_arrival_rate(self.records, self.now, self.cfg.rate_window,
+                                         key=attrgetter("arrival"))
 
     # -- dispatch and completion ---------------------------------------------------
 

@@ -342,7 +342,11 @@ def test_bad_trace_event_exits_two(event, message, quick_config, tmp_path, capsy
                               "t_init": {k: v for k, v in json.loads(text)["t_init"].items()
                                          if k != "2,8,2"}}),
      "same (P,M,B) shapes"),
-], ids=["invalid-json", "missing-key", "zero-price", "unprofiled-prefill-shape"])
+    (lambda text: json.dumps({**json.loads(text), "t_init": {
+        k: {**v, " 128": v["128"]} for k, v in json.loads(text)["t_init"].items()}}),
+     "two s_in keys name one length"),
+], ids=["invalid-json", "missing-key", "zero-price", "unprofiled-prefill-shape",
+        "repeated-s-in"])
 def test_bad_profile_exits_two(corrupt, message, quick_config, tmp_path, capsys):
     profile = tmp_path / "profile.json"
     profile.write_text(corrupt(Path(bundled_path("gpt-20b")).read_text()))

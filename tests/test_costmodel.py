@@ -331,6 +331,15 @@ class TestMonetaryCost:
         assert both == pytest.approx(2 * one)
 
 
+def test_repeated_s_in_key_is_an_error(gpt_profile):
+    """ " 128" and "128" name one length: the table would keep one of them."""
+    doc = profile_to_dict(gpt_profile)
+    entry = doc["t_init"]["2,8,2"]
+    entry[" 128"] = 2 * entry["128"]
+    with pytest.raises(CostModelError, match="s_in"):
+        profile_from_dict(doc)
+
+
 def test_profile_roundtrip(gpt_profile):
     doc = profile_to_dict(gpt_profile)
     back = profile_from_dict(doc)

@@ -1,10 +1,11 @@
 """The planner covers model context and KV cache by one rule.
 
 An `ast` scan of `spotsim/migration.py`: `_cover_from_holders`, which picks
-the senders of one piece over its layer run, is named in exactly one place,
-the cover loop of `_Moves.covered` that serves both kinds of context.  A
-second call, or an alias that could be called elsewhere, would be a second
-cover path.
+the senders of the pieces with a choice of sender, each over its layer run,
+is named in exactly one place, the cover of `_Moves.covered` that serves
+both kinds of context and merges those choices with the forced sub-pieces
+`_pieces` found (pieces whose live copies tile them).  A second call, or an
+alias that could be called elsewhere, would be a second cover path.
 """
 
 import ast

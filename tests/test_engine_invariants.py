@@ -135,7 +135,8 @@ def check_engine(engine: Engine, events: list[dict], arrivals: list[float],
 
     # A notice applies to an instance acquired before it in the trace.  A
     # group of trace events lands at its last event's time, up to 1e-9 s
-    # after a zero-grace deadline in it.
+    # after a zero-grace deadline in it, yet the instance is released at
+    # its deadline.
     deadlines = {}
     for e in events:
         if e["kind"] == "acquire":
@@ -145,7 +146,7 @@ def check_engine(engine: Engine, events: list[dict], arrivals: list[float],
             deadlines[e["id"]] = min(deadlines[e["id"]], deadline)
     for inst, deadline in deadlines.items():
         assert engine.instances[inst].released_at is not None or deadline > horizon, inst
-        assert held[inst][2] <= deadline + 1e-9, (inst, held[inst], deadline)
+        assert held[inst][2] <= deadline, (inst, held[inst], deadline)
 
 
 # Each acquisition in a trace group keeps its own time: a group stamped at
@@ -155,9 +156,18 @@ NEAR_TIE_ACQUIRE = dict(
     policy="spotserve", model="opt-6.7b", rate=0.5, cv=1.0, seed=0)
 
 
+# A zero-grace notice grouped with a later event: i-0 is released at
+# 100.0, its deadline, not at 100.0 + 5e-10, when its group lands.
+ZERO_GRACE_IN_GROUP = dict(
+    events=[_acquire(0.0, "i-0"), {"t": 100.0, "kind": "preempt", "id": "i-0", "grace": 0.0},
+            _acquire(100.0 + 5e-10, "i-9")],
+    policy="spotserve", model="opt-6.7b", rate=0.5, cv=1.0, seed=0)
+
+
 @SETTINGS
 @example(**NEAR_TIE_SURPLUS)
 @example(**NEAR_TIE_ACQUIRE)
+@example(**ZERO_GRACE_IN_GROUP)
 @given(events=traces(),
        policy=st.sampled_from(["spotserve", "rerouting", "reparallelization"]),
        model=st.sampled_from(["opt-6.7b", "gpt-20b"]),

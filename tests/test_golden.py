@@ -128,3 +128,32 @@ def test_plan_digests_prints_one_block_per_config(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"config {path}" and lines[1] == "all 0 " + tool.combined_digest([])
     assert len(lines) == 10 and lines[5:] == lines[:5]
+
+
+@pytest.mark.parametrize("case", ["bundled", "churn"])
+def test_engine_path_covers_kv_cache_without_a_sender_choice(case, tmp_path, monkeypatch):
+    """A request's KV cache lives on one pipeline, one GPU per (stage,
+    shard), so on the engine path every point of a cache piece has one live
+    copy and no cache piece reaches the cover loop: with
+    `_cover_from_holders` patched to raise on KV cache (`stored` false), the
+    bundled spotserve run still ends with its golden report and
+    `conftest.churn_config`, whose grace commits move multi-layer cache
+    runs, still builds its golden plans.  The loop still covers model
+    pieces, which replicas give a choice."""
+    cover = migration._cover_from_holders
+    stored = []
+
+    def model_only(*args):
+        stored.append(args[-1])
+        if not args[-1]:
+            raise AssertionError("a KV-cache piece reached the cover loop")
+        return cover(*args)
+    monkeypatch.setattr(migration, "_cover_from_holders", model_only)
+    if case == "churn":
+        digests = _plan_digests_tool().plan_digests(churn_config(tmp_path, seed=3))
+        assert (len(digests), _plan_digests_tool().combined_digest(digests)) \
+            == GOLDEN_PLANS[("churn", 3)]
+    else:
+        cfg = load_simconfig(bundled_path("scenario_bs.json"))
+        assert report_digest(run(cfg), tmp_path) == GOLDEN["spotserve"]
+    assert stored and all(stored)

@@ -31,6 +31,7 @@ from spotsim.migration import (
     plan_to_dict,
 )
 
+import fraction_oracle
 from fraction_oracle import intersect, inventory, model_bytes, model_shards
 from memopt_oracle import reference_layer_order
 from plan_checks import Round, check_assembly, simulate_buffer_usage
@@ -538,3 +539,24 @@ def test_a_departing_budget_that_fits_a_prefix_of_a_run_sends_none_of_it():
     assert sent == {("i-0", "i-2", Fraction(1, 2), Fraction(1)),
                     ("i-1", "i-3", Fraction(0), Fraction(1))}
     assert all(len(transfers) == 2 for transfers in model_transfers.values())
+
+
+def test_a_forced_cache_piece_tips_a_later_sender_choice():
+    """i-3 inherits r1 and r2, in that order.  Only i-1 holds r1, so r1's
+    piece has no choice of sender; i-1 and i-2 both hold r2.  With equal
+    loads the tie would take i-1, the first in GPU order, but r1's bytes
+    already sit on i-1's load, so r2 comes from i-2.  The derivation is the
+    fraction oracle's, record for record."""
+    config, pos = ParallelConfig(1, 1, 1, 1), TopologyPosition(1, 1, 1)
+
+    def cache(*rids):
+        return [(rid, layer, Fraction(0), Fraction(1), 8) for rid in rids for layer in range(4)]
+    layout = {("i-1", 0): inventory(cache_shards=cache("r1", "r2")),
+              ("i-2", 0): inventory(cache_shards=cache("r2")),
+              ("i-3", 0): required_context(config, pos, M4)}
+    mapping = DeviceMapping(assignment={("i-3", 0): pos}, total_weight=0.0, config=config)
+    inherited = {1: [("r1", 8), ("r2", 8)]}
+    derived = derive_transfers(mapping, Layout.of(layout), M4, inherited).records()
+    assert repr(derived) == repr(fraction_oracle.derive_transfers(mapping, layout, M4, inherited))
+    assert [(t.request, t.src[0], t.bytes) for t in derived[1]] == [("r1", "i-1", 256.0),
+                                                                   ("r2", "i-2", 256.0)]
