@@ -163,14 +163,6 @@ class LayerTraffic:
 # ---------------------------------------------------------------------------
 # Memory-optimized layer ordering
 
-def _peak_if_applied(usage: dict[str, float], traffic: LayerTraffic, floor: float) -> float:
-    """Worst instance usage while the layer is in flight; `floor` is the worst before it."""
-    peak = floor
-    for inst, b in traffic.incoming.items():
-        peak = max(peak, usage.get(inst, 0.0) + b)
-    return peak
-
-
 def _apply(usage: dict[str, float], traffic: LayerTraffic):
     for inst, b in traffic.incoming.items():
         usage[inst] = usage.get(inst, 0.0) + b
@@ -198,21 +190,39 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
     deferred: dict[frozenset, list[int]] = {}  # incoming traffic -> its deferred layers
     for layer in sorted(traffic_by_layer):
         traffic = traffic_by_layer[layer]
-        if u_max is None or _peak_if_applied(usage, traffic, max(usage.values(), default=0.0)) <= u_max:
-            _apply(usage, traffic)
-            order.append(layer)
-        else:
-            deferred.setdefault(frozenset(traffic.incoming.items()), []).append(layer)
-    classes = [layers[::-1] for layers in deferred.values()]  # lowest layer last
+        if u_max is not None:
+            # the worst usage while the layer is in flight
+            peak = max(usage.values(), default=0.0)
+            for inst, b in traffic.incoming.items():
+                v = usage.get(inst, 0.0) + b
+                if v > peak:
+                    peak = v
+            if not peak <= u_max:
+                deferred.setdefault(frozenset(traffic.incoming.items()), []).append(layer)
+                continue
+        _apply(usage, traffic)
+        order.append(layer)
+    # each class as (its incoming items, its layers with the lowest last)
+    classes = [(tuple(incoming), layers[::-1]) for incoming, layers in deferred.items()]
     while classes:
         floor = max(usage.values(), default=0.0)
-        best = min(classes, key=lambda layers: (
-            _peak_if_applied(usage, traffic_by_layer[layers[-1]], floor), layers[-1]))
-        layer = best.pop()
-        _apply(usage, traffic_by_layer[layer])
+        best = best_key = None
+        for cls in classes:
+            peak = floor
+            for inst, b in cls[0]:
+                v = usage.get(inst, 0.0) + b
+                if v > peak:
+                    peak = v
+            key = (peak, cls[1][-1])
+            if best is None or key < best_key:
+                best, best_key = cls, key
+        layers = best[1]
+        layer = layers.pop()
+        traffic = traffic_by_layer[layer]
+        _apply(usage, traffic)
         order.append(layer)
-        if not best:
-            classes = [layers for layers in classes if layers]
+        if not layers:
+            classes = [cls for cls in classes if cls[1]]
     return order
 
 

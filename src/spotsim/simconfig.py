@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import INSTANCE_KINDS, STORAGE, as_real, is_count, is_real
+from .workload import WorkloadError, gamma_params
 
 
 class SimConfigError(ValueError):
@@ -144,6 +145,11 @@ class SimConfig:
         for feat in self.disable:
             if feat not in ABLATION_FEATURES:
                 raise SimConfigError(f"unknown ablation feature {feat!r}")
+        if self.workload.kind == "fixed_rate":
+            try:
+                gamma_params(self.workload.rate, self.workload.cv, self.duration)
+            except WorkloadError as e:
+                raise SimConfigError(f"workload: {e}") from None
         if self.rate_source == "declared" and self.workload.kind != "fixed_rate":
             self.rate_source = "estimated"
 

@@ -184,8 +184,7 @@ class Engine:
         for ev in trace:
             self.push(ev.t, P_TRACE, "trace", ev)
         for i, (t, s_in, s_out) in enumerate(arrivals):
-            rec = RequestRecord(id=f"r-{i:05d}", arrival=t, s_in=s_in, s_out=s_out)
-            self.push(t, P_ARRIVAL, "arrival", rec)
+            self.push(t, P_ARRIVAL, "arrival", RequestRecord(f"r-{i:05d}", t, s_in, s_out))
 
     # -- event plumbing -------------------------------------------------------
 
@@ -957,7 +956,7 @@ def run(cfg: SimConfig) -> MetricsReport:
     if cfg.workload.kind == "fixed_rate":
         times = gamma_arrivals(cfg.workload.rate, cfg.workload.cv, cfg.duration,
                                cfg.workload.seed)
-        arrivals = [(float(t), cfg.s_in, cfg.s_out) for t in times]
+        arrivals = [(t, cfg.s_in, cfg.s_out) for t in times.tolist()]
     else:
         arrivals = [(t, s_in, s_out) for t, s_in, s_out in load_arrivals(cfg.workload.path)
                     if t < cfg.duration]

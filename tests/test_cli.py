@@ -485,6 +485,31 @@ def test_non_finite_number_exits_two(where, key, value, quick_config, tmp_path, 
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("workload, argv", [
+    ({"cv": 1e-200}, ["run"]),
+    ({"cv": 1e200}, ["run"]),
+    ({"rate": 1e300}, ["run"]),
+    ({"rate": 10**20}, ["run"]),
+    ({}, ["run", "--rate", "1e300"]),
+    ({}, ["run", "--duration", "1e7"]),
+    ({}, ["sweep", "--rates", "0.35,1e300"]),
+], ids=["cv-squared-underflows", "cv-squared-overflows", "rate-1e300", "rate-10**20",
+        "rate-flag", "duration-flag", "sweep-cell"])
+def test_workload_outside_the_gamma_rules_exits_two(workload, argv, quick_config, tmp_path,
+                                                    capsys):
+    """A fixed-rate workload needs a gamma shape 1/cv^2 and scale cv^2/rate
+    that are finite and > 0, and at most 10**6 expected arrivals (rate x
+    duration), however the rate and duration are given."""
+    doc = json.loads(quick_config.read_text())
+    doc["workload"].update(workload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    command, *flags = argv
+    assert main(["--outdir", str(tmp_path / "o"), command, str(bad), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: workload:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--rates", "abc"),
     ("--rates", "0.3,,0.4"),

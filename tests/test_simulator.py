@@ -220,6 +220,14 @@ class TestSimConfig:
                       workload=WorkloadSpec(kind="fixed_rate", rate=1.0, cv=1.0, seed=0),
                       policy="nonsense")
 
+    def test_expected_arrivals_bound_is_inclusive(self):
+        """rate x duration may reach 10**6 but not pass it; neither config
+        draws an arrival."""
+        wl = WorkloadSpec(kind="fixed_rate", rate=1000.0, cv=6.0, seed=0)
+        SimConfig(profile_path="p", trace_path="t", workload=wl, duration=1000.0)
+        with pytest.raises(SimConfigError, match="expected arrivals"):
+            SimConfig(profile_path="p", trace_path="t", workload=wl, duration=1000.5)
+
     def test_bundled_scenario_loads(self):
         cfg = load_simconfig(bundled_path("scenario_bs.json"))
         assert cfg.policy == "spotserve"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,6 +46,64 @@ class TestGammaArrivals:
     def test_bad_params(self):
         with pytest.raises(WorkloadError):
             gamma_arrivals(0.0, 6.0, 10, seed=1)
+
+    @pytest.mark.parametrize("rate, cv, duration", [
+        (0.35, -6.0, 10), (0.35, 6.0, 0.0),
+        (0.35, 1e-200, 10),  # cv^2 underflows: shape inf, scale 0
+        (0.35, 1e200, 10),  # cv^2 overflows: shape 0, scale inf
+        (1e-300, 1e5, 10),  # scale cv^2/rate overflows
+        (1e300, 6.0, 10), (10**20, 6.0, 10), (0.35, 6.0, 1e7),  # rate x duration past 10**6
+    ])
+    def test_rejected_before_a_gap_is_drawn(self, rate, cv, duration):
+        with pytest.raises(WorkloadError):
+            gamma_arrivals(rate, cv, duration, seed=1)
+
+
+def reference_gamma_arrivals(rate: float, cv: float, duration: float, seed: int) -> np.ndarray:
+    """Arrival times gap by gap, `t += gap` until `t` reaches the horizon:
+    the loop `gamma_arrivals` must reproduce bit for bit."""
+    shape = 1.0 / (cv * cv)
+    scale = cv * cv / rate
+    rng = np.random.default_rng(seed)
+    times = []
+    t = 0.0
+    chunk = max(64, int(rate * duration * 1.25) + 16)
+    while t < duration:
+        gaps = rng.gamma(shape, scale, size=chunk)
+        for gap in gaps:
+            t += gap
+            if t >= duration:
+                break
+            times.append(t)
+    return np.asarray(times)
+
+
+def assert_same_bits(rate, cv, duration, seed) -> np.ndarray:
+    want = reference_gamma_arrivals(rate, cv, duration, seed)
+    got = gamma_arrivals(rate, cv, duration, seed)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    return want
+
+
+def test_gamma_arrivals_match_the_gap_loop_on_a_grid():
+    lengths = []
+    for rate in (0.01, 0.1, 0.55, 2.0, 5.0):
+        for cv in (0.1, 1.0, 6.0, 10.0):
+            for duration in (1.0, 60.0, 1200.0):
+                for seed in range(4):
+                    chunk = max(64, int(rate * duration * 1.25) + 16)
+                    lengths.append((len(assert_same_bits(rate, cv, duration, seed)), chunk))
+    assert any(n >= chunk for n, chunk in lengths), "no case drew a second chunk"
+    assert any(n == 0 for n, _ in lengths), "no case whose first gap passes the horizon"
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_rate=st.floats(-4.0, math.log10(5.0)), log_cv=st.floats(-150.0, 1.0),
+       duration=st.floats(1e-3, 7200.0), seed=st.integers(0, 2**64 - 1))
+def test_gamma_arrivals_match_the_gap_loop(log_rate, log_cv, duration, seed):
+    """Down to a cv of 1e-150, whose gamma shape is 1e300."""
+    assert_same_bits(10.0 ** log_rate, 10.0 ** log_cv, duration, seed)
 
 
 def test_arrival_file_roundtrip(tmp_path):
