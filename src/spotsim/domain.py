@@ -83,10 +83,14 @@ def is_real(value) -> bool:
 
 def as_real(value) -> float:
     """`value` as a float; TypeError unless `is_real(value)`, so that a string
-    or a boolean read from a file is not taken for a number."""
+    or a boolean read from a file is not taken for a number, and ValueError
+    for a number too large for a float (a JSON integer such as 10**400)."""
     if not is_real(value):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a number too large for a float") from None
 
 
 @dataclass(frozen=True, order=True)

@@ -49,9 +49,11 @@ one array pass over its columns: its slice of the columns, the bytes each
 port carries (`sent` and `received`, all that `costmodel` prices), each
 receiver's bytes and its releases.  The model rounds are built once per
 cache-free derivation, and every plan, estimate and participants set of a
-commit holds those same objects.  Both orders are replayed from the
-columns' receivers and bytes, and the stage-start markers are placed from
-the receivers' stages in the order that wins.
+commit holds those same objects; a run of consecutive layers that move and
+free alike is summed once, and its rounds share those sums.  Both orders
+are replayed from the columns' receivers and bytes as per-instance running
+sums, and the stage-start markers are placed from the receivers' stages in
+the order that wins.
 `Transfer` records are output only, built in one place (`_expand`): a round
 expands its slice of the columns into records when asked
 (`MigrationAction.transfers`, `MigrationPlan.transfers()`,
@@ -180,26 +182,38 @@ def memopt_layer_order(traffic_by_layer: dict[int, LayerTraffic], u_max: float |
     items, so layers with equal incoming traffic peak alike, and under that
     tie rule only the lowest deferred layer of each distinct incoming
     traffic is compared at a step: a step costs one evaluation per distinct
-    incoming traffic, not one per deferred layer.
+    incoming traffic, not one per deferred layer.  For the same reason the
+    first pass defers a layer unevaluated when the layer just before it was
+    deferred with equal incoming traffic: usage has not changed since, so
+    its peak is that layer's.  With no cap the order is the index order,
+    and no usage is kept.
     Every layer is ordered even if u_max cannot be met; the resulting peak is
     reported by the plan, not hidden.  No comparison with the index order is
     made here: `plan_migration` replays both orders and keeps the lower.
     """
+    if u_max is None:
+        return sorted(traffic_by_layer)
     usage: dict[str, float] = {}
     order: list[int] = []
     deferred: dict[frozenset, list[int]] = {}  # incoming traffic -> its deferred layers
+    last = None  # the incoming traffic and class of the layer before, if it was deferred
     for layer in sorted(traffic_by_layer):
         traffic = traffic_by_layer[layer]
-        if u_max is not None:
-            # the worst usage while the layer is in flight
-            peak = max(usage.values(), default=0.0)
-            for inst, b in traffic.incoming.items():
-                v = usage.get(inst, 0.0) + b
-                if v > peak:
-                    peak = v
-            if not peak <= u_max:
-                deferred.setdefault(frozenset(traffic.incoming.items()), []).append(layer)
-                continue
+        if last is not None and traffic.incoming == last[0]:
+            # usage has not changed since that layer peaked over u_max
+            last[1].append(layer)
+            continue
+        # the worst usage while the layer is in flight
+        peak = max(usage.values(), default=0.0)
+        for inst, b in traffic.incoming.items():
+            v = usage.get(inst, 0.0) + b
+            if v > peak:
+                peak = v
+        if not peak <= u_max:
+            last = traffic.incoming, deferred.setdefault(frozenset(traffic.incoming.items()), [])
+            last[1].append(layer)
+            continue
+        last = None
         _apply(usage, traffic)
         order.append(layer)
     # each class as (its incoming items, its layers with the lowest last)
@@ -357,6 +371,7 @@ class _Moves:
         return len(self.size)
 
 
+_NONE: dict = {}  # no releases
 _NO_COLS, _NO_SIZES = np.empty((0, _DST + 4), dtype=np.int64), np.empty(0)  # no cache transfers
 # no forced sub-pieces: piece indices, (layer, src, lo, hi) columns, bytes
 _NO_SUBS = np.empty(0, dtype=np.int64), np.empty((0, _DST), dtype=np.int64), np.empty(0)
@@ -450,31 +465,62 @@ class _Common:
 
     def layer_rounds(self) -> dict[int, MigrationAction]:
         """One `migrate_layer` round per layer that moves or frees model
-        context, by layer."""
+        context, by layer.  Consecutive layers whose transfers (every column
+        but the layer), bytes and releases are equal form one segment, found
+        by comparing that data, and each segment's sums come from its first
+        layer alone: `_round_sums` adds the same terms in the same order on
+        every layer of it, so each layer's sums are those floats.  Each
+        layer keeps its own round and span; the rounds of a segment share
+        one set of sums and releases."""
         if self._rounds is None:
-            self._rounds = self.rounds(self.model, self.model.cols[:, _LAYER], self.layer_releases)
+            cols, size, releases = self.model.cols, self.model.size, self.layer_releases
+            n = self.num_layers
+            layer = cols[:, _LAYER]
+            counts = np.bincount(layer, minlength=n)
+            # same[r]: layer r moves and frees what layer r - 1 does.  Where
+            # the two have as many transfers, each transfer of layer r is
+            # compared with the one `counts[r]` rows before it
+            same = np.zeros(n, dtype=bool)
+            same[1:] = counts[1:] == counts[:-1]
+            j = np.arange(len(layer)) - counts[layer]
+            differ = (size.take(j) != size) | (cols.take(j, axis=0) != cols)[:, 1:].any(axis=1)
+            same[layer[differ]] = False
+            same[1:] &= np.array([releases.get(r, _NONE) == releases.get(r - 1, _NONE)
+                                  for r in range(1, n)], dtype=bool)
+            self._rounds = self.rounds(self.model, layer, releases, ~same)
         return self._rounds
 
-    def rounds(self, moves: _Moves, key: np.ndarray,
-               releases: dict[int, dict[str, float]]) -> dict[int, MigrationAction]:
+    def rounds(self, moves: _Moves, key: np.ndarray, releases: dict[int, dict[str, float]],
+               lead: np.ndarray) -> dict[int, MigrationAction]:
         """The rounds that move or free context, by round key, ascending:
-        each `moves` transfer is in the round of its key in `key`, the
-        round's sums come from one array pass over them, and round r frees
-        `releases[r]`, sorted by instance.  Model transfers make
+        each `moves` transfer is in the round of its key in `key`, ascending,
+        and round r frees `releases[r]`, sorted by instance.  A segment of
+        rounds starts at each round `lead` marks; the rounds of a segment
+        move and free alike, so one array pass over each segment's first
+        round gives the sums the segment shares.  Model transfers make
         `migrate_layer` rounds of layer r, KV cache `migrate_cache` ones."""
         model = moves.rids is None
-        found = _round_sums(key, self.inst_of[moves.cols[:, _SRC]],
-                            self.inst_of[moves.cols[:, _DST]], moves.size,
-                            self.names) if len(moves) else {}
-        ends = np.bincount(key).cumsum().tolist()
+        kind = "migrate_layer" if model else "migrate_cache"
+        found = {}
+        if len(moves):
+            first = lead[key]
+            found = _round_sums((lead.cumsum() - 1)[key[first]],
+                                self.inst_of[moves.cols[first, _SRC]],
+                                self.inst_of[moves.cols[first, _DST]], moves.size[first],
+                                self.names)
+        ends = np.bincount(key, minlength=len(lead)).cumsum().tolist()
         rounds = {}
-        for r in sorted({*found, *(r for r, freed in releases.items() if freed)}):
-            sent, received, incoming = found.get(r, ((), (), {}))
-            rounds[r] = MigrationAction(
-                "migrate_layer" if model else "migrate_cache",
-                tuple(sorted(releases.get(r, {}).items())), r if model else None,
-                sent=tuple(sent), received=tuple(received), incoming=incoming,
-                span=(moves, ends[r - 1] if r else 0, ends[r]) if r in found else None)
+        a = s = 0
+        for r, (new, z) in enumerate(zip(lead.tolist(), ends)):
+            if new:
+                sent, received, incoming = found.get(s, ((), (), {}))
+                sent, received = tuple(sent), tuple(received)
+                freed = tuple(sorted(releases.get(r, _NONE).items()))
+                s += 1
+            if z > a or freed:
+                rounds[r] = MigrationAction(kind, freed, r if model else None, None, sent,
+                                            received, incoming, (moves, a, z) if z > a else None)
+            a = z
         return rounds
 
 
@@ -495,7 +541,8 @@ class Derivation:
         freed; built once."""
         if self._cache_rounds is None:
             self._cache_rounds = self.common.rounds(
-                self.cache, np.zeros(len(self.cache), dtype=np.int64), {0: self.cache_releases})
+                self.cache, np.zeros(len(self.cache), dtype=np.int64),
+                {0: self.cache_releases}, np.ones(1, dtype=bool))
         return self._cache_rounds.get(0)
 
     def participants(self) -> set[str]:
@@ -913,12 +960,18 @@ def plan_migration(transfers: Derivation, u_max: float | None = None) -> Migrati
     (`_Common.layer_rounds`, `Derivation.cache_round`), built once and held
     by every plan of it; only the stage-start markers are made here.  The
     layer order reads each layer round's `incoming` and the layer releases,
-    and no record is read.  Both orders are replayed from the columns'
-    receivers and bytes, adding each instance's bytes in the order a
+    and no record is read.  Each order is replayed in one array pass over
+    the columns' receivers and bytes and the rounds' releases: a stable
+    sort groups the terms by instance, in round order and, within a round,
+    receives in transfer order before the release, and a row-wise
+    `np.cumsum` adds each instance's terms one at a time, in the order a
     per-transfer replay of the plan's actions adds them
-    (`tests/plan_checks.py` keeps that replay), so the plan's `peak_usage`
-    is what it gives, bit for bit; each stage's marker follows the last
-    round of the winning order that delivers to one of its GPUs.
+    (`tests/plan_checks.py` keeps that replay).  Receives only raise usage
+    and releases only lower it, so an instance's largest running sum, or
+    0.0 if none is positive, is the peak that replay takes after each
+    round's receives, and the plan's `peak_usage` is what it gives, bit for
+    bit; each stage's marker follows the last round of the winning order
+    that delivers to one of its GPUs.
     """
     common = transfers.common
     layer_rounds = common.layer_rounds()
@@ -928,49 +981,55 @@ def plan_migration(transfers: Derivation, u_max: float | None = None) -> Migrati
     cache_round = transfers.cache_round()
     if cache_round is not None:
         rounds[n_layers] = cache_round
-    traffic = {layer: LayerTraffic() for layer in range(n_layers)}
+    traffic = dict.fromkeys(range(n_layers), LayerTraffic())  # read only: one empty for all
     for layer, found in layer_rounds.items():
         traffic[layer] = LayerTraffic(found.incoming, common.layer_releases.get(layer, {}))
     order = memopt_layer_order(traffic, u_max)
 
-    # each transfer's round, receiving GPU, receiving instance code and bytes,
-    # the cache round's after the layers'
+    # every buffer delta as a term: each transfer's receiving instance code,
+    # round and bytes, the cache round's after the layers', then each
+    # release's, its bytes negated; codes index `names`, as the releases'
+    # instances are ranked
     receiver = np.concatenate((common.model.cols[:, _DST], cache.cols[:, _DST]))
     moved_in = np.concatenate((common.model.cols[:, _LAYER], np.full(len(cache), n_layers)))
-    to = common.inst_of[receiver].tolist()
-    sizes = np.concatenate((common.model.size, cache.size)).tolist()
-    span = {layer: found.span[1:] for layer, found in layer_rounds.items() if found.span}
-    span[n_layers] = len(common.model), len(to)
-    code = {inst: i for i, inst in enumerate(common.names)}
-    freed = {r: [(code[inst], b) for inst, b in action.releases] for r, action in rounds.items()}
+    rank, n_codes = common.rank, len(common.names)
+    freed = [(r, rank[i], -b) for r, action in rounds.items() for i, b in action.releases]
+    freed_round, freed_inst, freed_bytes = zip(*freed) if freed else ((), (), ())
+    inst = np.concatenate((common.inst_of[receiver], np.array(freed_inst, dtype=np.int64)))
+    term_round = np.concatenate((moved_in, np.array(freed_round, dtype=np.int64)))
+    value = np.concatenate((common.model.size, cache.size, freed_bytes))
+    # grouped by instance, each instance's terms fill a row of a table,
+    # zeros after them
+    per = np.bincount(inst, minlength=n_codes)
+    width = per.max(initial=0)
+    cell = np.repeat(np.arange(n_codes) * width - (per.cumsum() - per), per) + np.arange(len(inst))
 
-    def replayed(layer_order: list[int]) -> tuple[list[int], list[float]]:
+    def replayed(layer_order: list[int]) -> tuple[list[int], np.ndarray]:
         """The rounds, the cache round first, then the layers in
-        `layer_order`; and each instance's peak usage, by code: its bytes
-        received, added one at a time in round and transfer order, less
-        its releases, taken after each round's receives."""
-        chosen = [r for r in (n_layers, *layer_order) if r in rounds]
-        usage = [0.0] * len(code)
-        peak = list(usage)
-        for r in chosen:
-            a, z = span.get(r, (0, 0))
-            for i, b in zip(to[a:z], sizes[a:z]):
-                usage[i] += b
-            for i in set(to[a:z]):
-                if usage[i] > peak[i]:
-                    peak[i] = usage[i]
-            for i, b in freed[r]:
-                usage[i] -= b
-        return chosen, peak
+        `layer_order`; and each instance's peak usage, by code.  A stable
+        sort by instance, then round, puts each instance's terms in round
+        order, each round's receives in transfer order before its release,
+        and a row-wise running sum adds them one at a time, the floats a
+        loop over the rounds gives.  Receives only raise usage and releases
+        only lower it, so each row's largest sum, or 0.0 where none is
+        positive, is the instance's largest usage after a round's receives:
+        the peak the loop takes."""
+        chosen = [n_layers, *layer_order]
+        place = np.empty(n_layers + 1, dtype=np.int64)
+        place[chosen] = np.arange(n_layers + 1)
+        table = np.zeros(n_codes * width)
+        table[cell] = value[(inst * (n_layers + 1) + place[term_round]).argsort(kind="stable")]
+        peak = table.reshape(n_codes, width).cumsum(axis=1).max(axis=1, initial=0.0)
+        return [r for r in chosen if r in rounds], peak
 
     chosen, peak = replayed(order)
     if order != sorted(traffic):
         # the one index-order fallback: the greedy steps see neither the cache
         # round nor the whole order's peak; never ship an order replaying higher
         naive = replayed(sorted(traffic))
-        if max(naive[1]) < max(peak):
+        if naive[1].max() < peak.max():
             chosen, peak = naive
-    peaks = {inst: peak[code[inst]] for inst in common.rank}
+    peaks = dict(zip(common.rank, peak.tolist()))
 
     # a stage may serve once every round delivering context to its GPUs is
     # done: each stage's last delivering round, -1 for none

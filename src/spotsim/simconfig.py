@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import INSTANCE_KINDS, STORAGE, as_real, is_count, is_real
+from .domain import INSTANCE_KINDS, STORAGE, as_real, is_count
 from .workload import WorkloadError, gamma_params
 
 
@@ -81,9 +81,13 @@ class WorkloadSpec:
             if self.rate is None or self.cv is None or self.seed is None:
                 raise SimConfigError("fixed_rate workload needs rate, cv and seed")
             for name in ("rate", "cv"):
-                value = getattr(self, name)
-                if not (is_real(value) and math.isfinite(value)):
+                try:
+                    value = as_real(getattr(self, name))
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
                     raise SimConfigError(f"workload {name} must be a finite number")
+                setattr(self, name, value)
             if not is_count(self.seed, 0):
                 raise SimConfigError(f"workload seed must be an integer >= 0, not {self.seed!r}")
         elif self.kind == "arrival_file":
@@ -122,9 +126,12 @@ class SimConfig:
             raise SimConfigError(f"unknown policy {self.policy!r}")
         for name in ("duration", "rate_window", "u_max", "grace_default", "ready_default"):
             value = getattr(self, name)
-            if not (is_real(value) or name == "u_max" and value is None):
-                raise SimConfigError(f"{name} must be a number, not {value!r}")
-            setattr(self, name, value if value is None else float(value))
+            if value is None and name == "u_max":
+                continue
+            try:
+                setattr(self, name, as_real(value))
+            except (TypeError, ValueError) as e:
+                raise SimConfigError(f"{name} must be a number: {e}") from None
         for name in ("duration", "rate_window", "u_max"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:

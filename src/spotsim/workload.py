@@ -13,7 +13,7 @@ class WorkloadError(ValueError):
     pass
 
 
-# Declared bound on a fixed-rate workload's expected arrivals, rate x duration.
+# Declared bound on a fixed-rate workload's expected arrivals.
 MAX_EXPECTED_ARRIVALS = 10**6
 
 
@@ -23,8 +23,11 @@ def gamma_params(rate: float, cv: float, duration: float) -> tuple[float, float]
 
     WorkloadError unless rate, cv and duration are > 0, the shape and scale
     are finite and > 0 (a cv whose square underflows to 0 or overflows to
-    inf has no gamma process in float64), and rate x duration is at most
-    MAX_EXPECTED_ARRIVALS.
+    inf has no gamma process in float64), and the expected arrivals,
+    rate x duration + max(0, (cv^2 - 1)/2), are at most
+    MAX_EXPECTED_ARRIVALS.  The second term is what a renewal process adds
+    to rate x duration on average; from a cv of about 1e4 on, every gap a
+    float64 gamma draws is 0.0, and the arrivals never reach `duration`.
     """
     if not (rate > 0 and cv > 0 and duration > 0):
         raise WorkloadError("rate, cv and duration must be positive")
@@ -33,9 +36,10 @@ def gamma_params(rate: float, cv: float, duration: float) -> tuple[float, float]
     if not (0 < shape < math.inf and 0 < scale < math.inf):
         raise WorkloadError(f"rate {rate!r} and cv {cv!r} give gamma shape 1/cv^2 = {shape!r} "
                             f"and scale cv^2/rate = {scale!r}; both must be finite and > 0")
-    if not rate * duration <= MAX_EXPECTED_ARRIVALS:
-        raise WorkloadError(f"rate x duration = {rate * duration!r} expected arrivals; "
-                            f"at most {MAX_EXPECTED_ARRIVALS} are allowed")
+    expected = rate * duration + max(0.0, (cv2 - 1) / 2)
+    if not expected <= MAX_EXPECTED_ARRIVALS:
+        raise WorkloadError(f"rate x duration + max(0, (cv^2 - 1)/2) = {expected!r} expected "
+                            f"arrivals; at most {MAX_EXPECTED_ARRIVALS} are allowed")
     return shape, scale
 
 

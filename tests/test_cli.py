@@ -458,10 +458,27 @@ def _write_lines(path, docs):
     ("trace", "t", "0"),
     ("trace", "grace", "30"),
     ("trace", "ready_in", False),
+    *(pytest.param(where, key, value, id=f"{where}-{key}-10**{exponent}")
+      for where, key, value, exponent in [
+          ("config", "duration", 10**400, 400),
+          ("config", "rate_window", 10**400, 400),
+          ("config", "u_max", 10**400, 400),
+          ("config", "grace_default", 10**400, 400),
+          ("config", "ready_default", 10**400, 400),
+          ("workload", "rate", 10**400, 400),
+          ("workload", "cv", 10**400, 400),
+          ("workload", "cv", 10**200, 200),
+          ("trace", "t", 10**400, 400),
+          ("trace", "grace", 10**400, 400),
+          ("trace", "ready_in", 10**400, 400),
+          ("arrival", "t", 10**400, 400),
+      ]),
 ])
 def test_non_finite_number_exits_two(where, key, value, quick_config, tmp_path, capsys):
     """NaN and Infinity (JSON `NaN`/`Infinity`, or a flag's `nan`/`inf`) are
-    bad input wherever a number is read, and so are strings and booleans."""
+    bad input wherever a number is read, and so are strings, booleans and
+    JSON integers too large for a float (10**400, or a cv of 10**200, whose
+    square is)."""
     doc = json.loads(quick_config.read_text())
     argv = []
     if where == "config":

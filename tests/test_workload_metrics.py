@@ -14,7 +14,7 @@ from spotsim.metrics import (
     write_request_csv,
 )
 from spotsim.costmodel import CostSummary
-from spotsim.workload import WorkloadError, gamma_arrivals, load_arrivals
+from spotsim.workload import WorkloadError, gamma_arrivals, gamma_params, load_arrivals
 
 from conftest import save_arrivals
 
@@ -57,6 +57,24 @@ class TestGammaArrivals:
     def test_rejected_before_a_gap_is_drawn(self, rate, cv, duration):
         with pytest.raises(WorkloadError):
             gamma_arrivals(rate, cv, duration, seed=1)
+
+    @pytest.mark.parametrize("cv", [1e4, 1e20])
+    def test_large_cv_counts_in_the_expected_arrivals(self, cv, monkeypatch):
+        """A renewal process adds about (cv^2 - 1)/2 arrivals to rate x
+        duration, and from cv 1e4 on every gap float64 draws is 0.0, so such
+        a cv is rejected before any gap is drawn (the generator is never run
+        here: drawing one would fail the test instead of filling memory)."""
+        def no_draws(*args):
+            raise AssertionError("a generator was made")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(WorkloadError, match="expected arrivals"):
+            gamma_arrivals(0.35, cv, 1200, seed=1)
+
+    def test_expected_arrivals_bound_counts_the_cv_term(self):
+        """rate x duration + (cv^2 - 1)/2 may reach 10**6 but not pass it."""
+        assert gamma_params(1.0, 5.0, 10**6 - 12) == (1 / 25, 25.0)
+        with pytest.raises(WorkloadError, match="expected arrivals"):
+            gamma_params(1.0, 5.0, 10**6 - 11)
 
 
 def reference_gamma_arrivals(rate: float, cv: float, duration: float, seed: int) -> np.ndarray:
